@@ -14,13 +14,8 @@ from schattenreg import (
     SchattenIndex,
     SpectralDensity,
     SphericalGaussianConfig,
-    child_seeds,
     diagonal_error_fn,
-    empirical_mse,
-    fit_from_spectrum,
-    gram_spectrum,
-    sample_diagonal,
-    sample_spherical,
+    simulate_path_errors,
     spherical_error_fn,
 )
 
@@ -30,16 +25,11 @@ N_DATASETS = 30
 ALPHAS = np.logspace(-2, 2, 9)
 
 
-def run(name, sample, theory_fns):
+def run(name, ensemble_config, theory_fns):
     print(f"--- {name} ensemble (lambda = {LAM}) ---")
     print(f"{'alpha':>8} {'estimator':>9} {'theory':>8} {'empirical':>10} {'se':>8}")
-    mses = np.zeros((3, len(ALPHAS), N_DATASETS))
-    for j, seed in enumerate(child_seeds(0, N_DATASETS)):
-        ds = sample(seed)
-        spectrum = gram_spectrum(ds.X_tr, ds.Y_tr)
-        for i, p in enumerate(SchattenIndex):
-            for k, a in enumerate(ALPHAS):
-                mses[i, k, j] = empirical_mse(fit_from_spectrum(spectrum, p, a), ds)
+    mses = simulate_path_errors(ensemble_config, tuple(SchattenIndex), ALPHAS,
+                                N_DATASETS, seed=0, n_test=2000)
     for i, p in enumerate(SchattenIndex):
         for k, a in enumerate(ALPHAS):
             mean = mses[i, k].mean()
@@ -50,14 +40,12 @@ def run(name, sample, theory_fns):
 
 
 sph = SphericalGaussianConfig(n_obs=N, n_feat=D, beta=1.0, sigma=1.0)
-run("spherical",
-    lambda s: sample_spherical(sph, n_test=2000, seed=s),
+run("spherical", sph,
     {p: spherical_error_fn(p, LAM, 1.0, 1.0) for p in SchattenIndex})
 
 density = SpectralDensity.power_law(2.0)
 diag = DiagonalEnsembleConfig(n_obs=N, n_feat=D, spectral_density=density,
                               noise_density=NoiseDensity(kind="point"),
                               beta=1.0, sigma=1.0)
-run("diagonal power-law",
-    lambda s: sample_diagonal(diag, seed=s),
+run("diagonal power-law", diag,
     {p: diagonal_error_fn(p, LAM, 1.0, 1.0, density) for p in SchattenIndex})

@@ -26,6 +26,7 @@ from .cv import (
     kfold_select_alpha,
     rff_benchmark,
     run_benchmark,
+    simulate_path_errors,
 )
 from .ensembles import (
     Dataset,
@@ -50,6 +51,7 @@ from .estimators import (
     estimator_operator,
     fit,
     fit_from_spectrum,
+    fit_path,
     operator_diagnostics,
     predict,
 )

@@ -11,35 +11,34 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 
-from .basin import default_alpha_grid, geometry_table
+from .basin import geometry_table
 from .cv import (
     AlphaGrid,
     BenchReport,
     CVConfig,
     MODEL_NAMES,
     RFFBenchConfig,
-    kfold_select_alpha,
+    _bench_over_datasets,
     rff_benchmark,
     run_benchmark,
-    sample_ensemble,
+    simulate_path_errors,
 )
 from .ensembles import (
+    Dataset,
     DiagonalEnsembleConfig,
     EquicorrelatedConfig,
     NoiseDensity,
     SparseSpec,
     SpectralDensity,
     SphericalGaussianConfig,
-    child_seeds,
-    empirical_mse,
 )
-from .estimators import fit_from_spectrum, predict
 from .exceptions import ConfigError, MissingTarget, ParseError, SchattenRegError
-from .spectrum import SchattenIndex, gram_spectrum
+from .spectrum import SchattenIndex
 from .theory import diagonal_error_fn, spherical_error_fn, theory_curve
 
 FLOAT_FMT = "%.17g"
@@ -189,18 +188,12 @@ def cmd_simulate(cfg: dict) -> list[dict]:
         **({"gamma": gamma} if gamma is not None else {}),
     })
 
-    mses = np.zeros((len(models), len(alphas), n_datasets))
-    for j, s in enumerate(child_seeds(seed, n_datasets)):
-        ds = sample_ensemble(ens_cfg, s, n_test)
-        spectrum = gram_spectrum(ds.X_tr, ds.Y_tr)
-        for i, p in enumerate(models):
-            for k, a in enumerate(alphas):
-                model = fit_from_spectrum(spectrum, p, a)
-                mses[i, k, j] = empirical_mse(model, ds)
+    # Build the theory curves first: a bad ensemble config fails before any sampling.
+    fns = [_curve_fn(ensemble, p, lam, beta, sigma, gamma) for p in models]
+    mses = simulate_path_errors(ens_cfg, models, alphas, n_datasets, seed, n_test)
 
     rows = []
-    for i, p in enumerate(models):
-        fn = _curve_fn(ensemble, p, lam, beta, sigma, gamma)
+    for i, (p, fn) in enumerate(zip(models, fns)):
         for k, a in enumerate(alphas):
             se = (float(np.std(mses[i, k], ddof=1) / np.sqrt(n_datasets))
                   if n_datasets > 1 else None)
@@ -285,10 +278,7 @@ def cmd_basin(cfg: dict) -> list[dict]:
     else:
         shapes = [float(v) for v in cfg.get("gammas", [0.5, 1.0, 2.0])]
     lam_fixed = float(cfg.get("lambda", 0.5))
-    g = cfg.get("grid", {})
-    grid = default_alpha_grid(
-        float(g.get("lo", 1e-3)), float(g.get("hi", 1e5)), int(g.get("count", 500))
-    )
+    grid = _alpha_grid(cfg, lo=1e-3, hi=1e5, count=500).values()
     names = [MODEL_NAMES[p] for p in _models(cfg)]
     fns = {}
     for name in names:
@@ -322,13 +312,11 @@ def read_numeric_csv(path: str, target: str) -> tuple[np.ndarray, np.ndarray, li
         for i, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ParseError(f"{path}:{i}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                bad = next(j for j, v in enumerate(row) if not _is_float(v))
-                raise ParseError(
-                    f"{path}:{i}: non-numeric value {row[bad]!r} in column {header[bad]!r}"
-                ) from None
+            bad = next((j for j, v in enumerate(row) if not _is_finite_float(v)), None)
+            if bad is not None:
+                raise ParseError(f"{path}:{i}: non-numeric or non-finite value "
+                                 f"{row[bad]!r} in column {header[bad]!r}")
+            rows.append([float(v) for v in row])
     if not rows:
         raise ParseError(f"{path}: no data rows")
     data = np.array(rows)
@@ -338,10 +326,9 @@ def read_numeric_csv(path: str, target: str) -> tuple[np.ndarray, np.ndarray, li
     return data[:, mask], data[:, t_idx], [h for h in header if h != target]
 
 
-def _is_float(v: str) -> bool:
+def _is_finite_float(v: str) -> bool:
     try:
-        float(v)
-        return True
+        return math.isfinite(float(v))
     except ValueError:
         return False
 
@@ -350,8 +337,9 @@ def cmd_real_data(path: str, cfg: dict) -> BenchReport:
     """Repeated random train/test splits on a tabular dataset.
 
     Features are z-scored with statistics fit on the training split only, and
-    the target is centered on its training mean (added back at prediction);
-    these choices are recorded in the output metadata.
+    train and test targets are centered on the training mean, which leaves
+    every squared test error unchanged up to rounding; these choices are
+    recorded in the output metadata.
     """
     _check_keys(cfg, {"target", "train_size", "n_splits", "models", "grid",
                       "folds", "seed", "out", "format"}, "real-data")
@@ -362,56 +350,41 @@ def cmd_real_data(path: str, cfg: dict) -> BenchReport:
     train_size = int(cfg.get("train_size", 300))
     if train_size >= n:
         raise ConfigError(f"train_size {train_size} must be below row count {n}")
-    n_splits = int(cfg.get("n_splits", 200))
-    models = _models(cfg)
-    names = tuple(MODEL_NAMES[m] for m in models)
     cv_cfg = CVConfig(
-        folds=int(cfg.get("folds", 3)), grid=_alpha_grid(cfg), models=models,
-        n_datasets=n_splits, seed=int(cfg.get("seed", 0)),
+        folds=int(cfg.get("folds", 3)), grid=_alpha_grid(cfg), models=_models(cfg),
+        n_datasets=int(cfg.get("n_splits", 200)), seed=int(cfg.get("seed", 0)),
     )
-    seeds = child_seeds(cv_cfg.seed, 2 * n_splits)
-    errors = np.zeros((len(models), n_splits))
-    alphas = np.zeros((len(models), n_splits))
-    for j in range(n_splits):
-        rng = np.random.default_rng(seeds[2 * j])
-        perm = rng.permutation(n)
+
+    def split(seed: int) -> Dataset:
+        perm = np.random.default_rng(seed).permutation(n)
         tr, te = perm[:train_size], perm[train_size:]
         mu = X_all[tr].mean(axis=0)
         sd = X_all[tr].std(axis=0, ddof=0)
         sd[sd == 0] = 1.0
-        X_tr = (X_all[tr] - mu) / sd
-        X_te = (X_all[te] - mu) / sd
         y_mean = y_all[tr].mean()
-        y_tr = y_all[tr] - y_mean
-        spectrum = gram_spectrum(X_tr, y_tr)
-        for i, p in enumerate(models):
-            a = kfold_select_alpha(X_tr, y_tr, p, cv_cfg, seed=seeds[2 * j + 1])
-            model = fit_from_spectrum(spectrum, p, a)
-            pred = predict(model, X_te) + y_mean
-            errors[i, j] = np.mean((pred - y_all[te]) ** 2)
-            alphas[i, j] = a
-    winners = np.argmin(errors, axis=0)
-    win_count = {name: int(np.sum(winners == i)) for i, name in enumerate(names)}
-    return BenchReport(
-        models=names,
-        errors=errors,
-        selected_alphas=alphas,
-        avg_error={name: float(errors[i].mean()) for i, name in enumerate(names)},
-        win_count=win_count,
-        win_prob={name: win_count[name] / n_splits for name in names},
-    )
+        return Dataset(X_tr=(X_all[tr] - mu) / sd, Y_tr=y_all[tr] - y_mean,
+                       X_te=(X_all[te] - mu) / sd, Y_te=y_all[te] - y_mean,
+                       beta0=None, seed=seed)
+
+    return _bench_over_datasets(split, cv_cfg, with_ratio=False)
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _write_report(report: BenchReport, out: str, fmt: str, meta: dict) -> None:
-    payload = {"report": report.to_dict(), "meta": meta}
+def _write_output(result, fields, out: str, fmt: str, meta: dict) -> None:
+    if fields is not None:
+        if fmt == "json":
+            write_json(out, {"rows": result})
+        else:
+            write_rows(out, result, fields)
+        return
+    payload = {"report": result.to_dict(), "meta": meta}
     if fmt == "json":
         write_json(out, payload)
     else:
-        write_rows(out, report_summary_rows(report), SUMMARY_FIELDS)
+        write_rows(out, report_summary_rows(result), SUMMARY_FIELDS)
         write_json(out + ".json", payload)
 
 
@@ -421,9 +394,16 @@ def main(argv: list[str] | None = None) -> int:
         description="Bias-constrained linear estimators: theory curves, "
                     "simulations, and cross-validation benchmarks.",
     )
+    # Subcommand -> (run, CSV fields of its rows); None marks a BenchReport.
+    commands = {
+        "theory-curve": (cmd_theory_curve, CURVE_FIELDS),
+        "simulate": (cmd_simulate, SIM_FIELDS),
+        "cv-bench": (cmd_cv_bench, None),
+        "rff-bench": (cmd_rff_bench, None),
+        "basin": (cmd_basin, BASIN_FIELDS),
+        "real-data": (cmd_real_data, None),
+    }
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = ["theory-curve", "simulate", "cv-bench", "rff-bench", "basin",
-                "real-data"]
     for name in commands:
         p = sub.add_parser(name)
         if name == "real-data":
@@ -445,34 +425,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         out = args.out or cfg.get("out") or f"{args.command.replace('-', '_')}.{args.format}"
-        fmt = args.format
-
-        if args.command == "theory-curve":
-            rows = cmd_theory_curve(cfg)
-            if fmt == "json":
-                write_json(out, {"rows": rows})
-            else:
-                write_rows(out, rows, CURVE_FIELDS)
-        elif args.command == "simulate":
-            rows = cmd_simulate(cfg)
-            if fmt == "json":
-                write_json(out, {"rows": rows})
-            else:
-                write_rows(out, rows, SIM_FIELDS)
-        elif args.command == "cv-bench":
-            _write_report(cmd_cv_bench(cfg), out, fmt, {"config": cfg})
-        elif args.command == "rff-bench":
-            _write_report(cmd_rff_bench(cfg), out, fmt, {"config": cfg})
-        elif args.command == "basin":
-            rows = cmd_basin(cfg)
-            if fmt == "json":
-                write_json(out, {"rows": rows})
-            else:
-                write_rows(out, rows, BASIN_FIELDS)
-        elif args.command == "real-data":
-            meta = {"config": cfg, "standardization":
-                    "features z-scored and target centered on train split"}
-            _write_report(cmd_real_data(args.path, cfg), out, fmt, meta)
+        run, fields = commands[args.command]
+        meta = {"config": cfg}
+        if args.command == "real-data":
+            result = run(args.path, cfg)
+            meta["standardization"] = "features z-scored and target centered on train split"
+        else:
+            result = run(cfg)
+        _write_output(result, fields, out, args.format, meta)
     except (SchattenRegError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ aggregate average errors and per-dataset win probabilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .ensembles import (
     sample_equicorrelated,
     sample_spherical,
 )
-from .estimators import fit_from_spectrum, predict
+from .estimators import fit_from_spectrum, fit_path
 from .exceptions import InsufficientData, InvalidConfig
 from .rff import make_rff_dataset
 from .spectrum import SchattenIndex, gram_spectrum
@@ -39,6 +39,7 @@ __all__ = [
     "rff_benchmark",
     "run_benchmark",
     "sample_ensemble",
+    "simulate_path_errors",
 ]
 
 MODEL_NAMES = {
@@ -120,30 +121,40 @@ def _fold_blocks(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarra
     return [np.asarray(b) for b in np.array_split(perm, folds)]
 
 
+def _path_mse(B: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Mean squared error on (X, Y) of every coefficient column of B: one
+    GEMM, with the residual rows held alpha-major so each mean sums one
+    contiguous row."""
+    resid = B.T @ X.T
+    resid -= Y
+    return np.square(resid, out=resid).mean(axis=1)
+
+
 def kfold_select_alpha(
     X: np.ndarray,
     Y: np.ndarray,
-    p: SchattenIndex,
+    models: tuple[SchattenIndex, ...],
     cfg: CVConfig,
     seed: int | None = None,
-) -> float:
-    """Grid alpha minimizing mean validation MSE across folds; ties break to
-    the smaller alpha."""
+) -> dict[SchattenIndex, float]:
+    """Per model, the grid alpha minimizing mean validation MSE across folds;
+    ties break to the smaller alpha.  Each fold is factored once and shared
+    by all models."""
     n = X.shape[0]
     if n < cfg.folds:
         raise InsufficientData(f"{n} observations cannot fill {cfg.folds} folds")
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     alphas = cfg.grid.values()
-    scores = np.zeros((cfg.folds, len(alphas)))
+    scores = np.zeros((cfg.folds, len(models), len(alphas)))
     for k, val_idx in enumerate(_fold_blocks(n, cfg.folds, rng)):
         mask = np.ones(n, dtype=bool)
         mask[val_idx] = False
         spectrum = gram_spectrum(X[mask], Y[mask])
         X_val, Y_val = X[val_idx], Y[val_idx]
-        for j, a in enumerate(alphas):
-            model = fit_from_spectrum(spectrum, p, a)
-            scores[k, j] = np.mean((predict(model, X_val) - Y_val) ** 2)
-    return float(alphas[int(np.argmin(scores.mean(axis=0)))])
+        for i, p in enumerate(models):
+            scores[k, i] = _path_mse(fit_path(spectrum, p, alphas), X_val, Y_val)
+    best = np.argmin(scores.mean(axis=0), axis=1)
+    return {p: float(alphas[best[i]]) for i, p in enumerate(models)}
 
 
 def sample_ensemble(config, seed: int, n_test: int) -> Dataset:
@@ -157,18 +168,50 @@ def sample_ensemble(config, seed: int, n_test: int) -> Dataset:
     raise InvalidConfig(f"unknown ensemble config type {type(config).__name__}")
 
 
-def _bench_over_datasets(datasets_and_seeds, cfg: CVConfig, with_ratio: bool) -> BenchReport:
+def _path_errors(ds: Dataset, models, alphas: np.ndarray) -> list[np.ndarray]:
+    spectrum = gram_spectrum(ds.X_tr, ds.Y_tr)
+    return [_path_mse(fit_path(spectrum, p, alphas), ds.X_te, ds.Y_te) for p in models]
+
+
+def simulate_path_errors(
+    ensemble_config,
+    models: tuple[SchattenIndex, ...],
+    alphas: np.ndarray,
+    n_datasets: int,
+    seed: int,
+    n_test: int,
+) -> np.ndarray:
+    """Test MSE of every model at every alpha on fresh draws of an ensemble,
+    shape (n_models, n_alpha, n_datasets); dataset j uses child seed j."""
+    mses = np.zeros((len(models), len(alphas), n_datasets))
+    for j, s in enumerate(child_seeds(seed, n_datasets)):
+        mses[:, :, j] = _path_errors(sample_ensemble(ensemble_config, s, n_test),
+                                     models, alphas)
+    return mses
+
+
+def _cv_errors(ds: Dataset, cfg: CVConfig, cv_seed: int) -> tuple[list, list]:
+    """(test MSE, selected alpha) per model: select by k-fold CV, refit on the
+    full training set."""
+    selected = kfold_select_alpha(ds.X_tr, ds.Y_tr, cfg.models, cfg, seed=cv_seed)
+    spectrum = gram_spectrum(ds.X_tr, ds.Y_tr)
+    errors = [empirical_mse(fit_from_spectrum(spectrum, p, selected[p]), ds)
+              for p in cfg.models]
+    return errors, [selected[p] for p in cfg.models]
+
+
+def _bench_over_datasets(make_dataset, cfg: CVConfig, with_ratio: bool) -> BenchReport:
+    """The replicate protocol: dataset j is make_dataset(seed) for the j-th
+    even child seed and its CV folds use the next one.  Each dataset is made
+    inside the call that scores it, so only one is alive at a time."""
     names = tuple(MODEL_NAMES[m] for m in cfg.models)
-    n_models, n_data = len(cfg.models), len(datasets_and_seeds)
-    errors = np.zeros((n_models, n_data))
-    alphas = np.zeros((n_models, n_data))
-    for j, (ds, cv_seed) in enumerate(datasets_and_seeds):
-        spectrum = gram_spectrum(ds.X_tr, ds.Y_tr)
-        for i, p in enumerate(cfg.models):
-            a = kfold_select_alpha(ds.X_tr, ds.Y_tr, p, cfg, seed=cv_seed)
-            model = fit_from_spectrum(spectrum, p, a)
-            errors[i, j] = empirical_mse(model, ds)
-            alphas[i, j] = a
+    n_data = cfg.n_datasets
+    seeds = child_seeds(cfg.seed, 2 * n_data)
+    errors = np.zeros((len(cfg.models), n_data))
+    alphas = np.zeros((len(cfg.models), n_data))
+    for j in range(n_data):
+        errors[:, j], alphas[:, j] = _cv_errors(make_dataset(seeds[2 * j]), cfg,
+                                                seeds[2 * j + 1])
     winners = np.argmin(errors, axis=0)  # first index wins ties
     win_count = {name: int(np.sum(winners == i)) for i, name in enumerate(names)}
     avg_error = {name: float(errors[i].mean()) for i, name in enumerate(names)}
@@ -189,12 +232,9 @@ def _bench_over_datasets(datasets_and_seeds, cfg: CVConfig, with_ratio: bool) ->
 
 def run_benchmark(ensemble_config, cfg: CVConfig) -> BenchReport:
     """The full replicate protocol on a synthetic ensemble."""
-    seeds = child_seeds(cfg.seed, 2 * cfg.n_datasets)
-    pairs = []
-    for j in range(cfg.n_datasets):
-        ds = sample_ensemble(ensemble_config, seeds[2 * j], cfg.n_test)
-        pairs.append((ds, seeds[2 * j + 1]))
-    return _bench_over_datasets(pairs, cfg, with_ratio=False)
+    return _bench_over_datasets(
+        lambda s: sample_ensemble(ensemble_config, s, cfg.n_test), cfg, with_ratio=False
+    )
 
 
 @dataclass(frozen=True)
@@ -216,19 +256,14 @@ def rff_benchmark(rff_cfg: RFFBenchConfig, cfg: CVConfig) -> BenchReport:
     (the Spectral estimator has no natural overparametrized extension), with
     the ratio-to-Ridge statistic included."""
     models = tuple(m for m in cfg.models if m is not SchattenIndex.SPECTRAL)
-    cfg = CVConfig(
-        folds=cfg.folds, grid=cfg.grid, models=models,
-        n_datasets=cfg.n_datasets, seed=cfg.seed, n_test=cfg.n_test,
-    )
-    seeds = child_seeds(cfg.seed, 2 * cfg.n_datasets)
-    pairs = []
-    for j in range(cfg.n_datasets):
-        ds = make_rff_dataset(
+    return _bench_over_datasets(
+        lambda s: make_rff_dataset(
             rff_cfg.d, rff_cfg.d_rbf, rff_cfg.n_obs, rff_cfg.n_test,
-            rff_cfg.sigma, rff_cfg.bandwidth, seed=seeds[2 * j],
-        )
-        pairs.append((ds, seeds[2 * j + 1]))
-    return _bench_over_datasets(pairs, cfg, with_ratio=True)
+            rff_cfg.sigma, rff_cfg.bandwidth, seed=s,
+        ),
+        replace(cfg, models=models),
+        with_ratio=True,
+    )
 
 
 def aggregate_wins(report: BenchReport) -> tuple[str, str]:

@@ -25,6 +25,7 @@ __all__ = [
     "estimator_operator",
     "fit",
     "fit_from_spectrum",
+    "fit_path",
     "operator_diagnostics",
     "predict",
 ]
@@ -56,28 +57,27 @@ class FittedModel:
 def _inverse_filter_weights(
     spectrum: GramSpectrum,
     p: SchattenIndex,
-    alpha: float,
+    alpha,
     strict: bool = False,
 ) -> np.ndarray:
     """Per-eigenvalue weights 1/f_alpha(sigma^2), with rank-deficient handling.
 
-    Eigenvalues below the rank tolerance are treated as exactly zero.  For
-    p in {1, 2} a zero eigenvalue maps to the filter value alpha (pseudo-
-    inverse-like when alpha = 0); for p = inf it stays zero, so the model is
-    min-norm OLS scaled by 1/(1 + alpha), unless strict mode raises instead.
+    Shaped like ``filtered_gram_eigvals``: (d,) for a scalar alpha, (d, n_alpha)
+    for a vector.  Eigenvalues below the rank tolerance are treated as exactly
+    zero.  For p in {1, 2} a zero eigenvalue maps to the filter value alpha
+    (pseudo-inverse-like when alpha = 0); for p = inf it stays zero, so the
+    model is min-norm OLS scaled by 1/(1 + alpha), unless strict mode raises
+    instead.  alpha = inf gives all-zero weights: the zero estimator.
     """
-    s = spectrum.eigvals
-    tol = spectrum.rank_tol
-    null = s <= tol
-    if p is SchattenIndex.SPECTRAL and np.any(null) and strict:
+    if p is SchattenIndex.SPECTRAL and strict and spectrum.rank < spectrum.n_feat:
         raise SingularGram(
             "spectral estimator requires full-rank G in strict mode"
         )
-    f = filtered_gram_eigvals(spectrum, p, alpha)
-    w = np.zeros_like(f)
-    pos = f > tol
-    w[pos] = 1.0 / f[pos]
-    return w
+    alpha = np.asarray(alpha, dtype=float)
+    live = alpha < np.inf
+    f = filtered_gram_eigvals(spectrum, p, np.where(live, alpha, 0.0))
+    with np.errstate(divide="ignore"):
+        return np.where((f > spectrum.rank_tol) & live, 1.0 / f, 0.0)
 
 
 def fit(
@@ -91,24 +91,31 @@ def fit(
     return fit_from_spectrum(gram_spectrum(X, Y), p, alpha, strict=strict)
 
 
+def fit_path(
+    spectrum: GramSpectrum,
+    p: SchattenIndex,
+    alphas,
+    strict: bool = False,
+) -> np.ndarray:
+    """Coefficients for every alpha at once, as the columns of a (d, n_alpha)
+    array: beta-hat(alpha) = U diag(1/f_alpha) U^T X^T Y, one filter matrix
+    and one product for the whole path."""
+    if spectrum.xty is None:
+        raise ValueError("spectrum must carry X^T Y; build it via gram_spectrum(X, Y)")
+    W = _inverse_filter_weights(spectrum, p, np.asarray(alphas, dtype=float).ravel(),
+                                strict=strict)
+    U = spectrum.eigvecs
+    return U @ (W * (U.T @ spectrum.xty)[:, None])
+
+
 def fit_from_spectrum(
     spectrum: GramSpectrum,
     p: SchattenIndex,
     alpha: float,
     strict: bool = False,
 ) -> FittedModel:
-    """Fit from a precomputed spectrum (with cached X^T Y); cheap along an
-    alpha path since the eigendecomposition is reused."""
-    if spectrum.xty is None:
-        raise ValueError("spectrum must carry X^T Y; build it via gram_spectrum(X, Y)")
-    if np.isinf(alpha):
-        beta = np.zeros(spectrum.n_feat)
-    else:
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        w = _inverse_filter_weights(spectrum, p, alpha, strict=strict)
-        U = spectrum.eigvecs
-        beta = U @ (w * (U.T @ spectrum.xty))
+    """Fit from a precomputed spectrum (with cached X^T Y) at one alpha."""
+    beta = fit_path(spectrum, p, [alpha], strict=strict)[:, 0]
     return FittedModel(p=p, alpha=float(alpha), beta_hat=beta, spectrum=spectrum)
 
 
@@ -128,8 +135,6 @@ def estimator_operator(
     """The (d, N) matrix L with beta-hat = L Y, i.e. L = G-hat^{-1} X^T."""
     X = np.asarray(X, dtype=float)
     spectrum = gram_spectrum(X)
-    if np.isinf(alpha):
-        return np.zeros((spectrum.n_feat, spectrum.n_obs))
     w = _inverse_filter_weights(spectrum, p, alpha, strict=strict)
     U = spectrum.eigvecs
     return (U * w) @ U.T @ X.T

@@ -92,17 +92,19 @@ def gram_spectrum(X: np.ndarray, Y: np.ndarray | None = None) -> GramSpectrum:
 
 
 def filtered_gram_eigvals(
-    spectrum: GramSpectrum, p: SchattenIndex, alpha: float
+    spectrum: GramSpectrum, p: SchattenIndex, alpha
 ) -> np.ndarray:
     """Eigenvalues of the regularized Gram matrix G-hat.
 
     Nuclear clips from below at alpha, Frobenius shifts by alpha, Spectral
     scales by (1 + alpha).  The output dominates the input elementwise, so
-    G-hat >= G in the PSD order for every alpha >= 0.
+    G-hat >= G in the PSD order for every alpha >= 0.  A scalar alpha gives
+    shape (d,); a vector of alphas gives (d, n_alpha), one column per alpha.
     """
-    if alpha < 0:
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha < 0):
         raise ValueError("alpha must be nonnegative")
-    s = spectrum.eigvals
+    s = spectrum.eigvals.reshape(-1, *([1] * alpha.ndim))
     if p is SchattenIndex.NUCLEAR:
         return np.maximum(s, alpha)
     if p is SchattenIndex.FROBENIUS:

@@ -72,11 +72,12 @@ def mp_pdf(mp: MarchenkoPastur, x) -> np.ndarray | float:
 
 
 def _mp_expect(mp: MarchenkoPastur, g, lo: float | None = None, hi: float | None = None,
-               tol: float = _QUAD_TOL) -> float:
+               scale: float = 1.0) -> float:
     """Integral of g against the MP measure over [lo, hi] (defaults: support).
 
     Substituting x = lo + (hi - lo) sin^2(theta) removes the square-root
-    endpoint singularities, leaving a smooth integrand in theta.
+    endpoint singularities, leaving a smooth integrand in theta.  `scale` is
+    the size of g; tolerances are relative to it (see `_quad_scaled`).
     """
     a, b = mp.support_lo, mp.support_hi
     lo = a if lo is None else max(lo, a)
@@ -94,10 +95,21 @@ def _mp_expect(mp: MarchenkoPastur, g, lo: float | None = None, hi: float | None
         w = span * span * 2.0 * (s * c) ** 2 / (2.0 * np.pi * mp.lam * x)
         return g(x) * w
 
-    val, err = quad(integrand, theta_of(lo), theta_of(hi), epsabs=tol, epsrel=tol,
-                    limit=200)
-    if err > 1e-9:
-        raise QuadratureFailure(f"MP quadrature error estimate {err:.2e} above 1e-9")
+    return _quad_scaled(integrand, theta_of(lo), theta_of(hi), scale, "MP")
+
+
+def _quad_scaled(f, a: float, b: float, scale: float, what: str, points=None) -> float:
+    """Adaptive quadrature of an integrand of size `scale`.
+
+    An error estimate above 1e-9 * scale raises QuadratureFailure.  Below
+    scale 1 the absolute tolerance shrinks with the integrand, so accuracy
+    stays relative; from scale 1 up the relative tolerance governs.
+    """
+    val, err = quad(f, a, b, epsabs=_QUAD_TOL * min(1.0, scale), epsrel=_QUAD_TOL,
+                    limit=200, points=points)
+    if err > 1e-9 * scale:
+        raise QuadratureFailure(
+            f"{what} quadrature error estimate {err:.2e} above {1e-9 * scale:.2e}")
     return val
 
 
@@ -146,10 +158,12 @@ def err_spherical_quadrature(
             return lam * beta * beta
         return lam * beta * beta  # filter kills the signal, OLS variance term -> 0
     h = _spherical_integrand(p, alpha, beta, sigma)
+    scale = max(beta * beta, sigma * sigma)  # the error is quadratic in (beta, sigma)
     if p is SchattenIndex.NUCLEAR and mp.support_lo < alpha < mp.support_hi:
         # Kink of max(x, alpha) at x = alpha: integrate the two pieces separately.
-        return lam * (_mp_expect(mp, h, hi=alpha) + _mp_expect(mp, h, lo=alpha))
-    return lam * _mp_expect(mp, h)
+        return lam * (_mp_expect(mp, h, hi=alpha, scale=scale)
+                      + _mp_expect(mp, h, lo=alpha, scale=scale))
+    return lam * _mp_expect(mp, h, scale=scale)
 
 
 def err_spectral_closed(alpha: float, lam: float, beta: float, sigma: float) -> float:
@@ -290,11 +304,8 @@ def err_diagonal_quadrature(
     points = None
     if p is SchattenIndex.NUCLEAR and not np.isinf(alpha) and 0.0 < alpha < 1.0:
         points = [alpha]
-    val, err = quad(weighted, 0.0, 1.0, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
-                    limit=200, points=points)
-    if err > 1e-9:
-        raise QuadratureFailure(f"diagonal quadrature error estimate {err:.2e}")
-    return lam * val
+    return lam * _quad_scaled(weighted, 0.0, 1.0, max(beta * beta, sigma * sigma),
+                              "diagonal", points=points)
 
 
 def oracle_ridge_alpha(beta: float, sigma: float) -> float:

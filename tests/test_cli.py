@@ -128,6 +128,17 @@ def test_simulate_seed_flag_changes_draws(tmp_path):
     assert outs[0] != outs[1]
 
 
+def test_simulate_diagonal_without_gamma_fails_before_sampling(tmp_path, monkeypatch):
+    import schattenreg.cli as cli
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(cli, "simulate_path_errors", no_sampling)
+    cfg = _write_cfg(tmp_path, "c.json", {"ensemble": "diagonal", "n_datasets": 2})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 2
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion and real-data
 # ---------------------------------------------------------------------------
@@ -155,6 +166,13 @@ def test_read_numeric_csv_missing_target(tmp_path):
 def test_read_numeric_csv_bad_value_has_location(tmp_path):
     path = _write_table(tmp_path, "a,y\n1,2\noops,4\n")
     with pytest.raises(ParseError, match=r":3:.*'oops'.*'a'"):
+        read_numeric_csv(path, "y")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_read_numeric_csv_non_finite_value_has_location(tmp_path, cell):
+    path = _write_table(tmp_path, f"a,y\n1,2\n3,4\n5,{cell}\n")
+    with pytest.raises(ParseError, match=rf":4:.*'{cell}'.*'y'"):
         read_numeric_csv(path, "y")
 
 
@@ -257,3 +275,11 @@ def test_basin_cli(tmp_path):
     # The base estimator reports zero by construction.
     assert float(by_est["ridge"]["depth_pct"]) == 0.0
     assert float(by_est["ridge"]["curvature_pct"]) == 0.0
+
+
+def test_basin_rejects_unknown_grid_key(tmp_path):
+    cfg = _write_cfg(tmp_path, "c.json", {
+        "sigmas": [1.0], "lambdas": [0.5], "models": ["ridge"],
+        "grid": {"lo": 1e-3, "hi": 1e5, "count": 50, "typo": 1},
+    })
+    assert main(["basin", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 2

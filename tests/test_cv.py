@@ -39,22 +39,26 @@ def _small_cfg(**kw):
 def test_single_value_grid_is_returned():
     ds = sample_spherical(SphericalGaussianConfig(30, 5), n_test=10, seed=0)
     cfg = _small_cfg(grid=AlphaGrid(0.37, 1.0, 1))
-    a = kfold_select_alpha(ds.X_tr, ds.Y_tr, SchattenIndex.FROBENIUS, cfg)
+    a = kfold_select_alpha(ds.X_tr, ds.Y_tr, (SchattenIndex.FROBENIUS,), cfg)[
+        SchattenIndex.FROBENIUS]
     assert a == 0.37
 
 
 def test_selection_deterministic():
     ds = sample_spherical(SphericalGaussianConfig(40, 8), n_test=10, seed=1)
     cfg = _small_cfg()
-    a1 = kfold_select_alpha(ds.X_tr, ds.Y_tr, SchattenIndex.NUCLEAR, cfg)
-    a2 = kfold_select_alpha(ds.X_tr, ds.Y_tr, SchattenIndex.NUCLEAR, cfg)
+    a1 = kfold_select_alpha(ds.X_tr, ds.Y_tr, (SchattenIndex.NUCLEAR,), cfg)[
+        SchattenIndex.NUCLEAR]
+    a2 = kfold_select_alpha(ds.X_tr, ds.Y_tr, (SchattenIndex.NUCLEAR,), cfg)[
+        SchattenIndex.NUCLEAR]
     assert a1 == a2
 
 
 def test_selected_alpha_is_grid_member():
     ds = sample_spherical(SphericalGaussianConfig(40, 8, sigma=2.0), n_test=10, seed=2)
     cfg = _small_cfg()
-    a = kfold_select_alpha(ds.X_tr, ds.Y_tr, SchattenIndex.FROBENIUS, cfg)
+    a = kfold_select_alpha(ds.X_tr, ds.Y_tr, (SchattenIndex.FROBENIUS,), cfg)[
+        SchattenIndex.FROBENIUS]
     assert a in cfg.grid.values()
 
 
@@ -67,15 +71,24 @@ def test_noiseless_data_selects_least_regularization():
         ds = sample_spherical(
             SphericalGaussianConfig(50, 10, sigma=0.0), n_test=10, seed=seed
         )
-        a = kfold_select_alpha(ds.X_tr, ds.Y_tr, SchattenIndex.FROBENIUS, cfg,
-                               seed=seed)
+        a = kfold_select_alpha(ds.X_tr, ds.Y_tr, (SchattenIndex.FROBENIUS,), cfg,
+                               seed=seed)[SchattenIndex.FROBENIUS]
         wins += a == cfg.grid.values()[0]
     assert wins >= 95
 
 
+@pytest.mark.parametrize("shape", [(40, 8), (30, 45)])  # full rank; d > N
+def test_multi_model_selection_matches_single_model(shape):
+    ds = sample_spherical(SphericalGaussianConfig(*shape, sigma=1.5), n_test=10, seed=4)
+    cfg = _small_cfg()
+    together = kfold_select_alpha(ds.X_tr, ds.Y_tr, cfg.models, cfg, seed=5)
+    for p in cfg.models:
+        assert together[p] == kfold_select_alpha(ds.X_tr, ds.Y_tr, (p,), cfg, seed=5)[p]
+
+
 def test_insufficient_data_raises():
     with pytest.raises(InsufficientData):
-        kfold_select_alpha(np.zeros((2, 3)), np.zeros(2), SchattenIndex.FROBENIUS,
+        kfold_select_alpha(np.zeros((2, 3)), np.zeros(2), (SchattenIndex.FROBENIUS,),
                            _small_cfg(folds=3))
 
 
@@ -83,9 +96,11 @@ def test_no_leakage_from_test_labels():
     # Selected alpha depends only on the training data.
     cfg = _small_cfg()
     ds = sample_spherical(SphericalGaussianConfig(40, 8), n_test=50, seed=3)
-    a1 = kfold_select_alpha(ds.X_tr, ds.Y_tr, SchattenIndex.NUCLEAR, cfg)
+    a1 = kfold_select_alpha(ds.X_tr, ds.Y_tr, (SchattenIndex.NUCLEAR,), cfg)[
+        SchattenIndex.NUCLEAR]
     # "Shuffle the test labels": the call never sees them, so rerun matches.
-    a2 = kfold_select_alpha(ds.X_tr, ds.Y_tr.copy(), SchattenIndex.NUCLEAR, cfg)
+    a2 = kfold_select_alpha(ds.X_tr, ds.Y_tr.copy(), (SchattenIndex.NUCLEAR,), cfg)[
+        SchattenIndex.NUCLEAR]
     assert a1 == a2
 
 
@@ -170,7 +185,7 @@ def test_rff_features_realizable_noiseless_near_zero():
     cfg = _small_cfg(grid=AlphaGrid(1e-8, 1e2, 11),
                      models=(SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS))
     for p in cfg.models:
-        alpha = kfold_select_alpha(ds.X_tr, ds.Y_tr, p, cfg, seed=3)
+        alpha = kfold_select_alpha(ds.X_tr, ds.Y_tr, (p,), cfg, seed=3)[p]
         model = fit(ds.X_tr, ds.Y_tr, p, alpha)
         assert empirical_mse(model, ds) < 1e-6
 

@@ -8,6 +8,8 @@ from schattenreg import (
     bias_bound_to_alpha,
     estimator_operator,
     fit,
+    fit_from_spectrum,
+    fit_path,
     gram_spectrum,
     operator_diagnostics,
     predict,
@@ -71,6 +73,21 @@ def test_strict_mode_rejects_rank_deficient_spectral():
     # Non-strict p=spectral and the other two norms accept it.
     for p in ALL_P:
         fit(X, Y, p, 1.0)
+
+
+@pytest.mark.parametrize("p", ALL_P)
+@pytest.mark.parametrize("shape", [(12, 5), (4, 9)])  # full rank; d > N
+def test_fit_path_matches_per_alpha_fits(p, shape):
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal(shape)
+    sp = gram_spectrum(X, rng.standard_normal(shape[0]))
+    alphas = [0.0, 1e-3, 1.0, np.inf]
+    B = fit_path(sp, p, alphas)
+    assert B.shape == (shape[1], len(alphas))
+    for k, a in enumerate(alphas):
+        beta = fit_from_spectrum(sp, p, a).beta_hat
+        np.testing.assert_allclose(B[:, k], beta, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(B[:, -1], np.zeros(shape[1]))
 
 
 # ----------------------------------------------------------------------------

@@ -196,6 +196,30 @@ def test_f1_domain_errors():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("p", list(SchattenIndex))
+def test_spherical_quadrature_large_sigma_returns(p):
+    # The error estimate grows with sigma^2, so a fixed absolute failure
+    # bound rejected this accurate integral.
+    err = err_spherical_quadrature(p, 1.0, 0.5, 1.0, 1e3)
+    if p is SchattenIndex.SPECTRAL:
+        assert err == pytest.approx(err_spectral_closed(1.0, 0.5, 1.0, 1e3), rel=1e-10)
+    assert np.isfinite(err) and err > 0
+
+
+@pytest.mark.parametrize("p", list(SchattenIndex))
+@pytest.mark.parametrize("c", [1e-3, 1e3])
+def test_quadrature_errors_scale_with_beta_and_sigma_squared(p, c):
+    dens = SpectralDensity.power_law(2.0)
+    for alpha, lam, beta, sigma in [(1.0, 0.5, 1.0, 1.0), (0.5, 0.3, 1.0, 2.0),
+                                    (3.0, 0.9, 0.7, 0.4)]:
+        base = err_spherical_quadrature(p, alpha, lam, beta, sigma)
+        assert err_spherical_quadrature(p, alpha, lam, c * beta, c * sigma) == \
+            pytest.approx(c * c * base, rel=1e-9)
+        base = err_diagonal_quadrature(p, alpha, lam, beta, sigma, dens)
+        assert err_diagonal_quadrature(p, alpha, lam, c * beta, c * sigma, dens) == \
+            pytest.approx(c * c * base, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", list(SchattenIndex))
 def test_diagonal_alpha_zero(p):
     dens = SpectralDensity.power_law(2.0)
     assert err_diagonal_quadrature(p, 0.0, 0.5, 1.0, 0.7, dens) == \
