@@ -12,23 +12,24 @@ import numpy as np
 from schattenreg import (
     SchattenIndex,
     default_alpha_grid,
+    err_spherical_quadrature,
     expected_cv_minimum,
     geometry_table,
     locate_min_and_curvature,
-    spherical_error_fn,
 )
 
 LAM, BETA = 0.5, 1.0
 SIGMAS = [0.5, 1.0, 2.0]
 
-fns = {}
+grid = default_alpha_grid()
+curves = {}
 for sigma in SIGMAS:
     for name, p in (("ridge", SchattenIndex.FROBENIUS),
                     ("nuclear", SchattenIndex.NUCLEAR),
                     ("spectral", SchattenIndex.SPECTRAL)):
-        fns[(name, sigma, LAM)] = spherical_error_fn(p, LAM, BETA, sigma)
+        curves[(name, sigma, LAM)] = err_spherical_quadrature(p, grid, LAM, BETA, sigma)
 
-table = geometry_table(fns, "spherical")
+table = geometry_table(curves, "spherical", grid)
 print(f"{'estimator':>9} {'sigma':>6} {'depth %':>9} {'curvature %':>12}")
 for cell in table.cells:
     print(f"{cell.estimator:>9} {cell.sigma:>6.1f} {cell.depth_pct:>9.2f}"
@@ -37,11 +38,10 @@ for cell in table.cells:
 # Expected cross-validated minimum for a coarse grid: n alpha values landing
 # uniformly within half a grid step (delta) of the optimum.
 print("\nexpected CV minimum (n = 9 grid values, sigma = 1):")
-grid = default_alpha_grid()
 delta = 0.5 * np.log(10) * 10.0 / 8  # half a log step of the 9-point grid
 for name, p in (("ridge", SchattenIndex.FROBENIUS),
                 ("nuclear", SchattenIndex.NUCLEAR)):
-    geom = locate_min_and_curvature(spherical_error_fn(p, LAM, BETA, 1.0), grid)
+    geom = locate_min_and_curvature(curves[(name, 1.0, LAM)], grid)
     # convert curvature to log-alpha units at the minimum
     kappa_log = geom.kappa * geom.alpha_min
     exp_min = expected_cv_minimum(geom.err_min, kappa_log, delta, 9)

@@ -70,7 +70,6 @@ from .theory import (
     MarchenkoPastur,
     TheoryCurve,
     appell_f1,
-    diagonal_error_fn,
     err_diagonal_quadrature,
     err_nuclear_closed,
     err_spectral_closed,
@@ -79,7 +78,6 @@ from .theory import (
     mp_partial_moment,
     mp_pdf,
     oracle_ridge_alpha,
-    spherical_error_fn,
     theory_curve,
 )
 

@@ -10,7 +10,7 @@ the idealized parabola model, together with its Monte-Carlo oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,22 +52,16 @@ class BasinGeometry:
         return float(np.sqrt(max(self.curvature, 0.0)))
 
 
-def locate_min_and_curvature(
-    curve_fn: Callable[[float], float] | None,
-    grid: np.ndarray | None = None,
-    values: np.ndarray | None = None,
-) -> BasinGeometry:
-    """Grid argmin plus curvature from a quadratic fit on an 11-point window.
+def locate_min_and_curvature(values: np.ndarray, grid: np.ndarray) -> BasinGeometry:
+    """Grid argmin plus curvature of a curve's values on `grid`, from a
+    quadratic fit on an 11-point window.
 
     The quadratic is fit in alpha on the linear scale, centered at the grid
     argmin; the estimated Hessian is twice the quadratic coefficient.  Edge
     minima use a one-sided window and are flagged.
     """
-    grid = default_alpha_grid() if grid is None else np.asarray(grid, dtype=float)
-    if values is None:
-        values = np.array([curve_fn(a) for a in grid])
-    else:
-        values = np.asarray(values, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("curve values must be finite on the grid")
     i0 = int(np.argmin(values))
@@ -131,18 +125,17 @@ class GeometryTable:
 
 
 def geometry_table(
-    curve_fns: dict[tuple[str, float, float], Callable[[float], float]],
+    curves: dict[tuple[str, float, float], np.ndarray],
     ensemble: str,
-    grid: np.ndarray | None = None,
+    grid: np.ndarray,
     base: str = "ridge",
 ) -> GeometryTable:
     """Depth / curvature percent increases relative to the Ridge estimator.
 
-    curve_fns maps (estimator_name, sigma, shape_param) -> Err(alpha); every
+    curves maps (estimator_name, sigma, shape_param) -> Err on `grid`; every
     (sigma, shape_param) pair must include the base estimator.
     """
-    grid = default_alpha_grid() if grid is None else grid
-    geoms = {key: locate_min_and_curvature(fn, grid) for key, fn in curve_fns.items()}
+    geoms = {key: locate_min_and_curvature(values, grid) for key, values in curves.items()}
     cells = []
     for (name, sigma, shape), geom in geoms.items():
         ref = geoms[(base, sigma, shape)]

@@ -39,7 +39,7 @@ from .ensembles import (
 )
 from .exceptions import ConfigError, MissingTarget, ParseError, SchattenRegError
 from .spectrum import SchattenIndex
-from .theory import diagonal_error_fn, spherical_error_fn, theory_curve
+from .theory import theory_curve
 
 FLOAT_FMT = "%.17g"
 
@@ -95,17 +95,6 @@ def _alpha_grid(cfg: dict, lo=1e-4, hi=1e6, count=9) -> AlphaGrid:
     if count < 1:
         raise ConfigError("alpha grid must contain at least one value")
     return AlphaGrid(lo=float(g.get("lo", lo)), hi=float(g.get("hi", hi)), count=count)
-
-
-def _curve_fn(ensemble: str, p: SchattenIndex, lam: float, beta: float, sigma: float,
-              gamma: float | None):
-    if ensemble == "spherical":
-        return spherical_error_fn(p, lam, beta, sigma)
-    if ensemble == "diagonal":
-        if gamma is None:
-            raise ConfigError("diagonal ensemble requires gamma")
-        return diagonal_error_fn(p, lam, beta, sigma, SpectralDensity.power_law(gamma))
-    raise ConfigError(f"unknown ensemble {ensemble!r}")
 
 
 def _ensemble_config(cfg: dict):
@@ -189,18 +178,18 @@ def cmd_simulate(cfg: dict) -> list[dict]:
     })
 
     # Build the theory curves first: a bad ensemble config fails before any sampling.
-    fns = [_curve_fn(ensemble, p, lam, beta, sigma, gamma) for p in models]
+    curves = [theory_curve(p, ensemble, alphas, lam, beta, sigma, gamma) for p in models]
     mses = simulate_path_errors(ens_cfg, models, alphas, n_datasets, seed, n_test)
 
     rows = []
-    for i, (p, fn) in enumerate(zip(models, fns)):
+    for i, (p, curve) in enumerate(zip(models, curves)):
         for k, a in enumerate(alphas):
             se = (float(np.std(mses[i, k], ddof=1) / np.sqrt(n_datasets))
                   if n_datasets > 1 else None)
             rows.append({
                 "alpha": a, "estimator": MODEL_NAMES[p],
                 "empirical_mean": float(np.mean(mses[i, k])), "se": se,
-                "theory": fn(a), "ensemble": ensemble, "lambda": lam,
+                "theory": curve.errors[k], "ensemble": ensemble, "lambda": lam,
                 "beta": beta, "sigma": sigma, "gamma": gamma,
                 "n_obs": n_obs, "n_datasets": n_datasets,
             })
@@ -280,16 +269,16 @@ def cmd_basin(cfg: dict) -> list[dict]:
     lam_fixed = float(cfg.get("lambda", 0.5))
     grid = _alpha_grid(cfg, lo=1e-3, hi=1e5, count=500).values()
     names = [MODEL_NAMES[p] for p in _models(cfg)]
-    fns = {}
+    curves = {}
     for name in names:
         p = _NAME_TO_MODEL[name]
         for s in sigmas:
             for shape in shapes:
                 lam = shape if ensemble == "spherical" else lam_fixed
                 gamma = None if ensemble == "spherical" else shape
-                fns[(name, s, shape)] = _curve_fn(ensemble, p, lam, beta, sigma=s,
-                                                  gamma=gamma)
-    table = geometry_table(fns, ensemble, grid)
+                curves[(name, s, shape)] = theory_curve(p, ensemble, grid, lam, beta,
+                                                        sigma=s, gamma=gamma).errors
+    table = geometry_table(curves, ensemble, grid)
     return [{
         "estimator": c.estimator, "sigma": c.sigma, "shape_param": c.shape_param,
         "depth_pct": c.depth_pct, "curvature_pct": c.curvature_pct,

@@ -256,6 +256,9 @@ def rff_benchmark(rff_cfg: RFFBenchConfig, cfg: CVConfig) -> BenchReport:
     (the Spectral estimator has no natural overparametrized extension), with
     the ratio-to-Ridge statistic included."""
     models = tuple(m for m in cfg.models if m is not SchattenIndex.SPECTRAL)
+    if not models:
+        raise InvalidConfig("rff benchmark drops the spectral model, which leaves "
+                            "no model to run; request nuclear or ridge")
     return _bench_over_datasets(
         lambda s: make_rff_dataset(
             rff_cfg.d, rff_cfg.d_rbf, rff_cfg.n_obs, rff_cfg.n_test,

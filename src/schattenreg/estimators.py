@@ -73,11 +73,9 @@ def _inverse_filter_weights(
         raise SingularGram(
             "spectral estimator requires full-rank G in strict mode"
         )
-    alpha = np.asarray(alpha, dtype=float)
-    live = alpha < np.inf
-    f = filtered_gram_eigvals(spectrum, p, np.where(live, alpha, 0.0))
+    f = filtered_gram_eigvals(spectrum, p, alpha)
     with np.errstate(divide="ignore"):
-        return np.where((f > spectrum.rank_tol) & live, 1.0 / f, 0.0)
+        return np.where(f > spectrum.rank_tol, 1.0 / f, 0.0)
 
 
 def fit(

@@ -26,7 +26,7 @@ class DidNotConverge(SchattenRegError):
 
 
 class QuadratureFailure(SchattenRegError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """A quadrature error estimate exceeds its bound."""
 
 
 class DomainError(SchattenRegError):

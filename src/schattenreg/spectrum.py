@@ -100,6 +100,8 @@ def filtered_gram_eigvals(
     scales by (1 + alpha).  The output dominates the input elementwise, so
     G-hat >= G in the PSD order for every alpha >= 0.  A scalar alpha gives
     shape (d,); a vector of alphas gives (d, n_alpha), one column per alpha.
+    A zero eigenvalue stays 0 under Spectral even at alpha = inf, the limit
+    of (1 + alpha) * 0.
     """
     alpha = np.asarray(alpha, dtype=float)
     if np.any(alpha < 0):
@@ -109,4 +111,5 @@ def filtered_gram_eigvals(
         return np.maximum(s, alpha)
     if p is SchattenIndex.FROBENIUS:
         return s + alpha
-    return (1.0 + alpha) * s
+    out = np.zeros(np.broadcast_shapes(s.shape, alpha.shape))
+    return np.multiply(1.0 + alpha, s, out=out, where=s > 0)

@@ -1,21 +1,46 @@
 """Thermodynamic-limit test-error curves for the three estimators.
 
-Two ensembles are covered.  Under spherical Gaussian features the error is an
-integral against the Marchenko-Pastur law; under the diagonal/Stiefel
-ensemble it is an integral against the chosen spectral density on [0, 1].
-Quadrature is the primary route; the Spectral estimator additionally has an
-elementary closed form and the Nuclear estimator a piecewise closed form
-whose middle branch is built from partial MP moments expressed through the
-two-variable Appell hypergeometric function F1.
+Two ensembles are covered.  For both, the error is lam times one integrand,
+the test error carried by a covariance eigenvalue x,
+
+    e(x) = beta^2 x (1 - r)^2 + sigma^2 r^2,    r = x / f_alpha(x),
+
+integrated against a spectral measure: x^-1 dMP(x) (Marchenko-Pastur) for
+spherical Gaussian features, the chosen spectral density on [0, 1] for the
+diagonal/Stiefel ensemble.  r is 1/(1 + alpha) for Spectral, x/(x + alpha)
+for Ridge and min(1, x/alpha) for Nuclear, so e stays finite at x = 0.
+
+The integrals are fixed Gauss rules evaluated for a whole alpha grid at once,
+as (n_alpha, n_nodes) arrays:
+
+- Marchenko-Pastur: x = lo + (hi - lo) sin^2(theta) removes the square-root
+  endpoint singularities.  A linear theta panel on [0, theta_e], with
+  theta_e = min(pi/2, 4 sqrt(lo/(hi - lo))), resolves the 1/x scale near lo,
+  which sharpens as lam -> 1; Gauss-Legendre in ln(theta) covers the rest.
+  Both panels split at theta(alpha), the Nuclear kink and the Ridge
+  transition.
+- Power law gamma x^(gamma-1): Gauss-Radau for the weight s^(gamma-1) on
+  [0, m], Gauss-Legendre in ln(x) on [m, 1], with m = min(alpha, 1) kept
+  above the point below which the measure holds e^-50 of its mass.
+- A tabulated density is the exact weighted sum over its atoms.
+
+Each rule runs with n and 2n nodes per panel; the 2n value is returned, and
+|Q_2n - Q_n| above 1e-9 max(beta^2, sigma^2) raises QuadratureFailure.
+
+The Spectral estimator additionally has an elementary closed form and the
+Nuclear estimator a piecewise closed form whose middle branch is built from
+partial MP moments expressed through the two-variable Appell hypergeometric
+function F1; both are independent of the Gauss rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_jacobi, roots_legendre
 
 from .ensembles import SpectralDensity
 from .exceptions import DomainError, QuadratureFailure
@@ -33,12 +58,13 @@ __all__ = [
     "mp_partial_moment",
     "mp_pdf",
     "oracle_ridge_alpha",
-    "spherical_error_fn",
-    "diagonal_error_fn",
     "theory_curve",
 ]
 
-_QUAD_TOL = 1e-11
+# Gauss nodes per panel of the coarse rule; the fine rule uses twice as many.
+_NODES = 32
+# Alphas per block: bounds the (block, nodes) temporaries, and so peak memory.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -71,100 +97,146 @@ def mp_pdf(mp: MarchenkoPastur, x) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _mp_expect(mp: MarchenkoPastur, g, lo: float | None = None, hi: float | None = None,
-               scale: float = 1.0) -> float:
-    """Integral of g against the MP measure over [lo, hi] (defaults: support).
-
-    Substituting x = lo + (hi - lo) sin^2(theta) removes the square-root
-    endpoint singularities, leaving a smooth integrand in theta.  `scale` is
-    the size of g; tolerances are relative to it (see `_quad_scaled`).
-    """
-    a, b = mp.support_lo, mp.support_hi
-    lo = a if lo is None else max(lo, a)
-    hi = b if hi is None else min(hi, b)
-    if hi <= lo:
-        return 0.0
-    span = b - a
-
-    def theta_of(x: float) -> float:
-        return float(np.arcsin(np.sqrt(np.clip((x - a) / span, 0.0, 1.0))))
-
-    def integrand(theta: float) -> float:
-        s, c = np.sin(theta), np.cos(theta)
-        x = a + span * s * s
-        w = span * span * 2.0 * (s * c) ** 2 / (2.0 * np.pi * mp.lam * x)
-        return g(x) * w
-
-    return _quad_scaled(integrand, theta_of(lo), theta_of(hi), scale, "MP")
-
-
-def _quad_scaled(f, a: float, b: float, scale: float, what: str, points=None) -> float:
-    """Adaptive quadrature of an integrand of size `scale`.
-
-    An error estimate above 1e-9 * scale raises QuadratureFailure.  Below
-    scale 1 the absolute tolerance shrinks with the integrand, so accuracy
-    stays relative; from scale 1 up the relative tolerance governs.
-    """
-    val, err = quad(f, a, b, epsabs=_QUAD_TOL * min(1.0, scale), epsrel=_QUAD_TOL,
-                    limit=200, points=points)
-    if err > 1e-9 * scale:
-        raise QuadratureFailure(
-            f"{what} quadrature error estimate {err:.2e} above {1e-9 * scale:.2e}")
-    return val
-
-
 def mp_cdf(mp: MarchenkoPastur, x: float) -> float:
-    """CDF of the MP law, by adaptive quadrature of the density."""
-    if x <= mp.support_lo:
-        return 0.0
+    """CDF of the MP law: the partial moment of order 0."""
     if x >= mp.support_hi:
         return 1.0
-    return _mp_expect(mp, lambda _: 1.0, hi=x)
+    return mp_partial_moment(mp, 0, x)
 
 
-def _spherical_integrand(p: SchattenIndex, alpha: float, beta: float, sigma: float):
-    """x -> beta^2 (1 - x/f)^2 + sigma^2 x / f^2 with f = f_alpha(x), written
-    per case to avoid indeterminate forms at x = 0."""
-    b2, s2 = beta * beta, sigma * sigma
+# ---------------------------------------------------------------------------
+# Gauss-rule engine
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return roots_legendre(n)
+
+
+@lru_cache(maxsize=64)
+def _radau(n: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss-Radau rule for gamma s^(gamma-1) ds on [0, 1], fixed node
+    at s = 0: the Gauss-Jacobi nodes of the weight s^gamma carry that rule's
+    weights over s, and the endpoint takes the rest of the unit mass.
+
+    scipy's Gauss-Jacobi rule for s^(gamma-1) itself is off by 7e-12 at
+    gamma = 0.1, from its nodes near s = 0; this one stays within 1e-14.
+    """
+    y, w = roots_jacobi(n - 1, 0.0, gamma)
+    w = gamma * 0.5 ** gamma * w / (1.0 + y)
+    return np.append(0.0, 0.5 * (1.0 + y)), np.append(1.0 - w.sum(), w)
+
+
+def _legendre_panel(a, b, n: int, log: bool):
+    """n Gauss-Legendre nodes and weights on [a, b] for each row of the
+    (k, 1) or scalar endpoints, uniform in ln(t) when `log` (then a > 0)."""
+    t, w = _legendre(n)
+    if log:
+        a, b = np.log(a), np.log(b)
+    half = 0.5 * (b - a)
+    nodes = a + half * (1.0 + t)
+    weights = half * w
+    if log:
+        nodes = np.exp(nodes)
+        weights = weights * nodes
+    return nodes, weights
+
+
+def _mp_rule(mp: MarchenkoPastur, alpha: np.ndarray, n: int):
+    """Nodes x and weights of the measure x^-1 dMP(x), per alpha row."""
+    lo, span = mp.support_lo, mp.support_hi - mp.support_lo
+    theta_e = min(0.5 * np.pi, 4.0 * np.sqrt(lo / span))
+    theta_alpha = np.arcsin(np.sqrt(np.clip((alpha - lo) / span, 0.0, 1.0)))
+    thetas, weights = [], []
+    for a, b, log in ((0.0, theta_e, False), (theta_e, 0.5 * np.pi, True)):
+        cut = np.clip(theta_alpha, a, b)
+        for lo_, hi_ in ((a, cut), (cut, b)):
+            th, w = _legendre_panel(lo_, hi_, n, log)
+            thetas.append(th)
+            weights.append(w)
+    s, c = np.sin(np.hstack(thetas)), np.cos(np.hstack(thetas))
+    x = lo + span * s * s
+    # dMP = (hi - lo)^2 2 sin^2 cos^2 / (2 pi lam x) dtheta, times x^-1.
+    w = np.hstack(weights) * span * span * (s * c) ** 2 / (np.pi * mp.lam * x * x)
+    return x, w
+
+
+def _density_rule(density: SpectralDensity, alpha: np.ndarray, n: int):
+    """Nodes x and weights of the density's measure, per alpha row."""
+    if density.kind == "tabulated":
+        return density.grid, density.weights
+    gamma = density.gamma
+    # The split point m never drops below where the measure holds e^-50 of
+    # its mass: a kink or transition under that cannot show, and x^gamma stays
+    # smooth enough in ln(x) over [m, 1].  At alpha = 0 every filter is the
+    # identity, so [0, 1] is one smooth panel.
+    m = np.where(alpha > 0.0, np.clip(alpha, np.exp(-50.0 / gamma), 1.0), 1.0)
+    s, ws = _radau(n, gamma)
+    x_low, w_low = m * s, m ** gamma * ws
+    x_high, w_high = _legendre_panel(m, 1.0, n, log=True)
+    w_high = w_high * gamma * x_high ** (gamma - 1.0)
+    return np.hstack([x_low, x_high]), np.hstack([w_low, w_high])
+
+
+def _eigen_error(p: SchattenIndex, alpha: np.ndarray, x, b2: float, s2: float):
+    """e(x) = b2 x (1 - r)^2 + s2 r^2 with r = x / f_alpha(x).
+
+    At x = 0, r is its limit from the right: 1 at alpha = 0, where every
+    filter is the identity, and 0 for Ridge and Nuclear at alpha > 0.
+    """
+    xr = np.maximum(x, np.finfo(float).tiny)
     if p is SchattenIndex.SPECTRAL:
-        shrink = alpha / (1.0 + alpha)
-
-        def h(x):
-            return b2 * shrink * shrink + s2 / ((1.0 + alpha) ** 2 * x)
+        r = 1.0 / (1.0 + alpha)
     elif p is SchattenIndex.FROBENIUS:
-
-        def h(x):
-            f = x + alpha
-            return b2 * (alpha / f) ** 2 + s2 * x / (f * f)
+        r = xr / (xr + alpha)
     else:
-
-        def h(x):
-            if x >= alpha:
-                return s2 / x
-            return b2 * (1.0 - x / alpha) ** 2 + s2 * x / (alpha * alpha)
-
-    return h
+        r = xr / np.maximum(xr, alpha)
+    return b2 * x * (1.0 - r) ** 2 + s2 * r * r
 
 
-def err_spherical_quadrature(
-    p: SchattenIndex, alpha: float, lam: float, beta: float, sigma: float
-) -> float:
-    """Average test error under the spherical Gaussian ensemble."""
-    if alpha < 0:
+def _expected_error(p, alpha, lam, beta, sigma, rule, what):
+    """lam times the integral of e against rule(alpha, n), for each alpha, as
+    the 2n-node value checked against the n-node one; a float for a float."""
+    alpha_in = alpha
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.all(alpha >= 0):
         raise ValueError("alpha must be nonnegative")
-    mp = MarchenkoPastur(lam)
-    if np.isinf(alpha):
-        if p is SchattenIndex.SPECTRAL:
-            return lam * beta * beta
-        return lam * beta * beta  # filter kills the signal, OLS variance term -> 0
-    h = _spherical_integrand(p, alpha, beta, sigma)
-    scale = max(beta * beta, sigma * sigma)  # the error is quadratic in (beta, sigma)
-    if p is SchattenIndex.NUCLEAR and mp.support_lo < alpha < mp.support_hi:
-        # Kink of max(x, alpha) at x = alpha: integrate the two pieces separately.
-        return lam * (_mp_expect(mp, h, hi=alpha, scale=scale)
-                      + _mp_expect(mp, h, lo=alpha, scale=scale))
-    return lam * _mp_expect(mp, h, scale=scale)
+    b2, s2 = beta * beta, sigma * sigma
+    bound = 1e-9 * max(b2, s2)  # the error is quadratic in (beta, sigma)
+    flat = alpha.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _BLOCK):
+        a = flat[start:start + _BLOCK, None]
+        coarse, fine = (np.sum(w * _eigen_error(p, a, x, b2, s2), axis=1)
+                        for x, w in (rule(a, _NODES), rule(a, 2 * _NODES)))
+        gap = float(np.max(np.abs(fine - coarse)))
+        if gap > bound:
+            raise QuadratureFailure(
+                f"{what} quadrature error estimate {gap:.2e} above {bound:.2e}")
+        out[start:start + _BLOCK] = lam * fine
+    return float(out[0]) if np.ndim(alpha_in) == 0 else out.reshape(alpha.shape)
 
+
+def err_spherical_quadrature(p: SchattenIndex, alpha, lam: float, beta: float,
+                             sigma: float):
+    """Average test error under the spherical Gaussian ensemble, for a scalar
+    or an array of alphas."""
+    mp = MarchenkoPastur(lam)
+    return _expected_error(p, alpha, lam, beta, sigma,
+                           lambda a, n: _mp_rule(mp, a, n), "MP")
+
+
+def err_diagonal_quadrature(p: SchattenIndex, alpha, lam: float, beta: float,
+                            sigma: float, density: SpectralDensity):
+    """Average test error under the diagonal/Stiefel ensemble, for a scalar or
+    an array of alphas."""
+    return _expected_error(p, alpha, lam, beta, sigma,
+                           lambda a, n: _density_rule(density, a, n), "diagonal")
+
+
+# ---------------------------------------------------------------------------
+# Closed forms
+# ---------------------------------------------------------------------------
 
 def err_spectral_closed(alpha: float, lam: float, beta: float, sigma: float) -> float:
     """Spectral-estimator error: (lam beta^2 alpha^2 + lam sigma^2/(1-lam)) / (1+alpha)^2."""
@@ -226,8 +298,7 @@ def err_nuclear_closed(alpha: float, lam: float, beta: float, sigma: float) -> f
 
     Below the support the filter is inactive and the error is the OLS value;
     above it the moments of the MP law give a rational expression; inside,
-    partial moments I(r, alpha) for r in {-1, 1, 2} plus the MP CDF assemble
-    the answer.
+    partial moments I(r, alpha) for r in {-1, 0, 1, 2} assemble the answer.
     """
     mp = MarchenkoPastur(lam)
     b2, s2 = beta * beta, sigma * sigma
@@ -241,71 +312,13 @@ def err_nuclear_closed(alpha: float, lam: float, beta: float, sigma: float) -> f
         return lam * (
             b2 - 2.0 * b2 / alpha + (b2 * (1.0 + lam) + s2) / (alpha * alpha)
         )
-    i1 = mp_partial_moment(mp, 1, alpha)
-    i2 = mp_partial_moment(mp, 2, alpha)
-    im1 = mp_partial_moment(mp, -1, alpha)
-    cdf = mp_cdf(mp, alpha)
+    i0, i1, i2, im1 = (mp_partial_moment(mp, r, alpha) for r in (0, 1, 2, -1))
     return lam * (
-        b2 * cdf
+        b2 * i0
         + (s2 / alpha**2 - 2.0 * b2 / alpha) * i1
         + b2 / alpha**2 * i2
         + s2 * (1.0 / (1.0 - lam) - im1)
     )
-
-
-def _diagonal_integrand(p: SchattenIndex, alpha: float, beta: float, sigma: float):
-    """x -> beta^2 x (1 - x/f)^2 + sigma^2 x^2 / f^2 per estimator case."""
-    b2, s2 = beta * beta, sigma * sigma
-    if p is SchattenIndex.SPECTRAL:
-        shrink = alpha / (1.0 + alpha)
-
-        def h(x):
-            return b2 * x * shrink * shrink + s2 / (1.0 + alpha) ** 2
-    elif p is SchattenIndex.FROBENIUS:
-
-        def h(x):
-            f = x + alpha
-            return b2 * x * (alpha / f) ** 2 + s2 * (x / f) ** 2
-    else:
-
-        def h(x):
-            if x >= alpha:
-                return s2
-            return b2 * x * (1.0 - x / alpha) ** 2 + s2 * (x / alpha) ** 2
-
-    return h
-
-
-def err_diagonal_quadrature(
-    p: SchattenIndex,
-    alpha: float,
-    lam: float,
-    beta: float,
-    sigma: float,
-    density: SpectralDensity,
-) -> float:
-    """Average test error under the diagonal/Stiefel ensemble."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    h = _diagonal_integrand(p, alpha, beta, sigma)
-    if np.isinf(alpha):
-        if p is SchattenIndex.SPECTRAL:
-            return lam * beta * beta * density.mean()
-        h = lambda x: beta * beta * x  # noqa: E731 - filter kills the signal
-
-    if density.kind == "tabulated":
-        return lam * float(np.sum(density.weights * np.vectorize(h)(density.grid)))
-
-    gamma = density.gamma
-
-    def weighted(x: float) -> float:
-        return h(x) * gamma * x ** (gamma - 1.0)
-
-    points = None
-    if p is SchattenIndex.NUCLEAR and not np.isinf(alpha) and 0.0 < alpha < 1.0:
-        points = [alpha]
-    return lam * _quad_scaled(weighted, 0.0, 1.0, max(beta * beta, sigma * sigma),
-                              "diagonal", points=points)
 
 
 def oracle_ridge_alpha(beta: float, sigma: float) -> float:
@@ -313,18 +326,6 @@ def oracle_ridge_alpha(beta: float, sigma: float) -> float:
     if beta == 0:
         raise ZeroDivisionError("oracle ridge strength undefined for beta = 0")
     return sigma * sigma / (beta * beta)
-
-
-def spherical_error_fn(p: SchattenIndex, lam: float, beta: float, sigma: float):
-    """Error curve alpha -> Err_p(alpha) for the spherical ensemble."""
-    return lambda a: err_spherical_quadrature(p, a, lam, beta, sigma)
-
-
-def diagonal_error_fn(
-    p: SchattenIndex, lam: float, beta: float, sigma: float, density: SpectralDensity
-):
-    """Error curve alpha -> Err_p(alpha) for the diagonal ensemble."""
-    return lambda a: err_diagonal_quadrature(p, a, lam, beta, sigma, density)
 
 
 @dataclass(frozen=True)
@@ -357,12 +358,12 @@ def theory_curve(
     """Evaluate the predicted error on a grid of alpha values."""
     alphas = np.asarray(alphas, dtype=float)
     if ensemble == "spherical":
-        fn = spherical_error_fn(p, lam, beta, sigma)
+        errors = err_spherical_quadrature(p, alphas, lam, beta, sigma)
     elif ensemble == "diagonal":
         if gamma is None:
             raise ValueError("diagonal ensemble requires a power-law exponent")
-        fn = diagonal_error_fn(p, lam, beta, sigma, SpectralDensity.power_law(gamma))
+        errors = err_diagonal_quadrature(p, alphas, lam, beta, sigma,
+                                         SpectralDensity.power_law(gamma))
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}")
-    errors = np.array([fn(a) for a in alphas])
     return TheoryCurve(p, ensemble, alphas, errors, lam, beta, sigma, gamma)

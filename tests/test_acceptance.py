@@ -23,8 +23,8 @@ from schattenreg import (
     bias_bound_to_alpha,
     child_seeds,
     default_alpha_grid,
-    diagonal_error_fn,
     empirical_mse,
+    err_diagonal_quadrature,
     err_nuclear_closed,
     err_spectral_closed,
     err_spherical_quadrature,
@@ -40,7 +40,6 @@ from schattenreg import (
     sample_diagonal,
     sample_spherical,
     solve_bias_constrained_numeric,
-    spherical_error_fn,
 )
 
 ALL_P = (SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS, SchattenIndex.SPECTRAL)
@@ -115,7 +114,7 @@ def test_acceptance_2_closed_form_consistency(capsys):
 # 3. Theory curves match simulation for both ensembles
 # ---------------------------------------------------------------------------
 
-def _simulation_check(sample_fn, theory_fns, n_datasets=100, seed=1234):
+def _simulation_check(sample_fn, theory_fn, n_datasets=100, seed=1234):
     alphas = np.logspace(-3, 5, 30)
     mses = np.zeros((len(ALL_P), len(alphas), n_datasets))
     for j, s in enumerate(child_seeds(seed, n_datasets)):
@@ -126,7 +125,7 @@ def _simulation_check(sample_fn, theory_fns, n_datasets=100, seed=1234):
                 mses[i, k, j] = empirical_mse(fit_from_spectrum(spectrum, p, a), ds)
     fracs = []
     for i, p in enumerate(ALL_P):
-        theory = np.array([theory_fns[p](a) for a in alphas])
+        theory = theory_fn(p, alphas)
         mean = mses[i].mean(axis=1)
         se = mses[i].std(axis=1, ddof=1) / np.sqrt(n_datasets)
         fracs.append(np.mean(np.abs(mean - theory) <= 3 * se))
@@ -137,7 +136,7 @@ def test_acceptance_3_simulation_vs_theory(capsys):
     sph_cfg = SphericalGaussianConfig(n_obs=100, n_feat=50, beta=1.0, sigma=1.0)
     frac_sph = _simulation_check(
         lambda s: sample_spherical(sph_cfg, n_test=5000, seed=s),
-        {p: spherical_error_fn(p, 0.5, 1.0, 1.0) for p in ALL_P},
+        lambda p, alphas: err_spherical_quadrature(p, alphas, 0.5, 1.0, 1.0),
     )
     density = SpectralDensity.power_law(2.0)
     diag_cfg = DiagonalEnsembleConfig(
@@ -146,7 +145,7 @@ def test_acceptance_3_simulation_vs_theory(capsys):
     )
     frac_diag = _simulation_check(
         lambda s: sample_diagonal(diag_cfg, seed=s),
-        {p: diagonal_error_fn(p, 0.5, 1.0, 1.0, density) for p in ALL_P},
+        lambda p, alphas: err_diagonal_quadrature(p, alphas, 0.5, 1.0, 1.0, density),
     )
     _report(capsys, 3, "simulation matches theory",
             frac_sph >= 0.9 and frac_diag >= 0.9)
@@ -274,12 +273,13 @@ def test_acceptance_8_grid_refinement(capsys):
 # ---------------------------------------------------------------------------
 
 def test_acceptance_9_basin_signs(capsys):
-    fns = {
-        (name, 1.0, 0.5): spherical_error_fn(p, 0.5, 1.0, 1.0)
+    grid = default_alpha_grid()
+    curves = {
+        (name, 1.0, 0.5): err_spherical_quadrature(p, grid, 0.5, 1.0, 1.0)
         for name, p in (("ridge", SchattenIndex.FROBENIUS),
                         ("nuclear", SchattenIndex.NUCLEAR))
     }
-    table = geometry_table(fns, "spherical")
+    table = geometry_table(curves, "spherical", grid)
     cell = next(c for c in table.cells if c.estimator == "nuclear")
     _report(capsys, 9, "basin geometry signs",
             0.0 < cell.depth_pct < 10.0 and cell.curvature_pct < 0.0)

@@ -7,8 +7,8 @@ from schattenreg import (
     expected_cv_minimum,
     geometry_table,
     locate_min_and_curvature,
+    err_spherical_quadrature,
     monte_carlo_parabola_min,
-    spherical_error_fn,
 )
 from schattenreg.exceptions import DegenerateFit
 
@@ -17,7 +17,7 @@ def test_exact_parabola_recovery():
     kappa2, mu = 3.7, 0.42
     fn = lambda a: kappa2 * (a - 1.0) ** 2 / 2.0 + mu  # noqa: E731
     grid = np.linspace(0.8, 1.2, 401)
-    geom = locate_min_and_curvature(fn, grid)
+    geom = locate_min_and_curvature(fn(grid), grid)
     assert geom.err_min == pytest.approx(mu, rel=1e-6)
     assert geom.curvature == pytest.approx(kappa2, rel=1e-6)
     assert geom.alpha_min == pytest.approx(1.0, abs=1e-3)
@@ -26,19 +26,19 @@ def test_exact_parabola_recovery():
 
 def test_edge_minimum_is_flagged():
     grid = np.linspace(0.0, 1.0, 50)
-    geom = locate_min_and_curvature(lambda a: a, grid)  # argmin at the left edge
+    geom = locate_min_and_curvature(grid, grid)  # argmin at the left edge
     assert geom.edge_minimum
 
 
 def test_degenerate_window_raises():
     with pytest.raises(DegenerateFit):
-        locate_min_and_curvature(lambda a: a * a, np.array([1.0, 1.0, 1.0]))
+        locate_min_and_curvature(np.ones(3), np.array([1.0, 1.0, 1.0]))
 
 
 def test_ridge_minimum_at_oracle_alpha():
     grid = default_alpha_grid()
-    fn = spherical_error_fn(SchattenIndex.FROBENIUS, 0.5, 1.0, 1.0)
-    geom = locate_min_and_curvature(fn, grid)
+    values = err_spherical_quadrature(SchattenIndex.FROBENIUS, grid, 0.5, 1.0, 1.0)
+    geom = locate_min_and_curvature(values, grid)
     i = np.searchsorted(grid, geom.alpha_min)
     step = grid[min(i + 1, len(grid) - 1)] / grid[i]
     assert abs(np.log(geom.alpha_min / 1.0)) <= np.log(step) * 1.001
@@ -47,10 +47,10 @@ def test_ridge_minimum_at_oracle_alpha():
 def test_nuclear_flatter_than_ridge():
     grid = default_alpha_grid()
     ridge = locate_min_and_curvature(
-        spherical_error_fn(SchattenIndex.FROBENIUS, 0.5, 1.0, 1.0), grid
+        err_spherical_quadrature(SchattenIndex.FROBENIUS, grid, 0.5, 1.0, 1.0), grid
     )
     nuclear = locate_min_and_curvature(
-        spherical_error_fn(SchattenIndex.NUCLEAR, 0.5, 1.0, 1.0), grid
+        err_spherical_quadrature(SchattenIndex.NUCLEAR, grid, 0.5, 1.0, 1.0), grid
     )
     assert nuclear.curvature < ridge.curvature
     assert nuclear.err_min >= ridge.err_min
@@ -59,9 +59,9 @@ def test_nuclear_flatter_than_ridge():
 def test_curvature_offset_and_scale_covariance():
     base = lambda a: 2.0 * (a - 1.0) ** 2 + 0.1  # noqa: E731
     grid = np.linspace(0.5, 1.5, 301)
-    g0 = locate_min_and_curvature(base, grid)
-    g_off = locate_min_and_curvature(lambda a: base(a) + 5.0, grid)
-    g_scaled = locate_min_and_curvature(lambda a: 3.0 * base(a), grid)
+    g0 = locate_min_and_curvature(base(grid), grid)
+    g_off = locate_min_and_curvature(base(grid) + 5.0, grid)
+    g_scaled = locate_min_and_curvature(3.0 * base(grid), grid)
     assert g_off.curvature == pytest.approx(g0.curvature, rel=1e-9)
     assert g_scaled.curvature == pytest.approx(3.0 * g0.curvature, rel=1e-9)
 
@@ -102,11 +102,12 @@ def test_formula_vs_monte_carlo_sweep():
 # ---------------------------------------------------------------------------
 
 def test_geometry_table_ridge_rows_are_zero():
-    fns = {}
+    grid = default_alpha_grid(n=200)
+    curves = {}
     for name, p in [("ridge", SchattenIndex.FROBENIUS),
                     ("nuclear", SchattenIndex.NUCLEAR)]:
-        fns[(name, 1.0, 0.5)] = spherical_error_fn(p, 0.5, 1.0, 1.0)
-    table = geometry_table(fns, "spherical", default_alpha_grid(n=200))
+        curves[(name, 1.0, 0.5)] = err_spherical_quadrature(p, grid, 0.5, 1.0, 1.0)
+    table = geometry_table(curves, "spherical", grid)
     by_name = {c.estimator: c for c in table.cells}
     assert by_name["ridge"].depth_pct == 0.0
     assert by_name["ridge"].curvature_pct == 0.0
@@ -120,10 +121,10 @@ def test_depth_gap_shrinks_with_sigma():
     gaps = []
     for sigma in (0.5, 1.0, 2.0, 3.5):
         ridge = locate_min_and_curvature(
-            spherical_error_fn(SchattenIndex.FROBENIUS, 0.5, 1.0, sigma), grid
+            err_spherical_quadrature(SchattenIndex.FROBENIUS, grid, 0.5, 1.0, sigma), grid
         )
         nuclear = locate_min_and_curvature(
-            spherical_error_fn(SchattenIndex.NUCLEAR, 0.5, 1.0, sigma), grid
+            err_spherical_quadrature(SchattenIndex.NUCLEAR, grid, 0.5, 1.0, sigma), grid
         )
         gaps.append(nuclear.err_min / ridge.err_min - 1.0)
     assert np.all(np.diff(gaps) <= 1e-6)
@@ -131,7 +132,6 @@ def test_depth_gap_shrinks_with_sigma():
 
 def test_grid_min_bounds_curve():
     grid = default_alpha_grid(n=100)
-    fn = spherical_error_fn(SchattenIndex.SPECTRAL, 0.3, 1.0, 1.0)
-    geom = locate_min_and_curvature(fn, grid)
-    values = np.array([fn(a) for a in grid])
+    values = err_spherical_quadrature(SchattenIndex.SPECTRAL, grid, 0.3, 1.0, 1.0)
+    geom = locate_min_and_curvature(values, grid)
     assert np.all(geom.err_min <= values + 1e-15)

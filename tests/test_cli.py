@@ -139,6 +139,12 @@ def test_simulate_diagonal_without_gamma_fails_before_sampling(tmp_path, monkeyp
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 2
 
 
+def test_rff_bench_spectral_only_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "c.json", {"models": ["spectral"], "n_datasets": 1})
+    assert main(["rff-bench", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    assert "spectral" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion and real-data
 # ---------------------------------------------------------------------------

@@ -169,6 +169,18 @@ def test_rff_benchmark_excludes_spectral_and_has_ratio():
     assert report.ridge_ratio["ridge"] == pytest.approx(1.0)
 
 
+def test_rff_benchmark_spectral_only_fails_before_sampling(monkeypatch):
+    import schattenreg.cv as cv
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(cv, "make_rff_dataset", no_sampling)
+    with pytest.raises(InvalidConfig, match="spectral"):
+        rff_benchmark(RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=50),
+                      _small_cfg(models=(SchattenIndex.SPECTRAL,)))
+
+
 def test_rff_features_realizable_noiseless_near_zero():
     # A target that is linear in the random features with no noise is
     # recoverable: cross-validated selection lands on a tiny alpha and the

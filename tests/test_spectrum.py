@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,17 @@ def test_nuclear_filter_clips_from_below():
     sp = gram_spectrum(FIG1_X)
     out = filtered_gram_eigvals(sp, SchattenIndex.NUCLEAR, 5.0)
     np.testing.assert_allclose(out, [10, 9, 8, 7, 6, 5, 5, 5, 5, 5])
+
+
+def test_infinite_alpha_on_rank_deficient_x():
+    sp = gram_spectrum(np.random.default_rng(0).standard_normal((3, 5)))
+    assert np.any(sp.eigvals == 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in SchattenIndex:
+            out = filtered_gram_eigvals(sp, p, np.inf)
+            assert not np.any(np.isnan(out))
+            assert np.all(out >= sp.eigvals)
 
 
 @pytest.mark.parametrize("p", list(SchattenIndex))

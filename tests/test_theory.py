@@ -61,6 +61,35 @@ def f1_series(a, b, bp, c, x, y, tol=1e-14, max_order=400):
     raise RuntimeError("series did not converge")
 
 
+# Closed forms that check the Gauss-rule engine without sharing its code:
+# the diagonal-ensemble Nuclear and Spectral errors under a power law
+# (polynomial integrals), and the spherical Ridge error through the MP
+# Stieltjes transform m0(a) = int 1/(x + a) dMP and its derivative in a
+# (Dobriban & Wager 2018), in a rationalized form that keeps full precision
+# at large a.
+
+def diagonal_nuclear_closed(alpha, lam, beta, sigma, g):
+    b2, s2, m = beta**2, sigma**2, min(alpha, 1.0)
+    return lam * (g * (b2 * (m**(g + 1) / (g + 1) - 2 * m**(g + 2) / ((g + 2) * alpha)
+                             + m**(g + 3) / ((g + 3) * alpha**2))
+                       + s2 * m**(g + 2) / ((g + 2) * alpha**2))
+                  + s2 * (1 - m**g))
+
+
+def diagonal_spectral_closed(alpha, lam, beta, sigma, g):
+    b2, s2 = beta**2, sigma**2
+    return lam * (b2 * (alpha / (1 + alpha))**2 * g / (g + 1) + s2 / (1 + alpha)**2)
+
+
+def spherical_ridge_stieltjes(a, lam, beta, sigma):
+    b2, s2 = beta**2, sigma**2
+    D = np.sqrt((1 + lam + a)**2 - 4 * lam)
+    den = D + 1 - lam + a
+    m0 = 2 / den
+    dm0 = -2 * ((1 + lam + a) / D + 1) / den**2
+    return lam * (b2 * a * a * (-dm0) + s2 * (m0 + a * dm0))
+
+
 # ---------------------------------------------------------------------------
 # Marchenko-Pastur density and CDF
 # ---------------------------------------------------------------------------
@@ -237,6 +266,31 @@ def test_diagonal_null_model_limit(p):
         pytest.approx(target, rel=1e-9)
 
 
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, 2.0, 7.0])
+@pytest.mark.parametrize("p", [SchattenIndex.NUCLEAR, SchattenIndex.SPECTRAL])
+def test_diagonal_quadrature_matches_closed_forms(p, gamma):
+    oracle = {SchattenIndex.NUCLEAR: diagonal_nuclear_closed,
+              SchattenIndex.SPECTRAL: diagonal_spectral_closed}[p]
+    alphas = np.logspace(-10, 5, 31)
+    dens = SpectralDensity.power_law(gamma)
+    for beta, sigma in [(1.0, 0.5), (1.0, 3.5)]:
+        got = err_diagonal_quadrature(p, alphas, 0.5, beta, sigma, dens)
+        want = [oracle(a, 0.5, beta, sigma, gamma) for a in alphas]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.5, 0.9, 0.99])
+def test_spherical_ridge_matches_stieltjes_closed_form(lam):
+    alphas = np.logspace(-3, 5, 41)
+    for sigma in (0.5, 3.5):
+        got = err_spherical_quadrature(SchattenIndex.FROBENIUS, alphas, lam, 1.0, sigma)
+        want = [spherical_ridge_stieltjes(a, lam, 1.0, sigma) for a in alphas]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # A float in gives a float out, equal to the array entry.
+    one = err_spherical_quadrature(SchattenIndex.FROBENIUS, alphas[7], lam, 1.0, 3.5)
+    assert type(one) is float and one == got[7]
+
+
 def test_diagonal_theory_matches_simulation():
     # Monte-Carlo oracle at modest size: mean empirical error within 3 SE.
     dens = SpectralDensity.power_law(2.0)
@@ -259,6 +313,30 @@ def test_tabulated_density_quadrature_is_weighted_sum():
     val = err_diagonal_quadrature(SchattenIndex.FROBENIUS, 1.0, 0.5, 1.0, 0.0, dens)
     expected = 0.5 * 0.5 * (0.25 * (1.0 / 1.25) ** 2 + 1.0 * (1.0 / 2.0) ** 2)
     assert val == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", list(SchattenIndex))
+def test_tabulated_density_atom_at_zero(p):
+    # At x = 0 the per-eigenvalue error is sigma^2 / (1 + alpha)^2 for
+    # Spectral and 0 otherwise at alpha > 0; it must not become 0/0.
+    dens = SpectralDensity.tabulated([0.0, 0.5], [0.5, 0.5])
+    lam, b2, s2, alpha, x = 0.5, 1.0, 0.49, 0.3, 0.5
+    if p is SchattenIndex.SPECTRAL:
+        atom = s2 / (1 + alpha) ** 2
+        at_x = b2 * x * (alpha / (1 + alpha)) ** 2 + atom
+    elif p is SchattenIndex.FROBENIUS:
+        atom = 0.0
+        at_x = b2 * x * (alpha / (x + alpha)) ** 2 + s2 * (x / (x + alpha)) ** 2
+    else:
+        atom, at_x = 0.0, s2  # x >= alpha: the filter leaves x alone
+    assert err_diagonal_quadrature(p, alpha, lam, 1.0, 0.7, dens) == \
+        pytest.approx(lam * 0.5 * (atom + at_x), rel=1e-14)
+    assert err_diagonal_quadrature(p, np.inf, lam, 1.0, 0.7, dens) == \
+        pytest.approx(lam * b2 * 0.25, rel=1e-14)
+    # At alpha = 0 every filter is the identity; the atom takes the limit
+    # x -> 0+ of sigma^2 r^2 with r = 1.
+    assert err_diagonal_quadrature(p, 0.0, lam, 1.0, 0.7, dens) == \
+        pytest.approx(lam * s2, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
