@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .exceptions import DimensionMismatch, NonFinite, SingularGram
+from .exceptions import DimensionMismatch, DomainError, NonFinite, SingularGram
 from .spectrum import GramSpectrum, SchattenIndex, filtered_gram_eigvals, gram_spectrum
 
 __all__ = [
@@ -63,19 +63,20 @@ def _inverse_filter_weights(
     """Per-eigenvalue weights 1/f_alpha(sigma^2), with rank-deficient handling.
 
     Shaped like ``filtered_gram_eigvals``: (d,) for a scalar alpha, (d, n_alpha)
-    for a vector.  Eigenvalues below the rank tolerance are treated as exactly
-    zero.  For p in {1, 2} a zero eigenvalue maps to the filter value alpha
-    (pseudo-inverse-like when alpha = 0); for p = inf it stays zero, so the
-    model is min-norm OLS scaled by 1/(1 + alpha), unless strict mode raises
-    instead.  alpha = inf gives all-zero weights: the zero estimator.
+    for a vector.  An eigenvalue at or below the rank tolerance gets weight 0
+    for every p: X^T Y and X^T have no component on its eigenvector, so any
+    other weight (G-hat's 1/alpha for p in {1, 2}) would only scale the rounding
+    noise there.  The model is then min-norm OLS at alpha = 0, and for p = inf
+    min-norm OLS scaled by 1/(1 + alpha), unless strict mode raises instead.
+    alpha = inf gives all-zero weights: the zero estimator.
     """
     if p is SchattenIndex.SPECTRAL and strict and spectrum.rank < spectrum.n_feat:
         raise SingularGram(
             "spectral estimator requires full-rank G in strict mode"
         )
     f = filtered_gram_eigvals(spectrum, p, alpha)
-    with np.errstate(divide="ignore"):
-        return np.where(f > spectrum.rank_tol, 1.0 / f, 0.0)
+    kept = (spectrum.eigvals > spectrum.rank_tol).reshape(-1, *([1] * (f.ndim - 1)))
+    return np.divide(1.0, f, out=np.zeros_like(f), where=kept)
 
 
 def fit(
@@ -97,13 +98,14 @@ def fit_path(
 ) -> np.ndarray:
     """Coefficients for every alpha at once, as the columns of a (d, n_alpha)
     array: beta-hat(alpha) = U diag(1/f_alpha) U^T X^T Y, one filter matrix
-    and one product for the whole path."""
+    and one product for the whole path.  Only the k weights that have an
+    eigenvector apply: X^T Y has no component on the other directions."""
     if spectrum.xty is None:
         raise ValueError("spectrum must carry X^T Y; build it via gram_spectrum(X, Y)")
     W = _inverse_filter_weights(spectrum, p, np.asarray(alphas, dtype=float).ravel(),
                                 strict=strict)
     U = spectrum.eigvecs
-    return U @ (W * (U.T @ spectrum.xty)[:, None])
+    return U @ (W[:U.shape[1]] * (U.T @ spectrum.xty)[:, None])
 
 
 def fit_from_spectrum(
@@ -135,7 +137,7 @@ def estimator_operator(
     spectrum = gram_spectrum(X)
     w = _inverse_filter_weights(spectrum, p, alpha, strict=strict)
     U = spectrum.eigvecs
-    return (U * w) @ U.T @ X.T
+    return (U * w[:U.shape[1]]) @ U.T @ X.T
 
 
 def operator_diagnostics(
@@ -164,22 +166,26 @@ def alpha_to_bias_bound(
 ) -> BiasBound:
     """Bias norm C attained by the estimator at strength alpha.
 
-    Monotone nondecreasing in alpha, saturating at d**(1/p) as alpha -> inf.
+    The bias operator LX - I is -1 on each of the d - rank null directions of
+    G, where X gives the estimator nothing to act on, and 1 - s/f_alpha(s) on
+    each eigenvalue s above the rank tolerance.  C is therefore monotone
+    nondecreasing in alpha, from a floor at alpha = 0 (#null for p=1,
+    sqrt(#null) for p=2, 1 for p=inf when G is singular; 0 at full rank) up
+    to d**(1/p) as alpha -> inf.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     d = spectrum.n_feat
     if np.isinf(alpha):
         return BiasBound(p.identity_norm(d))
-    s = spectrum.eigvals
+    s = spectrum.eigvals[:spectrum.rank]
+    n_null = d - s.size
     if p is SchattenIndex.NUCLEAR:
-        if alpha == 0:
-            return BiasBound(0.0)
         below = s < alpha
-        return BiasBound(float(np.sum(1.0 - s[below] / alpha)))
+        return BiasBound(n_null + float(np.sum(1.0 - s[below] / alpha)))
     if p is SchattenIndex.FROBENIUS:
-        return BiasBound(float(np.sqrt(np.sum((alpha / (s + alpha)) ** 2))))
-    return BiasBound(alpha / (1.0 + alpha))
+        return BiasBound(float(np.sqrt(n_null + np.sum((alpha / (s + alpha)) ** 2))))
+    return BiasBound(1.0 if n_null else alpha / (1.0 + alpha))
 
 
 def bias_bound_to_alpha(
@@ -187,8 +193,10 @@ def bias_bound_to_alpha(
 ) -> float:
     """Invert the alpha -> C map; returns inf when C >= d**(1/p).
 
-    The map is continuous and strictly increasing below its supremum, so a
-    doubling bracket plus Brent root-finding pins alpha to ~1e-12 relative.
+    The map is continuous and strictly increasing between its floor (its
+    value at alpha = 0) and its supremum, so a doubling bracket plus Brent
+    root-finding pins alpha to ~1e-12 relative.  A C below the floor set by
+    the null directions of G cannot be reached and raises DomainError.
     """
     c = C.value if isinstance(C, BiasBound) else float(C)
     if c < 0:
@@ -196,7 +204,13 @@ def bias_bound_to_alpha(
     d = spectrum.n_feat
     if c >= p.identity_norm(d):
         return np.inf
-    if c == 0:
+    floor = alpha_to_bias_bound(spectrum, p, 0.0).value
+    if c < floor:
+        raise DomainError(
+            f"C = {c:g} is below the floor {floor:g} of the p = {p.value} bias "
+            f"norm, set by the {d - spectrum.rank} null directions of G"
+        )
+    if c == floor:
         return 0.0
     if p is SchattenIndex.SPECTRAL:
         return c / (1.0 - c)

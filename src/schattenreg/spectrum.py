@@ -4,6 +4,16 @@ All three bias-constrained estimators act on the eigendecomposition of the
 Gram matrix G = X^T X.  They differ only in the scalar filter applied to the
 eigenvalues: elementwise max with alpha (Nuclear, p=1), additive shift
 (Ridge/Frobenius, p=2), or uniform scaling (Spectral, p=inf).
+
+``gram_spectrum`` picks its route by the shape of X (N rows, d columns).  For
+d <= N it forms G and runs a symmetric eigensolver.  For d > N, G has rank at
+most N, so it takes the thin SVD X = W diag(sv) V^T instead: the eigenvectors
+are the N rows of V^T and the eigenvalues are sv**2, padded with d - N exact
+zeros.  The d - N null directions are never formed, because X^T and X^T Y
+have no component on them; every consumer applies its filter weights to the
+first k = min(N, d) eigenvalues only.  The wide route takes the thin SVD
+rather than an eigensolve of X X^T, because recovering V from that dual
+loses orthogonality like eps s_max^2 / s_i^2 on small singular values.
 """
 
 from __future__ import annotations
@@ -41,8 +51,11 @@ class SchattenIndex(enum.Enum):
 class GramSpectrum:
     """Eigendecomposition of G = X^T X.
 
-    eigvecs: orthogonal (d, d) matrix, columns are eigenvectors.
-    eigvals: eigenvalues of G, sorted descending, >= 0.
+    eigvecs: (d, k) matrix with orthonormal columns, the eigenvectors of the
+        k = min(N, d) leading eigenvalues: all d of them on the d <= N route,
+        the N right singular vectors of X on the d > N route.
+    eigvals: all d eigenvalues of G, sorted descending, >= 0; the d - k
+        without an eigenvector are exactly 0.
     """
 
     eigvecs: np.ndarray
@@ -59,8 +72,15 @@ class GramSpectrum:
             raise ValueError("eigvals must be sorted descending")
         if np.any(s < 0):
             raise ValueError("eigvals must be nonnegative")
-        if not np.allclose(U.T @ U, np.eye(self.n_feat), atol=1e-10):
-            raise ValueError("eigvecs must be orthogonal")
+        d = self.n_feat
+        if U.ndim != 2 or U.shape[0] != d or U.shape[1] > d or s.shape != (d,):
+            raise ValueError(f"eigvecs {U.shape} and eigvals {s.shape} must be "
+                             f"(d, k) with k <= d and (d,), for d = {d}")
+        k = U.shape[1]
+        if np.any(s[k:] != 0.0):
+            raise ValueError("eigvals without an eigenvector must be exactly 0")
+        if not np.allclose(U.T @ U, np.eye(k), atol=1e-10):
+            raise ValueError("eigvecs must be orthonormal")
 
     @property
     def rank_tol(self) -> float:
@@ -73,15 +93,21 @@ class GramSpectrum:
 
 
 def gram_spectrum(X: np.ndarray, Y: np.ndarray | None = None) -> GramSpectrum:
-    """Eigendecompose X^T X, caching X^T Y when targets are supplied."""
+    """Eigendecompose X^T X, caching X^T Y when targets are supplied: eigh of
+    the Gram matrix for d <= N, the thin SVD of X for d > N."""
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise NonFinite("X contains NaN or Inf")
     N, d = X.shape
-    w, U = np.linalg.eigh(X.T @ X)
-    order = np.argsort(w)[::-1]
-    w = np.clip(w[order], 0.0, None)
-    U = U[:, order]
+    if d <= N:
+        w, U = np.linalg.eigh(X.T @ X)
+        order = np.argsort(w)[::-1]
+        w = np.clip(w[order], 0.0, None)
+        U = U[:, order]
+    else:
+        _, sv, Vt = np.linalg.svd(X, full_matrices=False)
+        w = np.concatenate([sv * sv, np.zeros(d - N)])
+        U = Vt.T
     xty = None
     if Y is not None:
         Y = np.asarray(Y, dtype=float)

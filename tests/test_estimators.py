@@ -15,7 +15,8 @@ from schattenreg import (
     predict,
     solve_bias_constrained_numeric,
 )
-from schattenreg.exceptions import DimensionMismatch, SingularGram
+from schattenreg.exceptions import DimensionMismatch, DomainError, SingularGram
+from schattenreg.spectrum import EIGVAL_RTOL
 
 FIG1_X = np.diag(np.sqrt(np.arange(1.0, 11.0)))
 ALL_P = list(SchattenIndex)
@@ -90,6 +91,46 @@ def test_fit_path_matches_per_alpha_fits(p, shape):
     np.testing.assert_array_equal(B[:, -1], np.zeros(shape[1]))
 
 
+def _gram_reference_operator(X, p, alpha):
+    """L = G-hat^{-1} X^T from an explicit eigh of X^T X, restricted to the
+    eigenvalues above the rank tolerance (X^T has no component on the rest)."""
+    s, U = np.linalg.eigh(X.T @ X)
+    s, U = np.clip(s[::-1], 0.0, None), U[:, ::-1]
+    kept = s > EIGVAL_RTOL * max(s[0], 1.0)
+    if np.isinf(alpha):
+        w = np.zeros_like(s)
+    else:
+        f = {SchattenIndex.NUCLEAR: np.maximum(s, alpha),
+             SchattenIndex.FROBENIUS: s + alpha,
+             SchattenIndex.SPECTRAL: (1.0 + alpha) * s}[p]
+        w = np.where(kept, 1.0 / np.where(kept, f, 1.0), 0.0)
+    return (U * w) @ U.T @ X.T
+
+
+def _rel_dev(a, b):
+    scale = np.linalg.norm(b)
+    return np.linalg.norm(a - b) / scale if scale else np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("p", ALL_P)
+@pytest.mark.parametrize("rank_deficient", [False, True])
+def test_wide_route_matches_gram_reference(p, rank_deficient):
+    # d > N takes the thin SVD of X; the duplicated rows give rank 20 < N = 40.
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((40, 300))
+    if rank_deficient:
+        X = np.vstack([X[:20], X[:20]])
+    Y = rng.standard_normal(40)
+    sp = gram_spectrum(X, Y)
+    assert sp.eigvecs.shape == (300, 40) and sp.rank == (20 if rank_deficient else 40)
+    alphas = [0.0, 1e-4, 1.0, np.inf]
+    B = fit_path(sp, p, alphas)
+    for j, a in enumerate(alphas):
+        L_ref = _gram_reference_operator(X, p, a)
+        assert _rel_dev(B[:, j], L_ref @ Y) <= 1e-10
+        assert _rel_dev(estimator_operator(X, p, a), L_ref) <= 1e-10
+
+
 # ----------------------------------------------------------------------------
 # alpha <-> C conversions
 # ----------------------------------------------------------------------------
@@ -139,6 +180,47 @@ def test_bias_bound_monotone_in_alpha(p):
     cs = [alpha_to_bias_bound(sp, p, a).value for a in alphas]
     assert np.all(np.diff(cs) >= -1e-12)
     assert np.all(np.asarray(cs) <= p.identity_norm(10) + 1e-12)
+
+
+def _cmap_designs():
+    rng = np.random.default_rng(9)
+    tall = rng.standard_normal((12, 6))
+    return {
+        "full-rank": tall,
+        "wide": rng.standard_normal((3, 6)),                    # 3 null directions
+        "tall-duplicated-columns": np.hstack([tall[:, :3]] * 2),  # 3 null directions
+    }
+
+
+@pytest.mark.parametrize("p", ALL_P)
+@pytest.mark.parametrize("name", ["full-rank", "wide", "tall-duplicated-columns"])
+def test_bias_bound_matches_operator_bias_norm(p, name):
+    X = _cmap_designs()[name]
+    sp = gram_spectrum(X)
+    for alpha in [0.0, 1e-6, 1e-3, 0.5, 5.0, 1e3, np.inf]:
+        true = operator_diagnostics(estimator_operator(X, p, alpha), X, p)[0]
+        assert alpha_to_bias_bound(sp, p, alpha).value == pytest.approx(
+            true, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("p, floor", [(SchattenIndex.NUCLEAR, 3.0),
+                                      (SchattenIndex.FROBENIUS, np.sqrt(3.0)),
+                                      (SchattenIndex.SPECTRAL, 1.0)])
+@pytest.mark.parametrize("name", ["wide", "tall-duplicated-columns"])
+def test_bias_bound_floor_on_rank_deficient_gram(p, floor, name):
+    X = _cmap_designs()[name]
+    sp = gram_spectrum(X)
+    assert sp.rank == 3
+    assert alpha_to_bias_bound(sp, p, 0.0).value == pytest.approx(floor, rel=1e-15)
+    with pytest.raises(DomainError):
+        bias_bound_to_alpha(sp, p, 0.5 * floor)
+    if p is SchattenIndex.SPECTRAL:
+        return  # floor = identity norm: the whole map is flat at 1
+    assert bias_bound_to_alpha(sp, p, floor) == 0.0
+    c = 0.5 * (floor + p.identity_norm(6))
+    alpha = bias_bound_to_alpha(sp, p, c)
+    true = operator_diagnostics(estimator_operator(X, p, alpha), X, p)[0]
+    assert true == pytest.approx(c, rel=1e-9)
 
 
 # ----------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schattenreg import SchattenIndex, filtered_gram_eigvals, gram_spectrum
+from schattenreg import GramSpectrum, SchattenIndex, filtered_gram_eigvals, gram_spectrum
 
 FIG1_X = np.diag(np.sqrt(np.arange(1.0, 11.0)))
 
@@ -71,3 +71,63 @@ def test_rank_deficient_spectrum():
     sp = gram_spectrum(X)
     assert sp.rank == 3
     assert np.all(sp.eigvals[3:] <= sp.rank_tol)
+
+
+def _route_designs():
+    rng = np.random.default_rng(5)
+    wide = rng.standard_normal((40, 300))
+    return {
+        "wide": wide,
+        "wide-duplicated-rows": np.vstack([wide[:20], wide[:20]]),  # rank 20 < N
+        "tall": rng.standard_normal((300, 40)),
+    }
+
+
+@pytest.mark.parametrize("name", ["wide", "wide-duplicated-rows", "tall"])
+def test_spectrum_route_invariants(name):
+    X = _route_designs()[name]
+    N, d = X.shape
+    k = min(N, d)
+    sp = gram_spectrum(X)
+    U = sp.eigvecs
+    assert U.shape == (d, k) and sp.eigvals.shape == (d,)
+    np.testing.assert_allclose(U.T @ U, np.eye(k), atol=1e-12)
+    assert np.all(sp.eigvals[k:] == 0.0)
+    G = X.T @ X
+    ref = np.clip(np.sort(np.linalg.eigvalsh(G))[::-1], 0.0, None)
+    np.testing.assert_allclose(sp.eigvals, ref, rtol=0, atol=1e-10 * ref[0])
+    np.testing.assert_allclose((U * sp.eigvals[:k]) @ U.T, G, rtol=0,
+                               atol=1e-12 * ref[0])
+
+
+def test_spectrum_rejects_misshaped_eigvecs_and_nonzero_trailing_eigvals():
+    X = np.random.default_rng(6).standard_normal((3, 5))
+    sp = gram_spectrum(X)
+    U, s = sp.eigvecs, sp.eigvals
+    assert U.shape == (5, 3)
+    bad = [
+        (np.vstack([U, np.zeros((1, 3))]), s),            # d + 1 rows
+        (np.hstack([np.eye(5), np.zeros((5, 1))]), s),    # k > d
+        (U, s[:4]),                                       # eigvals not length d
+        (U, np.concatenate([s[:3], [1e-300, 0.0]])),      # trailing eigval not 0
+        (U * 1.1, s),                                     # columns not orthonormal
+    ]
+    for eigvecs, eigvals in bad:
+        with pytest.raises(ValueError):
+            GramSpectrum(eigvecs=eigvecs, eigvals=eigvals, n_obs=3, n_feat=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), N=st.integers(1, 30), d=st.integers(1, 30))
+def test_spectrum_invariants_on_both_sides_of_d_equals_n(seed, N, d):
+    X = np.random.default_rng(seed).standard_normal((N, d))
+    sp = gram_spectrum(X)
+    k = min(N, d)
+    assert sp.eigvecs.shape == (d, k)
+    np.testing.assert_allclose(sp.eigvecs.T @ sp.eigvecs, np.eye(k), atol=1e-12)
+    assert np.all(sp.eigvals[k:] == 0.0) and np.all(np.diff(sp.eigvals) <= 0)
+    assert sp.rank == k
+    G = X.T @ X
+    top = max(sp.eigvals[0], 1.0)
+    np.testing.assert_allclose((sp.eigvecs * sp.eigvals[:k]) @ sp.eigvecs.T, G,
+                               rtol=0, atol=1e-12 * top)
