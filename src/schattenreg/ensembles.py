@@ -238,9 +238,13 @@ def sample_equicorrelated(
         # Gram eigenvalues stay on the scale the error theory is written in;
         # with unscaled rows the benchmark drifts into a high signal-to-noise
         # regime where regularization is nearly irrelevant.
+        # In place, so the (m, d) draw is the only full-size array.
         z = rng.standard_normal((m, d))
         g = rng.standard_normal((m, 1))
-        return (np.sqrt(1.0 - rho) * z + np.sqrt(rho) * g) / np.sqrt(N)
+        z *= np.sqrt(1.0 - rho)
+        z += np.sqrt(rho) * g
+        z /= np.sqrt(N)
+        return z
 
     X_tr = rows(N)
     X_te = rows(n_test)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import DimensionMismatch, DomainError, NonFinite, SingularGram
 from .spectrum import GramSpectrum, SchattenIndex, filtered_gram_eigvals, gram_spectrum
@@ -214,6 +213,8 @@ def bias_bound_to_alpha(
         return 0.0
     if p is SchattenIndex.SPECTRAL:
         return c / (1.0 - c)
+    # Imported here, its only use, so that `import schattenreg` skips scipy.optimize.
+    from scipy.optimize import brentq
 
     def gap(a: float) -> float:
         return alpha_to_bias_bound(spectrum, p, a).value - c

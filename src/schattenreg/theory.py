@@ -39,7 +39,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+# roots_legendre/roots_jacobi import scipy.linalg on their first call; loading
+# it here keeps that cost at import time rather than inside the first curve.
+import scipy.linalg  # noqa: F401
 from scipy.special import gammaln, roots_jacobi, roots_legendre
 
 from .ensembles import SpectralDensity
@@ -79,7 +81,8 @@ class MarchenkoPastur:
 
     @property
     def support_lo(self) -> float:
-        return (1.0 - np.sqrt(self.lam)) ** 2
+        # (1 - sqrt(lam))^2 without the cancellation of 1 - sqrt(lam) as lam -> 1.
+        return ((1.0 - self.lam) / (1.0 + np.sqrt(self.lam))) ** 2
 
     @property
     def support_hi(self) -> float:
@@ -264,6 +267,8 @@ def appell_f1(a: float, b: float, b_prime: float, c: float, x: float, y: float,
         raise DomainError("Euler integral requires a > 0 and c - a > 0")
     if (x > 1 or (x == 1 and b > 0)) or (y > 1 or (y == 1 and b_prime > 0)):
         raise DomainError("integrand has a pole on the path for x or y >= 1")
+    # Imported here, its only use, so that `import schattenreg` skips scipy.integrate.
+    from scipy.integrate import quad
 
     def integrand(u: float) -> float:
         return (

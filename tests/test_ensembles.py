@@ -126,6 +126,19 @@ def test_equicorrelated_off_diagonals():
     assert np.all(np.abs(off - 0.5) < 3 * se + 0.02)
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.3])
+def test_equicorrelated_rows_match_out_of_place_expression(rho):
+    # The rows are built in place; the values are those of the expression.
+    cfg = EquicorrelatedConfig(n_obs=30, n_feat=7, rho=rho)
+    ds = sample_equicorrelated(cfg, n_test=11, seed=4)
+    rng = np.random.default_rng(4)
+    for X, m in ((ds.X_tr, 30), (ds.X_te, 11)):
+        z = rng.standard_normal((m, 7))
+        g = rng.standard_normal((m, 1))
+        expected = (np.sqrt(1.0 - rho) * z + np.sqrt(rho) * g) / np.sqrt(30)
+        assert np.array_equal(X, expected)
+
+
 def test_sparse_coefficients():
     cfg = EquicorrelatedConfig(
         n_obs=10, n_feat=10, rho=0.0, sparse=SparseSpec(n_large=3, small_scale=0.1)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schattenreg import (
     BiasBound,
@@ -221,6 +223,58 @@ def test_bias_bound_floor_on_rank_deficient_gram(p, floor, name):
     alpha = bias_bound_to_alpha(sp, p, c)
     true = operator_diagnostics(estimator_operator(X, p, alpha), X, p)[0]
     assert true == pytest.approx(c, rel=1e-9)
+
+
+# Properties on full-rank (12 x 5) and wide (5 x 12, rank-deficient G) designs.
+_SHAPES = st.sampled_from([(12, 5), (5, 12)])
+_P = st.sampled_from(ALL_P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), shape=_SHAPES, p=_P, log_alpha=st.floats(-3, 3))
+def test_alpha_bias_round_trip_property(seed, shape, p, log_alpha):
+    sp = gram_spectrum(np.random.default_rng(seed).standard_normal(shape))
+    alpha = 10.0 ** log_alpha
+    c = alpha_to_bias_bound(sp, p, alpha).value
+    back = bias_bound_to_alpha(sp, p, c)
+    assert alpha_to_bias_bound(sp, p, back).value == pytest.approx(c, rel=1e-9, abs=1e-12)
+    # Where no eigenvalue is active the map is flat and the inverse returns
+    # the end of the flat branch: Nuclear at or below the smallest positive
+    # eigenvalue, Spectral on a singular G.
+    flat = ((p is SchattenIndex.NUCLEAR and alpha <= sp.eigvals[sp.rank - 1])
+            or (p is SchattenIndex.SPECTRAL and sp.rank < sp.n_feat))
+    if not flat:
+        assert back == pytest.approx(alpha, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), shape=_SHAPES, p=_P,
+       log_alphas=st.lists(st.floats(-6, 6), min_size=2, max_size=10))
+def test_bias_bound_nondecreasing_property(seed, shape, p, log_alphas):
+    sp = gram_spectrum(np.random.default_rng(seed).standard_normal(shape))
+    alphas = [0.0] + sorted(10.0 ** np.array(log_alphas)) + [np.inf]
+    cs = np.array([alpha_to_bias_bound(sp, p, a).value for a in alphas])
+    assert np.all(np.diff(cs) >= -1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), shape=_SHAPES, p=_P, alpha=st.floats(0.0, 1e6),
+       log_c=st.floats(-3, 3))
+def test_errors_scale_with_sigma_squared_property(seed, shape, p, alpha, log_c):
+    # beta-hat is linear in Y, so scaling beta and sigma by c scales every
+    # test error by c^2.
+    rng = np.random.default_rng(seed)
+    N, d = shape
+    X, X_te = rng.standard_normal((N, d)), rng.standard_normal((50, d))
+    b, noise = rng.standard_normal(d), rng.standard_normal(N)
+    alphas = [alpha, np.inf]
+
+    def errors(c):
+        B = fit_path(gram_spectrum(X, X @ (c * b) + c * noise), p, alphas)
+        return np.mean((X_te @ B - (X_te @ (c * b))[:, None]) ** 2, axis=0)
+
+    c = 10.0 ** log_c
+    np.testing.assert_allclose(errors(c), c * c * errors(1.0), rtol=1e-9)
 
 
 # ----------------------------------------------------------------------------

@@ -43,13 +43,15 @@ def test_frobenius_filter_is_additive():
 @settings(max_examples=50, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
-    alpha=st.floats(0.0, 1e6),
+    alpha=st.one_of(st.floats(0.0, 1e6), st.just(np.inf)),
     p=st.sampled_from(list(SchattenIndex)),
+    shape=st.sampled_from([(8, 4), (4, 8)]),  # full rank; d > N, singular G
 )
-def test_filtered_eigvals_dominate(seed, alpha, p):
-    # The regularized Gram matrix dominates G in the PSD order.
+def test_filtered_eigvals_dominate(seed, alpha, p, shape):
+    # The regularized Gram matrix dominates G in the PSD order: they share
+    # eigenvectors, so G-hat >= G is eigenvalue by eigenvalue.
     rng = np.random.default_rng(seed)
-    sp = gram_spectrum(rng.standard_normal((8, 4)))
+    sp = gram_spectrum(rng.standard_normal(shape))
     out = filtered_gram_eigvals(sp, p, alpha)
     assert np.all(out >= sp.eigvals - 1e-12)
     assert out.shape == sp.eigvals.shape
@@ -111,6 +113,7 @@ def test_spectrum_rejects_misshaped_eigvecs_and_nonzero_trailing_eigvals():
         (U, s[:4]),                                       # eigvals not length d
         (U, np.concatenate([s[:3], [1e-300, 0.0]])),      # trailing eigval not 0
         (U * 1.1, s),                                     # columns not orthonormal
+        (U * [1 + 1e-6, 1, 1], s),                        # one norm off by 1e-6
     ]
     for eigvecs, eigvals in bad:
         with pytest.raises(ValueError):

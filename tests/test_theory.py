@@ -234,16 +234,17 @@ def test_spherical_quadrature_large_sigma_returns(p):
     assert np.isfinite(err) and err > 0
 
 
-@pytest.mark.parametrize("lam", [1 - 1e-7, 1 - 1e-8])
+@pytest.mark.parametrize("lam", [1 - 1e-6, 1 - 1e-7, 1 - 1e-8, 1 - 1e-9])
 def test_spherical_quadrature_near_lam_one_returns(lam):
-    # The error grows like sigma^2 / (1 - lam): near 1e8 here, where a bound
+    # The error grows like sigma^2 / (1 - lam): up to 1e9 here, where a bound
     # fixed at 1e-9 max(beta^2, sigma^2) rejected a gap of 6e-16 relative.
     alphas = np.array([1e-3, 1e-2, 1.0])
     q = err_spherical_quadrature(SchattenIndex.SPECTRAL, alphas, lam, 1.0, 1.0)
     closed = [err_spectral_closed(a, lam, 1.0, 1.0) for a in alphas]
-    # The MP support end (1 - sqrt(lam))^2 cancels: one rounding of sqrt(lam)
-    # is eps / (1 - sqrt(lam)) relative in it, 4.4e-8 at lam = 1 - 1e-8.
-    np.testing.assert_allclose(q, closed, rtol=np.finfo(float).eps / (1 - np.sqrt(lam)))
+    # Holds only if the MP support end (1 - sqrt(lam))^2 is computed without
+    # cancelling 1 - sqrt(lam), whose rounding is eps / (1 - sqrt(lam)) relative.
+    np.testing.assert_allclose(q, closed, rtol=1e-12)
+
 
 
 @pytest.mark.parametrize("p", list(SchattenIndex))
