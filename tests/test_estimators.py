@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schattenreg import (
@@ -230,21 +230,38 @@ _SHAPES = st.sampled_from([(12, 5), (5, 12)])
 _P = st.sampled_from(ALL_P)
 
 
+def _bias_bound_slope(sp, p, alpha):
+    """dC/dalpha of `alpha_to_bias_bound`, in closed form."""
+    s = sp.eigvals[:sp.rank]
+    if p is SchattenIndex.NUCLEAR:
+        return float(np.sum(s[s < alpha])) / alpha ** 2
+    if p is SchattenIndex.FROBENIUS:
+        c = alpha_to_bias_bound(sp, p, alpha).value
+        return float(np.sum(alpha * s / (s + alpha) ** 3)) / c
+    return 0.0 if sp.rank < sp.n_feat else 1.0 / (1.0 + alpha) ** 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), shape=_SHAPES, p=_P, log_alpha=st.floats(-3, 3))
+@example(seed=0, shape=(5, 12), p=SchattenIndex.FROBENIUS, log_alpha=-3.0)
 def test_alpha_bias_round_trip_property(seed, shape, p, log_alpha):
     sp = gram_spectrum(np.random.default_rng(seed).standard_normal(shape))
     alpha = 10.0 ** log_alpha
     c = alpha_to_bias_bound(sp, p, alpha).value
     back = bias_bound_to_alpha(sp, p, c)
     assert alpha_to_bias_bound(sp, p, back).value == pytest.approx(c, rel=1e-9, abs=1e-12)
-    # Where no eigenvalue is active the map is flat and the inverse returns
-    # the end of the flat branch: Nuclear at or below the smallest positive
-    # eigenvalue, Spectral on a singular G.
-    flat = ((p is SchattenIndex.NUCLEAR and alpha <= sp.eigvals[sp.rank - 1])
-            or (p is SchattenIndex.SPECTRAL and sp.rank < sp.n_feat))
-    if not flat:
-        assert back == pytest.approx(alpha, rel=1e-9)
+    # C carries the rounding of a sum of d terms, which moves the alpha it
+    # pins by the condition number kappa = C / (alpha dC/dalpha) times that.
+    # kappa is large just above the floor (Frobenius on a singular G at small
+    # alpha: 1.4e7 at seed 0, 5 x 12, alpha = 1e-3) and infinite where no
+    # eigenvalue is active: there the map is flat and the inverse returns the
+    # end of the flat branch (Nuclear at or below the smallest positive
+    # eigenvalue, Spectral on a singular G).
+    slope = _bias_bound_slope(sp, p, alpha)
+    if slope > 0:
+        kappa = c / (alpha * slope)
+        eps = np.finfo(float).eps
+        assert back == pytest.approx(alpha, rel=1e-9 + sp.n_feat * eps * kappa)
 
 
 @settings(max_examples=40, deadline=None)
