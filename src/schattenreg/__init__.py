@@ -37,7 +37,6 @@ from .ensembles import (
     SpectralDensity,
     SphericalGaussianConfig,
     child_seeds,
-    empirical_mse,
     haar_stiefel,
     sample_diagonal,
     sample_equicorrelated,
@@ -48,6 +47,7 @@ from .estimators import (
     FittedModel,
     alpha_to_bias_bound,
     bias_bound_to_alpha,
+    empirical_mse,
     estimator_operator,
     fit,
     fit_from_spectrum,

@@ -1,22 +1,26 @@
 """Command-line entry points, config parsing, CSV ingestion, result emission.
 
 Subcommands: theory-curve, simulate, cv-bench, rff-bench, basin, real-data.
-Each reads a JSON config file (--config), with --seed / --out / --format
-overriding config values.  Unknown config keys are rejected.  Numeric output
-uses 17 significant digits so files are bit-stable across runs.
+Each reads one JSON object from --config against its table of keys; unknown
+keys, and keys the chosen ensemble does not read, are rejected.  Counts are
+JSON integers.  seed, out and format may be set in the config; --seed, --out
+and --format win.  An error names the command and the key ("simulate: n_obs:
+expected an integer, got 20.7") and exits 2.  Numeric output uses 17
+significant digits so files are bit-stable across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
 
 import numpy as np
 
-from .basin import geometry_table
+from .basin import DEFAULT_GRID_HI, DEFAULT_GRID_LO, DEFAULT_GRID_N, geometry_table
 from .cv import (
     AlphaGrid,
     BenchReport,
@@ -29,6 +33,7 @@ from .cv import (
     simulate_path_errors,
 )
 from .ensembles import (
+    DEFAULT_N_TEST,
     Dataset,
     DiagonalEnsembleConfig,
     EquicorrelatedConfig,
@@ -37,7 +42,8 @@ from .ensembles import (
     SpectralDensity,
     SphericalGaussianConfig,
 )
-from .exceptions import ConfigError, MissingTarget, ParseError, SchattenRegError
+from .exceptions import (ConfigError, InvalidConfig, MissingTarget, ParseError,
+                         SchattenRegError)
 from .spectrum import SchattenIndex
 from .theory import theory_curve
 
@@ -72,56 +78,140 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _check_keys(cfg: dict, allowed: set[str], command: str) -> None:
-    unknown = set(cfg) - allowed
+# ---------------------------------------------------------------------------
+# Config tables
+# ---------------------------------------------------------------------------
+# A table maps each key a command reads to (reader, default).  A reader takes
+# the JSON value and its location, "<command>: <key>", and returns the parsed
+# value or raises ConfigError at that location.
+
+def _reader(kind, what: str, ok=lambda v: True, cast=lambda v, where: v):
+    """Reader of a JSON value of Python type `kind`, never a bool, for which
+    `ok` holds; returns cast(value, where)."""
+    def read(value, where: str):
+        if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
+            raise ConfigError(f"{where}: expected {what}, got {value!r}")
+        return cast(value, where)
+    return read
+
+
+def _one_of(choices, cast=lambda v, where: v):
+    return _reader(str, f"one of {sorted(choices)}", choices.__contains__, cast)
+
+
+def _list(item):
+    return _reader(list, "a non-empty list", bool, lambda v, where: tuple(
+        item(x, f"{where}[{i}]") for i, x in enumerate(v)))
+
+
+def _table(default, readers: dict):
+    """Reader of a nested object: the dataclass `default` with the fields that
+    the object names, each read by readers[field], replaced."""
+    table = {k: (read, getattr(default, k)) for k, read in readers.items()}
+
+    def cast(value, where: str):
+        try:
+            return dataclasses.replace(default, **_read_table(table, value, where))
+        except InvalidConfig as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    return _reader(dict, "a JSON object", cast=cast)
+
+
+_object = _reader(dict, "a JSON object")
+_number = _reader((int, float), "a finite number", math.isfinite, lambda v, where: float(v))
+_integer = _reader(int, "an integer")
+_string = _reader(str, "a string")
+_numbers = _list(_number)
+_model_names = _list(_one_of(_NAME_TO_MODEL, lambda v, where: _NAME_TO_MODEL[v]))
+
+
+def _read_table(table: dict, value, where: str) -> dict:
+    unknown = sorted(set(_object(value, where)) - set(table))
     if unknown:
-        raise ConfigError(f"{command}: unknown config keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: {unknown[0]}: unknown key")
+    return {key: reader(value[key], f"{where}: {key}") if key in value else default
+            for key, (reader, default) in table.items()}
 
 
-def _models(cfg: dict, default=("nuclear", "ridge", "spectral")) -> tuple[SchattenIndex, ...]:
-    names = cfg.get("models", list(default))
-    if not names:
-        raise ConfigError("models list must be non-empty")
-    try:
-        return tuple(_NAME_TO_MODEL[n] for n in names)
-    except KeyError as exc:
-        raise ConfigError(f"unknown model name {exc.args[0]!r}") from None
+def parse(command: str, cfg, table: dict, ensembles: dict | None = None) -> dict:
+    """Every key of `table`, read from `cfg` or set to its default.  `ensembles`
+    maps each ensemble to the keys only it reads: all of them take defaults,
+    but only the chosen ensemble's keys may be set."""
+    every = {k: v for keys in (ensembles or {}).values() for k, v in keys.items()}
+    o = _read_table({**every, **table}, cfg, command)
+    if ensembles:
+        stray = sorted(set(cfg) & set(every) - set(ensembles[o["ensemble"]]))
+        if stray:
+            raise ConfigError(f"{command}: {stray[0]}: not read by the "
+                              f"{o['ensemble']} ensemble")
+    return o
 
 
-def _alpha_grid(cfg: dict, lo=1e-4, hi=1e6, count=9) -> AlphaGrid:
-    g = cfg.get("grid", {})
-    _check_keys(g, {"lo", "hi", "count"}, "grid")
-    count = int(g.get("count", count))
-    if count < 1:
-        raise ConfigError("alpha grid must contain at least one value")
-    return AlphaGrid(lo=float(g.get("lo", lo)), hi=float(g.get("hi", hi)), count=count)
+def _grid(default: AlphaGrid) -> tuple:
+    return _table(default, {"lo": _number, "hi": _number, "count": _integer}), default
 
 
-def _ensemble_config(cfg: dict):
-    kind = cfg.get("ensemble", "equicorrelated")
-    n_obs = int(cfg.get("n_obs", 100))
-    n_feat = int(cfg.get("n_feat", 50))
-    sigma = float(cfg.get("sigma", 1.0))
-    beta = float(cfg.get("beta", 1.0))
-    if kind == "spherical":
-        return SphericalGaussianConfig(n_obs=n_obs, n_feat=n_feat, beta=beta, sigma=sigma)
-    if kind == "diagonal":
-        density = SpectralDensity.power_law(float(cfg.get("gamma", 2.0)))
-        noise = NoiseDensity(
-            kind=cfg.get("noise_kind", "point"),
-            half_width=float(cfg.get("noise_half_width", 0.0)),
-        )
-        return DiagonalEnsembleConfig(
-            n_obs=n_obs, n_feat=n_feat, spectral_density=density,
-            noise_density=noise, beta=beta, sigma=sigma,
-        )
-    if kind == "equicorrelated":
-        sparse = SparseSpec(**cfg["sparse"]) if cfg.get("sparse") else None
-        return EquicorrelatedConfig(
-            n_obs=n_obs, n_feat=n_feat, rho=float(cfg.get("rho", 0.0)),
-            sigma=sigma, sparse=sparse,
-        )
-    raise ConfigError(f"unknown ensemble {kind!r}")
+RUN = {"seed": (_integer, 0), "out": (_string, None),
+       "format": (_one_of({"csv", "json"}), None)}
+MODELS = (_model_names, tuple(MODEL_NAMES))
+BETA = {"beta": (_number, 1.0)}
+THEORY = {**RUN, **BETA, "models": MODELS}
+CURVE = {**THEORY, "lambda": (_number, 0.5), "sigma": (_number, 1.0)}
+CV = {**RUN, "models": MODELS, "grid": _grid(AlphaGrid()), "folds": (_integer, 3)}
+N_TEST = {"n_test": (_integer, DEFAULT_N_TEST)}
+N_DATASETS = {"n_datasets": (_integer, 100)}
+SPARSE = _table(SparseSpec(), {"n_large": _integer, "small_scale": _number})
+
+# The theory of the diagonal ensemble has no default exponent.
+THEORY_GAMMA = {"gamma": (_number, None)}
+CURVE_ENSEMBLES = {"spherical": {}, "diagonal": THEORY_GAMMA}
+THEORY_CURVE = {**CURVE, "ensemble": (_one_of(CURVE_ENSEMBLES), "spherical"),
+                "grid": _grid(AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, 100))}
+
+SIMULATE_ENSEMBLES = {"spherical": N_TEST, "diagonal": THEORY_GAMMA}
+SIMULATE = {**CURVE, **N_DATASETS, "ensemble": (_one_of(SIMULATE_ENSEMBLES), "spherical"),
+            "grid": _grid(AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, 30)),
+            "n_obs": (_integer, 100)}
+
+BASIN_ENSEMBLES = {
+    "spherical": {"lambdas": (_numbers, (0.1, 0.5, 0.9))},
+    "diagonal": {"gammas": (_numbers, (0.5, 1.0, 2.0)), "lambda": (_number, 0.5)},
+}
+BASIN = {**THEORY, "ensemble": (_one_of(BASIN_ENSEMBLES), "spherical"),
+         "grid": _grid(AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_N)),
+         "sigmas": (_numbers, (0.5, 1.0, 2.0, 3.5))}
+
+CV_BENCH_ENSEMBLES = {
+    "spherical": {**N_TEST, **BETA},
+    "diagonal": {**BETA, "gamma": (_number, 2.0),
+                 "noise_kind": (_string, "point"), "noise_half_width": (_number, 0.0)},
+    "equicorrelated": {**N_TEST, "rho": (_number, 0.0), "sparse": (SPARSE, None)},
+}
+CV_BENCH = {**CV, **N_DATASETS, "ensemble": (_one_of(CV_BENCH_ENSEMBLES), "equicorrelated"),
+            "n_obs": (_integer, 100), "n_feat": (_integer, 50), "sigma": (_number, 1.0)}
+
+RFF_BENCH = {**CV, **N_DATASETS,
+             "models": (_model_names, (SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS)),
+             "d": (_integer, 10), "d_rbf": (_integer, 100), "n_obs": (_integer, 100),
+             "n_test": (_integer, 1000), "sigma": (_number, 1.0), "bandwidth": (_number, 1.0)}
+
+REAL_DATA = {**CV, "target": (_string, None), "train_size": (_integer, 300),
+             "n_splits": (_integer, 200)}
+
+ENSEMBLE_CONFIGS = {"spherical": SphericalGaussianConfig, "diagonal": DiagonalEnsembleConfig,
+                    "equicorrelated": EquicorrelatedConfig}
+
+
+def _build(cls, o: dict, **given):
+    """`cls` with each field taken from `given`, else from the option of its name."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in {**o, **given}.items() if k in names})
+
+
+def _ensemble_config(o: dict, **given):
+    if o["ensemble"] == "diagonal":
+        given["spectral_density"] = SpectralDensity.power_law(o["gamma"])
+    return _build(ENSEMBLE_CONFIGS[o["ensemble"]], o, **given)
 
 
 # ---------------------------------------------------------------------------
@@ -132,22 +222,16 @@ CURVE_FIELDS = ["alpha", "error", "p", "ensemble", "lambda", "beta", "sigma", "g
 
 
 def cmd_theory_curve(cfg: dict) -> list[dict]:
-    _check_keys(cfg, {"ensemble", "lambda", "beta", "sigma", "gamma", "models",
-                      "grid", "seed", "out", "format"}, "theory-curve")
-    ensemble = cfg.get("ensemble", "spherical")
-    lam = float(cfg.get("lambda", 0.5))
-    beta = float(cfg.get("beta", 1.0))
-    sigma = float(cfg.get("sigma", 1.0))
-    gamma = float(cfg["gamma"]) if "gamma" in cfg else None
-    alphas = _alpha_grid(cfg, lo=1e-3, hi=1e5, count=100).values()
+    o = parse("theory-curve", cfg, THEORY_CURVE, CURVE_ENSEMBLES)
+    alphas = o["grid"].values()
     rows = []
-    for p in _models(cfg):
-        curve = theory_curve(p, ensemble, alphas, lam, beta, sigma, gamma)
+    for p in o["models"]:
+        curve = theory_curve(p, o["ensemble"], alphas, o["lambda"], o["beta"], o["sigma"],
+                             o["gamma"])
         for a, e in zip(curve.alphas, curve.errors):
-            rows.append({
-                "alpha": a, "error": e, "p": MODEL_NAMES[p], "ensemble": ensemble,
-                "lambda": lam, "beta": beta, "sigma": sigma, "gamma": gamma,
-            })
+            # The columns after p echo the config.
+            rows.append({"alpha": a, "error": e, "p": MODEL_NAMES[p],
+                         **{key: o[key] for key in CURVE_FIELDS[3:]}})
     return rows
 
 
@@ -156,42 +240,25 @@ SIM_FIELDS = ["alpha", "estimator", "empirical_mean", "se", "theory",
 
 
 def cmd_simulate(cfg: dict) -> list[dict]:
-    _check_keys(cfg, {"ensemble", "lambda", "beta", "sigma", "gamma", "models",
-                      "grid", "n_obs", "n_datasets", "n_test", "seed", "out",
-                      "format"}, "simulate")
-    ensemble = cfg.get("ensemble", "spherical")
-    lam = float(cfg.get("lambda", 0.5))
-    beta = float(cfg.get("beta", 1.0))
-    sigma = float(cfg.get("sigma", 1.0))
-    gamma = float(cfg["gamma"]) if "gamma" in cfg else None
-    n_obs = int(cfg.get("n_obs", 100))
-    n_datasets = int(cfg.get("n_datasets", 100))
-    n_test = int(cfg.get("n_test", 5000))
-    seed = int(cfg.get("seed", 0))
-    models = _models(cfg)
-    alphas = _alpha_grid(cfg, lo=1e-3, hi=1e5, count=30).values()
-    n_feat = int(round(lam * n_obs))
-    ens_cfg = _ensemble_config({
-        "ensemble": ensemble, "n_obs": n_obs, "n_feat": n_feat,
-        "beta": beta, "sigma": sigma,
-        **({"gamma": gamma} if gamma is not None else {}),
-    })
-
+    o = parse("simulate", cfg, SIMULATE, SIMULATE_ENSEMBLES)
+    models, n_datasets = o["models"], o["n_datasets"]
+    alphas = o["grid"].values()
     # Build the theory curves first: a bad ensemble config fails before any sampling.
-    curves = [theory_curve(p, ensemble, alphas, lam, beta, sigma, gamma) for p in models]
-    mses = simulate_path_errors(ens_cfg, models, alphas, n_datasets, seed, n_test)
+    curves = [theory_curve(p, o["ensemble"], alphas, o["lambda"], o["beta"], o["sigma"],
+                           o["gamma"]) for p in models]
+    ens_cfg = _ensemble_config(o, n_feat=round(o["lambda"] * o["n_obs"]))
+    mses = simulate_path_errors(ens_cfg, models, alphas, n_datasets, o["seed"], o["n_test"])
 
     rows = []
     for i, (p, curve) in enumerate(zip(models, curves)):
         for k, a in enumerate(alphas):
             se = (float(np.std(mses[i, k], ddof=1) / np.sqrt(n_datasets))
                   if n_datasets > 1 else None)
+            # The columns after theory echo the config.
             rows.append({
                 "alpha": a, "estimator": MODEL_NAMES[p],
                 "empirical_mean": float(np.mean(mses[i, k])), "se": se,
-                "theory": curve.errors[k], "ensemble": ensemble, "lambda": lam,
-                "beta": beta, "sigma": sigma, "gamma": gamma,
-                "n_obs": n_obs, "n_datasets": n_datasets,
+                "theory": curve.errors[k], **{key: o[key] for key in SIM_FIELDS[5:]},
             })
     return rows
 
@@ -213,42 +280,14 @@ def report_summary_rows(report: BenchReport) -> list[dict]:
 
 
 def cmd_cv_bench(cfg: dict) -> BenchReport:
-    _check_keys(cfg, {"ensemble", "n_obs", "n_feat", "rho", "sigma", "beta",
-                      "gamma", "noise_kind", "noise_half_width", "sparse",
-                      "models", "grid", "folds", "n_datasets", "n_test",
-                      "seed", "out", "format"}, "cv-bench")
-    ens_cfg = _ensemble_config(cfg)
-    cv_cfg = CVConfig(
-        folds=int(cfg.get("folds", 3)),
-        grid=_alpha_grid(cfg),
-        models=_models(cfg),
-        n_datasets=int(cfg.get("n_datasets", 100)),
-        seed=int(cfg.get("seed", 0)),
-        n_test=int(cfg.get("n_test", 5000)),
-    )
-    return run_benchmark(ens_cfg, cv_cfg)
+    o = parse("cv-bench", cfg, CV_BENCH, CV_BENCH_ENSEMBLES)
+    noise = NoiseDensity(o["noise_kind"], o["noise_half_width"])
+    return run_benchmark(_ensemble_config(o, noise_density=noise), _build(CVConfig, o))
 
 
 def cmd_rff_bench(cfg: dict) -> BenchReport:
-    _check_keys(cfg, {"d", "d_rbf", "n_obs", "n_test", "sigma", "bandwidth",
-                      "models", "grid", "folds", "n_datasets", "seed", "out",
-                      "format"}, "rff-bench")
-    rff_cfg = RFFBenchConfig(
-        d=int(cfg.get("d", 10)),
-        d_rbf=int(cfg.get("d_rbf", 100)),
-        n_obs=int(cfg.get("n_obs", 100)),
-        n_test=int(cfg.get("n_test", 1000)),
-        sigma=float(cfg.get("sigma", 1.0)),
-        bandwidth=float(cfg.get("bandwidth", 1.0)),
-    )
-    cv_cfg = CVConfig(
-        folds=int(cfg.get("folds", 3)),
-        grid=_alpha_grid(cfg),
-        models=_models(cfg, default=("nuclear", "ridge")),
-        n_datasets=int(cfg.get("n_datasets", 100)),
-        seed=int(cfg.get("seed", 0)),
-    )
-    return rff_benchmark(rff_cfg, cv_cfg)
+    o = parse("rff-bench", cfg, RFF_BENCH)
+    return rff_benchmark(_build(RFFBenchConfig, o), _build(CVConfig, o))
 
 
 BASIN_FIELDS = ["estimator", "sigma", "shape_param", "depth_pct",
@@ -256,28 +295,19 @@ BASIN_FIELDS = ["estimator", "sigma", "shape_param", "depth_pct",
 
 
 def cmd_basin(cfg: dict) -> list[dict]:
-    _check_keys(cfg, {"ensemble", "sigmas", "lambdas", "gammas", "lambda",
-                      "beta", "models", "grid", "seed", "out", "format"},
-                "basin")
-    ensemble = cfg.get("ensemble", "spherical")
-    beta = float(cfg.get("beta", 1.0))
-    sigmas = [float(s) for s in cfg.get("sigmas", [0.5, 1.0, 2.0, 3.5])]
-    if ensemble == "spherical":
-        shapes = [float(v) for v in cfg.get("lambdas", [0.1, 0.5, 0.9])]
-    else:
-        shapes = [float(v) for v in cfg.get("gammas", [0.5, 1.0, 2.0])]
-    lam_fixed = float(cfg.get("lambda", 0.5))
-    grid = _alpha_grid(cfg, lo=1e-3, hi=1e5, count=500).values()
-    names = [MODEL_NAMES[p] for p in _models(cfg)]
+    o = parse("basin", cfg, BASIN, BASIN_ENSEMBLES)
+    ensemble = o["ensemble"]
+    if SchattenIndex.FROBENIUS not in o["models"]:
+        raise ConfigError("basin: models: must include ridge, the base of every percentage")
+    grid = o["grid"].values()
+    spherical = ensemble == "spherical"
     curves = {}
-    for name in names:
-        p = _NAME_TO_MODEL[name]
-        for s in sigmas:
-            for shape in shapes:
-                lam = shape if ensemble == "spherical" else lam_fixed
-                gamma = None if ensemble == "spherical" else shape
-                curves[(name, s, shape)] = theory_curve(p, ensemble, grid, lam, beta,
-                                                        sigma=s, gamma=gamma).errors
+    for p in o["models"]:
+        for s in o["sigmas"]:
+            for shape in o["lambdas"] if spherical else o["gammas"]:
+                lam, gamma = (shape, None) if spherical else (o["lambda"], shape)
+                curves[(MODEL_NAMES[p], s, shape)] = theory_curve(
+                    p, ensemble, grid, lam, o["beta"], sigma=s, gamma=gamma).errors
     table = geometry_table(curves, ensemble, grid)
     return [{
         "estimator": c.estimator, "sigma": c.sigma, "shape_param": c.shape_param,
@@ -330,19 +360,15 @@ def cmd_real_data(path: str, cfg: dict) -> BenchReport:
     every squared test error unchanged up to rounding; these choices are
     recorded in the output metadata.
     """
-    _check_keys(cfg, {"target", "train_size", "n_splits", "models", "grid",
-                      "folds", "seed", "out", "format"}, "real-data")
-    if "target" not in cfg:
-        raise ConfigError("real-data requires a 'target' column name")
-    X_all, y_all, _ = read_numeric_csv(path, cfg["target"])
+    o = parse("real-data", cfg, REAL_DATA)
+    if o["target"] is None:
+        raise ConfigError("real-data: target: required, the name of the target column")
+    X_all, y_all, _ = read_numeric_csv(path, o["target"])
     n = X_all.shape[0]
-    train_size = int(cfg.get("train_size", 300))
+    train_size = o["train_size"]
     if train_size >= n:
-        raise ConfigError(f"train_size {train_size} must be below row count {n}")
-    cv_cfg = CVConfig(
-        folds=int(cfg.get("folds", 3)), grid=_alpha_grid(cfg), models=_models(cfg),
-        n_datasets=int(cfg.get("n_splits", 200)), seed=int(cfg.get("seed", 0)),
-    )
+        raise ConfigError(f"real-data: train_size: {train_size} must be below row count {n}")
+    cv_cfg = _build(CVConfig, o, n_datasets=o["n_splits"])
 
     def split(seed: int) -> Dataset:
         perm = np.random.default_rng(seed).permutation(n)
@@ -400,30 +426,35 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--format", choices=["csv", "json"], default=None,
+                       help="output format (default: the config's, else csv)")
     args = parser.parse_args(argv)
+    command = args.command
 
     try:
         cfg = {}
         if args.config:
             with open(args.config) as fh:
                 try:
-                    cfg = json.load(fh)
+                    cfg = _object(json.load(fh), command)
                 except json.JSONDecodeError as exc:
-                    raise ConfigError(f"{args.config}: {exc}") from None
+                    raise ConfigError(f"{command}: {args.config}: {exc}") from None
         if args.seed is not None:
             cfg["seed"] = args.seed
-        out = args.out or cfg.get("out") or f"{args.command.replace('-', '_')}.{args.format}"
-        run, fields = commands[args.command]
+        run, fields = commands[command]
         meta = {"config": cfg}
-        if args.command == "real-data":
+        if command == "real-data":
             result = run(args.path, cfg)
             meta["standardization"] = "features z-scored and target centered on train split"
         else:
             result = run(cfg)
-        _write_output(result, fields, out, args.format, meta)
+        # The command has checked the config's out and format.
+        fmt = args.format or cfg.get("format") or "csv"
+        out = args.out or cfg.get("out") or f"{command.replace('-', '_')}.{fmt}"
+        _write_output(result, fields, out, fmt, meta)
     except (SchattenRegError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = "" if isinstance(exc, ConfigError) else f"{command}: "
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -18,12 +18,11 @@ from .ensembles import (
     EquicorrelatedConfig,
     SphericalGaussianConfig,
     child_seeds,
-    empirical_mse,
     sample_diagonal,
     sample_equicorrelated,
     sample_spherical,
 )
-from .estimators import fit_from_spectrum, fit_path
+from .estimators import fit_path
 from .exceptions import InsufficientData, InvalidConfig
 from .rff import make_rff_dataset
 from .spectrum import SchattenIndex, gram_spectrum
@@ -190,14 +189,13 @@ def simulate_path_errors(
     return mses
 
 
-def _cv_errors(ds: Dataset, cfg: CVConfig, cv_seed: int) -> tuple[list, list]:
+def _cv_errors(ds: Dataset, cfg: CVConfig, cv_seed: int) -> tuple[np.ndarray, list]:
     """(test MSE, selected alpha) per model: select by k-fold CV, refit on the
-    full training set."""
+    full training set, and score the refits the way the folds are scored."""
     selected = kfold_select_alpha(ds.X_tr, ds.Y_tr, cfg.models, cfg, seed=cv_seed)
     spectrum = gram_spectrum(ds.X_tr, ds.Y_tr)
-    errors = [empirical_mse(fit_from_spectrum(spectrum, p, selected[p]), ds)
-              for p in cfg.models]
-    return errors, [selected[p] for p in cfg.models]
+    B = np.hstack([fit_path(spectrum, p, [selected[p]]) for p in cfg.models])
+    return _path_mse(B, ds.X_te, ds.Y_te), [selected[p] for p in cfg.models]
 
 
 def _bench_over_datasets(make_dataset, cfg: CVConfig, with_ratio: bool) -> BenchReport:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import FittedModel, predict
-from .exceptions import DimensionMismatch, InvalidConfig
+from .exceptions import InvalidConfig
 
 __all__ = [
     "Dataset",
@@ -25,7 +24,6 @@ __all__ = [
     "SparseSpec",
     "SpectralDensity",
     "child_seeds",
-    "empirical_mse",
     "haar_stiefel",
     "sample_diagonal",
     "sample_equicorrelated",
@@ -168,6 +166,10 @@ class SparseSpec:
     n_large: int = 3
     small_scale: float = 0.1
 
+    def __post_init__(self):
+        if self.n_large < 0 or self.small_scale < 0:
+            raise InvalidConfig("n_large and small_scale must be nonnegative")
+
 
 @dataclass(frozen=True)
 class EquicorrelatedConfig:
@@ -180,6 +182,9 @@ class EquicorrelatedConfig:
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
             raise InvalidConfig("rho must lie in [0, 1)")
+        if self.sparse is not None and self.sparse.n_large > self.n_feat:
+            raise InvalidConfig(f"sparse: n_large {self.sparse.n_large} exceeds "
+                                f"n_feat {self.n_feat}")
 
 
 def haar_stiefel(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -258,13 +263,3 @@ def sample_equicorrelated(
     Y_te = X_te @ beta0
     return Dataset(X_tr, Y_tr, X_te, Y_te, beta0, seed)
 
-
-def empirical_mse(model: FittedModel, dataset: Dataset) -> float:
-    """Mean squared prediction error on the (noiseless) test targets."""
-    if dataset.X_te.shape[1] != model.beta_hat.shape[0]:
-        raise DimensionMismatch(
-            f"test features {dataset.X_te.shape[1]} != model features "
-            f"{model.beta_hat.shape[0]}"
-        )
-    resid = predict(model, dataset.X_te) - dataset.Y_te
-    return float(np.mean(resid**2))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensembles import Dataset
 from .exceptions import DimensionMismatch, DomainError, NonFinite, SingularGram
 from .spectrum import GramSpectrum, SchattenIndex, filtered_gram_eigvals, gram_spectrum
 
@@ -21,6 +22,7 @@ __all__ = [
     "FittedModel",
     "alpha_to_bias_bound",
     "bias_bound_to_alpha",
+    "empirical_mse",
     "estimator_operator",
     "fit",
     "fit_from_spectrum",
@@ -126,6 +128,12 @@ def predict(model: FittedModel, X_test: np.ndarray) -> np.ndarray:
             f"{model.beta_hat.shape[0]} features"
         )
     return X_test @ model.beta_hat
+
+
+def empirical_mse(model: FittedModel, dataset: Dataset) -> float:
+    """Mean squared prediction error on the (noiseless) test targets."""
+    resid = predict(model, dataset.X_te) - dataset.Y_te
+    return float(np.mean(resid**2))
 
 
 def estimator_operator(

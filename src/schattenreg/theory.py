@@ -370,7 +370,7 @@ def theory_curve(
         errors = err_spherical_quadrature(p, alphas, lam, beta, sigma)
     elif ensemble == "diagonal":
         if gamma is None:
-            raise ValueError("diagonal ensemble requires a power-law exponent")
+            raise ValueError("diagonal ensemble requires gamma, a power-law exponent")
         errors = err_diagonal_quadrature(p, alphas, lam, beta, sigma,
                                          SpectralDensity.power_law(gamma))
     else:

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,10 @@ def _write_cfg(tmp_path, name, cfg):
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _read_json(path):
+    return json.loads(Path(path).read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +57,7 @@ def test_theory_curve_csv_round_trip(tmp_path):
     rows = _read_csv(out)
     assert len(rows) == 10
     # 17 significant digits survive the text round trip exactly.
-    direct = cmd_theory_curve(json.loads(open(cfg).read()))
+    direct = cmd_theory_curve(_read_json(cfg))
     for row, want in zip(rows, direct):
         assert float(row["error"]) == want["error"]
         assert float(row["alpha"]) == want["alpha"]
@@ -65,7 +70,7 @@ def test_theory_curve_byte_identical_reruns(tmp_path):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["theory-curve", "--config", cfg, "--out", out1]) == 0
     assert main(["theory-curve", "--config", cfg, "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_empty_grid_rejected(tmp_path):
@@ -92,8 +97,86 @@ def test_json_output_format(tmp_path):
     out = str(tmp_path / "curve.json")
     assert main(["theory-curve", "--config", cfg, "--out", out,
                  "--format", "json"]) == 0
-    payload = json.load(open(out))
+    payload = _read_json(out)
     assert payload["rows"][0]["p"] == "ridge"
+
+
+# ---------------------------------------------------------------------------
+# config errors and run keys
+# ---------------------------------------------------------------------------
+
+# (command, config, extra flags, what the error must name besides the command)
+BAD_CONFIGS = [
+    ("theory-curve", {"sigma": "abc"}, [], "sigma"),
+    ("basin", {"sigmas": 1.0}, [], "sigmas"),
+    ("basin", {"sigmas": [1, "x"]}, [], "sigmas[1]"),
+    ("theory-curve", {"lambda": None}, [], "lambda"),
+    ("simulate", {"n_obs": 20.7}, [], "n_obs"),
+    ("simulate", {"n_obs": True}, [], "n_obs"),
+    ("theory-curve", {"models": "ridge"}, [], "models"),
+    ("simulate", {"seed": "x"}, [], "seed"),
+    ("theory-curve", {"grid": {"count": 2.5}}, [], "grid: count"),
+    ("theory-curve", {"grid": {"count": 0}}, [], "grid"),
+    ("simulate", [1, 2], ["--seed", "3"], "JSON object"),
+    ("theory-curve", {"format": "xml"}, [], "format"),
+    ("basin", {"models": ["nuclear"]}, [], "models"),
+    # Sparse specs fail before any sampling.
+    ("cv-bench", {"sparse": {"bogus": 1}}, [], "sparse: bogus"),
+    ("cv-bench", {"sparse": {"n_large": -1}}, [], "sparse"),
+    ("cv-bench", {"n_feat": 5, "sparse": {"n_large": 6}}, [], "sparse: n_large"),
+    # Keys that the chosen ensemble does not read.
+    ("cv-bench", {"beta": 100.0}, [], "beta"),
+    ("cv-bench", {"ensemble": "spherical", "rho": 0.3}, [], "rho"),
+    ("cv-bench", {"ensemble": "spherical", "gamma": 2.0}, [], "gamma"),
+    ("cv-bench", {"ensemble": "diagonal", "n_test": 50}, [], "n_test"),
+    ("simulate", {"ensemble": "diagonal", "gamma": 2.0, "n_test": 50}, [], "n_test"),
+    ("simulate", {"gamma": 2.0}, [], "gamma"),
+    ("theory-curve", {"gamma": 2.0}, [], "gamma"),
+    ("basin", {"gammas": [1.0]}, [], "gammas"),
+    ("basin", {"lambda": 0.3}, [], "lambda"),
+    ("basin", {"ensemble": "diagonal", "lambdas": [0.5]}, [], "lambdas"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, flags, named", BAD_CONFIGS,
+                         ids=[f"{c} {json.dumps(cfg)}" for c, cfg, _, _ in BAD_CONFIGS])
+def test_bad_config_exits_2_naming_command_and_key(tmp_path, capsys, monkeypatch,
+                                                   command, cfg, flags, named):
+    import schattenreg.cli as cli
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the config was checked")
+
+    for name in ("run_benchmark", "simulate_path_errors"):
+        monkeypatch.setattr(cli, name, no_sampling)
+    path = _write_cfg(tmp_path, "c.json", cfg)
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", path, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command}: ")
+    assert named in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg, flags, written, fmt", [
+    ({}, [], "theory_curve.csv", "csv"),
+    ({"format": "json"}, [], "theory_curve.json", "json"),
+    ({"format": "json"}, ["--format", "csv"], "theory_curve.csv", "csv"),
+    ({"format": "csv"}, ["--format", "json"], "theory_curve.json", "json"),
+    ({"format": "json", "out": "mine.out"}, [], "mine.out", "json"),
+    ({"out": "mine.out"}, ["--out", "flag.out"], "flag.out", "csv"),
+])
+def test_format_and_out_precedence(tmp_path, monkeypatch, cfg, flags, written, fmt):
+    # A flag wins over the config, the config over the csv default, and the
+    # default file name follows the chosen format.
+    monkeypatch.chdir(tmp_path)
+    path = _write_cfg(tmp_path, "c.json", {
+        "models": ["ridge"], "grid": {"lo": 1.0, "hi": 2.0, "count": 1}, **cfg})
+    assert main(["theory-curve", "--config", path, *flags]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["c.json", written])
+    text = (tmp_path / written).read_text()
+    assert text.startswith('{\n  "rows"') == (fmt == "json")
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +292,7 @@ def test_real_data_constant_target(tmp_path):
     out = str(tmp_path / "rep.json")
     assert main(["real-data", data, "--config", cfg, "--out", out,
                  "--format", "json"]) == 0
-    payload = json.load(open(out))
+    payload = _read_json(out)
     rep = payload["report"]
     assert rep["models"] == ["nuclear", "ridge"]
     # Centering on the train mean makes a constant target exactly learnable.
@@ -251,7 +334,7 @@ def test_cv_bench_writes_summary_and_matrix(tmp_path):
     assert main(["cv-bench", "--config", cfg, "--out", out]) == 0
     rows = _read_csv(out)
     assert [r["model"] for r in rows] == ["nuclear", "ridge"]
-    payload = json.load(open(out + ".json"))
+    payload = _read_json(out + ".json")
     assert np.array(payload["report"]["errors"]).shape == (2, 2)
 
 
@@ -263,7 +346,7 @@ def test_rff_bench_cli(tmp_path):
     out = str(tmp_path / "rff.json")
     assert main(["rff-bench", "--config", cfg, "--out", out,
                  "--format", "json"]) == 0
-    rep = json.load(open(out))["report"]
+    rep = _read_json(out)["report"]
     assert rep["models"] == ["nuclear", "ridge"]
     assert rep["ridge_ratio"]["ridge"] == pytest.approx(1.0)
 

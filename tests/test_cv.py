@@ -14,12 +14,15 @@ from schattenreg import (
     apply_rff,
     empirical_mse,
     fit,
+    fit_from_spectrum,
+    gram_spectrum,
     kfold_select_alpha,
     rff_benchmark,
     run_benchmark,
     sample_rff_map,
     sample_spherical,
 )
+from schattenreg.cv import _cv_errors
 from schattenreg.exceptions import InsufficientData, InvalidConfig
 
 
@@ -84,6 +87,18 @@ def test_multi_model_selection_matches_single_model(shape):
     together = kfold_select_alpha(ds.X_tr, ds.Y_tr, cfg.models, cfg, seed=5)
     for p in cfg.models:
         assert together[p] == kfold_select_alpha(ds.X_tr, ds.Y_tr, (p,), cfg, seed=5)[p]
+
+
+@pytest.mark.parametrize("shape", [(40, 8), (12, 30)])  # tall; wide and rank-deficient
+def test_cv_errors_match_refit_scored_one_model_at_a_time(shape):
+    n_obs, n_feat = shape
+    ds = sample_spherical(SphericalGaussianConfig(n_obs, n_feat, sigma=0.5), n_test=60, seed=4)
+    cfg = _small_cfg()
+    errors, alphas = _cv_errors(ds, cfg, cv_seed=9)
+    spectrum = gram_spectrum(ds.X_tr, ds.Y_tr)
+    for p, err, alpha in zip(cfg.models, errors, alphas):
+        want = empirical_mse(fit_from_spectrum(spectrum, p, alpha), ds)
+        assert err == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_insufficient_data_raises():

@@ -19,7 +19,7 @@ from schattenreg import (
     sample_equicorrelated,
     sample_spherical,
 )
-from schattenreg.exceptions import InvalidConfig
+from schattenreg.exceptions import DimensionMismatch, InvalidConfig
 
 
 def test_spherical_zero_signal_zero_noise():
@@ -74,6 +74,14 @@ def test_diagonal_requires_wide_frames():
         DiagonalEnsembleConfig(
             n_obs=5, n_feat=10, spectral_density=SpectralDensity.power_law(1.0)
         )
+
+
+@pytest.mark.parametrize("n_large, small_scale, n_feat", [(-1, 0.1, 10), (3, -0.1, 10),
+                                                         (11, 0.1, 10)])
+def test_sparse_spec_rejected_before_sampling(n_large, small_scale, n_feat):
+    with pytest.raises(InvalidConfig):
+        EquicorrelatedConfig(n_obs=20, n_feat=n_feat,
+                             sparse=SparseSpec(n_large=n_large, small_scale=small_scale))
 
 
 def test_power_law_sampling_cdf():
@@ -180,6 +188,10 @@ def test_empirical_mse_exact_cases():
 
     null = fit(ds.X_tr, np.zeros(30), SchattenIndex.FROBENIUS, 0.0)
     assert empirical_mse(null, ds) == pytest.approx(np.mean((ds.X_te @ ds.beta0) ** 2))
+
+    narrow = fit(ds.X_tr[:, :4], ds.Y_tr, SchattenIndex.FROBENIUS, 0.0)
+    with pytest.raises(DimensionMismatch):
+        empirical_mse(narrow, ds)
 
 
 def test_ols_error_matches_thermodynamic_limit():
