@@ -67,6 +67,7 @@ from .rff import (
 )
 from .spectrum import GramSpectrum, SchattenIndex, filtered_gram_eigvals, gram_spectrum
 from .theory import (
+    ErrorIntegrals,
     MarchenkoPastur,
     TheoryCurve,
     appell_f1,
@@ -74,6 +75,7 @@ from .theory import (
     err_nuclear_closed,
     err_spectral_closed,
     err_spherical_quadrature,
+    error_integrals,
     mp_cdf,
     mp_partial_moment,
     mp_pdf,

@@ -70,7 +70,8 @@ def locate_min_and_curvature(values: np.ndarray, grid: np.ndarray) -> BasinGeome
     edge = (i0 - FIT_HALF_WINDOW < 0) or (i0 + FIT_HALF_WINDOW > len(grid) - 1)
     x = grid[lo : hi + 1] - grid[i0]
     y = values[lo : hi + 1] - values[i0]
-    if len(np.unique(x)) < 3:
+    # Distinct points by sorting, not np.unique, which imports numpy.ma.
+    if np.count_nonzero(np.diff(np.sort(x))) + 1 < 3:
         raise DegenerateFit("need at least 3 distinct grid points around the minimum")
     coeffs = np.polyfit(x, y, 2)
     return BasinGeometry(

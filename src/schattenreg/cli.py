@@ -3,9 +3,10 @@
 Subcommands: theory-curve, simulate, cv-bench, rff-bench, basin, real-data.
 Each reads one JSON object from --config against its table of keys; unknown
 keys, and keys the chosen ensemble does not read, are rejected.  Counts are
-JSON integers.  seed, out and format may be set in the config; --seed, --out
-and --format win.  An error names the command and the key ("simulate: n_obs:
-expected an integer, got 20.7") and exits 2.  Numeric output uses 17
+positive JSON integers, the seed a non-negative one.  seed, out and format
+may be set in the config; --seed, --out and --format win.  An error names the
+command and the key ("simulate: n_obs: expected a positive integer, got
+20.7") and exits 2, before any sampling.  Numeric output uses 17
 significant digits so files are bit-stable across runs.
 """
 
@@ -45,7 +46,7 @@ from .ensembles import (
 from .exceptions import (ConfigError, InvalidConfig, MissingTarget, ParseError,
                          SchattenRegError)
 from .spectrum import SchattenIndex
-from .theory import theory_curve
+from .theory import error_integrals, theory_curve
 
 FLOAT_FMT = "%.17g"
 
@@ -120,6 +121,8 @@ def _table(default, readers: dict):
 _object = _reader(dict, "a JSON object")
 _number = _reader((int, float), "a finite number", math.isfinite, lambda v, where: float(v))
 _integer = _reader(int, "an integer")
+_count = _reader(int, "a positive integer", lambda v: v > 0)
+_seed = _reader(int, "a non-negative integer", lambda v: v >= 0)
 _string = _reader(str, "a string")
 _numbers = _list(_number)
 _model_names = _list(_one_of(_NAME_TO_MODEL, lambda v, where: _NAME_TO_MODEL[v]))
@@ -151,15 +154,15 @@ def _grid(default: AlphaGrid) -> tuple:
     return _table(default, {"lo": _number, "hi": _number, "count": _integer}), default
 
 
-RUN = {"seed": (_integer, 0), "out": (_string, None),
+RUN = {"seed": (_seed, 0), "out": (_string, None),
        "format": (_one_of({"csv", "json"}), None)}
 MODELS = (_model_names, tuple(MODEL_NAMES))
 BETA = {"beta": (_number, 1.0)}
 THEORY = {**RUN, **BETA, "models": MODELS}
 CURVE = {**THEORY, "lambda": (_number, 0.5), "sigma": (_number, 1.0)}
 CV = {**RUN, "models": MODELS, "grid": _grid(AlphaGrid()), "folds": (_integer, 3)}
-N_TEST = {"n_test": (_integer, DEFAULT_N_TEST)}
-N_DATASETS = {"n_datasets": (_integer, 100)}
+N_TEST = {"n_test": (_count, DEFAULT_N_TEST)}
+N_DATASETS = {"n_datasets": (_count, 100)}
 SPARSE = _table(SparseSpec(), {"n_large": _integer, "small_scale": _number})
 
 # The theory of the diagonal ensemble has no default exponent.
@@ -171,7 +174,7 @@ THEORY_CURVE = {**CURVE, "ensemble": (_one_of(CURVE_ENSEMBLES), "spherical"),
 SIMULATE_ENSEMBLES = {"spherical": N_TEST, "diagonal": THEORY_GAMMA}
 SIMULATE = {**CURVE, **N_DATASETS, "ensemble": (_one_of(SIMULATE_ENSEMBLES), "spherical"),
             "grid": _grid(AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, 30)),
-            "n_obs": (_integer, 100)}
+            "n_obs": (_count, 100)}
 
 BASIN_ENSEMBLES = {
     "spherical": {"lambdas": (_numbers, (0.1, 0.5, 0.9))},
@@ -188,15 +191,15 @@ CV_BENCH_ENSEMBLES = {
     "equicorrelated": {**N_TEST, "rho": (_number, 0.0), "sparse": (SPARSE, None)},
 }
 CV_BENCH = {**CV, **N_DATASETS, "ensemble": (_one_of(CV_BENCH_ENSEMBLES), "equicorrelated"),
-            "n_obs": (_integer, 100), "n_feat": (_integer, 50), "sigma": (_number, 1.0)}
+            "n_obs": (_count, 100), "n_feat": (_count, 50), "sigma": (_number, 1.0)}
 
 RFF_BENCH = {**CV, **N_DATASETS,
              "models": (_model_names, (SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS)),
-             "d": (_integer, 10), "d_rbf": (_integer, 100), "n_obs": (_integer, 100),
-             "n_test": (_integer, 1000), "sigma": (_number, 1.0), "bandwidth": (_number, 1.0)}
+             "d": (_count, 10), "d_rbf": (_count, 100), "n_obs": (_count, 100),
+             "n_test": (_count, 1000), "sigma": (_number, 1.0), "bandwidth": (_number, 1.0)}
 
-REAL_DATA = {**CV, "target": (_string, None), "train_size": (_integer, 300),
-             "n_splits": (_integer, 200)}
+REAL_DATA = {**CV, "target": (_string, None), "train_size": (_count, 300),
+             "n_splits": (_count, 200)}
 
 ENSEMBLE_CONFIGS = {"spherical": SphericalGaussianConfig, "diagonal": DiagonalEnsembleConfig,
                     "equicorrelated": EquicorrelatedConfig}
@@ -301,13 +304,15 @@ def cmd_basin(cfg: dict) -> list[dict]:
         raise ConfigError("basin: models: must include ridge, the base of every percentage")
     grid = o["grid"].values()
     spherical = ensemble == "spherical"
-    curves = {}
+    shapes = o["lambdas"] if spherical else o["gammas"]
+    # One pass of the bias and variance integrals per (p, shape) serves every sigma.
+    integrals = {}
     for p in o["models"]:
-        for s in o["sigmas"]:
-            for shape in o["lambdas"] if spherical else o["gammas"]:
-                lam, gamma = (shape, None) if spherical else (o["lambda"], shape)
-                curves[(MODEL_NAMES[p], s, shape)] = theory_curve(
-                    p, ensemble, grid, lam, o["beta"], sigma=s, gamma=gamma).errors
+        for shape in shapes:
+            lam, gamma = (shape, None) if spherical else (o["lambda"], shape)
+            integrals[(p, shape)] = error_integrals(p, ensemble, grid, lam, gamma)
+    curves = {(MODEL_NAMES[p], s, shape): integrals[(p, shape)].error(o["beta"], s)
+              for p in o["models"] for s in o["sigmas"] for shape in shapes}
     table = geometry_table(curves, ensemble, grid)
     return [{
         "estimator": c.estimator, "sigma": c.sigma, "shape_param": c.shape_param,

@@ -12,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.random on first use; importing it here keeps that cost in
+# set-up rather than inside the first sampling call.
+import numpy.random  # noqa: F401
 
 from .exceptions import InvalidConfig
 

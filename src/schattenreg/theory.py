@@ -10,6 +10,11 @@ spherical Gaussian features, the chosen spectral density on [0, 1] for the
 diagonal/Stiefel ensemble.  r is 1/(1 + alpha) for Spectral, x/(x + alpha)
 for Ridge and min(1, x/alpha) for Nuclear, so e stays finite at x = 0.
 
+e is linear in (beta^2, sigma^2): lam beta^2 A(alpha) is the bias, with
+integrand x (1 - r)^2, and lam sigma^2 B(alpha) the variance, with integrand
+r^2.  The engine integrates A and B once per estimator, ensemble and alpha
+grid (ErrorIntegrals); every (beta, sigma) is then a weighted sum of the two.
+
 The integrals are fixed Gauss rules evaluated for a whole alpha grid at once,
 as (n_alpha, n_nodes) arrays:
 
@@ -24,8 +29,15 @@ as (n_alpha, n_nodes) arrays:
   above the point below which the measure holds e^-50 of its mass.
 - A tabulated density is the exact weighted sum over its atoms.
 
-Each rule runs with n and 2n nodes per panel; the 2n value is returned, and
-|Q_2n - Q_n| above 1e-9 max(beta^2, sigma^2) raises QuadratureFailure.
+Each rule runs with n and 2n nodes per panel, for A and B alike.  Per
+(beta, sigma) the 2n value of beta^2 A + sigma^2 B is returned, and its gap to
+the n value above 1e-9 max(beta^2, sigma^2, |Q_2n|) raises QuadratureFailure:
+the bound of a direct integral of e, checked on the combination and not on A
+and B apart.
+Every rule comes from one Golub-Welsch builder: the nodes are the eigenvalues
+of the Jacobi matrix of the weight (1 - t)^a (1 + t)^b, the weights the
+reciprocal Christoffel sums of its orthonormal polynomials.  Nothing here
+needs scipy; appell_f1 alone imports scipy.integrate, when called.
 
 The Spectral estimator additionally has an elementary closed form and the
 Nuclear estimator a piecewise closed form whose middle branch is built from
@@ -35,20 +47,18 @@ function F1; both are independent of the Gauss rules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-# roots_legendre/roots_jacobi import scipy.linalg on their first call; loading
-# it here keeps that cost at import time rather than inside the first curve.
-import scipy.linalg  # noqa: F401
-from scipy.special import gammaln, roots_jacobi, roots_legendre
 
 from .ensembles import SpectralDensity
 from .exceptions import DomainError, QuadratureFailure
 from .spectrum import SchattenIndex
 
 __all__ = [
+    "ErrorIntegrals",
     "MarchenkoPastur",
     "TheoryCurve",
     "appell_f1",
@@ -56,6 +66,7 @@ __all__ = [
     "err_nuclear_closed",
     "err_spectral_closed",
     "err_spherical_quadrature",
+    "error_integrals",
     "mp_cdf",
     "mp_partial_moment",
     "mp_pdf",
@@ -111,9 +122,37 @@ def mp_cdf(mp: MarchenkoPastur, x: float) -> float:
 # Gauss-rule engine
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
+def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss rule for the weight (1 - t)^a (1 + t)^b on [-1, 1], a, b >= 0.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the monic recurrence.  Each weight is 1 / sum_k p_k(t)^2
+    over the orthonormal polynomials p_0..p_(n-1): that keeps the tiny weights
+    near t = +-1 accurate relative to their size (Legendre at n = 64: 4.5e-13
+    from a 40-digit reference), where squared eigenvector components are
+    accurate only to about eps absolute.
+    """
+    s = 2.0 * np.arange(n) + a + b
+    k = np.arange(1, n)
+    # s = 0 only at k = 0 with a = b = 0, where the diagonal's limit is 0.
+    diag = (b - a) * (b + a) / np.where(s > 0, s * (s + 2.0), 1.0)
+    sk = s[1:]
+    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b)
+                  / (sk * sk * (sk + 1.0) * (sk - 1.0)))
+    t = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mu0 = math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                   + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+    prev, cur = np.zeros(n), np.full(n, 1.0 / math.sqrt(mu0))
+    total = cur * cur
+    for j in range(n - 1):
+        prev, cur = cur, ((t - diag[j]) * cur - (off[j - 1] if j else 0.0) * prev) / off[j]
+        total += cur * cur
+    return t, 1.0 / total
+
+
 def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return roots_legendre(n)
+    return _gauss_jacobi(n, 0.0, 0.0)
 
 
 @lru_cache(maxsize=64)
@@ -125,7 +164,7 @@ def _radau(n: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     scipy's Gauss-Jacobi rule for s^(gamma-1) itself is off by 7e-12 at
     gamma = 0.1, from its nodes near s = 0; this one stays within 1e-14.
     """
-    y, w = roots_jacobi(n - 1, 0.0, gamma)
+    y, w = _gauss_jacobi(n - 1, 0.0, gamma)
     w = gamma * 0.5 ** gamma * w / (1.0 + y)
     return np.append(0.0, 0.5 * (1.0 + y)), np.append(1.0 - w.sum(), w)
 
@@ -181,8 +220,8 @@ def _density_rule(density: SpectralDensity, alpha: np.ndarray, n: int):
     return np.hstack([x_low, x_high]), np.hstack([w_low, w_high])
 
 
-def _eigen_error(p: SchattenIndex, alpha: np.ndarray, x, b2: float, s2: float):
-    """e(x) = b2 x (1 - r)^2 + s2 r^2 with r = x / f_alpha(x).
+def _bias_variance(p: SchattenIndex, alpha: np.ndarray, x):
+    """The integrands x (1 - r)^2 of A and r^2 of B, with r = x / f_alpha(x).
 
     At x = 0, r is its limit from the right: 1 at alpha = 0, where every
     filter is the identity, and 0 for Ridge and Nuclear at alpha > 0.
@@ -194,23 +233,27 @@ def _eigen_error(p: SchattenIndex, alpha: np.ndarray, x, b2: float, s2: float):
         r = xr / (xr + alpha)
     else:
         r = xr / np.maximum(xr, alpha)
-    return b2 * x * (1.0 - r) ** 2 + s2 * r * r
+    return x * (1.0 - r) ** 2, r * r
 
 
-def _expected_error(p, alpha, lam, beta, sigma, rule, what):
-    """lam times the integral of e against rule(alpha, n), for each alpha, as
-    the 2n-node value checked against the n-node one; a float for a float."""
-    alpha_in = alpha
-    alpha = np.asarray(alpha, dtype=float)
-    if not np.all(alpha >= 0):
-        raise ValueError("alpha must be nonnegative")
-    b2, s2 = beta * beta, sigma * sigma
-    flat = alpha.ravel()
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, _BLOCK):
-        a = flat[start:start + _BLOCK, None]
-        coarse, fine = (np.sum(w * _eigen_error(p, a, x, b2, s2), axis=1)
-                        for x, w in (rule(a, _NODES), rule(a, 2 * _NODES)))
+@dataclass(frozen=True)
+class ErrorIntegrals:
+    """The bias and variance integrals of one estimator on one alpha grid.
+
+    sums is (2, 2, n_alpha): [n nodes, 2n nodes] x [A, B] per panel.  The
+    error at (beta, sigma) is lam (beta^2 A + sigma^2 B).
+    """
+
+    alphas: np.ndarray
+    lam: float
+    sums: np.ndarray
+    what: str  # the rule's name in a QuadratureFailure
+
+    def error(self, beta: float, sigma: float):
+        """Error per alpha, the 2n-node value checked against the n-node one;
+        a float for a scalar alpha grid."""
+        b2, s2 = beta * beta, sigma * sigma
+        coarse, fine = b2 * self.sums[:, 0] + s2 * self.sums[:, 1]
         # The error is quadratic in (beta, sigma), and the bound is relative to
         # the integral where that is larger: the spherical error grows like
         # sigma^2 / (1 - lam).
@@ -218,27 +261,50 @@ def _expected_error(p, alpha, lam, beta, sigma, rule, what):
         bound = 1e-9 * np.maximum(max(b2, s2), np.abs(fine))
         if np.any(gap > bound):
             k = int(np.argmax(gap - bound))
-            raise QuadratureFailure(f"{what} quadrature error estimate {gap[k]:.2e} "
-                                    f"above {bound[k]:.2e} at alpha = {a[k, 0]:g}")
-        out[start:start + _BLOCK] = lam * fine
-    return float(out[0]) if np.ndim(alpha_in) == 0 else out.reshape(alpha.shape)
+            raise QuadratureFailure(f"{self.what} quadrature error estimate {gap[k]:.2e} "
+                                    f"above {bound[k]:.2e} at alpha = {self.alphas.flat[k]:g}")
+        out = self.lam * fine
+        return float(out[0]) if self.alphas.ndim == 0 else out.reshape(self.alphas.shape)
+
+
+def _integrals(p, alpha, lam, rule, what) -> ErrorIntegrals:
+    """A and B for each alpha against rule(alpha, n), with n and 2n nodes."""
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.all(alpha >= 0):
+        raise ValueError("alpha must be nonnegative")
+    flat = alpha.ravel()
+    sums = np.empty((2, 2, flat.size))
+    for start in range(0, flat.size, _BLOCK):
+        a = flat[start:start + _BLOCK, None]
+        for i, n in enumerate((_NODES, 2 * _NODES)):
+            x, w = rule(a, n)
+            for j, f in enumerate(_bias_variance(p, a, x)):
+                sums[i, j, start:start + _BLOCK] = np.sum(w * f, axis=1)
+    return ErrorIntegrals(alpha, lam, sums, what)
+
+
+def _spherical_integrals(p: SchattenIndex, alpha, lam: float) -> ErrorIntegrals:
+    mp = MarchenkoPastur(lam)
+    return _integrals(p, alpha, lam, lambda a, n: _mp_rule(mp, a, n), "MP")
+
+
+def _diagonal_integrals(p: SchattenIndex, alpha, lam: float,
+                        density: SpectralDensity) -> ErrorIntegrals:
+    return _integrals(p, alpha, lam, lambda a, n: _density_rule(density, a, n), "diagonal")
 
 
 def err_spherical_quadrature(p: SchattenIndex, alpha, lam: float, beta: float,
                              sigma: float):
     """Average test error under the spherical Gaussian ensemble, for a scalar
     or an array of alphas."""
-    mp = MarchenkoPastur(lam)
-    return _expected_error(p, alpha, lam, beta, sigma,
-                           lambda a, n: _mp_rule(mp, a, n), "MP")
+    return _spherical_integrals(p, alpha, lam).error(beta, sigma)
 
 
 def err_diagonal_quadrature(p: SchattenIndex, alpha, lam: float, beta: float,
                             sigma: float, density: SpectralDensity):
     """Average test error under the diagonal/Stiefel ensemble, for a scalar or
     an array of alphas."""
-    return _expected_error(p, alpha, lam, beta, sigma,
-                           lambda a, n: _density_rule(density, a, n), "diagonal")
+    return _diagonal_integrals(p, alpha, lam, density).error(beta, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +347,7 @@ def appell_f1(a: float, b: float, b_prime: float, c: float, x: float, y: float,
     val, err = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=tol, limit=300)
     if val != 0.0 and err > 1e-10 * abs(val):
         raise QuadratureFailure(f"F1 quadrature relative error {err / abs(val):.2e}")
-    coef = np.exp(gammaln(c) - gammaln(a) - gammaln(c - a))
-    return float(coef * val)
+    return math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(c - a)) * val
 
 
 def mp_partial_moment(mp: MarchenkoPastur, r: int, alpha: float) -> float:
@@ -355,6 +420,19 @@ class TheoryCurve:
             raise ValueError("errors must be nonnegative")
 
 
+def error_integrals(p: SchattenIndex, ensemble: str, alphas, lam: float,
+                    gamma: float | None = None) -> ErrorIntegrals:
+    """The bias and variance integrals on a grid of alpha values: one pass
+    that serves every (beta, sigma)."""
+    if ensemble == "spherical":
+        return _spherical_integrals(p, alphas, lam)
+    if ensemble == "diagonal":
+        if gamma is None:
+            raise ValueError("diagonal ensemble requires gamma, a power-law exponent")
+        return _diagonal_integrals(p, alphas, lam, SpectralDensity.power_law(gamma))
+    raise ValueError(f"unknown ensemble {ensemble!r}")
+
+
 def theory_curve(
     p: SchattenIndex,
     ensemble: str,
@@ -366,13 +444,5 @@ def theory_curve(
 ) -> TheoryCurve:
     """Evaluate the predicted error on a grid of alpha values."""
     alphas = np.asarray(alphas, dtype=float)
-    if ensemble == "spherical":
-        errors = err_spherical_quadrature(p, alphas, lam, beta, sigma)
-    elif ensemble == "diagonal":
-        if gamma is None:
-            raise ValueError("diagonal ensemble requires gamma, a power-law exponent")
-        errors = err_diagonal_quadrature(p, alphas, lam, beta, sigma,
-                                         SpectralDensity.power_law(gamma))
-    else:
-        raise ValueError(f"unknown ensemble {ensemble!r}")
+    errors = error_integrals(p, ensemble, alphas, lam, gamma).error(beta, sigma)
     return TheoryCurve(p, ensemble, alphas, errors, lam, beta, sigma, gamma)

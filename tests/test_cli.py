@@ -1,15 +1,19 @@
 import csv
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from schattenreg import geometry_table, theory, theory_curve
 from schattenreg.cli import (
+    cmd_basin,
     cmd_theory_curve,
     main,
     read_numeric_csv,
 )
+from schattenreg.cv import MODEL_NAMES, AlphaGrid
 from schattenreg.exceptions import ConfigError, MissingTarget, ParseError
 
 
@@ -135,6 +139,15 @@ BAD_CONFIGS = [
     ("basin", {"gammas": [1.0]}, [], "gammas"),
     ("basin", {"lambda": 0.3}, [], "lambda"),
     ("basin", {"ensemble": "diagonal", "lambdas": [0.5]}, [], "lambdas"),
+    # Counts are positive and seeds non-negative, checked before sampling.
+    ("simulate", {"n_datasets": 0}, [], "n_datasets"),
+    ("simulate", {}, ["--seed", "-1"], "seed"),
+    ("theory-curve", {}, ["--seed", "-1"], "seed"),
+    ("cv-bench", {"seed": -1}, [], "seed"),
+    ("cv-bench", {"n_feat": 0}, [], "n_feat"),
+    ("rff-bench", {"d_rbf": 0}, [], "d_rbf"),
+    ("real-data", {"target": "y", "train_size": 0}, ["table.csv"], "train_size"),
+    ("real-data", {"target": "y", "n_splits": 0}, ["table.csv"], "n_splits"),
 ]
 
 
@@ -372,3 +385,44 @@ def test_basin_rejects_unknown_grid_key(tmp_path):
         "grid": {"lo": 1e-3, "hi": 1e5, "count": 50, "typo": 1},
     })
     assert main(["basin", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 2
+
+
+@pytest.mark.parametrize("ensemble, shapes, rule", [
+    ("spherical", {"lambdas": [0.3, 0.7]}, "_mp_rule"),
+    ("diagonal", {"gammas": [0.5, 2.0]}, "_density_rule"),
+])
+def test_basin_builds_each_rule_once_per_p_and_shape(monkeypatch, ensemble, shapes, rule):
+    count = 150  # three alpha blocks
+    sigmas = [0.5, 1.0, 2.0]
+    calls = Counter()
+    build = getattr(theory, rule)
+
+    def counted(measure, alpha, n):
+        shape = measure.lam if ensemble == "spherical" else measure.gamma
+        calls[(shape, float(alpha[0, 0]), n)] += 1
+        return build(measure, alpha, n)
+
+    monkeypatch.setattr(theory, rule, counted)
+    rows = cmd_basin({"ensemble": ensemble, **shapes, "sigmas": sigmas,
+                      "grid": {"lo": 1e-3, "hi": 1e5, "count": count}})
+    monkeypatch.undo()
+    # Once per (p, shape, block, n), whatever the number of sigmas.
+    n_blocks = -(-count // theory._BLOCK)
+    assert len(calls) == len(next(iter(shapes.values()))) * n_blocks * 2
+    assert set(calls.values()) == {len(MODEL_NAMES)}
+
+    grid = AlphaGrid(1e-3, 1e5, count).values()
+    curves = {}
+    for p, name in MODEL_NAMES.items():
+        for s in sigmas:
+            for shape in next(iter(shapes.values())):
+                lam, gamma = (shape, None) if ensemble == "spherical" else (0.5, shape)
+                curves[(name, s, shape)] = theory_curve(p, ensemble, grid, lam, 1.0, s,
+                                                        gamma).errors
+    cells = geometry_table(curves, ensemble, grid).cells
+    assert [(r["estimator"], r["sigma"], r["shape_param"]) for r in rows] == \
+        [(c.estimator, c.sigma, c.shape_param) for c in cells]
+    for r, c in zip(rows, cells):
+        assert r["edge_minimum"] == c.edge_minimum
+        np.testing.assert_allclose([r["depth_pct"], r["curvature_pct"]],
+                                   [c.depth_pct, c.curvature_pct], rtol=1e-12)

@@ -1,7 +1,8 @@
 """What `import schattenreg` loads, and what a CLI run loads after it.
 
-Both run in a fresh interpreter, since this test session has long since
-imported the whole of scipy.
+Each case runs in a fresh interpreter, since this test session has long since
+imported the whole of scipy, and a run in a shared process would hide the
+imports that an earlier run already made.
 """
 
 import json
@@ -14,6 +15,18 @@ import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# Makes every import of scipy, or of a part of it, fail.
+NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
 
 def _run(code: str, *args: str) -> str:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -24,48 +37,47 @@ def _run(code: str, *args: str) -> str:
     return done.stdout
 
 
-def test_import_leaves_out_optimize_and_integrate():
+def test_import_loads_no_scipy():
     loaded = json.loads(_run(
         "import json, sys, schattenreg; "
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"))
-    assert not {"scipy.optimize", "scipy.integrate"} & set(loaded)
-    assert "scipy.special" in loaded
+    assert loaded == []
 
 
-def test_cli_runs_import_no_further_scipy(tmp_path):
-    # Every subcommand, at small sizes: a scipy module first imported inside
-    # a run would be paid for in that run's time, not in set-up.
+GRID = {"lo": 1e-2, "hi": 1e2, "count": 5}
+RUNS = {
+    "theory-curve": (["theory-curve"], {"grid": GRID}),
+    "basin-spherical": (["basin"], {"ensemble": "spherical", "sigmas": [1.0],
+                                    "lambdas": [0.5], "grid": GRID}),
+    "basin-diagonal": (["basin"], {"ensemble": "diagonal", "sigmas": [1.0],
+                                   "gammas": [1.0], "grid": GRID}),
+    "simulate": (["simulate"], {"n_obs": 20, "n_datasets": 2, "n_test": 50, "grid": GRID}),
+    "cv-bench": (["cv-bench"], {"n_obs": 20, "n_feat": 5, "n_datasets": 2, "n_test": 50}),
+    "rff-bench": (["rff-bench"], {"d_rbf": 30, "n_obs": 10, "n_datasets": 2, "n_test": 50}),
+    "real-data": (["real-data", "table.csv"], {"target": "y", "train_size": 20,
+                                               "n_splits": 2}),
+}
+
+
+def test_cli_runs_need_no_scipy_and_import_no_numpy_module(tmp_path):
+    # A numpy or scipy module first imported inside a run would be paid for in
+    # that run's time, not in set-up; and no run needs scipy at all.
     rng = np.random.default_rng(0)
     table = tmp_path / "table.csv"
     table.write_text("x1,x2,x3,y\n" + "".join(
         ",".join(map(str, row)) + "\n" for row in rng.standard_normal((40, 4))))
-    grid = {"lo": 1e-2, "hi": 1e2, "count": 5}
-    runs = {
-        "theory-curve": (["theory-curve"], {"grid": grid}),
-        "basin-spherical": (["basin"], {"ensemble": "spherical", "sigmas": [1.0],
-                                        "lambdas": [0.5], "grid": grid}),
-        "basin-diagonal": (["basin"], {"ensemble": "diagonal", "sigmas": [1.0],
-                                       "gammas": [1.0], "grid": grid}),
-        "simulate": (["simulate"], {"n_obs": 20, "n_datasets": 2, "n_test": 50,
-                                    "grid": grid}),
-        "cv-bench": (["cv-bench"], {"n_obs": 20, "n_feat": 5, "n_datasets": 2,
-                                    "n_test": 50}),
-        "rff-bench": (["rff-bench"], {"d_rbf": 30, "n_obs": 10, "n_datasets": 2,
-                                      "n_test": 50}),
-        "real-data": (["real-data", str(table)], {"target": "y", "train_size": 20,
-                                                  "n_splits": 2}),
-    }
-    argvs = []
-    for name, (command, cfg) in runs.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(cfg))
-        argvs.append(command + ["--config", str(path), "--out", str(tmp_path / f"{name}.csv")])
-    new = json.loads(_run(
-        "import json, sys\n"
-        "from schattenreg import cli\n"
-        "before = {m for m in sys.modules if m.startswith('scipy')}\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    assert cli.main(argv) == 0, argv\n"
-        "print(json.dumps(sorted({m for m in sys.modules if m.startswith('scipy')} - before)))",
-        json.dumps(argvs)))
-    assert new == []
+    for name, (command, cfg) in RUNS.items():
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(cfg))
+        argv = [str(table) if a == "table.csv" else a for a in command] + [
+            "--config", str(config), "--out", str(tmp_path / f"{name}.csv")]
+        new = json.loads(_run(
+            NO_SCIPY + "import json\n"
+            "from schattenreg import cli\n"
+            "def loaded():\n"
+            "    return {m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')}\n"
+            "before = loaded()\n"
+            "assert cli.main(json.loads(sys.argv[1])) == 0\n"
+            "print(json.dumps(sorted(loaded() - before)))",
+            json.dumps(argv)))
+        assert new == [], name

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaln, hyp2f1
+from scipy.special import gammaln, hyp2f1, roots_jacobi, roots_legendre
 
 from schattenreg import (
     DiagonalEnsembleConfig,
@@ -23,7 +23,8 @@ from schattenreg import (
     sample_diagonal,
     theory_curve,
 )
-from schattenreg.exceptions import DomainError
+from schattenreg import theory
+from schattenreg.exceptions import DomainError, QuadratureFailure
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +248,15 @@ def test_spherical_quadrature_near_lam_one_returns(lam):
 
 
 
+def test_mp_rule_near_lam_one_still_fails_for_nuclear():
+    # The MP rule does not converge here (a gap of 3.3e-9 at alpha = 5.18 on
+    # values of order 1): combining the bias and variance integrals must not
+    # loosen the n-vs-2n check that reports it.
+    with pytest.raises(QuadratureFailure, match="at alpha = 5.1"):
+        err_spherical_quadrature(SchattenIndex.NUCLEAR, np.logspace(-4, 3, 50),
+                                 1 - 1e-7, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("p", list(SchattenIndex))
 @pytest.mark.parametrize("c", [1e-3, 1e3])
 def test_quadrature_errors_scale_with_beta_and_sigma_squared(p, c):
@@ -381,3 +391,35 @@ def test_theory_curve_container():
     assert np.all(curve.errors >= 0)
     closed = [err_spectral_closed(a, 0.5, 1.0, 1.0) for a in curve.alphas]
     np.testing.assert_allclose(curve.errors, closed, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Gauss rules (Golub-Welsch) against scipy's, and the Radau rule's moments
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_legendre_rule_matches_scipy(n):
+    t, w = theory._legendre(n)
+    t_ref, w_ref = roots_legendre(n)
+    np.testing.assert_allclose(t, t_ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-11)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, 2.0, 7.0, 20.0])
+@pytest.mark.parametrize("n", [31, 63])  # the interior nodes of the Radau rules
+def test_gauss_jacobi_rule_matches_scipy(n, gamma):
+    t, w = theory._gauss_jacobi(n, 0.0, gamma)
+    t_ref, w_ref = roots_jacobi(n, 0.0, gamma)
+    np.testing.assert_allclose(t, t_ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-11)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, 2.0, 7.0, 20.0])
+@pytest.mark.parametrize("n", [32, 64])
+def test_radau_rule_integrates_moments_exactly(n, gamma):
+    # An n-node Radau rule is exact for degree 2n - 2: the k-th moment of
+    # gamma s^(gamma-1) ds on [0, 1] is gamma / (gamma + k).
+    s, w = theory._radau(n, gamma)
+    assert s[0] == 0.0
+    for k in range(2 * n - 1):
+        assert abs(np.sum(w * s ** k) - gamma / (gamma + k)) <= 1e-14, k
