@@ -378,12 +378,15 @@ def cmd_real_data(path: str, cfg: dict) -> BenchReport:
     def split(seed: int) -> Dataset:
         perm = np.random.default_rng(seed).permutation(n)
         tr, te = perm[:train_size], perm[train_size:]
-        mu = X_all[tr].mean(axis=0)
-        sd = X_all[tr].std(axis=0, ddof=0)
+        X_tr, X_te, y_tr = X_all[tr], X_all[te], y_all[tr]
+        mu = X_tr.mean(axis=0)
+        sd = X_tr.std(axis=0, ddof=0)
         sd[sd == 0] = 1.0
-        y_mean = y_all[tr].mean()
-        return Dataset(X_tr=(X_all[tr] - mu) / sd, Y_tr=y_all[tr] - y_mean,
-                       X_te=(X_all[te] - mu) / sd, Y_te=y_all[te] - y_mean,
+        for X in (X_tr, X_te):
+            X -= mu
+            X /= sd
+        y_mean = y_tr.mean()
+        return Dataset(X_tr=X_tr, Y_tr=y_tr - y_mean, X_te=X_te, Y_te=y_all[te] - y_mean,
                        beta0=None, seed=seed)
 
     return _bench_over_datasets(split, cv_cfg, with_ratio=False)

@@ -25,7 +25,7 @@ from .ensembles import (
 from .estimators import fit_path
 from .exceptions import InsufficientData, InvalidConfig
 from .rff import make_rff_dataset
-from .spectrum import SchattenIndex, gram_spectrum
+from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 
 __all__ = [
     "AlphaGrid",
@@ -129,6 +129,37 @@ def _path_mse(B: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.square(resid, out=resid).mean(axis=1)
 
 
+def _path_scores(spectrum: GramSpectrum, models, alphas: np.ndarray, X: np.ndarray,
+                 Y: np.ndarray) -> np.ndarray:
+    """(n_models, n_alpha) mean squared error on (X, Y) of every model's
+    whole alpha path fit from one spectrum."""
+    return np.array([_path_mse(fit_path(spectrum, p, alphas), X, Y) for p in models])
+
+
+def _cv_best_index(
+    X: np.ndarray,
+    Y: np.ndarray,
+    models: tuple[SchattenIndex, ...],
+    cfg: CVConfig,
+    seed: int,
+) -> np.ndarray:
+    """Per model, the grid index minimizing mean validation MSE across folds;
+    argmin takes the first minimum, so ties break to the smaller alpha.  Each
+    fold is factored once and shared by all models."""
+    n = X.shape[0]
+    if n < cfg.folds:
+        raise InsufficientData(f"{n} observations cannot fill {cfg.folds} folds")
+    rng = np.random.default_rng(seed)
+    alphas = cfg.grid.values()
+    scores = np.zeros((cfg.folds, len(models), len(alphas)))
+    for k, val_idx in enumerate(_fold_blocks(n, cfg.folds, rng)):
+        mask = np.ones(n, dtype=bool)
+        mask[val_idx] = False
+        scores[k] = _path_scores(gram_spectrum(X[mask], Y[mask]), models, alphas,
+                                 X[val_idx], Y[val_idx])
+    return np.argmin(scores.mean(axis=0), axis=1)
+
+
 def kfold_select_alpha(
     X: np.ndarray,
     Y: np.ndarray,
@@ -139,21 +170,9 @@ def kfold_select_alpha(
     """Per model, the grid alpha minimizing mean validation MSE across folds;
     ties break to the smaller alpha.  Each fold is factored once and shared
     by all models."""
-    n = X.shape[0]
-    if n < cfg.folds:
-        raise InsufficientData(f"{n} observations cannot fill {cfg.folds} folds")
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    best = _cv_best_index(X, Y, models, cfg, cfg.seed if seed is None else seed)
     alphas = cfg.grid.values()
-    scores = np.zeros((cfg.folds, len(models), len(alphas)))
-    for k, val_idx in enumerate(_fold_blocks(n, cfg.folds, rng)):
-        mask = np.ones(n, dtype=bool)
-        mask[val_idx] = False
-        spectrum = gram_spectrum(X[mask], Y[mask])
-        X_val, Y_val = X[val_idx], Y[val_idx]
-        for i, p in enumerate(models):
-            scores[k, i] = _path_mse(fit_path(spectrum, p, alphas), X_val, Y_val)
-    best = np.argmin(scores.mean(axis=0), axis=1)
-    return {p: float(alphas[best[i]]) for i, p in enumerate(models)}
+    return {p: float(alphas[b]) for p, b in zip(models, best)}
 
 
 def sample_ensemble(config, seed: int, n_test: int) -> Dataset:
@@ -167,9 +186,10 @@ def sample_ensemble(config, seed: int, n_test: int) -> Dataset:
     raise InvalidConfig(f"unknown ensemble config type {type(config).__name__}")
 
 
-def _path_errors(ds: Dataset, models, alphas: np.ndarray) -> list[np.ndarray]:
-    spectrum = gram_spectrum(ds.X_tr, ds.Y_tr)
-    return [_path_mse(fit_path(spectrum, p, alphas), ds.X_te, ds.Y_te) for p in models]
+def _path_errors(ds: Dataset, models, alphas: np.ndarray) -> np.ndarray:
+    """(n_models, n_alpha) test MSE of every model's alpha path fit on the
+    full training set."""
+    return _path_scores(gram_spectrum(ds.X_tr, ds.Y_tr), models, alphas, ds.X_te, ds.Y_te)
 
 
 def simulate_path_errors(
@@ -189,19 +209,25 @@ def simulate_path_errors(
     return mses
 
 
-def _cv_errors(ds: Dataset, cfg: CVConfig, cv_seed: int) -> tuple[np.ndarray, list]:
-    """(test MSE, selected alpha) per model: select by k-fold CV, refit on the
-    full training set, and score the refits the way the folds are scored."""
-    selected = kfold_select_alpha(ds.X_tr, ds.Y_tr, cfg.models, cfg, seed=cv_seed)
-    spectrum = gram_spectrum(ds.X_tr, ds.Y_tr)
-    B = np.hstack([fit_path(spectrum, p, [selected[p]]) for p in cfg.models])
-    return _path_mse(B, ds.X_te, ds.Y_te), [selected[p] for p in cfg.models]
+def _cv_errors(ds: Dataset, cfg: CVConfig, cv_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(test MSE, selected alpha) per model.  Every model's whole alpha path
+    is fit on the full training set and scored on the test set first; then
+    the dataset is dropped and k-fold CV picks the grid index to report.
+    Called with a dataset no one else holds, as the replicate harness does,
+    the test arrays are freed before any fold is factored."""
+    alphas = cfg.grid.values()
+    test_mse = _path_errors(ds, cfg.models, alphas)
+    X, Y = ds.X_tr, ds.Y_tr
+    del ds
+    best = _cv_best_index(X, Y, cfg.models, cfg, cv_seed)
+    return test_mse[np.arange(len(cfg.models)), best], alphas[best]
 
 
 def _bench_over_datasets(make_dataset, cfg: CVConfig, with_ratio: bool) -> BenchReport:
     """The replicate protocol: dataset j is make_dataset(seed) for the j-th
     even child seed and its CV folds use the next one.  Each dataset is made
-    inside the call that scores it, so only one is alive at a time."""
+    inside the call that scores it, so only one is alive at a time, and its
+    test arrays are freed before its folds are factored."""
     names = tuple(MODEL_NAMES[m] for m in cfg.models)
     n_data = cfg.n_datasets
     seeds = child_seeds(cfg.seed, 2 * n_data)

@@ -208,8 +208,10 @@ def sample_spherical(
     rng = np.random.default_rng(seed)
     N, d = config.n_obs, config.n_feat
     scale = 1.0 / np.sqrt(N)
-    X_tr = rng.standard_normal((N, d)) * scale
-    X_te = rng.standard_normal((n_test, d)) * scale
+    X_tr = rng.standard_normal((N, d))
+    X_tr *= scale
+    X_te = rng.standard_normal((n_test, d))
+    X_te *= scale
     beta0 = rng.standard_normal(d) * config.beta
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
     Y_te = X_te @ beta0

@@ -54,7 +54,11 @@ def sample_rff_map(d: int, d_rbf: int, bandwidth: float = 1.0, seed: int = 0) ->
 def apply_rff(rff: RFFMap, X: np.ndarray) -> np.ndarray:
     """Map raw rows to cosine features; entries bounded by sqrt(2/d_rbf)."""
     d_rbf = rff.weights.shape[0]
-    return np.sqrt(2.0 / d_rbf) * np.cos(X @ rff.weights.T + rff.offsets)
+    Z = X @ rff.weights.T
+    Z += rff.offsets
+    np.cos(Z, out=Z)
+    Z *= np.sqrt(2.0 / d_rbf)
+    return Z
 
 
 def sample_nonlinear_target(d: int, n_terms: int, rng: np.random.Generator) -> NonlinearTarget:
@@ -68,7 +72,10 @@ def eval_target(target: NonlinearTarget, x: np.ndarray) -> np.ndarray | float:
     x = np.asarray(x, dtype=float)
     k = np.arange(1, target.directions.shape[0] + 1)
     proj = np.atleast_2d(x) @ target.directions.T
-    vals = np.sum(np.cos(2.0 * np.pi * k * proj) / k**2, axis=1)
+    proj *= 2.0 * np.pi * k
+    np.cos(proj, out=proj)
+    proj /= k**2
+    vals = proj.sum(axis=1)
     return vals if x.ndim == 2 else float(vals[0])
 
 

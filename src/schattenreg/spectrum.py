@@ -89,7 +89,7 @@ class GramSpectrum:
     @property
     def rank_tol(self) -> float:
         top = self.eigvals[0] if self.eigvals.size else 0.0
-        return EIGVAL_RTOL * max(top, 1.0)
+        return EIGVAL_RTOL * top
 
     @property
     def rank(self) -> int:

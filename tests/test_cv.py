@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,37 @@ def test_cv_errors_match_refit_scored_one_model_at_a_time(shape):
     for p, err, alpha in zip(cfg.models, errors, alphas):
         want = empirical_mse(fit_from_spectrum(spectrum, p, alpha), ds)
         assert err == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("bench", ["run_benchmark", "rff_benchmark"])
+def test_harness_frees_the_test_set_before_the_folds(monkeypatch, bench):
+    import schattenreg.cv as cv
+
+    refs, factored = [], []  # weakrefs to each X_te; (rows, X_te alive) per factorization
+
+    def recording(make):
+        def made(*args, **kwargs):
+            ds = make(*args, **kwargs)
+            refs.append(weakref.ref(ds.X_te))
+            return ds
+        return made
+
+    def factor(X, Y=None):
+        factored.append((len(X), refs[-1]() is not None))
+        return gram_spectrum(X, Y)
+
+    monkeypatch.setattr(cv, "sample_ensemble", recording(cv.sample_ensemble))
+    monkeypatch.setattr(cv, "make_rff_dataset", recording(cv.make_rff_dataset))
+    monkeypatch.setattr(cv, "gram_spectrum", factor)
+    cfg = _small_cfg(n_datasets=2)
+    if bench == "run_benchmark":
+        run_benchmark(SphericalGaussianConfig(30, 5), cfg)
+    else:
+        rff_benchmark(RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=50), cfg)
+    # Per dataset: the full training set while X_te is alive, then 3 folds of
+    # 20 training rows each, after it is freed.
+    assert len(refs) == 2
+    assert factored == ([(30, True)] + [(20, False)] * 3) * 2
 
 
 def test_insufficient_data_raises():

@@ -147,6 +147,15 @@ def test_equicorrelated_rows_match_out_of_place_expression(rho):
         assert np.array_equal(X, expected)
 
 
+def test_spherical_matches_out_of_place_expression():
+    # X_tr and X_te are scaled in place; the values are those of the expression.
+    cfg = SphericalGaussianConfig(n_obs=30, n_feat=7)
+    ds = sample_spherical(cfg, n_test=11, seed=4)
+    rng = np.random.default_rng(4)
+    assert np.array_equal(ds.X_tr, rng.standard_normal((30, 7)) * (1.0 / np.sqrt(30)))
+    assert np.array_equal(ds.X_te, rng.standard_normal((11, 7)) * (1.0 / np.sqrt(30)))
+
+
 def test_sparse_coefficients():
     cfg = EquicorrelatedConfig(
         n_obs=10, n_feat=10, rho=0.0, sparse=SparseSpec(n_large=3, small_scale=0.1)

@@ -93,12 +93,40 @@ def test_fit_path_matches_per_alpha_fits(p, shape):
     np.testing.assert_array_equal(B[:, -1], np.zeros(shape[1]))
 
 
+def _scale_designs():
+    rng = np.random.default_rng(8)
+    tall = rng.standard_normal((40, 5))
+    return {"tall": tall,
+            "tall, repeated column": np.hstack([tall, tall[:, :1]]),
+            "wide": rng.standard_normal((5, 8))}
+
+
+@pytest.mark.parametrize("name", list(_scale_designs()))
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+def test_fit_path_and_rank_are_invariant_to_the_units_of_x(name, c):
+    # beta-hat(c X) = beta-hat(X) / c when alpha scales with the Gram matrix,
+    # as c^2 for p in {1, 2}; the Spectral filter is a ratio, so alpha stays.
+    X = _scale_designs()[name]
+    Y = X @ np.arange(1.0, X.shape[1] + 1)
+    ref, sp = gram_spectrum(X, Y), gram_spectrum(c * X, Y)
+    assert sp.rank == ref.rank == min(X.shape) - (name == "tall, repeated column")
+    for p in ALL_P:
+        alphas = np.array([0.0, 0.3, 30.0])
+        scaled = alphas if p is SchattenIndex.SPECTRAL else alphas * c**2
+        want = fit_path(ref, p, alphas)
+        np.testing.assert_allclose(c * fit_path(sp, p, scaled), want,
+                                   rtol=1e-9, atol=1e-9 * np.abs(want).max())
+        assert (alpha_to_bias_bound(sp, p, 0.0).value
+                == alpha_to_bias_bound(ref, p, 0.0).value)
+    assert gram_spectrum(0.0 * X).rank == 0
+
+
 def _gram_reference_operator(X, p, alpha):
     """L = G-hat^{-1} X^T from an explicit eigh of X^T X, restricted to the
     eigenvalues above the rank tolerance (X^T has no component on the rest)."""
     s, U = np.linalg.eigh(X.T @ X)
     s, U = np.clip(s[::-1], 0.0, None), U[:, ::-1]
-    kept = s > EIGVAL_RTOL * max(s[0], 1.0)
+    kept = s > EIGVAL_RTOL * s[0]
     if np.isinf(alpha):
         w = np.zeros_like(s)
     else:

@@ -88,3 +88,19 @@ def test_same_map_applied_to_train_and_test():
     rff = sample_rff_map(4, 16, seed=1)
     X = np.random.default_rng(2).standard_normal((7, 4))
     np.testing.assert_array_equal(apply_rff(rff, X), apply_rff(rff, X.copy()))
+
+
+def test_feature_map_and_target_match_out_of_place_expressions():
+    # Both are built in place; the values are those of the expressions.
+    rng = np.random.default_rng(3)
+    rff = sample_rff_map(6, 40, bandwidth=0.7, seed=3)
+    target = sample_nonlinear_target(6, 25, rng)
+    X = rng.standard_normal((9, 6)) * 0.4
+    feats = np.sqrt(2.0 / 40) * np.cos(X @ rff.weights.T + rff.offsets)
+    assert np.array_equal(apply_rff(rff, X), feats)
+    k = np.arange(1, 26)
+    for x in (X, X[:1]):
+        proj = x @ target.directions.T
+        vals = np.sum(np.cos(2.0 * np.pi * k * proj) / k**2, axis=1)
+        assert np.array_equal(eval_target(target, x), vals)
+    assert eval_target(target, X[0]) == vals[0]
