@@ -15,14 +15,13 @@ from schattenreg import (
     run_benchmark,
 )
 
-ens = EquicorrelatedConfig(n_obs=100, n_feat=50, rho=0.0, sigma=2.0)
+ens = EquicorrelatedConfig(n_obs=100, n_feat=50, rho=0.0, sigma=2.0, n_test=2000)
 cfg = CVConfig(
     folds=3,
     grid=AlphaGrid(1e-4, 1e6, 9),
     models=(SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS, SchattenIndex.SPECTRAL),
     n_datasets=50,
     seed=0,
-    n_test=2000,
 )
 
 report = run_benchmark(ens, cfg)

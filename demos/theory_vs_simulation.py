@@ -29,7 +29,7 @@ def run(name, ensemble_config, theory_fn):
     print(f"--- {name} ensemble (lambda = {LAM}) ---")
     print(f"{'alpha':>8} {'estimator':>9} {'theory':>8} {'empirical':>10} {'se':>8}")
     mses = simulate_path_errors(ensemble_config, tuple(SchattenIndex), ALPHAS,
-                                N_DATASETS, seed=0, n_test=2000)
+                                N_DATASETS, seed=0)
     for i, p in enumerate(SchattenIndex):
         theory = theory_fn(p, ALPHAS)
         for k, a in enumerate(ALPHAS):
@@ -40,7 +40,7 @@ def run(name, ensemble_config, theory_fn):
         print()
 
 
-sph = SphericalGaussianConfig(n_obs=N, n_feat=D, beta=1.0, sigma=1.0)
+sph = SphericalGaussianConfig(n_obs=N, n_feat=D, beta=1.0, sigma=1.0, n_test=2000)
 run("spherical", sph,
     lambda p, alphas: err_spherical_quadrature(p, alphas, LAM, 1.0, 1.0))
 

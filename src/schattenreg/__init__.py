@@ -47,10 +47,8 @@ from .estimators import (
     FittedModel,
     alpha_to_bias_bound,
     bias_bound_to_alpha,
-    empirical_mse,
     estimator_operator,
     fit,
-    fit_from_spectrum,
     fit_path,
     operator_diagnostics,
     predict,
@@ -69,7 +67,6 @@ from .spectrum import GramSpectrum, SchattenIndex, filtered_gram_eigvals, gram_s
 from .theory import (
     ErrorIntegrals,
     MarchenkoPastur,
-    TheoryCurve,
     appell_f1,
     err_diagonal_quadrature,
     err_nuclear_closed,
@@ -80,7 +77,6 @@ from .theory import (
     mp_partial_moment,
     mp_pdf,
     oracle_ridge_alpha,
-    theory_curve,
 )
 
 __version__ = "0.1.0"

@@ -46,7 +46,7 @@ from .ensembles import (
 from .exceptions import (ConfigError, InvalidConfig, MissingTarget, ParseError,
                          SchattenRegError)
 from .spectrum import SchattenIndex
-from .theory import error_integrals, theory_curve
+from .theory import error_integrals
 
 FLOAT_FMT = "%.17g"
 
@@ -118,10 +118,17 @@ def _table(default, readers: dict):
     return _reader(dict, "a JSON object", cast=cast)
 
 
+def _real(what: str, ok):
+    return _reader((int, float), what, ok, lambda v, where: float(v))
+
+
 _object = _reader(dict, "a JSON object")
-_number = _reader((int, float), "a finite number", math.isfinite, lambda v, where: float(v))
+_number = _real("a finite number", math.isfinite)
+_positive = _real("a positive number", lambda v: math.isfinite(v) and v > 0)
+_unit = _real("a number in [0, 1]", lambda v: 0 <= v <= 1)
 _integer = _reader(int, "an integer")
 _count = _reader(int, "a positive integer", lambda v: v > 0)
+_folds = _reader(int, "an integer >= 2", lambda v: v >= 2)
 _seed = _reader(int, "a non-negative integer", lambda v: v >= 0)
 _string = _reader(str, "a string")
 _numbers = _list(_number)
@@ -151,7 +158,7 @@ def parse(command: str, cfg, table: dict, ensembles: dict | None = None) -> dict
 
 
 def _grid(default: AlphaGrid) -> tuple:
-    return _table(default, {"lo": _number, "hi": _number, "count": _integer}), default
+    return _table(default, {"lo": _number, "hi": _number, "count": _count}), default
 
 
 RUN = {"seed": (_seed, 0), "out": (_string, None),
@@ -160,13 +167,13 @@ MODELS = (_model_names, tuple(MODEL_NAMES))
 BETA = {"beta": (_number, 1.0)}
 THEORY = {**RUN, **BETA, "models": MODELS}
 CURVE = {**THEORY, "lambda": (_number, 0.5), "sigma": (_number, 1.0)}
-CV = {**RUN, "models": MODELS, "grid": _grid(AlphaGrid()), "folds": (_integer, 3)}
+CV = {**RUN, "models": MODELS, "grid": _grid(AlphaGrid()), "folds": (_folds, 3)}
 N_TEST = {"n_test": (_count, DEFAULT_N_TEST)}
 N_DATASETS = {"n_datasets": (_count, 100)}
 SPARSE = _table(SparseSpec(), {"n_large": _integer, "small_scale": _number})
 
 # The theory of the diagonal ensemble has no default exponent.
-THEORY_GAMMA = {"gamma": (_number, None)}
+THEORY_GAMMA = {"gamma": (_positive, None)}
 CURVE_ENSEMBLES = {"spherical": {}, "diagonal": THEORY_GAMMA}
 THEORY_CURVE = {**CURVE, "ensemble": (_one_of(CURVE_ENSEMBLES), "spherical"),
                 "grid": _grid(AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, 100))}
@@ -178,7 +185,7 @@ SIMULATE = {**CURVE, **N_DATASETS, "ensemble": (_one_of(SIMULATE_ENSEMBLES), "sp
 
 BASIN_ENSEMBLES = {
     "spherical": {"lambdas": (_numbers, (0.1, 0.5, 0.9))},
-    "diagonal": {"gammas": (_numbers, (0.5, 1.0, 2.0)), "lambda": (_number, 0.5)},
+    "diagonal": {"gammas": (_list(_positive), (0.5, 1.0, 2.0)), "lambda": (_number, 0.5)},
 }
 BASIN = {**THEORY, "ensemble": (_one_of(BASIN_ENSEMBLES), "spherical"),
          "grid": _grid(AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_N)),
@@ -186,8 +193,9 @@ BASIN = {**THEORY, "ensemble": (_one_of(BASIN_ENSEMBLES), "spherical"),
 
 CV_BENCH_ENSEMBLES = {
     "spherical": {**N_TEST, **BETA},
-    "diagonal": {**BETA, "gamma": (_number, 2.0),
-                 "noise_kind": (_string, "point"), "noise_half_width": (_number, 0.0)},
+    "diagonal": {**BETA, "gamma": (_positive, 2.0),
+                 "noise_kind": (_one_of({"point", "uniform"}), "point"),
+                 "noise_half_width": (_unit, 0.0)},
     "equicorrelated": {**N_TEST, "rho": (_number, 0.0), "sparse": (SPARSE, None)},
 }
 CV_BENCH = {**CV, **N_DATASETS, "ensemble": (_one_of(CV_BENCH_ENSEMBLES), "equicorrelated"),
@@ -229,9 +237,9 @@ def cmd_theory_curve(cfg: dict) -> list[dict]:
     alphas = o["grid"].values()
     rows = []
     for p in o["models"]:
-        curve = theory_curve(p, o["ensemble"], alphas, o["lambda"], o["beta"], o["sigma"],
-                             o["gamma"])
-        for a, e in zip(curve.alphas, curve.errors):
+        errors = error_integrals(p, o["ensemble"], alphas, o["lambda"],
+                                 o["gamma"]).error(o["beta"], o["sigma"])
+        for a, e in zip(alphas, errors):
             # The columns after p echo the config.
             rows.append({"alpha": a, "error": e, "p": MODEL_NAMES[p],
                          **{key: o[key] for key in CURVE_FIELDS[3:]}})
@@ -247,10 +255,10 @@ def cmd_simulate(cfg: dict) -> list[dict]:
     models, n_datasets = o["models"], o["n_datasets"]
     alphas = o["grid"].values()
     # Build the theory curves first: a bad ensemble config fails before any sampling.
-    curves = [theory_curve(p, o["ensemble"], alphas, o["lambda"], o["beta"], o["sigma"],
-                           o["gamma"]) for p in models]
+    curves = [error_integrals(p, o["ensemble"], alphas, o["lambda"],
+                              o["gamma"]).error(o["beta"], o["sigma"]) for p in models]
     ens_cfg = _ensemble_config(o, n_feat=round(o["lambda"] * o["n_obs"]))
-    mses = simulate_path_errors(ens_cfg, models, alphas, n_datasets, o["seed"], o["n_test"])
+    mses = simulate_path_errors(ens_cfg, models, alphas, n_datasets, o["seed"])
 
     rows = []
     for i, (p, curve) in enumerate(zip(models, curves)):
@@ -261,7 +269,7 @@ def cmd_simulate(cfg: dict) -> list[dict]:
             rows.append({
                 "alpha": a, "estimator": MODEL_NAMES[p],
                 "empirical_mean": float(np.mean(mses[i, k])), "se": se,
-                "theory": curve.errors[k], **{key: o[key] for key in SIM_FIELDS[5:]},
+                "theory": curve[k], **{key: o[key] for key in SIM_FIELDS[5:]},
             })
     return rows
 

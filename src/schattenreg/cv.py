@@ -81,7 +81,6 @@ class CVConfig:
     )
     n_datasets: int = 100
     seed: int = 0
-    n_test: int = 5000
 
     def __post_init__(self):
         if self.folds < 2:
@@ -175,14 +174,14 @@ def kfold_select_alpha(
     return {p: float(alphas[b]) for p, b in zip(models, best)}
 
 
-def sample_ensemble(config, seed: int, n_test: int) -> Dataset:
+def sample_ensemble(config, seed: int) -> Dataset:
     """Dispatch a dataset draw on the ensemble config type."""
     if isinstance(config, SphericalGaussianConfig):
-        return sample_spherical(config, n_test=n_test, seed=seed)
+        return sample_spherical(config, seed=seed)
     if isinstance(config, DiagonalEnsembleConfig):
         return sample_diagonal(config, seed=seed)
     if isinstance(config, EquicorrelatedConfig):
-        return sample_equicorrelated(config, n_test=n_test, seed=seed)
+        return sample_equicorrelated(config, seed=seed)
     raise InvalidConfig(f"unknown ensemble config type {type(config).__name__}")
 
 
@@ -198,14 +197,12 @@ def simulate_path_errors(
     alphas: np.ndarray,
     n_datasets: int,
     seed: int,
-    n_test: int,
 ) -> np.ndarray:
     """Test MSE of every model at every alpha on fresh draws of an ensemble,
     shape (n_models, n_alpha, n_datasets); dataset j uses child seed j."""
     mses = np.zeros((len(models), len(alphas), n_datasets))
     for j, s in enumerate(child_seeds(seed, n_datasets)):
-        mses[:, :, j] = _path_errors(sample_ensemble(ensemble_config, s, n_test),
-                                     models, alphas)
+        mses[:, :, j] = _path_errors(sample_ensemble(ensemble_config, s), models, alphas)
     return mses
 
 
@@ -256,9 +253,8 @@ def _bench_over_datasets(make_dataset, cfg: CVConfig, with_ratio: bool) -> Bench
 
 def run_benchmark(ensemble_config, cfg: CVConfig) -> BenchReport:
     """The full replicate protocol on a synthetic ensemble."""
-    return _bench_over_datasets(
-        lambda s: sample_ensemble(ensemble_config, s, cfg.n_test), cfg, with_ratio=False
-    )
+    return _bench_over_datasets(lambda s: sample_ensemble(ensemble_config, s), cfg,
+                                with_ratio=False)
 
 
 @dataclass(frozen=True)
@@ -273,6 +269,10 @@ class RFFBenchConfig:
     def __post_init__(self):
         if self.d_rbf < 1:
             raise InvalidConfig("d_rbf must be >= 1")
+        if self.sigma < 0:
+            raise InvalidConfig("sigma must be nonnegative")
+        if not self.bandwidth > 0:
+            raise InvalidConfig("bandwidth must be positive")
 
 
 def rff_benchmark(rff_cfg: RFFBenchConfig, cfg: CVConfig) -> BenchReport:

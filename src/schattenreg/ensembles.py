@@ -58,10 +58,11 @@ class SphericalGaussianConfig:
     n_feat: int
     beta: float = 1.0
     sigma: float = 1.0
+    n_test: int = DEFAULT_N_TEST
 
     def __post_init__(self):
-        if self.n_obs < 1 or self.n_feat < 1:
-            raise InvalidConfig("n_obs and n_feat must be >= 1")
+        if self.n_obs < 1 or self.n_feat < 1 or self.n_test < 1:
+            raise InvalidConfig("n_obs, n_feat and n_test must be >= 1")
         if self.beta < 0 or self.sigma < 0:
             raise InvalidConfig("beta and sigma must be nonnegative")
 
@@ -181,10 +182,15 @@ class EquicorrelatedConfig:
     rho: float = 0.0
     sigma: float = 1.0
     sparse: SparseSpec | None = None
+    n_test: int = DEFAULT_N_TEST
 
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
             raise InvalidConfig("rho must lie in [0, 1)")
+        if self.sigma < 0:
+            raise InvalidConfig("sigma must be nonnegative")
+        if self.n_test < 1:
+            raise InvalidConfig("n_test must be >= 1")
         if self.sparse is not None and self.sparse.n_large > self.n_feat:
             raise InvalidConfig(f"sparse: n_large {self.sparse.n_large} exceeds "
                                 f"n_feat {self.n_feat}")
@@ -200,17 +206,13 @@ def haar_stiefel(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
-def sample_spherical(
-    config: SphericalGaussianConfig,
-    n_test: int = DEFAULT_N_TEST,
-    seed: int = 0,
-) -> Dataset:
+def sample_spherical(config: SphericalGaussianConfig, seed: int = 0) -> Dataset:
     rng = np.random.default_rng(seed)
     N, d = config.n_obs, config.n_feat
     scale = 1.0 / np.sqrt(N)
     X_tr = rng.standard_normal((N, d))
     X_tr *= scale
-    X_te = rng.standard_normal((n_test, d))
+    X_te = rng.standard_normal((config.n_test, d))
     X_te *= scale
     beta0 = rng.standard_normal(d) * config.beta
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
@@ -233,11 +235,7 @@ def sample_diagonal(config: DiagonalEnsembleConfig, seed: int = 0) -> Dataset:
     return Dataset(X_tr, Y_tr, X_te, Y_te, beta0, seed)
 
 
-def sample_equicorrelated(
-    config: EquicorrelatedConfig,
-    n_test: int = DEFAULT_N_TEST,
-    seed: int = 0,
-) -> Dataset:
+def sample_equicorrelated(config: EquicorrelatedConfig, seed: int = 0) -> Dataset:
     rng = np.random.default_rng(seed)
     N, d = config.n_obs, config.n_feat
     rho = config.rho
@@ -257,7 +255,7 @@ def sample_equicorrelated(
         return z
 
     X_tr = rows(N)
-    X_te = rows(n_test)
+    X_te = rows(config.n_test)
     if config.sparse is None:
         beta0 = rng.standard_normal(d)
     else:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Dataset
-from .exceptions import DimensionMismatch, DomainError, NonFinite, SingularGram
+from .exceptions import DimensionMismatch, DomainError, NonFinite
 from .spectrum import GramSpectrum, SchattenIndex, filtered_gram_eigvals, gram_spectrum
 
 __all__ = [
@@ -22,10 +21,8 @@ __all__ = [
     "FittedModel",
     "alpha_to_bias_bound",
     "bias_bound_to_alpha",
-    "empirical_mse",
     "estimator_operator",
     "fit",
-    "fit_from_spectrum",
     "fit_path",
     "operator_diagnostics",
     "predict",
@@ -48,19 +45,13 @@ class FittedModel:
     p: SchattenIndex
     alpha: float
     beta_hat: np.ndarray
-    spectrum: GramSpectrum
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.beta_hat)):
             raise NonFinite("beta_hat is not finite")
 
 
-def _inverse_filter_weights(
-    spectrum: GramSpectrum,
-    p: SchattenIndex,
-    alpha,
-    strict: bool = False,
-) -> np.ndarray:
+def _inverse_filter_weights(spectrum: GramSpectrum, p: SchattenIndex, alpha) -> np.ndarray:
     """Per-eigenvalue weights 1/f_alpha(sigma^2), with rank-deficient handling.
 
     Shaped like ``filtered_gram_eigvals``: (d,) for a scalar alpha, (d, n_alpha)
@@ -68,56 +59,30 @@ def _inverse_filter_weights(
     for every p: X^T Y and X^T have no component on its eigenvector, so any
     other weight (G-hat's 1/alpha for p in {1, 2}) would only scale the rounding
     noise there.  The model is then min-norm OLS at alpha = 0, and for p = inf
-    min-norm OLS scaled by 1/(1 + alpha), unless strict mode raises instead.
-    alpha = inf gives all-zero weights: the zero estimator.
+    min-norm OLS scaled by 1/(1 + alpha).  alpha = inf gives all-zero
+    weights: the zero estimator.
     """
-    if p is SchattenIndex.SPECTRAL and strict and spectrum.rank < spectrum.n_feat:
-        raise SingularGram(
-            "spectral estimator requires full-rank G in strict mode"
-        )
     f = filtered_gram_eigvals(spectrum, p, alpha)
     kept = (spectrum.eigvals > spectrum.rank_tol).reshape(-1, *([1] * (f.ndim - 1)))
     return np.divide(1.0, f, out=np.zeros_like(f), where=kept)
 
 
-def fit(
-    X: np.ndarray,
-    Y: np.ndarray,
-    p: SchattenIndex,
-    alpha: float,
-    strict: bool = False,
-) -> FittedModel:
+def fit(X: np.ndarray, Y: np.ndarray, p: SchattenIndex, alpha: float) -> FittedModel:
     """Fit the p-bias-constrained estimator at regularization strength alpha."""
-    return fit_from_spectrum(gram_spectrum(X, Y), p, alpha, strict=strict)
+    beta = fit_path(gram_spectrum(X, Y), p, [alpha])[:, 0]
+    return FittedModel(p=p, alpha=float(alpha), beta_hat=beta)
 
 
-def fit_path(
-    spectrum: GramSpectrum,
-    p: SchattenIndex,
-    alphas,
-    strict: bool = False,
-) -> np.ndarray:
+def fit_path(spectrum: GramSpectrum, p: SchattenIndex, alphas) -> np.ndarray:
     """Coefficients for every alpha at once, as the columns of a (d, n_alpha)
     array: beta-hat(alpha) = U diag(1/f_alpha) U^T X^T Y, one filter matrix
     and one product for the whole path.  Only the k weights that have an
     eigenvector apply: X^T Y has no component on the other directions."""
     if spectrum.xty is None:
         raise ValueError("spectrum must carry X^T Y; build it via gram_spectrum(X, Y)")
-    W = _inverse_filter_weights(spectrum, p, np.asarray(alphas, dtype=float).ravel(),
-                                strict=strict)
+    W = _inverse_filter_weights(spectrum, p, np.asarray(alphas, dtype=float).ravel())
     U = spectrum.eigvecs
     return U @ (W[:U.shape[1]] * (U.T @ spectrum.xty)[:, None])
-
-
-def fit_from_spectrum(
-    spectrum: GramSpectrum,
-    p: SchattenIndex,
-    alpha: float,
-    strict: bool = False,
-) -> FittedModel:
-    """Fit from a precomputed spectrum (with cached X^T Y) at one alpha."""
-    beta = fit_path(spectrum, p, [alpha], strict=strict)[:, 0]
-    return FittedModel(p=p, alpha=float(alpha), beta_hat=beta, spectrum=spectrum)
 
 
 def predict(model: FittedModel, X_test: np.ndarray) -> np.ndarray:
@@ -130,19 +95,11 @@ def predict(model: FittedModel, X_test: np.ndarray) -> np.ndarray:
     return X_test @ model.beta_hat
 
 
-def empirical_mse(model: FittedModel, dataset: Dataset) -> float:
-    """Mean squared prediction error on the (noiseless) test targets."""
-    resid = predict(model, dataset.X_te) - dataset.Y_te
-    return float(np.mean(resid**2))
-
-
-def estimator_operator(
-    X: np.ndarray, p: SchattenIndex, alpha: float, strict: bool = False
-) -> np.ndarray:
+def estimator_operator(X: np.ndarray, p: SchattenIndex, alpha: float) -> np.ndarray:
     """The (d, N) matrix L with beta-hat = L Y, i.e. L = G-hat^{-1} X^T."""
     X = np.asarray(X, dtype=float)
     spectrum = gram_spectrum(X)
-    w = _inverse_filter_weights(spectrum, p, alpha, strict=strict)
+    w = _inverse_filter_weights(spectrum, p, alpha)
     U = spectrum.eigvecs
     return (U * w[:U.shape[1]]) @ U.T @ X.T
 
@@ -157,15 +114,8 @@ def operator_diagnostics(
         raise DimensionMismatch(f"L {L.shape} incompatible with X {X.shape}")
     d = X.shape[1]
     B = L @ X - np.eye(d)
-    sv = np.linalg.svd(B, compute_uv=False)
-    if p is SchattenIndex.NUCLEAR:
-        bias_norm = float(np.sum(sv))
-    elif p is SchattenIndex.FROBENIUS:
-        bias_norm = float(np.sqrt(np.sum(sv**2)))
-    else:
-        bias_norm = float(sv[0]) if sv.size else 0.0
-    variance_trace = float(np.sum(L * L) / 2.0)
-    return bias_norm, variance_trace
+    bias_norm = p.norm(np.linalg.svd(B, compute_uv=False))
+    return bias_norm, float(np.sum(L * L) / 2.0)
 
 
 def alpha_to_bias_bound(
@@ -186,13 +136,13 @@ def alpha_to_bias_bound(
     if np.isinf(alpha):
         return BiasBound(p.identity_norm(d))
     s = spectrum.eigvals[:spectrum.rank]
-    n_null = d - s.size
     if p is SchattenIndex.NUCLEAR:
-        below = s < alpha
-        return BiasBound(n_null + float(np.sum(1.0 - s[below] / alpha)))
-    if p is SchattenIndex.FROBENIUS:
-        return BiasBound(float(np.sqrt(n_null + np.sum((alpha / (s + alpha)) ** 2))))
-    return BiasBound(1.0 if n_null else alpha / (1.0 + alpha))
+        bias = 1.0 - s / np.maximum(s, alpha)
+    elif p is SchattenIndex.FROBENIUS:
+        bias = alpha / (s + alpha)  # not 1 - s/(s + alpha), which cancels for small alpha
+    else:
+        bias = np.full(s.size, alpha / (1.0 + alpha))
+    return BiasBound(p.norm(np.concatenate([np.ones(d - s.size), bias])))
 
 
 def bias_bound_to_alpha(

@@ -13,10 +13,6 @@ class NonFinite(SchattenRegError):
     """An input contains NaN or Inf entries."""
 
 
-class SingularGram(SchattenRegError):
-    """Rank-deficient Gram matrix in a mode that requires invertibility."""
-
-
 class InvalidConfig(SchattenRegError):
     """A configuration object violates its constraints."""
 

@@ -40,11 +40,14 @@ class SchattenIndex(enum.Enum):
     def p(self) -> float:
         return np.inf if self is SchattenIndex.SPECTRAL else float(self.value)
 
+    def norm(self, sv) -> float:
+        """Schatten-p norm of an operator with singular values sv; 0 when empty."""
+        sv = np.asarray(sv, dtype=float)
+        return float(np.linalg.norm(sv, self.p)) if sv.size else 0.0
+
     def identity_norm(self, d: int) -> float:
         """Schatten-p norm of I_d, i.e. d**(1/p); the saturation point of C."""
-        if self is SchattenIndex.SPECTRAL:
-            return 1.0
-        return float(d) ** (1.0 / self.p)
+        return self.norm(np.ones(d))
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,6 @@ from .spectrum import SchattenIndex
 __all__ = [
     "ErrorIntegrals",
     "MarchenkoPastur",
-    "TheoryCurve",
     "appell_f1",
     "err_diagonal_quadrature",
     "err_nuclear_closed",
@@ -71,7 +70,6 @@ __all__ = [
     "mp_partial_moment",
     "mp_pdf",
     "oracle_ridge_alpha",
-    "theory_curve",
 ]
 
 # Gauss nodes per panel of the coarse rule; the fine rule uses twice as many.
@@ -402,24 +400,6 @@ def oracle_ridge_alpha(beta: float, sigma: float) -> float:
     return sigma * sigma / (beta * beta)
 
 
-@dataclass(frozen=True)
-class TheoryCurve:
-    estimator: SchattenIndex
-    ensemble: str  # "spherical" | "diagonal"
-    alphas: np.ndarray
-    errors: np.ndarray
-    lam: float
-    beta: float
-    sigma: float
-    gamma: float | None = None
-
-    def __post_init__(self):
-        if self.alphas.shape != self.errors.shape:
-            raise ValueError("alphas and errors must have the same length")
-        if np.any(self.errors < 0):
-            raise ValueError("errors must be nonnegative")
-
-
 def error_integrals(p: SchattenIndex, ensemble: str, alphas, lam: float,
                     gamma: float | None = None) -> ErrorIntegrals:
     """The bias and variance integrals on a grid of alpha values: one pass
@@ -432,17 +412,3 @@ def error_integrals(p: SchattenIndex, ensemble: str, alphas, lam: float,
         return _diagonal_integrals(p, alphas, lam, SpectralDensity.power_law(gamma))
     raise ValueError(f"unknown ensemble {ensemble!r}")
 
-
-def theory_curve(
-    p: SchattenIndex,
-    ensemble: str,
-    alphas: np.ndarray,
-    lam: float,
-    beta: float,
-    sigma: float,
-    gamma: float | None = None,
-) -> TheoryCurve:
-    """Evaluate the predicted error on a grid of alpha values."""
-    alphas = np.asarray(alphas, dtype=float)
-    errors = error_integrals(p, ensemble, alphas, lam, gamma).error(beta, sigma)
-    return TheoryCurve(p, ensemble, alphas, errors, lam, beta, sigma, gamma)

@@ -23,14 +23,13 @@ from schattenreg import (
     bias_bound_to_alpha,
     child_seeds,
     default_alpha_grid,
-    empirical_mse,
     err_diagonal_quadrature,
     err_nuclear_closed,
     err_spectral_closed,
     err_spherical_quadrature,
     estimator_operator,
     expected_cv_minimum,
-    fit_from_spectrum,
+    fit_path,
     geometry_table,
     gram_spectrum,
     monte_carlo_parabola_min,
@@ -122,7 +121,8 @@ def _simulation_check(sample_fn, theory_fn, n_datasets=100, seed=1234):
         spectrum = gram_spectrum(ds.X_tr, ds.Y_tr)
         for i, p in enumerate(ALL_P):
             for k, a in enumerate(alphas):
-                mses[i, k, j] = empirical_mse(fit_from_spectrum(spectrum, p, a), ds)
+                beta = fit_path(spectrum, p, [a])[:, 0]
+                mses[i, k, j] = np.mean((ds.X_te @ beta - ds.Y_te) ** 2)
     fracs = []
     for i, p in enumerate(ALL_P):
         theory = theory_fn(p, alphas)
@@ -135,7 +135,7 @@ def _simulation_check(sample_fn, theory_fn, n_datasets=100, seed=1234):
 def test_acceptance_3_simulation_vs_theory(capsys):
     sph_cfg = SphericalGaussianConfig(n_obs=100, n_feat=50, beta=1.0, sigma=1.0)
     frac_sph = _simulation_check(
-        lambda s: sample_spherical(sph_cfg, n_test=5000, seed=s),
+        lambda s: sample_spherical(sph_cfg, seed=s),
         lambda p, alphas: err_spherical_quadrature(p, alphas, 0.5, 1.0, 1.0),
     )
     density = SpectralDensity.power_law(2.0)
@@ -237,10 +237,10 @@ def test_acceptance_6_appell_f1(capsys):
 # ---------------------------------------------------------------------------
 
 def test_acceptance_7_cv_benchmark_pattern(capsys):
-    ens = EquicorrelatedConfig(n_obs=100, n_feat=50, rho=0.0, sigma=2.0)
+    ens = EquicorrelatedConfig(n_obs=100, n_feat=50, rho=0.0, sigma=2.0, n_test=5000)
     cfg = CVConfig(
         folds=3, grid=AlphaGrid(1e-4, 1e6, 9), models=ALL_P,
-        n_datasets=100, seed=2024, n_test=5000,
+        n_datasets=100, seed=2024,
     )
     report = run_benchmark(ens, cfg)
     nuc, rid = report.avg_error["nuclear"], report.avg_error["ridge"]
@@ -254,13 +254,12 @@ def test_acceptance_7_cv_benchmark_pattern(capsys):
 # ---------------------------------------------------------------------------
 
 def test_acceptance_8_grid_refinement(capsys):
-    ens = EquicorrelatedConfig(n_obs=100, n_feat=50, rho=0.0, sigma=2.0)
+    ens = EquicorrelatedConfig(n_obs=100, n_feat=50, rho=0.0, sigma=2.0, n_test=5000)
     errs = {}
     for count in (9, 50):
         cfg = CVConfig(
             folds=3, grid=AlphaGrid(1e-4, 1e6, count),
             models=(SchattenIndex.FROBENIUS,), n_datasets=100, seed=77,
-            n_test=5000,
         )
         errs[count] = run_benchmark(ens, cfg).errors[0]
     diff = errs[50] - errs[9]  # same seed -> same datasets, paired comparison

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schattenreg import geometry_table, theory, theory_curve
+from schattenreg import error_integrals, geometry_table, theory
 from schattenreg.cli import (
     cmd_basin,
     cmd_theory_curve,
@@ -120,7 +120,7 @@ BAD_CONFIGS = [
     ("theory-curve", {"models": "ridge"}, [], "models"),
     ("simulate", {"seed": "x"}, [], "seed"),
     ("theory-curve", {"grid": {"count": 2.5}}, [], "grid: count"),
-    ("theory-curve", {"grid": {"count": 0}}, [], "grid"),
+    ("theory-curve", {"grid": {"count": 0}}, [], "grid: count"),
     ("simulate", [1, 2], ["--seed", "3"], "JSON object"),
     ("theory-curve", {"format": "xml"}, [], "format"),
     ("basin", {"models": ["nuclear"]}, [], "models"),
@@ -146,6 +146,18 @@ BAD_CONFIGS = [
     ("cv-bench", {"seed": -1}, [], "seed"),
     ("cv-bench", {"n_feat": 0}, [], "n_feat"),
     ("rff-bench", {"d_rbf": 0}, [], "d_rbf"),
+    # Ranges are checked where the key is read, or by the config it builds.
+    ("cv-bench", {"sigma": -1.0}, [], "sigma"),
+    ("rff-bench", {"sigma": -1.0}, [], "sigma"),
+    ("rff-bench", {"bandwidth": 0}, [], "bandwidth"),
+    ("cv-bench", {"folds": 1}, [], "folds: "),
+    ("rff-bench", {"folds": 1}, [], "folds: "),
+    ("theory-curve", {"ensemble": "diagonal", "gamma": 0}, [], "gamma"),
+    ("simulate", {"ensemble": "diagonal", "gamma": -2.0}, [], "gamma"),
+    ("cv-bench", {"ensemble": "diagonal", "gamma": 0}, [], "gamma"),
+    ("basin", {"ensemble": "diagonal", "gammas": [-1.0]}, [], "gammas[0]"),
+    ("cv-bench", {"ensemble": "diagonal", "noise_kind": "bad"}, [], "noise_kind"),
+    ("cv-bench", {"ensemble": "diagonal", "noise_half_width": 2.0}, [], "noise_half_width"),
     ("real-data", {"target": "y", "train_size": 0}, ["table.csv"], "train_size"),
     ("real-data", {"target": "y", "n_splits": 0}, ["table.csv"], "n_splits"),
 ]
@@ -160,7 +172,7 @@ def test_bad_config_exits_2_naming_command_and_key(tmp_path, capsys, monkeypatch
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the config was checked")
 
-    for name in ("run_benchmark", "simulate_path_errors"):
+    for name in ("run_benchmark", "rff_benchmark", "simulate_path_errors"):
         monkeypatch.setattr(cli, name, no_sampling)
     path = _write_cfg(tmp_path, "c.json", cfg)
     out = tmp_path / "x.csv"
@@ -417,8 +429,8 @@ def test_basin_builds_each_rule_once_per_p_and_shape(monkeypatch, ensemble, shap
         for s in sigmas:
             for shape in next(iter(shapes.values())):
                 lam, gamma = (shape, None) if ensemble == "spherical" else (0.5, shape)
-                curves[(name, s, shape)] = theory_curve(p, ensemble, grid, lam, 1.0, s,
-                                                        gamma).errors
+                curves[(name, s, shape)] = error_integrals(p, ensemble, grid, lam,
+                                                           gamma).error(1.0, s)
     cells = geometry_table(curves, ensemble, grid).cells
     assert [(r["estimator"], r["sigma"], r["shape_param"]) for r in rows] == \
         [(c.estimator, c.sigma, c.shape_param) for c in cells]

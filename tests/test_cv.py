@@ -14,11 +14,11 @@ from schattenreg import (
     SphericalGaussianConfig,
     aggregate_wins,
     apply_rff,
-    empirical_mse,
     fit,
-    fit_from_spectrum,
+    fit_path,
     gram_spectrum,
     kfold_select_alpha,
+    predict,
     rff_benchmark,
     run_benchmark,
     sample_rff_map,
@@ -35,14 +35,13 @@ def _small_cfg(**kw):
         models=(SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS, SchattenIndex.SPECTRAL),
         n_datasets=5,
         seed=0,
-        n_test=200,
     )
     defaults.update(kw)
     return CVConfig(**defaults)
 
 
 def test_single_value_grid_is_returned():
-    ds = sample_spherical(SphericalGaussianConfig(30, 5), n_test=10, seed=0)
+    ds = sample_spherical(SphericalGaussianConfig(30, 5, n_test=10), seed=0)
     cfg = _small_cfg(grid=AlphaGrid(0.37, 1.0, 1))
     a = kfold_select_alpha(ds.X_tr, ds.Y_tr, (SchattenIndex.FROBENIUS,), cfg)[
         SchattenIndex.FROBENIUS]
@@ -50,7 +49,7 @@ def test_single_value_grid_is_returned():
 
 
 def test_selection_deterministic():
-    ds = sample_spherical(SphericalGaussianConfig(40, 8), n_test=10, seed=1)
+    ds = sample_spherical(SphericalGaussianConfig(40, 8, n_test=10), seed=1)
     cfg = _small_cfg()
     a1 = kfold_select_alpha(ds.X_tr, ds.Y_tr, (SchattenIndex.NUCLEAR,), cfg)[
         SchattenIndex.NUCLEAR]
@@ -60,7 +59,7 @@ def test_selection_deterministic():
 
 
 def test_selected_alpha_is_grid_member():
-    ds = sample_spherical(SphericalGaussianConfig(40, 8, sigma=2.0), n_test=10, seed=2)
+    ds = sample_spherical(SphericalGaussianConfig(40, 8, sigma=2.0, n_test=10), seed=2)
     cfg = _small_cfg()
     a = kfold_select_alpha(ds.X_tr, ds.Y_tr, (SchattenIndex.FROBENIUS,), cfg)[
         SchattenIndex.FROBENIUS]
@@ -73,9 +72,7 @@ def test_noiseless_data_selects_least_regularization():
     cfg = _small_cfg()
     wins = 0
     for seed in range(100):
-        ds = sample_spherical(
-            SphericalGaussianConfig(50, 10, sigma=0.0), n_test=10, seed=seed
-        )
+        ds = sample_spherical(SphericalGaussianConfig(50, 10, sigma=0.0, n_test=10), seed=seed)
         a = kfold_select_alpha(ds.X_tr, ds.Y_tr, (SchattenIndex.FROBENIUS,), cfg,
                                seed=seed)[SchattenIndex.FROBENIUS]
         wins += a == cfg.grid.values()[0]
@@ -84,7 +81,7 @@ def test_noiseless_data_selects_least_regularization():
 
 @pytest.mark.parametrize("shape", [(40, 8), (30, 45)])  # full rank; d > N
 def test_multi_model_selection_matches_single_model(shape):
-    ds = sample_spherical(SphericalGaussianConfig(*shape, sigma=1.5), n_test=10, seed=4)
+    ds = sample_spherical(SphericalGaussianConfig(*shape, sigma=1.5, n_test=10), seed=4)
     cfg = _small_cfg()
     together = kfold_select_alpha(ds.X_tr, ds.Y_tr, cfg.models, cfg, seed=5)
     for p in cfg.models:
@@ -94,12 +91,12 @@ def test_multi_model_selection_matches_single_model(shape):
 @pytest.mark.parametrize("shape", [(40, 8), (12, 30)])  # tall; wide and rank-deficient
 def test_cv_errors_match_refit_scored_one_model_at_a_time(shape):
     n_obs, n_feat = shape
-    ds = sample_spherical(SphericalGaussianConfig(n_obs, n_feat, sigma=0.5), n_test=60, seed=4)
+    ds = sample_spherical(SphericalGaussianConfig(n_obs, n_feat, sigma=0.5, n_test=60), seed=4)
     cfg = _small_cfg()
     errors, alphas = _cv_errors(ds, cfg, cv_seed=9)
     spectrum = gram_spectrum(ds.X_tr, ds.Y_tr)
     for p, err, alpha in zip(cfg.models, errors, alphas):
-        want = empirical_mse(fit_from_spectrum(spectrum, p, alpha), ds)
+        want = np.mean((ds.X_te @ fit_path(spectrum, p, [alpha])[:, 0] - ds.Y_te) ** 2)
         assert err == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
@@ -125,7 +122,7 @@ def test_harness_frees_the_test_set_before_the_folds(monkeypatch, bench):
     monkeypatch.setattr(cv, "gram_spectrum", factor)
     cfg = _small_cfg(n_datasets=2)
     if bench == "run_benchmark":
-        run_benchmark(SphericalGaussianConfig(30, 5), cfg)
+        run_benchmark(SphericalGaussianConfig(30, 5, n_test=200), cfg)
     else:
         rff_benchmark(RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=50), cfg)
     # Per dataset: the full training set while X_te is alive, then 3 folds of
@@ -143,7 +140,7 @@ def test_insufficient_data_raises():
 def test_no_leakage_from_test_labels():
     # Selected alpha depends only on the training data.
     cfg = _small_cfg()
-    ds = sample_spherical(SphericalGaussianConfig(40, 8), n_test=50, seed=3)
+    ds = sample_spherical(SphericalGaussianConfig(40, 8, n_test=50), seed=3)
     a1 = kfold_select_alpha(ds.X_tr, ds.Y_tr, (SchattenIndex.NUCLEAR,), cfg)[
         SchattenIndex.NUCLEAR]
     # "Shuffle the test labels": the call never sees them, so rerun matches.
@@ -154,7 +151,7 @@ def test_no_leakage_from_test_labels():
 
 def test_single_model_degenerate_report():
     cfg = _small_cfg(models=(SchattenIndex.FROBENIUS,), n_datasets=1)
-    report = run_benchmark(EquicorrelatedConfig(n_obs=30, n_feat=5), cfg)
+    report = run_benchmark(EquicorrelatedConfig(n_obs=30, n_feat=5, n_test=200), cfg)
     assert report.models == ("ridge",)
     assert report.win_prob["ridge"] == 1.0
     assert report.avg_error["ridge"] == report.errors[0, 0]
@@ -163,7 +160,7 @@ def test_single_model_degenerate_report():
 
 def test_benchmark_reproducible():
     cfg = _small_cfg(n_datasets=3)
-    ens = EquicorrelatedConfig(n_obs=30, n_feat=5, sigma=1.0)
+    ens = EquicorrelatedConfig(n_obs=30, n_feat=5, sigma=1.0, n_test=200)
     r1 = run_benchmark(ens, cfg)
     r2 = run_benchmark(ens, cfg)
     assert np.array_equal(r1.errors, r2.errors)
@@ -172,7 +169,7 @@ def test_benchmark_reproducible():
 
 def test_win_probs_sum_to_one_and_alphas_on_grid():
     cfg = _small_cfg(n_datasets=6)
-    report = run_benchmark(EquicorrelatedConfig(n_obs=30, n_feat=5), cfg)
+    report = run_benchmark(EquicorrelatedConfig(n_obs=30, n_feat=5, n_test=200), cfg)
     assert sum(report.win_prob.values()) == pytest.approx(1.0)
     grid = set(cfg.grid.values())
     assert set(report.selected_alphas.ravel()) <= grid
@@ -247,7 +244,7 @@ def test_rff_features_realizable_noiseless_near_zero():
     for p in cfg.models:
         alpha = kfold_select_alpha(ds.X_tr, ds.Y_tr, (p,), cfg, seed=3)[p]
         model = fit(ds.X_tr, ds.Y_tr, p, alpha)
-        assert empirical_mse(model, ds) < 1e-6
+        assert np.mean((predict(model, ds.X_te) - ds.Y_te) ** 2) < 1e-6
 
 
 def test_rff_benchmark_deterministic():
@@ -265,3 +262,7 @@ def test_config_validation():
         CVConfig(folds=1)
     with pytest.raises(InvalidConfig):
         CVConfig(n_datasets=0)
+    with pytest.raises(InvalidConfig, match="sigma"):
+        RFFBenchConfig(sigma=-1.0)
+    with pytest.raises(InvalidConfig, match="bandwidth"):
+        RFFBenchConfig(bandwidth=0.0)

@@ -10,14 +10,13 @@ from schattenreg import (
     bias_bound_to_alpha,
     estimator_operator,
     fit,
-    fit_from_spectrum,
     fit_path,
     gram_spectrum,
     operator_diagnostics,
     predict,
     solve_bias_constrained_numeric,
 )
-from schattenreg.exceptions import DimensionMismatch, DomainError, SingularGram
+from schattenreg.exceptions import DimensionMismatch, DomainError
 from schattenreg.spectrum import EIGVAL_RTOL
 
 FIG1_X = np.diag(np.sqrt(np.arange(1.0, 11.0)))
@@ -68,27 +67,17 @@ def test_alpha_infinity_sentinel_gives_zero():
     np.testing.assert_array_equal(model.beta_hat, np.zeros(4))
 
 
-def test_strict_mode_rejects_rank_deficient_spectral():
-    X = np.random.default_rng(2).standard_normal((3, 5))
-    Y = np.zeros(3)
-    with pytest.raises(SingularGram):
-        fit(X, Y, SchattenIndex.SPECTRAL, 1.0, strict=True)
-    # Non-strict p=spectral and the other two norms accept it.
-    for p in ALL_P:
-        fit(X, Y, p, 1.0)
-
-
 @pytest.mark.parametrize("p", ALL_P)
 @pytest.mark.parametrize("shape", [(12, 5), (4, 9)])  # full rank; d > N
 def test_fit_path_matches_per_alpha_fits(p, shape):
     rng = np.random.default_rng(3)
     X = rng.standard_normal(shape)
-    sp = gram_spectrum(X, rng.standard_normal(shape[0]))
+    Y = rng.standard_normal(shape[0])
     alphas = [0.0, 1e-3, 1.0, np.inf]
-    B = fit_path(sp, p, alphas)
+    B = fit_path(gram_spectrum(X, Y), p, alphas)
     assert B.shape == (shape[1], len(alphas))
     for k, a in enumerate(alphas):
-        beta = fit_from_spectrum(sp, p, a).beta_hat
+        beta = fit(X, Y, p, a).beta_hat
         np.testing.assert_allclose(B[:, k], beta, rtol=1e-12, atol=0.0)
     np.testing.assert_array_equal(B[:, -1], np.zeros(shape[1]))
 

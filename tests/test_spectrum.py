@@ -27,6 +27,16 @@ def test_infinite_alpha_on_rank_deficient_x():
             assert np.all(out >= sp.eigvals)
 
 
+def test_schatten_norm_of_singular_values():
+    sv = np.array([3.0, 4.0, 0.0])
+    assert SchattenIndex.NUCLEAR.norm(sv) == 7.0
+    assert SchattenIndex.FROBENIUS.norm(sv) == 5.0
+    assert SchattenIndex.SPECTRAL.norm(sv) == 4.0
+    for p in SchattenIndex:
+        assert p.norm(np.zeros(0)) == 0.0
+        assert p.identity_norm(9) == pytest.approx(9.0 ** (1.0 / p.p))
+
+
 @pytest.mark.parametrize("p", list(SchattenIndex))
 def test_alpha_zero_is_identity(p):
     sp = gram_spectrum(np.random.default_rng(0).standard_normal((12, 5)))

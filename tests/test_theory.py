@@ -10,18 +10,18 @@ from schattenreg import (
     SpectralDensity,
     appell_f1,
     child_seeds,
-    empirical_mse,
     err_diagonal_quadrature,
     err_nuclear_closed,
     err_spectral_closed,
     err_spherical_quadrature,
+    error_integrals,
     fit,
     mp_cdf,
     mp_partial_moment,
     mp_pdf,
     oracle_ridge_alpha,
+    predict,
     sample_diagonal,
-    theory_curve,
 )
 from schattenreg import theory
 from schattenreg.exceptions import DomainError, QuadratureFailure
@@ -324,7 +324,7 @@ def test_diagonal_theory_matches_simulation():
     errs = []
     for seed in child_seeds(7, 100):
         ds = sample_diagonal(cfg, seed=seed)
-        errs.append(empirical_mse(fit(ds.X_tr, ds.Y_tr, p, alpha), ds))
+        errs.append(np.mean((predict(fit(ds.X_tr, ds.Y_tr, p, alpha), ds.X_te) - ds.Y_te) ** 2))
     errs = np.asarray(errs)
     se = errs.std(ddof=1) / np.sqrt(len(errs))
     theory = err_diagonal_quadrature(p, alpha, 0.5, 1.0, 0.5, dens)
@@ -384,13 +384,12 @@ def test_oracle_ridge_dominates_on_grid():
     assert mins[SchattenIndex.FROBENIUS] <= mins[SchattenIndex.SPECTRAL] + 1e-8
 
 
-def test_theory_curve_container():
-    curve = theory_curve(
-        SchattenIndex.SPECTRAL, "spherical", np.logspace(-2, 2, 9), 0.5, 1.0, 1.0
-    )
-    assert np.all(curve.errors >= 0)
-    closed = [err_spectral_closed(a, 0.5, 1.0, 1.0) for a in curve.alphas]
-    np.testing.assert_allclose(curve.errors, closed, atol=1e-8)
+def test_error_integrals_grid_matches_spectral_closed_form():
+    alphas = np.logspace(-2, 2, 9)
+    errors = error_integrals(SchattenIndex.SPECTRAL, "spherical", alphas, 0.5).error(1.0, 1.0)
+    assert errors.shape == alphas.shape and np.all(errors >= 0)
+    closed = [err_spectral_closed(a, 0.5, 1.0, 1.0) for a in alphas]
+    np.testing.assert_allclose(errors, closed, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
