@@ -29,9 +29,9 @@ for sigma in SIGMAS:
                     ("spectral", SchattenIndex.SPECTRAL)):
         curves[(name, sigma, LAM)] = err_spherical_quadrature(p, grid, LAM, BETA, sigma)
 
-table = geometry_table(curves, "spherical", grid)
+cells = geometry_table(curves, grid)
 print(f"{'estimator':>9} {'sigma':>6} {'depth %':>9} {'curvature %':>12}")
-for cell in table.cells:
+for cell in cells:
     print(f"{cell.estimator:>9} {cell.sigma:>6.1f} {cell.depth_pct:>9.2f}"
           f" {cell.curvature_pct:>12.2f}")
 

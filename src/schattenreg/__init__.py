@@ -10,7 +10,6 @@ geometry analysis, and a reproducible cross-validation benchmark harness.
 
 from .basin import (
     BasinGeometry,
-    GeometryTable,
     default_alpha_grid,
     expected_cv_minimum,
     geometry_table,
@@ -63,7 +62,7 @@ from .rff import (
     sample_nonlinear_target,
     sample_rff_map,
 )
-from .spectrum import GramSpectrum, SchattenIndex, filtered_gram_eigvals, gram_spectrum
+from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 from .theory import (
     ErrorIntegrals,
     MarchenkoPastur,

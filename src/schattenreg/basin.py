@@ -10,7 +10,6 @@ the idealized parabola model, together with its Monte-Carlo oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .exceptions import DegenerateFit
 __all__ = [
     "BasinGeometry",
     "GeometryCell",
-    "GeometryTable",
     "default_alpha_grid",
     "expected_cv_minimum",
     "geometry_table",
@@ -119,27 +117,19 @@ class GeometryCell:
     edge_minimum: bool
 
 
-@dataclass(frozen=True)
-class GeometryTable:
-    ensemble: str
-    cells: Sequence[GeometryCell]
-
-
 def geometry_table(
-    curves: dict[tuple[str, float, float], np.ndarray],
-    ensemble: str,
-    grid: np.ndarray,
-    base: str = "ridge",
-) -> GeometryTable:
-    """Depth / curvature percent increases relative to the Ridge estimator.
+    curves: dict[tuple[str, float, float], np.ndarray], grid: np.ndarray
+) -> list[GeometryCell]:
+    """Depth / curvature percent increases relative to the Ridge estimator,
+    one cell per curve.
 
     curves maps (estimator_name, sigma, shape_param) -> Err on `grid`; every
-    (sigma, shape_param) pair must include the base estimator.
+    (sigma, shape_param) pair must include "ridge".
     """
     geoms = {key: locate_min_and_curvature(values, grid) for key, values in curves.items()}
     cells = []
     for (name, sigma, shape), geom in geoms.items():
-        ref = geoms[(base, sigma, shape)]
+        ref = geoms[("ridge", sigma, shape)]
         cells.append(
             GeometryCell(
                 estimator=name,
@@ -150,4 +140,4 @@ def geometry_table(
                 edge_minimum=geom.edge_minimum or ref.edge_minimum,
             )
         )
-    return GeometryTable(ensemble=ensemble, cells=cells)
+    return cells

@@ -129,6 +129,10 @@ _unit = _real("a number in [0, 1]", lambda v: 0 <= v <= 1)
 _integer = _reader(int, "an integer")
 _count = _reader(int, "a positive integer", lambda v: v > 0)
 _folds = _reader(int, "an integer >= 2", lambda v: v >= 2)
+# The aspect ratio d/N that the theory of each ensemble covers: the
+# Marchenko-Pastur engine needs d < N, the Stiefel frames d <= N.
+_spherical_lambda = _real("a number in (0, 1)", lambda v: 0 < v < 1)
+_diagonal_lambda = _real("a number in (0, 1]", lambda v: 0 < v <= 1)
 _seed = _reader(int, "a non-negative integer", lambda v: v >= 0)
 _string = _reader(str, "a string")
 _numbers = _list(_number)
@@ -146,15 +150,18 @@ def _read_table(table: dict, value, where: str) -> dict:
 def parse(command: str, cfg, table: dict, ensembles: dict | None = None) -> dict:
     """Every key of `table`, read from `cfg` or set to its default.  `ensembles`
     maps each ensemble to the keys only it reads: all of them take defaults,
-    but only the chosen ensemble's keys may be set."""
-    every = {k: v for keys in (ensembles or {}).values() for k, v in keys.items()}
-    o = _read_table({**every, **table}, cfg, command)
-    if ensembles:
-        stray = sorted(set(cfg) & set(every) - set(ensembles[o["ensemble"]]))
-        if stray:
-            raise ConfigError(f"{command}: {stray[0]}: not read by the "
-                              f"{o['ensemble']} ensemble")
-    return o
+    but only the chosen ensemble's keys may be set, and they are read by that
+    ensemble's readers."""
+    if not ensembles:
+        return _read_table(table, cfg, command)
+    read, default = table["ensemble"]
+    cfg = _object(cfg, command)
+    chosen = read(cfg["ensemble"], f"{command}: ensemble") if "ensemble" in cfg else default
+    others = {k: v for e, keys in ensembles.items() if e != chosen for k, v in keys.items()}
+    stray = sorted(set(cfg) & set(others) - set(ensembles[chosen]))
+    if stray:
+        raise ConfigError(f"{command}: {stray[0]}: not read by the {chosen} ensemble")
+    return _read_table({**others, **ensembles[chosen], **table}, cfg, command)
 
 
 def _grid(default: AlphaGrid) -> tuple:
@@ -166,26 +173,28 @@ RUN = {"seed": (_seed, 0), "out": (_string, None),
 MODELS = (_model_names, tuple(MODEL_NAMES))
 BETA = {"beta": (_number, 1.0)}
 THEORY = {**RUN, **BETA, "models": MODELS}
-CURVE = {**THEORY, "lambda": (_number, 0.5), "sigma": (_number, 1.0)}
+CURVE = {**THEORY, "sigma": (_number, 1.0)}
 CV = {**RUN, "models": MODELS, "grid": _grid(AlphaGrid()), "folds": (_folds, 3)}
 N_TEST = {"n_test": (_count, DEFAULT_N_TEST)}
 N_DATASETS = {"n_datasets": (_count, 100)}
 SPARSE = _table(SparseSpec(), {"n_large": _integer, "small_scale": _number})
 
 # The theory of the diagonal ensemble has no default exponent.
-THEORY_GAMMA = {"gamma": (_positive, None)}
-CURVE_ENSEMBLES = {"spherical": {}, "diagonal": THEORY_GAMMA}
+THEORY_DIAGONAL = {"gamma": (_positive, None), "lambda": (_diagonal_lambda, 0.5)}
+SPHERICAL_LAMBDA = {"lambda": (_spherical_lambda, 0.5)}
+CURVE_ENSEMBLES = {"spherical": SPHERICAL_LAMBDA, "diagonal": THEORY_DIAGONAL}
 THEORY_CURVE = {**CURVE, "ensemble": (_one_of(CURVE_ENSEMBLES), "spherical"),
                 "grid": _grid(AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, 100))}
 
-SIMULATE_ENSEMBLES = {"spherical": N_TEST, "diagonal": THEORY_GAMMA}
+SIMULATE_ENSEMBLES = {"spherical": {**N_TEST, **SPHERICAL_LAMBDA}, "diagonal": THEORY_DIAGONAL}
 SIMULATE = {**CURVE, **N_DATASETS, "ensemble": (_one_of(SIMULATE_ENSEMBLES), "spherical"),
             "grid": _grid(AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, 30)),
             "n_obs": (_count, 100)}
 
 BASIN_ENSEMBLES = {
-    "spherical": {"lambdas": (_numbers, (0.1, 0.5, 0.9))},
-    "diagonal": {"gammas": (_list(_positive), (0.5, 1.0, 2.0)), "lambda": (_number, 0.5)},
+    "spherical": {"lambdas": (_list(_spherical_lambda), (0.1, 0.5, 0.9))},
+    "diagonal": {"gammas": (_list(_positive), (0.5, 1.0, 2.0)),
+                 "lambda": (_diagonal_lambda, 0.5)},
 }
 BASIN = {**THEORY, "ensemble": (_one_of(BASIN_ENSEMBLES), "spherical"),
          "grid": _grid(AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_N)),
@@ -252,12 +261,16 @@ SIM_FIELDS = ["alpha", "estimator", "empirical_mean", "se", "theory",
 
 def cmd_simulate(cfg: dict) -> list[dict]:
     o = parse("simulate", cfg, SIMULATE, SIMULATE_ENSEMBLES)
+    n_feat = round(o["lambda"] * o["n_obs"])
+    if n_feat < 1:
+        raise ConfigError(f"simulate: lambda: {o['lambda']:g} times n_obs {o['n_obs']} "
+                          f"rounds to {n_feat} features, below 1")
     models, n_datasets = o["models"], o["n_datasets"]
     alphas = o["grid"].values()
     # Build the theory curves first: a bad ensemble config fails before any sampling.
     curves = [error_integrals(p, o["ensemble"], alphas, o["lambda"],
                               o["gamma"]).error(o["beta"], o["sigma"]) for p in models]
-    ens_cfg = _ensemble_config(o, n_feat=round(o["lambda"] * o["n_obs"]))
+    ens_cfg = _ensemble_config(o, n_feat=n_feat)
     mses = simulate_path_errors(ens_cfg, models, alphas, n_datasets, o["seed"])
 
     rows = []
@@ -321,12 +334,11 @@ def cmd_basin(cfg: dict) -> list[dict]:
             integrals[(p, shape)] = error_integrals(p, ensemble, grid, lam, gamma)
     curves = {(MODEL_NAMES[p], s, shape): integrals[(p, shape)].error(o["beta"], s)
               for p in o["models"] for s in o["sigmas"] for shape in shapes}
-    table = geometry_table(curves, ensemble, grid)
     return [{
         "estimator": c.estimator, "sigma": c.sigma, "shape_param": c.shape_param,
         "depth_pct": c.depth_pct, "curvature_pct": c.curvature_pct,
         "edge_minimum": c.edge_minimum, "ensemble": ensemble,
-    } for c in table.cells]
+    } for c in geometry_table(curves, grid)]
 
 
 def read_numeric_csv(path: str, target: str) -> tuple[np.ndarray, np.ndarray, list[str]]:

@@ -156,6 +156,8 @@ class DiagonalEnsembleConfig:
     sigma: float = 1.0
 
     def __post_init__(self):
+        if self.n_obs < 1 or self.n_feat < 1:
+            raise InvalidConfig("n_obs and n_feat must be >= 1")
         if self.n_feat > self.n_obs:
             raise InvalidConfig("diagonal ensemble requires d <= N (Stiefel frames)")
         if self.beta < 0 or self.sigma < 0:
@@ -189,8 +191,8 @@ class EquicorrelatedConfig:
             raise InvalidConfig("rho must lie in [0, 1)")
         if self.sigma < 0:
             raise InvalidConfig("sigma must be nonnegative")
-        if self.n_test < 1:
-            raise InvalidConfig("n_test must be >= 1")
+        if self.n_obs < 1 or self.n_feat < 1 or self.n_test < 1:
+            raise InvalidConfig("n_obs, n_feat and n_test must be >= 1")
         if self.sparse is not None and self.sparse.n_large > self.n_feat:
             raise InvalidConfig(f"sparse: n_large {self.sparse.n_large} exceeds "
                                 f"n_feat {self.n_feat}")

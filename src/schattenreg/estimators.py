@@ -1,9 +1,9 @@
 """Closed-form bias-constrained linear estimators and the alpha <-> C maps.
 
 The estimator family is beta-hat = G-hat^{-1} X^T Y, where G-hat shares the
-eigenvectors of G = X^T X and its eigenvalues are a filtered version of G's
-(see :mod:`schattenreg.spectrum`).  alpha = 0 recovers OLS; alpha = inf is a
-sentinel for the zero estimator, which is optimal once the bias budget C
+eigenvectors of G = X^T X and its eigenvalues are G's under the filter
+f_alpha of ``SchattenIndex.shrinkage``.  alpha = 0 recovers OLS; alpha = inf
+is a sentinel for the zero estimator, which is optimal once the bias budget C
 reaches d**(1/p).
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, DomainError, NonFinite
-from .spectrum import GramSpectrum, SchattenIndex, filtered_gram_eigvals, gram_spectrum
+from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 
 __all__ = [
     "BiasBound",
@@ -36,8 +36,8 @@ class BiasBound:
     value: float
 
     def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("bias bound must be nonnegative")
+        if not self.value >= 0:
+            raise ValueError(f"bias bound C must be nonnegative, got {self.value}")
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,21 @@ class FittedModel:
 
 
 def _inverse_filter_weights(spectrum: GramSpectrum, p: SchattenIndex, alpha) -> np.ndarray:
-    """Per-eigenvalue weights 1/f_alpha(sigma^2), with rank-deficient handling.
+    """Weights r/s = 1/f_alpha(s) on the k = min(N, d) eigenvalues s that have
+    an eigenvector: (k,) for a scalar alpha, (k, n_alpha) for a vector.
 
-    Shaped like ``filtered_gram_eigvals``: (d,) for a scalar alpha, (d, n_alpha)
-    for a vector.  An eigenvalue at or below the rank tolerance gets weight 0
-    for every p: X^T Y and X^T have no component on its eigenvector, so any
-    other weight (G-hat's 1/alpha for p in {1, 2}) would only scale the rounding
-    noise there.  The model is then min-norm OLS at alpha = 0, and for p = inf
+    An eigenvalue at or below the rank tolerance gets weight 0 for every p:
+    X^T Y and X^T have no component on its eigenvector, so any other weight
+    (G-hat's 1/alpha for p in {1, 2}) would only scale the rounding noise
+    there.  The model is then min-norm OLS at alpha = 0, and for p = inf
     min-norm OLS scaled by 1/(1 + alpha).  alpha = inf gives all-zero
     weights: the zero estimator.
     """
-    f = filtered_gram_eigvals(spectrum, p, alpha)
-    kept = (spectrum.eigvals > spectrum.rank_tol).reshape(-1, *([1] * (f.ndim - 1)))
-    return np.divide(1.0, f, out=np.zeros_like(f), where=kept)
+    alpha = np.asarray(alpha, dtype=float)
+    s = spectrum.eigvals[:spectrum.eigvecs.shape[1]].reshape(-1, *([1] * alpha.ndim))
+    r, _ = p.shrinkage(s, alpha)
+    out = np.zeros(np.broadcast_shapes(s.shape, alpha.shape))
+    return np.divide(r, s, out=out, where=s > spectrum.rank_tol)
 
 
 def fit(X: np.ndarray, Y: np.ndarray, p: SchattenIndex, alpha: float) -> FittedModel:
@@ -82,7 +84,7 @@ def fit_path(spectrum: GramSpectrum, p: SchattenIndex, alphas) -> np.ndarray:
         raise ValueError("spectrum must carry X^T Y; build it via gram_spectrum(X, Y)")
     W = _inverse_filter_weights(spectrum, p, np.asarray(alphas, dtype=float).ravel())
     U = spectrum.eigvecs
-    return U @ (W[:U.shape[1]] * (U.T @ spectrum.xty)[:, None])
+    return U @ (W * (U.T @ spectrum.xty)[:, None])
 
 
 def predict(model: FittedModel, X_test: np.ndarray) -> np.ndarray:
@@ -99,9 +101,8 @@ def estimator_operator(X: np.ndarray, p: SchattenIndex, alpha: float) -> np.ndar
     """The (d, N) matrix L with beta-hat = L Y, i.e. L = G-hat^{-1} X^T."""
     X = np.asarray(X, dtype=float)
     spectrum = gram_spectrum(X)
-    w = _inverse_filter_weights(spectrum, p, alpha)
     U = spectrum.eigvecs
-    return (U * w[:U.shape[1]]) @ U.T @ X.T
+    return (U * _inverse_filter_weights(spectrum, p, alpha)) @ U.T @ X.T
 
 
 def operator_diagnostics(
@@ -124,25 +125,16 @@ def alpha_to_bias_bound(
     """Bias norm C attained by the estimator at strength alpha.
 
     The bias operator LX - I is -1 on each of the d - rank null directions of
-    G, where X gives the estimator nothing to act on, and 1 - s/f_alpha(s) on
-    each eigenvalue s above the rank tolerance.  C is therefore monotone
-    nondecreasing in alpha, from a floor at alpha = 0 (#null for p=1,
-    sqrt(#null) for p=2, 1 for p=inf when G is singular; 0 at full rank) up
-    to d**(1/p) as alpha -> inf.
+    G, where X gives the estimator nothing to act on, and -q = -(1 - r) of
+    ``SchattenIndex.shrinkage`` on each eigenvalue s above the rank
+    tolerance.  C is therefore monotone nondecreasing in alpha, from a floor
+    at alpha = 0 (#null for p=1, sqrt(#null) for p=2, 1 for p=inf when G is
+    singular; 0 at full rank) up to d**(1/p) at alpha = inf.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    d = spectrum.n_feat
-    if np.isinf(alpha):
-        return BiasBound(p.identity_norm(d))
     s = spectrum.eigvals[:spectrum.rank]
-    if p is SchattenIndex.NUCLEAR:
-        bias = 1.0 - s / np.maximum(s, alpha)
-    elif p is SchattenIndex.FROBENIUS:
-        bias = alpha / (s + alpha)  # not 1 - s/(s + alpha), which cancels for small alpha
-    else:
-        bias = np.full(s.size, alpha / (1.0 + alpha))
-    return BiasBound(p.norm(np.concatenate([np.ones(d - s.size), bias])))
+    _, q = p.shrinkage(s, alpha)
+    null = np.ones(spectrum.n_feat - s.size)
+    return BiasBound(p.norm(np.concatenate([null, np.broadcast_to(q, s.shape)])))
 
 
 def bias_bound_to_alpha(
@@ -155,9 +147,7 @@ def bias_bound_to_alpha(
     root-finding pins alpha to ~1e-12 relative.  A C below the floor set by
     the null directions of G cannot be reached and raises DomainError.
     """
-    c = C.value if isinstance(C, BiasBound) else float(C)
-    if c < 0:
-        raise ValueError("C must be nonnegative")
+    c = (C if isinstance(C, BiasBound) else BiasBound(float(C))).value
     d = spectrum.n_feat
     if c >= p.identity_norm(d):
         return np.inf

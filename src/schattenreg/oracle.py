@@ -19,6 +19,13 @@ from .spectrum import SchattenIndex
 
 __all__ = ["project_schatten_ball", "solve_bias_constrained_numeric"]
 
+# FISTA iterations per restart, the relative change of the objective that
+# counts as converged, the number of restarts and the seed of their draws.
+_MAX_ITER = 20000
+_TOL = 1e-12
+_N_RESTARTS = 5
+_SEED = 0
+
 
 def _project_l1_simplex_abs(s: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of a nonnegative vector onto {x >= 0, sum x <= radius}."""
@@ -47,27 +54,18 @@ def project_schatten_ball(B: np.ndarray, p: SchattenIndex, radius: float) -> np.
     return (U * s_proj) @ Vt
 
 
-def solve_bias_constrained_numeric(
-    X: np.ndarray,
-    C: BiasBound | float,
-    p: SchattenIndex,
-    max_iter: int = 20000,
-    tol: float = 1e-12,
-    n_restarts: int = 5,
-    seed: int = 0,
-) -> np.ndarray:
+def solve_bias_constrained_numeric(X: np.ndarray, C: BiasBound | float,
+                                   p: SchattenIndex) -> np.ndarray:
     """Minimize Tr(L L^T)/2 subject to ||L X - I||_p <= C; returns L (d, N).
 
     The problem is convex, so the 5 random restarts are a consistency check
     rather than a necessity; the best objective across restarts is returned.
     Raises DidNotConverge if no restart reaches the relative-change tolerance
-    within max_iter iterations.
+    1e-12 within 20000 iterations.
     """
     X = np.asarray(X, dtype=float)
     N, d = X.shape
-    c = C.value if isinstance(C, BiasBound) else float(C)
-    if c < 0:
-        raise ValueError("C must be nonnegative")
+    c = (C if isinstance(C, BiasBound) else BiasBound(float(C))).value
     if c >= p.identity_norm(d):
         # Constraint set contains B = -I, i.e. L = 0, the global minimizer.
         return np.zeros((d, N))
@@ -82,10 +80,10 @@ def solve_bias_constrained_numeric(
         M = eye + B
         return float(np.sum((M @ Ginv) * M) / 2.0)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     best_B, best_obj = None, np.inf
     any_converged = False
-    for restart in range(n_restarts):
+    for restart in range(_N_RESTARTS):
         if restart == 0:
             B = project_schatten_ball(-eye, p, c)
         else:
@@ -95,14 +93,14 @@ def solve_bias_constrained_numeric(
         t = 1.0
         prev_obj = objective(B)
         converged = False
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             grad = (eye + Z) @ Ginv
             B_next = project_schatten_ball(Z - step * grad, p, c)
             t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
             Z = B_next + ((t - 1.0) / t_next) * (B_next - B)
             B, t = B_next, t_next
             obj = objective(B)
-            if abs(prev_obj - obj) <= tol * max(1.0, abs(obj)):
+            if abs(prev_obj - obj) <= _TOL * max(1.0, abs(obj)):
                 converged = True
                 break
             prev_obj = obj
@@ -112,6 +110,6 @@ def solve_bias_constrained_numeric(
             best_obj, best_B = obj, B
     if not any_converged:
         raise DidNotConverge(
-            f"objective still changing by more than {tol} after {max_iter} iterations"
+            f"objective still changing by more than {_TOL} after {_MAX_ITER} iterations"
         )
     return (eye + best_B) @ Ginv @ X.T

@@ -1,9 +1,12 @@
-"""Gram-matrix spectra and the per-eigenvalue filters of the three estimators.
+"""Gram-matrix spectra and the per-eigenvalue filter of the three estimators.
 
 All three bias-constrained estimators act on the eigendecomposition of the
-Gram matrix G = X^T X.  They differ only in the scalar filter applied to the
-eigenvalues: elementwise max with alpha (Nuclear, p=1), additive shift
+Gram matrix G = X^T X.  They differ only in the scalar filter f_alpha applied
+to the eigenvalues: elementwise max with alpha (Nuclear, p=1), additive shift
 (Ridge/Frobenius, p=2), or uniform scaling (Spectral, p=inf).
+``SchattenIndex.shrinkage`` is the one definition of that filter: the
+estimator weights, the alpha -> C map and the error integrands of the theory
+all read it.
 
 ``gram_spectrum`` picks its route by the shape of X (N rows, d columns).  For
 d <= N it forms G and runs a symmetric eigensolver.  For d > N, G has rank at
@@ -44,6 +47,45 @@ class SchattenIndex(enum.Enum):
         """Schatten-p norm of an operator with singular values sv; 0 when empty."""
         sv = np.asarray(sv, dtype=float)
         return float(np.linalg.norm(sv, self.p)) if sv.size else 0.0
+
+    def shrinkage(self, x, alpha) -> tuple[np.ndarray, np.ndarray]:
+        """The share r = x / f_alpha(x) of a Gram eigenvalue x >= 0 that the
+        estimator at strength alpha keeps, and the share q = 1 - r it drops:
+
+            p     f_alpha(x)        r                   q
+            1     max(x, alpha)     x / max(x, alpha)   max(alpha - x, 0) / max(x, alpha)
+            2     x + alpha         x / (x + alpha)     alpha / (x + alpha)
+            inf   (1 + alpha) x     1 / (1 + alpha)     alpha / (1 + alpha)
+
+        q is formed as written, without the cancellation of 1 - r when r is
+        near 1.  x and alpha broadcast against each other; Spectral's r and q
+        do not depend on x and keep alpha's shape.  alpha = 0 gives r = 1 and
+        alpha = inf gives r = 0 for every x, and at x = 0 both r and q are
+        their limits from the right.  Raises ValueError unless every
+        alpha >= 0, so a NaN alpha is rejected too.
+        """
+        alpha = np.asarray(alpha, dtype=float)
+        lo, hi = alpha.min(initial=np.inf), alpha.max(initial=0.0)  # NaN if any is
+        if not lo >= 0:
+            raise ValueError("alpha must be nonnegative")
+        if self is SchattenIndex.SPECTRAL:
+            x, f, cut = 1.0, 1.0 + alpha, alpha  # x and f_alpha(x), both divided by x
+        else:
+            x = np.asarray(x, dtype=float)
+            if self is SchattenIndex.NUCLEAR:
+                f = np.maximum(x, alpha)
+                cut = f - x
+            else:
+                f, cut = x + alpha, alpha
+        # Only alpha = 0 and alpha = inf can make a quotient read 0/0 (at x = 0)
+        # or inf/inf; their entries are then set to the limits outright.
+        with np.errstate(invalid="ignore"):
+            r, q = np.asarray(x / f), np.asarray(cut / f)
+        if lo == 0 or hi == np.inf:
+            edge = (alpha == 0) | (alpha == np.inf)
+            np.copyto(r, alpha == 0, where=edge)
+            np.copyto(q, alpha != 0, where=edge)
+        return r, q
 
     def identity_norm(self, d: int) -> float:
         """Schatten-p norm of I_d, i.e. d**(1/p); the saturation point of C."""
@@ -122,27 +164,3 @@ def gram_spectrum(X: np.ndarray, Y: np.ndarray | None = None) -> GramSpectrum:
             raise NonFinite("Y contains NaN or Inf")
         xty = X.T @ Y
     return GramSpectrum(eigvecs=U, eigvals=w, n_obs=N, n_feat=d, xty=xty)
-
-
-def filtered_gram_eigvals(
-    spectrum: GramSpectrum, p: SchattenIndex, alpha
-) -> np.ndarray:
-    """Eigenvalues of the regularized Gram matrix G-hat.
-
-    Nuclear clips from below at alpha, Frobenius shifts by alpha, Spectral
-    scales by (1 + alpha).  The output dominates the input elementwise, so
-    G-hat >= G in the PSD order for every alpha >= 0.  A scalar alpha gives
-    shape (d,); a vector of alphas gives (d, n_alpha), one column per alpha.
-    A zero eigenvalue stays 0 under Spectral even at alpha = inf, the limit
-    of (1 + alpha) * 0.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha < 0):
-        raise ValueError("alpha must be nonnegative")
-    s = spectrum.eigvals.reshape(-1, *([1] * alpha.ndim))
-    if p is SchattenIndex.NUCLEAR:
-        return np.maximum(s, alpha)
-    if p is SchattenIndex.FROBENIUS:
-        return s + alpha
-    out = np.zeros(np.broadcast_shapes(s.shape, alpha.shape))
-    return np.multiply(1.0 + alpha, s, out=out, where=s > 0)

@@ -3,17 +3,18 @@
 Two ensembles are covered.  For both, the error is lam times one integrand,
 the test error carried by a covariance eigenvalue x,
 
-    e(x) = beta^2 x (1 - r)^2 + sigma^2 r^2,    r = x / f_alpha(x),
+    e(x) = beta^2 x q^2 + sigma^2 r^2,    (r, q) = SchattenIndex.shrinkage(x, alpha),
 
 integrated against a spectral measure: x^-1 dMP(x) (Marchenko-Pastur) for
 spherical Gaussian features, the chosen spectral density on [0, 1] for the
-diagonal/Stiefel ensemble.  r is 1/(1 + alpha) for Spectral, x/(x + alpha)
-for Ridge and min(1, x/alpha) for Nuclear, so e stays finite at x = 0.
+diagonal/Stiefel ensemble.  r = x / f_alpha(x) is the share of x that the
+estimator keeps and q = 1 - r the share it drops; both are bounded and take
+their limits at x = 0, so e stays finite there.
 
 e is linear in (beta^2, sigma^2): lam beta^2 A(alpha) is the bias, with
-integrand x (1 - r)^2, and lam sigma^2 B(alpha) the variance, with integrand
-r^2.  The engine integrates A and B once per estimator, ensemble and alpha
-grid (ErrorIntegrals); every (beta, sigma) is then a weighted sum of the two.
+integrand x q^2, and lam sigma^2 B(alpha) the variance, with integrand r^2.
+The engine integrates A and B once per estimator, ensemble and alpha grid
+(ErrorIntegrals); every (beta, sigma) is then a weighted sum of the two.
 
 The integrals are fixed Gauss rules evaluated for a whole alpha grid at once,
 as (n_alpha, n_nodes) arrays:
@@ -27,7 +28,9 @@ as (n_alpha, n_nodes) arrays:
 - Power law gamma x^(gamma-1): Gauss-Radau for the weight s^(gamma-1) on
   [0, m], Gauss-Legendre in ln(x) on [m, 1], with m = min(alpha, 1) kept
   above the point below which the measure holds e^-50 of its mass.
-- A tabulated density is the exact weighted sum over its atoms.
+- A tabulated density is the exact weighted sum over its atoms, except that
+  an atom at x = 0 carries no error: the estimator gives its direction weight
+  0, and its test features are 0 there too.
 
 Each rule runs with n and 2n nodes per panel, for A and B alike.  Per
 (beta, sigma) the 2n value of beta^2 A + sigma^2 B is returned, and its gap to
@@ -75,7 +78,9 @@ __all__ = [
 # Gauss nodes per panel of the coarse rule; the fine rule uses twice as many.
 _NODES = 32
 # Alphas per block: bounds the (block, nodes) temporaries, and so peak memory.
-_BLOCK = 64
+# At 48 the largest, (48, 256) float64 of the 2n-node MP rule, is 96 KiB: below
+# glibc's 128 KiB mmap threshold, so it is not mapped and page-faulted afresh.
+_BLOCK = 48
 
 
 @dataclass(frozen=True)
@@ -204,7 +209,7 @@ def _mp_rule(mp: MarchenkoPastur, alpha: np.ndarray, n: int):
 def _density_rule(density: SpectralDensity, alpha: np.ndarray, n: int):
     """Nodes x and weights of the density's measure, per alpha row."""
     if density.kind == "tabulated":
-        return density.grid, density.weights
+        return density.grid, np.where(density.grid > 0.0, density.weights, 0.0)
     gamma = density.gamma
     # The split point m never drops below where the measure holds e^-50 of
     # its mass: a kink or transition under that cannot show, and x^gamma stays
@@ -219,19 +224,10 @@ def _density_rule(density: SpectralDensity, alpha: np.ndarray, n: int):
 
 
 def _bias_variance(p: SchattenIndex, alpha: np.ndarray, x):
-    """The integrands x (1 - r)^2 of A and r^2 of B, with r = x / f_alpha(x).
-
-    At x = 0, r is its limit from the right: 1 at alpha = 0, where every
-    filter is the identity, and 0 for Ridge and Nuclear at alpha > 0.
-    """
-    xr = np.maximum(x, np.finfo(float).tiny)
-    if p is SchattenIndex.SPECTRAL:
-        r = 1.0 / (1.0 + alpha)
-    elif p is SchattenIndex.FROBENIUS:
-        r = xr / (xr + alpha)
-    else:
-        r = xr / np.maximum(xr, alpha)
-    return x * (1.0 - r) ** 2, r * r
+    """The integrands x q^2 of A and r^2 of B."""
+    r, q = p.shrinkage(x, alpha)
+    # Squared in place: each (block, nodes) temporary is a fresh allocation.
+    return x * np.square(q, out=q), np.square(r, out=r)
 
 
 @dataclass(frozen=True)
@@ -268,8 +264,6 @@ class ErrorIntegrals:
 def _integrals(p, alpha, lam, rule, what) -> ErrorIntegrals:
     """A and B for each alpha against rule(alpha, n), with n and 2n nodes."""
     alpha = np.asarray(alpha, dtype=float)
-    if not np.all(alpha >= 0):
-        raise ValueError("alpha must be nonnegative")
     flat = alpha.ravel()
     sums = np.empty((2, 2, flat.size))
     for start in range(0, flat.size, _BLOCK):
@@ -318,14 +312,15 @@ def err_spectral_closed(alpha: float, lam: float, beta: float, sigma: float) -> 
     return num / (1.0 + alpha) ** 2
 
 
-def appell_f1(a: float, b: float, b_prime: float, c: float, x: float, y: float,
-              tol: float = 1e-12) -> float:
+def appell_f1(a: float, b: float, b_prime: float, c: float, x: float, y: float) -> float:
     """Appell F1 via its one-dimensional Euler integral.
 
     F1 = Gamma(c) / (Gamma(a) Gamma(c-a)) *
          int_0^1 u^(a-1) (1-u)^(c-a-1) (1-ux)^(-b) (1-uy)^(-b') du,
     valid for a > 0 and c - a > 0; this also serves as the analytic
-    continuation to x < -1 needed by the Nuclear error formula.
+    continuation to x < -1 needed by the Nuclear error formula.  quad is asked
+    for 1e-12 relative, and an error estimate above 1e-10 relative raises
+    QuadratureFailure.
     """
     if a <= 0 or c - a <= 0:
         raise DomainError("Euler integral requires a > 0 and c - a > 0")
@@ -342,7 +337,7 @@ def appell_f1(a: float, b: float, b_prime: float, c: float, x: float, y: float,
             * (1.0 - u * y) ** (-b_prime)
         )
 
-    val, err = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=tol, limit=300)
+    val, err = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=300)
     if val != 0.0 and err > 1e-10 * abs(val):
         raise QuadratureFailure(f"F1 quadrature relative error {err / abs(val):.2e}")
     return math.exp(math.lgamma(c) - math.lgamma(a) - math.lgamma(c - a)) * val

@@ -66,7 +66,7 @@ def test_acceptance_1_oracle_equivalence(capsys):
             for c in (0.2, 0.5, 0.9 * d ** (1.0 / p.p)):
                 alpha = bias_bound_to_alpha(spectrum, p, c)
                 L_closed = estimator_operator(X, p, alpha)
-                L_num = solve_bias_constrained_numeric(X, c, p, seed=0)
+                L_num = solve_bias_constrained_numeric(X, c, p)
                 _, var_c = operator_diagnostics(L_closed, X, p)
                 _, var_n = operator_diagnostics(L_num, X, p)
                 scale = max(1.0, np.max(np.abs(L_closed)))
@@ -278,7 +278,6 @@ def test_acceptance_9_basin_signs(capsys):
         for name, p in (("ridge", SchattenIndex.FROBENIUS),
                         ("nuclear", SchattenIndex.NUCLEAR))
     }
-    table = geometry_table(curves, "spherical", grid)
-    cell = next(c for c in table.cells if c.estimator == "nuclear")
+    cell = next(c for c in geometry_table(curves, grid) if c.estimator == "nuclear")
     _report(capsys, 9, "basin geometry signs",
             0.0 < cell.depth_pct < 10.0 and cell.curvature_pct < 0.0)

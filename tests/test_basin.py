@@ -107,8 +107,7 @@ def test_geometry_table_ridge_rows_are_zero():
     for name, p in [("ridge", SchattenIndex.FROBENIUS),
                     ("nuclear", SchattenIndex.NUCLEAR)]:
         curves[(name, 1.0, 0.5)] = err_spherical_quadrature(p, grid, 0.5, 1.0, 1.0)
-    table = geometry_table(curves, "spherical", grid)
-    by_name = {c.estimator: c for c in table.cells}
+    by_name = {c.estimator: c for c in geometry_table(curves, grid)}
     assert by_name["ridge"].depth_pct == 0.0
     assert by_name["ridge"].curvature_pct == 0.0
     assert by_name["nuclear"].depth_pct > 0.0

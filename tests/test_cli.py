@@ -158,6 +158,22 @@ BAD_CONFIGS = [
     ("basin", {"ensemble": "diagonal", "gammas": [-1.0]}, [], "gammas[0]"),
     ("cv-bench", {"ensemble": "diagonal", "noise_kind": "bad"}, [], "noise_kind"),
     ("cv-bench", {"ensemble": "diagonal", "noise_half_width": 2.0}, [], "noise_half_width"),
+    # lambda is d/N: in (0, 1) for spherical, in (0, 1] for diagonal.
+    ("basin", {"ensemble": "diagonal", "lambda": -1}, [], "basin: lambda: "),
+    ("basin", {"ensemble": "diagonal", "lambda": 1.5}, [], "basin: lambda: "),
+    ("basin", {"lambdas": [1.0]}, [], "basin: lambdas[0]: "),
+    ("basin", {"lambdas": [0.5, 0.0]}, [], "basin: lambdas[1]: "),
+    ("theory-curve", {"lambda": 1.0}, [], "theory-curve: lambda: "),
+    ("theory-curve", {"ensemble": "diagonal", "gamma": 1.0, "lambda": 2}, [],
+     "theory-curve: lambda: "),
+    ("theory-curve", {"ensemble": "diagonal", "gamma": 1.0, "lambda": -0.5}, [],
+     "theory-curve: lambda: "),
+    ("simulate", {"lambda": 1.2}, [], "simulate: lambda: "),
+    ("simulate", {"lambda": 0.001, "n_obs": 100}, [], "simulate: lambda: "),
+    ("simulate", {"ensemble": "diagonal", "gamma": 2.0, "lambda": 0.001, "n_obs": 100}, [],
+     "simulate: lambda: "),
+    ("simulate", {"ensemble": "diagonal", "gamma": 2.0, "lambda": 1.5, "n_obs": 20}, [],
+     "simulate: lambda: "),
     ("real-data", {"target": "y", "train_size": 0}, ["table.csv"], "train_size"),
     ("real-data", {"target": "y", "n_splits": 0}, ["table.csv"], "n_splits"),
 ]
@@ -404,7 +420,7 @@ def test_basin_rejects_unknown_grid_key(tmp_path):
     ("diagonal", {"gammas": [0.5, 2.0]}, "_density_rule"),
 ])
 def test_basin_builds_each_rule_once_per_p_and_shape(monkeypatch, ensemble, shapes, rule):
-    count = 150  # three alpha blocks
+    count = 150  # several alpha blocks
     sigmas = [0.5, 1.0, 2.0]
     calls = Counter()
     build = getattr(theory, rule)
@@ -431,7 +447,7 @@ def test_basin_builds_each_rule_once_per_p_and_shape(monkeypatch, ensemble, shap
                 lam, gamma = (shape, None) if ensemble == "spherical" else (0.5, shape)
                 curves[(name, s, shape)] = error_integrals(p, ensemble, grid, lam,
                                                            gamma).error(1.0, s)
-    cells = geometry_table(curves, ensemble, grid).cells
+    cells = geometry_table(curves, grid)
     assert [(r["estimator"], r["sigma"], r["shape_param"]) for r in rows] == \
         [(c.estimator, c.sigma, c.shape_param) for c in cells]
     for r, c in zip(rows, cells):

@@ -88,6 +88,12 @@ def test_sparse_spec_rejected_before_sampling(n_large, small_scale, n_feat):
     (lambda: EquicorrelatedConfig(n_obs=20, n_feat=5, sigma=-1.0), "sigma"),
     (lambda: EquicorrelatedConfig(n_obs=20, n_feat=5, n_test=0), "n_test"),
     (lambda: SphericalGaussianConfig(n_obs=20, n_feat=5, n_test=0), "n_test"),
+    (lambda: EquicorrelatedConfig(n_obs=0, n_feat=5), "n_obs"),
+    (lambda: EquicorrelatedConfig(n_obs=20, n_feat=0), "n_feat"),
+    (lambda: DiagonalEnsembleConfig(n_obs=0, n_feat=0,
+                                    spectral_density=SpectralDensity.power_law(1.0)), "n_obs"),
+    (lambda: DiagonalEnsembleConfig(n_obs=20, n_feat=0,
+                                    spectral_density=SpectralDensity.power_law(1.0)), "n_feat"),
 ])
 def test_ensemble_config_ranges_name_the_field(make, field):
     with pytest.raises(InvalidConfig, match=field):

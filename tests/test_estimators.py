@@ -167,6 +167,41 @@ def test_bias_bound_nuclear_hand_value():
     assert alpha_to_bias_bound(sp, SchattenIndex.NUCLEAR, 5.0).value == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("alpha", [-1.0, -1e-300, np.nan])
+@pytest.mark.parametrize("p", ALL_P)
+def test_bad_alpha_raises_from_every_entry_point(p, alpha):
+    # One check, in SchattenIndex.shrinkage, serves every layer.
+    from schattenreg import error_integrals
+
+    X = np.random.default_rng(0).standard_normal((6, 3))
+    Y = X @ np.ones(3)
+    sp = gram_spectrum(X, Y)
+    calls = [
+        lambda: fit(X, Y, p, alpha),
+        lambda: fit_path(sp, p, [1.0, alpha]),
+        lambda: estimator_operator(X, p, alpha),
+        lambda: alpha_to_bias_bound(sp, p, alpha),
+        lambda: error_integrals(p, "spherical", [1.0, alpha], 0.5),
+        lambda: error_integrals(p, "diagonal", alpha, 0.5, 2.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="alpha must be nonnegative"):
+            call()
+
+
+@pytest.mark.parametrize("p", ALL_P)
+def test_nan_or_negative_bias_bound_raises(p):
+    sp = gram_spectrum(FIG1_X)
+    X = np.random.default_rng(1).standard_normal((6, 3))
+    for c in (np.nan, -0.5):
+        with pytest.raises(ValueError, match="bias bound C"):
+            BiasBound(c)
+        with pytest.raises(ValueError, match="bias bound C"):
+            bias_bound_to_alpha(sp, p, c)
+        with pytest.raises(ValueError, match="bias bound C"):
+            solve_bias_constrained_numeric(X, c, p)
+
+
 @pytest.mark.parametrize("p", ALL_P)
 def test_zero_alpha_zero_bias(p):
     sp = gram_spectrum(FIG1_X)

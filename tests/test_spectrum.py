@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schattenreg import GramSpectrum, SchattenIndex, filtered_gram_eigvals, gram_spectrum
+from schattenreg import GramSpectrum, SchattenIndex, gram_spectrum
 
 FIG1_X = np.diag(np.sqrt(np.arange(1.0, 11.0)))
 
 
 def test_nuclear_filter_clips_from_below():
     sp = gram_spectrum(FIG1_X)
-    out = filtered_gram_eigvals(sp, SchattenIndex.NUCLEAR, 5.0)
-    np.testing.assert_allclose(out, [10, 9, 8, 7, 6, 5, 5, 5, 5, 5])
+    r, q = SchattenIndex.NUCLEAR.shrinkage(sp.eigvals, 5.0)
+    np.testing.assert_allclose(sp.eigvals / r, [10, 9, 8, 7, 6, 5, 5, 5, 5, 5])
+    np.testing.assert_allclose(q, 1.0 - r)
 
 
 def test_infinite_alpha_on_rank_deficient_x():
@@ -22,9 +23,33 @@ def test_infinite_alpha_on_rank_deficient_x():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for p in SchattenIndex:
-            out = filtered_gram_eigvals(sp, p, np.inf)
-            assert not np.any(np.isnan(out))
-            assert np.all(out >= sp.eigvals)
+            r, q = p.shrinkage(sp.eigvals, np.inf)
+            assert np.all(r == 0.0) and np.all(q == 1.0)
+
+
+def test_shrinkage_limits_at_a_zero_eigenvalue():
+    # At x = 0 both shares are their limits from the right: every filter is
+    # the identity at alpha = 0, and Ridge and Nuclear keep nothing of x = 0
+    # at alpha > 0, however small.
+    x = np.array([0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in SchattenIndex:
+            r, q = p.shrinkage(x, np.array([[0.0], [1e-300], [2.0]]))
+            r, q = np.broadcast_to(r, (3, 2)), np.broadcast_to(q, (3, 2))
+            np.testing.assert_array_equal(r[0], 1.0)
+            np.testing.assert_array_equal(q[0], 0.0)
+            if p is not SchattenIndex.SPECTRAL:
+                np.testing.assert_array_equal(r[1:, 0], 0.0)
+                np.testing.assert_array_equal(q[1:, 0], 1.0)
+
+
+def test_shrinkage_drop_share_does_not_cancel():
+    # q is formed directly: here r rounds to 1, so 1 - r would be 0.
+    for p in (SchattenIndex.FROBENIUS, SchattenIndex.SPECTRAL):
+        r, q = p.shrinkage(1.0, 1e-20)
+        assert r == 1.0
+        assert q == pytest.approx(1e-20, rel=1e-15)
 
 
 def test_schatten_norm_of_singular_values():
@@ -40,14 +65,15 @@ def test_schatten_norm_of_singular_values():
 @pytest.mark.parametrize("p", list(SchattenIndex))
 def test_alpha_zero_is_identity(p):
     sp = gram_spectrum(np.random.default_rng(0).standard_normal((12, 5)))
-    np.testing.assert_array_equal(filtered_gram_eigvals(sp, p, 0.0), sp.eigvals)
+    r, q = p.shrinkage(sp.eigvals, 0.0)
+    assert np.all(r == 1.0) and np.all(q == 0.0)
 
 
 def test_frobenius_filter_is_additive():
     sp = gram_spectrum(np.diag(np.sqrt([2.0, 1.0])))
-    np.testing.assert_allclose(
-        filtered_gram_eigvals(sp, SchattenIndex.FROBENIUS, 0.5), [2.5, 1.5]
-    )
+    r, q = SchattenIndex.FROBENIUS.shrinkage(sp.eigvals, 0.5)
+    np.testing.assert_allclose(sp.eigvals / r, [2.5, 1.5])
+    np.testing.assert_allclose(q, [0.5 / 2.5, 0.5 / 1.5])
 
 
 @settings(max_examples=50, deadline=None)
@@ -59,12 +85,14 @@ def test_frobenius_filter_is_additive():
 )
 def test_filtered_eigvals_dominate(seed, alpha, p, shape):
     # The regularized Gram matrix dominates G in the PSD order: they share
-    # eigenvectors, so G-hat >= G is eigenvalue by eigenvalue.
+    # eigenvectors, so G-hat >= G is eigenvalue by eigenvalue, 0 <= r <= 1.
     rng = np.random.default_rng(seed)
     sp = gram_spectrum(rng.standard_normal(shape))
-    out = filtered_gram_eigvals(sp, p, alpha)
-    assert np.all(out >= sp.eigvals - 1e-12)
-    assert out.shape == sp.eigvals.shape
+    r, q = p.shrinkage(sp.eigvals, alpha)
+    assert np.all((0.0 <= r) & (r <= 1.0))
+    assert np.all((0.0 <= q) & (q <= 1.0))
+    np.testing.assert_allclose(r + q, 1.0, rtol=0, atol=1e-15)
+    assert np.broadcast_shapes(r.shape, q.shape, sp.eigvals.shape) == sp.eigvals.shape
 
 
 def test_spectrum_validation():
@@ -74,8 +102,10 @@ def test_spectrum_validation():
     assert np.all(np.diff(sp.eigvals) <= 0)
     assert sp.rank == 3
 
-    with pytest.raises(ValueError):
-        filtered_gram_eigvals(sp, SchattenIndex.NUCLEAR, -1.0)
+    for p in SchattenIndex:
+        for alpha in (-1.0, np.nan, [1.0, -1e-300]):
+            with pytest.raises(ValueError, match="alpha"):
+                p.shrinkage(sp.eigvals, alpha)
 
 
 def test_rank_deficient_spectrum():

@@ -15,6 +15,7 @@ from schattenreg import (
     err_spectral_closed,
     err_spherical_quadrature,
     error_integrals,
+    estimator_operator,
     fit,
     mp_cdf,
     mp_partial_moment,
@@ -340,26 +341,51 @@ def test_tabulated_density_quadrature_is_weighted_sum():
 
 @pytest.mark.parametrize("p", list(SchattenIndex))
 def test_tabulated_density_atom_at_zero(p):
-    # At x = 0 the per-eigenvalue error is sigma^2 / (1 + alpha)^2 for
-    # Spectral and 0 otherwise at alpha > 0; it must not become 0/0.
+    # An atom at x = 0 carries no error for any p and alpha: the estimator
+    # gives its direction weight 0 and the test features vanish there
+    # (test_diagonal_theory_is_exact_on_the_empirical_measure checks this
+    # against the exact error of the estimator).
     dens = SpectralDensity.tabulated([0.0, 0.5], [0.5, 0.5])
     lam, b2, s2, alpha, x = 0.5, 1.0, 0.49, 0.3, 0.5
     if p is SchattenIndex.SPECTRAL:
-        atom = s2 / (1 + alpha) ** 2
-        at_x = b2 * x * (alpha / (1 + alpha)) ** 2 + atom
+        at_x = b2 * x * (alpha / (1 + alpha)) ** 2 + s2 / (1 + alpha) ** 2
     elif p is SchattenIndex.FROBENIUS:
-        atom = 0.0
         at_x = b2 * x * (alpha / (x + alpha)) ** 2 + s2 * (x / (x + alpha)) ** 2
     else:
-        atom, at_x = 0.0, s2  # x >= alpha: the filter leaves x alone
+        at_x = s2  # x >= alpha: the filter leaves x alone
     assert err_diagonal_quadrature(p, alpha, lam, 1.0, 0.7, dens) == \
-        pytest.approx(lam * 0.5 * (atom + at_x), rel=1e-14)
+        pytest.approx(lam * 0.5 * at_x, rel=1e-14)
     assert err_diagonal_quadrature(p, np.inf, lam, 1.0, 0.7, dens) == \
         pytest.approx(lam * b2 * 0.25, rel=1e-14)
-    # At alpha = 0 every filter is the identity; the atom takes the limit
-    # x -> 0+ of sigma^2 r^2 with r = 1.
+    # At alpha = 0 every filter is the identity: OLS, with sigma^2 from the
+    # atom at 0.5 alone.
     assert err_diagonal_quadrature(p, 0.0, lam, 1.0, 0.7, dens) == \
-        pytest.approx(lam * s2, rel=1e-14)
+        pytest.approx(lam * 0.5 * s2, rel=1e-14)
+
+
+@pytest.mark.parametrize("low_atom", [0.0, 0.1])
+@pytest.mark.parametrize("p", list(SchattenIndex))
+def test_diagonal_theory_is_exact_on_the_empirical_measure(p, low_atom):
+    # The diagonal ensemble's train and test Gram matrices are both diag(lam),
+    # so the expected test error of L = estimator_operator(X_tr, p, alpha),
+    # (beta^2 ||X_te (L X_tr - I)||_F^2 + sigma^2 ||X_te L||_F^2) / N, is the
+    # theory on the empirical measure of the sampled atoms, with no Monte
+    # Carlo noise, an atom at 0 included.
+    N, d, beta, sigma = 60, 30, 1.0, 0.7
+    dens = SpectralDensity.tabulated([low_atom, 0.25, 1.0], [0.3, 0.3, 0.4])
+    ds = sample_diagonal(DiagonalEnsembleConfig(N, d, dens, beta=beta, sigma=sigma), seed=3)
+    lam_sampled = np.sum(ds.X_te * ds.X_te, axis=0)
+    atoms = np.array([low_atom, 0.25, 1.0])
+    counts = np.array([np.sum(np.isclose(lam_sampled, a, rtol=0, atol=1e-12)) for a in atoms])
+    assert counts.sum() == d and counts[0] > 0
+    empirical = SpectralDensity.tabulated(atoms, counts / d)
+    for alpha in (0.0, 0.3, 3.0):
+        L = estimator_operator(ds.X_tr, p, alpha)
+        bias = ds.X_te @ (L @ ds.X_tr - np.eye(d))
+        variance = ds.X_te @ L
+        exact = (beta ** 2 * np.sum(bias * bias) + sigma ** 2 * np.sum(variance * variance)) / N
+        theory = err_diagonal_quadrature(p, alpha, d / N, beta, sigma, empirical)
+        assert theory == pytest.approx(exact, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
