@@ -45,7 +45,7 @@ from .ensembles import (
 )
 from .exceptions import (ConfigError, InvalidConfig, MissingTarget, ParseError,
                          SchattenRegError)
-from .spectrum import SchattenIndex
+from .spectrum import SchattenIndex, gram_spectrum
 from .theory import error_integrals
 
 FLOAT_FMT = "%.17g"
@@ -398,16 +398,20 @@ def cmd_real_data(path: str, cfg: dict) -> BenchReport:
     def split(seed: int) -> Dataset:
         perm = np.random.default_rng(seed).permutation(n)
         tr, te = perm[:train_size], perm[train_size:]
-        X_tr, X_te, y_tr = X_all[tr], X_all[te], y_all[tr]
+        X_tr, y_tr = X_all[tr], y_all[tr]
         mu = X_tr.mean(axis=0)
         sd = X_tr.std(axis=0, ddof=0)
         sd[sd == 0] = 1.0
-        for X in (X_tr, X_te):
-            X -= mu
-            X /= sd
+        X_tr -= mu
+        X_tr /= sd
         y_mean = y_tr.mean()
-        return Dataset(X_tr=X_tr, Y_tr=y_tr - y_mean, X_te=X_te, Y_te=y_all[te] - y_mean,
-                       beta0=None, seed=seed)
+        y_tr -= y_mean
+        spectrum = gram_spectrum(X_tr, y_tr)  # before the test rows are copied
+        X_te = X_all[te]
+        X_te -= mu
+        X_te /= sd
+        return Dataset(X_tr=X_tr, Y_tr=y_tr, X_te=X_te, Y_te=y_all[te] - y_mean,
+                       beta0=None, seed=seed, spectrum=spectrum)
 
     return _bench_over_datasets(split, cv_cfg, with_ratio=False)
 

@@ -187,8 +187,8 @@ def sample_ensemble(config, seed: int) -> Dataset:
 
 def _path_errors(ds: Dataset, models, alphas: np.ndarray) -> np.ndarray:
     """(n_models, n_alpha) test MSE of every model's alpha path fit on the
-    full training set."""
-    return _path_scores(gram_spectrum(ds.X_tr, ds.Y_tr), models, alphas, ds.X_te, ds.Y_te)
+    full training set, from the spectrum the dataset arrives with."""
+    return _path_scores(ds.spectrum, models, alphas, ds.X_te, ds.Y_te)
 
 
 def simulate_path_errors(
@@ -208,8 +208,8 @@ def simulate_path_errors(
 
 def _cv_errors(ds: Dataset, cfg: CVConfig, cv_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(test MSE, selected alpha) per model.  Every model's whole alpha path
-    is fit on the full training set and scored on the test set first; then
-    the dataset is dropped and k-fold CV picks the grid index to report.
+    is fit from the dataset's own spectrum and scored on the test set first;
+    then the dataset is dropped and k-fold CV picks the grid index to report.
     Called with a dataset no one else holds, as the replicate harness does,
     the test arrays are freed before any fold is factored."""
     alphas = cfg.grid.values()
@@ -223,8 +223,10 @@ def _cv_errors(ds: Dataset, cfg: CVConfig, cv_seed: int) -> tuple[np.ndarray, np
 def _bench_over_datasets(make_dataset, cfg: CVConfig, with_ratio: bool) -> BenchReport:
     """The replicate protocol: dataset j is make_dataset(seed) for the j-th
     even child seed and its CV folds use the next one.  Each dataset is made
-    inside the call that scores it, so only one is alive at a time, and its
-    test arrays are freed before its folds are factored."""
+    inside the call that scores it, so only one is alive at a time.  No
+    factorization overlaps a test set: make_dataset factors the full training
+    set before it makes the test arrays, and those are freed before the folds
+    are factored."""
     names = tuple(MODEL_NAMES[m] for m in cfg.models)
     n_data = cfg.n_datasets
     seeds = child_seeds(cfg.seed, 2 * n_data)

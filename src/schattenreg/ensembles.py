@@ -5,6 +5,11 @@ diagonal/Stiefel ensemble with a prescribed spectral density, and
 equicorrelated Gaussian rows (optionally with a sparse ground-truth
 coefficient vector).  Test targets never carry exogenous noise; noise on the
 test side would only add a constant sigma^2 offset to every error.
+
+Every generator factors its training design as soon as that design exists,
+before the test design is drawn, and returns the GramSpectrum inside the
+Dataset, so the eigensolve's temporaries never sit on top of the test set.
+The random draws keep their order: the spectrum consumes no randomness.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .exceptions import InvalidConfig
+from .spectrum import GramSpectrum, gram_spectrum
 
 __all__ = [
     "Dataset",
@@ -44,12 +50,19 @@ def child_seeds(master_seed: int, n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Dataset:
+    """A training set, a held-out test set and the training set's spectrum.
+
+    spectrum is gram_spectrum(X_tr, Y_tr), made by the builder before X_te
+    existed; fitting reads it instead of factoring X_tr again.
+    """
+
     X_tr: np.ndarray
     Y_tr: np.ndarray
     X_te: np.ndarray
     Y_te: np.ndarray
     beta0: np.ndarray | None
     seed: int
+    spectrum: GramSpectrum
 
 
 @dataclass(frozen=True)
@@ -214,12 +227,14 @@ def sample_spherical(config: SphericalGaussianConfig, seed: int = 0) -> Dataset:
     scale = 1.0 / np.sqrt(N)
     X_tr = rng.standard_normal((N, d))
     X_tr *= scale
+    spectrum = gram_spectrum(X_tr)
     X_te = rng.standard_normal((config.n_test, d))
     X_te *= scale
     beta0 = rng.standard_normal(d) * config.beta
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
     Y_te = X_te @ beta0
-    return Dataset(X_tr, Y_tr, X_te, Y_te, beta0, seed)
+    return Dataset(X_tr, Y_tr, X_te, Y_te, beta0, seed,
+                   spectrum.with_targets(X_tr, Y_tr))
 
 
 def sample_diagonal(config: DiagonalEnsembleConfig, seed: int = 0) -> Dataset:
@@ -227,14 +242,14 @@ def sample_diagonal(config: DiagonalEnsembleConfig, seed: int = 0) -> Dataset:
     N, d = config.n_obs, config.n_feat
     lam = config.spectral_density.sample(d, rng)
     s = config.noise_density.sample(d, rng)
-    X1 = haar_stiefel(N, d, rng)
-    X2 = haar_stiefel(N, d, rng)
-    X_tr = X1 * np.sqrt(lam * s)
-    X_te = X2 * np.sqrt(lam)
+    X_tr = haar_stiefel(N, d, rng) * np.sqrt(lam * s)
+    spectrum = gram_spectrum(X_tr)
+    X_te = haar_stiefel(N, d, rng) * np.sqrt(lam)
     beta0 = rng.standard_normal(d) * config.beta
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
     Y_te = X_te @ beta0
-    return Dataset(X_tr, Y_tr, X_te, Y_te, beta0, seed)
+    return Dataset(X_tr, Y_tr, X_te, Y_te, beta0, seed,
+                   spectrum.with_targets(X_tr, Y_tr))
 
 
 def sample_equicorrelated(config: EquicorrelatedConfig, seed: int = 0) -> Dataset:
@@ -248,15 +263,19 @@ def sample_equicorrelated(config: EquicorrelatedConfig, seed: int = 0) -> Datase
         # Gram eigenvalues stay on the scale the error theory is written in;
         # with unscaled rows the benchmark drifts into a high signal-to-noise
         # regime where regularization is nearly irrelevant.
-        # In place, so the (m, d) draw is the only full-size array.
+        # In place, so the (m, d) draw is the only full-size array.  At
+        # rho = 0 both mixing passes are exact no-ops and are skipped; g is
+        # still drawn so the stream does not depend on rho.
         z = rng.standard_normal((m, d))
         g = rng.standard_normal((m, 1))
-        z *= np.sqrt(1.0 - rho)
-        z += np.sqrt(rho) * g
+        if rho:
+            z *= np.sqrt(1.0 - rho)
+            z += np.sqrt(rho) * g
         z /= np.sqrt(N)
         return z
 
     X_tr = rows(N)
+    spectrum = gram_spectrum(X_tr)
     X_te = rows(config.n_test)
     if config.sparse is None:
         beta0 = rng.standard_normal(d)
@@ -266,5 +285,6 @@ def sample_equicorrelated(config: EquicorrelatedConfig, seed: int = 0) -> Datase
         beta0[large] = rng.standard_normal(config.sparse.n_large)
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
     Y_te = X_te @ beta0
-    return Dataset(X_tr, Y_tr, X_te, Y_te, beta0, seed)
+    return Dataset(X_tr, Y_tr, X_te, Y_te, beta0, seed,
+                   spectrum.with_targets(X_tr, Y_tr))
 

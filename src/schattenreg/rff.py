@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import Dataset
+from .spectrum import gram_spectrum
 
 __all__ = ["NonlinearTarget", "RFFMap", "apply_rff", "eval_target",
            "make_rff_dataset", "sample_nonlinear_target", "sample_rff_map"]
@@ -90,7 +91,8 @@ def make_rff_dataset(
 ) -> Dataset:
     """Dataset in RFF feature space: raw Gaussian inputs with entry variance
     1/d_rbf, targets from the nonlinear cosine series (noiseless on test),
-    and the identical feature map applied to train and test."""
+    and the identical feature map applied to train and test.  The training
+    features are factored before the test inputs are mapped."""
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(d_rbf)
     raw_tr = rng.standard_normal((n_obs, d)) * scale
@@ -98,12 +100,16 @@ def make_rff_dataset(
     target = sample_nonlinear_target(d, d_rbf, rng)
     rff = sample_rff_map(d, d_rbf, bandwidth, seed=int(rng.integers(2**31)))
     Y_tr = eval_target(target, raw_tr) + sigma * rng.standard_normal(n_obs)
+    # Y_te first: its (n_test, d_rbf) temporary is freed before X_te exists.
     Y_te = eval_target(target, raw_te)
+    X_tr = apply_rff(rff, raw_tr)
+    spectrum = gram_spectrum(X_tr, Y_tr)
     return Dataset(
-        X_tr=apply_rff(rff, raw_tr),
+        X_tr=X_tr,
         Y_tr=Y_tr,
         X_te=apply_rff(rff, raw_te),
         Y_te=Y_te,
         beta0=None,  # no linear ground truth exists in feature space
         seed=seed,
+        spectrum=spectrum,
     )

@@ -21,6 +21,7 @@ loses orthogonality like eps s_max^2 / s_i^2 on small singular values.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 
@@ -131,6 +132,23 @@ class GramSpectrum:
         if np.abs(M, out=M).max(initial=0.0) > 1e-10:
             raise ValueError("eigvecs must be orthonormal")
 
+    def with_targets(self, X: np.ndarray, Y: np.ndarray) -> "GramSpectrum":
+        """This spectrum with X^T Y attached, for the X it was built from and
+        targets Y of length N.  The eigenvectors are shared and not checked
+        again, so a design can be factored before its targets exist."""
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        if X.shape != (self.n_obs, self.n_feat):
+            raise ValueError(f"X {X.shape} does not match the spectrum's "
+                             f"({self.n_obs}, {self.n_feat})")
+        if Y.shape != (self.n_obs,):
+            raise ValueError(f"Y {Y.shape} must be ({self.n_obs},)")
+        if not np.all(np.isfinite(Y)):
+            raise NonFinite("Y contains NaN or Inf")
+        out = copy.copy(self)  # bypasses __post_init__
+        object.__setattr__(out, "xty", X.T @ Y)
+        return out
+
     @property
     def rank_tol(self) -> float:
         top = self.eigvals[0] if self.eigvals.size else 0.0
@@ -157,10 +175,5 @@ def gram_spectrum(X: np.ndarray, Y: np.ndarray | None = None) -> GramSpectrum:
         _, sv, Vt = np.linalg.svd(X, full_matrices=False)
         w = np.concatenate([sv * sv, np.zeros(d - N)])
         U = Vt.T
-    xty = None
-    if Y is not None:
-        Y = np.asarray(Y, dtype=float)
-        if not np.all(np.isfinite(Y)):
-            raise NonFinite("Y contains NaN or Inf")
-        xty = X.T @ Y
-    return GramSpectrum(eigvecs=U, eigvals=w, n_obs=N, n_feat=d, xty=xty)
+    sp = GramSpectrum(eigvecs=U, eigvals=w, n_obs=N, n_feat=d)
+    return sp if Y is None else sp.with_targets(X, Y)

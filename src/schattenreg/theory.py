@@ -303,9 +303,18 @@ def err_diagonal_quadrature(p: SchattenIndex, alpha, lam: float, beta: float,
 # Closed forms
 # ---------------------------------------------------------------------------
 
+def _check_closed_alpha(alpha: float) -> None:
+    """The closed forms' own alpha check, kept apart from
+    SchattenIndex.shrinkage so they stay independent of the engine: alpha
+    must be >= 0 (inf allowed), so NaN is rejected."""
+    if not alpha >= 0:
+        raise ValueError("alpha must be nonnegative")
+
+
 def err_spectral_closed(alpha: float, lam: float, beta: float, sigma: float) -> float:
     """Spectral-estimator error: (lam beta^2 alpha^2 + lam sigma^2/(1-lam)) / (1+alpha)^2."""
     MarchenkoPastur(lam)  # validates lam
+    _check_closed_alpha(alpha)
     if np.isinf(alpha):
         return lam * beta * beta
     num = lam * beta * beta * alpha * alpha + lam * sigma * sigma / (1.0 - lam)
@@ -368,6 +377,7 @@ def err_nuclear_closed(alpha: float, lam: float, beta: float, sigma: float) -> f
     partial moments I(r, alpha) for r in {-1, 0, 1, 2} assemble the answer.
     """
     mp = MarchenkoPastur(lam)
+    _check_closed_alpha(alpha)
     b2, s2 = beta * beta, sigma * sigma
     lo, hi = mp.support_lo, mp.support_hi
     if np.isinf(alpha):

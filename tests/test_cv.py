@@ -1,4 +1,4 @@
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from schattenreg import (
     run_benchmark,
     sample_rff_map,
     sample_spherical,
+    simulate_path_errors,
 )
 from schattenreg.cv import _cv_errors
 from schattenreg.exceptions import InsufficientData, InvalidConfig
@@ -100,35 +101,62 @@ def test_cv_errors_match_refit_scored_one_model_at_a_time(shape):
         assert err == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("bench", ["run_benchmark", "rff_benchmark"])
-def test_harness_frees_the_test_set_before_the_folds(monkeypatch, bench):
+# Test designs of 50,000 rows: one alone outweighs every other array a run
+# holds at once, so tracemalloc's current total at a factorization is below
+# one test design exactly when no test design is alive.
+_BIG_TEST = 50_000
+
+
+@pytest.mark.parametrize("bench", ["spherical", "equicorrelated", "rff", "simulate"])
+def test_no_factorization_overlaps_a_test_set(monkeypatch, bench):
     import schattenreg.cv as cv
+    import schattenreg.ensembles as ensembles
+    import schattenreg.rff as rff
 
-    refs, factored = [], []  # weakrefs to each X_te; (rows, X_te alive) per factorization
-
-    def recording(make):
-        def made(*args, **kwargs):
-            ds = make(*args, **kwargs)
-            refs.append(weakref.ref(ds.X_te))
-            return ds
-        return made
+    calls, made = [], []  # (X, traced bytes) per factorization; each X_tr made
 
     def factor(X, Y=None):
-        factored.append((len(X), refs[-1]() is not None))
+        calls.append((X, tracemalloc.get_traced_memory()[0]))
         return gram_spectrum(X, Y)
 
+    def recording(make):
+        def made_by(*args, **kwargs):
+            ds = make(*args, **kwargs)
+            made.append(ds.X_tr)
+            return ds
+        return made_by
+
+    for module in (cv, ensembles, rff):
+        monkeypatch.setattr(module, "gram_spectrum", factor)
     monkeypatch.setattr(cv, "sample_ensemble", recording(cv.sample_ensemble))
     monkeypatch.setattr(cv, "make_rff_dataset", recording(cv.make_rff_dataset))
-    monkeypatch.setattr(cv, "gram_spectrum", factor)
     cfg = _small_cfg(n_datasets=2)
-    if bench == "run_benchmark":
-        run_benchmark(SphericalGaussianConfig(30, 5, n_test=200), cfg)
+    if bench == "rff":
+        rff_cfg = RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=_BIG_TEST)
+        test_bytes = 8 * _BIG_TEST * rff_cfg.d_rbf
     else:
-        rff_benchmark(RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=50), cfg)
-    # Per dataset: the full training set while X_te is alive, then 3 folds of
-    # 20 training rows each, after it is freed.
-    assert len(refs) == 2
-    assert factored == ([(30, True)] + [(20, False)] * 3) * 2
+        ens = (EquicorrelatedConfig(30, 5, rho=0.3, n_test=_BIG_TEST)
+               if bench == "equicorrelated"
+               else SphericalGaussianConfig(30, 5, n_test=_BIG_TEST))
+        test_bytes = 8 * _BIG_TEST * ens.n_feat
+    tracemalloc.start()
+    try:
+        if bench == "rff":
+            rff_benchmark(rff_cfg, cfg)
+        elif bench == "simulate":
+            simulate_path_errors(ens, cfg.models, cfg.grid.values(), 2, seed=0)
+        else:
+            run_benchmark(ens, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(made) == 2
+    assert all(traced < test_bytes for _, traced in calls)
+    # Each training design once, inside its builder; then 3 folds of 20 rows
+    # per dataset in the harness, none in simulate.
+    for X_tr in made:
+        assert sum(X is X_tr for X, _ in calls) == 1
+    folds = [len(X) for X, _ in calls if not any(X is X_tr for X_tr in made)]
+    assert folds == ([] if bench == "simulate" else [20] * 6)
 
 
 def test_insufficient_data_raises():
@@ -238,7 +266,7 @@ def test_rff_features_realizable_noiseless_near_zero():
     Phi_te = apply_rff(rmap, X_raw_te)
     w0 = rng.standard_normal(10)
     ds = Dataset(X_tr=Phi, Y_tr=Phi @ w0, X_te=Phi_te, Y_te=Phi_te @ w0,
-                 beta0=w0, seed=7)
+                 beta0=w0, seed=7, spectrum=gram_spectrum(Phi, Phi @ w0))
     cfg = _small_cfg(grid=AlphaGrid(1e-8, 1e2, 11),
                      models=(SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS))
     for p in cfg.models:

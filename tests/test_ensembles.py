@@ -12,7 +12,9 @@ from schattenreg import (
     SphericalGaussianConfig,
     child_seeds,
     fit,
+    gram_spectrum,
     haar_stiefel,
+    make_rff_dataset,
     mp_cdf,
     predict,
     sample_diagonal,
@@ -230,3 +232,42 @@ def test_ols_error_matches_thermodynamic_limit():
     errs = np.asarray(errs)
     se = errs.std(ddof=1) / np.sqrt(len(errs))
     assert abs(errs.mean() - 1.0) < 3 * se
+
+
+def _assert_one_spectrum(ds):
+    want = gram_spectrum(ds.X_tr, ds.Y_tr)
+    for name in ("eigvals", "eigvecs", "xty"):
+        assert np.array_equal(getattr(ds.spectrum, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sample_equicorrelated(
+        EquicorrelatedConfig(40, 12, rho=0.4, sparse=SparseSpec(3, 0.1), n_test=30), seed=5),
+    lambda: sample_spherical(SphericalGaussianConfig(10, 25, n_test=30), seed=6),  # wide
+    lambda: sample_diagonal(DiagonalEnsembleConfig(
+        30, 12, SpectralDensity.power_law(2.0), NoiseDensity("uniform", 0.5)), seed=7),
+    lambda: make_rff_dataset(3, 40, 15, 20, 0.5, seed=8),
+], ids=["equicorrelated-sparse", "spherical-wide", "diagonal", "rff"])
+def test_dataset_carries_the_spectrum_of_its_training_set(make):
+    _assert_one_spectrum(make())
+
+
+def test_real_data_split_carries_the_spectrum_of_its_training_set(tmp_path, monkeypatch):
+    import schattenreg.cli as cli
+
+    rows = np.random.default_rng(9).standard_normal((30, 4))
+    path = tmp_path / "table.csv"
+    path.write_text("a,b,c,y\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    made, harness = [], cli._bench_over_datasets
+
+    def recording(make_dataset, cfg, with_ratio):
+        def make(seed):
+            made.append(make_dataset(seed))
+            return made[-1]
+        return harness(make, cfg, with_ratio)
+
+    monkeypatch.setattr(cli, "_bench_over_datasets", recording)
+    cli.cmd_real_data(str(path), {"target": "y", "train_size": 20, "n_splits": 2})
+    assert len(made) == 2
+    for ds in made:
+        _assert_one_spectrum(ds)

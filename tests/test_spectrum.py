@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schattenreg import GramSpectrum, SchattenIndex, gram_spectrum
+from schattenreg.exceptions import NonFinite
 
 FIG1_X = np.diag(np.sqrt(np.arange(1.0, 11.0)))
 
@@ -174,3 +175,20 @@ def test_spectrum_invariants_on_both_sides_of_d_equals_n(seed, N, d):
     top = max(sp.eigvals[0], 1.0)
     np.testing.assert_allclose((sp.eigvecs * sp.eigvals[:k]) @ sp.eigvecs.T, G,
                                rtol=0, atol=1e-12 * top)
+
+
+@pytest.mark.parametrize("shape", [(12, 5), (5, 12)])
+def test_with_targets_matches_one_call_and_checks_y(shape):
+    rng = np.random.default_rng(3)
+    X, Y = rng.standard_normal(shape), rng.standard_normal(shape[0])
+    sp = gram_spectrum(X)
+    attached = sp.with_targets(X, Y)
+    assert sp.xty is None  # the spectrum it came from is left as it was
+    assert attached.eigvecs is sp.eigvecs
+    assert np.array_equal(attached.xty, gram_spectrum(X, Y).xty)
+    with pytest.raises(NonFinite, match="Y contains NaN"):
+        sp.with_targets(X, np.where(np.arange(shape[0]) == 2, np.nan, Y))
+    with pytest.raises(ValueError, match="Y"):
+        sp.with_targets(X, Y[:-1])
+    with pytest.raises(ValueError, match="X"):
+        sp.with_targets(X[:-1], Y[:-1])

@@ -161,6 +161,15 @@ def test_spectral_closed_hand_values():
     assert err_spectral_closed(1e9, 0.5, 2.0, 1.0) == pytest.approx(0.5 * 4.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("closed", [err_spectral_closed, err_nuclear_closed])
+@pytest.mark.parametrize("alpha", [-0.5, np.nan])
+def test_closed_forms_reject_bad_alpha(closed, alpha):
+    # Checked by the closed forms themselves: -0.5 would give 4.5 (Spectral)
+    # or the OLS value (Nuclear), NaN a NaN after a quadrature warning.
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+        closed(alpha, 0.5, 1.0, 1.0)
+
+
 def test_nuclear_inactive_below_support():
     mp = MarchenkoPastur(0.5)
     alpha = mp.support_lo / 2.0
