@@ -245,12 +245,10 @@ def cmd_theory_curve(cfg: dict) -> list[dict]:
     o = parse("theory-curve", cfg, THEORY_CURVE, CURVE_ENSEMBLES)
     alphas = o["grid"].values()
     rows = []
-    for p in o["models"]:
-        errors = error_integrals(p, o["ensemble"], alphas, o["lambda"],
-                                 o["gamma"]).error(o["beta"], o["sigma"])
-        for a, e in zip(alphas, errors):
+    for q in error_integrals(o["models"], o["ensemble"], alphas, o["lambda"], o["gamma"]):
+        for a, e in zip(alphas, q.error(o["beta"], o["sigma"])):
             # The columns after p echo the config.
-            rows.append({"alpha": a, "error": e, "p": MODEL_NAMES[p],
+            rows.append({"alpha": a, "error": e, "p": MODEL_NAMES[q.p],
                          **{key: o[key] for key in CURVE_FIELDS[3:]}})
     return rows
 
@@ -268,8 +266,8 @@ def cmd_simulate(cfg: dict) -> list[dict]:
     models, n_datasets = o["models"], o["n_datasets"]
     alphas = o["grid"].values()
     # Build the theory curves first: a bad ensemble config fails before any sampling.
-    curves = [error_integrals(p, o["ensemble"], alphas, o["lambda"],
-                              o["gamma"]).error(o["beta"], o["sigma"]) for p in models]
+    curves = [q.error(o["beta"], o["sigma"]) for q in
+              error_integrals(models, o["ensemble"], alphas, o["lambda"], o["gamma"])]
     ens_cfg = _ensemble_config(o, n_feat=n_feat)
     mses = simulate_path_errors(ens_cfg, models, alphas, n_datasets, o["seed"])
 
@@ -326,14 +324,14 @@ def cmd_basin(cfg: dict) -> list[dict]:
     grid = o["grid"].values()
     spherical = ensemble == "spherical"
     shapes = o["lambdas"] if spherical else o["gammas"]
-    # One pass of the bias and variance integrals per (p, shape) serves every sigma.
+    # One pass per shape: each Gauss rule (measure, alpha block, node count) is
+    # built once and serves every estimator, and the integrals every sigma.
     integrals = {}
-    for p in o["models"]:
-        for shape in shapes:
-            lam, gamma = (shape, None) if spherical else (o["lambda"], shape)
-            integrals[(p, shape)] = error_integrals(p, ensemble, grid, lam, gamma)
-    curves = {(MODEL_NAMES[p], s, shape): integrals[(p, shape)].error(o["beta"], s)
-              for p in o["models"] for s in o["sigmas"] for shape in shapes}
+    for shape in shapes:
+        lam, gamma = (shape, None) if spherical else (o["lambda"], shape)
+        integrals[shape] = error_integrals(o["models"], ensemble, grid, lam, gamma)
+    curves = {(MODEL_NAMES[p], s, shape): integrals[shape][m].error(o["beta"], s)
+              for m, p in enumerate(o["models"]) for s in o["sigmas"] for shape in shapes}
     return [{
         "estimator": c.estimator, "sigma": c.sigma, "shape_param": c.shape_param,
         "depth_pct": c.depth_pct, "curvature_pct": c.curvature_pct,

@@ -19,6 +19,11 @@ from .spectrum import gram_spectrum
 __all__ = ["NonlinearTarget", "RFFMap", "apply_rff", "eval_target",
            "make_rff_dataset", "sample_nonlinear_target", "sample_rff_map"]
 
+# Bytes of eval_target's (rows, n_terms) projection per block of rows: within
+# 96 KiB it stays below glibc's 128 KiB mmap threshold, like theory._BLOCK, so
+# it is not mapped and page-faulted afresh.
+_BLOCK_BYTES = 96 * 1024
+
 
 @dataclass(frozen=True)
 class RFFMap:
@@ -71,12 +76,21 @@ def sample_nonlinear_target(d: int, n_terms: int, rng: np.random.Generator) -> N
 def eval_target(target: NonlinearTarget, x: np.ndarray) -> np.ndarray | float:
     """Evaluate the cosine series at one point (1-d x) or row-wise (2-d x)."""
     x = np.asarray(x, dtype=float)
-    k = np.arange(1, target.directions.shape[0] + 1)
-    proj = np.atleast_2d(x) @ target.directions.T
-    proj *= 2.0 * np.pi * k
-    np.cos(proj, out=proj)
-    proj /= k**2
-    vals = proj.sum(axis=1)
+    rows = np.atleast_2d(x)
+    n, n_terms = len(rows), target.directions.shape[0]
+    k = np.arange(1, n_terms + 1)
+    freq, decay = 2.0 * np.pi * k, k**2
+    step = max(2, _BLOCK_BYTES // (8 * n_terms))
+    vals = np.empty(n)
+    for start in range(0, n, step):
+        # BLAS takes a one-row product through gemv, whose sums round unlike
+        # gemm's; a last block of one row starts a row early instead.
+        lo = max(min(start, n - 2), 0)
+        proj = rows[lo:start + step] @ target.directions.T
+        proj *= freq
+        np.cos(proj, out=proj)
+        proj /= decay
+        vals[lo:start + step] = proj.sum(axis=1)
     return vals if x.ndim == 2 else float(vals[0])
 
 
@@ -100,7 +114,6 @@ def make_rff_dataset(
     target = sample_nonlinear_target(d, d_rbf, rng)
     rff = sample_rff_map(d, d_rbf, bandwidth, seed=int(rng.integers(2**31)))
     Y_tr = eval_target(target, raw_tr) + sigma * rng.standard_normal(n_obs)
-    # Y_te first: its (n_test, d_rbf) temporary is freed before X_te exists.
     Y_te = eval_target(target, raw_te)
     X_tr = apply_rff(rff, raw_tr)
     spectrum = gram_spectrum(X_tr, Y_tr)

@@ -13,8 +13,10 @@ their limits at x = 0, so e stays finite there.
 
 e is linear in (beta^2, sigma^2): lam beta^2 A(alpha) is the bias, with
 integrand x q^2, and lam sigma^2 B(alpha) the variance, with integrand r^2.
-The engine integrates A and B once per estimator, ensemble and alpha grid
-(ErrorIntegrals); every (beta, sigma) is then a weighted sum of the two.
+One Gauss rule per measure, alpha block and node count serves every
+estimator: its nodes and weights never depend on p.  The engine integrates A
+and B of all of them against it before the next block (one ErrorIntegrals
+each); every (beta, sigma) is then a weighted sum of the two.
 
 The integrals are fixed Gauss rules evaluated for a whole alpha grid at once,
 as (n_alpha, n_nodes) arrays:
@@ -232,7 +234,7 @@ def _bias_variance(p: SchattenIndex, alpha: np.ndarray, x):
 
 @dataclass(frozen=True)
 class ErrorIntegrals:
-    """The bias and variance integrals of one estimator on one alpha grid.
+    """The bias and variance integrals of estimator p on one alpha grid.
 
     sums is (2, 2, n_alpha): [n nodes, 2n nodes] x [A, B] per panel.  The
     error at (beta, sigma) is lam (beta^2 A + sigma^2 B).
@@ -240,6 +242,7 @@ class ErrorIntegrals:
 
     alphas: np.ndarray
     lam: float
+    p: SchattenIndex
     sums: np.ndarray
     what: str  # the rule's name in a QuadratureFailure
 
@@ -255,48 +258,44 @@ class ErrorIntegrals:
         bound = 1e-9 * np.maximum(max(b2, s2), np.abs(fine))
         if np.any(gap > bound):
             k = int(np.argmax(gap - bound))
-            raise QuadratureFailure(f"{self.what} quadrature error estimate {gap[k]:.2e} "
-                                    f"above {bound[k]:.2e} at alpha = {self.alphas.flat[k]:g}")
+            raise QuadratureFailure(f"{self.p.name} {self.what} quadrature error estimate "
+                                    f"{gap[k]:.2e} above {bound[k]:.2e} "
+                                    f"at alpha = {self.alphas.flat[k]:g}")
         out = self.lam * fine
         return float(out[0]) if self.alphas.ndim == 0 else out.reshape(self.alphas.shape)
 
 
-def _integrals(p, alpha, lam, rule, what) -> ErrorIntegrals:
-    """A and B for each alpha against rule(alpha, n), with n and 2n nodes."""
+def _integrals(models, alpha, lam: float, measure) -> tuple[ErrorIntegrals, ...]:
+    """A and B of each estimator in `models`, in order, for each alpha against
+    the rule of `measure` (MarchenkoPastur or SpectralDensity) with n and 2n
+    nodes: each rule is built once and serves them all."""
+    rule, what = ((_mp_rule, "MP") if isinstance(measure, MarchenkoPastur)
+                  else (_density_rule, "diagonal"))
     alpha = np.asarray(alpha, dtype=float)
     flat = alpha.ravel()
-    sums = np.empty((2, 2, flat.size))
+    sums = np.empty((len(models), 2, 2, flat.size))
     for start in range(0, flat.size, _BLOCK):
         a = flat[start:start + _BLOCK, None]
         for i, n in enumerate((_NODES, 2 * _NODES)):
-            x, w = rule(a, n)
-            for j, f in enumerate(_bias_variance(p, a, x)):
-                sums[i, j, start:start + _BLOCK] = np.sum(w * f, axis=1)
-    return ErrorIntegrals(alpha, lam, sums, what)
-
-
-def _spherical_integrals(p: SchattenIndex, alpha, lam: float) -> ErrorIntegrals:
-    mp = MarchenkoPastur(lam)
-    return _integrals(p, alpha, lam, lambda a, n: _mp_rule(mp, a, n), "MP")
-
-
-def _diagonal_integrals(p: SchattenIndex, alpha, lam: float,
-                        density: SpectralDensity) -> ErrorIntegrals:
-    return _integrals(p, alpha, lam, lambda a, n: _density_rule(density, a, n), "diagonal")
+            x, w = rule(measure, a, n)
+            for m, p in enumerate(models):
+                for j, f in enumerate(_bias_variance(p, a, x)):
+                    sums[m, i, j, start:start + _BLOCK] = np.sum(w * f, axis=1)
+    return tuple(ErrorIntegrals(alpha, lam, p, s, what) for p, s in zip(models, sums))
 
 
 def err_spherical_quadrature(p: SchattenIndex, alpha, lam: float, beta: float,
                              sigma: float):
     """Average test error under the spherical Gaussian ensemble, for a scalar
     or an array of alphas."""
-    return _spherical_integrals(p, alpha, lam).error(beta, sigma)
+    return _integrals((p,), alpha, lam, MarchenkoPastur(lam))[0].error(beta, sigma)
 
 
 def err_diagonal_quadrature(p: SchattenIndex, alpha, lam: float, beta: float,
                             sigma: float, density: SpectralDensity):
     """Average test error under the diagonal/Stiefel ensemble, for a scalar or
     an array of alphas."""
-    return _diagonal_integrals(p, alpha, lam, density).error(beta, sigma)
+    return _integrals((p,), alpha, lam, density)[0].error(beta, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +404,15 @@ def oracle_ridge_alpha(beta: float, sigma: float) -> float:
     return sigma * sigma / (beta * beta)
 
 
-def error_integrals(p: SchattenIndex, ensemble: str, alphas, lam: float,
-                    gamma: float | None = None) -> ErrorIntegrals:
-    """The bias and variance integrals on a grid of alpha values: one pass
-    that serves every (beta, sigma)."""
+def error_integrals(models: tuple[SchattenIndex, ...], ensemble: str, alphas, lam: float,
+                    gamma: float | None = None) -> tuple[ErrorIntegrals, ...]:
+    """The bias and variance integrals of each estimator in `models`, in order,
+    on a grid of alpha values: one pass that serves every (beta, sigma)."""
     if ensemble == "spherical":
-        return _spherical_integrals(p, alphas, lam)
+        return _integrals(models, alphas, lam, MarchenkoPastur(lam))
     if ensemble == "diagonal":
         if gamma is None:
             raise ValueError("diagonal ensemble requires gamma, a power-law exponent")
-        return _diagonal_integrals(p, alphas, lam, SpectralDensity.power_law(gamma))
+        return _integrals(models, alphas, lam, SpectralDensity.power_law(gamma))
     raise ValueError(f"unknown ensemble {ensemble!r}")
 

@@ -7,9 +7,11 @@ from schattenreg import (
     expected_cv_minimum,
     geometry_table,
     locate_min_and_curvature,
+    err_spectral_closed,
     err_spherical_quadrature,
     monte_carlo_parabola_min,
 )
+from schattenreg.basin import FIT_HALF_WINDOW
 from schattenreg.exceptions import DegenerateFit
 
 
@@ -134,3 +136,37 @@ def test_grid_min_bounds_curve():
     values = err_spherical_quadrature(SchattenIndex.SPECTRAL, grid, 0.3, 1.0, 1.0)
     geom = locate_min_and_curvature(values, grid)
     assert np.all(geom.err_min <= values + 1e-15)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_spectral_curvature_matches_closed_form_second_derivative(sigma):
+    # With u = 1 + alpha, K = lam beta^2 and M = lam sigma^2 / (1 - lam) the
+    # closed form is E = K - 2K/u + (K + M)/u^2; its derivatives in alpha:
+    lam, beta = 0.5, 1.0
+    K, M = lam * beta * beta, lam * sigma * sigma / (1.0 - lam)
+    d2 = lambda u: -4.0 * K / u**3 + 6.0 * (K + M) / u**4  # noqa: E731
+    d3 = lambda u: 12.0 * K / u**4 - 24.0 * (K + M) / u**5  # noqa: E731
+    # A bound on |E''''| = |-48 K/u^5 + 120 (K + M)/u^6| that falls with u.
+    d4_bound = lambda u: 48.0 * K / u**5 + 120.0 * (K + M) / u**6  # noqa: E731
+
+    grid = default_alpha_grid()
+    values = np.array([err_spectral_closed(a, lam, beta, sigma) for a in grid])
+    geom = locate_min_and_curvature(values, grid)
+    i0 = int(np.argmin(values))
+    assert not geom.edge_minimum and geom.alpha_min == grid[i0]
+    fit = slice(i0 - FIT_HALF_WINDOW, i0 + FIT_HALF_WINDOW + 1)
+    x = grid[fit] - grid[i0]
+
+    # The fit's quadratic coefficient is h . y, with h the first row of the
+    # pseudo-inverse of [x^2, x, 1]: it reproduces x^2 and annihilates x and 1.
+    # By Taylor's theorem about the argmin a0,
+    #   y_i = E'(a0) x_i + E''(a0) x_i^2 / 2 + E'''(a0) x_i^3 / 6 + R_i,
+    #   |R_i| <= max over the window of |E''''| x_i^4 / 24,
+    # so twice the coefficient is E''(a0) + E'''(a0) (h . x^3) / 3 + 2 h . R,
+    # plus the rounding of y: a few ulps of the largest value in the window.
+    h = np.linalg.pinv(np.column_stack([x * x, x, np.ones_like(x)]))[0]
+    u0, u_lo = 1.0 + grid[i0], 1.0 + grid[fit][0]
+    rounding = 8.0 * np.finfo(float).eps * values[fit].max()
+    tol = 2.0 * (abs(d3(u0) * (h @ x**3)) / 6.0
+                 + np.abs(h) @ (d4_bound(u_lo) * x**4 / 24.0 + rounding))
+    assert abs(geom.curvature - d2(u0)) <= tol

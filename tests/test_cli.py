@@ -415,13 +415,9 @@ def test_basin_rejects_unknown_grid_key(tmp_path):
     assert main(["basin", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 2
 
 
-@pytest.mark.parametrize("ensemble, shapes, rule", [
-    ("spherical", {"lambdas": [0.3, 0.7]}, "_mp_rule"),
-    ("diagonal", {"gammas": [0.5, 2.0]}, "_density_rule"),
-])
-def test_basin_builds_each_rule_once_per_p_and_shape(monkeypatch, ensemble, shapes, rule):
-    count = 150  # several alpha blocks
-    sigmas = [0.5, 1.0, 2.0]
+def _count_rule_builds(monkeypatch, ensemble, rule, run):
+    """run() with theory's `rule` counted per (shape, first alpha of the
+    block, node count)."""
     calls = Counter()
     build = getattr(theory, rule)
 
@@ -431,13 +427,25 @@ def test_basin_builds_each_rule_once_per_p_and_shape(monkeypatch, ensemble, shap
         return build(measure, alpha, n)
 
     monkeypatch.setattr(theory, rule, counted)
-    rows = cmd_basin({"ensemble": ensemble, **shapes, "sigmas": sigmas,
-                      "grid": {"lo": 1e-3, "hi": 1e5, "count": count}})
+    result = run()
     monkeypatch.undo()
-    # Once per (p, shape, block, n), whatever the number of sigmas.
+    return calls, result
+
+
+@pytest.mark.parametrize("ensemble, shapes, rule", [
+    ("spherical", {"lambdas": [0.3, 0.7]}, "_mp_rule"),
+    ("diagonal", {"gammas": [0.5, 2.0]}, "_density_rule"),
+])
+def test_basin_builds_each_rule_once_per_shape(monkeypatch, ensemble, shapes, rule):
+    count = 150  # several alpha blocks
+    sigmas = [0.5, 1.0, 2.0]
+    calls, rows = _count_rule_builds(monkeypatch, ensemble, rule, lambda: cmd_basin(
+        {"ensemble": ensemble, **shapes, "sigmas": sigmas,
+         "grid": {"lo": 1e-3, "hi": 1e5, "count": count}}))
+    # Once per (shape, block, n), whatever the number of estimators and sigmas.
     n_blocks = -(-count // theory._BLOCK)
     assert len(calls) == len(next(iter(shapes.values()))) * n_blocks * 2
-    assert set(calls.values()) == {len(MODEL_NAMES)}
+    assert set(calls.values()) == {1}
 
     grid = AlphaGrid(1e-3, 1e5, count).values()
     curves = {}
@@ -445,8 +453,8 @@ def test_basin_builds_each_rule_once_per_p_and_shape(monkeypatch, ensemble, shap
         for s in sigmas:
             for shape in next(iter(shapes.values())):
                 lam, gamma = (shape, None) if ensemble == "spherical" else (0.5, shape)
-                curves[(name, s, shape)] = error_integrals(p, ensemble, grid, lam,
-                                                           gamma).error(1.0, s)
+                (q,) = error_integrals((p,), ensemble, grid, lam, gamma)
+                curves[(name, s, shape)] = q.error(1.0, s)
     cells = geometry_table(curves, grid)
     assert [(r["estimator"], r["sigma"], r["shape_param"]) for r in rows] == \
         [(c.estimator, c.sigma, c.shape_param) for c in cells]
@@ -454,3 +462,19 @@ def test_basin_builds_each_rule_once_per_p_and_shape(monkeypatch, ensemble, shap
         assert r["edge_minimum"] == c.edge_minimum
         np.testing.assert_allclose([r["depth_pct"], r["curvature_pct"]],
                                    [c.depth_pct, c.curvature_pct], rtol=1e-12)
+
+
+@pytest.mark.parametrize("ensemble, shape, rule", [
+    ("spherical", {"lambda": 0.3}, "_mp_rule"),
+    ("diagonal", {"gamma": 2.0}, "_density_rule"),
+])
+def test_theory_curve_builds_each_rule_once(monkeypatch, ensemble, shape, rule):
+    count = 150  # several alpha blocks
+    calls, rows = _count_rule_builds(monkeypatch, ensemble, rule, lambda: cmd_theory_curve(
+        {"ensemble": ensemble, **shape, "models": list(MODEL_NAMES.values()),
+         "grid": {"lo": 1e-3, "hi": 1e5, "count": count}}))
+    # Once per (block, n) for all three estimators.
+    assert len(calls) == -(-count // theory._BLOCK) * 2
+    assert set(calls.values()) == {1}
+    assert [r["p"] for r in rows] == [name for name in MODEL_NAMES.values()
+                                      for _ in range(count)]

@@ -181,8 +181,8 @@ def test_bad_alpha_raises_from_every_entry_point(p, alpha):
         lambda: fit_path(sp, p, [1.0, alpha]),
         lambda: estimator_operator(X, p, alpha),
         lambda: alpha_to_bias_bound(sp, p, alpha),
-        lambda: error_integrals(p, "spherical", [1.0, alpha], 0.5),
-        lambda: error_integrals(p, "diagonal", alpha, 0.5, 2.0),
+        lambda: error_integrals((p,), "spherical", [1.0, alpha], 0.5),
+        lambda: error_integrals((p,), "diagonal", alpha, 0.5, 2.0),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="alpha must be nonnegative"):

@@ -104,3 +104,27 @@ def test_feature_map_and_target_match_out_of_place_expressions():
         vals = np.sum(np.cos(2.0 * np.pi * k * proj) / k**2, axis=1)
         assert np.array_equal(eval_target(target, x), vals)
     assert eval_target(target, X[0]) == vals[0]
+
+
+@pytest.mark.parametrize("n_rows", [97, 100])
+def test_eval_target_in_row_blocks_equals_one_pass(n_rows):
+    # 1000 terms go in blocks of 12 rows; 97 rows leave a last block of one
+    # row, 100 rows one of four.  The values are those of the whole (n_rows,
+    # 1000) projection formed in one product, bit for bit.  Unit-scale rows
+    # make the last bit of each value depend on how its projection is summed.
+    rng = np.random.default_rng(5)
+    target = sample_nonlinear_target(10, 1000, rng)
+    X = rng.standard_normal((n_rows, 10))
+    k = np.arange(1, 1001)
+    vals = np.sum(np.cos(2.0 * np.pi * k * (X @ target.directions.T)) / k**2, axis=1)
+    assert np.array_equal(eval_target(target, X), vals)
+
+
+def test_eval_target_in_row_blocks_equals_rows_one_at_a_time():
+    # BLAS forms a one-row product with gemv and a block with gemm, whose sums
+    # round differently for d >= 2.  With d = 1 each projection is a single
+    # rounded product either way, so only the blocking is compared.
+    rng = np.random.default_rng(6)
+    target = sample_nonlinear_target(1, 1000, rng)
+    X = rng.standard_normal((97, 1)) * 0.03
+    assert np.array_equal(eval_target(target, X), [eval_target(target, x) for x in X])

@@ -267,6 +267,35 @@ def test_mp_rule_near_lam_one_still_fails_for_nuclear():
                                  1 - 1e-7, 1.0, 1.0)
 
 
+def test_quadrature_failure_names_the_estimator():
+    # One call integrates every estimator, so the message must say which one
+    # failed: here Nuclear, on the same non-converging MP rule as above.
+    integrals = error_integrals(tuple(SchattenIndex), "spherical",
+                                np.logspace(-4, 3, 50), 1 - 1e-7)
+    assert [q.p for q in integrals] == list(SchattenIndex)
+    with pytest.raises(QuadratureFailure, match=r"^NUCLEAR MP quadrature .* at alpha = 5\.1"):
+        integrals[0].error(1.0, 1.0)
+
+
+# Longer than one alpha block, with both ends of the filter range.
+SHARED_RULE_GRID = np.concatenate([[0.0], np.logspace(-4, 4, theory._BLOCK + 13), [np.inf]])
+
+
+@pytest.mark.parametrize("lam, measure", [
+    *[(lam, theory.MarchenkoPastur(lam)) for lam in (0.1, 0.5, 0.9)],
+    *[(0.5, SpectralDensity.power_law(gamma)) for gamma in (0.5, 2.0)],
+    (0.5, SpectralDensity.tabulated([0.0, 0.2, 0.7, 1.0], [0.25, 0.25, 0.3, 0.2])),
+], ids=["mp-0.1", "mp-0.5", "mp-0.9", "powerlaw-0.5", "powerlaw-2", "tabulated-atom-0"])
+def test_shared_rule_sums_equal_one_model_sums(lam, measure):
+    # The rule is built once for all estimators; each one's sums must be those
+    # of a call for it alone, bit for bit.
+    shared = theory._integrals(tuple(SchattenIndex), SHARED_RULE_GRID, lam, measure)
+    for p, q in zip(SchattenIndex, shared):
+        (alone,) = theory._integrals((p,), SHARED_RULE_GRID, lam, measure)
+        assert q.p is p and alone.p is p
+        assert np.array_equal(q.sums, alone.sums)
+
+
 @pytest.mark.parametrize("p", list(SchattenIndex))
 @pytest.mark.parametrize("c", [1e-3, 1e3])
 def test_quadrature_errors_scale_with_beta_and_sigma_squared(p, c):
@@ -421,7 +450,8 @@ def test_oracle_ridge_dominates_on_grid():
 
 def test_error_integrals_grid_matches_spectral_closed_form():
     alphas = np.logspace(-2, 2, 9)
-    errors = error_integrals(SchattenIndex.SPECTRAL, "spherical", alphas, 0.5).error(1.0, 1.0)
+    (q,) = error_integrals((SchattenIndex.SPECTRAL,), "spherical", alphas, 0.5)
+    errors = q.error(1.0, 1.0)
     assert errors.shape == alphas.shape and np.all(errors >= 0)
     closed = [err_spectral_closed(a, 0.5, 1.0, 1.0) for a in alphas]
     np.testing.assert_allclose(errors, closed, atol=1e-8)
