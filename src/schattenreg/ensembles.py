@@ -53,7 +53,8 @@ class Dataset:
     """A training set, a held-out test set and the training set's spectrum.
 
     spectrum is gram_spectrum(X_tr, Y_tr), made by the builder before X_te
-    existed; fitting reads it instead of factoring X_tr again.
+    existed; fitting reads it instead of factoring X_tr again.  A given beta0
+    is the noiseless truth behind Y_te: the samplers set Y_te = X_te @ beta0.
     """
 
     X_tr: np.ndarray

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from schattenreg import (
     BenchReport,
     CVConfig,
     Dataset,
+    DiagonalEnsembleConfig,
     EquicorrelatedConfig,
     RFFBenchConfig,
     SchattenIndex,
+    SparseSpec,
+    SpectralDensity,
     SphericalGaussianConfig,
     aggregate_wins,
     apply_rff,
@@ -18,14 +22,17 @@ from schattenreg import (
     fit_path,
     gram_spectrum,
     kfold_select_alpha,
+    make_rff_dataset,
     predict,
     rff_benchmark,
     run_benchmark,
+    sample_diagonal,
+    sample_equicorrelated,
     sample_rff_map,
     sample_spherical,
     simulate_path_errors,
 )
-from schattenreg.cv import _cv_errors
+from schattenreg.cv import _cv_errors, _path_errors, _path_scores
 from schattenreg.exceptions import InsufficientData, InvalidConfig
 
 
@@ -99,6 +106,82 @@ def test_cv_errors_match_refit_scored_one_model_at_a_time(shape):
     for p, err, alpha in zip(cfg.models, errors, alphas):
         want = np.mean((ds.X_te @ fit_path(spectrum, p, [alpha])[:, 0] - ds.Y_te) ** 2)
         assert err == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.fixture
+def mse_calls(monkeypatch):
+    """The X of every direct-route (_path_mse) scoring, in call order."""
+    import schattenreg.cv as cv
+
+    calls, direct = [], cv._path_mse
+
+    def spy(B, X, Y):
+        calls.append(X)
+        return direct(B, X, Y)
+
+    monkeypatch.setattr(cv, "_path_mse", spy)
+    return calls
+
+
+_ROUTE_ALPHAS = np.r_[0.0, np.logspace(-3, 3, 7), np.inf]
+_ALL_MODELS = tuple(SchattenIndex)
+
+
+def _noisy_test_targets():
+    ds = sample_spherical(SphericalGaussianConfig(60, 10, n_test=200), seed=8)
+    noise = 0.3 * np.random.default_rng(8).standard_normal(200)
+    return replace(ds, Y_te=ds.Y_te + noise)
+
+
+@pytest.mark.parametrize("make, noiseless", [
+    (lambda: sample_spherical(SphericalGaussianConfig(60, 10, n_test=200), seed=1), False),
+    (lambda: sample_spherical(SphericalGaussianConfig(60, 10, sigma=0.0, n_test=200),
+                              seed=2), True),
+    (lambda: sample_spherical(SphericalGaussianConfig(20, 40, n_test=400), seed=3), False),
+    (lambda: sample_equicorrelated(EquicorrelatedConfig(
+        60, 10, rho=0.8, sparse=SparseSpec(n_large=3), n_test=200), seed=4), False),
+    (lambda: sample_diagonal(DiagonalEnsembleConfig(
+        60, 10, spectral_density=SpectralDensity.power_law(0.3)), seed=5), False),
+    (lambda: sample_diagonal(DiagonalEnsembleConfig(
+        60, 10, spectral_density=SpectralDensity.tabulated([0.0, 0.5, 1.0],
+                                                           [0.3, 0.3, 0.4])), seed=6), False),
+    (_noisy_test_targets, False),
+], ids=["spherical", "spherical-noiseless", "wide", "equicorrelated-sparse",
+        "powerlaw", "tabulated-atom-at-0", "noisy-test-targets"])
+def test_gram_route_matches_direct_route(make, noiseless, mse_calls):
+    ds = make()
+    gram = _path_errors(ds, _ALL_MODELS, _ROUTE_ALPHAS)
+    assert mse_calls == []  # every dataset here is on the Gram side of the rule
+    direct = _path_scores(ds.spectrum, _ALL_MODELS, _ROUTE_ALPHAS, ds.X_te, ds.Y_te)
+    # An exact fit (noiseless and full rank, at alpha = 0 or, for the
+    # nuclear filter, below its threshold) leaves only rounding.
+    exact = direct <= 1e-25
+    assert exact.any() == noiseless
+    assert np.all((gram[exact] >= 0) & (gram[exact] <= 1e-25))
+    np.testing.assert_allclose(gram[~exact], direct[~exact], rtol=1e-12, atol=0)
+
+
+def test_route_follows_shape_and_truth(mse_calls):
+    alphas = np.logspace(-3, 3, 30)
+    # simulate's shape (d = 50, 3 models x 30 alphas): scored through H only.
+    simulate_path_errors(SphericalGaussianConfig(100, 50, n_test=500), _ALL_MODELS, alphas,
+                         2, seed=0)
+    assert mse_calls == []
+    # cv-tall's shape scaled down (d = 200 > 2M, M = 27): the test set and
+    # every fold go the direct route.
+    ds = sample_equicorrelated(EquicorrelatedConfig(300, 200, rho=0.5, n_test=400), seed=1)
+    _cv_errors(ds, _small_cfg(), cv_seed=2)
+    assert [X is ds.X_te for X in mse_calls] == [True] * 3 + [False] * 9
+    # No truth (RFF features, real-data splits): direct, though the shapes
+    # alone would pick the Gram route.
+    rff = make_rff_dataset(4, 20, 60, 500, 0.5, 1.0, seed=3)
+    assert rff.beta0 is None
+    truthless = replace(sample_spherical(SphericalGaussianConfig(100, 50, n_test=500),
+                                         seed=4), beta0=None)
+    for data in (rff, truthless):
+        mse_calls.clear()
+        _path_errors(data, _ALL_MODELS, alphas)
+        assert [X is data.X_te for X in mse_calls] == [True] * 3
 
 
 # Test designs of 50,000 rows: one alone outweighs every other array a run

@@ -174,6 +174,21 @@ def test_spherical_matches_out_of_place_expression():
     assert np.array_equal(ds.X_te, rng.standard_normal((11, 7)) * (1.0 / np.sqrt(30)))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: sample_spherical(SphericalGaussianConfig(30, 7, n_test=11), seed=3),
+    lambda: sample_diagonal(DiagonalEnsembleConfig(
+        30, 7, spectral_density=SpectralDensity.power_law(0.3)), seed=3),
+    lambda: sample_equicorrelated(EquicorrelatedConfig(30, 7, rho=0.4, n_test=11), seed=3),
+    lambda: sample_equicorrelated(EquicorrelatedConfig(
+        30, 7, rho=0.4, sparse=SparseSpec(n_large=2), n_test=11), seed=3),
+], ids=["spherical", "diagonal", "equicorrelated", "equicorrelated-sparse"])
+def test_samplers_test_targets_are_the_noiseless_truth(make):
+    # The Gram route of test scoring relies on Y_te - X_te beta0 being 0 bit
+    # for bit, so its cross and constant terms add exact zeros.
+    ds = make()
+    assert np.array_equal(ds.Y_te, ds.X_te @ ds.beta0)
+
+
 def test_sparse_coefficients():
     cfg = EquicorrelatedConfig(
         n_obs=10, n_feat=10, rho=0.0, sparse=SparseSpec(n_large=3, small_scale=0.1), n_test=5
