@@ -10,24 +10,26 @@ its minimum is slightly higher.
 import numpy as np
 
 from schattenreg import (
+    AlphaGrid,
+    MarchenkoPastur,
     SchattenIndex,
-    default_alpha_grid,
-    err_spherical_quadrature,
+    error_integrals,
     expected_cv_minimum,
     geometry_table,
     locate_min_and_curvature,
 )
+from schattenreg.basin import DEFAULT_GRID_HI, DEFAULT_GRID_LO, DEFAULT_GRID_N
 
 LAM, BETA = 0.5, 1.0
 SIGMAS = [0.5, 1.0, 2.0]
+MODELS = {"ridge": SchattenIndex.FROBENIUS, "nuclear": SchattenIndex.NUCLEAR,
+          "spectral": SchattenIndex.SPECTRAL}
 
-grid = default_alpha_grid()
-curves = {}
-for sigma in SIGMAS:
-    for name, p in (("ridge", SchattenIndex.FROBENIUS),
-                    ("nuclear", SchattenIndex.NUCLEAR),
-                    ("spectral", SchattenIndex.SPECTRAL)):
-        curves[(name, sigma, LAM)] = err_spherical_quadrature(p, grid, LAM, BETA, sigma)
+grid = AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_N).values()
+# One pass for all three estimators; each sigma then costs no quadrature.
+integrals = error_integrals(tuple(MODELS.values()), MarchenkoPastur(LAM), grid, LAM)
+curves = {(name, sigma, LAM): q.error(BETA, sigma)
+          for sigma in SIGMAS for name, q in zip(MODELS, integrals)}
 
 cells = geometry_table(curves, grid)
 print(f"{'estimator':>9} {'sigma':>6} {'depth %':>9} {'curvature %':>12}")
@@ -39,8 +41,7 @@ for cell in cells:
 # uniformly within half a grid step (delta) of the optimum.
 print("\nexpected CV minimum (n = 9 grid values, sigma = 1):")
 delta = 0.5 * np.log(10) * 10.0 / 8  # half a log step of the 9-point grid
-for name, p in (("ridge", SchattenIndex.FROBENIUS),
-                ("nuclear", SchattenIndex.NUCLEAR)):
+for name in ("ridge", "nuclear"):
     geom = locate_min_and_curvature(curves[(name, 1.0, LAM)], grid)
     # convert curvature to log-alpha units at the minimum
     kappa_log = geom.kappa * geom.alpha_min

@@ -10,12 +10,11 @@ import numpy as np
 
 from schattenreg import (
     DiagonalEnsembleConfig,
-    NoiseDensity,
+    MarchenkoPastur,
     SchattenIndex,
     SpectralDensity,
     SphericalGaussianConfig,
-    err_diagonal_quadrature,
-    err_spherical_quadrature,
+    error_integrals,
     simulate_path_errors,
 )
 
@@ -25,13 +24,14 @@ N_DATASETS = 30
 ALPHAS = np.logspace(-2, 2, 9)
 
 
-def run(name, ensemble_config, theory_fn):
+def run(name, ensemble_config, measure):
     print(f"--- {name} ensemble (lambda = {LAM}) ---")
     print(f"{'alpha':>8} {'estimator':>9} {'theory':>8} {'empirical':>10} {'se':>8}")
     mses = simulate_path_errors(ensemble_config, tuple(SchattenIndex), ALPHAS,
                                 N_DATASETS, seed=0)
-    for i, p in enumerate(SchattenIndex):
-        theory = theory_fn(p, ALPHAS)
+    integrals = error_integrals(tuple(SchattenIndex), measure, ALPHAS, LAM)
+    for i, (p, q) in enumerate(zip(SchattenIndex, integrals)):
+        theory = q.error(1.0, 1.0)
         for k, a in enumerate(ALPHAS):
             mean = mses[i, k].mean()
             se = mses[i, k].std(ddof=1) / np.sqrt(N_DATASETS)
@@ -41,12 +41,9 @@ def run(name, ensemble_config, theory_fn):
 
 
 sph = SphericalGaussianConfig(n_obs=N, n_feat=D, beta=1.0, sigma=1.0, n_test=2000)
-run("spherical", sph,
-    lambda p, alphas: err_spherical_quadrature(p, alphas, LAM, 1.0, 1.0))
+run("spherical", sph, MarchenkoPastur(LAM))
 
 density = SpectralDensity.power_law(2.0)
 diag = DiagonalEnsembleConfig(n_obs=N, n_feat=D, spectral_density=density,
-                              noise_density=NoiseDensity(kind="point"),
                               beta=1.0, sigma=1.0)
-run("diagonal power-law", diag,
-    lambda p, alphas: err_diagonal_quadrature(p, alphas, LAM, 1.0, 1.0, density))
+run("diagonal power-law", diag, density)

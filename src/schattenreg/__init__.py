@@ -10,7 +10,6 @@ geometry analysis, and a reproducible cross-validation benchmark harness.
 
 from .basin import (
     BasinGeometry,
-    default_alpha_grid,
     expected_cv_minimum,
     geometry_table,
     locate_min_and_curvature,
@@ -67,10 +66,8 @@ from .theory import (
     ErrorIntegrals,
     MarchenkoPastur,
     appell_f1,
-    err_diagonal_quadrature,
     err_nuclear_closed,
     err_spectral_closed,
-    err_spherical_quadrature,
     error_integrals,
     mp_cdf,
     mp_partial_moment,

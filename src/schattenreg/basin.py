@@ -18,7 +18,6 @@ from .exceptions import DegenerateFit
 __all__ = [
     "BasinGeometry",
     "GeometryCell",
-    "default_alpha_grid",
     "expected_cv_minimum",
     "geometry_table",
     "locate_min_and_curvature",
@@ -30,12 +29,6 @@ DEFAULT_GRID_LO = 1e-3
 DEFAULT_GRID_HI = 1e5
 DEFAULT_GRID_N = 500
 FIT_HALF_WINDOW = 5
-
-
-def default_alpha_grid(
-    lo: float = DEFAULT_GRID_LO, hi: float = DEFAULT_GRID_HI, n: int = DEFAULT_GRID_N
-) -> np.ndarray:
-    return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
 @dataclass(frozen=True)

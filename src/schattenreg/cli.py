@@ -46,7 +46,7 @@ from .ensembles import (
 from .exceptions import (ConfigError, InvalidConfig, MissingTarget, ParseError,
                          SchattenRegError)
 from .spectrum import SchattenIndex, gram_spectrum
-from .theory import error_integrals
+from .theory import MarchenkoPastur, error_integrals
 
 FLOAT_FMT = "%.17g"
 
@@ -202,9 +202,7 @@ BASIN = {**THEORY, "ensemble": (_one_of(BASIN_ENSEMBLES), "spherical"),
 
 CV_BENCH_ENSEMBLES = {
     "spherical": {**N_TEST, **BETA},
-    "diagonal": {**BETA, "gamma": (_positive, 2.0),
-                 "noise_kind": (_one_of({"point", "uniform"}), "point"),
-                 "noise_half_width": (_unit, 0.0)},
+    "diagonal": {**BETA, "gamma": (_positive, 2.0), "noise_half_width": (_unit, 0.0)},
     "equicorrelated": {**N_TEST, "rho": (_number, 0.0), "sparse": (SPARSE, None)},
 }
 CV_BENCH = {**CV, **N_DATASETS, "ensemble": (_one_of(CV_BENCH_ENSEMBLES), "equicorrelated"),
@@ -228,9 +226,20 @@ def _build(cls, o: dict, **given):
     return cls(**{k: v for k, v in {**o, **given}.items() if k in names})
 
 
-def _ensemble_config(o: dict, **given):
+def _measure(command: str, o: dict):
+    """The limiting spectral measure of o's ensemble: Marchenko-Pastur at
+    aspect ratio o["lambda"] for spherical features, the power law of exponent
+    o["gamma"], which has no default in the theory, for the diagonal ensemble."""
+    if o["ensemble"] == "spherical":
+        return MarchenkoPastur(o["lambda"])
+    if o["gamma"] is None:
+        raise ConfigError(f"{command}: gamma: required by the diagonal ensemble")
+    return SpectralDensity.power_law(o["gamma"])
+
+
+def _ensemble_config(command: str, o: dict, **given):
     if o["ensemble"] == "diagonal":
-        given["spectral_density"] = SpectralDensity.power_law(o["gamma"])
+        given["spectral_density"] = _measure(command, o)
     return _build(ENSEMBLE_CONFIGS[o["ensemble"]], o, **given)
 
 
@@ -245,7 +254,7 @@ def cmd_theory_curve(cfg: dict) -> list[dict]:
     o = parse("theory-curve", cfg, THEORY_CURVE, CURVE_ENSEMBLES)
     alphas = o["grid"].values()
     rows = []
-    for q in error_integrals(o["models"], o["ensemble"], alphas, o["lambda"], o["gamma"]):
+    for q in error_integrals(o["models"], _measure("theory-curve", o), alphas, o["lambda"]):
         for a, e in zip(alphas, q.error(o["beta"], o["sigma"])):
             # The columns after p echo the config.
             rows.append({"alpha": a, "error": e, "p": MODEL_NAMES[q.p],
@@ -267,8 +276,8 @@ def cmd_simulate(cfg: dict) -> list[dict]:
     alphas = o["grid"].values()
     # Build the theory curves first: a bad ensemble config fails before any sampling.
     curves = [q.error(o["beta"], o["sigma"]) for q in
-              error_integrals(models, o["ensemble"], alphas, o["lambda"], o["gamma"])]
-    ens_cfg = _ensemble_config(o, n_feat=n_feat)
+              error_integrals(models, _measure("simulate", o), alphas, o["lambda"])]
+    ens_cfg = _ensemble_config("simulate", o, n_feat=n_feat)
     mses = simulate_path_errors(ens_cfg, models, alphas, n_datasets, o["seed"])
 
     rows = []
@@ -303,8 +312,9 @@ def report_summary_rows(report: BenchReport) -> list[dict]:
 
 def cmd_cv_bench(cfg: dict) -> BenchReport:
     o = parse("cv-bench", cfg, CV_BENCH, CV_BENCH_ENSEMBLES)
-    noise = NoiseDensity(o["noise_kind"], o["noise_half_width"])
-    return run_benchmark(_ensemble_config(o, noise_density=noise), _build(CVConfig, o))
+    noise = NoiseDensity(o["noise_half_width"])
+    return run_benchmark(_ensemble_config("cv-bench", o, noise_density=noise),
+                         _build(CVConfig, o))
 
 
 def cmd_rff_bench(cfg: dict) -> BenchReport:
@@ -322,14 +332,15 @@ def cmd_basin(cfg: dict) -> list[dict]:
     if SchattenIndex.FROBENIUS not in o["models"]:
         raise ConfigError("basin: models: must include ridge, the base of every percentage")
     grid = o["grid"].values()
-    spherical = ensemble == "spherical"
-    shapes = o["lambdas"] if spherical else o["gammas"]
+    key, shapes = (("lambda", o["lambdas"]) if ensemble == "spherical"
+                   else ("gamma", o["gammas"]))
     # One pass per shape: each Gauss rule (measure, alpha block, node count) is
     # built once and serves every estimator, and the integrals every sigma.
     integrals = {}
     for shape in shapes:
-        lam, gamma = (shape, None) if spherical else (o["lambda"], shape)
-        integrals[shape] = error_integrals(o["models"], ensemble, grid, lam, gamma)
+        at = {**o, key: shape}
+        integrals[shape] = error_integrals(o["models"], _measure("basin", at), grid,
+                                           at["lambda"])
     curves = {(MODEL_NAMES[p], s, shape): integrals[shape][m].error(o["beta"], s)
               for m, p in enumerate(o["models"]) for s in o["sigmas"] for shape in shapes}
     return [{

@@ -139,23 +139,18 @@ class SpectralDensity:
 
 @dataclass(frozen=True)
 class NoiseDensity:
-    """Unit-mean multiplicative noise on the training spectrum.
+    """Unit-mean multiplicative noise on the training spectrum: Unif[1-a, 1+a]
+    with half-width a in [0, 1].  a = 0, the default everywhere, is the point
+    mass at 1 and draws nothing."""
 
-    "point" is the degenerate distribution at 1 (the default everywhere);
-    "uniform" is Unif[1-a, 1+a] with half-width a in [0, 1].
-    """
-
-    kind: str = "point"
     half_width: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("point", "uniform"):
-            raise InvalidConfig(f"unknown noise density kind {self.kind!r}")
         if not 0.0 <= self.half_width <= 1.0:
             raise InvalidConfig("half_width must be in [0, 1]")
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "point":
+        if self.half_width == 0.0:
             return np.ones(size)
         return rng.uniform(1.0 - self.half_width, 1.0 + self.half_width, size=size)
 

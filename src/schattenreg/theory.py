@@ -1,15 +1,19 @@
 """Thermodynamic-limit test-error curves for the three estimators.
 
-Two ensembles are covered.  For both, the error is lam times one integrand,
+The one entry point is error_integrals(models, measure, alphas, lam).  A
+random-matrix ensemble enters the theory only through its limiting spectral
+measure, passed as a value: MarchenkoPastur(lam) for spherical Gaussian
+features, a SpectralDensity on [0, 1] (a power law, or tabulated atoms) for
+the diagonal/Stiefel ensemble.  Which ensemble takes which measure is the
+caller's choice; nothing here reads an ensemble's name.  lam = d/N is the
+error's prefactor, and the error is lam times the integral of one integrand,
 the test error carried by a covariance eigenvalue x,
 
     e(x) = beta^2 x q^2 + sigma^2 r^2,    (r, q) = SchattenIndex.shrinkage(x, alpha),
 
-integrated against a spectral measure: x^-1 dMP(x) (Marchenko-Pastur) for
-spherical Gaussian features, the chosen spectral density on [0, 1] for the
-diagonal/Stiefel ensemble.  r = x / f_alpha(x) is the share of x that the
-estimator keeps and q = 1 - r the share it drops; both are bounded and take
-their limits at x = 0, so e stays finite there.
+against x^-1 dMP(x) or the density.  r = x / f_alpha(x) is the share of x
+that the estimator keeps and q = 1 - r the share it drops; both are bounded
+and take their limits at x = 0, so e stays finite there.
 
 e is linear in (beta^2, sigma^2): lam beta^2 A(alpha) is the bias, with
 integrand x q^2, and lam sigma^2 B(alpha) the variance, with integrand r^2.
@@ -66,10 +70,8 @@ __all__ = [
     "ErrorIntegrals",
     "MarchenkoPastur",
     "appell_f1",
-    "err_diagonal_quadrature",
     "err_nuclear_closed",
     "err_spectral_closed",
-    "err_spherical_quadrature",
     "error_integrals",
     "mp_cdf",
     "mp_partial_moment",
@@ -249,6 +251,8 @@ class ErrorIntegrals:
     def error(self, beta: float, sigma: float):
         """Error per alpha, the 2n-node value checked against the n-node one;
         a float for a scalar alpha grid."""
+        if not (math.isfinite(beta) and math.isfinite(sigma)):
+            raise ValueError(f"beta and sigma must be finite, got {beta!r} and {sigma!r}")
         b2, s2 = beta * beta, sigma * sigma
         coarse, fine = b2 * self.sums[:, 0] + s2 * self.sums[:, 1]
         # The error is quadratic in (beta, sigma), and the bound is relative to
@@ -265,13 +269,24 @@ class ErrorIntegrals:
         return float(out[0]) if self.alphas.ndim == 0 else out.reshape(self.alphas.shape)
 
 
-def _integrals(models, alpha, lam: float, measure) -> tuple[ErrorIntegrals, ...]:
-    """A and B of each estimator in `models`, in order, for each alpha against
-    the rule of `measure` (MarchenkoPastur or SpectralDensity) with n and 2n
-    nodes: each rule is built once and serves them all."""
-    rule, what = ((_mp_rule, "MP") if isinstance(measure, MarchenkoPastur)
-                  else (_density_rule, "diagonal"))
-    alpha = np.asarray(alpha, dtype=float)
+def error_integrals(models: tuple[SchattenIndex, ...],
+                    measure: MarchenkoPastur | SpectralDensity, alphas,
+                    lam: float) -> tuple[ErrorIntegrals, ...]:
+    """The bias and variance integrals of each estimator in `models`, in order,
+    on a scalar or an array of alphas, against the rule of `measure` (a
+    MarchenkoPastur or a SpectralDensity) with n and 2n nodes: each rule is
+    built once and serves every estimator, and the integrals every
+    (beta, sigma).  lam = d/N in (0, 1] is the error's prefactor; a
+    MarchenkoPastur measure must carry the same lam."""
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"aspect ratio lam must be finite and in (0, 1], got {lam!r}")
+    if isinstance(measure, MarchenkoPastur):
+        if lam != measure.lam:
+            raise ValueError(f"lam {lam!r} differs from the MP law's {measure.lam!r}")
+        rule, what = _mp_rule, "MP"
+    else:
+        rule, what = _density_rule, "diagonal"
+    alpha = np.asarray(alphas, dtype=float)
     flat = alpha.ravel()
     sums = np.empty((len(models), 2, 2, flat.size))
     for start in range(0, flat.size, _BLOCK):
@@ -282,20 +297,6 @@ def _integrals(models, alpha, lam: float, measure) -> tuple[ErrorIntegrals, ...]
                 for j, f in enumerate(_bias_variance(p, a, x)):
                     sums[m, i, j, start:start + _BLOCK] = np.sum(w * f, axis=1)
     return tuple(ErrorIntegrals(alpha, lam, p, s, what) for p, s in zip(models, sums))
-
-
-def err_spherical_quadrature(p: SchattenIndex, alpha, lam: float, beta: float,
-                             sigma: float):
-    """Average test error under the spherical Gaussian ensemble, for a scalar
-    or an array of alphas."""
-    return _integrals((p,), alpha, lam, MarchenkoPastur(lam))[0].error(beta, sigma)
-
-
-def err_diagonal_quadrature(p: SchattenIndex, alpha, lam: float, beta: float,
-                            sigma: float, density: SpectralDensity):
-    """Average test error under the diagonal/Stiefel ensemble, for a scalar or
-    an array of alphas."""
-    return _integrals((p,), alpha, lam, density)[0].error(beta, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -402,17 +403,3 @@ def oracle_ridge_alpha(beta: float, sigma: float) -> float:
     if beta == 0:
         raise ZeroDivisionError("oracle ridge strength undefined for beta = 0")
     return sigma * sigma / (beta * beta)
-
-
-def error_integrals(models: tuple[SchattenIndex, ...], ensemble: str, alphas, lam: float,
-                    gamma: float | None = None) -> tuple[ErrorIntegrals, ...]:
-    """The bias and variance integrals of each estimator in `models`, in order,
-    on a grid of alpha values: one pass that serves every (beta, sigma)."""
-    if ensemble == "spherical":
-        return _integrals(models, alphas, lam, MarchenkoPastur(lam))
-    if ensemble == "diagonal":
-        if gamma is None:
-            raise ValueError("diagonal ensemble requires gamma, a power-law exponent")
-        return _integrals(models, alphas, lam, SpectralDensity.power_law(gamma))
-    raise ValueError(f"unknown ensemble {ensemble!r}")
-

@@ -15,6 +15,7 @@ from schattenreg import (
     CVConfig,
     DiagonalEnsembleConfig,
     EquicorrelatedConfig,
+    MarchenkoPastur,
     NoiseDensity,
     SchattenIndex,
     SpectralDensity,
@@ -22,11 +23,9 @@ from schattenreg import (
     appell_f1,
     bias_bound_to_alpha,
     child_seeds,
-    default_alpha_grid,
-    err_diagonal_quadrature,
     err_nuclear_closed,
     err_spectral_closed,
-    err_spherical_quadrature,
+    error_integrals,
     estimator_operator,
     expected_cv_minimum,
     fit_path,
@@ -40,8 +39,21 @@ from schattenreg import (
     sample_spherical,
     solve_bias_constrained_numeric,
 )
+from schattenreg.basin import DEFAULT_GRID_HI, DEFAULT_GRID_LO, DEFAULT_GRID_N
 
 ALL_P = (SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS, SchattenIndex.SPECTRAL)
+
+
+def err_mp(p, alpha, lam, beta, sigma):
+    """Error of estimator p against the MP law at aspect ratio lam."""
+    (q,) = error_integrals((p,), MarchenkoPastur(lam), alpha, lam)
+    return q.error(beta, sigma)
+
+
+def err_density(p, alpha, lam, beta, sigma, density):
+    """Error of estimator p against a spectral density, prefactor lam."""
+    (q,) = error_integrals((p,), density, alpha, lam)
+    return q.error(beta, sigma)
 
 
 def _report(capsys, num, label, ok):
@@ -88,8 +100,8 @@ def test_acceptance_2_closed_form_consistency(capsys):
     for lam in (0.1, 0.5, 0.9):
         for sigma in (0.5, 1.0):
             for a in alphas:
-                q_spec = err_spherical_quadrature(SchattenIndex.SPECTRAL, a, lam, 1.0, sigma)
-                q_nuc = err_spherical_quadrature(SchattenIndex.NUCLEAR, a, lam, 1.0, sigma)
+                q_spec = err_mp(SchattenIndex.SPECTRAL, a, lam, 1.0, sigma)
+                q_nuc = err_mp(SchattenIndex.NUCLEAR, a, lam, 1.0, sigma)
                 worst = max(
                     worst,
                     abs(err_spectral_closed(a, lam, 1.0, sigma) - q_spec),
@@ -136,16 +148,16 @@ def test_acceptance_3_simulation_vs_theory(capsys):
     sph_cfg = SphericalGaussianConfig(n_obs=100, n_feat=50, beta=1.0, sigma=1.0)
     frac_sph = _simulation_check(
         lambda s: sample_spherical(sph_cfg, seed=s),
-        lambda p, alphas: err_spherical_quadrature(p, alphas, 0.5, 1.0, 1.0),
+        lambda p, alphas: err_mp(p, alphas, 0.5, 1.0, 1.0),
     )
     density = SpectralDensity.power_law(2.0)
     diag_cfg = DiagonalEnsembleConfig(
         n_obs=100, n_feat=50, spectral_density=density,
-        noise_density=NoiseDensity(kind="point"), beta=1.0, sigma=1.0,
+        noise_density=NoiseDensity(), beta=1.0, sigma=1.0,
     )
     frac_diag = _simulation_check(
         lambda s: sample_diagonal(diag_cfg, seed=s),
-        lambda p, alphas: err_diagonal_quadrature(p, alphas, 0.5, 1.0, 1.0, density),
+        lambda p, alphas: err_density(p, alphas, 0.5, 1.0, 1.0, density),
     )
     _report(capsys, 3, "simulation matches theory",
             frac_sph >= 0.9 and frac_diag >= 0.9)
@@ -156,12 +168,12 @@ def test_acceptance_3_simulation_vs_theory(capsys):
 # ---------------------------------------------------------------------------
 
 def test_acceptance_4_oracle_ridge(capsys):
-    grid = default_alpha_grid(1e-3, 1e5, 500)
+    grid = AlphaGrid(1e-3, 1e5, 500).values()
     log_step = np.log(grid[1] / grid[0])
     ok = True
     for beta, sigma in ((1.0, 0.5), (1.0, 1.0), (2.0, 1.0)):
         curves = {
-            p: np.array([err_spherical_quadrature(p, a, 0.5, beta, sigma) for a in grid])
+            p: np.array([err_mp(p, a, 0.5, beta, sigma) for a in grid])
             for p in ALL_P
         }
         ridge = curves[SchattenIndex.FROBENIUS]
@@ -272,9 +284,9 @@ def test_acceptance_8_grid_refinement(capsys):
 # ---------------------------------------------------------------------------
 
 def test_acceptance_9_basin_signs(capsys):
-    grid = default_alpha_grid()
+    grid = AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_N).values()
     curves = {
-        (name, 1.0, 0.5): err_spherical_quadrature(p, grid, 0.5, 1.0, 1.0)
+        (name, 1.0, 0.5): err_mp(p, grid, 0.5, 1.0, 1.0)
         for name, p in (("ridge", SchattenIndex.FROBENIUS),
                         ("nuclear", SchattenIndex.NUCLEAR))
     }

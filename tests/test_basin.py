@@ -2,17 +2,25 @@ import numpy as np
 import pytest
 
 from schattenreg import (
+    AlphaGrid,
+    MarchenkoPastur,
     SchattenIndex,
-    default_alpha_grid,
+    error_integrals,
     expected_cv_minimum,
     geometry_table,
     locate_min_and_curvature,
     err_spectral_closed,
-    err_spherical_quadrature,
     monte_carlo_parabola_min,
 )
-from schattenreg.basin import FIT_HALF_WINDOW
+from schattenreg.basin import (DEFAULT_GRID_HI, DEFAULT_GRID_LO, DEFAULT_GRID_N,
+                              FIT_HALF_WINDOW)
 from schattenreg.exceptions import DegenerateFit
+
+
+def err_mp(p, alpha, lam, beta, sigma):
+    """Error of estimator p against the MP law at aspect ratio lam."""
+    (q,) = error_integrals((p,), MarchenkoPastur(lam), alpha, lam)
+    return q.error(beta, sigma)
 
 
 def test_exact_parabola_recovery():
@@ -38,8 +46,8 @@ def test_degenerate_window_raises():
 
 
 def test_ridge_minimum_at_oracle_alpha():
-    grid = default_alpha_grid()
-    values = err_spherical_quadrature(SchattenIndex.FROBENIUS, grid, 0.5, 1.0, 1.0)
+    grid = AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_N).values()
+    values = err_mp(SchattenIndex.FROBENIUS, grid, 0.5, 1.0, 1.0)
     geom = locate_min_and_curvature(values, grid)
     i = np.searchsorted(grid, geom.alpha_min)
     step = grid[min(i + 1, len(grid) - 1)] / grid[i]
@@ -47,12 +55,12 @@ def test_ridge_minimum_at_oracle_alpha():
 
 
 def test_nuclear_flatter_than_ridge():
-    grid = default_alpha_grid()
+    grid = AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_N).values()
     ridge = locate_min_and_curvature(
-        err_spherical_quadrature(SchattenIndex.FROBENIUS, grid, 0.5, 1.0, 1.0), grid
+        err_mp(SchattenIndex.FROBENIUS, grid, 0.5, 1.0, 1.0), grid
     )
     nuclear = locate_min_and_curvature(
-        err_spherical_quadrature(SchattenIndex.NUCLEAR, grid, 0.5, 1.0, 1.0), grid
+        err_mp(SchattenIndex.NUCLEAR, grid, 0.5, 1.0, 1.0), grid
     )
     assert nuclear.curvature < ridge.curvature
     assert nuclear.err_min >= ridge.err_min
@@ -104,11 +112,11 @@ def test_formula_vs_monte_carlo_sweep():
 # ---------------------------------------------------------------------------
 
 def test_geometry_table_ridge_rows_are_zero():
-    grid = default_alpha_grid(n=200)
+    grid = AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, 200).values()
     curves = {}
     for name, p in [("ridge", SchattenIndex.FROBENIUS),
                     ("nuclear", SchattenIndex.NUCLEAR)]:
-        curves[(name, 1.0, 0.5)] = err_spherical_quadrature(p, grid, 0.5, 1.0, 1.0)
+        curves[(name, 1.0, 0.5)] = err_mp(p, grid, 0.5, 1.0, 1.0)
     by_name = {c.estimator: c for c in geometry_table(curves, grid)}
     assert by_name["ridge"].depth_pct == 0.0
     assert by_name["ridge"].curvature_pct == 0.0
@@ -118,22 +126,22 @@ def test_geometry_table_ridge_rows_are_zero():
 
 def test_depth_gap_shrinks_with_sigma():
     # Higher noise brings the Nuclear minimum closer to the Ridge minimum.
-    grid = default_alpha_grid(n=300)
+    grid = AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, 300).values()
     gaps = []
     for sigma in (0.5, 1.0, 2.0, 3.5):
         ridge = locate_min_and_curvature(
-            err_spherical_quadrature(SchattenIndex.FROBENIUS, grid, 0.5, 1.0, sigma), grid
+            err_mp(SchattenIndex.FROBENIUS, grid, 0.5, 1.0, sigma), grid
         )
         nuclear = locate_min_and_curvature(
-            err_spherical_quadrature(SchattenIndex.NUCLEAR, grid, 0.5, 1.0, sigma), grid
+            err_mp(SchattenIndex.NUCLEAR, grid, 0.5, 1.0, sigma), grid
         )
         gaps.append(nuclear.err_min / ridge.err_min - 1.0)
     assert np.all(np.diff(gaps) <= 1e-6)
 
 
 def test_grid_min_bounds_curve():
-    grid = default_alpha_grid(n=100)
-    values = err_spherical_quadrature(SchattenIndex.SPECTRAL, grid, 0.3, 1.0, 1.0)
+    grid = AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, 100).values()
+    values = err_mp(SchattenIndex.SPECTRAL, grid, 0.3, 1.0, 1.0)
     geom = locate_min_and_curvature(values, grid)
     assert np.all(geom.err_min <= values + 1e-15)
 
@@ -149,7 +157,7 @@ def test_spectral_curvature_matches_closed_form_second_derivative(sigma):
     # A bound on |E''''| = |-48 K/u^5 + 120 (K + M)/u^6| that falls with u.
     d4_bound = lambda u: 48.0 * K / u**5 + 120.0 * (K + M) / u**6  # noqa: E731
 
-    grid = default_alpha_grid()
+    grid = AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_N).values()
     values = np.array([err_spectral_closed(a, lam, beta, sigma) for a in grid])
     geom = locate_min_and_curvature(values, grid)
     i0 = int(np.argmin(values))

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schattenreg import error_integrals, geometry_table, theory
+from schattenreg import (MarchenkoPastur, SpectralDensity, error_integrals, geometry_table,
+                         theory)
 from schattenreg.cli import (
     cmd_basin,
     cmd_theory_curve,
@@ -136,6 +137,9 @@ BAD_CONFIGS = [
     ("simulate", {"ensemble": "diagonal", "gamma": 2.0, "n_test": 50}, [], "n_test"),
     ("simulate", {"gamma": 2.0}, [], "gamma"),
     ("theory-curve", {"gamma": 2.0}, [], "gamma"),
+    # The diagonal theory has no default exponent.
+    ("theory-curve", {"ensemble": "diagonal"}, [], "gamma: required by the diagonal ensemble"),
+    ("simulate", {"ensemble": "diagonal"}, [], "gamma: required by the diagonal ensemble"),
     ("basin", {"gammas": [1.0]}, [], "gammas"),
     ("basin", {"lambda": 0.3}, [], "lambda"),
     ("basin", {"ensemble": "diagonal", "lambdas": [0.5]}, [], "lambdas"),
@@ -156,7 +160,7 @@ BAD_CONFIGS = [
     ("simulate", {"ensemble": "diagonal", "gamma": -2.0}, [], "gamma"),
     ("cv-bench", {"ensemble": "diagonal", "gamma": 0}, [], "gamma"),
     ("basin", {"ensemble": "diagonal", "gammas": [-1.0]}, [], "gammas[0]"),
-    ("cv-bench", {"ensemble": "diagonal", "noise_kind": "bad"}, [], "noise_kind"),
+    ("cv-bench", {"ensemble": "diagonal", "noise_kind": "point"}, [], "noise_kind: unknown key"),
     ("cv-bench", {"ensemble": "diagonal", "noise_half_width": 2.0}, [], "noise_half_width"),
     # lambda is d/N: in (0, 1) for spherical, in (0, 1] for diagonal.
     ("basin", {"ensemble": "diagonal", "lambda": -1}, [], "basin: lambda: "),
@@ -452,8 +456,9 @@ def test_basin_builds_each_rule_once_per_shape(monkeypatch, ensemble, shapes, ru
     for p, name in MODEL_NAMES.items():
         for s in sigmas:
             for shape in next(iter(shapes.values())):
-                lam, gamma = (shape, None) if ensemble == "spherical" else (0.5, shape)
-                (q,) = error_integrals((p,), ensemble, grid, lam, gamma)
+                lam, measure = ((shape, MarchenkoPastur(shape)) if ensemble == "spherical"
+                                else (0.5, SpectralDensity.power_law(shape)))
+                (q,) = error_integrals((p,), measure, grid, lam)
                 curves[(name, s, shape)] = q.error(1.0, s)
     cells = geometry_table(curves, grid)
     assert [(r["estimator"], r["sigma"], r["shape_param"]) for r in rows] == \

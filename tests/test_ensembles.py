@@ -120,7 +120,7 @@ def test_tabulated_density_and_alias_sampling():
 
 
 def test_uniform_noise_density():
-    nd = NoiseDensity(kind="uniform", half_width=0.3)
+    nd = NoiseDensity(0.3)
     rng = np.random.default_rng(2)
     s = nd.sample(20_000, rng)
     assert abs(s.mean() - 1.0) < 0.01
@@ -260,7 +260,7 @@ def _assert_one_spectrum(ds):
         EquicorrelatedConfig(40, 12, rho=0.4, sparse=SparseSpec(3, 0.1), n_test=30), seed=5),
     lambda: sample_spherical(SphericalGaussianConfig(10, 25, n_test=30), seed=6),  # wide
     lambda: sample_diagonal(DiagonalEnsembleConfig(
-        30, 12, SpectralDensity.power_law(2.0), NoiseDensity("uniform", 0.5)), seed=7),
+        30, 12, SpectralDensity.power_law(2.0), NoiseDensity(0.5)), seed=7),
     lambda: make_rff_dataset(3, 40, 15, 20, 0.5, seed=8),
 ], ids=["equicorrelated-sparse", "spherical-wide", "diagonal", "rff"])
 def test_dataset_carries_the_spectrum_of_its_training_set(make):

@@ -10,10 +10,8 @@ from schattenreg import (
     SpectralDensity,
     appell_f1,
     child_seeds,
-    err_diagonal_quadrature,
     err_nuclear_closed,
     err_spectral_closed,
-    err_spherical_quadrature,
     error_integrals,
     estimator_operator,
     fit,
@@ -26,6 +24,18 @@ from schattenreg import (
 )
 from schattenreg import theory
 from schattenreg.exceptions import DomainError, QuadratureFailure
+
+
+def err_mp(p, alpha, lam, beta, sigma):
+    """Error of estimator p against the MP law at aspect ratio lam."""
+    (q,) = error_integrals((p,), MarchenkoPastur(lam), alpha, lam)
+    return q.error(beta, sigma)
+
+
+def err_density(p, alpha, lam, beta, sigma, density):
+    """Error of estimator p against a spectral density, prefactor lam."""
+    (q,) = error_integrals((p,), density, alpha, lam)
+    return q.error(beta, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +155,12 @@ def test_partial_moments_match_direct_quadrature(r, lam):
 
 @pytest.mark.parametrize("p", list(SchattenIndex))
 def test_alpha_zero_is_ols_error(p):
-    assert err_spherical_quadrature(p, 0.0, 0.5, 1.0, 1.0) == pytest.approx(1.0, abs=1e-9)
+    assert err_mp(p, 0.0, 0.5, 1.0, 1.0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_spectral_quadrature_matches_closed_form():
     for alpha in np.logspace(-2, 3, 12):
-        q = err_spherical_quadrature(SchattenIndex.SPECTRAL, alpha, 0.5, 1.0, 1.0)
+        q = err_mp(SchattenIndex.SPECTRAL, alpha, 0.5, 1.0, 1.0)
         assert q == pytest.approx(err_spectral_closed(alpha, 0.5, 1.0, 1.0), abs=1e-6)
 
 
@@ -174,12 +184,12 @@ def test_nuclear_inactive_below_support():
     mp = MarchenkoPastur(0.5)
     alpha = mp.support_lo / 2.0
     assert err_nuclear_closed(alpha, 0.5, 1.0, 1.0) == pytest.approx(1.0)
-    assert err_spherical_quadrature(SchattenIndex.NUCLEAR, alpha, 0.5, 1.0, 1.0) == \
+    assert err_mp(SchattenIndex.NUCLEAR, alpha, 0.5, 1.0, 1.0) == \
         pytest.approx(1.0, abs=1e-9)
 
 
 def test_nuclear_closed_matches_quadrature_inside_support():
-    q = err_spherical_quadrature(SchattenIndex.NUCLEAR, 1.2, 0.5, 1.0, 1.0)
+    q = err_mp(SchattenIndex.NUCLEAR, 1.2, 0.5, 1.0, 1.0)
     assert err_nuclear_closed(1.2, 0.5, 1.0, 1.0) == pytest.approx(q, abs=1e-6)
 
 
@@ -239,7 +249,7 @@ def test_f1_domain_errors():
 def test_spherical_quadrature_large_sigma_returns(p):
     # The error estimate grows with sigma^2, so a fixed absolute failure
     # bound rejected this accurate integral.
-    err = err_spherical_quadrature(p, 1.0, 0.5, 1.0, 1e3)
+    err = err_mp(p, 1.0, 0.5, 1.0, 1e3)
     if p is SchattenIndex.SPECTRAL:
         assert err == pytest.approx(err_spectral_closed(1.0, 0.5, 1.0, 1e3), rel=1e-10)
     assert np.isfinite(err) and err > 0
@@ -250,7 +260,7 @@ def test_spherical_quadrature_near_lam_one_returns(lam):
     # The error grows like sigma^2 / (1 - lam): up to 1e9 here, where a bound
     # fixed at 1e-9 max(beta^2, sigma^2) rejected a gap of 6e-16 relative.
     alphas = np.array([1e-3, 1e-2, 1.0])
-    q = err_spherical_quadrature(SchattenIndex.SPECTRAL, alphas, lam, 1.0, 1.0)
+    q = err_mp(SchattenIndex.SPECTRAL, alphas, lam, 1.0, 1.0)
     closed = [err_spectral_closed(a, lam, 1.0, 1.0) for a in alphas]
     # Holds only if the MP support end (1 - sqrt(lam))^2 is computed without
     # cancelling 1 - sqrt(lam), whose rounding is eps / (1 - sqrt(lam)) relative.
@@ -263,18 +273,42 @@ def test_mp_rule_near_lam_one_still_fails_for_nuclear():
     # values of order 1): combining the bias and variance integrals must not
     # loosen the n-vs-2n check that reports it.
     with pytest.raises(QuadratureFailure, match="at alpha = 5.1"):
-        err_spherical_quadrature(SchattenIndex.NUCLEAR, np.logspace(-4, 3, 50),
+        err_mp(SchattenIndex.NUCLEAR, np.logspace(-4, 3, 50),
                                  1 - 1e-7, 1.0, 1.0)
 
 
 def test_quadrature_failure_names_the_estimator():
     # One call integrates every estimator, so the message must say which one
     # failed: here Nuclear, on the same non-converging MP rule as above.
-    integrals = error_integrals(tuple(SchattenIndex), "spherical",
+    integrals = error_integrals(tuple(SchattenIndex), MarchenkoPastur(1 - 1e-7),
                                 np.logspace(-4, 3, 50), 1 - 1e-7)
     assert [q.p for q in integrals] == list(SchattenIndex)
     with pytest.raises(QuadratureFailure, match=r"^NUCLEAR MP quadrature .* at alpha = 5\.1"):
         integrals[0].error(1.0, 1.0)
+
+
+def _frobenius_integrals(measure, lam):
+    return error_integrals((SchattenIndex.FROBENIUS,), measure, 1.0, lam)
+
+
+POWER_LAW = SpectralDensity.power_law(2.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    # lam = d/N is the error's prefactor: -0.5 gave -0.193, NaN a NaN and
+    # 3.0 a value, all without an error.
+    *[(lambda lam=lam: _frobenius_integrals(POWER_LAW, lam), "lam must be finite")
+      for lam in (-0.5, 0.0, np.nan, np.inf, 3.0)],
+    (lambda: _frobenius_integrals(MarchenkoPastur(0.5), 0.3), "differs from the MP law"),
+    # A NaN gap slipped past the n-vs-2n check; an inf one overflowed.
+    *[(lambda b=b, s=s: _frobenius_integrals(POWER_LAW, 0.5)[0].error(b, s),
+       "beta and sigma must be finite")
+      for b, s in ((np.nan, 1.0), (1.0, np.inf), (-np.inf, 1.0), (1.0, np.nan))],
+], ids=["lam--0.5", "lam-0", "lam-nan", "lam-inf", "lam-3", "mp-lam-mismatch",
+        "beta-nan", "sigma-inf", "beta--inf", "sigma-nan"])
+def test_theory_rejects_bad_lam_beta_and_sigma(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 # Longer than one alpha block, with both ends of the filter range.
@@ -289,9 +323,9 @@ SHARED_RULE_GRID = np.concatenate([[0.0], np.logspace(-4, 4, theory._BLOCK + 13)
 def test_shared_rule_sums_equal_one_model_sums(lam, measure):
     # The rule is built once for all estimators; each one's sums must be those
     # of a call for it alone, bit for bit.
-    shared = theory._integrals(tuple(SchattenIndex), SHARED_RULE_GRID, lam, measure)
+    shared = error_integrals(tuple(SchattenIndex), measure, SHARED_RULE_GRID, lam)
     for p, q in zip(SchattenIndex, shared):
-        (alone,) = theory._integrals((p,), SHARED_RULE_GRID, lam, measure)
+        (alone,) = error_integrals((p,), measure, SHARED_RULE_GRID, lam)
         assert q.p is p and alone.p is p
         assert np.array_equal(q.sums, alone.sums)
 
@@ -302,18 +336,18 @@ def test_quadrature_errors_scale_with_beta_and_sigma_squared(p, c):
     dens = SpectralDensity.power_law(2.0)
     for alpha, lam, beta, sigma in [(1.0, 0.5, 1.0, 1.0), (0.5, 0.3, 1.0, 2.0),
                                     (3.0, 0.9, 0.7, 0.4)]:
-        base = err_spherical_quadrature(p, alpha, lam, beta, sigma)
-        assert err_spherical_quadrature(p, alpha, lam, c * beta, c * sigma) == \
+        base = err_mp(p, alpha, lam, beta, sigma)
+        assert err_mp(p, alpha, lam, c * beta, c * sigma) == \
             pytest.approx(c * c * base, rel=1e-9)
-        base = err_diagonal_quadrature(p, alpha, lam, beta, sigma, dens)
-        assert err_diagonal_quadrature(p, alpha, lam, c * beta, c * sigma, dens) == \
+        base = err_density(p, alpha, lam, beta, sigma, dens)
+        assert err_density(p, alpha, lam, c * beta, c * sigma, dens) == \
             pytest.approx(c * c * base, rel=1e-9)
 
 
 @pytest.mark.parametrize("p", list(SchattenIndex))
 def test_diagonal_alpha_zero(p):
     dens = SpectralDensity.power_law(2.0)
-    assert err_diagonal_quadrature(p, 0.0, 0.5, 1.0, 0.7, dens) == \
+    assert err_density(p, 0.0, 0.5, 1.0, 0.7, dens) == \
         pytest.approx(0.5 * 0.49, abs=1e-9)
 
 
@@ -322,9 +356,9 @@ def test_diagonal_null_model_limit(p):
     # alpha -> inf error tends to lam beta^2 E[x] = lam beta^2 gamma/(gamma+1).
     dens = SpectralDensity.power_law(2.0)
     target = 0.5 * (2.0 / 3.0)
-    assert err_diagonal_quadrature(p, 1e8, 0.5, 1.0, 1.0, dens) == \
+    assert err_density(p, 1e8, 0.5, 1.0, 1.0, dens) == \
         pytest.approx(target, rel=1e-5)
-    assert err_diagonal_quadrature(p, np.inf, 0.5, 1.0, 1.0, dens) == \
+    assert err_density(p, np.inf, 0.5, 1.0, 1.0, dens) == \
         pytest.approx(target, rel=1e-9)
 
 
@@ -336,7 +370,7 @@ def test_diagonal_quadrature_matches_closed_forms(p, gamma):
     alphas = np.logspace(-10, 5, 31)
     dens = SpectralDensity.power_law(gamma)
     for beta, sigma in [(1.0, 0.5), (1.0, 3.5)]:
-        got = err_diagonal_quadrature(p, alphas, 0.5, beta, sigma, dens)
+        got = err_density(p, alphas, 0.5, beta, sigma, dens)
         want = [oracle(a, 0.5, beta, sigma, gamma) for a in alphas]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -345,11 +379,11 @@ def test_diagonal_quadrature_matches_closed_forms(p, gamma):
 def test_spherical_ridge_matches_stieltjes_closed_form(lam):
     alphas = np.logspace(-3, 5, 41)
     for sigma in (0.5, 3.5):
-        got = err_spherical_quadrature(SchattenIndex.FROBENIUS, alphas, lam, 1.0, sigma)
+        got = err_mp(SchattenIndex.FROBENIUS, alphas, lam, 1.0, sigma)
         want = [spherical_ridge_stieltjes(a, lam, 1.0, sigma) for a in alphas]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     # A float in gives a float out, equal to the array entry.
-    one = err_spherical_quadrature(SchattenIndex.FROBENIUS, alphas[7], lam, 1.0, 3.5)
+    one = err_mp(SchattenIndex.FROBENIUS, alphas[7], lam, 1.0, 3.5)
     assert type(one) is float and one == got[7]
 
 
@@ -366,13 +400,13 @@ def test_diagonal_theory_matches_simulation():
         errs.append(np.mean((predict(fit(ds.X_tr, ds.Y_tr, p, alpha), ds.X_te) - ds.Y_te) ** 2))
     errs = np.asarray(errs)
     se = errs.std(ddof=1) / np.sqrt(len(errs))
-    theory = err_diagonal_quadrature(p, alpha, 0.5, 1.0, 0.5, dens)
+    theory = err_density(p, alpha, 0.5, 1.0, 0.5, dens)
     assert abs(errs.mean() - theory) < 3 * se
 
 
 def test_tabulated_density_quadrature_is_weighted_sum():
     dens = SpectralDensity.tabulated([0.25, 1.0], [0.5, 0.5])
-    val = err_diagonal_quadrature(SchattenIndex.FROBENIUS, 1.0, 0.5, 1.0, 0.0, dens)
+    val = err_density(SchattenIndex.FROBENIUS, 1.0, 0.5, 1.0, 0.0, dens)
     expected = 0.5 * 0.5 * (0.25 * (1.0 / 1.25) ** 2 + 1.0 * (1.0 / 2.0) ** 2)
     assert val == pytest.approx(expected, rel=1e-12)
 
@@ -391,13 +425,13 @@ def test_tabulated_density_atom_at_zero(p):
         at_x = b2 * x * (alpha / (x + alpha)) ** 2 + s2 * (x / (x + alpha)) ** 2
     else:
         at_x = s2  # x >= alpha: the filter leaves x alone
-    assert err_diagonal_quadrature(p, alpha, lam, 1.0, 0.7, dens) == \
+    assert err_density(p, alpha, lam, 1.0, 0.7, dens) == \
         pytest.approx(lam * 0.5 * at_x, rel=1e-14)
-    assert err_diagonal_quadrature(p, np.inf, lam, 1.0, 0.7, dens) == \
+    assert err_density(p, np.inf, lam, 1.0, 0.7, dens) == \
         pytest.approx(lam * b2 * 0.25, rel=1e-14)
     # At alpha = 0 every filter is the identity: OLS, with sigma^2 from the
     # atom at 0.5 alone.
-    assert err_diagonal_quadrature(p, 0.0, lam, 1.0, 0.7, dens) == \
+    assert err_density(p, 0.0, lam, 1.0, 0.7, dens) == \
         pytest.approx(lam * 0.5 * s2, rel=1e-14)
 
 
@@ -422,7 +456,7 @@ def test_diagonal_theory_is_exact_on_the_empirical_measure(p, low_atom):
         bias = ds.X_te @ (L @ ds.X_tr - np.eye(d))
         variance = ds.X_te @ L
         exact = (beta ** 2 * np.sum(bias * bias) + sigma ** 2 * np.sum(variance * variance)) / N
-        theory = err_diagonal_quadrature(p, alpha, d / N, beta, sigma, empirical)
+        theory = err_density(p, alpha, d / N, beta, sigma, empirical)
         assert theory == pytest.approx(exact, rel=1e-12)
 
 
@@ -442,7 +476,7 @@ def test_oracle_ridge_dominates_on_grid():
     alphas = np.logspace(-3, 3, 80)
     mins = {}
     for p in SchattenIndex:
-        errs = [err_spherical_quadrature(p, a, 0.5, 1.0, 1.0) for a in alphas]
+        errs = [err_mp(p, a, 0.5, 1.0, 1.0) for a in alphas]
         mins[p] = min(errs)
     assert mins[SchattenIndex.FROBENIUS] <= mins[SchattenIndex.NUCLEAR] + 1e-8
     assert mins[SchattenIndex.FROBENIUS] <= mins[SchattenIndex.SPECTRAL] + 1e-8
@@ -450,7 +484,7 @@ def test_oracle_ridge_dominates_on_grid():
 
 def test_error_integrals_grid_matches_spectral_closed_form():
     alphas = np.logspace(-2, 2, 9)
-    (q,) = error_integrals((SchattenIndex.SPECTRAL,), "spherical", alphas, 0.5)
+    (q,) = error_integrals((SchattenIndex.SPECTRAL,), MarchenkoPastur(0.5), alphas, 0.5)
     errors = q.error(1.0, 1.0)
     assert errors.shape == alphas.shape and np.all(errors >= 0)
     closed = [err_spectral_closed(a, 0.5, 1.0, 1.0) for a in alphas]
