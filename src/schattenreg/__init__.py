@@ -55,6 +55,7 @@ from .oracle import project_schatten_ball, solve_bias_constrained_numeric
 from .rff import (
     NonlinearTarget,
     RFFMap,
+    RFFRows,
     apply_rff,
     eval_target,
     make_rff_dataset,

@@ -7,7 +7,12 @@ aggregate average errors and per-dataset win probabilities.
 
 A path of M columns is scored on n rows of d features by its residuals
 (n*d*M multiply-adds), or, for a test set with a known truth beta0, through
-its Gram matrix when that is cheaper: n*d^2/2 + d^2*M < n*d*M.
+its Gram matrix when that is cheaper: n*d^2/2 + d^2*M < n*d*M.  The residual
+route reads the design in row blocks of at most rff._BLOCK_BYTES, so a design
+that is a row source (an RFF test set, rff.RFFRows) is made one block at a
+time and scoring holds the (M, n) residual plus one block, never the n x d
+design; every model's path is scored in the same pass, so each block is made
+once per spectrum.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .ensembles import (
 )
 from .estimators import fit_path
 from .exceptions import InsufficientData, InvalidConfig
-from .rff import make_rff_dataset
+from .rff import make_rff_dataset, row_blocks
 from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 
 __all__ = [
@@ -123,20 +128,26 @@ def _fold_blocks(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarra
     return [np.asarray(b) for b in np.array_split(perm, folds)]
 
 
-def _path_mse(B: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _path_mse(B: np.ndarray, X, Y: np.ndarray) -> np.ndarray:
     """Mean squared error on (X, Y) of every coefficient column of B, the
-    direct route: one GEMM, with the residual rows held alpha-major so each
-    mean sums one contiguous row."""
-    resid = B.T @ X.T
+    direct route.  X is an array or a row source (.shape, and row slices
+    X[i:j] that are arrays), read in the row blocks of rff.row_blocks; each
+    block's product fills its columns of one residual array held alpha-major,
+    so each mean sums one contiguous row."""
+    n, d = X.shape
+    resid = np.empty((B.shape[1], n))
+    for lo, hi in row_blocks(n, 8 * d):
+        resid[:, lo:hi] = B.T @ X[lo:hi].T
     resid -= Y
     return np.square(resid, out=resid).mean(axis=1)
 
 
-def _path_scores(spectrum: GramSpectrum, models, alphas: np.ndarray, X: np.ndarray,
+def _path_scores(spectrum: GramSpectrum, models, alphas: np.ndarray, X,
                  Y: np.ndarray) -> np.ndarray:
     """(n_models, n_alpha) mean squared error on (X, Y) of every model's
-    whole alpha path fit from one spectrum."""
-    return np.array([_path_mse(fit_path(spectrum, p, alphas), X, Y) for p in models])
+    whole alpha path fit from one spectrum, all scored in one pass over X."""
+    B = np.hstack([fit_path(spectrum, p, alphas) for p in models])
+    return _path_mse(B, X, Y).reshape(len(models), len(alphas))
 
 
 def _cv_best_index(
@@ -285,10 +296,10 @@ class RFFBenchConfig:
     def __post_init__(self):
         if self.d_rbf < 1:
             raise InvalidConfig("d_rbf must be >= 1")
-        if self.sigma < 0:
-            raise InvalidConfig("sigma must be nonnegative")
-        if not self.bandwidth > 0:
-            raise InvalidConfig("bandwidth must be positive")
+        if not 0.0 <= self.sigma < np.inf:
+            raise InvalidConfig(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        if not 0.0 < self.bandwidth < np.inf:
+            raise InvalidConfig(f"bandwidth must be finite and positive, got {self.bandwidth!r}")
 
 
 def rff_benchmark(rff_cfg: RFFBenchConfig, cfg: CVConfig) -> BenchReport:

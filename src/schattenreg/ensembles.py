@@ -42,6 +42,15 @@ __all__ = [
 DEFAULT_N_TEST = 5000
 
 
+def _check_scales(config, *names: str) -> None:
+    """Raise InvalidConfig naming the first field of `names` that is not a
+    finite nonnegative number; NaN fails every comparison, so it fails too."""
+    for name in names:
+        value = getattr(config, name)
+        if not 0.0 <= value < np.inf:
+            raise InvalidConfig(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 def child_seeds(master_seed: int, n: int) -> list[int]:
     """Independent per-replicate seeds derived from a master seed."""
     ss = np.random.SeedSequence(master_seed)
@@ -55,11 +64,17 @@ class Dataset:
     spectrum is gram_spectrum(X_tr, Y_tr), made by the builder before X_te
     existed; fitting reads it instead of factoring X_tr again.  A given beta0
     is the noiseless truth behind Y_te: the samplers set Y_te = X_te @ beta0.
+
+    X_te is an array, or a row source: an object with .shape whose row slices
+    X_te[i:j] are arrays.  make_rff_dataset gives an rff.RFFRows, so an RFF
+    test set's features are made a block at a time as they are scored, and
+    rff-bench memory scales with n_obs*d_rbf plus one block, not with
+    n_test*d_rbf.  The samplers' test designs are arrays.
     """
 
     X_tr: np.ndarray
     Y_tr: np.ndarray
-    X_te: np.ndarray
+    X_te: np.ndarray  # or a row source, as above
     Y_te: np.ndarray
     beta0: np.ndarray | None
     seed: int
@@ -77,8 +92,7 @@ class SphericalGaussianConfig:
     def __post_init__(self):
         if self.n_obs < 1 or self.n_feat < 1 or self.n_test < 1:
             raise InvalidConfig("n_obs, n_feat and n_test must be >= 1")
-        if self.beta < 0 or self.sigma < 0:
-            raise InvalidConfig("beta and sigma must be nonnegative")
+        _check_scales(self, "beta", "sigma")
 
 
 @dataclass(frozen=True)
@@ -95,19 +109,23 @@ class SpectralDensity:
     weights: np.ndarray | None = None
 
     def __post_init__(self):
+        # Each range is written as the values it admits, so NaN fails it.
         if self.kind == "powerlaw":
-            if self.gamma <= 0:
-                raise InvalidConfig("power-law exponent must be positive")
+            if not 0.0 < self.gamma < np.inf:
+                raise InvalidConfig(f"gamma: power-law exponent must be finite and positive, "
+                                    f"got {self.gamma!r}")
         elif self.kind == "tabulated":
             if self.grid is None or self.weights is None:
                 raise InvalidConfig("tabulated density needs grid and weights")
             w = np.asarray(self.weights, dtype=float)
             g = np.asarray(self.grid, dtype=float)
-            if g.shape != w.shape or np.any(w < 0):
-                raise InvalidConfig("weights must be nonnegative, same shape as grid")
+            if g.shape != w.shape:
+                raise InvalidConfig("grid and weights must have the same shape")
+            if not np.all((w >= 0) & (w < np.inf)):
+                raise InvalidConfig("weights must be finite and nonnegative")
             if abs(w.sum() - 1.0) > 1e-10:
                 raise InvalidConfig("weights must sum to 1")
-            if np.any((g < 0) | (g > 1)):
+            if not np.all((g >= 0) & (g <= 1)):
                 raise InvalidConfig("grid must lie in [0, 1]")
         else:
             raise InvalidConfig(f"unknown spectral density kind {self.kind!r}")
@@ -169,8 +187,7 @@ class DiagonalEnsembleConfig:
             raise InvalidConfig("n_obs and n_feat must be >= 1")
         if self.n_feat > self.n_obs:
             raise InvalidConfig("diagonal ensemble requires d <= N (Stiefel frames)")
-        if self.beta < 0 or self.sigma < 0:
-            raise InvalidConfig("beta and sigma must be nonnegative")
+        _check_scales(self, "beta", "sigma")
 
 
 @dataclass(frozen=True)
@@ -198,8 +215,7 @@ class EquicorrelatedConfig:
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
             raise InvalidConfig("rho must lie in [0, 1)")
-        if self.sigma < 0:
-            raise InvalidConfig("sigma must be nonnegative")
+        _check_scales(self, "sigma")
         if self.n_obs < 1 or self.n_feat < 1 or self.n_test < 1:
             raise InvalidConfig("n_obs, n_feat and n_test must be >= 1")
         if self.sparse is not None and self.sparse.n_large > self.n_feat:

@@ -16,13 +16,23 @@ import numpy as np
 from .ensembles import Dataset
 from .spectrum import gram_spectrum
 
-__all__ = ["NonlinearTarget", "RFFMap", "apply_rff", "eval_target",
+__all__ = ["NonlinearTarget", "RFFMap", "RFFRows", "apply_rff", "eval_target",
            "make_rff_dataset", "sample_nonlinear_target", "sample_rff_map"]
 
-# Bytes of eval_target's (rows, n_terms) projection per block of rows: within
-# 96 KiB it stays below glibc's 128 KiB mmap threshold, like theory._BLOCK, so
-# it is not mapped and page-faulted afresh.
+# Bytes of one block of rows (eval_target's projection, a scored block of a
+# test design): within 96 KiB it stays below glibc's 128 KiB mmap threshold,
+# like theory._BLOCK, so it is not mapped and page-faulted afresh.
 _BLOCK_BYTES = 96 * 1024
+
+
+def row_blocks(n: int, row_bytes: int):
+    """(lo, hi) ranges covering rows 0..n in blocks of at most _BLOCK_BYTES
+    of row_bytes each, and at least two rows.  BLAS takes a one-row product
+    through gemv, whose sums round unlike gemm's; a last block of one row
+    starts a row early instead, so that row is made twice."""
+    step = max(2, _BLOCK_BYTES // row_bytes)
+    for start in range(0, n, step):
+        yield max(min(start, n - 2), 0), min(start + step, n)
 
 
 @dataclass(frozen=True)
@@ -67,6 +77,27 @@ def apply_rff(rff: RFFMap, X: np.ndarray) -> np.ndarray:
     return Z
 
 
+@dataclass(frozen=True, eq=False)
+class RFFRows:
+    """The RFF features of raw rows, made a block at a time: a row slice
+    rows[i:j] is apply_rff(rff, raw[i:j]), so the whole (n, d_rbf) feature
+    matrix never exists.  nbytes counts the raw rows it holds."""
+
+    rff: RFFMap
+    raw: np.ndarray  # (n, d)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.raw.shape[0], self.rff.weights.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        return self.raw.nbytes
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return apply_rff(self.rff, self.raw[rows])
+
+
 def sample_nonlinear_target(d: int, n_terms: int, rng: np.random.Generator) -> NonlinearTarget:
     v = rng.standard_normal((n_terms, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -77,20 +108,16 @@ def eval_target(target: NonlinearTarget, x: np.ndarray) -> np.ndarray | float:
     """Evaluate the cosine series at one point (1-d x) or row-wise (2-d x)."""
     x = np.asarray(x, dtype=float)
     rows = np.atleast_2d(x)
-    n, n_terms = len(rows), target.directions.shape[0]
+    n_terms = target.directions.shape[0]
     k = np.arange(1, n_terms + 1)
     freq, decay = 2.0 * np.pi * k, k**2
-    step = max(2, _BLOCK_BYTES // (8 * n_terms))
-    vals = np.empty(n)
-    for start in range(0, n, step):
-        # BLAS takes a one-row product through gemv, whose sums round unlike
-        # gemm's; a last block of one row starts a row early instead.
-        lo = max(min(start, n - 2), 0)
-        proj = rows[lo:start + step] @ target.directions.T
+    vals = np.empty(len(rows))
+    for lo, hi in row_blocks(len(rows), 8 * n_terms):
+        proj = rows[lo:hi] @ target.directions.T
         proj *= freq
         np.cos(proj, out=proj)
         proj /= decay
-        vals[lo:start + step] = proj.sum(axis=1)
+        vals[lo:hi] = proj.sum(axis=1)
     return vals if x.ndim == 2 else float(vals[0])
 
 
@@ -106,7 +133,9 @@ def make_rff_dataset(
     """Dataset in RFF feature space: raw Gaussian inputs with entry variance
     1/d_rbf, targets from the nonlinear cosine series (noiseless on test),
     and the identical feature map applied to train and test.  The training
-    features are factored before the test inputs are mapped."""
+    features are factored as soon as they exist; the test features are never
+    formed whole: X_te is an RFFRows over the raw test inputs, mapped a row
+    block at a time by whoever reads it."""
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(d_rbf)
     raw_tr = rng.standard_normal((n_obs, d)) * scale
@@ -120,7 +149,7 @@ def make_rff_dataset(
     return Dataset(
         X_tr=X_tr,
         Y_tr=Y_tr,
-        X_te=apply_rff(rff, raw_te),
+        X_te=RFFRows(rff, raw_te),
         Y_te=Y_te,
         beta0=None,  # no linear ground truth exists in feature space
         seed=seed,

@@ -34,6 +34,7 @@ from schattenreg import (
 )
 from schattenreg.cv import _cv_errors, _path_errors, _path_scores
 from schattenreg.exceptions import InsufficientData, InvalidConfig
+from schattenreg.rff import _BLOCK_BYTES, RFFRows
 
 
 def _small_cfg(**kw):
@@ -168,10 +169,10 @@ def test_route_follows_shape_and_truth(mse_calls):
                          2, seed=0)
     assert mse_calls == []
     # cv-tall's shape scaled down (d = 200 > 2M, M = 27): the test set and
-    # every fold go the direct route.
+    # every fold go the direct route, each in one pass for all three models.
     ds = sample_equicorrelated(EquicorrelatedConfig(300, 200, rho=0.5, n_test=400), seed=1)
     _cv_errors(ds, _small_cfg(), cv_seed=2)
-    assert [X is ds.X_te for X in mse_calls] == [True] * 3 + [False] * 9
+    assert [X is ds.X_te for X in mse_calls] == [True] + [False] * 3
     # No truth (RFF features, real-data splits): direct, though the shapes
     # alone would pick the Gram route.
     rff = make_rff_dataset(4, 20, 60, 500, 0.5, 1.0, seed=3)
@@ -181,7 +182,37 @@ def test_route_follows_shape_and_truth(mse_calls):
     for data in (rff, truthless):
         mse_calls.clear()
         _path_errors(data, _ALL_MODELS, alphas)
-        assert [X is data.X_te for X in mse_calls] == [True] * 3
+        assert [X is data.X_te for X in mse_calls] == [True]
+
+
+# RFF test sets of 1000 features are scored in blocks of 12 rows.
+_RFF_STEP = _BLOCK_BYTES // (8 * 1000)
+
+
+@pytest.mark.parametrize("n_test", [2 * _RFF_STEP + 1, 3 * _RFF_STEP, _RFF_STEP - 5],
+                         ids=["one-row-tail", "exact-multiple", "single-block"])
+def test_rff_rows_score_as_their_feature_matrix(n_test, monkeypatch):
+    ds = make_rff_dataset(4, 1000, 30, n_test, 0.5, 1.0, seed=n_test)
+    assert isinstance(ds.X_te, RFFRows) and ds.X_te.shape == (n_test, 1000)
+    X = apply_rff(ds.X_te.rff, ds.X_te.raw)
+    slices, block = [], RFFRows.__getitem__
+
+    def spy(rows, i):
+        slices.append((i.start, i.stop))
+        return block(rows, i)
+
+    monkeypatch.setattr(RFFRows, "__getitem__", spy)
+    streamed = _path_errors(ds, _ALL_MODELS, _ROUTE_ALPHAS)
+    assert min(hi - lo for lo, hi in slices) >= 2  # no one-row product goes to gemv
+    assert slices[0][0] == 0 and slices[-1][1] == n_test
+    assert all(lo <= prev_hi for (_, prev_hi), (lo, _) in zip(slices, slices[1:]))
+    whole = _path_scores(ds.spectrum, _ALL_MODELS, _ROUTE_ALPHAS, X, ds.Y_te)
+    np.testing.assert_allclose(streamed, whole, rtol=1e-15, atol=0)
+    # Against one product over the whole matrix, which BLAS may sum in
+    # another order than its blocks.
+    B = np.hstack([fit_path(ds.spectrum, p, _ROUTE_ALPHAS) for p in _ALL_MODELS])
+    one_gemm = np.mean((X @ B - ds.Y_te[:, None]) ** 2, axis=0)
+    np.testing.assert_allclose(streamed.ravel(), one_gemm, rtol=1e-13, atol=0)
 
 
 # Test designs of 50,000 rows: one alone outweighs every other array a run
@@ -240,6 +271,20 @@ def test_no_factorization_overlaps_a_test_set(monkeypatch, bench):
         assert sum(X is X_tr for X, _ in calls) == 1
     folds = [len(X) for X, _ in calls if not any(X is X_tr for X_tr in made)]
     assert folds == ([] if bench == "simulate" else [20] * 6)
+
+
+def test_rff_benchmark_never_holds_a_test_design():
+    # The run holds the raw test inputs (n_test x 4), Y_te and the (M, n_test)
+    # residual of M = 18 path columns, plus one block: under 10 MB, against
+    # the 40 MB feature matrix.
+    rff_cfg = RFFBenchConfig(d=4, d_rbf=100, n_obs=30, n_test=_BIG_TEST)
+    tracemalloc.start()
+    try:
+        rff_benchmark(rff_cfg, _small_cfg(n_datasets=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _BIG_TEST * rff_cfg.d_rbf
 
 
 def test_insufficient_data_raises():

@@ -3,6 +3,7 @@ import pytest
 
 from schattenreg import (
     DiagonalEnsembleConfig,
+    RFFBenchConfig,
     EquicorrelatedConfig,
     MarchenkoPastur,
     NoiseDensity,
@@ -100,6 +101,30 @@ def test_sparse_spec_rejected_before_sampling(n_large, small_scale, n_feat):
 def test_ensemble_config_ranges_name_the_field(make, field):
     with pytest.raises(InvalidConfig, match=field):
         make()
+
+
+_NON_FINITE = [np.nan, np.inf, -np.inf]
+_POWER_LAW = SpectralDensity.power_law(1.0)
+
+
+@pytest.mark.parametrize("value", _NON_FINITE, ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("make, field", [
+    (lambda v: SpectralDensity.power_law(v), "gamma"),
+    (lambda v: SpectralDensity.tabulated([0.2, v], [0.5, 0.5]), "grid"),
+    (lambda v: SpectralDensity.tabulated([0.2, 0.8], [1.0, v]), "weights"),
+    (lambda v: SphericalGaussianConfig(20, 5, beta=v), "beta"),
+    (lambda v: SphericalGaussianConfig(20, 5, sigma=v), "sigma"),
+    (lambda v: DiagonalEnsembleConfig(20, 5, _POWER_LAW, beta=v), "beta"),
+    (lambda v: DiagonalEnsembleConfig(20, 5, _POWER_LAW, sigma=v), "sigma"),
+    (lambda v: EquicorrelatedConfig(20, 5, sigma=v), "sigma"),
+    (lambda v: RFFBenchConfig(sigma=v), "sigma"),
+    (lambda v: RFFBenchConfig(bandwidth=v), "bandwidth"),
+], ids=["power-law-gamma", "tabulated-grid", "tabulated-weights", "spherical-beta",
+        "spherical-sigma", "diagonal-beta", "diagonal-sigma", "equicorrelated-sigma",
+        "rff-sigma", "rff-bandwidth"])
+def test_non_finite_values_are_rejected_naming_the_field(make, field, value):
+    with pytest.raises(InvalidConfig, match=field):
+        make(value)
 
 
 def test_power_law_sampling_cdf():
