@@ -30,7 +30,9 @@ from .ensembles import (
     Dataset,
     DiagonalEnsembleConfig,
     EquicorrelatedConfig,
+    GramTestSet,
     NoiseDensity,
+    RowTestSet,
     SparseSpec,
     SpectralDensity,
     SphericalGaussianConfig,
@@ -62,7 +64,7 @@ from .rff import (
     sample_nonlinear_target,
     sample_rff_map,
 )
-from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
+from .spectrum import GramSpectrum, RowStack, SchattenIndex, gram_spectrum
 from .theory import (
     ErrorIntegrals,
     MarchenkoPastur,

@@ -39,6 +39,7 @@ from .ensembles import (
     DiagonalEnsembleConfig,
     EquicorrelatedConfig,
     NoiseDensity,
+    RowTestSet,
     SparseSpec,
     SpectralDensity,
     SphericalGaussianConfig,
@@ -419,7 +420,7 @@ def cmd_real_data(path: str, cfg: dict) -> BenchReport:
         X_te = X_all[te]
         X_te -= mu
         X_te /= sd
-        return Dataset(X_tr=X_tr, Y_tr=y_tr, X_te=X_te, Y_te=y_all[te] - y_mean,
+        return Dataset(X_tr=X_tr, Y_tr=y_tr, test=RowTestSet(X_te, y_all[te] - y_mean),
                        beta0=None, seed=seed, spectrum=spectrum)
 
     return _bench_over_datasets(split, cv_cfg, with_ratio=False)

@@ -5,14 +5,17 @@ training set by k-fold cross-validation over a fixed logarithmic grid, refit
 on the full training set, and score on the held-out test set.  Reports
 aggregate average errors and per-dataset win probabilities.
 
-A path of M columns is scored on n rows of d features by its residuals
-(n*d*M multiply-adds), or, for a test set with a known truth beta0, through
-its Gram matrix when that is cheaper: n*d^2/2 + d^2*M < n*d*M.  The residual
-route reads the design in row blocks of at most rff._BLOCK_BYTES, so a design
-that is a row source (an RFF test set, rff.RFFRows) is made one block at a
-time and scoring holds the (M, n) residual plus one block, never the n x d
-design; every model's path is scored in the same pass, so each block is made
-once per spectrum.
+Every model's alpha path is fit from one spectrum and scored by one call,
+ds.test.mse(B), whatever the test set is: a sampled one through its d x d
+Gram matrix, a set of rows (RFF, real data, a CV fold's validation block) in
+row blocks of at most ensembles._BLOCK_BYTES, so an RFF test set's features
+are made one block at a time and scoring never holds its n x d design.
+
+Once a dataset has been scored and let go, its training rows are permuted
+into fold order in place, and the fold loop holds that only copy: a fold's
+validation design is a slice of it, and its training design the RowStack of
+the two slices around that block, which gram_spectrum factors without
+copying its rows.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .ensembles import (
     Dataset,
     DiagonalEnsembleConfig,
     EquicorrelatedConfig,
+    RowTestSet,
     SphericalGaussianConfig,
     child_seeds,
     sample_diagonal,
@@ -33,8 +37,8 @@ from .ensembles import (
 )
 from .estimators import fit_path
 from .exceptions import InsufficientData, InvalidConfig
-from .rff import make_rff_dataset, row_blocks
-from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
+from .rff import make_rff_dataset
+from .spectrum import GramSpectrum, RowStack, SchattenIndex, gram_spectrum
 
 __all__ = [
     "AlphaGrid",
@@ -122,55 +126,51 @@ class BenchReport:
         return out
 
 
-def _fold_blocks(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Contiguous blocks of a seeded shuffle; sizes differ by at most one."""
-    perm = rng.permutation(n)
-    return [np.asarray(b) for b in np.array_split(perm, folds)]
+def _fold_order(n: int, folds: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A seeded shuffle of n rows into fold order and the fold edges: fold k
+    is the shuffled rows edges[k]:edges[k + 1], and fold sizes differ by at
+    most one."""
+    if n < folds:
+        raise InsufficientData(f"{n} observations cannot fill {folds} folds")
+    perm = np.random.default_rng(seed).permutation(n)
+    return perm, np.r_[0, np.cumsum([len(b) for b in np.array_split(perm, folds)])]
 
 
-def _path_mse(B: np.ndarray, X, Y: np.ndarray) -> np.ndarray:
-    """Mean squared error on (X, Y) of every coefficient column of B, the
-    direct route.  X is an array or a row source (.shape, and row slices
-    X[i:j] that are arrays), read in the row blocks of rff.row_blocks; each
-    block's product fills its columns of one residual array held alpha-major,
-    so each mean sums one contiguous row."""
-    n, d = X.shape
-    resid = np.empty((B.shape[1], n))
-    for lo, hi in row_blocks(n, 8 * d):
-        resid[:, lo:hi] = B.T @ X[lo:hi].T
-    resid -= Y
-    return np.square(resid, out=resid).mean(axis=1)
+def _permute_rows(A: np.ndarray, perm: np.ndarray) -> None:
+    """A[i] = A[perm[i]] for every row i, in place: each cycle of perm is
+    followed with one saved row, so no second copy of A is made."""
+    perm, done = perm.tolist(), bytearray(len(perm))
+    for start in range(len(perm)):
+        if done[start]:
+            continue
+        saved, i = A[start].copy(), start
+        while perm[i] != start:
+            A[i] = A[perm[i]]
+            done[i] = True
+            i = perm[i]
+        A[i] = saved
+        done[i] = True
 
 
-def _path_scores(spectrum: GramSpectrum, models, alphas: np.ndarray, X,
-                 Y: np.ndarray) -> np.ndarray:
-    """(n_models, n_alpha) mean squared error on (X, Y) of every model's
-    whole alpha path fit from one spectrum, all scored in one pass over X."""
+def _path_scores(spectrum: GramSpectrum, models, alphas: np.ndarray, test) -> np.ndarray:
+    """(n_models, n_alpha) mean squared error on a test set (anything with an
+    mse(B) method) of every model's whole alpha path fit from one spectrum,
+    all scored in one call."""
     B = np.hstack([fit_path(spectrum, p, alphas) for p in models])
-    return _path_mse(B, X, Y).reshape(len(models), len(alphas))
+    return test.mse(B).reshape(len(models), len(alphas))
 
 
-def _cv_best_index(
-    X: np.ndarray,
-    Y: np.ndarray,
-    models: tuple[SchattenIndex, ...],
-    cfg: CVConfig,
-    seed: int,
-) -> np.ndarray:
-    """Per model, the grid index minimizing mean validation MSE across folds;
-    argmin takes the first minimum, so ties break to the smaller alpha.  Each
-    fold is factored once and shared by all models."""
-    n = X.shape[0]
-    if n < cfg.folds:
-        raise InsufficientData(f"{n} observations cannot fill {cfg.folds} folds")
-    rng = np.random.default_rng(seed)
-    alphas = cfg.grid.values()
-    scores = np.zeros((cfg.folds, len(models), len(alphas)))
-    for k, val_idx in enumerate(_fold_blocks(n, cfg.folds, rng)):
-        mask = np.ones(n, dtype=bool)
-        mask[val_idx] = False
-        scores[k] = _path_scores(gram_spectrum(X[mask], Y[mask]), models, alphas,
-                                 X[val_idx], Y[val_idx])
+def _cv_best_index(X: np.ndarray, Y: np.ndarray, edges: np.ndarray,
+                   models: tuple[SchattenIndex, ...], alphas: np.ndarray) -> np.ndarray:
+    """Per model, the grid index minimizing mean validation MSE across the
+    folds of rows X, Y in fold order (_fold_order); argmin takes the first
+    minimum, so ties break to the smaller alpha.  Each fold is factored once,
+    from slices of X and Y, and shared by all models."""
+    scores = np.zeros((len(edges) - 1, len(models), len(alphas)))
+    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        scores[k] = _path_scores(
+            gram_spectrum(RowStack((X[:lo], X[hi:])), RowStack((Y[:lo], Y[hi:]))),
+            models, alphas, RowTestSet(X[lo:hi], Y[lo:hi]))
     return np.argmin(scores.mean(axis=0), axis=1)
 
 
@@ -184,8 +184,9 @@ def kfold_select_alpha(
     """Per model, the grid alpha minimizing mean validation MSE across folds;
     ties break to the smaller alpha.  Each fold is factored once and shared
     by all models."""
-    best = _cv_best_index(X, Y, models, cfg, cfg.seed if seed is None else seed)
     alphas = cfg.grid.values()
+    perm, edges = _fold_order(X.shape[0], cfg.folds, cfg.seed if seed is None else seed)
+    best = _cv_best_index(X[perm], Y[perm], edges, models, alphas)
     return {p: float(alphas[b]) for p, b in zip(models, best)}
 
 
@@ -202,18 +203,8 @@ def sample_ensemble(config, seed: int) -> Dataset:
 
 def _path_errors(ds: Dataset, models, alphas: np.ndarray) -> np.ndarray:
     """(n_models, n_alpha) test MSE of every model's alpha path fit on the
-    full training set, from the spectrum the dataset arrives with.  With a
-    truth beta0 and d*(n + 2M) < 2nM, through H = X^T X: for Z = B - beta0 and
-    e = Y - X beta0, MSE = (colsum(Z * HZ) - 2 e^T X Z + e^T e) / n, exact for
-    any Y.  Else directly: uncentred, the three terms cancel on an exact fit."""
-    X, Y, beta0 = ds.X_te, ds.Y_te, ds.beta0
-    (n, d), M = X.shape, len(models) * len(alphas)
-    if beta0 is None or d * (n + 2 * M) >= 2 * n * M:
-        return _path_scores(ds.spectrum, models, alphas, X, Y)
-    e = Y - X @ beta0  # exactly 0 from the samplers
-    Z = np.hstack([fit_path(ds.spectrum, p, alphas) for p in models]) - beta0[:, None]
-    mse = (np.einsum("ij,ij->j", Z, (X.T @ X) @ Z) - 2 * ((e @ X) @ Z) + e @ e) / n
-    return mse.reshape(len(models), len(alphas))
+    full training set, from the spectrum the dataset arrives with."""
+    return _path_scores(ds.spectrum, models, alphas, ds.test)
 
 
 def simulate_path_errors(
@@ -234,24 +225,28 @@ def simulate_path_errors(
 def _cv_errors(ds: Dataset, cfg: CVConfig, cv_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(test MSE, selected alpha) per model.  Every model's whole alpha path
     is fit from the dataset's own spectrum and scored on the test set first;
-    then the dataset is dropped and k-fold CV picks the grid index to report.
-    Called with a dataset no one else holds, as the replicate harness does,
-    the test arrays are freed before any fold is factored."""
+    then the dataset is let go and k-fold CV picks the grid index to report.
+    The dataset is consumed: its training rows are permuted into fold order
+    in place, so no second copy of them is made.  Called with a dataset no
+    one else holds, as the replicate harness does, the test set is freed
+    before any fold is factored."""
     alphas = cfg.grid.values()
     test_mse = _path_errors(ds, cfg.models, alphas)
     X, Y = ds.X_tr, ds.Y_tr
     del ds
-    best = _cv_best_index(X, Y, cfg.models, cfg, cv_seed)
+    perm, edges = _fold_order(X.shape[0], cfg.folds, cv_seed)
+    _permute_rows(X, perm)
+    best = _cv_best_index(X, Y[perm], edges, cfg.models, alphas)
     return test_mse[np.arange(len(cfg.models)), best], alphas[best]
 
 
 def _bench_over_datasets(make_dataset, cfg: CVConfig, with_ratio: bool) -> BenchReport:
     """The replicate protocol: dataset j is make_dataset(seed) for the j-th
     even child seed and its CV folds use the next one.  Each dataset is made
-    inside the call that scores it, so only one is alive at a time.  No
-    factorization overlaps a test set: make_dataset factors the full training
-    set before it makes the test arrays, and those are freed before the folds
-    are factored."""
+    inside the call that scores and consumes it, so only one is alive at a
+    time.  No factorization overlaps a test set: make_dataset factors the
+    full training set before it makes the test set, and that is freed before
+    the folds are factored."""
     names = tuple(MODEL_NAMES[m] for m in cfg.models)
     n_data = cfg.n_datasets
     seeds = child_seeds(cfg.seed, 2 * n_data)

@@ -7,13 +7,16 @@ coefficient vector).  Test targets never carry exogenous noise; noise on the
 test side would only add a constant sigma^2 offset to every error.
 
 Every generator factors its training design as soon as that design exists,
-before the test design is drawn, and returns the GramSpectrum inside the
+before the test set is drawn, and returns the GramSpectrum inside the
 Dataset, so the eigensolve's temporaries never sit on top of the test set.
-The random draws keep their order: the spectrum consumes no randomness.
+The test rows are drawn in blocks and summed into H = X_te^T X_te as they
+come (see Dataset).  The random draws keep their order and values: blockwise
+draws return the one-shot values, and the spectrum consumes no randomness.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +25,15 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .exceptions import InvalidConfig
-from .spectrum import GramSpectrum, gram_spectrum
+from .spectrum import GramSpectrum, gram_matrix, gram_spectrum
 
 __all__ = [
     "Dataset",
     "DiagonalEnsembleConfig",
     "EquicorrelatedConfig",
+    "GramTestSet",
     "NoiseDensity",
+    "RowTestSet",
     "SphericalGaussianConfig",
     "SparseSpec",
     "SpectralDensity",
@@ -40,6 +45,30 @@ __all__ = [
 ]
 
 DEFAULT_N_TEST = 5000
+
+# Bytes of one block of rows (a scored block of a test design, eval_target's
+# projection): within 96 KiB it stays below glibc's 128 KiB mmap threshold,
+# like theory._BLOCK, so it is not mapped and page-faulted afresh.
+_BLOCK_BYTES = 96 * 1024
+
+
+def row_blocks(n: int, row_bytes: int):
+    """(lo, hi) ranges covering rows 0..n in blocks of at most _BLOCK_BYTES
+    of row_bytes each, and at least two rows.  BLAS takes a one-row product
+    through gemv, whose sums round unlike gemm's; a last block of one row
+    starts a row early instead, so that row is made twice."""
+    step = max(2, _BLOCK_BYTES // row_bytes)
+    for start in range(0, n, step):
+        yield max(min(start, n - 2), 0), min(start + step, n)
+
+
+def _test_spans(n: int, d: int) -> list[tuple[int, int]]:
+    """(lo, hi) ranges partitioning n sampled test rows of d features into
+    blocks of at most max(_BLOCK_BYTES, 8 d^2) bytes: a block never outweighs
+    the d x d test Gram matrix, so a test set costs at most twice that
+    matrix while it is drawn."""
+    step = max(_BLOCK_BYTES, 8 * d * d) // (8 * d)
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _check_scales(config, *names: str) -> None:
@@ -57,28 +86,75 @@ def child_seeds(master_seed: int, n: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in ss.spawn(n)]
 
 
+@dataclass(frozen=True, eq=False)
+class RowTestSet:
+    """A test set as rows: X, an array or a row source (an object with
+    .shape whose row slices X[i:j] are arrays), and its targets Y."""
+
+    X: np.ndarray  # or a row source, as above
+    Y: np.ndarray
+
+    def mse(self, B: np.ndarray) -> np.ndarray:
+        """Mean squared error of every coefficient column of B.  X is read in
+        the row blocks of row_blocks, so a row source is made one block at a
+        time; each block's product fills its columns of one residual array
+        held alpha-major, so each mean sums one contiguous row."""
+        n, d = self.X.shape
+        resid = np.empty((B.shape[1], n))
+        for lo, hi in row_blocks(n, 8 * d):
+            resid[:, lo:hi] = B.T @ self.X[lo:hi].T
+        resid -= self.Y
+        return np.square(resid, out=resid).mean(axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class GramTestSet:
+    """A sampled test set: n rows X whose targets are the noiseless X beta0,
+    kept as H = X^T X."""
+
+    H: np.ndarray
+    n: int
+    beta0: np.ndarray
+
+    def mse(self, B: np.ndarray) -> np.ndarray:
+        """Mean squared error of every coefficient column of B: for
+        Z = B - beta0 it is colsum(Z * HZ) / n, exactly, as ||X Z||^2 is
+        Z^T H Z column by column."""
+        Z = B - self.beta0[:, None]
+        return np.einsum("ij,ij->j", Z, self.H @ Z) / self.n
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A training set, a held-out test set and the training set's spectrum.
 
-    spectrum is gram_spectrum(X_tr, Y_tr), made by the builder before X_te
-    existed; fitting reads it instead of factoring X_tr again.  A given beta0
-    is the noiseless truth behind Y_te: the samplers set Y_te = X_te @ beta0.
+    spectrum is gram_spectrum(X_tr, Y_tr), made by the builder before the
+    test set existed; fitting reads it instead of factoring X_tr again.
 
-    X_te is an array, or a row source: an object with .shape whose row slices
-    X_te[i:j] are arrays.  make_rff_dataset gives an rff.RFFRows, so an RFF
-    test set's features are made a block at a time as they are scored, and
-    rff-bench memory scales with n_obs*d_rbf plus one block, not with
-    n_test*d_rbf.  The samplers' test designs are arrays.
+    test is scored by one call, test.mse(B), for coefficient columns B.  A
+    sampler's test set is a GramTestSet (H, n_test, beta0), so it costs d^2
+    floats, not n_test*d; H is the larger only when d > n_test, which no
+    default or benchmark config has.  RFF and real-data test sets are
+    RowTestSets (X_te, Y_te); make_rff_dataset's X_te is an rff.RFFRows, made
+    a block at a time as it is scored, so rff-bench memory scales with
+    n_obs*d_rbf plus one block, not with n_test*d_rbf.  X_te and Y_te are a
+    row test set's X and Y, and None for a sampled one.
     """
 
     X_tr: np.ndarray
     Y_tr: np.ndarray
-    X_te: np.ndarray  # or a row source, as above
-    Y_te: np.ndarray
+    test: RowTestSet | GramTestSet
     beta0: np.ndarray | None
     seed: int
     spectrum: GramSpectrum
+
+    @property
+    def X_te(self):
+        return getattr(self.test, "X", None)
+
+    @property
+    def Y_te(self) -> np.ndarray | None:
+        return getattr(self.test, "Y", None)
 
 
 @dataclass(frozen=True)
@@ -233,19 +309,22 @@ def haar_stiefel(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return Q * np.sign(np.diag(R))
 
 
+def _scaled(z: np.ndarray, scale: float) -> np.ndarray:
+    z *= scale
+    return z
+
+
 def sample_spherical(config: SphericalGaussianConfig, seed: int = 0) -> Dataset:
     rng = np.random.default_rng(seed)
     N, d = config.n_obs, config.n_feat
     scale = 1.0 / np.sqrt(N)
-    X_tr = rng.standard_normal((N, d))
-    X_tr *= scale
+    X_tr = _scaled(rng.standard_normal((N, d)), scale)
     spectrum = gram_spectrum(X_tr)
-    X_te = rng.standard_normal((config.n_test, d))
-    X_te *= scale
+    H = gram_matrix(_scaled(rng.standard_normal((hi - lo, d)), scale)
+                    for lo, hi in _test_spans(config.n_test, d))
     beta0 = rng.standard_normal(d) * config.beta
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
-    Y_te = X_te @ beta0
-    return Dataset(X_tr, Y_tr, X_te, Y_te, beta0, seed,
+    return Dataset(X_tr, Y_tr, GramTestSet(H, config.n_test, beta0), beta0, seed,
                    spectrum.with_targets(X_tr, Y_tr))
 
 
@@ -256,39 +335,56 @@ def sample_diagonal(config: DiagonalEnsembleConfig, seed: int = 0) -> Dataset:
     s = config.noise_density.sample(d, rng)
     X_tr = haar_stiefel(N, d, rng) * np.sqrt(lam * s)
     spectrum = gram_spectrum(X_tr)
-    X_te = haar_stiefel(N, d, rng) * np.sqrt(lam)
+    # The test frame is N x d like the training one; only its Gram is kept.
+    H = gram_matrix([haar_stiefel(N, d, rng) * np.sqrt(lam)])
     beta0 = rng.standard_normal(d) * config.beta
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
-    Y_te = X_te @ beta0
-    return Dataset(X_tr, Y_tr, X_te, Y_te, beta0, seed,
+    return Dataset(X_tr, Y_tr, GramTestSet(H, N, beta0), beta0, seed,
                    spectrum.with_targets(X_tr, Y_tr))
+
+
+def _mix(z: np.ndarray, g: np.ndarray | None, rho: float, N: int) -> np.ndarray:
+    """Rows z of unit Gaussians, with their shared components g, made into
+    rows of covariance ((1-rho) I + rho 1 1^T) / N in place.  The 1/N entry
+    variance matches the spherical ensemble, so Gram eigenvalues stay on the
+    scale the error theory is written in; with unscaled rows the benchmark
+    drifts into a high signal-to-noise regime where regularization is nearly
+    irrelevant.  At rho = 0 both mixing passes are exact no-ops and are
+    skipped, and g is not read."""
+    if rho:
+        z *= np.sqrt(1.0 - rho)
+        z += np.sqrt(rho) * g
+    z /= np.sqrt(N)
+    return z
+
+
+def _equicorrelated_test_rows(rng: np.random.Generator, n: int, d: int, rho: float, N: int):
+    """The n test rows in the blocks of _test_spans, drawn as they always
+    were: z as one (n, d) draw, then g as one (n, 1) draw, which blockwise
+    draws reproduce exactly.  g comes after all of z, so with rho > 0 z is
+    drawn once to reach g and then again, block by block, from a copy of the
+    generator taken before it.  At rho = 0, g is drawn after the last block
+    and not used, so the stream does not depend on rho."""
+    spans = _test_spans(n, d)
+    if not rho:
+        for lo, hi in spans:
+            yield _mix(rng.standard_normal((hi - lo, d)), None, rho, N)
+        rng.standard_normal((n, 1))
+        return
+    z_rng = copy.deepcopy(rng)
+    for lo, hi in spans:
+        rng.standard_normal((hi - lo, d))
+    g = rng.standard_normal((n, 1))
+    for lo, hi in spans:
+        yield _mix(z_rng.standard_normal((hi - lo, d)), g[lo:hi], rho, N)
 
 
 def sample_equicorrelated(config: EquicorrelatedConfig, seed: int = 0) -> Dataset:
     rng = np.random.default_rng(seed)
     N, d = config.n_obs, config.n_feat
-    rho = config.rho
-
-    def rows(m: int) -> np.ndarray:
-        # Covariance ((1-rho) I + rho 1 1^T) / N via a shared component per
-        # row.  The 1/N entry variance matches the spherical ensemble, so
-        # Gram eigenvalues stay on the scale the error theory is written in;
-        # with unscaled rows the benchmark drifts into a high signal-to-noise
-        # regime where regularization is nearly irrelevant.
-        # In place, so the (m, d) draw is the only full-size array.  At
-        # rho = 0 both mixing passes are exact no-ops and are skipped; g is
-        # still drawn so the stream does not depend on rho.
-        z = rng.standard_normal((m, d))
-        g = rng.standard_normal((m, 1))
-        if rho:
-            z *= np.sqrt(1.0 - rho)
-            z += np.sqrt(rho) * g
-        z /= np.sqrt(N)
-        return z
-
-    X_tr = rows(N)
+    X_tr = _mix(rng.standard_normal((N, d)), rng.standard_normal((N, 1)), config.rho, N)
     spectrum = gram_spectrum(X_tr)
-    X_te = rows(config.n_test)
+    H = gram_matrix(_equicorrelated_test_rows(rng, config.n_test, d, config.rho, N))
     if config.sparse is None:
         beta0 = rng.standard_normal(d)
     else:
@@ -296,7 +392,5 @@ def sample_equicorrelated(config: EquicorrelatedConfig, seed: int = 0) -> Datase
         large = rng.choice(d, size=config.sparse.n_large, replace=False)
         beta0[large] = rng.standard_normal(config.sparse.n_large)
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
-    Y_te = X_te @ beta0
-    return Dataset(X_tr, Y_tr, X_te, Y_te, beta0, seed,
+    return Dataset(X_tr, Y_tr, GramTestSet(H, config.n_test, beta0), beta0, seed,
                    spectrum.with_targets(X_tr, Y_tr))
-

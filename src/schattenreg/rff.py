@@ -13,26 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Dataset
+from .ensembles import Dataset, RowTestSet, row_blocks
 from .spectrum import gram_spectrum
 
 __all__ = ["NonlinearTarget", "RFFMap", "RFFRows", "apply_rff", "eval_target",
            "make_rff_dataset", "sample_nonlinear_target", "sample_rff_map"]
 
-# Bytes of one block of rows (eval_target's projection, a scored block of a
-# test design): within 96 KiB it stays below glibc's 128 KiB mmap threshold,
-# like theory._BLOCK, so it is not mapped and page-faulted afresh.
-_BLOCK_BYTES = 96 * 1024
 
-
-def row_blocks(n: int, row_bytes: int):
-    """(lo, hi) ranges covering rows 0..n in blocks of at most _BLOCK_BYTES
-    of row_bytes each, and at least two rows.  BLAS takes a one-row product
-    through gemv, whose sums round unlike gemm's; a last block of one row
-    starts a row early instead, so that row is made twice."""
-    step = max(2, _BLOCK_BYTES // row_bytes)
-    for start in range(0, n, step):
-        yield max(min(start, n - 2), 0), min(start + step, n)
+def _rows_times(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """X @ W.T for a 2-d X of rows.  BLAS takes a one-row product through
+    gemv, whose sums round unlike gemm's; a single row goes in as a block of
+    two copies of itself, so it rounds as it does inside any block of rows."""
+    if len(X) == 1:
+        return (np.repeat(X, 2, axis=0) @ W.T)[:1]
+    return X @ W.T
 
 
 @dataclass(frozen=True)
@@ -68,9 +62,14 @@ def sample_rff_map(d: int, d_rbf: int, bandwidth: float = 1.0, seed: int = 0) ->
 
 
 def apply_rff(rff: RFFMap, X: np.ndarray) -> np.ndarray:
-    """Map raw rows to cosine features; entries bounded by sqrt(2/d_rbf)."""
+    """Map raw rows (2-d X) or one raw point (1-d X) to cosine features;
+    entries bounded by sqrt(2/d_rbf).  A row's features are the same bits
+    whichever rows come with it."""
     d_rbf = rff.weights.shape[0]
-    Z = X @ rff.weights.T
+    X = np.asarray(X, dtype=float)
+    Z = _rows_times(np.atleast_2d(X), rff.weights)
+    if X.ndim == 1:
+        Z = Z[0]
     Z += rff.offsets
     np.cos(Z, out=Z)
     Z *= np.sqrt(2.0 / d_rbf)
@@ -105,7 +104,8 @@ def sample_nonlinear_target(d: int, n_terms: int, rng: np.random.Generator) -> N
 
 
 def eval_target(target: NonlinearTarget, x: np.ndarray) -> np.ndarray | float:
-    """Evaluate the cosine series at one point (1-d x) or row-wise (2-d x)."""
+    """Evaluate the cosine series at one point (1-d x) or row-wise (2-d x).
+    A row's value is the same bits whichever rows come with it."""
     x = np.asarray(x, dtype=float)
     rows = np.atleast_2d(x)
     n_terms = target.directions.shape[0]
@@ -113,7 +113,7 @@ def eval_target(target: NonlinearTarget, x: np.ndarray) -> np.ndarray | float:
     freq, decay = 2.0 * np.pi * k, k**2
     vals = np.empty(len(rows))
     for lo, hi in row_blocks(len(rows), 8 * n_terms):
-        proj = rows[lo:hi] @ target.directions.T
+        proj = _rows_times(rows[lo:hi], target.directions)
         proj *= freq
         np.cos(proj, out=proj)
         proj /= decay
@@ -134,8 +134,8 @@ def make_rff_dataset(
     1/d_rbf, targets from the nonlinear cosine series (noiseless on test),
     and the identical feature map applied to train and test.  The training
     features are factored as soon as they exist; the test features are never
-    formed whole: X_te is an RFFRows over the raw test inputs, mapped a row
-    block at a time by whoever reads it."""
+    formed whole: the test set's rows are an RFFRows over the raw test
+    inputs, mapped a row block at a time as they are scored."""
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(d_rbf)
     raw_tr = rng.standard_normal((n_obs, d)) * scale
@@ -149,8 +149,7 @@ def make_rff_dataset(
     return Dataset(
         X_tr=X_tr,
         Y_tr=Y_tr,
-        X_te=RFFRows(rff, raw_te),
-        Y_te=Y_te,
+        test=RowTestSet(RFFRows(rff, raw_te), Y_te),
         beta0=None,  # no linear ground truth exists in feature space
         seed=seed,
         spectrum=spectrum,

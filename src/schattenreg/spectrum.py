@@ -8,13 +8,17 @@ to the eigenvalues: elementwise max with alpha (Nuclear, p=1), additive shift
 estimator weights, the alpha -> C map and the error integrands of the theory
 all read it.
 
-``gram_spectrum`` picks its route by the shape of X (N rows, d columns).  For
-d <= N it forms G and runs a symmetric eigensolver.  For d > N, G has rank at
+``gram_spectrum`` picks its route by the shape of X (N rows, d columns).  X
+is an array or a ``RowStack``: row blocks read as one design without being
+copied into it, as a cross-validation fold's training rows are the two slices
+around its validation block.  For d <= N it forms G, summing the blocks'
+products, and runs a symmetric eigensolver.  For d > N, G has rank at
 most N, so it takes the thin SVD X = W diag(sv) V^T instead: the eigenvectors
 are the N rows of V^T and the eigenvalues are sv**2, padded with d - N exact
-zeros.  The d - N null directions are never formed, because X^T and X^T Y
-have no component on them; every consumer applies its filter weights to the
-first k = min(N, d) eigenvalues only.  The wide route takes the thin SVD
+zeros; the SVD takes the blocks' stack, which is small when N < d.  The
+d - N null directions are never formed, because X^T and X^T Y have no
+component on them; every consumer applies its filter weights to the first
+k = min(N, d) eigenvalues only.  The wide route takes the thin SVD
 rather than an eigensolve of X X^T, because recovering V from that dual
 loses orthogonality like eps s_max^2 / s_i^2 on small singular values.
 """
@@ -31,6 +35,10 @@ from .exceptions import NonFinite
 
 # Relative cutoff below which a Gram eigenvalue is treated as exactly zero.
 EIGVAL_RTOL = 1e-12
+
+# Columns per panel of a blocked Gram update (see gram_matrix): at d = 1000 a
+# panel product is 1 MB, an eighth of the d x d result.
+_PANEL = 128
 
 
 class SchattenIndex(enum.Enum):
@@ -93,6 +101,55 @@ class SchattenIndex(enum.Enum):
         return self.norm(np.ones(d))
 
 
+class RowStack:
+    """Row blocks of one width read as the one design whose rows are theirs,
+    in order, without copying them into it.  .shape and len() are the
+    design's, and np.asarray(stack) forms it.  Empty blocks are dropped."""
+
+    def __init__(self, blocks):
+        self.blocks = tuple(np.asarray(b, dtype=float) for b in blocks if len(b))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (sum(map(len, self.blocks)), *self.blocks[0].shape[1:])
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if len(self.blocks) == 1:
+            return self.blocks[0]
+        return np.concatenate(self.blocks, dtype=dtype)
+
+
+def _stack(X) -> RowStack:
+    """X itself if it is a RowStack, else the one-block stack of array X."""
+    return X if isinstance(X, RowStack) else RowStack((X,))
+
+
+def gram_matrix(blocks) -> np.ndarray:
+    """X^T X of the design whose rows are those of the row blocks `blocks`,
+    an iterable read once, so a block can be made as it is needed.  The
+    first block's product is one call, which numpy routes to a symmetric
+    rank-k update.  Each later block adds its products to the lower triangle
+    a panel of _PANEL columns at a time, and the upper triangle is copied from
+    the lower at the end, so the only temporary is one (d, _PANEL) panel,
+    never a second d x d array."""
+    blocks = iter(blocks)
+    X = next(blocks)
+    G = X.T @ X
+    del X  # each block is let go before the next is made
+    d = G.shape[0]
+    panels = [(lo, min(lo + _PANEL, d)) for lo in range(0, d, _PANEL)]
+    for X in blocks:
+        for lo, hi in panels:
+            G[lo:, lo:hi] += X[:, lo:].T @ X[:, lo:hi]
+        del X
+    for lo, hi in panels:
+        G[lo:hi, hi:] = G[hi:, lo:hi].T
+    return G
+
+
 @dataclass(frozen=True)
 class GramSpectrum:
     """Eigendecomposition of G = X^T X.
@@ -132,11 +189,13 @@ class GramSpectrum:
         if np.abs(M, out=M).max(initial=0.0) > 1e-10:
             raise ValueError("eigvecs must be orthonormal")
 
-    def with_targets(self, X: np.ndarray, Y: np.ndarray) -> "GramSpectrum":
-        """This spectrum with X^T Y attached, for the X it was built from and
-        targets Y of length N.  The eigenvectors are shared and not checked
-        again, so a design can be factored before its targets exist."""
-        X = np.asarray(X, dtype=float)
+    def with_targets(self, X, Y) -> "GramSpectrum":
+        """This spectrum with X^T Y attached, for the X it was built from (an
+        array, or a RowStack whose blocks' products are summed) and targets Y
+        of length N (a vector, or a RowStack of its blocks).  The
+        eigenvectors are shared and not checked again, so a design can be
+        factored before its targets exist."""
+        X = _stack(X)
         Y = np.asarray(Y, dtype=float)
         if X.shape != (self.n_obs, self.n_feat):
             raise ValueError(f"X {X.shape} does not match the spectrum's "
@@ -145,8 +204,9 @@ class GramSpectrum:
             raise ValueError(f"Y {Y.shape} must be ({self.n_obs},)")
         if not np.all(np.isfinite(Y)):
             raise NonFinite("Y contains NaN or Inf")
+        parts = np.split(Y, np.cumsum([len(b) for b in X.blocks[:-1]]))
         out = copy.copy(self)  # bypasses __post_init__
-        object.__setattr__(out, "xty", X.T @ Y)
+        object.__setattr__(out, "xty", sum(b.T @ y for b, y in zip(X.blocks, parts)))
         return out
 
     @property
@@ -159,20 +219,22 @@ class GramSpectrum:
         return int(np.sum(self.eigvals > self.rank_tol))
 
 
-def gram_spectrum(X: np.ndarray, Y: np.ndarray | None = None) -> GramSpectrum:
+def gram_spectrum(X, Y=None) -> GramSpectrum:
     """Eigendecompose X^T X, caching X^T Y when targets are supplied: eigh of
-    the Gram matrix for d <= N, the thin SVD of X for d > N."""
-    X = np.asarray(X, dtype=float)
-    if not np.all(np.isfinite(X)):
+    the Gram matrix for d <= N, the thin SVD of X for d > N.  X is an array
+    or a RowStack, and Y then a vector or a RowStack of its row blocks; the
+    d <= N route sums the blocks' products and never stacks them."""
+    X = _stack(X)
+    if not all(np.all(np.isfinite(b)) for b in X.blocks):
         raise NonFinite("X contains NaN or Inf")
     N, d = X.shape
     if d <= N:
-        w, U = np.linalg.eigh(X.T @ X)
+        w, U = np.linalg.eigh(gram_matrix(X.blocks))
         order = np.argsort(w)[::-1]
         w = np.clip(w[order], 0.0, None)
         U = U[:, order]
     else:
-        _, sv, Vt = np.linalg.svd(X, full_matrices=False)
+        _, sv, Vt = np.linalg.svd(np.asarray(X), full_matrices=False)
         w = np.concatenate([sv * sv, np.zeros(d - N)])
         U = Vt.T
     sp = GramSpectrum(eigvecs=U, eigvals=w, n_obs=N, n_feat=d)

@@ -134,7 +134,7 @@ def _simulation_check(sample_fn, theory_fn, n_datasets=100, seed=1234):
         for i, p in enumerate(ALL_P):
             for k, a in enumerate(alphas):
                 beta = fit_path(spectrum, p, [a])[:, 0]
-                mses[i, k, j] = np.mean((ds.X_te @ beta - ds.Y_te) ** 2)
+                mses[i, k, j] = ds.test.mse(beta[:, None])[0]
     fracs = []
     for i, p in enumerate(ALL_P):
         theory = theory_fn(p, alphas)

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,10 @@ from schattenreg import (
     Dataset,
     DiagonalEnsembleConfig,
     EquicorrelatedConfig,
+    GramTestSet,
     RFFBenchConfig,
+    RowStack,
+    RowTestSet,
     SchattenIndex,
     SparseSpec,
     SpectralDensity,
@@ -21,6 +23,7 @@ from schattenreg import (
     fit,
     fit_path,
     gram_spectrum,
+    haar_stiefel,
     kfold_select_alpha,
     make_rff_dataset,
     predict,
@@ -32,9 +35,10 @@ from schattenreg import (
     sample_spherical,
     simulate_path_errors,
 )
-from schattenreg.cv import _cv_errors, _path_errors, _path_scores
+from schattenreg.cv import _cv_errors, _path_errors, _path_scores, sample_ensemble
+from schattenreg.ensembles import _BLOCK_BYTES
 from schattenreg.exceptions import InsufficientData, InvalidConfig
-from schattenreg.rff import _BLOCK_BYTES, RFFRows
+from schattenreg.rff import RFFRows
 
 
 def _small_cfg(**kw):
@@ -102,25 +106,22 @@ def test_cv_errors_match_refit_scored_one_model_at_a_time(shape):
     n_obs, n_feat = shape
     ds = sample_spherical(SphericalGaussianConfig(n_obs, n_feat, sigma=0.5, n_test=60), seed=4)
     cfg = _small_cfg()
+    spectrum = gram_spectrum(ds.X_tr, ds.Y_tr)  # before _cv_errors takes the rows
     errors, alphas = _cv_errors(ds, cfg, cv_seed=9)
-    spectrum = gram_spectrum(ds.X_tr, ds.Y_tr)
     for p, err, alpha in zip(cfg.models, errors, alphas):
-        want = np.mean((ds.X_te @ fit_path(spectrum, p, [alpha])[:, 0] - ds.Y_te) ** 2)
+        want = ds.test.mse(fit_path(spectrum, p, [alpha]))[0]
         assert err == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.fixture
 def mse_calls(monkeypatch):
-    """The X of every direct-route (_path_mse) scoring, in call order."""
-    import schattenreg.cv as cv
-
-    calls, direct = [], cv._path_mse
-
-    def spy(B, X, Y):
-        calls.append(X)
-        return direct(B, X, Y)
-
-    monkeypatch.setattr(cv, "_path_mse", spy)
+    """Every test set scored, in call order."""
+    calls = []
+    for kind in (RowTestSet, GramTestSet):
+        def spy(test, B, score=kind.mse):
+            calls.append(test)
+            return score(test, B)
+        monkeypatch.setattr(kind, "mse", spy)
     return calls
 
 
@@ -128,61 +129,121 @@ _ROUTE_ALPHAS = np.r_[0.0, np.logspace(-3, 3, 7), np.inf]
 _ALL_MODELS = tuple(SchattenIndex)
 
 
-def _noisy_test_targets():
-    ds = sample_spherical(SphericalGaussianConfig(60, 10, n_test=200), seed=8)
-    noise = 0.3 * np.random.default_rng(8).standard_normal(200)
-    return replace(ds, Y_te=ds.Y_te + noise)
+def _spherical_test_rows(cfg, rng):
+    rng.standard_normal((cfg.n_obs, cfg.n_feat))
+    return rng.standard_normal((cfg.n_test, cfg.n_feat)) * (1.0 / np.sqrt(cfg.n_obs))
 
 
-@pytest.mark.parametrize("make, noiseless", [
-    (lambda: sample_spherical(SphericalGaussianConfig(60, 10, n_test=200), seed=1), False),
-    (lambda: sample_spherical(SphericalGaussianConfig(60, 10, sigma=0.0, n_test=200),
-                              seed=2), True),
-    (lambda: sample_spherical(SphericalGaussianConfig(20, 40, n_test=400), seed=3), False),
-    (lambda: sample_equicorrelated(EquicorrelatedConfig(
-        60, 10, rho=0.8, sparse=SparseSpec(n_large=3), n_test=200), seed=4), False),
-    (lambda: sample_diagonal(DiagonalEnsembleConfig(
-        60, 10, spectral_density=SpectralDensity.power_law(0.3)), seed=5), False),
-    (lambda: sample_diagonal(DiagonalEnsembleConfig(
-        60, 10, spectral_density=SpectralDensity.tabulated([0.0, 0.5, 1.0],
-                                                           [0.3, 0.3, 0.4])), seed=6), False),
-    (_noisy_test_targets, False),
-], ids=["spherical", "spherical-noiseless", "wide", "equicorrelated-sparse",
-        "powerlaw", "tabulated-atom-at-0", "noisy-test-targets"])
-def test_gram_route_matches_direct_route(make, noiseless, mse_calls):
-    ds = make()
-    gram = _path_errors(ds, _ALL_MODELS, _ROUTE_ALPHAS)
-    assert mse_calls == []  # every dataset here is on the Gram side of the rule
-    direct = _path_scores(ds.spectrum, _ALL_MODELS, _ROUTE_ALPHAS, ds.X_te, ds.Y_te)
+def _equicorrelated_test_rows(cfg, rng):
+    rows = []
+    for m in (cfg.n_obs, cfg.n_test):
+        z = rng.standard_normal((m, cfg.n_feat))
+        g = rng.standard_normal((m, 1))
+        rows.append((np.sqrt(1.0 - cfg.rho) * z + np.sqrt(cfg.rho) * g) / np.sqrt(cfg.n_obs))
+    return rows[1]
+
+
+def _diagonal_test_rows(cfg, rng):
+    lam = cfg.spectral_density.sample(cfg.n_feat, rng)
+    cfg.noise_density.sample(cfg.n_feat, rng)
+    haar_stiefel(cfg.n_obs, cfg.n_feat, rng)
+    return haar_stiefel(cfg.n_obs, cfg.n_feat, rng) * np.sqrt(lam)
+
+
+# Test sets of 3000 rows of 10 features are drawn in three blocks.
+@pytest.mark.parametrize("cfg, rows, noiseless", [
+    (SphericalGaussianConfig(60, 10, n_test=200), _spherical_test_rows, False),
+    (SphericalGaussianConfig(60, 10, sigma=0.0, n_test=200), _spherical_test_rows, True),
+    (SphericalGaussianConfig(60, 10, n_test=3000), _spherical_test_rows, False),
+    (SphericalGaussianConfig(20, 40, n_test=400), _spherical_test_rows, False),
+    (EquicorrelatedConfig(60, 10, rho=0.0, n_test=3000), _equicorrelated_test_rows, False),
+    (EquicorrelatedConfig(60, 10, rho=0.3, n_test=3000), _equicorrelated_test_rows, False),
+    (EquicorrelatedConfig(60, 10, rho=0.8, sparse=SparseSpec(n_large=3), n_test=200),
+     _equicorrelated_test_rows, False),
+    (DiagonalEnsembleConfig(60, 10, spectral_density=SpectralDensity.power_law(0.3)),
+     _diagonal_test_rows, False),
+    (DiagonalEnsembleConfig(60, 10, spectral_density=SpectralDensity.tabulated(
+        [0.0, 0.5, 1.0], [0.3, 0.3, 0.4])), _diagonal_test_rows, False),
+], ids=["spherical", "spherical-noiseless", "spherical-blocks", "wide",
+        "equicorrelated-rho0-blocks", "equicorrelated-rho0.3-blocks", "equicorrelated-sparse",
+        "powerlaw", "tabulated-atom-at-0"])
+def test_gram_route_matches_direct_route(cfg, rows, noiseless):
+    # A sampled test set is scored through H = X_te^T X_te; the same stream's
+    # test rows, drawn here in one piece, give the row MSE it must equal.
+    ds = sample_ensemble(cfg, seed=7)
+    assert isinstance(ds.test, GramTestSet)
+    rng = np.random.default_rng(7)
+    X_te = rows(cfg, rng)
+    assert ds.test.n == len(X_te)
+    if getattr(cfg, "sparse", None) is None:  # the draws after the test rows match too
+        assert np.array_equal(ds.beta0, rng.standard_normal(cfg.n_feat) * getattr(cfg, "beta", 1))
+    B = np.hstack([fit_path(ds.spectrum, p, _ROUTE_ALPHAS) for p in _ALL_MODELS])
+    gram = ds.test.mse(B)
+    direct = RowTestSet(X_te, X_te @ ds.beta0).mse(B)
     # An exact fit (noiseless and full rank, at alpha = 0 or, for the
     # nuclear filter, below its threshold) leaves only rounding.
     exact = direct <= 1e-25
     assert exact.any() == noiseless
     assert np.all((gram[exact] >= 0) & (gram[exact] <= 1e-25))
-    np.testing.assert_allclose(gram[~exact], direct[~exact], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(gram[~exact], direct[~exact], rtol=1e-13, atol=0)
 
 
-def test_route_follows_shape_and_truth(mse_calls):
+def test_each_test_set_is_scored_in_one_call(mse_calls):
     alphas = np.logspace(-3, 3, 30)
-    # simulate's shape (d = 50, 3 models x 30 alphas): scored through H only.
+    # simulate: each sampled test set once, through its Gram matrix.
     simulate_path_errors(SphericalGaussianConfig(100, 50, n_test=500), _ALL_MODELS, alphas,
                          2, seed=0)
-    assert mse_calls == []
-    # cv-tall's shape scaled down (d = 200 > 2M, M = 27): the test set and
-    # every fold go the direct route, each in one pass for all three models.
+    assert [type(t) for t in mse_calls] == [GramTestSet] * 2
+    # cv-bench: the test set, then each fold's validation rows, one call for
+    # all three models each.  A validation set is a slice of the training rows
+    # the harness permuted into fold order in place, not a copy.
+    mse_calls.clear()
     ds = sample_equicorrelated(EquicorrelatedConfig(300, 200, rho=0.5, n_test=400), seed=1)
     _cv_errors(ds, _small_cfg(), cv_seed=2)
-    assert [X is ds.X_te for X in mse_calls] == [True] + [False] * 3
-    # No truth (RFF features, real-data splits): direct, though the shapes
-    # alone would pick the Gram route.
+    assert mse_calls[0] is ds.test
+    assert [type(t) for t in mse_calls[1:]] == [RowTestSet] * 3
+    assert all(t.X.base is ds.X_tr for t in mse_calls[1:])
+    # No truth (RFF features, real-data splits): the rows.
     rff = make_rff_dataset(4, 20, 60, 500, 0.5, 1.0, seed=3)
-    assert rff.beta0 is None
-    truthless = replace(sample_spherical(SphericalGaussianConfig(100, 50, n_test=500),
-                                         seed=4), beta0=None)
-    for data in (rff, truthless):
-        mse_calls.clear()
-        _path_errors(data, _ALL_MODELS, alphas)
-        assert [X is data.X_te for X in mse_calls] == [True]
+    assert rff.beta0 is None and isinstance(rff.X_te, RFFRows)
+    mse_calls.clear()
+    _path_errors(rff, _ALL_MODELS, alphas)
+    assert mse_calls == [rff.test]
+
+
+@pytest.mark.parametrize("shape", [(60, 10), (30, 45)])  # full rank; d > N, rank-deficient
+def test_fold_spectra_from_slices_match_gathered_rows(shape, monkeypatch):
+    # Each fold is factored from two slices of the rows in fold order; the
+    # reference gathers its training and validation rows with a mask.
+    import schattenreg.cv as cv
+
+    ds = sample_spherical(SphericalGaussianConfig(*shape, sigma=0.7, n_test=10), seed=12)
+    X, Y, n = ds.X_tr, ds.Y_tr, shape[0]
+    cfg = _small_cfg()
+    alphas = cfg.grid.values()
+    factored, factor = [], cv.gram_spectrum
+
+    def spy(rows, targets=None):
+        factored.append((rows, factor(rows, targets)))
+        return factored[-1][1]
+
+    monkeypatch.setattr(cv, "gram_spectrum", spy)
+    got = kfold_select_alpha(X, Y, cfg.models, cfg, seed=5)
+    perm = np.random.default_rng(5).permutation(n)
+    scores = []
+    for (rows, spectrum), val_idx in zip(factored, np.array_split(perm, cfg.folds), strict=True):
+        mask = np.ones(n, dtype=bool)
+        mask[val_idx] = False
+        want = gram_spectrum(X[mask], Y[mask])
+        assert isinstance(rows, RowStack) and rows.shape == (mask.sum(), shape[1])
+        np.testing.assert_allclose(spectrum.eigvals, want.eigvals, rtol=0,
+                                   atol=1e-12 * want.eigvals[0])
+        val = RowTestSet(X[val_idx], Y[val_idx])
+        scores.append(_path_scores(want, cfg.models, alphas, val))
+        np.testing.assert_allclose(_path_scores(spectrum, cfg.models, alphas, val), scores[-1],
+                                   rtol=1e-12, atol=0)
+    best = np.argmin(np.mean(scores, axis=0), axis=1)
+    assert got == {p: alphas[b] for p, b in zip(cfg.models, best)}
 
 
 # RFF test sets of 1000 features are scored in blocks of 12 rows.
@@ -206,7 +267,7 @@ def test_rff_rows_score_as_their_feature_matrix(n_test, monkeypatch):
     assert min(hi - lo for lo, hi in slices) >= 2  # no one-row product goes to gemv
     assert slices[0][0] == 0 and slices[-1][1] == n_test
     assert all(lo <= prev_hi for (_, prev_hi), (lo, _) in zip(slices, slices[1:]))
-    whole = _path_scores(ds.spectrum, _ALL_MODELS, _ROUTE_ALPHAS, X, ds.Y_te)
+    whole = _path_scores(ds.spectrum, _ALL_MODELS, _ROUTE_ALPHAS, RowTestSet(X, ds.Y_te))
     np.testing.assert_allclose(streamed, whole, rtol=1e-15, atol=0)
     # Against one product over the whole matrix, which BLAS may sum in
     # another order than its blocks.
@@ -271,6 +332,43 @@ def test_no_factorization_overlaps_a_test_set(monkeypatch, bench):
         assert sum(X is X_tr for X, _ in calls) == 1
     folds = [len(X) for X, _ in calls if not any(X is X_tr for X_tr in made)]
     assert folds == ([] if bench == "simulate" else [20] * 6)
+
+
+@pytest.mark.parametrize("bench", ["run_benchmark", "simulate"])
+@pytest.mark.parametrize("ens", [
+    SphericalGaussianConfig(30, 20, n_test=_BIG_TEST),
+    EquicorrelatedConfig(30, 20, rho=0.0, n_test=_BIG_TEST),
+    EquicorrelatedConfig(30, 20, rho=0.3, n_test=_BIG_TEST),
+], ids=["spherical", "equicorrelated-rho0", "equicorrelated-rho0.3"])
+def test_sampled_benchmarks_never_hold_a_test_design(ens, bench):
+    # A sampled test set is drawn in blocks of 96 KiB summed into its 20 x 20
+    # Gram matrix: the run stays below the 8 MB test design.
+    cfg = _small_cfg(n_datasets=2)
+    tracemalloc.start()
+    try:
+        if bench == "simulate":
+            simulate_path_errors(ens, cfg.models, cfg.grid.values(), 2, seed=0)
+        else:
+            run_benchmark(ens, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _BIG_TEST * ens.n_feat
+
+
+def test_diagonal_dataset_keeps_only_the_test_gram():
+    # The diagonal test frame has the training set's N rows and is made whole
+    # for its QR, so it bounds the peak like the training design does; what
+    # the dataset keeps of it is the d x d Gram matrix.
+    tracemalloc.start()
+    try:
+        ds = sample_diagonal(DiagonalEnsembleConfig(_BIG_TEST, 5, SpectralDensity.power_law(1.0)),
+                             seed=0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ds.test.H.shape == (5, 5) and ds.test.n == _BIG_TEST
+    assert held < 1.5 * ds.X_tr.nbytes
 
 
 def test_rff_benchmark_never_holds_a_test_design():
@@ -393,7 +491,7 @@ def test_rff_features_realizable_noiseless_near_zero():
     Phi = apply_rff(rmap, X_raw)
     Phi_te = apply_rff(rmap, X_raw_te)
     w0 = rng.standard_normal(10)
-    ds = Dataset(X_tr=Phi, Y_tr=Phi @ w0, X_te=Phi_te, Y_te=Phi_te @ w0,
+    ds = Dataset(X_tr=Phi, Y_tr=Phi @ w0, test=RowTestSet(Phi_te, Phi_te @ w0),
                  beta0=w0, seed=7, spectrum=gram_spectrum(Phi, Phi @ w0))
     cfg = _small_cfg(grid=AlphaGrid(1e-8, 1e2, 11),
                      models=(SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS))

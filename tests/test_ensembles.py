@@ -5,6 +5,7 @@ from schattenreg import (
     DiagonalEnsembleConfig,
     RFFBenchConfig,
     EquicorrelatedConfig,
+    GramTestSet,
     MarchenkoPastur,
     NoiseDensity,
     SchattenIndex,
@@ -29,7 +30,11 @@ def test_spherical_zero_signal_zero_noise():
     cfg = SphericalGaussianConfig(n_obs=30, n_feat=10, beta=0.0, sigma=0.0, n_test=20)
     ds = sample_spherical(cfg, seed=1)
     np.testing.assert_array_equal(ds.Y_tr, np.zeros(30))
-    np.testing.assert_array_equal(ds.Y_te, np.zeros(20))
+    # The test targets X_te beta0 are all 0: the truth is 0 and so is the
+    # error of the zero estimator.
+    assert ds.test.n == 20
+    np.testing.assert_array_equal(ds.test.beta0, np.zeros(10))
+    assert ds.test.mse(np.zeros((10, 1))) == [0.0]
 
 
 def test_spherical_entry_variance():
@@ -57,9 +62,11 @@ def test_diagonal_stiefel_orthonormal():
     )
     for seed in (0, 7):
         ds = sample_diagonal(cfg, seed=seed)
-        lam = np.sum(ds.X_te**2, axis=0)  # columns of X2 diag(sqrt(lam)) are orthogonal
-        gram = ds.X_te.T @ ds.X_te
-        np.testing.assert_allclose(gram, np.diag(lam), atol=1e-10)
+        # Columns of X_te = X2 diag(sqrt(lam)) are orthogonal, so H = X_te^T X_te
+        # is diagonal; its diagonal holds the column sums of X_te^2.
+        gram = ds.test.H
+        np.testing.assert_allclose(gram, np.diag(np.diag(gram)), atol=1e-10)
+        assert ds.test.n == 40
 
 
 def test_diagonal_gram_is_diagonal_with_point_noise():
@@ -180,23 +187,31 @@ def test_equicorrelated_off_diagonals():
 @pytest.mark.parametrize("rho", [0.0, 0.3])
 def test_equicorrelated_rows_match_out_of_place_expression(rho):
     # The rows are built in place; the values are those of the expression.
+    # The 11 test rows are one block, so H is X_te^T X_te in one product, and
+    # beta0 is the next draw after them.
     cfg = EquicorrelatedConfig(n_obs=30, n_feat=7, rho=rho, n_test=11)
     ds = sample_equicorrelated(cfg, seed=4)
     rng = np.random.default_rng(4)
-    for X, m in ((ds.X_tr, 30), (ds.X_te, 11)):
+    rows = []
+    for m in (30, 11):
         z = rng.standard_normal((m, 7))
         g = rng.standard_normal((m, 1))
-        expected = (np.sqrt(1.0 - rho) * z + np.sqrt(rho) * g) / np.sqrt(30)
-        assert np.array_equal(X, expected)
+        rows.append((np.sqrt(1.0 - rho) * z + np.sqrt(rho) * g) / np.sqrt(30))
+    assert np.array_equal(ds.X_tr, rows[0])
+    assert np.array_equal(ds.test.H, rows[1].T @ rows[1])
+    assert np.array_equal(ds.beta0, rng.standard_normal(7))
 
 
 def test_spherical_matches_out_of_place_expression():
-    # X_tr and X_te are scaled in place; the values are those of the expression.
+    # X_tr and the test rows are scaled in place; the values are those of the
+    # expression, and H is the one-block test design's X_te^T X_te.
     cfg = SphericalGaussianConfig(n_obs=30, n_feat=7, n_test=11)
     ds = sample_spherical(cfg, seed=4)
     rng = np.random.default_rng(4)
     assert np.array_equal(ds.X_tr, rng.standard_normal((30, 7)) * (1.0 / np.sqrt(30)))
-    assert np.array_equal(ds.X_te, rng.standard_normal((11, 7)) * (1.0 / np.sqrt(30)))
+    X_te = rng.standard_normal((11, 7)) * (1.0 / np.sqrt(30))
+    assert np.array_equal(ds.test.H, X_te.T @ X_te)
+    assert np.array_equal(ds.beta0, rng.standard_normal(7))
 
 
 @pytest.mark.parametrize("make", [
@@ -208,10 +223,12 @@ def test_spherical_matches_out_of_place_expression():
         30, 7, rho=0.4, sparse=SparseSpec(n_large=2), n_test=11), seed=3),
 ], ids=["spherical", "diagonal", "equicorrelated", "equicorrelated-sparse"])
 def test_samplers_test_targets_are_the_noiseless_truth(make):
-    # The Gram route of test scoring relies on Y_te - X_te beta0 being 0 bit
-    # for bit, so its cross and constant terms add exact zeros.
+    # A sampled test set is scored against the dataset's own truth: its
+    # targets are X_te beta0, with no noise, so beta0 itself scores 0 exactly.
     ds = make()
-    assert np.array_equal(ds.Y_te, ds.X_te @ ds.beta0)
+    assert isinstance(ds.test, GramTestSet) and ds.test.beta0 is ds.beta0
+    assert ds.X_te is None and ds.Y_te is None
+    assert ds.test.mse(ds.beta0[:, None]) == [0.0]
 
 
 def test_sparse_coefficients():
@@ -230,7 +247,7 @@ def test_seed_determinism():
     cfg = SphericalGaussianConfig(n_obs=15, n_feat=4, n_test=10)
     a = sample_spherical(cfg, seed=9)
     b = sample_spherical(cfg, seed=9)
-    assert np.array_equal(a.X_tr, b.X_tr) and np.array_equal(a.Y_te, b.Y_te)
+    assert np.array_equal(a.X_tr, b.X_tr) and np.array_equal(a.test.H, b.test.H)
     c = sample_spherical(cfg, seed=10)
     assert not np.array_equal(a.X_tr, c.X_tr)
 
@@ -242,23 +259,25 @@ def test_child_seeds_distinct_and_reproducible():
 
 
 def test_test_targets_noiseless():
+    # sigma = 2 adds noise to Y_tr only: the truth fits the test set exactly.
     cfg = SphericalGaussianConfig(n_obs=30, n_feat=5, sigma=2.0, n_test=50)
     ds = sample_spherical(cfg, seed=4)
-    np.testing.assert_allclose(ds.Y_te, ds.X_te @ ds.beta0, atol=1e-14)
+    assert ds.test.mse(ds.beta0[:, None]) == [0.0]
+    assert ds.test.mse(np.zeros((5, 1)))[0] > 0
 
 
 def test_noiseless_ols_predicts_the_test_targets():
     cfg = SphericalGaussianConfig(n_obs=30, n_feat=5, sigma=0.0, n_test=100)
     ds = sample_spherical(cfg, seed=6)
     perfect = fit(ds.X_tr, ds.Y_tr, SchattenIndex.FROBENIUS, 0.0)
-    assert np.mean((predict(perfect, ds.X_te) - ds.Y_te) ** 2) < 1e-20
+    assert ds.test.mse(perfect.beta_hat[:, None])[0] < 1e-20
 
     null = fit(ds.X_tr, np.zeros(30), SchattenIndex.FROBENIUS, 0.0)
-    np.testing.assert_array_equal(predict(null, ds.X_te), np.zeros(100))
+    np.testing.assert_array_equal(predict(null, ds.X_tr), np.zeros(30))
 
     narrow = fit(ds.X_tr[:, :4], ds.Y_tr, SchattenIndex.FROBENIUS, 0.0)
     with pytest.raises(DimensionMismatch):
-        predict(narrow, ds.X_te)
+        predict(narrow, ds.X_tr)
 
 
 def test_ols_error_matches_thermodynamic_limit():
@@ -268,7 +287,7 @@ def test_ols_error_matches_thermodynamic_limit():
     for seed in child_seeds(123, 100):
         ds = sample_spherical(cfg, seed=seed)
         model = fit(ds.X_tr, ds.Y_tr, SchattenIndex.FROBENIUS, 0.0)
-        errs.append(np.mean((predict(model, ds.X_te) - ds.Y_te) ** 2))
+        errs.append(ds.test.mse(model.beta_hat[:, None])[0])
     errs = np.asarray(errs)
     se = errs.std(ddof=1) / np.sqrt(len(errs))
     assert abs(errs.mean() - 1.0) < 3 * se
@@ -302,12 +321,13 @@ def test_real_data_split_carries_the_spectrum_of_its_training_set(tmp_path, monk
 
     def recording(make_dataset, cfg, with_ratio):
         def make(seed):
+            # Checked as made: the harness then permutes the training rows
+            # into fold order in place.
             made.append(make_dataset(seed))
+            _assert_one_spectrum(made[-1])
             return made[-1]
         return harness(make, cfg, with_ratio)
 
     monkeypatch.setattr(cli, "_bench_over_datasets", recording)
     cli.cmd_real_data(str(path), {"target": "y", "train_size": 20, "n_splits": 2})
     assert len(made) == 2
-    for ds in made:
-        _assert_one_spectrum(ds)

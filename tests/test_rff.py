@@ -99,10 +99,11 @@ def test_feature_map_and_target_match_out_of_place_expressions():
     feats = np.sqrt(2.0 / 40) * np.cos(X @ rff.weights.T + rff.offsets)
     assert np.array_equal(apply_rff(rff, X), feats)
     k = np.arange(1, 26)
-    for x in (X, X[:1]):
-        proj = x @ target.directions.T
-        vals = np.sum(np.cos(2.0 * np.pi * k * proj) / k**2, axis=1)
-        assert np.array_equal(eval_target(target, x), vals)
+    proj = X @ target.directions.T
+    vals = np.sum(np.cos(2.0 * np.pi * k * proj) / k**2, axis=1)
+    assert np.array_equal(eval_target(target, X), vals)
+    # One row, 2-d or 1-d, is the value it has among the others.
+    assert np.array_equal(eval_target(target, X[:1]), vals[:1])
     assert eval_target(target, X[0]) == vals[0]
 
 
@@ -128,3 +129,21 @@ def test_eval_target_in_row_blocks_equals_rows_one_at_a_time():
     target = sample_nonlinear_target(1, 1000, rng)
     X = rng.standard_normal((97, 1)) * 0.03
     assert np.array_equal(eval_target(target, X), [eval_target(target, x) for x in X])
+
+
+def test_one_row_rounds_as_it_does_inside_a_block():
+    # At rff-bench's scale (d = 10, 1000 terms and features, raw entries of
+    # size 0.03) a one-row product taken by gemv rounds unlike the same row
+    # inside a gemm block, in about 14% of rows for the target and every row
+    # for the features.  Every row alone, 2-d or 1-d, must be the bits it has
+    # among the others.
+    rng = np.random.default_rng(11)
+    target = sample_nonlinear_target(10, 1000, rng)
+    rff = sample_rff_map(10, 1000, seed=12)
+    X = rng.standard_normal((2000, 10)) / np.sqrt(1000)
+    vals, feats = eval_target(target, X), apply_rff(rff, X)
+    for i in range(len(X)):
+        assert eval_target(target, X[i]) == vals[i]
+        assert np.array_equal(eval_target(target, X[i:i + 1]), vals[i:i + 1])
+        assert np.array_equal(apply_rff(rff, X[i:i + 1]), feats[i:i + 1])
+        assert np.array_equal(apply_rff(rff, X[i]), feats[i])

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schattenreg import GramSpectrum, SchattenIndex, gram_spectrum
+from schattenreg import GramSpectrum, RowStack, SchattenIndex, gram_spectrum
 from schattenreg.exceptions import NonFinite
+from schattenreg.spectrum import gram_matrix
 
 FIG1_X = np.diag(np.sqrt(np.arange(1.0, 11.0)))
 
@@ -192,3 +193,34 @@ def test_with_targets_matches_one_call_and_checks_y(shape):
         sp.with_targets(X, Y[:-1])
     with pytest.raises(ValueError, match="X"):
         sp.with_targets(X[:-1], Y[:-1])
+
+
+def test_gram_matrix_of_row_blocks_is_the_stack_gram():
+    # 300 columns make three panels; the blocks are uneven and made one at a
+    # time.  The sum matches one product over the stack to rounding, and the
+    # result is exactly symmetric.
+    rng = np.random.default_rng(4)
+    blocks = [rng.standard_normal((m, 300)) for m in (150, 7, 1, 90)]
+    X = np.concatenate(blocks)
+    G = gram_matrix(b for b in blocks)
+    np.testing.assert_allclose(G, X.T @ X, rtol=0, atol=1e-13 * np.abs(X.T @ X).max())
+    assert np.array_equal(G, G.T)
+    assert np.array_equal(gram_matrix([X]), X.T @ X)  # one block: one product
+
+
+@pytest.mark.parametrize("shape", [(40, 30), (30, 45)])  # d <= N; d > N
+def test_spectrum_of_a_row_stack_is_the_spectrum_of_its_stack(shape):
+    # A RowStack is factored without stacking on the d <= N route, and from
+    # its stack on the d > N route; targets may be split like the rows.
+    rng = np.random.default_rng(5)
+    X, Y = rng.standard_normal(shape), rng.standard_normal(shape[0])
+    cut = (slice(0, 0), slice(0, 11), slice(11, None))  # an empty block is dropped
+    rows = RowStack(X[c] for c in cut)
+    assert rows.shape == X.shape and len(rows) == shape[0] and len(rows.blocks) == 2
+    assert np.array_equal(np.asarray(rows), X)
+    got, want = gram_spectrum(rows, RowStack(Y[c] for c in cut)), gram_spectrum(X, Y)
+    top = want.eigvals[0]
+    np.testing.assert_allclose(got.eigvals, want.eigvals, rtol=0, atol=1e-12 * top)
+    np.testing.assert_allclose(got.xty, want.xty, rtol=0, atol=1e-12 * np.abs(want.xty).max())
+    np.testing.assert_allclose((got.eigvecs * got.eigvals[:got.eigvecs.shape[1]]) @ got.eigvecs.T,
+                               X.T @ X, rtol=0, atol=1e-12 * top)

@@ -19,7 +19,6 @@ from schattenreg import (
     mp_partial_moment,
     mp_pdf,
     oracle_ridge_alpha,
-    predict,
     sample_diagonal,
 )
 from schattenreg import theory
@@ -397,7 +396,7 @@ def test_diagonal_theory_matches_simulation():
     errs = []
     for seed in child_seeds(7, 100):
         ds = sample_diagonal(cfg, seed=seed)
-        errs.append(np.mean((predict(fit(ds.X_tr, ds.Y_tr, p, alpha), ds.X_te) - ds.Y_te) ** 2))
+        errs.append(ds.test.mse(fit(ds.X_tr, ds.Y_tr, p, alpha).beta_hat[:, None])[0])
     errs = np.asarray(errs)
     se = errs.std(ddof=1) / np.sqrt(len(errs))
     theory = err_density(p, alpha, 0.5, 1.0, 0.5, dens)
@@ -442,20 +441,23 @@ def test_diagonal_theory_is_exact_on_the_empirical_measure(p, low_atom):
     # so the expected test error of L = estimator_operator(X_tr, p, alpha),
     # (beta^2 ||X_te (L X_tr - I)||_F^2 + sigma^2 ||X_te L||_F^2) / N, is the
     # theory on the empirical measure of the sampled atoms, with no Monte
-    # Carlo noise, an atom at 0 included.
+    # Carlo noise, an atom at 0 included.  The test set is H = X_te^T X_te,
+    # so ||X_te A||_F^2 = tr(A^T H A) and the column sums of X_te^2 are
+    # diag(H).
     N, d, beta, sigma = 60, 30, 1.0, 0.7
     dens = SpectralDensity.tabulated([low_atom, 0.25, 1.0], [0.3, 0.3, 0.4])
     ds = sample_diagonal(DiagonalEnsembleConfig(N, d, dens, beta=beta, sigma=sigma), seed=3)
-    lam_sampled = np.sum(ds.X_te * ds.X_te, axis=0)
+    H = ds.test.H
+    assert ds.test.n == N
+    lam_sampled = np.diag(H)
     atoms = np.array([low_atom, 0.25, 1.0])
     counts = np.array([np.sum(np.isclose(lam_sampled, a, rtol=0, atol=1e-12)) for a in atoms])
     assert counts.sum() == d and counts[0] > 0
     empirical = SpectralDensity.tabulated(atoms, counts / d)
     for alpha in (0.0, 0.3, 3.0):
         L = estimator_operator(ds.X_tr, p, alpha)
-        bias = ds.X_te @ (L @ ds.X_tr - np.eye(d))
-        variance = ds.X_te @ L
-        exact = (beta ** 2 * np.sum(bias * bias) + sigma ** 2 * np.sum(variance * variance)) / N
+        bias = L @ ds.X_tr - np.eye(d)
+        exact = (beta ** 2 * np.sum(bias * (H @ bias)) + sigma ** 2 * np.sum(L * (H @ L))) / N
         theory = err_density(p, alpha, d / N, beta, sigma, empirical)
         assert theory == pytest.approx(exact, rel=1e-12)
 
