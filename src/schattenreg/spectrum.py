@@ -36,9 +36,9 @@ from .exceptions import NonFinite
 # Relative cutoff below which a Gram eigenvalue is treated as exactly zero.
 EIGVAL_RTOL = 1e-12
 
-# Columns per panel of a blocked Gram update (see gram_matrix): at d = 1000 a
-# panel product is 1 MB, an eighth of the d x d result.
-_PANEL = 128
+# Rows per slab of a blocked Gram update (see gram_matrix): at d = 1000 a
+# slab product is 1 MB, an eighth of the d x d result.
+_SLAB = 128
 
 
 class SchattenIndex(enum.Enum):
@@ -131,22 +131,22 @@ def gram_matrix(blocks) -> np.ndarray:
     """X^T X of the design whose rows are those of the row blocks `blocks`,
     an iterable read once, so a block can be made as it is needed.  The
     first block's product is one call, which numpy routes to a symmetric
-    rank-k update.  Each later block adds its products to the lower triangle
-    a panel of _PANEL columns at a time, and the upper triangle is copied from
-    the lower at the end, so the only temporary is one (d, _PANEL) panel,
+    rank-k update.  Each later block adds its products to the upper triangle
+    a slab of _SLAB rows at a time, and the lower triangle is copied from
+    the upper at the end, so the only temporary is one (_SLAB, d) slab,
     never a second d x d array."""
     blocks = iter(blocks)
     X = next(blocks)
     G = X.T @ X
     del X  # each block is let go before the next is made
     d = G.shape[0]
-    panels = [(lo, min(lo + _PANEL, d)) for lo in range(0, d, _PANEL)]
+    slabs = [(lo, min(lo + _SLAB, d)) for lo in range(0, d, _SLAB)]
     for X in blocks:
-        for lo, hi in panels:
-            G[lo:, lo:hi] += X[:, lo:].T @ X[:, lo:hi]
+        for lo, hi in slabs:
+            G[lo:hi, lo:] += X[:, lo:hi].T @ X[:, lo:]
         del X
-    for lo, hi in panels:
-        G[lo:hi, hi:] = G[hi:, lo:hi].T
+    for lo, hi in slabs:
+        G[hi:, lo:hi] = G[lo:hi, hi:].T
     return G
 
 

@@ -196,7 +196,7 @@ def test_with_targets_matches_one_call_and_checks_y(shape):
 
 
 def test_gram_matrix_of_row_blocks_is_the_stack_gram():
-    # 300 columns make three panels; the blocks are uneven and made one at a
+    # 300 columns make three slabs; the blocks are uneven and made one at a
     # time.  The sum matches one product over the stack to rounding, and the
     # result is exactly symmetric.
     rng = np.random.default_rng(4)
