@@ -128,8 +128,9 @@ class GramTestSet:
 class Dataset:
     """A training set, a held-out test set and the training set's spectrum.
 
-    spectrum is gram_spectrum(X_tr, Y_tr), made by the builder before the
-    test set existed; fitting reads it instead of factoring X_tr again.
+    spectrum is gram_spectrum(X_tr, Y_tr), made by the dataset's maker
+    before the test set existed; fitting reads it instead of factoring X_tr
+    again.
 
     test is scored by one call, test.mse(B), for coefficient columns B.  A
     sampler's test set is a GramTestSet (H, n_test, beta0), so it costs d^2
