@@ -226,8 +226,8 @@ def _cv_errors(ds: Dataset, cfg: CVConfig, cv_seed: int) -> tuple[np.ndarray, np
     """(test MSE, selected alpha) per model.  Every model's whole alpha path
     is fit from the dataset's own spectrum and scored on the test set first;
     then the dataset is let go and k-fold CV picks the grid index to report.
-    The dataset is consumed: its training rows are permuted into fold order
-    in place, so no second copy of them is made.  Called with a dataset no
+    The dataset is consumed: its training rows, X_tr with Y_tr, are permuted
+    into fold order in place, so no second copy of them is made.  Called with a dataset no
     one else holds, as the replicate harness does, the test set is freed
     before any fold is factored."""
     alphas = cfg.grid.values()
@@ -236,7 +236,8 @@ def _cv_errors(ds: Dataset, cfg: CVConfig, cv_seed: int) -> tuple[np.ndarray, np
     del ds
     perm, edges = _fold_order(X.shape[0], cfg.folds, cv_seed)
     _permute_rows(X, perm)
-    best = _cv_best_index(X, Y[perm], edges, cfg.models, alphas)
+    _permute_rows(Y, perm)
+    best = _cv_best_index(X, Y, edges, cfg.models, alphas)
     return test_mse[np.arange(len(cfg.models)), best], alphas[best]
 
 

@@ -113,6 +113,20 @@ def test_cv_errors_match_refit_scored_one_model_at_a_time(shape):
         assert err == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
+def test_cv_errors_permute_the_training_rows_into_fold_order_in_place():
+    # The harness consumes its dataset: X_tr and Y_tr end up in fold order in
+    # their own buffers, and the selection is kfold_select_alpha's on a copy.
+    ds = sample_equicorrelated(EquicorrelatedConfig(47, 6, rho=0.3, n_test=20), seed=3)
+    X, Y, buffers = ds.X_tr.copy(), ds.Y_tr.copy(), (ds.X_tr, ds.Y_tr)
+    cfg = _small_cfg()
+    _, alphas = _cv_errors(ds, cfg, cv_seed=8)
+    perm = np.random.default_rng(8).permutation(47)
+    assert ds.X_tr is buffers[0] and np.array_equal(ds.X_tr, X[perm])
+    assert ds.Y_tr is buffers[1] and np.array_equal(ds.Y_tr, Y[perm])
+    selected = kfold_select_alpha(X, Y, cfg.models, cfg, seed=8)
+    assert list(alphas) == [selected[p] for p in cfg.models]
+
+
 @pytest.fixture
 def mse_calls(monkeypatch):
     """Every test set scored, in call order."""
