@@ -64,7 +64,7 @@ from .rff import (
     sample_nonlinear_target,
     sample_rff_map,
 )
-from .spectrum import GramSpectrum, RowStack, SchattenIndex, gram_spectrum
+from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 from .theory import (
     ErrorIntegrals,
     MarchenkoPastur,

@@ -421,7 +421,7 @@ def cmd_real_data(path: str, cfg: dict) -> BenchReport:
         X_te -= mu
         X_te /= sd
         return Dataset(X_tr=X_tr, Y_tr=y_tr, test=RowTestSet(X_te, y_all[te] - y_mean),
-                       beta0=None, seed=seed, spectrum=spectrum)
+                       beta0=None, spectrum=spectrum)
 
     return _bench_over_datasets(split, cv_cfg, with_ratio=False)
 

@@ -11,11 +11,11 @@ Gram matrix, a set of rows (RFF, real data, a CV fold's validation block) in
 row blocks of at most ensembles._BLOCK_BYTES, so an RFF test set's features
 are made one block at a time and scoring never holds its n x d design.
 
-Once a dataset has been scored and let go, its training rows are permuted
-into fold order in place, and the fold loop holds that only copy: a fold's
-validation design is a slice of it, and its training design the RowStack of
-the two slices around that block, which gram_spectrum factors without
-copying its rows.
+Once a dataset has been scored and let go, the fold loop holds the only
+copy of its training rows and lays them out in place: before fold k is
+factored, its rows are moved after the other folds' rows, which keep fold
+order, so the fold's training design is a prefix of the array and its
+validation design the rest.  No other module knows the fold layout.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .ensembles import (
 from .estimators import fit_path
 from .exceptions import InsufficientData, InvalidConfig
 from .rff import make_rff_dataset
-from .spectrum import GramSpectrum, RowStack, SchattenIndex, gram_spectrum
+from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 
 __all__ = [
     "AlphaGrid",
@@ -70,10 +70,10 @@ class AlphaGrid:
     count: int = 9
 
     def __post_init__(self):
-        if not self.lo > 0:
-            raise InvalidConfig("log-spaced grid needs lo > 0")
-        if not self.lo < self.hi:
-            raise InvalidConfig("grid lo must be below hi")
+        if not 0 < self.lo < np.inf:
+            raise InvalidConfig(f"grid lo must be finite and positive, got {self.lo!r}")
+        if not self.lo < self.hi < np.inf:
+            raise InvalidConfig(f"grid hi must be finite and above lo, got {self.hi!r}")
         if self.count < 1:
             raise InvalidConfig("grid needs at least one value")
 
@@ -160,17 +160,27 @@ def _path_scores(spectrum: GramSpectrum, models, alphas: np.ndarray, test) -> np
     return test.mse(B).reshape(len(models), len(alphas))
 
 
-def _cv_best_index(X: np.ndarray, Y: np.ndarray, edges: np.ndarray,
+def _cv_best_index(X: np.ndarray, Y: np.ndarray, perm: np.ndarray, edges: np.ndarray,
                    models: tuple[SchattenIndex, ...], alphas: np.ndarray) -> np.ndarray:
     """Per model, the grid index minimizing mean validation MSE across the
-    folds of rows X, Y in fold order (_fold_order); argmin takes the first
-    minimum, so ties break to the smaller alpha.  Each fold is factored once,
-    from slices of X and Y, and shared by all models."""
+    folds of _fold_order's (perm, edges); argmin takes the first minimum, so
+    ties break to the smaller alpha.  X and Y are permuted in place: before
+    fold k is factored, the rows become perm's other folds in fold order,
+    then fold k's, so its training design is the prefix X[:m] and its
+    validation set the rest; after the last fold they are X[perm], Y[perm].
+    Each fold is factored once and shared by all models."""
+    n = len(perm)
+    where = np.arange(n)  # where[i]: the current position of original row i
     scores = np.zeros((len(edges) - 1, len(models), len(alphas)))
     for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        scores[k] = _path_scores(
-            gram_spectrum(RowStack((X[:lo], X[hi:])), RowStack((Y[:lo], Y[hi:]))),
-            models, alphas, RowTestSet(X[lo:hi], Y[lo:hi]))
+        order = np.r_[perm[:lo], perm[hi:], perm[lo:hi]]
+        step = where[order]
+        _permute_rows(X, step)
+        _permute_rows(Y, step)
+        where[order] = np.arange(n)
+        m = n - (hi - lo)
+        scores[k] = _path_scores(gram_spectrum(X[:m], Y[:m]), models, alphas,
+                                 RowTestSet(X[m:], Y[m:]))
     return np.argmin(scores.mean(axis=0), axis=1)
 
 
@@ -182,11 +192,12 @@ def kfold_select_alpha(
     seed: int | None = None,
 ) -> dict[SchattenIndex, float]:
     """Per model, the grid alpha minimizing mean validation MSE across folds;
-    ties break to the smaller alpha.  Each fold is factored once and shared
-    by all models."""
+    ties break to the smaller alpha.  The folds are laid out in one copy of
+    X and Y, and each is factored once and shared by all models."""
     alphas = cfg.grid.values()
     perm, edges = _fold_order(X.shape[0], cfg.folds, cfg.seed if seed is None else seed)
-    best = _cv_best_index(X[perm], Y[perm], edges, models, alphas)
+    best = _cv_best_index(np.array(X, dtype=float), np.array(Y, dtype=float), perm, edges,
+                          models, alphas)
     return {p: float(alphas[b]) for p, b in zip(models, best)}
 
 
@@ -226,18 +237,17 @@ def _cv_errors(ds: Dataset, cfg: CVConfig, cv_seed: int) -> tuple[np.ndarray, np
     """(test MSE, selected alpha) per model.  Every model's whole alpha path
     is fit from the dataset's own spectrum and scored on the test set first;
     then the dataset is let go and k-fold CV picks the grid index to report.
-    The dataset is consumed: its training rows, X_tr with Y_tr, are permuted
-    into fold order in place, so no second copy of them is made.  Called with a dataset no
-    one else holds, as the replicate harness does, the test set is freed
-    before any fold is factored."""
+    The dataset is consumed: the folds are laid out in its training rows,
+    X_tr with Y_tr, in place, so no second copy of them is made, and they
+    are left in fold order.  Called with a dataset no one else holds, as the
+    replicate harness does, the test set is freed before any fold is
+    factored."""
     alphas = cfg.grid.values()
     test_mse = _path_errors(ds, cfg.models, alphas)
     X, Y = ds.X_tr, ds.Y_tr
     del ds
     perm, edges = _fold_order(X.shape[0], cfg.folds, cv_seed)
-    _permute_rows(X, perm)
-    _permute_rows(Y, perm)
-    best = _cv_best_index(X, Y, edges, cfg.models, alphas)
+    best = _cv_best_index(X, Y, perm, edges, cfg.models, alphas)
     return test_mse[np.arange(len(cfg.models)), best], alphas[best]
 
 
@@ -290,8 +300,9 @@ class RFFBenchConfig:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        if self.d_rbf < 1:
-            raise InvalidConfig("d_rbf must be >= 1")
+        for name in ("d", "d_rbf", "n_obs", "n_test"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if not 0.0 <= self.sigma < np.inf:
             raise InvalidConfig(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         if not 0.0 < self.bandwidth < np.inf:

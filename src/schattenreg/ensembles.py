@@ -146,7 +146,6 @@ class Dataset:
     Y_tr: np.ndarray
     test: RowTestSet | GramTestSet
     beta0: np.ndarray | None
-    seed: int
     spectrum: GramSpectrum
 
     @property
@@ -276,8 +275,9 @@ class SparseSpec:
     small_scale: float = 0.1
 
     def __post_init__(self):
-        if self.n_large < 0 or self.small_scale < 0:
-            raise InvalidConfig("n_large and small_scale must be nonnegative")
+        if self.n_large < 0:
+            raise InvalidConfig(f"n_large must be nonnegative, got {self.n_large!r}")
+        _check_scales(self, "small_scale")
 
 
 @dataclass(frozen=True)
@@ -325,7 +325,7 @@ def sample_spherical(config: SphericalGaussianConfig, seed: int = 0) -> Dataset:
                     for lo, hi in _test_spans(config.n_test, d))
     beta0 = rng.standard_normal(d) * config.beta
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
-    return Dataset(X_tr, Y_tr, GramTestSet(H, config.n_test, beta0), beta0, seed,
+    return Dataset(X_tr, Y_tr, GramTestSet(H, config.n_test, beta0), beta0,
                    spectrum.with_targets(X_tr, Y_tr))
 
 
@@ -340,7 +340,7 @@ def sample_diagonal(config: DiagonalEnsembleConfig, seed: int = 0) -> Dataset:
     H = gram_matrix([haar_stiefel(N, d, rng) * np.sqrt(lam)])
     beta0 = rng.standard_normal(d) * config.beta
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
-    return Dataset(X_tr, Y_tr, GramTestSet(H, N, beta0), beta0, seed,
+    return Dataset(X_tr, Y_tr, GramTestSet(H, N, beta0), beta0,
                    spectrum.with_targets(X_tr, Y_tr))
 
 
@@ -393,5 +393,5 @@ def sample_equicorrelated(config: EquicorrelatedConfig, seed: int = 0) -> Datase
         large = rng.choice(d, size=config.sparse.n_large, replace=False)
         beta0[large] = rng.standard_normal(config.sparse.n_large)
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
-    return Dataset(X_tr, Y_tr, GramTestSet(H, config.n_test, beta0), beta0, seed,
+    return Dataset(X_tr, Y_tr, GramTestSet(H, config.n_test, beta0), beta0,
                    spectrum.with_targets(X_tr, Y_tr))

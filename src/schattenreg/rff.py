@@ -151,6 +151,5 @@ def make_rff_dataset(
         Y_tr=Y_tr,
         test=RowTestSet(RFFRows(rff, raw_te), Y_te),
         beta0=None,  # no linear ground truth exists in feature space
-        seed=seed,
         spectrum=spectrum,
     )

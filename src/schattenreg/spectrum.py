@@ -8,19 +8,17 @@ to the eigenvalues: elementwise max with alpha (Nuclear, p=1), additive shift
 estimator weights, the alpha -> C map and the error integrands of the theory
 all read it.
 
-``gram_spectrum`` picks its route by the shape of X (N rows, d columns).  X
-is an array or a ``RowStack``: row blocks read as one design without being
-copied into it, as a cross-validation fold's training rows are the two slices
-around its validation block.  For d <= N it forms G, summing the blocks'
-products, and runs a symmetric eigensolver.  For d > N, G has rank at
-most N, so it takes the thin SVD X = W diag(sv) V^T instead: the eigenvectors
-are the N rows of V^T and the eigenvalues are sv**2, padded with d - N exact
-zeros; the SVD takes the blocks' stack, which is small when N < d.  The
-d - N null directions are never formed, because X^T and X^T Y have no
-component on them; every consumer applies its filter weights to the first
-k = min(N, d) eigenvalues only.  The wide route takes the thin SVD
-rather than an eigensolve of X X^T, because recovering V from that dual
-loses orthogonality like eps s_max^2 / s_i^2 on small singular values.
+``gram_spectrum`` picks its route by the shape of X (N rows, d columns) and
+reads X as it is, so a view into a larger array is factored without being
+copied.  For d <= N it forms G and runs a symmetric eigensolver.  For d > N,
+G has rank at most N, so it takes the thin SVD X = W diag(sv) V^T instead:
+the eigenvectors are the N rows of V^T and the eigenvalues are sv**2, padded
+with d - N exact zeros.  The d - N null directions are never formed, because
+X^T and X^T Y have no component on them; every consumer applies its filter
+weights to the first k = min(N, d) eigenvalues only.  The wide route takes
+the thin SVD rather than an eigensolve of X X^T, because recovering V from
+that dual loses orthogonality like eps s_max^2 / s_i^2 on small singular
+values.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import NonFinite
+from .exceptions import InsufficientData, NonFinite
 
 # Relative cutoff below which a Gram eigenvalue is treated as exactly zero.
 EIGVAL_RTOL = 1e-12
@@ -101,32 +99,6 @@ class SchattenIndex(enum.Enum):
         return self.norm(np.ones(d))
 
 
-class RowStack:
-    """Row blocks of one width read as the one design whose rows are theirs,
-    in order, without copying them into it.  .shape and len() are the
-    design's, and np.asarray(stack) forms it.  Empty blocks are dropped."""
-
-    def __init__(self, blocks):
-        self.blocks = tuple(np.asarray(b, dtype=float) for b in blocks if len(b))
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (sum(map(len, self.blocks)), *self.blocks[0].shape[1:])
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if len(self.blocks) == 1:
-            return self.blocks[0]
-        return np.concatenate(self.blocks, dtype=dtype)
-
-
-def _stack(X) -> RowStack:
-    """X itself if it is a RowStack, else the one-block stack of array X."""
-    return X if isinstance(X, RowStack) else RowStack((X,))
-
-
 def gram_matrix(blocks) -> np.ndarray:
     """X^T X of the design whose rows are those of the row blocks `blocks`,
     an iterable read once, so a block can be made as it is needed.  The
@@ -189,13 +161,11 @@ class GramSpectrum:
         if np.abs(M, out=M).max(initial=0.0) > 1e-10:
             raise ValueError("eigvecs must be orthonormal")
 
-    def with_targets(self, X, Y) -> "GramSpectrum":
-        """This spectrum with X^T Y attached, for the X it was built from (an
-        array, or a RowStack whose blocks' products are summed) and targets Y
-        of length N (a vector, or a RowStack of its blocks).  The
-        eigenvectors are shared and not checked again, so a design can be
-        factored before its targets exist."""
-        X = _stack(X)
+    def with_targets(self, X: np.ndarray, Y: np.ndarray) -> "GramSpectrum":
+        """This spectrum with X^T Y attached, for the X it was built from and
+        targets Y of length N.  The eigenvectors are shared and not checked
+        again, so a design can be factored before its targets exist."""
+        X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         if X.shape != (self.n_obs, self.n_feat):
             raise ValueError(f"X {X.shape} does not match the spectrum's "
@@ -204,9 +174,8 @@ class GramSpectrum:
             raise ValueError(f"Y {Y.shape} must be ({self.n_obs},)")
         if not np.all(np.isfinite(Y)):
             raise NonFinite("Y contains NaN or Inf")
-        parts = np.split(Y, np.cumsum([len(b) for b in X.blocks[:-1]]))
         out = copy.copy(self)  # bypasses __post_init__
-        object.__setattr__(out, "xty", sum(b.T @ y for b, y in zip(X.blocks, parts)))
+        object.__setattr__(out, "xty", X.T @ Y)
         return out
 
     @property
@@ -219,22 +188,23 @@ class GramSpectrum:
         return int(np.sum(self.eigvals > self.rank_tol))
 
 
-def gram_spectrum(X, Y=None) -> GramSpectrum:
+def gram_spectrum(X: np.ndarray, Y: np.ndarray | None = None) -> GramSpectrum:
     """Eigendecompose X^T X, caching X^T Y when targets are supplied: eigh of
-    the Gram matrix for d <= N, the thin SVD of X for d > N.  X is an array
-    or a RowStack, and Y then a vector or a RowStack of its row blocks; the
-    d <= N route sums the blocks' products and never stacks them."""
-    X = _stack(X)
-    if not all(np.all(np.isfinite(b)) for b in X.blocks):
-        raise NonFinite("X contains NaN or Inf")
+    the Gram matrix for d <= N, the thin SVD of X for d > N.  Raises
+    InsufficientData for a design with no rows."""
+    X = np.asarray(X, dtype=float)
     N, d = X.shape
+    if N == 0:
+        raise InsufficientData(f"X {X.shape} has no rows to factor")
+    if not np.all(np.isfinite(X)):
+        raise NonFinite("X contains NaN or Inf")
     if d <= N:
-        w, U = np.linalg.eigh(gram_matrix(X.blocks))
+        w, U = np.linalg.eigh(X.T @ X)
         order = np.argsort(w)[::-1]
         w = np.clip(w[order], 0.0, None)
         U = U[:, order]
     else:
-        _, sv, Vt = np.linalg.svd(np.asarray(X), full_matrices=False)
+        _, sv, Vt = np.linalg.svd(X, full_matrices=False)
         w = np.concatenate([sv * sv, np.zeros(d - N)])
         U = Vt.T
     sp = GramSpectrum(eigvecs=U, eigvals=w, n_obs=N, n_feat=d)

@@ -12,7 +12,6 @@ from schattenreg import (
     EquicorrelatedConfig,
     GramTestSet,
     RFFBenchConfig,
-    RowStack,
     RowTestSet,
     SchattenIndex,
     SparseSpec,
@@ -227,8 +226,9 @@ def test_each_test_set_is_scored_in_one_call(mse_calls):
 
 @pytest.mark.parametrize("shape", [(60, 10), (30, 45)])  # full rank; d > N, rank-deficient
 def test_fold_spectra_from_slices_match_gathered_rows(shape, monkeypatch):
-    # Each fold is factored from two slices of the rows in fold order; the
-    # reference gathers its training and validation rows with a mask.
+    # Each fold is factored from a prefix of one buffer laid out in place,
+    # holding the other folds' rows in fold order; the reference gathers its
+    # training and validation rows with a mask.
     import schattenreg.cv as cv
 
     ds = sample_spherical(SphericalGaussianConfig(*shape, sigma=0.7, n_test=10), seed=12)
@@ -238,18 +238,21 @@ def test_fold_spectra_from_slices_match_gathered_rows(shape, monkeypatch):
     factored, factor = [], cv.gram_spectrum
 
     def spy(rows, targets=None):
-        factored.append((rows, factor(rows, targets)))
-        return factored[-1][1]
+        factored.append((rows, rows.copy(), factor(rows, targets)))
+        return factored[-1][2]
 
     monkeypatch.setattr(cv, "gram_spectrum", spy)
     got = kfold_select_alpha(X, Y, cfg.models, cfg, seed=5)
     perm = np.random.default_rng(5).permutation(n)
     scores = []
-    for (rows, spectrum), val_idx in zip(factored, np.array_split(perm, cfg.folds), strict=True):
+    folds = np.array_split(perm, cfg.folds)
+    for (rows, taken, spectrum), val_idx in zip(factored, folds, strict=True):
         mask = np.ones(n, dtype=bool)
         mask[val_idx] = False
         want = gram_spectrum(X[mask], Y[mask])
-        assert isinstance(rows, RowStack) and rows.shape == (mask.sum(), shape[1])
+        buffer = factored[0][0].base
+        assert isinstance(rows, np.ndarray) and rows.base is buffer and buffer is not X
+        assert rows.shape == (mask.sum(), shape[1]) and np.array_equal(taken, X[perm[mask[perm]]])
         np.testing.assert_allclose(spectrum.eigvals, want.eigvals, rtol=0,
                                    atol=1e-12 * want.eigvals[0])
         val = RowTestSet(X[val_idx], Y[val_idx])
@@ -506,7 +509,7 @@ def test_rff_features_realizable_noiseless_near_zero():
     Phi_te = apply_rff(rmap, X_raw_te)
     w0 = rng.standard_normal(10)
     ds = Dataset(X_tr=Phi, Y_tr=Phi @ w0, test=RowTestSet(Phi_te, Phi_te @ w0),
-                 beta0=w0, seed=7, spectrum=gram_spectrum(Phi, Phi @ w0))
+                 beta0=w0, spectrum=gram_spectrum(Phi, Phi @ w0))
     cfg = _small_cfg(grid=AlphaGrid(1e-8, 1e2, 11),
                      models=(SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS))
     for p in cfg.models:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from schattenreg import (
+    AlphaGrid,
     DiagonalEnsembleConfig,
     RFFBenchConfig,
     EquicorrelatedConfig,
@@ -104,6 +105,9 @@ def test_sparse_spec_rejected_before_sampling(n_large, small_scale, n_feat):
                                     spectral_density=SpectralDensity.power_law(1.0)), "n_obs"),
     (lambda: DiagonalEnsembleConfig(n_obs=20, n_feat=0,
                                     spectral_density=SpectralDensity.power_law(1.0)), "n_feat"),
+    (lambda: RFFBenchConfig(d=0), "d must"),
+    (lambda: RFFBenchConfig(n_obs=0), "n_obs"),
+    (lambda: RFFBenchConfig(n_test=0), "n_test"),
 ])
 def test_ensemble_config_ranges_name_the_field(make, field):
     with pytest.raises(InvalidConfig, match=field):
@@ -126,9 +130,13 @@ _POWER_LAW = SpectralDensity.power_law(1.0)
     (lambda v: EquicorrelatedConfig(20, 5, sigma=v), "sigma"),
     (lambda v: RFFBenchConfig(sigma=v), "sigma"),
     (lambda v: RFFBenchConfig(bandwidth=v), "bandwidth"),
+    (lambda v: SparseSpec(3, v), "small_scale"),
+    (lambda v: AlphaGrid(1e-4, v, 3), "hi must"),
+    (lambda v: AlphaGrid(v, 1e6, 3), "lo must"),
 ], ids=["power-law-gamma", "tabulated-grid", "tabulated-weights", "spherical-beta",
         "spherical-sigma", "diagonal-beta", "diagonal-sigma", "equicorrelated-sigma",
-        "rff-sigma", "rff-bandwidth"])
+        "rff-sigma", "rff-bandwidth", "sparse-small-scale", "grid-hi",
+        "grid-lo"])
 def test_non_finite_values_are_rejected_naming_the_field(make, field, value):
     with pytest.raises(InvalidConfig, match=field):
         make(value)

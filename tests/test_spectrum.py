@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schattenreg import GramSpectrum, RowStack, SchattenIndex, gram_spectrum
-from schattenreg.exceptions import NonFinite
+from schattenreg import GramSpectrum, SchattenIndex, gram_spectrum
+from schattenreg.exceptions import InsufficientData, NonFinite
 from schattenreg.spectrum import gram_matrix
 
 FIG1_X = np.diag(np.sqrt(np.arange(1.0, 11.0)))
@@ -208,19 +209,7 @@ def test_gram_matrix_of_row_blocks_is_the_stack_gram():
     assert np.array_equal(gram_matrix([X]), X.T @ X)  # one block: one product
 
 
-@pytest.mark.parametrize("shape", [(40, 30), (30, 45)])  # d <= N; d > N
-def test_spectrum_of_a_row_stack_is_the_spectrum_of_its_stack(shape):
-    # A RowStack is factored without stacking on the d <= N route, and from
-    # its stack on the d > N route; targets may be split like the rows.
-    rng = np.random.default_rng(5)
-    X, Y = rng.standard_normal(shape), rng.standard_normal(shape[0])
-    cut = (slice(0, 0), slice(0, 11), slice(11, None))  # an empty block is dropped
-    rows = RowStack(X[c] for c in cut)
-    assert rows.shape == X.shape and len(rows) == shape[0] and len(rows.blocks) == 2
-    assert np.array_equal(np.asarray(rows), X)
-    got, want = gram_spectrum(rows, RowStack(Y[c] for c in cut)), gram_spectrum(X, Y)
-    top = want.eigvals[0]
-    np.testing.assert_allclose(got.eigvals, want.eigvals, rtol=0, atol=1e-12 * top)
-    np.testing.assert_allclose(got.xty, want.xty, rtol=0, atol=1e-12 * np.abs(want.xty).max())
-    np.testing.assert_allclose((got.eigvecs * got.eigvals[:got.eigvecs.shape[1]]) @ got.eigvecs.T,
-                               X.T @ X, rtol=0, atol=1e-12 * top)
+@pytest.mark.parametrize("shape", [(0, 4), (0, 0)])
+def test_a_design_with_no_rows_is_rejected_naming_its_shape(shape):
+    with pytest.raises(InsufficientData, match=re.escape(str(shape))):
+        gram_spectrum(np.empty(shape))
