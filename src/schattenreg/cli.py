@@ -273,6 +273,10 @@ def cmd_simulate(cfg: dict) -> list[dict]:
     if n_feat < 1:
         raise ConfigError(f"simulate: lambda: {o['lambda']:g} times n_obs {o['n_obs']} "
                           f"rounds to {n_feat} features, below 1")
+    if o["ensemble"] == "spherical" and n_feat >= o["n_obs"]:
+        # The Marchenko-Pastur theory column is for d < N (see _spherical_lambda).
+        raise ConfigError(f"simulate: lambda: {o['lambda']:g} times n_obs {o['n_obs']} "
+                          f"rounds to {n_feat} features, not below n_obs")
     models, n_datasets = o["models"], o["n_datasets"]
     alphas = o["grid"].values()
     # Build the theory curves first: a bad ensemble config fails before any sampling.
@@ -360,6 +364,9 @@ def read_numeric_csv(path: str, target: str) -> tuple[np.ndarray, np.ndarray, li
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
+        repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+        if repeated is not None:
+            raise ParseError(f"{path}: column {repeated!r} appears more than once in the header")
         if target not in header:
             raise MissingTarget(f"target column {target!r} not in header {header}")
         rows = []

@@ -20,6 +20,8 @@ validation design the rest.  No other module knows the fold layout.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -218,6 +220,14 @@ def _path_errors(ds: Dataset, models, alphas: np.ndarray) -> np.ndarray:
     return _path_scores(ds.spectrum, models, alphas, ds.test)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def simulate_path_errors(
     ensemble_config,
     models: tuple[SchattenIndex, ...],
@@ -226,10 +236,44 @@ def simulate_path_errors(
     seed: int,
 ) -> np.ndarray:
     """Test MSE of every model at every alpha on fresh draws of an ensemble,
-    shape (n_models, n_alpha, n_datasets); dataset j uses child seed j."""
+    shape (n_models, n_alpha, n_datasets); dataset j uses child seed j.
+
+    The datasets run on W = min(usable CPUs, n_datasets) workers, the calling
+    thread and W - 1 threads; numpy releases the GIL while it draws and
+    multiplies.  Dataset j goes to worker j mod W, which samples and scores it
+    alone and writes only mses[:, :, j], so the result is the same for every W.
+    Up to W datasets are alive at once.  When a dataset fails, no worker starts
+    a dataset after it, every dataset before it still runs, and once all
+    threads are joined the error of the lowest failing dataset is raised: the
+    one a serial loop would raise."""
     mses = np.zeros((len(models), len(alphas), n_datasets))
-    for j, s in enumerate(child_seeds(seed, n_datasets)):
-        mses[:, :, j] = _path_errors(sample_ensemble(ensemble_config, s), models, alphas)
+    seeds = child_seeds(seed, n_datasets)
+    n_workers = min(_usable_cpus(), n_datasets)
+    errors: dict[int, BaseException] = {}
+    stop_after = [n_datasets]  # no dataset after the lowest failed one starts
+    lock = threading.Lock()
+
+    def work(first: int) -> None:
+        for j in range(first, n_datasets, n_workers):
+            if j > stop_after[0]:
+                return
+            try:
+                mses[:, :, j] = _path_errors(sample_ensemble(ensemble_config, seeds[j]),
+                                             models, alphas)
+            except BaseException as exc:  # raised in the calling thread below
+                with lock:
+                    errors[j] = exc
+                    stop_after[0] = min(stop_after[0], j)
+                return
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, n_workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
     return mses
 
 

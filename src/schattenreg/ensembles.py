@@ -8,7 +8,9 @@ test side would only add a constant sigma^2 offset to every error.
 
 Every generator factors its training design as soon as that design exists,
 before the test set is drawn, and returns the GramSpectrum inside the
-Dataset, so the eigensolve's temporaries never sit on top of the test set.
+Dataset, so within one dataset the eigensolve's temporaries never sit on top
+of its test set (simulate draws one dataset per thread, so another thread's
+test set may be alive at the same time).
 The test rows are drawn in blocks and summed into H = X_te^T X_te as they
 come (see Dataset).  The random draws keep their order and values: blockwise
 draws return the one-shot values, and the spectrum consumes no randomness.

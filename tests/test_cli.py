@@ -174,6 +174,9 @@ BAD_CONFIGS = [
      "theory-curve: lambda: "),
     ("simulate", {"lambda": 1.2}, [], "simulate: lambda: "),
     ("simulate", {"lambda": 0.001, "n_obs": 100}, [], "simulate: lambda: "),
+    # The spherical theory is for d < N: d = round(lambda * n_obs) must stay below n_obs.
+    ("simulate", {"lambda": 0.999, "n_obs": 100}, [], "simulate: lambda: "),
+    ("simulate", {"lambda": 0.995, "n_obs": 100}, [], "simulate: lambda: "),
     ("simulate", {"ensemble": "diagonal", "gamma": 2.0, "lambda": 0.001, "n_obs": 100}, [],
      "simulate: lambda: "),
     ("simulate", {"ensemble": "diagonal", "gamma": 2.0, "lambda": 1.5, "n_obs": 20}, [],
@@ -256,6 +259,33 @@ def test_simulate_seed_flag_changes_draws(tmp_path):
     assert outs[0] != outs[1]
 
 
+@pytest.mark.parametrize("ensemble, lam, n_feat", [
+    ("spherical", 0.99, 99),  # the largest d below N = 100
+    ("diagonal", 1.0, 100),  # the diagonal theory covers d = N
+])
+def test_simulate_runs_at_the_largest_lambda_its_theory_covers(tmp_path, monkeypatch,
+                                                               ensemble, lam, n_feat):
+    import schattenreg.cli as cli
+
+    drawn = []
+    real = cli.simulate_path_errors
+
+    def spy(ens_cfg, *args):
+        drawn.append(ens_cfg.n_feat)
+        return real(ens_cfg, *args)
+
+    monkeypatch.setattr(cli, "simulate_path_errors", spy)
+    cfg = _write_cfg(tmp_path, "c.json", {
+        "ensemble": ensemble, "lambda": lam, "n_obs": 100, "n_datasets": 2,
+        "models": ["ridge"], "grid": {"lo": 1.0, "hi": 2.0, "count": 1},
+        **({"gamma": 1.0} if ensemble == "diagonal" else {"n_test": 50}),
+    })
+    out = str(tmp_path / "sim.csv")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    assert drawn == [n_feat]
+    assert float(_read_csv(out)[0]["lambda"]) == lam
+
+
 def test_simulate_diagonal_without_gamma_fails_before_sampling(tmp_path, monkeypatch):
     import schattenreg.cli as cli
 
@@ -314,6 +344,14 @@ def test_read_numeric_csv_ragged_row(tmp_path):
     path = _write_table(tmp_path, "a,y\n1,2\n3\n")
     with pytest.raises(ParseError, match=":3:"):
         read_numeric_csv(path, "y")
+
+
+@pytest.mark.parametrize("header, repeated", [("a,y,y", "y"), ("a,b,a,y", "a")])
+def test_read_numeric_csv_repeated_column(tmp_path, header, repeated):
+    path = _write_table(tmp_path, f"{header}\n{','.join('1' * len(header.split(',')))}\n")
+    with pytest.raises(ParseError) as info:
+        read_numeric_csv(path, "y")
+    assert str(info.value).startswith(f"{path}: column '{repeated}' ")
 
 
 def test_read_numeric_csv_empty(tmp_path):

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,7 @@ from schattenreg import (
     SphericalGaussianConfig,
     aggregate_wins,
     apply_rff,
+    child_seeds,
     fit,
     fit_path,
     gram_spectrum,
@@ -371,6 +374,70 @@ def test_sampled_benchmarks_never_hold_a_test_design(ens, bench):
     finally:
         tracemalloc.stop()
     assert peak < 8 * _BIG_TEST * ens.n_feat
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("ens", [
+    SphericalGaussianConfig(40, 10, sigma=0.5, n_test=300),
+    DiagonalEnsembleConfig(40, 10, spectral_density=SpectralDensity.power_law(0.5)),
+    EquicorrelatedConfig(40, 10, rho=0.3, n_test=300),
+], ids=["spherical", "diagonal", "equicorrelated-rho0.3"])
+def test_simulate_is_the_serial_loop_on_any_number_of_threads(monkeypatch, ens, workers):
+    # Dataset j runs on worker j mod W, the calling thread being worker 0,
+    # and the result is bitwise that of one loop over the datasets.
+    import schattenreg.cv as cv
+
+    alphas = np.logspace(-2, 2, 7)
+    seeds = child_seeds(3, 7)
+    want = np.stack([_path_errors(sample_ensemble(ens, s), _ALL_MODELS, alphas)
+                     for s in seeds], axis=2)
+    ran_on, sample = {}, cv.sample_ensemble
+
+    def spy(cfg, seed):
+        ran_on[seeds.index(seed)] = threading.get_ident()
+        return sample(cfg, seed)
+
+    monkeypatch.setattr(cv, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(cv, "sample_ensemble", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can be
+    try:
+        got = simulate_path_errors(ens, _ALL_MODELS, alphas, len(seeds), seed=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
+    assert sorted(ran_on) == list(range(len(seeds)))
+    assert all(ran_on[j] == threading.get_ident() for j in range(0, len(seeds), workers))
+    assert all(ran_on[j] == ran_on[j % workers] for j in ran_on)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_simulate_raises_the_lowest_failing_dataset_after_joining(monkeypatch, workers):
+    # Dataset 2 fails first; dataset 1, on another worker, fails once it has.
+    # The error raised is dataset 1's, as in a serial loop, and no thread
+    # outlives the call.
+    import schattenreg.cv as cv
+
+    seeds = child_seeds(0, 6)
+    second_failed, sample = threading.Event(), cv.sample_ensemble
+
+    def failing(cfg, seed):
+        j = seeds.index(seed)
+        if j == 2:
+            second_failed.set()
+            raise InsufficientData("dataset 2")
+        if j == 1:
+            assert second_failed.wait(timeout=30)
+            raise InsufficientData("dataset 1")
+        return sample(cfg, seed)
+
+    monkeypatch.setattr(cv, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(cv, "sample_ensemble", failing)
+    before = threading.active_count()
+    with pytest.raises(InsufficientData, match="^dataset 1$"):
+        simulate_path_errors(SphericalGaussianConfig(30, 5, n_test=50), _ALL_MODELS,
+                             np.logspace(-2, 2, 3), len(seeds), seed=0)
+    assert threading.active_count() == before
 
 
 def test_diagonal_dataset_keeps_only_the_test_gram():
