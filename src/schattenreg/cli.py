@@ -102,8 +102,10 @@ def _one_of(choices, cast=lambda v, where: v):
 
 
 def _list(item):
-    return _reader(list, "a non-empty list", bool, lambda v, where: tuple(
-        item(x, f"{where}[{i}]") for i, x in enumerate(v)))
+    # A repeated entry would name one output row or report entry twice.
+    return _reader(list, "a non-empty list of distinct values",
+                   lambda v: v and all(x not in v[:i] for i, x in enumerate(v)),
+                   lambda v, where: tuple(item(x, f"{where}[{i}]") for i, x in enumerate(v)))
 
 
 def _table(default, readers: dict):
@@ -238,6 +240,13 @@ def _measure(command: str, o: dict):
     return SpectralDensity.power_law(o["gamma"])
 
 
+def _cv_config(command: str, o: dict, rows: str, **given) -> CVConfig:
+    """o's CVConfig, once the o[rows] training rows are known to fill its folds."""
+    if o[rows] < o["folds"]:
+        raise ConfigError(f"{command}: {rows}: {o[rows]} rows cannot fill {o['folds']} folds")
+    return _build(CVConfig, o, **given)
+
+
 def _ensemble_config(command: str, o: dict, **given):
     if o["ensemble"] == "diagonal":
         given["spectral_density"] = _measure(command, o)
@@ -319,12 +328,12 @@ def cmd_cv_bench(cfg: dict) -> BenchReport:
     o = parse("cv-bench", cfg, CV_BENCH, CV_BENCH_ENSEMBLES)
     noise = NoiseDensity(o["noise_half_width"])
     return run_benchmark(_ensemble_config("cv-bench", o, noise_density=noise),
-                         _build(CVConfig, o))
+                         _cv_config("cv-bench", o, "n_obs"))
 
 
 def cmd_rff_bench(cfg: dict) -> BenchReport:
     o = parse("rff-bench", cfg, RFF_BENCH)
-    return rff_benchmark(_build(RFFBenchConfig, o), _build(CVConfig, o))
+    return rff_benchmark(_build(RFFBenchConfig, o), _cv_config("rff-bench", o, "n_obs"))
 
 
 BASIN_FIELDS = ["estimator", "sigma", "shape_param", "depth_pct",
@@ -358,7 +367,7 @@ def cmd_basin(cfg: dict) -> list[dict]:
 def read_numeric_csv(path: str, target: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Read a headered, comma-separated, all-numeric CSV; returns
     (features, target vector, feature column names)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a byte-order mark is dropped
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -405,12 +414,12 @@ def cmd_real_data(path: str, cfg: dict) -> BenchReport:
     o = parse("real-data", cfg, REAL_DATA)
     if o["target"] is None:
         raise ConfigError("real-data: target: required, the name of the target column")
+    cv_cfg = _cv_config("real-data", o, "train_size", n_datasets=o["n_splits"])
     X_all, y_all, _ = read_numeric_csv(path, o["target"])
     n = X_all.shape[0]
     train_size = o["train_size"]
     if train_size >= n:
         raise ConfigError(f"real-data: train_size: {train_size} must be below row count {n}")
-    cv_cfg = _build(CVConfig, o, n_datasets=o["n_splits"])
 
     def split(seed: int) -> Dataset:
         perm = np.random.default_rng(seed).permutation(n)

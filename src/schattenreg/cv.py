@@ -16,6 +16,10 @@ copy of its training rows and lays them out in place: before fold k is
 factored, its rows are moved after the other folds' rows, which keep fold
 order, so the fold's training design is a prefix of the array and its
 validation design the rest.  No other module knows the fold layout.
+
+Every replicate command runs its datasets through one loop, _replicates:
+simulate on one worker per usable CPU, the CV benchmarks (cv-bench,
+rff-bench, real-data) on the calling thread alone.
 """
 
 from __future__ import annotations
@@ -102,6 +106,8 @@ class CVConfig:
             raise InvalidConfig("need at least 2 folds")
         if self.n_datasets < 1:
             raise InvalidConfig("need at least one dataset")
+        if not self.models or len(set(self.models)) < len(self.models):
+            raise InvalidConfig(f"models: need distinct models, at least one, got {self.models!r}")
 
 
 @dataclass(frozen=True)
@@ -228,6 +234,37 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _replicates(run, n: int, workers: int) -> list:
+    """[run(j) for j in range(n)] on the calling thread (worker 0) and workers
+    - 1 threads, with dataset j alone on worker j mod workers, so the result
+    is the same for any workers.  A failure fills its slot: no worker starts
+    a dataset above a failure it has seen, and once every thread is joined
+    the lowest failing dataset's error is raised, as a serial loop would."""
+    results: list = [None] * n
+    failed: list[int] = []  # list.append is atomic, so no lock is needed
+
+    def work(first: int) -> None:
+        for j in range(first, n, workers):
+            if failed and j > min(failed):
+                return
+            try:
+                results[j] = run(j)
+            except BaseException as exc:  # raised on the calling thread below
+                results[j] = exc
+                failed.append(j)
+                return
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if failed:
+        raise results[min(failed)]
+    return results
+
+
 def simulate_path_errors(
     ensemble_config,
     models: tuple[SchattenIndex, ...],
@@ -236,45 +273,13 @@ def simulate_path_errors(
     seed: int,
 ) -> np.ndarray:
     """Test MSE of every model at every alpha on fresh draws of an ensemble,
-    shape (n_models, n_alpha, n_datasets); dataset j uses child seed j.
-
-    The datasets run on W = min(usable CPUs, n_datasets) workers, the calling
-    thread and W - 1 threads; numpy releases the GIL while it draws and
-    multiplies.  Dataset j goes to worker j mod W, which samples and scores it
-    alone and writes only mses[:, :, j], so the result is the same for every W.
-    Up to W datasets are alive at once.  When a dataset fails, no worker starts
-    a dataset after it, every dataset before it still runs, and once all
-    threads are joined the error of the lowest failing dataset is raised: the
-    one a serial loop would raise."""
-    mses = np.zeros((len(models), len(alphas), n_datasets))
+    shape (n_models, n_alpha, n_datasets); dataset j uses child seed j.  The
+    datasets run on min(usable CPUs, n_datasets) workers of _replicates;
+    numpy releases the GIL while it draws and multiplies."""
     seeds = child_seeds(seed, n_datasets)
-    n_workers = min(_usable_cpus(), n_datasets)
-    errors: dict[int, BaseException] = {}
-    stop_after = [n_datasets]  # no dataset after the lowest failed one starts
-    lock = threading.Lock()
-
-    def work(first: int) -> None:
-        for j in range(first, n_datasets, n_workers):
-            if j > stop_after[0]:
-                return
-            try:
-                mses[:, :, j] = _path_errors(sample_ensemble(ensemble_config, seeds[j]),
-                                             models, alphas)
-            except BaseException as exc:  # raised in the calling thread below
-                with lock:
-                    errors[j] = exc
-                    stop_after[0] = min(stop_after[0], j)
-                return
-
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, n_workers)]
-    for t in threads:
-        t.start()
-    work(0)
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[min(errors)]
-    return mses
+    return np.stack(_replicates(
+        lambda j: _path_errors(sample_ensemble(ensemble_config, seeds[j]), models, alphas),
+        n_datasets, min(_usable_cpus(), n_datasets)), axis=2)
 
 
 def _cv_errors(ds: Dataset, cfg: CVConfig, cv_seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -303,29 +308,20 @@ def _bench_over_datasets(make_dataset, cfg: CVConfig, with_ratio: bool) -> Bench
     full training set before it makes the test set, and that is freed before
     the folds are factored."""
     names = tuple(MODEL_NAMES[m] for m in cfg.models)
-    n_data = cfg.n_datasets
-    seeds = child_seeds(cfg.seed, 2 * n_data)
-    errors = np.zeros((len(cfg.models), n_data))
-    alphas = np.zeros((len(cfg.models), n_data))
-    for j in range(n_data):
-        errors[:, j], alphas[:, j] = _cv_errors(make_dataset(seeds[2 * j]), cfg,
-                                                seeds[2 * j + 1])
+    seeds = child_seeds(cfg.seed, 2 * cfg.n_datasets)
+    # One worker: threading this loop raised cv-tall's peak memory by 42% (ROADMAP).
+    pairs = _replicates(lambda j: _cv_errors(make_dataset(seeds[2 * j]), cfg, seeds[2 * j + 1]),
+                        cfg.n_datasets, 1)
+    errors, alphas = (np.stack(column, axis=1) for column in zip(*pairs))
     winners = np.argmin(errors, axis=0)  # first index wins ties
     win_count = {name: int(np.sum(winners == i)) for i, name in enumerate(names)}
     avg_error = {name: float(errors[i].mean()) for i, name in enumerate(names)}
-    ratio = None
-    if with_ratio and "ridge" in names:
-        ridge_avg = avg_error["ridge"]
-        ratio = {name: avg_error[name] / ridge_avg for name in names}
-    return BenchReport(
-        models=names,
-        errors=errors,
-        selected_alphas=alphas,
-        avg_error=avg_error,
-        win_count=win_count,
-        win_prob={name: win_count[name] / n_data for name in names},
-        ridge_ratio=ratio,
-    )
+    ratio = ({name: avg_error[name] / avg_error["ridge"] for name in names}
+             if with_ratio and "ridge" in names else None)
+    return BenchReport(models=names, errors=errors, selected_alphas=alphas,
+                       avg_error=avg_error, win_count=win_count,
+                       win_prob={name: win_count[name] / cfg.n_datasets for name in names},
+                       ridge_ratio=ratio)
 
 
 def run_benchmark(ensemble_config, cfg: CVConfig) -> BenchReport:

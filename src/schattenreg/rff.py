@@ -33,8 +33,6 @@ def _rows_times(X: np.ndarray, W: np.ndarray) -> np.ndarray:
 class RFFMap:
     weights: np.ndarray  # (d_rbf, d)
     offsets: np.ndarray  # (d_rbf,) in [0, 2 pi)
-    bandwidth: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ def sample_rff_map(d: int, d_rbf: int, bandwidth: float = 1.0, seed: int = 0) ->
     # w ~ N(0, 2 * bandwidth * I) makes E cos(w . (x-y)) = exp(-bandwidth |x-y|^2).
     W = rng.standard_normal((d_rbf, d)) * np.sqrt(2.0 * bandwidth)
     b = rng.uniform(0.0, 2.0 * np.pi, size=d_rbf)
-    return RFFMap(weights=W, offsets=b, bandwidth=bandwidth, seed=seed)
+    return RFFMap(weights=W, offsets=b)
 
 
 def apply_rff(rff: RFFMap, X: np.ndarray) -> np.ndarray:

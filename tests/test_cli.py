@@ -183,6 +183,24 @@ BAD_CONFIGS = [
      "simulate: lambda: "),
     ("real-data", {"target": "y", "train_size": 0}, ["table.csv"], "train_size"),
     ("real-data", {"target": "y", "n_splits": 0}, ["table.csv"], "n_splits"),
+    # A list names each value once: a repeated model would share one report
+    # entry, a repeated sigma or shape one basin row.
+    ("cv-bench", {"models": ["ridge", "ridge"]}, [],
+     "cv-bench: models: expected a non-empty list of distinct values, got ['ridge', 'ridge']"),
+    ("cv-bench", {"models": ["nuclear", "ridge", "nuclear"]}, [], "cv-bench: models: "),
+    ("rff-bench", {"models": ["ridge", "ridge"]}, [], "rff-bench: models: "),
+    ("real-data", {"target": "y", "models": ["ridge", "ridge"]}, ["table.csv"],
+     "real-data: models: "),
+    ("simulate", {"models": ["spectral", "spectral"]}, [], "simulate: models: "),
+    ("basin", {"sigmas": [1, 1.0]}, [], "basin: sigmas: "),
+    ("basin", {"lambdas": [0.5, 0.5]}, [], "basin: lambdas: "),
+    # Every fold needs a row, checked before the first dataset is sampled.
+    ("cv-bench", {"n_obs": 2}, [], "cv-bench: n_obs: 2 rows cannot fill 3 folds"),
+    ("cv-bench", {"ensemble": "diagonal", "n_obs": 4, "n_feat": 2, "folds": 5}, [],
+     "cv-bench: n_obs: 4 rows cannot fill 5 folds"),
+    ("rff-bench", {"n_obs": 2}, [], "rff-bench: n_obs: 2 rows cannot fill 3 folds"),
+    ("real-data", {"target": "y", "train_size": 2}, ["table.csv"],
+     "real-data: train_size: 2 rows cannot fill 3 folds"),
 ]
 
 
@@ -352,6 +370,16 @@ def test_read_numeric_csv_repeated_column(tmp_path, header, repeated):
     with pytest.raises(ParseError) as info:
         read_numeric_csv(path, "y")
     assert str(info.value).startswith(f"{path}: column '{repeated}' ")
+
+
+def test_read_numeric_csv_byte_order_mark(tmp_path):
+    # Spreadsheet programs save "CSV UTF-8" with a leading EF BB BF.
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfy,x1,x2\n1,2,3\n4,5,6\n")
+    X, y, names = read_numeric_csv(str(path), "y")
+    assert names == ["x1", "x2"]
+    assert np.array_equal(X, [[2.0, 3.0], [5.0, 6.0]])
+    assert np.array_equal(y, [1.0, 4.0])
 
 
 def test_read_numeric_csv_empty(tmp_path):

@@ -440,6 +440,72 @@ def test_simulate_raises_the_lowest_failing_dataset_after_joining(monkeypatch, w
     assert threading.active_count() == before
 
 
+def test_no_worker_starts_a_dataset_above_a_failure_it_has_seen(monkeypatch):
+    # Dataset 0 fails on the calling thread, which then joins the other
+    # worker; dataset 1 ends only once that join has begun, so its worker has
+    # seen the failure and starts neither dataset 3 nor dataset 5.
+    import schattenreg.cv as cv
+
+    joining, started = threading.Event(), []
+
+    class Thread(threading.Thread):
+        def join(self, timeout=None):
+            joining.set()
+            super().join(timeout)
+
+    def run(j):
+        started.append(j)
+        if j == 0:
+            raise InsufficientData("dataset 0")
+        assert joining.wait(timeout=30)
+        return j
+
+    monkeypatch.setattr(cv.threading, "Thread", Thread)
+    with pytest.raises(InsufficientData, match="^dataset 0$"):
+        cv._replicates(run, 6, 2)
+    assert sorted(started) == [0, 1]
+
+
+@pytest.mark.parametrize("bench", ["run_benchmark", "rff_benchmark", "real-data"])
+def test_cv_benchmarks_make_every_dataset_on_the_calling_thread(monkeypatch, tmp_path, bench):
+    # The CV benchmarks run _replicates on one worker: each dataset is made
+    # on the calling thread, one after another, and no thread is started.
+    import schattenreg.cli as cli
+    import schattenreg.cv as cv
+
+    made_on = []
+
+    def spy(make):
+        def made(*args, **kwargs):
+            made_on.append(threading.get_ident())
+            return make(*args, **kwargs)
+        return made
+
+    def bench_with_spy(make_dataset, cfg, with_ratio):
+        return cv._bench_over_datasets(spy(make_dataset), cfg, with_ratio)
+
+    def no_thread(self):
+        raise AssertionError("a CV benchmark started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    monkeypatch.setattr(cv, "sample_ensemble", spy(cv.sample_ensemble))
+    monkeypatch.setattr(cv, "make_rff_dataset", spy(cv.make_rff_dataset))
+    monkeypatch.setattr(cli, "_bench_over_datasets", bench_with_spy)
+    cfg = _small_cfg(n_datasets=3)
+    if bench == "run_benchmark":
+        run_benchmark(SphericalGaussianConfig(30, 5, n_test=50), cfg)
+    elif bench == "rff_benchmark":
+        rff_benchmark(RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=50), cfg)
+    else:
+        table, config = tmp_path / "table.csv", tmp_path / "c.json"
+        rows = np.random.default_rng(0).standard_normal((40, 4))
+        table.write_text("x1,x2,x3,y\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+        config.write_text('{"target": "y", "train_size": 20, "n_splits": 3}')
+        assert cli.main(["real-data", str(table), "--config", str(config),
+                         "--out", str(tmp_path / "r.csv")]) == 0
+    assert made_on == [threading.get_ident()] * 3
+
+
 def test_diagonal_dataset_keeps_only_the_test_gram():
     # The diagonal test frame has the training set's N rows and is made whole
     # for its QR, so it bounds the peak like the training design does; what
@@ -600,7 +666,20 @@ def test_config_validation():
         CVConfig(folds=1)
     with pytest.raises(InvalidConfig):
         CVConfig(n_datasets=0)
+    with pytest.raises(InvalidConfig, match="models: need distinct models, at least one"):
+        CVConfig(models=())
     with pytest.raises(InvalidConfig, match="sigma"):
         RFFBenchConfig(sigma=-1.0)
     with pytest.raises(InvalidConfig, match="bandwidth"):
         RFFBenchConfig(bandwidth=0.0)
+
+
+@pytest.mark.parametrize("models", [
+    (SchattenIndex.FROBENIUS, SchattenIndex.FROBENIUS),
+    (SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS, SchattenIndex.NUCLEAR),
+])
+def test_repeated_models_are_rejected(models):
+    # A repeated model would share one name in the report, and the later
+    # entry's win count would overwrite the earlier one's.
+    with pytest.raises(InvalidConfig, match="models: need distinct models"):
+        CVConfig(models=models)

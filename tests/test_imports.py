@@ -60,8 +60,13 @@ RUNS = {
 
 
 def test_cli_runs_need_no_scipy_and_import_no_numpy_module(tmp_path):
-    # A numpy or scipy module first imported inside a run would be paid for in
-    # that run's time, not in set-up; and no run needs scipy at all.
+    # A module first imported inside a run would be paid for in that run's
+    # time, not in set-up; and no run needs scipy at all.  Text-mode open
+    # loads locale, for the default encoding, in every command that writes,
+    # and real-data's CSV reader the utf-8-sig codec, which drops a
+    # byte-order mark.  concurrent.futures is not loaded at all: its imports
+    # cost about 5 ms and 0.9 MB, and its thread pool holds cv-tall's peak
+    # memory 8.5% higher than the calling thread does.
     rng = np.random.default_rng(0)
     table = tmp_path / "table.csv"
     table.write_text("x1,x2,x3,y\n" + "".join(
@@ -74,10 +79,9 @@ def test_cli_runs_need_no_scipy_and_import_no_numpy_module(tmp_path):
         new = json.loads(_run(
             NO_SCIPY + "import json\n"
             "from schattenreg import cli\n"
-            "def loaded():\n"
-            "    return {m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')}\n"
-            "before = loaded()\n"
+            "before = set(sys.modules)\n"
             "assert cli.main(json.loads(sys.argv[1])) == 0\n"
-            "print(json.dumps(sorted(loaded() - before)))",
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))",
             json.dumps(argv)))
-        assert new == [], name
+        assert set(new) <= {"locale", "_locale", "encodings.utf_8_sig"}, name
