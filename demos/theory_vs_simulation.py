@@ -11,8 +11,8 @@ import numpy as np
 from schattenreg import (
     DiagonalEnsembleConfig,
     MarchenkoPastur,
+    PowerLaw,
     SchattenIndex,
-    SpectralDensity,
     SphericalGaussianConfig,
     error_integrals,
     simulate_path_errors,
@@ -43,7 +43,7 @@ def run(name, ensemble_config, measure):
 sph = SphericalGaussianConfig(n_obs=N, n_feat=D, beta=1.0, sigma=1.0, n_test=2000)
 run("spherical", sph, MarchenkoPastur(LAM))
 
-density = SpectralDensity.power_law(2.0)
+density = PowerLaw(2.0)
 diag = DiagonalEnsembleConfig(n_obs=N, n_feat=D, spectral_density=density,
                               beta=1.0, sigma=1.0)
 run("diagonal power-law", diag, density)

@@ -34,7 +34,6 @@ from .ensembles import (
     NoiseDensity,
     RowTestSet,
     SparseSpec,
-    SpectralDensity,
     SphericalGaussianConfig,
     child_seeds,
     haar_stiefel,
@@ -66,8 +65,10 @@ from .rff import (
 )
 from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 from .theory import (
+    Atoms,
     ErrorIntegrals,
     MarchenkoPastur,
+    PowerLaw,
     appell_f1,
     err_nuclear_closed,
     err_spectral_closed,

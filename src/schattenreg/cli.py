@@ -41,13 +41,12 @@ from .ensembles import (
     NoiseDensity,
     RowTestSet,
     SparseSpec,
-    SpectralDensity,
     SphericalGaussianConfig,
 )
 from .exceptions import (ConfigError, InvalidConfig, MissingTarget, ParseError,
                          SchattenRegError)
 from .spectrum import SchattenIndex, gram_spectrum
-from .theory import MarchenkoPastur, error_integrals
+from .theory import MarchenkoPastur, PowerLaw, error_integrals
 
 FLOAT_FMT = "%.17g"
 
@@ -237,7 +236,7 @@ def _measure(command: str, o: dict):
         return MarchenkoPastur(o["lambda"])
     if o["gamma"] is None:
         raise ConfigError(f"{command}: gamma: required by the diagonal ensemble")
-    return SpectralDensity.power_law(o["gamma"])
+    return PowerLaw(o["gamma"])
 
 
 def _cv_config(command: str, o: dict, rows: str, **given) -> CVConfig:
@@ -378,6 +377,8 @@ def read_numeric_csv(path: str, target: str) -> tuple[np.ndarray, np.ndarray, li
             raise ParseError(f"{path}: column {repeated!r} appears more than once in the header")
         if target not in header:
             raise MissingTarget(f"target column {target!r} not in header {header}")
+        if len(header) == 1:
+            raise ParseError(f"{path}: no feature column besides the target {target!r}")
         rows = []
         for i, row in enumerate(reader, start=2):
             if len(row) != len(header):

@@ -134,12 +134,16 @@ class BenchReport:
         return out
 
 
+def _check_folds(n: int, folds: int) -> None:
+    if n < folds:
+        raise InsufficientData(f"{n} observations cannot fill {folds} folds")
+
+
 def _fold_order(n: int, folds: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """A seeded shuffle of n rows into fold order and the fold edges: fold k
     is the shuffled rows edges[k]:edges[k + 1], and fold sizes differ by at
     most one."""
-    if n < folds:
-        raise InsufficientData(f"{n} observations cannot fill {folds} folds")
+    _check_folds(n, folds)
     perm = np.random.default_rng(seed).permutation(n)
     return perm, np.r_[0, np.cumsum([len(b) for b in np.array_split(perm, folds)])]
 
@@ -326,6 +330,7 @@ def _bench_over_datasets(make_dataset, cfg: CVConfig, with_ratio: bool) -> Bench
 
 def run_benchmark(ensemble_config, cfg: CVConfig) -> BenchReport:
     """The full replicate protocol on a synthetic ensemble."""
+    _check_folds(ensemble_config.n_obs, cfg.folds)  # before any dataset is sampled
     return _bench_over_datasets(lambda s: sample_ensemble(ensemble_config, s), cfg,
                                 with_ratio=False)
 
@@ -357,6 +362,7 @@ def rff_benchmark(rff_cfg: RFFBenchConfig, cfg: CVConfig) -> BenchReport:
     if not models:
         raise InvalidConfig("rff benchmark drops the spectral model, which leaves "
                             "no model to run; request nuclear or ridge")
+    _check_folds(rff_cfg.n_obs, cfg.folds)  # before any dataset is made
     return _bench_over_datasets(
         lambda s: make_rff_dataset(
             rff_cfg.d, rff_cfg.d_rbf, rff_cfg.n_obs, rff_cfg.n_test,

@@ -1,7 +1,8 @@
 """Synthetic data generators for the random-matrix ensembles.
 
 Three generators: spherical Gaussian entries of variance 1/N, the
-diagonal/Stiefel ensemble with a prescribed spectral density, and
+diagonal/Stiefel ensemble with a prescribed spectral measure (a
+theory.PowerLaw or theory.Atoms, whose sample draws the eigenvalues), and
 equicorrelated Gaussian rows (optionally with a sparse ground-truth
 coefficient vector).  Test targets never carry exogenous noise; noise on the
 test side would only add a constant sigma^2 offset to every error.
@@ -28,6 +29,7 @@ import numpy.random  # noqa: F401
 
 from .exceptions import InvalidConfig
 from .spectrum import GramSpectrum, gram_matrix, gram_spectrum
+from .theory import Atoms, PowerLaw
 
 __all__ = [
     "Dataset",
@@ -38,7 +40,6 @@ __all__ = [
     "RowTestSet",
     "SphericalGaussianConfig",
     "SparseSpec",
-    "SpectralDensity",
     "child_seeds",
     "haar_stiefel",
     "sample_diagonal",
@@ -174,66 +175,6 @@ class SphericalGaussianConfig:
 
 
 @dataclass(frozen=True)
-class SpectralDensity:
-    """Probability density on [0, 1] for the diagonal ensemble's spectrum.
-
-    Either PowerLaw (pdf proportional to x**(gamma-1)) or a tabulated set of
-    atoms with weights summing to 1.
-    """
-
-    kind: str  # "powerlaw" | "tabulated"
-    gamma: float = 1.0
-    grid: np.ndarray | None = None
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        # Each range is written as the values it admits, so NaN fails it.
-        if self.kind == "powerlaw":
-            if not 0.0 < self.gamma < np.inf:
-                raise InvalidConfig(f"gamma: power-law exponent must be finite and positive, "
-                                    f"got {self.gamma!r}")
-        elif self.kind == "tabulated":
-            if self.grid is None or self.weights is None:
-                raise InvalidConfig("tabulated density needs grid and weights")
-            w = np.asarray(self.weights, dtype=float)
-            g = np.asarray(self.grid, dtype=float)
-            if g.shape != w.shape:
-                raise InvalidConfig("grid and weights must have the same shape")
-            if not np.all((w >= 0) & (w < np.inf)):
-                raise InvalidConfig("weights must be finite and nonnegative")
-            if abs(w.sum() - 1.0) > 1e-10:
-                raise InvalidConfig("weights must sum to 1")
-            if not np.all((g >= 0) & (g <= 1)):
-                raise InvalidConfig("grid must lie in [0, 1]")
-        else:
-            raise InvalidConfig(f"unknown spectral density kind {self.kind!r}")
-
-    @staticmethod
-    def power_law(gamma: float) -> "SpectralDensity":
-        return SpectralDensity(kind="powerlaw", gamma=gamma)
-
-    @staticmethod
-    def tabulated(grid, weights) -> "SpectralDensity":
-        return SpectralDensity(
-            kind="tabulated",
-            grid=np.asarray(grid, dtype=float),
-            weights=np.asarray(weights, dtype=float),
-        )
-
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "powerlaw":
-            # Inverse CDF of gamma * x**(gamma-1) on [0, 1].
-            return rng.uniform(size=size) ** (1.0 / self.gamma)
-        idx = rng.choice(len(self.grid), size=size, p=self.weights)
-        return self.grid[idx]
-
-    def mean(self) -> float:
-        if self.kind == "powerlaw":
-            return self.gamma / (self.gamma + 1.0)
-        return float(np.sum(self.grid * self.weights))
-
-
-@dataclass(frozen=True)
 class NoiseDensity:
     """Unit-mean multiplicative noise on the training spectrum: Unif[1-a, 1+a]
     with half-width a in [0, 1].  a = 0, the default everywhere, is the point
@@ -255,7 +196,7 @@ class NoiseDensity:
 class DiagonalEnsembleConfig:
     n_obs: int
     n_feat: int
-    spectral_density: SpectralDensity
+    spectral_density: PowerLaw | Atoms
     noise_density: NoiseDensity = NoiseDensity()
     beta: float = 1.0
     sigma: float = 1.0
@@ -264,7 +205,8 @@ class DiagonalEnsembleConfig:
         if self.n_obs < 1 or self.n_feat < 1:
             raise InvalidConfig("n_obs and n_feat must be >= 1")
         if self.n_feat > self.n_obs:
-            raise InvalidConfig("diagonal ensemble requires d <= N (Stiefel frames)")
+            raise InvalidConfig(f"n_feat: the diagonal ensemble's Stiefel frames need "
+                                f"n_feat <= n_obs, got n_feat {self.n_feat} > n_obs {self.n_obs}")
         _check_scales(self, "beta", "sigma")
 
 

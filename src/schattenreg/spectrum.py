@@ -191,11 +191,13 @@ class GramSpectrum:
 def gram_spectrum(X: np.ndarray, Y: np.ndarray | None = None) -> GramSpectrum:
     """Eigendecompose X^T X, caching X^T Y when targets are supplied: eigh of
     the Gram matrix for d <= N, the thin SVD of X for d > N.  Raises
-    InsufficientData for a design with no rows."""
+    InsufficientData for a design with no rows or no columns."""
     X = np.asarray(X, dtype=float)
     N, d = X.shape
     if N == 0:
         raise InsufficientData(f"X {X.shape} has no rows to factor")
+    if d == 0:
+        raise InsufficientData(f"X {X.shape} has no columns to factor")
     if not np.all(np.isfinite(X)):
         raise NonFinite("X contains NaN or Inf")
     if d <= N:

@@ -2,18 +2,20 @@
 
 The one entry point is error_integrals(models, measure, alphas, lam).  A
 random-matrix ensemble enters the theory only through its limiting spectral
-measure, passed as a value: MarchenkoPastur(lam) for spherical Gaussian
-features, a SpectralDensity on [0, 1] (a power law, or tabulated atoms) for
-the diagonal/Stiefel ensemble.  Which ensemble takes which measure is the
-caller's choice; nothing here reads an ensemble's name.  lam = d/N is the
-error's prefactor, and the error is lam times the integral of one integrand,
-the test error carried by a covariance eigenvalue x,
+measure, passed as a value that owns its Gauss rule: MarchenkoPastur(lam) for
+spherical Gaussian features, PowerLaw(gamma) or Atoms(grid, weights) on
+[0, 1] for the diagonal/Stiefel ensemble.  The engine calls
+measure.rule(alphas, n) and never asks which kind of measure it holds; a new
+measure is a new rule.  Which ensemble takes which measure is the caller's
+choice; nothing here reads an ensemble's name.  lam = d/N is the error's
+prefactor, and the error is lam times the integral of one integrand, the test
+error carried by a covariance eigenvalue x,
 
     e(x) = beta^2 x q^2 + sigma^2 r^2,    (r, q) = SchattenIndex.shrinkage(x, alpha),
 
-against x^-1 dMP(x) or the density.  r = x / f_alpha(x) is the share of x
-that the estimator keeps and q = 1 - r the share it drops; both are bounded
-and take their limits at x = 0, so e stays finite there.
+against x^-1 dMP(x) or the diagonal measure.  r = x / f_alpha(x) is the share
+of x that the estimator keeps and q = 1 - r the share it drops; both are
+bounded and take their limits at x = 0, so e stays finite there.
 
 e is linear in (beta^2, sigma^2): lam beta^2 A(alpha) is the bias, with
 integrand x q^2, and lam sigma^2 B(alpha) the variance, with integrand r^2.
@@ -34,16 +36,16 @@ as (n_alpha, n_nodes) arrays:
 - Power law gamma x^(gamma-1): Gauss-Radau for the weight s^(gamma-1) on
   [0, m], Gauss-Legendre in ln(x) on [m, 1], with m = min(alpha, 1) kept
   above the point below which the measure holds e^-50 of its mass.
-- A tabulated density is the exact weighted sum over its atoms, except that
-  an atom at x = 0 carries no error: the estimator gives its direction weight
-  0, and its test features are 0 there too.
+- Atoms: the exact weighted sum over the atoms, except that an atom at x = 0
+  carries no error: the estimator gives its direction weight 0, and its test
+  features are 0 there too.
 
 Each rule runs with n and 2n nodes per panel, for A and B alike.  Per
 (beta, sigma) the 2n value of beta^2 A + sigma^2 B is returned, and its gap to
 the n value above 1e-9 max(beta^2, sigma^2, |Q_2n|) raises QuadratureFailure:
 the bound of a direct integral of e, checked on the combination and not on A
 and B apart.
-Every rule comes from one Golub-Welsch builder: the nodes are the eigenvalues
+Every Gauss rule comes from one Golub-Welsch builder: the nodes are the eigenvalues
 of the Jacobi matrix of the weight (1 - t)^a (1 + t)^b, the weights the
 reciprocal Christoffel sums of its orthonormal polynomials.  Nothing here
 needs scipy; appell_f1 alone imports scipy.integrate, when called.
@@ -62,13 +64,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ensembles import SpectralDensity
-from .exceptions import DomainError, QuadratureFailure
+from .exceptions import DomainError, InvalidConfig, QuadratureFailure
 from .spectrum import SchattenIndex
 
 __all__ = [
+    "Atoms",
     "ErrorIntegrals",
     "MarchenkoPastur",
+    "PowerLaw",
     "appell_f1",
     "err_nuclear_closed",
     "err_spectral_closed",
@@ -92,6 +95,7 @@ class MarchenkoPastur:
     """MP law with aspect ratio lam = d/N in (0, 1); support [(1-sqrt)^2, (1+sqrt)^2]."""
 
     lam: float
+    label = "MP"  # the rule's name in a QuadratureFailure; unannotated, so not a field
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
@@ -105,6 +109,89 @@ class MarchenkoPastur:
     @property
     def support_hi(self) -> float:
         return (1.0 + np.sqrt(self.lam)) ** 2
+
+    def rule(self, alpha: np.ndarray, n: int):
+        """Nodes x and weights of the measure x^-1 dMP(x), per alpha row."""
+        lo, span = self.support_lo, self.support_hi - self.support_lo
+        theta_e = min(0.5 * np.pi, 4.0 * np.sqrt(lo / span))
+        theta_alpha = np.arcsin(np.sqrt(np.clip((alpha - lo) / span, 0.0, 1.0)))
+        thetas, weights = [], []
+        for a, b, log in ((0.0, theta_e, False), (theta_e, 0.5 * np.pi, True)):
+            cut = np.clip(theta_alpha, a, b)
+            for lo_, hi_ in ((a, cut), (cut, b)):
+                th, w = _legendre_panel(lo_, hi_, n, log)
+                thetas.append(th)
+                weights.append(w)
+        s, c = np.sin(np.hstack(thetas)), np.cos(np.hstack(thetas))
+        x = lo + span * s * s
+        # dMP = (hi - lo)^2 2 sin^2 cos^2 / (2 pi lam x) dtheta, times x^-1.
+        w = np.hstack(weights) * span * span * (s * c) ** 2 / (np.pi * self.lam * x * x)
+        return x, w
+
+
+@dataclass(frozen=True)
+class PowerLaw:
+    """The measure gamma x^(gamma-1) dx on [0, 1], gamma > 0."""
+
+    gamma: float
+    label = "power-law"
+
+    def __post_init__(self):
+        # Written as the values it admits, so NaN fails it.
+        if not 0.0 < self.gamma < np.inf:
+            raise InvalidConfig(f"gamma: power-law exponent must be finite and positive, "
+                                f"got {self.gamma!r}")
+
+    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        # Inverse CDF of gamma * x**(gamma-1) on [0, 1].
+        return rng.uniform(size=size) ** (1.0 / self.gamma)
+
+    def rule(self, alpha: np.ndarray, n: int):
+        """Nodes x and weights of the measure, per alpha row."""
+        gamma = self.gamma
+        # The split point m never drops below where the measure holds e^-50 of
+        # its mass: a kink or transition under that cannot show, and x^gamma
+        # stays smooth enough in ln(x) over [m, 1].  At alpha = 0 every filter
+        # is the identity, so [0, 1] is one smooth panel.
+        m = np.where(alpha > 0.0, np.clip(alpha, np.exp(-50.0 / gamma), 1.0), 1.0)
+        s, ws = _radau(n, gamma)
+        x_low, w_low = m * s, m ** gamma * ws
+        x_high, w_high = _legendre_panel(m, 1.0, n, log=True)
+        w_high = w_high * gamma * x_high ** (gamma - 1.0)
+        return np.hstack([x_low, x_high]), np.hstack([w_low, w_high])
+
+
+@dataclass(frozen=True, eq=False)
+class Atoms:
+    """Atoms at grid points in [0, 1] with weights summing to 1, both stored
+    as 1-D float arrays of one shape."""
+
+    grid: np.ndarray
+    weights: np.ndarray
+    label = "atoms"
+
+    def __post_init__(self):
+        g = np.asarray(self.grid, dtype=float)
+        w = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "weights", w)
+        # Each range is written as the values it admits, so NaN fails it.
+        if g.ndim != 1 or g.shape != w.shape:
+            raise InvalidConfig("grid and weights must be 1-D arrays of the same shape")
+        if not np.all((w >= 0) & (w < np.inf)):
+            raise InvalidConfig("weights must be finite and nonnegative")
+        if abs(w.sum() - 1.0) > 1e-10:
+            raise InvalidConfig("weights must sum to 1")
+        if not np.all((g >= 0) & (g <= 1)):
+            raise InvalidConfig("grid must lie in [0, 1]")
+
+    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        return self.grid[rng.choice(len(self.grid), size=size, p=self.weights)]
+
+    def rule(self, alpha: np.ndarray, n: int):
+        """The atoms and their weights, the same for every alpha and n: the
+        sum is exact.  An atom at x = 0 carries no error and weighs 0."""
+        return self.grid, np.where(self.grid > 0.0, self.weights, 0.0)
 
 
 def mp_pdf(mp: MarchenkoPastur, x) -> np.ndarray | float:
@@ -191,42 +278,6 @@ def _legendre_panel(a, b, n: int, log: bool):
     return nodes, weights
 
 
-def _mp_rule(mp: MarchenkoPastur, alpha: np.ndarray, n: int):
-    """Nodes x and weights of the measure x^-1 dMP(x), per alpha row."""
-    lo, span = mp.support_lo, mp.support_hi - mp.support_lo
-    theta_e = min(0.5 * np.pi, 4.0 * np.sqrt(lo / span))
-    theta_alpha = np.arcsin(np.sqrt(np.clip((alpha - lo) / span, 0.0, 1.0)))
-    thetas, weights = [], []
-    for a, b, log in ((0.0, theta_e, False), (theta_e, 0.5 * np.pi, True)):
-        cut = np.clip(theta_alpha, a, b)
-        for lo_, hi_ in ((a, cut), (cut, b)):
-            th, w = _legendre_panel(lo_, hi_, n, log)
-            thetas.append(th)
-            weights.append(w)
-    s, c = np.sin(np.hstack(thetas)), np.cos(np.hstack(thetas))
-    x = lo + span * s * s
-    # dMP = (hi - lo)^2 2 sin^2 cos^2 / (2 pi lam x) dtheta, times x^-1.
-    w = np.hstack(weights) * span * span * (s * c) ** 2 / (np.pi * mp.lam * x * x)
-    return x, w
-
-
-def _density_rule(density: SpectralDensity, alpha: np.ndarray, n: int):
-    """Nodes x and weights of the density's measure, per alpha row."""
-    if density.kind == "tabulated":
-        return density.grid, np.where(density.grid > 0.0, density.weights, 0.0)
-    gamma = density.gamma
-    # The split point m never drops below where the measure holds e^-50 of
-    # its mass: a kink or transition under that cannot show, and x^gamma stays
-    # smooth enough in ln(x) over [m, 1].  At alpha = 0 every filter is the
-    # identity, so [0, 1] is one smooth panel.
-    m = np.where(alpha > 0.0, np.clip(alpha, np.exp(-50.0 / gamma), 1.0), 1.0)
-    s, ws = _radau(n, gamma)
-    x_low, w_low = m * s, m ** gamma * ws
-    x_high, w_high = _legendre_panel(m, 1.0, n, log=True)
-    w_high = w_high * gamma * x_high ** (gamma - 1.0)
-    return np.hstack([x_low, x_high]), np.hstack([w_low, w_high])
-
-
 def _bias_variance(p: SchattenIndex, alpha: np.ndarray, x):
     """The integrands x q^2 of A and r^2 of B."""
     r, q = p.shrinkage(x, alpha)
@@ -270,33 +321,28 @@ class ErrorIntegrals:
 
 
 def error_integrals(models: tuple[SchattenIndex, ...],
-                    measure: MarchenkoPastur | SpectralDensity, alphas,
+                    measure: MarchenkoPastur | PowerLaw | Atoms, alphas,
                     lam: float) -> tuple[ErrorIntegrals, ...]:
     """The bias and variance integrals of each estimator in `models`, in order,
-    on a scalar or an array of alphas, against the rule of `measure` (a
-    MarchenkoPastur or a SpectralDensity) with n and 2n nodes: each rule is
-    built once and serves every estimator, and the integrals every
-    (beta, sigma).  lam = d/N in (0, 1] is the error's prefactor; a
-    MarchenkoPastur measure must carry the same lam."""
+    on a scalar or an array of alphas, against measure.rule with n and 2n
+    nodes: each rule is built once and serves every estimator, and the
+    integrals every (beta, sigma).  lam = d/N in (0, 1] is the error's
+    prefactor; a MarchenkoPastur measure must carry the same lam."""
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"aspect ratio lam must be finite and in (0, 1], got {lam!r}")
-    if isinstance(measure, MarchenkoPastur):
-        if lam != measure.lam:
-            raise ValueError(f"lam {lam!r} differs from the MP law's {measure.lam!r}")
-        rule, what = _mp_rule, "MP"
-    else:
-        rule, what = _density_rule, "diagonal"
+    if isinstance(measure, MarchenkoPastur) and lam != measure.lam:
+        raise ValueError(f"lam {lam!r} differs from the MP law's {measure.lam!r}")
     alpha = np.asarray(alphas, dtype=float)
     flat = alpha.ravel()
     sums = np.empty((len(models), 2, 2, flat.size))
     for start in range(0, flat.size, _BLOCK):
         a = flat[start:start + _BLOCK, None]
         for i, n in enumerate((_NODES, 2 * _NODES)):
-            x, w = rule(measure, a, n)
+            x, w = measure.rule(a, n)
             for m, p in enumerate(models):
                 for j, f in enumerate(_bias_variance(p, a, x)):
                     sums[m, i, j, start:start + _BLOCK] = np.sum(w * f, axis=1)
-    return tuple(ErrorIntegrals(alpha, lam, p, s, what) for p, s in zip(models, sums))
+    return tuple(ErrorIntegrals(alpha, lam, p, s, measure.label) for p, s in zip(models, sums))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from schattenreg import (
     EquicorrelatedConfig,
     MarchenkoPastur,
     NoiseDensity,
+    PowerLaw,
     SchattenIndex,
-    SpectralDensity,
     SphericalGaussianConfig,
     appell_f1,
     bias_bound_to_alpha,
@@ -150,7 +150,7 @@ def test_acceptance_3_simulation_vs_theory(capsys):
         lambda s: sample_spherical(sph_cfg, seed=s),
         lambda p, alphas: err_mp(p, alphas, 0.5, 1.0, 1.0),
     )
-    density = SpectralDensity.power_law(2.0)
+    density = PowerLaw(2.0)
     diag_cfg = DiagonalEnsembleConfig(
         n_obs=100, n_feat=50, spectral_density=density,
         noise_density=NoiseDensity(), beta=1.0, sigma=1.0,

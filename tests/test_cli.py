@@ -1,13 +1,13 @@
 import csv
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from schattenreg import (MarchenkoPastur, SpectralDensity, error_integrals, geometry_table,
-                         theory)
+from schattenreg import MarchenkoPastur, PowerLaw, error_integrals, geometry_table, theory
 from schattenreg.cli import (
     cmd_basin,
     cmd_theory_curve,
@@ -162,6 +162,10 @@ BAD_CONFIGS = [
     ("basin", {"ensemble": "diagonal", "gammas": [-1.0]}, [], "gammas[0]"),
     ("cv-bench", {"ensemble": "diagonal", "noise_kind": "point"}, [], "noise_kind: unknown key"),
     ("cv-bench", {"ensemble": "diagonal", "noise_half_width": 2.0}, [], "noise_half_width"),
+    # The diagonal ensemble's Stiefel frames need d <= N.
+    ("cv-bench", {"ensemble": "diagonal", "n_obs": 4}, [],
+     "cv-bench: n_feat: the diagonal ensemble's Stiefel frames need n_feat <= n_obs, "
+     "got n_feat 50 > n_obs 4"),
     # lambda is d/N: in (0, 1) for spherical, in (0, 1] for diagonal.
     ("basin", {"ensemble": "diagonal", "lambda": -1}, [], "basin: lambda: "),
     ("basin", {"ensemble": "diagonal", "lambda": 1.5}, [], "basin: lambda: "),
@@ -382,6 +386,22 @@ def test_read_numeric_csv_byte_order_mark(tmp_path):
     assert np.array_equal(y, [1.0, 4.0])
 
 
+def test_read_numeric_csv_needs_a_feature_column(tmp_path):
+    path = _write_table(tmp_path, "y\n1\n2\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(path)}: no feature column besides "
+                                         "the target 'y'$"):
+        read_numeric_csv(path, "y")
+
+
+def test_real_data_with_only_the_target_column_exits_2(tmp_path, capsys):
+    data = _write_table(tmp_path, "y\n" + "".join(f"{i}\n" for i in range(40)))
+    cfg = _write_cfg(tmp_path, "c.json", {"target": "y", "train_size": 20})
+    assert main(["real-data", data, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no feature column" in err
+    assert "Traceback" not in err
+
+
 def test_read_numeric_csv_empty(tmp_path):
     path = _write_table(tmp_path, "")
     with pytest.raises(ParseError):
@@ -485,31 +505,31 @@ def test_basin_rejects_unknown_grid_key(tmp_path):
     assert main(["basin", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 2
 
 
-def _count_rule_builds(monkeypatch, ensemble, rule, run):
-    """run() with theory's `rule` counted per (shape, first alpha of the
+def _count_rule_builds(monkeypatch, ensemble, measure_cls, run):
+    """run() with measure_cls.rule counted per (shape, first alpha of the
     block, node count)."""
     calls = Counter()
-    build = getattr(theory, rule)
+    build = measure_cls.rule
 
     def counted(measure, alpha, n):
         shape = measure.lam if ensemble == "spherical" else measure.gamma
         calls[(shape, float(alpha[0, 0]), n)] += 1
         return build(measure, alpha, n)
 
-    monkeypatch.setattr(theory, rule, counted)
+    monkeypatch.setattr(measure_cls, "rule", counted)
     result = run()
     monkeypatch.undo()
     return calls, result
 
 
-@pytest.mark.parametrize("ensemble, shapes, rule", [
-    ("spherical", {"lambdas": [0.3, 0.7]}, "_mp_rule"),
-    ("diagonal", {"gammas": [0.5, 2.0]}, "_density_rule"),
-])
-def test_basin_builds_each_rule_once_per_shape(monkeypatch, ensemble, shapes, rule):
+@pytest.mark.parametrize("ensemble, shapes, measure_cls", [
+    ("spherical", {"lambdas": [0.3, 0.7]}, MarchenkoPastur),
+    ("diagonal", {"gammas": [0.5, 2.0]}, PowerLaw),
+], ids=["spherical", "diagonal"])
+def test_basin_builds_each_rule_once_per_shape(monkeypatch, ensemble, shapes, measure_cls):
     count = 150  # several alpha blocks
     sigmas = [0.5, 1.0, 2.0]
-    calls, rows = _count_rule_builds(monkeypatch, ensemble, rule, lambda: cmd_basin(
+    calls, rows = _count_rule_builds(monkeypatch, ensemble, measure_cls, lambda: cmd_basin(
         {"ensemble": ensemble, **shapes, "sigmas": sigmas,
          "grid": {"lo": 1e-3, "hi": 1e5, "count": count}}))
     # Once per (shape, block, n), whatever the number of estimators and sigmas.
@@ -523,7 +543,7 @@ def test_basin_builds_each_rule_once_per_shape(monkeypatch, ensemble, shapes, ru
         for s in sigmas:
             for shape in next(iter(shapes.values())):
                 lam, measure = ((shape, MarchenkoPastur(shape)) if ensemble == "spherical"
-                                else (0.5, SpectralDensity.power_law(shape)))
+                                else (0.5, PowerLaw(shape)))
                 (q,) = error_integrals((p,), measure, grid, lam)
                 curves[(name, s, shape)] = q.error(1.0, s)
     cells = geometry_table(curves, grid)
@@ -535,13 +555,13 @@ def test_basin_builds_each_rule_once_per_shape(monkeypatch, ensemble, shapes, ru
                                    [c.depth_pct, c.curvature_pct], rtol=1e-12)
 
 
-@pytest.mark.parametrize("ensemble, shape, rule", [
-    ("spherical", {"lambda": 0.3}, "_mp_rule"),
-    ("diagonal", {"gamma": 2.0}, "_density_rule"),
-])
-def test_theory_curve_builds_each_rule_once(monkeypatch, ensemble, shape, rule):
+@pytest.mark.parametrize("ensemble, shape, measure_cls", [
+    ("spherical", {"lambda": 0.3}, MarchenkoPastur),
+    ("diagonal", {"gamma": 2.0}, PowerLaw),
+], ids=["spherical", "diagonal"])
+def test_theory_curve_builds_each_rule_once(monkeypatch, ensemble, shape, measure_cls):
     count = 150  # several alpha blocks
-    calls, rows = _count_rule_builds(monkeypatch, ensemble, rule, lambda: cmd_theory_curve(
+    calls, rows = _count_rule_builds(monkeypatch, ensemble, measure_cls, lambda: cmd_theory_curve(
         {"ensemble": ensemble, **shape, "models": list(MODEL_NAMES.values()),
          "grid": {"lo": 1e-3, "hi": 1e5, "count": count}}))
     # Once per (block, n) for all three estimators.

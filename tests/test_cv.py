@@ -7,17 +7,18 @@ import pytest
 
 from schattenreg import (
     AlphaGrid,
+    Atoms,
     BenchReport,
     CVConfig,
     Dataset,
     DiagonalEnsembleConfig,
     EquicorrelatedConfig,
     GramTestSet,
+    PowerLaw,
     RFFBenchConfig,
     RowTestSet,
     SchattenIndex,
     SparseSpec,
-    SpectralDensity,
     SphericalGaussianConfig,
     aggregate_wins,
     apply_rff,
@@ -176,9 +177,9 @@ def _diagonal_test_rows(cfg, rng):
     (EquicorrelatedConfig(60, 10, rho=0.3, n_test=3000), _equicorrelated_test_rows, False),
     (EquicorrelatedConfig(60, 10, rho=0.8, sparse=SparseSpec(n_large=3), n_test=200),
      _equicorrelated_test_rows, False),
-    (DiagonalEnsembleConfig(60, 10, spectral_density=SpectralDensity.power_law(0.3)),
+    (DiagonalEnsembleConfig(60, 10, spectral_density=PowerLaw(0.3)),
      _diagonal_test_rows, False),
-    (DiagonalEnsembleConfig(60, 10, spectral_density=SpectralDensity.tabulated(
+    (DiagonalEnsembleConfig(60, 10, spectral_density=Atoms(
         [0.0, 0.5, 1.0], [0.3, 0.3, 0.4])), _diagonal_test_rows, False),
 ], ids=["spherical", "spherical-noiseless", "spherical-blocks", "wide",
         "equicorrelated-rho0-blocks", "equicorrelated-rho0.3-blocks", "equicorrelated-sparse",
@@ -379,7 +380,7 @@ def test_sampled_benchmarks_never_hold_a_test_design(ens, bench):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("ens", [
     SphericalGaussianConfig(40, 10, sigma=0.5, n_test=300),
-    DiagonalEnsembleConfig(40, 10, spectral_density=SpectralDensity.power_law(0.5)),
+    DiagonalEnsembleConfig(40, 10, spectral_density=PowerLaw(0.5)),
     EquicorrelatedConfig(40, 10, rho=0.3, n_test=300),
 ], ids=["spherical", "diagonal", "equicorrelated-rho0.3"])
 def test_simulate_is_the_serial_loop_on_any_number_of_threads(monkeypatch, ens, workers):
@@ -512,7 +513,7 @@ def test_diagonal_dataset_keeps_only_the_test_gram():
     # the dataset keeps of it is the d x d Gram matrix.
     tracemalloc.start()
     try:
-        ds = sample_diagonal(DiagonalEnsembleConfig(_BIG_TEST, 5, SpectralDensity.power_law(1.0)),
+        ds = sample_diagonal(DiagonalEnsembleConfig(_BIG_TEST, 5, PowerLaw(1.0)),
                              seed=0)
         held = tracemalloc.get_traced_memory()[0]
     finally:
@@ -533,6 +534,29 @@ def test_rff_benchmark_never_holds_a_test_design():
     finally:
         tracemalloc.stop()
     assert peak < 8 * _BIG_TEST * rff_cfg.d_rbf
+
+
+@pytest.mark.parametrize("bench", ["run_benchmark", "rff_benchmark"])
+def test_cv_benchmarks_check_the_folds_before_making_a_dataset(monkeypatch, bench):
+    import schattenreg.cv as cv
+
+    made = []
+
+    def spy(make):
+        def maker(*args, **kwargs):
+            made.append(args)
+            return make(*args, **kwargs)
+        return maker
+
+    monkeypatch.setattr(cv, "sample_ensemble", spy(cv.sample_ensemble))
+    monkeypatch.setattr(cv, "make_rff_dataset", spy(cv.make_rff_dataset))
+    cfg = _small_cfg(n_datasets=3)
+    with pytest.raises(InsufficientData, match="^2 observations cannot fill 3 folds$"):
+        if bench == "run_benchmark":
+            run_benchmark(SphericalGaussianConfig(2, 1, n_test=10), cfg)
+        else:
+            rff_benchmark(RFFBenchConfig(n_obs=2), cfg)
+    assert made == []
 
 
 def test_insufficient_data_raises():

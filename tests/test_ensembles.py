@@ -3,15 +3,16 @@ import pytest
 
 from schattenreg import (
     AlphaGrid,
+    Atoms,
     DiagonalEnsembleConfig,
     RFFBenchConfig,
     EquicorrelatedConfig,
     GramTestSet,
     MarchenkoPastur,
     NoiseDensity,
+    PowerLaw,
     SchattenIndex,
     SparseSpec,
-    SpectralDensity,
     SphericalGaussianConfig,
     child_seeds,
     fit,
@@ -59,7 +60,7 @@ def test_spherical_gram_matches_marchenko_pastur():
 
 def test_diagonal_stiefel_orthonormal():
     cfg = DiagonalEnsembleConfig(
-        n_obs=40, n_feat=10, spectral_density=SpectralDensity.power_law(2.0)
+        n_obs=40, n_feat=10, spectral_density=PowerLaw(2.0)
     )
     for seed in (0, 7):
         ds = sample_diagonal(cfg, seed=seed)
@@ -72,7 +73,7 @@ def test_diagonal_stiefel_orthonormal():
 
 def test_diagonal_gram_is_diagonal_with_point_noise():
     cfg = DiagonalEnsembleConfig(
-        n_obs=30, n_feat=8, spectral_density=SpectralDensity.power_law(1.5)
+        n_obs=30, n_feat=8, spectral_density=PowerLaw(1.5)
     )
     ds = sample_diagonal(cfg, seed=5)
     G = ds.X_tr.T @ ds.X_tr
@@ -81,9 +82,9 @@ def test_diagonal_gram_is_diagonal_with_point_noise():
 
 
 def test_diagonal_requires_wide_frames():
-    with pytest.raises(InvalidConfig):
+    with pytest.raises(InvalidConfig, match=r"^n_feat: .* got n_feat 10 > n_obs 5$"):
         DiagonalEnsembleConfig(
-            n_obs=5, n_feat=10, spectral_density=SpectralDensity.power_law(1.0)
+            n_obs=5, n_feat=10, spectral_density=PowerLaw(1.0)
         )
 
 
@@ -102,12 +103,19 @@ def test_sparse_spec_rejected_before_sampling(n_large, small_scale, n_feat):
     (lambda: EquicorrelatedConfig(n_obs=0, n_feat=5), "n_obs"),
     (lambda: EquicorrelatedConfig(n_obs=20, n_feat=0), "n_feat"),
     (lambda: DiagonalEnsembleConfig(n_obs=0, n_feat=0,
-                                    spectral_density=SpectralDensity.power_law(1.0)), "n_obs"),
+                                    spectral_density=PowerLaw(1.0)), "n_obs"),
     (lambda: DiagonalEnsembleConfig(n_obs=20, n_feat=0,
-                                    spectral_density=SpectralDensity.power_law(1.0)), "n_feat"),
+                                    spectral_density=PowerLaw(1.0)), "n_feat"),
     (lambda: RFFBenchConfig(d=0), "d must"),
     (lambda: RFFBenchConfig(n_obs=0), "n_obs"),
     (lambda: RFFBenchConfig(n_test=0), "n_test"),
+    (lambda: PowerLaw(0.0), "gamma"),
+    (lambda: Atoms([0.2, 0.8], [0.5]), "same shape"),
+    (lambda: Atoms(0.5, 1.0), "1-D"),  # sample raised TypeError on len() of a 0-d grid
+    (lambda: Atoms([[0.5]], [[1.0]]), "1-D"),
+    (lambda: Atoms([0.2, 0.8], [0.5, 0.6]), "sum to 1"),
+    (lambda: Atoms([0.2, 0.8], [1.5, -0.5]), "weights"),
+    (lambda: Atoms([0.2, 1.5], [0.5, 0.5]), "grid"),
 ])
 def test_ensemble_config_ranges_name_the_field(make, field):
     with pytest.raises(InvalidConfig, match=field):
@@ -115,14 +123,14 @@ def test_ensemble_config_ranges_name_the_field(make, field):
 
 
 _NON_FINITE = [np.nan, np.inf, -np.inf]
-_POWER_LAW = SpectralDensity.power_law(1.0)
+_POWER_LAW = PowerLaw(1.0)
 
 
 @pytest.mark.parametrize("value", _NON_FINITE, ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("make, field", [
-    (lambda v: SpectralDensity.power_law(v), "gamma"),
-    (lambda v: SpectralDensity.tabulated([0.2, v], [0.5, 0.5]), "grid"),
-    (lambda v: SpectralDensity.tabulated([0.2, 0.8], [1.0, v]), "weights"),
+    (lambda v: PowerLaw(v), "gamma"),
+    (lambda v: Atoms([0.2, v], [0.5, 0.5]), "grid"),
+    (lambda v: Atoms([0.2, 0.8], [1.0, v]), "weights"),
     (lambda v: SphericalGaussianConfig(20, 5, beta=v), "beta"),
     (lambda v: SphericalGaussianConfig(20, 5, sigma=v), "sigma"),
     (lambda v: DiagonalEnsembleConfig(20, 5, _POWER_LAW, beta=v), "beta"),
@@ -144,19 +152,32 @@ def test_non_finite_values_are_rejected_naming_the_field(make, field, value):
 
 def test_power_law_sampling_cdf():
     rng = np.random.default_rng(0)
-    samples = SpectralDensity.power_law(2.0).sample(500, rng)
+    samples = PowerLaw(2.0).sample(500, rng)
     xs = np.sort(samples)
     emp = (np.arange(500) + 0.5) / 500
     assert np.max(np.abs(emp - xs**2)) < 0.08  # CDF of x^2 on [0, 1]
 
 
 def test_tabulated_density_and_alias_sampling():
-    dens = SpectralDensity.tabulated([0.2, 0.8], [0.25, 0.75])
+    dens = Atoms([0.2, 0.8], [0.25, 0.75])
     rng = np.random.default_rng(1)
     s = dens.sample(10_000, rng)
     assert set(np.unique(s)) == {0.2, 0.8}
     assert abs(np.mean(s == 0.8) - 0.75) < 0.02
-    assert dens.mean() == pytest.approx(0.65)
+
+
+def test_atoms_from_lists_store_float_arrays():
+    # Lists are converted once, so every use sees arrays: error_integrals
+    # compares the grid with 0 and sample indexes it.
+    from schattenreg import error_integrals
+
+    dens = Atoms([0, 0.25, 1], [0.5, 0.25, 0.25])
+    for values in (dens.grid, dens.weights):
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+    assert set(dens.sample(100, np.random.default_rng(0))) <= {0.0, 0.25, 1.0}
+    (q,) = error_integrals((SchattenIndex.FROBENIUS,), dens, 0.0, 0.5)
+    # At alpha = 0 ridge keeps everything: no bias, variance 1 per nonzero atom.
+    assert q.error(1.0, 1.0) == pytest.approx(0.5 * 0.5)
 
 
 def test_uniform_noise_density():
@@ -222,10 +243,39 @@ def test_spherical_matches_out_of_place_expression():
     assert np.array_equal(ds.beta0, rng.standard_normal(7))
 
 
+def _stiefel(rng, n, d):
+    Q, R = np.linalg.qr(rng.standard_normal((n, d)))
+    return Q * np.sign(np.diag(R))
+
+
+@pytest.mark.parametrize("half_width", [0.0, 0.5])
+@pytest.mark.parametrize("measure", [PowerLaw(0.3), Atoms([0.0, 0.4, 1.0], [0.2, 0.5, 0.3])],
+                         ids=["power-law", "atoms"])
+def test_diagonal_matches_out_of_place_expression(measure, half_width):
+    # The draws, in order: the eigenvalues by the measure's inverse CDF or
+    # atom choice, the noise (none at half-width 0), the training frame, the
+    # test frame, beta0, the training noise.
+    cfg = DiagonalEnsembleConfig(30, 7, measure, NoiseDensity(half_width), beta=2.0, sigma=0.5)
+    ds = sample_diagonal(cfg, seed=4)
+    rng = np.random.default_rng(4)
+    if isinstance(measure, PowerLaw):
+        lam = rng.uniform(size=7) ** (1.0 / 0.3)
+    else:
+        lam = measure.grid[rng.choice(3, size=7, p=measure.weights)]
+    s = rng.uniform(0.5, 1.5, size=7) if half_width else np.ones(7)
+    X_tr = _stiefel(rng, 30, 7) * np.sqrt(lam * s)
+    X_te = _stiefel(rng, 30, 7) * np.sqrt(lam)
+    beta0 = rng.standard_normal(7) * 2.0
+    assert np.array_equal(ds.X_tr, X_tr)
+    assert np.array_equal(ds.test.H, X_te.T @ X_te)
+    assert np.array_equal(ds.beta0, beta0)
+    assert np.array_equal(ds.Y_tr, X_tr @ beta0 + 0.5 * rng.standard_normal(30))
+
+
 @pytest.mark.parametrize("make", [
     lambda: sample_spherical(SphericalGaussianConfig(30, 7, n_test=11), seed=3),
     lambda: sample_diagonal(DiagonalEnsembleConfig(
-        30, 7, spectral_density=SpectralDensity.power_law(0.3)), seed=3),
+        30, 7, spectral_density=PowerLaw(0.3)), seed=3),
     lambda: sample_equicorrelated(EquicorrelatedConfig(30, 7, rho=0.4, n_test=11), seed=3),
     lambda: sample_equicorrelated(EquicorrelatedConfig(
         30, 7, rho=0.4, sparse=SparseSpec(n_large=2), n_test=11), seed=3),
@@ -312,7 +362,7 @@ def _assert_one_spectrum(ds):
         EquicorrelatedConfig(40, 12, rho=0.4, sparse=SparseSpec(3, 0.1), n_test=30), seed=5),
     lambda: sample_spherical(SphericalGaussianConfig(10, 25, n_test=30), seed=6),  # wide
     lambda: sample_diagonal(DiagonalEnsembleConfig(
-        30, 12, SpectralDensity.power_law(2.0), NoiseDensity(0.5)), seed=7),
+        30, 12, PowerLaw(2.0), NoiseDensity(0.5)), seed=7),
     lambda: make_rff_dataset(3, 40, 15, 20, 0.5, seed=8),
 ], ids=["equicorrelated-sparse", "spherical-wide", "diagonal", "rff"])
 def test_dataset_carries_the_spectrum_of_its_training_set(make):

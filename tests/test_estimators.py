@@ -171,7 +171,7 @@ def test_bias_bound_nuclear_hand_value():
 @pytest.mark.parametrize("p", ALL_P)
 def test_bad_alpha_raises_from_every_entry_point(p, alpha):
     # One check, in SchattenIndex.shrinkage, serves every layer.
-    from schattenreg import MarchenkoPastur, SpectralDensity, error_integrals
+    from schattenreg import MarchenkoPastur, PowerLaw, error_integrals
 
     X = np.random.default_rng(0).standard_normal((6, 3))
     Y = X @ np.ones(3)
@@ -182,7 +182,7 @@ def test_bad_alpha_raises_from_every_entry_point(p, alpha):
         lambda: estimator_operator(X, p, alpha),
         lambda: alpha_to_bias_bound(sp, p, alpha),
         lambda: error_integrals((p,), MarchenkoPastur(0.5), [1.0, alpha], 0.5),
-        lambda: error_integrals((p,), SpectralDensity.power_law(2.0), alpha, 0.5),
+        lambda: error_integrals((p,), PowerLaw(2.0), alpha, 0.5),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="alpha must be nonnegative"):

@@ -213,3 +213,10 @@ def test_gram_matrix_of_row_blocks_is_the_stack_gram():
 def test_a_design_with_no_rows_is_rejected_naming_its_shape(shape):
     with pytest.raises(InsufficientData, match=re.escape(str(shape))):
         gram_spectrum(np.empty(shape))
+
+
+def test_a_design_with_no_columns_is_rejected_naming_its_shape():
+    # Before the check, a factored (5, 0) design reached the row blocks of
+    # a test set with rows of 0 bytes and divided by zero.
+    with pytest.raises(InsufficientData, match=r"^X \(5, 0\) has no columns to factor$"):
+        gram_spectrum(np.empty((5, 0)))

@@ -4,10 +4,11 @@ from scipy.integrate import quad
 from scipy.special import gammaln, hyp2f1, roots_jacobi, roots_legendre
 
 from schattenreg import (
+    Atoms,
     DiagonalEnsembleConfig,
     MarchenkoPastur,
+    PowerLaw,
     SchattenIndex,
-    SpectralDensity,
     appell_f1,
     child_seeds,
     err_nuclear_closed,
@@ -290,7 +291,7 @@ def _frobenius_integrals(measure, lam):
     return error_integrals((SchattenIndex.FROBENIUS,), measure, 1.0, lam)
 
 
-POWER_LAW = SpectralDensity.power_law(2.0)
+POWER_LAW = PowerLaw(2.0)
 
 
 @pytest.mark.parametrize("call, match", [
@@ -316,8 +317,8 @@ SHARED_RULE_GRID = np.concatenate([[0.0], np.logspace(-4, 4, theory._BLOCK + 13)
 
 @pytest.mark.parametrize("lam, measure", [
     *[(lam, theory.MarchenkoPastur(lam)) for lam in (0.1, 0.5, 0.9)],
-    *[(0.5, SpectralDensity.power_law(gamma)) for gamma in (0.5, 2.0)],
-    (0.5, SpectralDensity.tabulated([0.0, 0.2, 0.7, 1.0], [0.25, 0.25, 0.3, 0.2])),
+    *[(0.5, PowerLaw(gamma)) for gamma in (0.5, 2.0)],
+    (0.5, Atoms([0.0, 0.2, 0.7, 1.0], [0.25, 0.25, 0.3, 0.2])),
 ], ids=["mp-0.1", "mp-0.5", "mp-0.9", "powerlaw-0.5", "powerlaw-2", "tabulated-atom-0"])
 def test_shared_rule_sums_equal_one_model_sums(lam, measure):
     # The rule is built once for all estimators; each one's sums must be those
@@ -332,7 +333,7 @@ def test_shared_rule_sums_equal_one_model_sums(lam, measure):
 @pytest.mark.parametrize("p", list(SchattenIndex))
 @pytest.mark.parametrize("c", [1e-3, 1e3])
 def test_quadrature_errors_scale_with_beta_and_sigma_squared(p, c):
-    dens = SpectralDensity.power_law(2.0)
+    dens = PowerLaw(2.0)
     for alpha, lam, beta, sigma in [(1.0, 0.5, 1.0, 1.0), (0.5, 0.3, 1.0, 2.0),
                                     (3.0, 0.9, 0.7, 0.4)]:
         base = err_mp(p, alpha, lam, beta, sigma)
@@ -345,7 +346,7 @@ def test_quadrature_errors_scale_with_beta_and_sigma_squared(p, c):
 
 @pytest.mark.parametrize("p", list(SchattenIndex))
 def test_diagonal_alpha_zero(p):
-    dens = SpectralDensity.power_law(2.0)
+    dens = PowerLaw(2.0)
     assert err_density(p, 0.0, 0.5, 1.0, 0.7, dens) == \
         pytest.approx(0.5 * 0.49, abs=1e-9)
 
@@ -353,7 +354,7 @@ def test_diagonal_alpha_zero(p):
 @pytest.mark.parametrize("p", [SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS])
 def test_diagonal_null_model_limit(p):
     # alpha -> inf error tends to lam beta^2 E[x] = lam beta^2 gamma/(gamma+1).
-    dens = SpectralDensity.power_law(2.0)
+    dens = PowerLaw(2.0)
     target = 0.5 * (2.0 / 3.0)
     assert err_density(p, 1e8, 0.5, 1.0, 1.0, dens) == \
         pytest.approx(target, rel=1e-5)
@@ -367,7 +368,7 @@ def test_diagonal_quadrature_matches_closed_forms(p, gamma):
     oracle = {SchattenIndex.NUCLEAR: diagonal_nuclear_closed,
               SchattenIndex.SPECTRAL: diagonal_spectral_closed}[p]
     alphas = np.logspace(-10, 5, 31)
-    dens = SpectralDensity.power_law(gamma)
+    dens = PowerLaw(gamma)
     for beta, sigma in [(1.0, 0.5), (1.0, 3.5)]:
         got = err_density(p, alphas, 0.5, beta, sigma, dens)
         want = [oracle(a, 0.5, beta, sigma, gamma) for a in alphas]
@@ -388,7 +389,7 @@ def test_spherical_ridge_matches_stieltjes_closed_form(lam):
 
 def test_diagonal_theory_matches_simulation():
     # Monte-Carlo oracle at modest size: mean empirical error within 3 SE.
-    dens = SpectralDensity.power_law(2.0)
+    dens = PowerLaw(2.0)
     cfg = DiagonalEnsembleConfig(
         n_obs=100, n_feat=50, spectral_density=dens, beta=1.0, sigma=0.5
     )
@@ -404,7 +405,7 @@ def test_diagonal_theory_matches_simulation():
 
 
 def test_tabulated_density_quadrature_is_weighted_sum():
-    dens = SpectralDensity.tabulated([0.25, 1.0], [0.5, 0.5])
+    dens = Atoms([0.25, 1.0], [0.5, 0.5])
     val = err_density(SchattenIndex.FROBENIUS, 1.0, 0.5, 1.0, 0.0, dens)
     expected = 0.5 * 0.5 * (0.25 * (1.0 / 1.25) ** 2 + 1.0 * (1.0 / 2.0) ** 2)
     assert val == pytest.approx(expected, rel=1e-12)
@@ -416,7 +417,7 @@ def test_tabulated_density_atom_at_zero(p):
     # gives its direction weight 0 and the test features vanish there
     # (test_diagonal_theory_is_exact_on_the_empirical_measure checks this
     # against the exact error of the estimator).
-    dens = SpectralDensity.tabulated([0.0, 0.5], [0.5, 0.5])
+    dens = Atoms([0.0, 0.5], [0.5, 0.5])
     lam, b2, s2, alpha, x = 0.5, 1.0, 0.49, 0.3, 0.5
     if p is SchattenIndex.SPECTRAL:
         at_x = b2 * x * (alpha / (1 + alpha)) ** 2 + s2 / (1 + alpha) ** 2
@@ -445,7 +446,7 @@ def test_diagonal_theory_is_exact_on_the_empirical_measure(p, low_atom):
     # so ||X_te A||_F^2 = tr(A^T H A) and the column sums of X_te^2 are
     # diag(H).
     N, d, beta, sigma = 60, 30, 1.0, 0.7
-    dens = SpectralDensity.tabulated([low_atom, 0.25, 1.0], [0.3, 0.3, 0.4])
+    dens = Atoms([low_atom, 0.25, 1.0], [0.3, 0.3, 0.4])
     ds = sample_diagonal(DiagonalEnsembleConfig(N, d, dens, beta=beta, sigma=sigma), seed=3)
     H = ds.test.H
     assert ds.test.n == N
@@ -453,7 +454,7 @@ def test_diagonal_theory_is_exact_on_the_empirical_measure(p, low_atom):
     atoms = np.array([low_atom, 0.25, 1.0])
     counts = np.array([np.sum(np.isclose(lam_sampled, a, rtol=0, atol=1e-12)) for a in atoms])
     assert counts.sum() == d and counts[0] > 0
-    empirical = SpectralDensity.tabulated(atoms, counts / d)
+    empirical = Atoms(atoms, counts / d)
     for alpha in (0.0, 0.3, 3.0):
         L = estimator_operator(ds.X_tr, p, alpha)
         bias = L @ ds.X_tr - np.eye(d)
