@@ -3,8 +3,9 @@
 Generates data whose targets are a fixed nonlinear (cosine series) function
 of the raw inputs, maps inputs through a random Fourier feature expansion,
 and benchmarks cross-validated Nuclear and Ridge fits in feature space.
-The Spectral estimator is excluded because it has no natural extension to
-the overparametrized (d_rbf > N) case.
+The Spectral estimator runs too when asked, but is left out here: with more
+features than rows (d_rbf > N) it is min-norm OLS / (1 + alpha), one uniform
+shrinkage of the interpolator.
 """
 
 from schattenreg import (

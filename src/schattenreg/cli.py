@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -462,21 +463,15 @@ def _write_output(result, fields, out: str, fmt: str, meta: dict) -> None:
         write_json(out + ".json", payload)
 
 
-def main(argv: list[str] | None = None) -> int:
+@lru_cache(maxsize=1)
+def _parser(commands: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The parser of the subcommands `commands`, built once per process:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="schattenreg",
         description="Bias-constrained linear estimators: theory curves, "
                     "simulations, and cross-validation benchmarks.",
     )
-    # Subcommand -> (run, CSV fields of its rows); None marks a BenchReport.
-    commands = {
-        "theory-curve": (cmd_theory_curve, CURVE_FIELDS),
-        "simulate": (cmd_simulate, SIM_FIELDS),
-        "cv-bench": (cmd_cv_bench, None),
-        "rff-bench": (cmd_rff_bench, None),
-        "basin": (cmd_basin, BASIN_FIELDS),
-        "real-data": (cmd_real_data, None),
-    }
     sub = parser.add_subparsers(dest="command", required=True)
     for name in commands:
         p = sub.add_parser(name)
@@ -487,7 +482,21 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", choices=["csv", "json"], default=None,
                        help="output format (default: the config's, else csv)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    # Subcommand -> (run, CSV fields of its rows); None marks a BenchReport.
+    # Built per call, so that a replaced cmd_* function is the one that runs.
+    commands = {
+        "theory-curve": (cmd_theory_curve, CURVE_FIELDS),
+        "simulate": (cmd_simulate, SIM_FIELDS),
+        "cv-bench": (cmd_cv_bench, None),
+        "rff-bench": (cmd_rff_bench, None),
+        "basin": (cmd_basin, BASIN_FIELDS),
+        "real-data": (cmd_real_data, None),
+    }
+    args = _parser(tuple(commands)).parse_args(argv)
     command = args.command
 
     try:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -355,20 +355,16 @@ class RFFBenchConfig:
 
 
 def rff_benchmark(rff_cfg: RFFBenchConfig, cfg: CVConfig) -> BenchReport:
-    """Benchmark on RFF feature-space data; Nuclear and Ridge only by default
-    (the Spectral estimator has no natural overparametrized extension), with
-    the ratio-to-Ridge statistic included."""
-    models = tuple(m for m in cfg.models if m is not SchattenIndex.SPECTRAL)
-    if not models:
-        raise InvalidConfig("rff benchmark drops the spectral model, which leaves "
-                            "no model to run; request nuclear or ridge")
+    """Benchmark on RFF feature-space data, with the ratio-to-Ridge statistic
+    included.  Folds with more features than rows are rank-deficient; there
+    Spectral is min-norm OLS / (1 + alpha)."""
     _check_folds(rff_cfg.n_obs, cfg.folds)  # before any dataset is made
     return _bench_over_datasets(
         lambda s: make_rff_dataset(
             rff_cfg.d, rff_cfg.d_rbf, rff_cfg.n_obs, rff_cfg.n_test,
             rff_cfg.sigma, rff_cfg.bandwidth, seed=s,
         ),
-        replace(cfg, models=models),
+        cfg,
         with_ratio=True,
     )
 

@@ -62,6 +62,11 @@ def solve_bias_constrained_numeric(X: np.ndarray, C: BiasBound | float,
     rather than a necessity; the best objective across restarts is returned.
     Raises DidNotConverge if no restart reaches the relative-change tolerance
     1e-12 within 20000 iterations.
+
+    The search runs on X / ||X||_2 and returns that solution's L / ||X||_2,
+    which is exact because L(kX) = L(X) / k at the same C.  The objective
+    scales like 1 / ||X||^2, so at unit scale the stop rule's max(1, |obj|)
+    means the same accuracy whatever the units of X.
     """
     X = np.asarray(X, dtype=float)
     N, d = X.shape
@@ -70,6 +75,8 @@ def solve_bias_constrained_numeric(X: np.ndarray, C: BiasBound | float,
         # Constraint set contains B = -I, i.e. L = 0, the global minimizer.
         return np.zeros((d, N))
 
+    scale = np.linalg.norm(X, 2) or 1.0  # a zero X stays singular
+    X = X / scale
     G = X.T @ X
     Ginv = np.linalg.inv(G)
     eigs = np.linalg.eigvalsh(Ginv)
@@ -112,4 +119,4 @@ def solve_bias_constrained_numeric(X: np.ndarray, C: BiasBound | float,
         raise DidNotConverge(
             f"objective still changing by more than {_TOL} after {_MAX_ITER} iterations"
         )
-    return (eye + best_B) @ Ginv @ X.T
+    return (eye + best_B) @ Ginv @ X.T / scale

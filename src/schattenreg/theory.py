@@ -40,6 +40,16 @@ as (n_alpha, n_nodes) arrays:
   carries no error: the estimator gives its direction weight 0, and its test
   features are 0 there too.
 
+The rows that do not depend on alpha are built once per measure and node
+count, cached read-only, and copied.  Every alpha <= lo has theta(alpha) = 0
+and every alpha >= hi (inf included) pi/2, so each side shares one MP edge
+row.  An alpha inside the support cuts one base panel: only that panel's
+nodes go through the theta -> (x, w) map, and each uncut panel, split at its
+own start or end, is copied from the edge row on that side.  Every power-law
+alpha >= 1, and alpha = 0, has m = 1 and shares one row.  This is exact: each
+node and weight is computed element by element from its own panel's
+endpoints, so a copied row is bit for bit the row built for that alpha.
+
 Each rule runs with n and 2n nodes per panel, for A and B alike.  Per
 (beta, sigma) the 2n value of beta^2 A + sigma^2 B is returned, and its gap to
 the n value above 1e-9 max(beta^2, sigma^2, |Q_2n|) raises QuadratureFailure:
@@ -110,14 +120,21 @@ class MarchenkoPastur:
     def support_hi(self) -> float:
         return (1.0 + np.sqrt(self.lam)) ** 2
 
-    def rule(self, alpha: np.ndarray, n: int):
-        """Nodes x and weights of the measure x^-1 dMP(x), per alpha row."""
+    def _panels(self) -> tuple[tuple[float, float, bool], ...]:
+        """The base theta panels (start, end, uniform in ln(theta)): linear on
+        [0, theta_e], log on [theta_e, pi/2]."""
         lo, span = self.support_lo, self.support_hi - self.support_lo
         theta_e = min(0.5 * np.pi, 4.0 * np.sqrt(lo / span))
-        theta_alpha = np.arcsin(np.sqrt(np.clip((alpha - lo) / span, 0.0, 1.0)))
+        return ((0.0, theta_e, False), (theta_e, 0.5 * np.pi, True))
+
+    def _split(self, panels, theta, n: int):
+        """Nodes x and weights over `panels`, each split at the (k, 1) theta
+        into two n-node Gauss-Legendre halves, one of them empty unless theta
+        lies inside it."""
+        lo, span = self.support_lo, self.support_hi - self.support_lo
         thetas, weights = [], []
-        for a, b, log in ((0.0, theta_e, False), (theta_e, 0.5 * np.pi, True)):
-            cut = np.clip(theta_alpha, a, b)
+        for a, b, log in panels:
+            cut = np.clip(theta, a, b)
             for lo_, hi_ in ((a, cut), (cut, b)):
                 th, w = _legendre_panel(lo_, hi_, n, log)
                 thetas.append(th)
@@ -126,6 +143,31 @@ class MarchenkoPastur:
         x = lo + span * s * s
         # dMP = (hi - lo)^2 2 sin^2 cos^2 / (2 pi lam x) dtheta, times x^-1.
         w = np.hstack(weights) * span * span * (s * c) ** 2 / (np.pi * self.lam * x * x)
+        return x, w
+
+    @lru_cache(maxsize=64)
+    def _edge_rows(self, n: int):
+        """The read-only rows at theta = 0 (every alpha <= lo) and pi/2
+        (every alpha >= hi), as (2, 4n) nodes and weights."""
+        x, w = self._split(self._panels(), np.array([[0.0], [0.5 * np.pi]]), n)
+        x.flags.writeable = w.flags.writeable = False
+        return x, w
+
+    def rule(self, alpha: np.ndarray, n: int):
+        """Nodes x and weights of the measure x^-1 dMP(x), per row of the
+        (k, 1) alpha: (k, 4n) arrays."""
+        lo, span = self.support_lo, self.support_hi - self.support_lo
+        theta = np.arcsin(np.sqrt(np.clip((alpha - lo) / span, 0.0, 1.0)))
+        panels, (edge_x, edge_w) = self._panels(), self._edge_rows(n)
+        # A base panel that theta does not cut splits at its start or its end,
+        # as in the edge row at theta = 0 or pi/2: its columns are copied.
+        high = theta >= np.repeat([b for _, b, _ in panels], 2 * n)
+        x, w = np.where(high, edge_x[1], edge_x[0]), np.where(high, edge_w[1], edge_w[0])
+        for i, panel in enumerate(panels):
+            rows = np.flatnonzero((panel[0] < theta) & (theta < panel[1]))
+            if rows.size:
+                cols = slice(2 * n * i, 2 * n * (i + 1))
+                x[rows, cols], w[rows, cols] = self._split((panel,), theta[rows], n)
         return x, w
 
 
@@ -146,19 +188,38 @@ class PowerLaw:
         # Inverse CDF of gamma * x**(gamma-1) on [0, 1].
         return rng.uniform(size=size) ** (1.0 / self.gamma)
 
-    def rule(self, alpha: np.ndarray, n: int):
-        """Nodes x and weights of the measure, per alpha row."""
+    def _split(self, m, n: int):
+        """Nodes x and weights, Gauss-Radau on [0, m] and log-Legendre on
+        [m, 1], per row of the (k, 1) m: (k, 2n) arrays."""
         gamma = self.gamma
-        # The split point m never drops below where the measure holds e^-50 of
-        # its mass: a kink or transition under that cannot show, and x^gamma
-        # stays smooth enough in ln(x) over [m, 1].  At alpha = 0 every filter
-        # is the identity, so [0, 1] is one smooth panel.
-        m = np.where(alpha > 0.0, np.clip(alpha, np.exp(-50.0 / gamma), 1.0), 1.0)
         s, ws = _radau(n, gamma)
         x_low, w_low = m * s, m ** gamma * ws
         x_high, w_high = _legendre_panel(m, 1.0, n, log=True)
         w_high = w_high * gamma * x_high ** (gamma - 1.0)
         return np.hstack([x_low, x_high]), np.hstack([w_low, w_high])
+
+    @lru_cache(maxsize=64)
+    def _whole_row(self, n: int):
+        """The read-only row at m = 1: the Radau panel on [0, 1] and an empty
+        log panel at 1."""
+        x, w = self._split(np.ones((1, 1)), n)
+        x.flags.writeable = w.flags.writeable = False
+        return x[0], w[0]
+
+    def rule(self, alpha: np.ndarray, n: int):
+        """Nodes x and weights of the measure, per row of the (k, 1) alpha:
+        (k, 2n) arrays."""
+        # The split point m never drops below where the measure holds e^-50 of
+        # its mass: a kink or transition under that cannot show, and x^gamma
+        # stays smooth enough in ln(x) over [m, 1].  At alpha = 0 every filter
+        # is the identity, so [0, 1] is one smooth panel.
+        m = np.where(alpha > 0.0, np.clip(alpha, np.exp(-50.0 / self.gamma), 1.0), 1.0)
+        whole_x, whole_w = self._whole_row(n)
+        x, w = np.tile(whole_x, (len(m), 1)), np.tile(whole_w, (len(m), 1))
+        rows = np.flatnonzero(m < 1.0)
+        if rows.size:
+            x[rows], w[rows] = self._split(m[rows], n)
+        return x, w
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,12 +1,16 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schattenreg
 from schattenreg import MarchenkoPastur, PowerLaw, error_integrals, geometry_table, theory
 from schattenreg.cli import (
     cmd_basin,
@@ -50,6 +54,28 @@ def test_theory_curve_ols_limit_row(tmp_path):
     assert rows[0]["p"] == "ridge"
     assert float(rows[0]["alpha"]) == pytest.approx(1e-12)
     assert float(rows[0]["error"]) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("theory-curve", {"ensemble": "spherical"}),
+    ("theory-curve", {"ensemble": "diagonal", "gamma": 2.0}),
+    ("basin", {"ensemble": "spherical"}),
+    ("basin", {"ensemble": "diagonal"}),
+], ids=["theory-curve-spherical", "theory-curve-diagonal", "basin-spherical", "basin-diagonal"])
+def test_theory_outputs_repeat_in_process_and_match_a_fresh_process(tmp_path, command, config):
+    # The second call in one interpreter reads the cached rule rows and
+    # parser; a fresh process builds them.
+    cfg = _write_cfg(tmp_path, "c.json", config)
+    outs = [tmp_path / name for name in ("first.csv", "second.csv", "fresh.csv")]
+    for out in outs[:2]:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    src = str(Path(schattenreg.__file__).parents[1])
+    subprocess.run([sys.executable, "-c",
+                    "import sys; from schattenreg.cli import main; sys.exit(main(sys.argv[1:]))",
+                    command, "--config", cfg, "--out", str(outs[2])],
+                   env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    first = outs[0].read_bytes()
+    assert first and all(out.read_bytes() == first for out in outs[1:])
 
 
 def test_theory_curve_csv_round_trip(tmp_path):
@@ -319,10 +345,12 @@ def test_simulate_diagonal_without_gamma_fails_before_sampling(tmp_path, monkeyp
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 2
 
 
-def test_rff_bench_spectral_only_exits_2(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, "c.json", {"models": ["spectral"], "n_datasets": 1})
-    assert main(["rff-bench", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
-    assert "spectral" in capsys.readouterr().err
+def test_rff_bench_spectral_only_runs(tmp_path):
+    cfg = _write_cfg(tmp_path, "c.json", {"models": ["spectral"], "n_datasets": 1,
+                                          "d_rbf": 20, "n_obs": 30, "n_test": 50})
+    out = tmp_path / "r.csv"
+    assert main(["rff-bench", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "r.csv.json").read_text())["report"]["models"] == ["spectral"]
 
 
 # ---------------------------------------------------------------------------

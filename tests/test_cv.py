@@ -633,25 +633,33 @@ def test_aggregate_wins_tie_breaks_lexicographically():
     assert aggregate_wins(report) == ("alpha", "alpha")
 
 
-def test_rff_benchmark_excludes_spectral_and_has_ratio():
+def test_rff_benchmark_runs_every_model_and_has_ratio():
     cfg = _small_cfg(n_datasets=2, grid=AlphaGrid(1e-2, 1e2, 3))
     rff_cfg = RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=50, sigma=0.5)
     report = rff_benchmark(rff_cfg, cfg)
-    assert report.models == ("nuclear", "ridge")
+    assert report.models == ("nuclear", "ridge", "spectral")
     assert report.ridge_ratio is not None
     assert report.ridge_ratio["ridge"] == pytest.approx(1.0)
 
 
-def test_rff_benchmark_spectral_only_fails_before_sampling(monkeypatch):
-    import schattenreg.cv as cv
+def test_rff_benchmark_spectral_alone_runs_without_ratio():
+    report = rff_benchmark(RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=50),
+                           _small_cfg(n_datasets=2, models=(SchattenIndex.SPECTRAL,)))
+    assert report.models == ("spectral",)
+    assert np.all(np.isfinite(report.errors))
+    assert report.ridge_ratio is None
 
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampled before the config was checked")
 
-    monkeypatch.setattr(cv, "make_rff_dataset", no_sampling)
-    with pytest.raises(InvalidConfig, match="spectral"):
-        rff_benchmark(RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=50),
-                      _small_cfg(models=(SchattenIndex.SPECTRAL,)))
+def test_rff_benchmark_spectral_with_more_features_than_rows():
+    # d_rbf 200 against 60 rows: every fold, and the full training set, is
+    # rank-deficient, where Spectral is min-norm OLS / (1 + alpha).
+    report = rff_benchmark(RFFBenchConfig(d=4, d_rbf=200, n_obs=60, n_test=50),
+                           _small_cfg(n_datasets=2, grid=AlphaGrid(1e-2, 1e2, 3),
+                                      models=(SchattenIndex.SPECTRAL, SchattenIndex.FROBENIUS)))
+    assert report.models == ("spectral", "ridge")
+    assert report.errors.shape == (2, 2)
+    assert np.all(np.isfinite(report.errors))
+    assert all(np.isfinite(report.ridge_ratio[name]) for name in report.models)
 
 
 def test_rff_features_realizable_noiseless_near_zero():

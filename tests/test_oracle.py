@@ -3,6 +3,7 @@ import pytest
 
 from schattenreg import (
     SchattenIndex,
+    alpha_to_bias_bound,
     bias_bound_to_alpha,
     estimator_operator,
     gram_spectrum,
@@ -42,6 +43,18 @@ def test_oracle_agrees_with_closed_form(p):
         _, v_closed = operator_diagnostics(L_closed, X, p)
         _, v_num = operator_diagnostics(L_num, X, p)
         assert v_num == pytest.approx(v_closed, rel=1e-3)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_oracle_accuracy_does_not_depend_on_the_units_of_x(scale):
+    # Ridge at alpha = 0.7 s_2, whose bias bound C is the same at every scale.
+    X = np.random.default_rng(0).standard_normal((8, 3)) * scale
+    p = SchattenIndex.FROBENIUS
+    sp = gram_spectrum(X)
+    alpha = 0.7 * sp.eigvals[1]
+    L_closed = estimator_operator(X, p, alpha)
+    L_num = solve_bias_constrained_numeric(X, alpha_to_bias_bound(sp, p, alpha), p)
+    assert np.max(np.abs(L_num - L_closed)) <= 1e-6 * np.max(np.abs(L_closed))
 
 
 @pytest.mark.parametrize("p", ALL_P)

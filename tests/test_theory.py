@@ -524,3 +524,93 @@ def test_radau_rule_integrates_moments_exactly(n, gamma):
     assert s[0] == 0.0
     for k in range(2 * n - 1):
         assert abs(np.sum(w * s ** k) - gamma / (gamma + k)) <= 1e-14, k
+
+
+# ---------------------------------------------------------------------------
+# Rule rows: edge rows built once against a construction per alpha
+# ---------------------------------------------------------------------------
+
+def mp_rule_per_alpha(mp, alpha, n):
+    """The MP rule row of one alpha, built whole: both base panels split at
+    theta(alpha) and every node mapped to (x, w)."""
+    lo, span = mp.support_lo, mp.support_hi - mp.support_lo
+    theta_e = min(0.5 * np.pi, 4.0 * np.sqrt(lo / span))
+    theta_alpha = np.arcsin(np.sqrt(np.clip((np.array([[alpha]]) - lo) / span, 0.0, 1.0)))
+    thetas, weights = [], []
+    for a, b, log in ((0.0, theta_e, False), (theta_e, 0.5 * np.pi, True)):
+        cut = np.clip(theta_alpha, a, b)
+        for lo_, hi_ in ((a, cut), (cut, b)):
+            th, w = theory._legendre_panel(lo_, hi_, n, log)
+            thetas.append(th)
+            weights.append(w)
+    s, c = np.sin(np.hstack(thetas)), np.cos(np.hstack(thetas))
+    x = lo + span * s * s
+    w = np.hstack(weights) * span * span * (s * c) ** 2 / (np.pi * mp.lam * x * x)
+    return x[0], w[0]
+
+
+def power_law_rule_per_alpha(pl, alpha, n):
+    """The power-law rule row of one alpha, built whole."""
+    gamma, alpha = pl.gamma, np.array([[alpha]])
+    m = np.where(alpha > 0.0, np.clip(alpha, np.exp(-50.0 / gamma), 1.0), 1.0)
+    s, ws = theory._radau(n, gamma)
+    x_low, w_low = m * s, m ** gamma * ws
+    x_high, w_high = theory._legendre_panel(m, 1.0, n, log=True)
+    w_high = w_high * gamma * x_high ** (gamma - 1.0)
+    return np.hstack([x_low, x_high])[0], np.hstack([w_low, w_high])[0]
+
+
+def _with_neighbours(a):
+    return [np.nextafter(a, 0.0), a, np.nextafter(a, np.inf)]
+
+
+def _assert_rows_equal_per_alpha(measure, alphas, n, per_alpha):
+    # All alphas in one column, so that edge rows and cut rows share a block.
+    x, w = measure.rule(np.array(alphas)[:, None], n)
+    for k, a in enumerate(alphas):
+        x_ref, w_ref = per_alpha(measure, a, n)
+        assert np.array_equal(x[k], x_ref) and np.array_equal(w[k], w_ref), a
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("lam", [0.01, 0.1, 0.5, 0.9, 1 - 1e-6])
+def test_mp_rule_rows_equal_the_per_alpha_construction(lam, n):
+    mp = MarchenkoPastur(lam)
+    lo, span = mp.support_lo, mp.support_hi - mp.support_lo
+    theta_e = min(0.5 * np.pi, 4.0 * np.sqrt(lo / span))
+    # The alpha at theta_e: the boundary between the base panels, or the top
+    # of the support when theta_e = pi/2 (lam 0.01 and 0.1).
+    at_e = lo + span * np.sin(theta_e) ** 2
+    assert np.arcsin(np.sqrt((at_e - lo) / span)) == theta_e
+    alphas = [0.0, *_with_neighbours(lo), *_with_neighbours(at_e),
+              lo + 0.5 * (at_e - lo), lo + 0.5 * span, mp.support_hi, 2 * mp.support_hi,
+              np.inf]
+    _assert_rows_equal_per_alpha(mp, alphas, n, mp_rule_per_alpha)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("gamma", [0.1, 2.0, 20.0])
+def test_power_law_rule_rows_equal_the_per_alpha_construction(gamma, n):
+    floor = np.exp(-50.0 / gamma)
+    alphas = [0.0, *_with_neighbours(floor), 1e-3, 0.5, np.nextafter(1.0, 0.0), 1.0, 2.0,
+              np.inf]
+    _assert_rows_equal_per_alpha(PowerLaw(gamma), alphas, n, power_law_rule_per_alpha)
+
+
+def test_cached_rule_rows_are_read_only_and_rules_return_copies():
+    mp, pl = MarchenkoPastur(0.5), PowerLaw(2.0)
+    for cached in (*mp._edge_rows(32), *pl._whole_row(32)):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 1.0
+    alpha = np.array([[0.0], [np.inf]])
+    for measure in (mp, pl):
+        before = [a.copy() for a in measure.rule(alpha, 32)]
+        for a in measure.rule(alpha, 32):
+            a[...] = np.nan
+        assert all(np.array_equal(a, b) for a, b in zip(measure.rule(alpha, 32), before))
+
+
+@pytest.mark.parametrize("measure", [MarchenkoPastur(0.5), PowerLaw(2.0)], ids=["mp", "power-law"])
+def test_nan_alpha_is_rejected_by_the_shrinkage_check(measure):
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+        error_integrals(tuple(SchattenIndex), measure, [0.5, np.nan, 2.0], 0.5)
