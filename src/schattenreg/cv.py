@@ -18,12 +18,14 @@ order, so the fold's training design is a prefix of the array and its
 validation design the rest.  No other module knows the fold layout.
 
 Every replicate command runs its datasets through one loop, _replicates:
-simulate on one worker per usable CPU, the CV benchmarks (cv-bench,
-rff-bench, real-data) on the calling thread alone.
+simulate on one worker per usable CPU, each taking the next dataset no
+worker has taken when it is free, the CV benchmarks (cv-bench, rff-bench,
+real-data) on the calling thread alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from dataclasses import dataclass, field
@@ -239,17 +241,22 @@ def _usable_cpus() -> int:
 
 
 def _replicates(run, n: int, workers: int) -> list:
-    """[run(j) for j in range(n)] on the calling thread (worker 0) and workers
-    - 1 threads, with dataset j alone on worker j mod workers, so the result
+    """[run(j) for j in range(n)] on the calling thread and workers - 1
+    threads.  A worker that is free takes the lowest dataset no worker has
+    taken, so the datasets are claimed in order and none waits behind a
+    slower worker's share; each result goes to its own slot, so the result
     is the same for any workers.  A failure fills its slot: no worker starts
     a dataset above a failure it has seen, and once every thread is joined
     the lowest failing dataset's error is raised, as a serial loop would."""
     results: list = [None] * n
     failed: list[int] = []  # list.append is atomic, so no lock is needed
+    order, claim = itertools.count(), threading.Lock()
 
-    def work(first: int) -> None:
-        for j in range(first, n, workers):
-            if failed and j > min(failed):
+    def work() -> None:
+        while True:
+            with claim:  # taking the next index is a read-modify-write
+                j = next(order)
+            if j >= n or (failed and j > min(failed)):
                 return
             try:
                 results[j] = run(j)
@@ -258,10 +265,10 @@ def _replicates(run, n: int, workers: int) -> list:
                 failed.append(j)
                 return
 
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    threads = [threading.Thread(target=work) for _ in range(1, workers)]
     for t in threads:
         t.start()
-    work(0)
+    work()
     for t in threads:
         t.join()
     if failed:

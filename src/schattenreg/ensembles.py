@@ -12,9 +12,10 @@ before the test set is drawn, and returns the GramSpectrum inside the
 Dataset, so within one dataset the eigensolve's temporaries never sit on top
 of its test set (simulate draws one dataset per thread, so another thread's
 test set may be alive at the same time).
-The test rows are drawn in blocks and summed into H = X_te^T X_te as they
-come (see Dataset).  The random draws keep their order and values: blockwise
-draws return the one-shot values, and the spectrum consumes no randomness.
+The test rows are drawn in blocks of up to 256 KiB (more for large d, see
+_test_spans) and summed into H = X_te^T X_te as they come (see Dataset).
+The random draws keep their order and values: blockwise draws return the
+one-shot values, and the spectrum consumes no randomness.
 """
 
 from __future__ import annotations
@@ -51,8 +52,14 @@ DEFAULT_N_TEST = 5000
 
 # Bytes of one block of rows (a scored block of a test design, eval_target's
 # projection): within 96 KiB it stays below glibc's 128 KiB mmap threshold,
-# like theory._BLOCK, so it is not mapped and page-faulted afresh.
+# like theory._BLOCK, so it is not mapped and page-faulted afresh.  Sampled
+# test rows are drawn in coarser blocks of _DRAW_BYTES (see _test_spans).
 _BLOCK_BYTES = 96 * 1024
+# Bytes of one block of sampled test rows.  Each block is a few short numpy
+# calls, and each call hands the interpreter lock between simulate's
+# replicate threads, so fewer, larger blocks let them overlap: a default
+# simulate test set (5000 x 50) is 8 blocks, where _BLOCK_BYTES made 21.
+_DRAW_BYTES = 256 * 1024
 
 
 def row_blocks(n: int, row_bytes: int):
@@ -67,10 +74,12 @@ def row_blocks(n: int, row_bytes: int):
 
 def _test_spans(n: int, d: int) -> list[tuple[int, int]]:
     """(lo, hi) ranges partitioning n sampled test rows of d features into
-    blocks of at most max(_BLOCK_BYTES, 8 d^2) bytes: a block never outweighs
-    the d x d test Gram matrix, so a test set costs at most twice that
-    matrix while it is drawn."""
-    step = max(_BLOCK_BYTES, 8 * d * d) // (8 * d)
+    blocks of at most max(_DRAW_BYTES, 8 d^2) bytes.  From d = 182 on, a
+    block never outweighs the d x d test Gram matrix, so a test set costs at
+    most twice that matrix while it is drawn; below, a block is up to
+    256 KiB, larger than H, so that a few long draws, not many short ones,
+    make the test set."""
+    step = max(_DRAW_BYTES, 8 * d * d) // (8 * d)
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
@@ -138,10 +147,12 @@ class Dataset:
     test is scored by one call, test.mse(B), for coefficient columns B.  A
     sampler's test set is a GramTestSet (H, n_test, beta0), so it costs d^2
     floats, not n_test*d; H is the larger only when d > n_test, which no
-    default or benchmark config has.  RFF and real-data test sets are
-    RowTestSets (X_te, Y_te); make_rff_dataset's X_te is an rff.RFFRows, made
-    a block at a time as it is scored, so rff-bench memory scales with
-    n_obs*d_rbf plus one block, not with n_test*d_rbf.  X_te and Y_te are a
+    default or benchmark config has.  Its rows are drawn in the blocks of
+    _test_spans, at most max(256 KiB, 8 d^2) bytes each, and summed into H.
+    RFF and real-data test sets are RowTestSets (X_te, Y_te);
+    make_rff_dataset's X_te is an rff.RFFRows, made a block at a time as it
+    is scored, so rff-bench memory scales with n_obs*d_rbf plus one block,
+    not with n_test*d_rbf.  X_te and Y_te are a
     row test set's X and Y, and None for a sampled one.
     """
 

@@ -167,14 +167,14 @@ def _diagonal_test_rows(cfg, rng):
     return haar_stiefel(cfg.n_obs, cfg.n_feat, rng) * np.sqrt(lam)
 
 
-# Test sets of 3000 rows of 10 features are drawn in three blocks.
+# Test sets of 8000 rows of 10 features are drawn in three blocks.
 @pytest.mark.parametrize("cfg, rows, noiseless", [
     (SphericalGaussianConfig(60, 10, n_test=200), _spherical_test_rows, False),
     (SphericalGaussianConfig(60, 10, sigma=0.0, n_test=200), _spherical_test_rows, True),
-    (SphericalGaussianConfig(60, 10, n_test=3000), _spherical_test_rows, False),
+    (SphericalGaussianConfig(60, 10, n_test=8000), _spherical_test_rows, False),
     (SphericalGaussianConfig(20, 40, n_test=400), _spherical_test_rows, False),
-    (EquicorrelatedConfig(60, 10, rho=0.0, n_test=3000), _equicorrelated_test_rows, False),
-    (EquicorrelatedConfig(60, 10, rho=0.3, n_test=3000), _equicorrelated_test_rows, False),
+    (EquicorrelatedConfig(60, 10, rho=0.0, n_test=8000), _equicorrelated_test_rows, False),
+    (EquicorrelatedConfig(60, 10, rho=0.3, n_test=8000), _equicorrelated_test_rows, False),
     (EquicorrelatedConfig(60, 10, rho=0.8, sparse=SparseSpec(n_large=3), n_test=200),
      _equicorrelated_test_rows, False),
     (DiagonalEnsembleConfig(60, 10, spectral_density=PowerLaw(0.3)),
@@ -362,7 +362,7 @@ def test_no_factorization_overlaps_a_test_set(monkeypatch, bench):
     EquicorrelatedConfig(30, 20, rho=0.3, n_test=_BIG_TEST),
 ], ids=["spherical", "equicorrelated-rho0", "equicorrelated-rho0.3"])
 def test_sampled_benchmarks_never_hold_a_test_design(ens, bench):
-    # A sampled test set is drawn in blocks of 96 KiB summed into its 20 x 20
+    # A sampled test set is drawn in blocks of 256 KiB summed into its 20 x 20
     # Gram matrix: the run stays below the 8 MB test design.
     cfg = _small_cfg(n_datasets=2)
     tracemalloc.start()
@@ -384,18 +384,19 @@ def test_sampled_benchmarks_never_hold_a_test_design(ens, bench):
     EquicorrelatedConfig(40, 10, rho=0.3, n_test=300),
 ], ids=["spherical", "diagonal", "equicorrelated-rho0.3"])
 def test_simulate_is_the_serial_loop_on_any_number_of_threads(monkeypatch, ens, workers):
-    # Dataset j runs on worker j mod W, the calling thread being worker 0,
-    # and the result is bitwise that of one loop over the datasets.
+    # Each dataset runs once, on whichever of the W workers (the calling
+    # thread and W - 1 others) takes it first, and the result is bitwise that
+    # of one loop over the datasets.
     import schattenreg.cv as cv
 
     alphas = np.logspace(-2, 2, 7)
     seeds = child_seeds(3, 7)
     want = np.stack([_path_errors(sample_ensemble(ens, s), _ALL_MODELS, alphas)
                      for s in seeds], axis=2)
-    ran_on, sample = {}, cv.sample_ensemble
+    ran, sample = [], cv.sample_ensemble
 
     def spy(cfg, seed):
-        ran_on[seeds.index(seed)] = threading.get_ident()
+        ran.append((seeds.index(seed), threading.get_ident()))
         return sample(cfg, seed)
 
     monkeypatch.setattr(cv, "_usable_cpus", lambda: workers)
@@ -407,9 +408,31 @@ def test_simulate_is_the_serial_loop_on_any_number_of_threads(monkeypatch, ens, 
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got, want)
-    assert sorted(ran_on) == list(range(len(seeds)))
-    assert all(ran_on[j] == threading.get_ident() for j in range(0, len(seeds), workers))
-    assert all(ran_on[j] == ran_on[j % workers] for j in ran_on)
+    assert sorted(j for j, _ in ran) == list(range(len(seeds)))
+    others = {t for _, t in ran} - {threading.get_ident()}
+    assert len(others) <= workers - 1
+
+
+def test_replicates_claims_every_dataset_once_under_contention():
+    # Four workers on short runs, with the interpreter lock handed over as
+    # often as it can be: a claim that two workers both took, or that none
+    # took, would run a dataset twice or leave its slot empty.
+    import schattenreg.cv as cv
+
+    ran = []
+
+    def run(j):
+        ran.append(j)
+        return -j
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = cv._replicates(run, 3000, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [-j for j in range(3000)]
+    assert sorted(ran) == list(range(3000))
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -442,23 +465,30 @@ def test_simulate_raises_the_lowest_failing_dataset_after_joining(monkeypatch, w
 
 
 def test_no_worker_starts_a_dataset_above_a_failure_it_has_seen(monkeypatch):
-    # Dataset 0 fails on the calling thread, which then joins the other
-    # worker; dataset 1 ends only once that join has begun, so its worker has
-    # seen the failure and starts neither dataset 3 nor dataset 5.
+    # Dataset 0 fails once dataset 1 has started on the other worker; its
+    # worker then stops: the calling thread goes on to join the other, or the
+    # started thread's run ends.  Dataset 1 ends only once that has happened,
+    # so its worker has seen the failure and starts no further dataset.
     import schattenreg.cv as cv
 
-    joining, started = threading.Event(), []
+    second, stopped, started = threading.Event(), threading.Event(), []
 
     class Thread(threading.Thread):
+        def run(self):
+            super().run()
+            stopped.set()
+
         def join(self, timeout=None):
-            joining.set()
+            stopped.set()
             super().join(timeout)
 
     def run(j):
         started.append(j)
         if j == 0:
+            assert second.wait(timeout=30)
             raise InsufficientData("dataset 0")
-        assert joining.wait(timeout=30)
+        second.set()
+        assert stopped.wait(timeout=30)
         return j
 
     monkeypatch.setattr(cv.threading, "Thread", Thread)

@@ -25,6 +25,7 @@ from schattenreg import (
     sample_equicorrelated,
     sample_spherical,
 )
+from schattenreg.ensembles import _test_spans
 from schattenreg.exceptions import DimensionMismatch, InvalidConfig
 
 
@@ -240,6 +241,35 @@ def test_spherical_matches_out_of_place_expression():
     assert np.array_equal(ds.X_tr, rng.standard_normal((30, 7)) * (1.0 / np.sqrt(30)))
     X_te = rng.standard_normal((11, 7)) * (1.0 / np.sqrt(30))
     assert np.array_equal(ds.test.H, X_te.T @ X_te)
+    assert np.array_equal(ds.beta0, rng.standard_normal(7))
+
+
+def test_test_spans_grain():
+    # At most max(256 KiB, 8 d^2) bytes a block: a default simulate test set
+    # (5000 x 50) is 8 blocks, and at d = 1000 a block is the size of H, so
+    # cv-tall's 5000 test rows stay five 1000-row blocks.
+    assert len(_test_spans(5000, 50)) == 8
+    assert _test_spans(5000, 1000) == [(lo, lo + 1000) for lo in range(0, 5000, 1000)]
+    assert _test_spans(3, 7) == [(0, 3)]
+
+
+def test_spherical_multi_block_test_gram_matches_one_shot():
+    # 10,000 test rows of 7 features are three blocks.  H sums their Grams,
+    # so it matches the one-piece X_te^T X_te up to rounding, and the draws
+    # around the test rows are those of the out-of-place expression.  Entry
+    # (i, j) rounds on the scale sqrt(H_ii H_jj), which bounds it, so the
+    # relative tolerance is taken on that scale: an off-diagonal entry near
+    # 0 carries rounding of the diagonal's size.
+    cfg = SphericalGaussianConfig(n_obs=30, n_feat=7, n_test=10_000)
+    assert len(_test_spans(cfg.n_test, cfg.n_feat)) == 3
+    ds = sample_spherical(cfg, seed=4)
+    rng = np.random.default_rng(4)
+    assert np.array_equal(ds.X_tr, rng.standard_normal((30, 7)) * (1.0 / np.sqrt(30)))
+    X_te = rng.standard_normal((10_000, 7)) * (1.0 / np.sqrt(30))
+    want = X_te.T @ X_te
+    scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+    assert np.all(np.abs(ds.test.H - want) <= 1e-13 * scale)
+    assert np.array_equal(ds.test.H, ds.test.H.T)
     assert np.array_equal(ds.beta0, rng.standard_normal(7))
 
 
