@@ -15,7 +15,13 @@ Once a dataset has been scored and let go, the fold loop holds the only
 copy of its training rows and lays them out in place: before fold k is
 factored, its rows are moved after the other folds' rows, which keep fold
 order, so the fold's training design is a prefix of the array and its
-validation design the rest.  No other module knows the fold layout.
+validation design the rest.  A wide design (d > N, whose spectrum has N
+eigenvectors U) is cross-validated in its row space instead: every training
+row lies in the span of U, so the folds are laid out in L = X_tr U, N x N,
+and each fold is factored as m x N, not m x d.  The three estimators are
+equivariant under an orthogonal change of basis and act only on the span of
+their rows, so each fold's validation scores are the same in exact
+arithmetic.  No other module knows the fold layout.
 
 Every replicate command runs its datasets through one loop, _replicates:
 simulate on one worker per usable CPU, each taking the next dataset no
@@ -297,15 +303,20 @@ def _cv_errors(ds: Dataset, cfg: CVConfig, cv_seed: int) -> tuple[np.ndarray, np
     """(test MSE, selected alpha) per model.  Every model's whole alpha path
     is fit from the dataset's own spectrum and scored on the test set first;
     then the dataset is let go and k-fold CV picks the grid index to report.
-    The dataset is consumed: the folds are laid out in its training rows,
-    X_tr with Y_tr, in place, so no second copy of them is made, and they
-    are left in fold order.  Called with a dataset no one else holds, as the
-    replicate harness does, the test set is freed before any fold is
-    factored."""
+    The dataset is consumed: Y_tr is laid out in fold order in place, and so
+    is X_tr when d <= N, so no second copy of it is made.  When d > N, the
+    folds are laid out in the row-space coordinates L = X_tr U of the
+    spectrum's N eigenvectors U instead, an N x N array, and X_tr is left as
+    it was.  Called with a dataset no one else holds, as the replicate
+    harness does, the test set is freed before any fold is factored, and on
+    the wide route X_tr too."""
     alphas = cfg.grid.values()
     test_mse = _path_errors(ds, cfg.models, alphas)
-    X, Y = ds.X_tr, ds.Y_tr
+    X, Y, U = ds.X_tr, ds.Y_tr, ds.spectrum.eigvecs
     del ds
+    if U.shape[1] < X.shape[1]:  # d > N: every row lies in the span of U
+        X = X @ U
+    del U
     perm, edges = _fold_order(X.shape[0], cfg.folds, cv_seed)
     best = _cv_best_index(X, Y, perm, edges, cfg.models, alphas)
     return test_mse[np.arange(len(cfg.models)), best], alphas[best]

@@ -130,6 +130,98 @@ def test_cv_errors_permute_the_training_rows_into_fold_order_in_place():
     assert list(alphas) == [selected[p] for p in cfg.models]
 
 
+def _duplicated_rows_dataset(seed):
+    # 14 rows of 30 features, 6 of them repeats: rank 8 < N.
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((8, 30)) / np.sqrt(14)
+    X = base[[0, 1, 2, 3, 4, 5, 6, 7, 0, 2, 4, 6, 1, 7]]
+    Y = X @ rng.standard_normal(30) + 0.5 * rng.standard_normal(14)
+    X_te = rng.standard_normal((40, 30)) / np.sqrt(14)
+    return Dataset(X_tr=X, Y_tr=Y, test=RowTestSet(X_te, X_te @ rng.standard_normal(30)),
+                   beta0=None, spectrum=gram_spectrum(X, Y))
+
+
+_WIDE_DATASETS = {
+    "rff": lambda: make_rff_dataset(4, 200, 30, 50, 0.5, 1.0, seed=6),
+    "spherical-12x30": lambda: sample_spherical(
+        SphericalGaussianConfig(12, 30, sigma=0.5, n_test=60), seed=4),
+    "duplicated-rows": lambda: _duplicated_rows_dataset(2),
+    "n-obs-not-divisible": lambda: sample_spherical(
+        SphericalGaussianConfig(20, 50, sigma=0.7, n_test=60), seed=5),
+}
+
+
+def _exact_fold_scores(X_tr, Y_tr, X_val, Y_val, models, alphas):
+    """(n_models, n_alpha) validation MSE of the fold fit, in 40 digits from
+    the float rows: with K = X_tr X_tr^T = W diag(s) W^T, every model
+    predicts X_val X_tr^T W diag(1 / f_alpha(s)) W^T Y_tr, with weight 0 on
+    s at or below the rank tolerance, as fit_path does."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        A = mpmath.matrix(X_tr.tolist())
+        s, W = mpmath.eigsy(A * A.T)
+        c = W.T * mpmath.matrix(Y_tr.tolist())
+        KW = mpmath.matrix(X_val.tolist()) * A.T * W
+        tol = 1e-12 * max(s)
+        out = np.empty((len(models), len(alphas)))
+        for i, p in enumerate(models):
+            for j, a in enumerate(alphas):
+                a = mpmath.mpf(float(a))
+                f = {SchattenIndex.NUCLEAR: lambda x: max(x, a),
+                     SchattenIndex.FROBENIUS: lambda x: x + a,
+                     SchattenIndex.SPECTRAL: lambda x: (1 + a) * x}[p]
+                g = mpmath.matrix([c[t] / f(x) if x > tol else 0 for t, x in enumerate(s)])
+                resid = KW * g - mpmath.matrix(Y_val.tolist())
+                out[i, j] = float(mpmath.fsum(r**2 for r in resid) / len(Y_val))
+    return out
+
+
+@pytest.mark.parametrize("make", _WIDE_DATASETS.values(), ids=_WIDE_DATASETS.keys())
+def test_wide_cv_runs_in_the_row_space(make, monkeypatch):
+    # With d > N the folds are laid out in L = X_tr U, N x N, for the N
+    # eigenvectors U of the dataset's spectrum: every fold is factored with
+    # N columns, and it picks as the d-column folds of kfold_select_alpha
+    # do.  Its fold scores are held to the exact ones: on the RFF folds
+    # (condition number near 4e4) the d-column route's own scores are up to
+    # about 8e-12 from them, the row-space scores within 4e-13.
+    import schattenreg.cv as cv
+
+    ds = make()
+    n, d = ds.X_tr.shape
+    assert d > n and ds.spectrum.eigvecs.shape == (d, n)
+    X, Y, buffers = ds.X_tr.copy(), ds.Y_tr.copy(), (ds.X_tr, ds.Y_tr)
+    cfg = _small_cfg()
+    factored, scored = [], []
+    factor, score = cv.gram_spectrum, cv._path_scores
+
+    def factor_spy(rows, targets=None):
+        factored.append(rows.shape)
+        return factor(rows, targets)
+
+    def score_spy(*args):
+        scored.append(score(*args))
+        return scored[-1]
+
+    monkeypatch.setattr(cv, "gram_spectrum", factor_spy)
+    monkeypatch.setattr(cv, "_path_scores", score_spy)
+    _, alphas = _cv_errors(ds, cfg, cv_seed=8)
+    perm, edges = cv._fold_order(n, cfg.folds, 8)
+    assert factored == [(n - (hi - lo), n) for lo, hi in zip(edges[:-1], edges[1:])]
+    for k, got in enumerate(scored[1:]):
+        val = perm[edges[k]:edges[k + 1]]
+        train = np.r_[perm[:edges[k]], perm[edges[k + 1]:]]
+        want = _exact_fold_scores(X[train], Y[train], X[val], Y[val], cfg.models,
+                                  cfg.grid.values())
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    factored.clear()
+    selected = kfold_select_alpha(X, Y, cfg.models, cfg, seed=8)
+    assert factored == [(n - (hi - lo), d) for lo, hi in zip(edges[:-1], edges[1:])]
+    assert list(alphas) == [selected[p] for p in cfg.models]
+    # Y_tr is laid out in fold order in place; X_tr is left as it was.
+    assert ds.Y_tr is buffers[1] and np.array_equal(ds.Y_tr, Y[perm])
+    assert ds.X_tr is buffers[0] and np.array_equal(ds.X_tr, X)
+
+
 @pytest.fixture
 def mse_calls(monkeypatch):
     """Every test set scored, in call order."""

@@ -64,6 +64,17 @@ def test_unit_directions():
                                atol=1e-12)
 
 
+def test_target_directions_are_unit_to_1e_12():
+    v = np.zeros((3, 4))
+    v[:, 0] = 1.0
+    NonlinearTarget(directions=v)
+    v[1, 0] = 1.0 + 1e-9  # within allclose's default rtol of 1e-5
+    with pytest.raises(ValueError, match="unit vectors"):
+        NonlinearTarget(directions=v)
+    for seed in range(20):  # sampled directions are normalized in floats
+        sample_nonlinear_target(10, 1000, np.random.default_rng(seed))
+
+
 def test_dataset_noiseless_and_deterministic():
     a = make_rff_dataset(5, 30, 40, 20, sigma=0.0, seed=9)
     b = make_rff_dataset(5, 30, 40, 20, sigma=0.0, seed=9)
@@ -99,8 +110,8 @@ def test_feature_map_and_target_match_out_of_place_expressions():
     feats = np.sqrt(2.0 / 40) * np.cos(X @ rff.weights.T + rff.offsets)
     assert np.array_equal(apply_rff(rff, X), feats)
     k = np.arange(1, 26)
-    proj = X @ target.directions.T
-    vals = np.sum(np.cos(2.0 * np.pi * k * proj) / k**2, axis=1)
+    u = k * (X @ target.directions.T)
+    vals = np.sum(np.cos(2.0 * np.pi * (u - np.rint(u))) / k**2, axis=1)
     assert np.array_equal(eval_target(target, X), vals)
     # One row, 2-d or 1-d, is the value it has among the others.
     assert np.array_equal(eval_target(target, X[:1]), vals[:1])
@@ -117,8 +128,36 @@ def test_eval_target_in_row_blocks_equals_one_pass(n_rows):
     target = sample_nonlinear_target(10, 1000, rng)
     X = rng.standard_normal((n_rows, 10))
     k = np.arange(1, 1001)
-    vals = np.sum(np.cos(2.0 * np.pi * k * (X @ target.directions.T)) / k**2, axis=1)
+    u = k * (X @ target.directions.T)
+    vals = np.sum(np.cos(2.0 * np.pi * (u - np.rint(u))) / k**2, axis=1)
     assert np.array_equal(eval_target(target, X), vals)
+
+
+def test_one_period_target_is_no_further_from_exact_than_the_unreduced_series():
+    # Unit-scale rows put the arguments 2 pi k <x, v_k> above 2e4.  Both
+    # series are compared with the exact series of the same float
+    # projections (12 rows, one block, so the products are eval_target's).
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    target = sample_nonlinear_target(10, 1000, rng)
+    X = rng.standard_normal((12, 10))
+    k = np.arange(1, 1001)
+    proj = X @ target.directions.T
+    assert np.abs(2.0 * np.pi * k * proj).max() > 2e4
+    with mpmath.workdps(30):
+        terms = [[mpmath.cospi(2 * int(j) * mpmath.mpf(float(p))) / int(j) ** 2
+                  for j, p in zip(k, row)] for row in proj]
+        exact = np.array([float(mpmath.fsum(row)) for row in terms])
+        exact_terms = np.array([[float(t) for t in row] for row in terms])
+    u = k * proj
+    reduced_terms = np.cos(2.0 * np.pi * (u - np.rint(u))) / k**2
+    unreduced_terms = np.cos(2.0 * np.pi * k * proj) / k**2
+    reduced = eval_target(target, X)
+    assert np.array_equal(reduced, reduced_terms.sum(axis=1))
+    unreduced = unreduced_terms.sum(axis=1)
+    assert np.abs(reduced - exact).max() <= np.abs(unreduced - exact).max()
+    assert (np.abs(reduced_terms - exact_terms).sum()
+            <= np.abs(unreduced_terms - exact_terms).sum())
 
 
 def test_eval_target_in_row_blocks_equals_rows_one_at_a_time():
