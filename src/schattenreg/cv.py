@@ -11,17 +11,15 @@ Gram matrix, a set of rows (RFF, real data, a CV fold's validation block) in
 row blocks of at most ensembles._BLOCK_BYTES, so an RFF test set's features
 are made one block at a time and scoring never holds its n x d design.
 
-Once a dataset has been scored and let go, the fold loop holds the only
-copy of its training rows and lays them out in place: before fold k is
-factored, its rows are moved after the other folds' rows, which keep fold
-order, so the fold's training design is a prefix of the array and its
-validation design the rest.  A wide design (d > N, whose spectrum has N
-eigenvectors U) is cross-validated in its row space instead: every training
-row lies in the span of U, so the folds are laid out in L = X_tr U, N x N,
-and each fold is factored as m x N, not m x d.  The three estimators are
-equivariant under an orthogonal change of basis and act only on the span of
-their rows, so each fold's validation scores are the same in exact
-arithmetic.  No other module knows the fold layout.
+kfold_select_alpha and the replicate harness select alpha through one
+routine, _cv_best_index, which lays the folds out in place: before fold k is
+factored, its rows are moved after the other folds', which keep fold order,
+so the fold's training design is a prefix of the array and its validation
+design the rest.  A wide design (d > N) is cross-validated in its row space:
+for X^T = Q R, the N x N rows of R^T are X's rows in an orthonormal basis of
+their span, so each fold is factored as m x N, not m x d.  The estimators
+are equivariant under an orthogonal change of basis and act only on the span
+of their rows, so the fold scores are the same in exact arithmetic.
 
 Every replicate command runs its datasets through one loop, _replicates:
 simulate on one worker per usable CPU, each taking the next dataset no
@@ -50,7 +48,7 @@ from .ensembles import (
     sample_spherical,
 )
 from .estimators import fit_path
-from .exceptions import InsufficientData, InvalidConfig
+from .exceptions import DimensionMismatch, InsufficientData, InvalidConfig
 from .rff import make_rff_dataset
 from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 
@@ -114,8 +112,7 @@ class CVConfig:
             raise InvalidConfig("need at least 2 folds")
         if self.n_datasets < 1:
             raise InvalidConfig("need at least one dataset")
-        if not self.models or len(set(self.models)) < len(self.models):
-            raise InvalidConfig(f"models: need distinct models, at least one, got {self.models!r}")
+        _check_models(self.models)
 
 
 @dataclass(frozen=True)
@@ -140,6 +137,11 @@ class BenchReport:
         if self.ridge_ratio is not None:
             out["ridge_ratio"] = self.ridge_ratio
         return out
+
+
+def _check_models(models) -> None:
+    if not models or len(set(models)) < len(models):
+        raise InvalidConfig(f"models: need distinct models, at least one, got {models!r}")
 
 
 def _check_folds(n: int, folds: int) -> None:
@@ -180,15 +182,19 @@ def _path_scores(spectrum: GramSpectrum, models, alphas: np.ndarray, test) -> np
     return test.mse(B).reshape(len(models), len(alphas))
 
 
-def _cv_best_index(X: np.ndarray, Y: np.ndarray, perm: np.ndarray, edges: np.ndarray,
-                   models: tuple[SchattenIndex, ...], alphas: np.ndarray) -> np.ndarray:
+def _cv_best_index(X: np.ndarray, Y: np.ndarray, models: tuple[SchattenIndex, ...],
+                   alphas: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """Per model, the grid index minimizing mean validation MSE across the
-    folds of _fold_order's (perm, edges); argmin takes the first minimum, so
-    ties break to the smaller alpha.  X and Y are permuted in place: before
-    fold k is factored, the rows become perm's other folds in fold order,
-    then fold k's, so its training design is the prefix X[:m] and its
-    validation set the rest; after the last fold they are X[perm], Y[perm].
-    Each fold is factored once and shared by all models."""
+    folds of _fold_order(N, folds, seed); argmin takes the first minimum, so
+    ties break to the smaller alpha.  Before fold k is factored, the rows
+    become the other folds' in fold order, then fold k's, so its training
+    design is the prefix X[:m] and its validation set the rest; Y ends as
+    Y[perm], and so does X when d <= N.  When d > N, X is left as it was and
+    the folds are laid out in R^T for X^T = Q R.  Each fold is factored once
+    and shared by all models."""
+    perm, edges = _fold_order(X.shape[0], folds, seed)
+    if X.shape[1] > X.shape[0]:
+        X = np.linalg.qr(X.T, mode="r").T
     n = len(perm)
     where = np.arange(n)  # where[i]: the current position of original row i
     scores = np.zeros((len(edges) - 1, len(models), len(alphas)))
@@ -211,13 +217,16 @@ def kfold_select_alpha(
     cfg: CVConfig,
     seed: int | None = None,
 ) -> dict[SchattenIndex, float]:
-    """Per model, the grid alpha minimizing mean validation MSE across folds;
-    ties break to the smaller alpha.  The folds are laid out in one copy of
-    X and Y, and each is factored once and shared by all models."""
+    """Per model, the grid alpha minimizing mean validation MSE across
+    cfg.folds folds shuffled by seed (default cfg.seed), ties to the smaller
+    alpha, on copies of X and Y.  Raises DimensionMismatch unless X is (N, d)
+    and Y (N,), and InvalidConfig for empty or repeated models."""
+    X, Y = np.array(X, dtype=float), np.array(Y, dtype=float)
+    if X.ndim != 2 or Y.shape != X.shape[:1]:
+        raise DimensionMismatch(f"X {X.shape} and Y {Y.shape} must be (N, d) and (N,)")
+    _check_models(models)
     alphas = cfg.grid.values()
-    perm, edges = _fold_order(X.shape[0], cfg.folds, cfg.seed if seed is None else seed)
-    best = _cv_best_index(np.array(X, dtype=float), np.array(Y, dtype=float), perm, edges,
-                          models, alphas)
+    best = _cv_best_index(X, Y, models, alphas, cfg.folds, cfg.seed if seed is None else seed)
     return {p: float(alphas[b]) for p, b in zip(models, best)}
 
 
@@ -302,23 +311,15 @@ def simulate_path_errors(
 def _cv_errors(ds: Dataset, cfg: CVConfig, cv_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(test MSE, selected alpha) per model.  Every model's whole alpha path
     is fit from the dataset's own spectrum and scored on the test set first;
-    then the dataset is let go and k-fold CV picks the grid index to report.
-    The dataset is consumed: Y_tr is laid out in fold order in place, and so
-    is X_tr when d <= N, so no second copy of it is made.  When d > N, the
-    folds are laid out in the row-space coordinates L = X_tr U of the
-    spectrum's N eigenvectors U instead, an N x N array, and X_tr is left as
-    it was.  Called with a dataset no one else holds, as the replicate
-    harness does, the test set is freed before any fold is factored, and on
-    the wide route X_tr too."""
+    then the dataset is let go and _cv_best_index picks the grid index from
+    its training rows, laid out in place.  Called with a dataset no one else
+    holds, as the replicate harness does, the test set is freed before any
+    fold is factored; X_tr is held until the selection returns."""
     alphas = cfg.grid.values()
     test_mse = _path_errors(ds, cfg.models, alphas)
-    X, Y, U = ds.X_tr, ds.Y_tr, ds.spectrum.eigvecs
+    X, Y = ds.X_tr, ds.Y_tr
     del ds
-    if U.shape[1] < X.shape[1]:  # d > N: every row lies in the span of U
-        X = X @ U
-    del U
-    perm, edges = _fold_order(X.shape[0], cfg.folds, cv_seed)
-    best = _cv_best_index(X, Y, perm, edges, cfg.models, alphas)
+    best = _cv_best_index(X, Y, cfg.models, alphas, cfg.folds, cv_seed)
     return test_mse[np.arange(len(cfg.models)), best], alphas[best]
 
 

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -40,7 +41,7 @@ from schattenreg import (
 )
 from schattenreg.cv import _cv_errors, _path_errors, _path_scores, sample_ensemble
 from schattenreg.ensembles import _BLOCK_BYTES
-from schattenreg.exceptions import InsufficientData, InvalidConfig
+from schattenreg.exceptions import DimensionMismatch, InsufficientData, InvalidConfig
 from schattenreg.rff import RFFRows
 
 
@@ -178,19 +179,25 @@ def _exact_fold_scores(X_tr, Y_tr, X_val, Y_val, models, alphas):
 
 @pytest.mark.parametrize("make", _WIDE_DATASETS.values(), ids=_WIDE_DATASETS.keys())
 def test_wide_cv_runs_in_the_row_space(make, monkeypatch):
-    # With d > N the folds are laid out in L = X_tr U, N x N, for the N
-    # eigenvectors U of the dataset's spectrum: every fold is factored with
-    # N columns, and it picks as the d-column folds of kfold_select_alpha
-    # do.  Its fold scores are held to the exact ones: on the RFF folds
-    # (condition number near 4e4) the d-column route's own scores are up to
-    # about 8e-12 from them, the row-space scores within 4e-13.
+    # With d > N the folds are laid out in R^T, N x N, for X^T = Q R: every
+    # fold is factored with N columns, whether the harness or
+    # kfold_select_alpha selects, and both pick the same alphas.  Their fold
+    # scores are held to the exact ones: on the RFF folds (condition number
+    # near 4e4) d-column folds score up to about 8e-12 from them, the
+    # row-space folds within 4e-13.
     import schattenreg.cv as cv
 
     ds = make()
     n, d = ds.X_tr.shape
-    assert d > n and ds.spectrum.eigvecs.shape == (d, n)
+    assert d > n
     X, Y, buffers = ds.X_tr.copy(), ds.Y_tr.copy(), (ds.X_tr, ds.Y_tr)
     cfg = _small_cfg()
+    perm, edges = cv._fold_order(n, cfg.folds, 8)
+    exact = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        train, val = np.r_[perm[:lo], perm[hi:]], perm[lo:hi]
+        exact.append(_exact_fold_scores(X[train], Y[train], X[val], Y[val], cfg.models,
+                                        cfg.grid.values()))
     factored, scored = [], []
     factor, score = cv.gram_spectrum, cv._path_scores
 
@@ -202,24 +209,61 @@ def test_wide_cv_runs_in_the_row_space(make, monkeypatch):
         scored.append(score(*args))
         return scored[-1]
 
+    def check_folds(first):  # scored[:first] are not folds
+        assert factored == [(n - (hi - lo), n) for lo, hi in zip(edges[:-1], edges[1:])]
+        np.testing.assert_allclose(scored[first:], exact, rtol=1e-12, atol=0)
+        factored.clear()
+        scored.clear()
+
     monkeypatch.setattr(cv, "gram_spectrum", factor_spy)
     monkeypatch.setattr(cv, "_path_scores", score_spy)
     _, alphas = _cv_errors(ds, cfg, cv_seed=8)
-    perm, edges = cv._fold_order(n, cfg.folds, 8)
-    assert factored == [(n - (hi - lo), n) for lo, hi in zip(edges[:-1], edges[1:])]
-    for k, got in enumerate(scored[1:]):
-        val = perm[edges[k]:edges[k + 1]]
-        train = np.r_[perm[:edges[k]], perm[edges[k + 1]:]]
-        want = _exact_fold_scores(X[train], Y[train], X[val], Y[val], cfg.models,
-                                  cfg.grid.values())
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-    factored.clear()
+    check_folds(1)  # the harness scores the test set first
     selected = kfold_select_alpha(X, Y, cfg.models, cfg, seed=8)
-    assert factored == [(n - (hi - lo), d) for lo, hi in zip(edges[:-1], edges[1:])]
+    check_folds(0)
     assert list(alphas) == [selected[p] for p in cfg.models]
     # Y_tr is laid out in fold order in place; X_tr is left as it was.
     assert ds.Y_tr is buffers[1] and np.array_equal(ds.Y_tr, Y[perm])
     assert ds.X_tr is buffers[0] and np.array_equal(ds.X_tr, X)
+
+
+@pytest.mark.parametrize("shape", [(40, 8), (12, 30)])  # tall; wide
+def test_kfold_select_alpha_leaves_the_callers_rows_unchanged(shape):
+    ds = sample_spherical(SphericalGaussianConfig(*shape, sigma=0.5, n_test=10), seed=4)
+    X, Y = ds.X_tr.copy(), ds.Y_tr.copy()
+    cfg = _small_cfg()
+    kfold_select_alpha(ds.X_tr, ds.Y_tr, cfg.models, cfg, seed=3)
+    assert np.array_equal(ds.X_tr, X) and np.array_equal(ds.Y_tr, Y)
+
+
+@pytest.fixture
+def selections(monkeypatch):
+    """Every call that reaches _cv_best_index, which lays out the folds."""
+    import schattenreg.cv as cv
+
+    calls = []
+    monkeypatch.setattr(cv, "_cv_best_index", lambda *args: calls.append(args))
+    return calls
+
+
+@pytest.mark.parametrize("x_shape, y_shape", [
+    ((30, 4), (29,)), ((30, 4), (31,)), ((30,), (30,)), ((30, 4), (30, 1)),
+], ids=["Y-short", "Y-long", "X-1d", "Y-2d"])
+def test_kfold_select_alpha_rejects_mismatched_rows_before_any_fold(x_shape, y_shape,
+                                                                    selections):
+    cfg = _small_cfg()
+    with pytest.raises(DimensionMismatch, match=re.escape(f"X {x_shape} and Y {y_shape}")):
+        kfold_select_alpha(np.ones(x_shape), np.ones(y_shape), cfg.models, cfg)
+    assert selections == []
+
+
+@pytest.mark.parametrize("models", [(), (SchattenIndex.NUCLEAR, SchattenIndex.NUCLEAR)],
+                         ids=["none", "repeated"])
+def test_kfold_select_alpha_rejects_empty_or_repeated_models_before_any_fold(models,
+                                                                             selections):
+    with pytest.raises(InvalidConfig, match="^models: "):
+        kfold_select_alpha(np.ones((30, 4)), np.ones(30), models, _small_cfg())
+    assert selections == []
 
 
 @pytest.fixture
@@ -324,37 +368,46 @@ def test_each_test_set_is_scored_in_one_call(mse_calls):
 def test_fold_spectra_from_slices_match_gathered_rows(shape, monkeypatch):
     # Each fold is factored from a prefix of one buffer laid out in place,
     # holding the other folds' rows in fold order; the reference gathers its
-    # training and validation rows with a mask.
+    # training and validation rows with a mask.  A wide design's buffer holds
+    # its rows in a basis of their span, so there only quantities that do not
+    # depend on the basis are compared: the fold's leading min(N, d)
+    # eigenvalues and its validation scores.
     import schattenreg.cv as cv
 
     ds = sample_spherical(SphericalGaussianConfig(*shape, sigma=0.7, n_test=10), seed=12)
     X, Y, n = ds.X_tr, ds.Y_tr, shape[0]
     cfg = _small_cfg()
     alphas = cfg.grid.values()
-    factored, factor = [], cv.gram_spectrum
+    factored, factor, scored, score = [], cv.gram_spectrum, [], cv._path_scores
 
     def spy(rows, targets=None):
         factored.append((rows, rows.copy(), factor(rows, targets)))
         return factored[-1][2]
 
+    def score_spy(*args):
+        scored.append(score(*args))
+        return scored[-1]
+
     monkeypatch.setattr(cv, "gram_spectrum", spy)
+    monkeypatch.setattr(cv, "_path_scores", score_spy)
     got = kfold_select_alpha(X, Y, cfg.models, cfg, seed=5)
     perm = np.random.default_rng(5).permutation(n)
     scores = []
     folds = np.array_split(perm, cfg.folds)
-    for (rows, taken, spectrum), val_idx in zip(factored, folds, strict=True):
+    for (rows, taken, spectrum), fold_scores, val_idx in zip(factored, scored, folds,
+                                                             strict=True):
         mask = np.ones(n, dtype=bool)
         mask[val_idx] = False
         want = gram_spectrum(X[mask], Y[mask])
         buffer = factored[0][0].base
         assert isinstance(rows, np.ndarray) and rows.base is buffer and buffer is not X
-        assert rows.shape == (mask.sum(), shape[1]) and np.array_equal(taken, X[perm[mask[perm]]])
-        np.testing.assert_allclose(spectrum.eigvals, want.eigvals, rtol=0,
+        assert rows.shape == (mask.sum(), min(shape))
+        if shape[1] <= n:
+            assert np.array_equal(taken, X[perm[mask[perm]]])
+        np.testing.assert_allclose(spectrum.eigvals, want.eigvals[:min(shape)], rtol=0,
                                    atol=1e-12 * want.eigvals[0])
-        val = RowTestSet(X[val_idx], Y[val_idx])
-        scores.append(_path_scores(want, cfg.models, alphas, val))
-        np.testing.assert_allclose(_path_scores(spectrum, cfg.models, alphas, val), scores[-1],
-                                   rtol=1e-12, atol=0)
+        scores.append(_path_scores(want, cfg.models, alphas, RowTestSet(X[val_idx], Y[val_idx])))
+        np.testing.assert_allclose(fold_scores, scores[-1], rtol=1e-12, atol=0)
     best = np.argmin(np.mean(scores, axis=0), axis=1)
     assert got == {p: alphas[b] for p, b in zip(cfg.models, best)}
 
