@@ -189,12 +189,15 @@ def _cv_best_index(X: np.ndarray, Y: np.ndarray, models: tuple[SchattenIndex, ..
     ties break to the smaller alpha.  Before fold k is factored, the rows
     become the other folds' in fold order, then fold k's, so its training
     design is the prefix X[:m] and its validation set the rest; Y ends as
-    Y[perm], and so does X when d <= N.  When d > N, X is left as it was and
-    the folds are laid out in R^T for X^T = Q R.  Each fold is factored once
-    and shared by all models."""
+    Y[perm], and so does X when d <= N and X is writeable.  When d > N, X is
+    left as it was and the folds are laid out in R^T for X^T = Q R; a
+    read-only X with d <= N is copied first.  Each fold is factored once and
+    shared by all models."""
     perm, edges = _fold_order(X.shape[0], folds, seed)
     if X.shape[1] > X.shape[0]:
         X = np.linalg.qr(X.T, mode="r").T
+    if not X.flags.writeable:
+        X = X.copy()
     n = len(perm)
     where = np.arange(n)  # where[i]: the current position of original row i
     scores = np.zeros((len(edges) - 1, len(models), len(alphas)))
@@ -219,9 +222,12 @@ def kfold_select_alpha(
 ) -> dict[SchattenIndex, float]:
     """Per model, the grid alpha minimizing mean validation MSE across
     cfg.folds folds shuffled by seed (default cfg.seed), ties to the smaller
-    alpha, on copies of X and Y.  Raises DimensionMismatch unless X is (N, d)
-    and Y (N,), and InvalidConfig for empty or repeated models."""
-    X, Y = np.array(X, dtype=float), np.array(Y, dtype=float)
+    alpha.  X and Y are left as they were: Y is copied, and X goes in
+    read-only, so the routine copies it only when d <= N.  Raises
+    DimensionMismatch unless X is (N, d) and Y (N,), and InvalidConfig for
+    empty or repeated models."""
+    X, Y = np.asarray(X, dtype=float).view(), np.array(Y, dtype=float)
+    X.flags.writeable = False
     if X.ndim != 2 or Y.shape != X.shape[:1]:
         raise DimensionMismatch(f"X {X.shape} and Y {Y.shape} must be (N, d) and (N,)")
     _check_models(models)

@@ -51,9 +51,10 @@ __all__ = [
 DEFAULT_N_TEST = 5000
 
 # Bytes of one block of rows (a scored block of a test design, eval_target's
-# projection): within 96 KiB it stays below glibc's 128 KiB mmap threshold,
-# like theory._BLOCK, so it is not mapped and page-faulted afresh.  Sampled
-# test rows are drawn in coarser blocks of _DRAW_BYTES (see _test_spans).
+# projection, a piece of rff._cos_turns' argument): within 96 KiB it stays
+# below glibc's 128 KiB mmap threshold, like theory._BLOCK, so it is not
+# mapped and page-faulted afresh.  Sampled test rows are drawn in coarser
+# blocks of _DRAW_BYTES (see _test_spans).
 _BLOCK_BYTES = 96 * 1024
 # Bytes of one block of sampled test rows.  Each block is a few short numpy
 # calls, and each call hands the interpreter lock between simulate's

@@ -236,6 +236,36 @@ def test_kfold_select_alpha_leaves_the_callers_rows_unchanged(shape):
     assert np.array_equal(ds.X_tr, X) and np.array_equal(ds.Y_tr, Y)
 
 
+def test_kfold_select_alpha_holds_no_copy_of_a_wide_design():
+    # The folds of a wide X are laid out in the N x N R^T for X^T = Q R, so
+    # the call copies Y and no part of X: its peak is the QR's working copy
+    # of X^T and little more.
+    rng = np.random.default_rng(0)
+    X, Y = rng.standard_normal((100, 1000)), rng.standard_normal(100)
+    X0, Y0 = X.copy(), Y.copy()
+    cfg = CVConfig()
+    kfold_select_alpha(X[:12, :30], Y[:12], cfg.models, cfg)  # warm-up
+    tracemalloc.start()
+    try:
+        kfold_select_alpha(X, Y, cfg.models, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * X.nbytes
+    assert np.array_equal(X, X0) and np.array_equal(Y, Y0)
+
+
+@pytest.mark.parametrize("shape", [(40, 8), (12, 30)])  # tall; wide
+def test_kfold_select_alpha_takes_read_only_rows(shape):
+    ds = sample_spherical(SphericalGaussianConfig(*shape, sigma=0.5, n_test=10), seed=4)
+    cfg = _small_cfg()
+    expected = kfold_select_alpha(ds.X_tr.copy(), ds.Y_tr.copy(), cfg.models, cfg, seed=3)
+    X, Y = ds.X_tr.copy(), ds.Y_tr.copy()
+    X.flags.writeable = Y.flags.writeable = False
+    assert kfold_select_alpha(X, Y, cfg.models, cfg, seed=3) == expected
+    assert np.array_equal(X, ds.X_tr) and np.array_equal(Y, ds.Y_tr)
+
+
 @pytest.fixture
 def selections(monkeypatch):
     """Every call that reaches _cv_best_index, which lays out the folds."""

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,16 @@ from schattenreg import (
     sample_nonlinear_target,
     sample_rff_map,
 )
+from schattenreg.ensembles import _BLOCK_BYTES
+from schattenreg.exceptions import DimensionMismatch, NonFinite
+from schattenreg.rff import _cos_turns
+
+
+def _cos_turns_of(t):
+    """cos(2 pi t) by the kernel, out of place."""
+    t = np.array(t, dtype=float)
+    _cos_turns(t)
+    return t
 
 
 def test_rff_map_deterministic():
@@ -107,11 +119,12 @@ def test_feature_map_and_target_match_out_of_place_expressions():
     rff = sample_rff_map(6, 40, bandwidth=0.7, seed=3)
     target = sample_nonlinear_target(6, 25, rng)
     X = rng.standard_normal((9, 6)) * 0.4
-    feats = np.sqrt(2.0 / 40) * np.cos(X @ rff.weights.T + rff.offsets)
+    turns = (X @ rff.weights.T + rff.offsets) * (1.0 / (2.0 * np.pi))
+    feats = np.sqrt(2.0 / 40) * _cos_turns_of(turns)
     assert np.array_equal(apply_rff(rff, X), feats)
     k = np.arange(1, 26)
     u = k * (X @ target.directions.T)
-    vals = np.sum(np.cos(2.0 * np.pi * (u - np.rint(u))) / k**2, axis=1)
+    vals = np.sum(_cos_turns_of(u) / k**2, axis=1)
     assert np.array_equal(eval_target(target, X), vals)
     # One row, 2-d or 1-d, is the value it has among the others.
     assert np.array_equal(eval_target(target, X[:1]), vals[:1])
@@ -129,7 +142,7 @@ def test_eval_target_in_row_blocks_equals_one_pass(n_rows):
     X = rng.standard_normal((n_rows, 10))
     k = np.arange(1, 1001)
     u = k * (X @ target.directions.T)
-    vals = np.sum(np.cos(2.0 * np.pi * (u - np.rint(u))) / k**2, axis=1)
+    vals = np.sum(_cos_turns_of(u) / k**2, axis=1)
     assert np.array_equal(eval_target(target, X), vals)
 
 
@@ -150,7 +163,7 @@ def test_one_period_target_is_no_further_from_exact_than_the_unreduced_series():
         exact = np.array([float(mpmath.fsum(row)) for row in terms])
         exact_terms = np.array([[float(t) for t in row] for row in terms])
     u = k * proj
-    reduced_terms = np.cos(2.0 * np.pi * (u - np.rint(u))) / k**2
+    reduced_terms = _cos_turns_of(u) / k**2
     unreduced_terms = np.cos(2.0 * np.pi * k * proj) / k**2
     reduced = eval_target(target, X)
     assert np.array_equal(reduced, reduced_terms.sum(axis=1))
@@ -186,3 +199,75 @@ def test_one_row_rounds_as_it_does_inside_a_block():
         assert np.array_equal(eval_target(target, X[i:i + 1]), vals[i:i + 1])
         assert np.array_equal(apply_rff(rff, X[i:i + 1]), feats[i:i + 1])
         assert np.array_equal(apply_rff(rff, X[i]), feats[i])
+
+
+def test_cos_turns_is_within_1e_15_of_exact():
+    # A dense grid of one period, its ends, zeros and extrema included, and
+    # arguments up to 1e4 turns, against 40-digit cospi(2 t) of the same floats.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    t = np.r_[np.linspace(-0.5, 0.5, 4001), [0.0, 0.25, -0.25, 0.5, -0.5, 0.125],
+              rng.uniform(-1e4, 1e4, 1000), rng.uniform(-2.0, 2.0, 1000),
+              np.arange(-1e4, 1e4 + 1, 2500) + 0.25, [1e4, -1e4, 1e4 - 0.5]]
+    with mpmath.workdps(40):
+        exact = np.array([float(mpmath.cospi(2 * mpmath.mpf(float(x)))) for x in t])
+    assert np.abs(_cos_turns_of(t) - exact).max() <= 1e-15
+    assert _cos_turns_of([0.0, 1.0, -3.0])[0] == 1.0
+
+
+def test_cos_turns_is_elementwise_across_pieces():
+    # An argument of several _BLOCK_BYTES pieces, 2-d, is the bits of its
+    # elements taken a few at a time.
+    t = np.random.default_rng(1).uniform(-50.0, 50.0, (7, 3 * _BLOCK_BYTES // 8 // 7 + 5))
+    whole = _cos_turns_of(t)
+    assert whole.shape == t.shape
+    flat = t.reshape(-1)
+    assert np.array_equal(whole.reshape(-1),
+                          np.concatenate([_cos_turns_of(flat[i:i + 5])
+                                          for i in range(0, flat.size, 5)]))
+
+
+@pytest.mark.parametrize("scale", [0.03, 1.0])
+def test_features_and_targets_are_within_1e_15_of_the_np_cos_expressions(scale):
+    # At rff-bench's raw scale (0.03) and at unit scale, where the target's
+    # arguments run to thousands of turns.  A feature's tolerance grows with
+    # |Z|, since Z / (2 pi) is rounded; a target's scale is sum 1/k^2.
+    rng = np.random.default_rng(7)
+    target = sample_nonlinear_target(10, 1000, rng)
+    rff = sample_rff_map(10, 1000, seed=8)
+    X = rng.standard_normal((300, 10)) * scale
+    Z = X @ rff.weights.T + rff.offsets
+    feats = np.sqrt(2.0 / 1000) * np.cos(Z)
+    assert np.all(np.abs(apply_rff(rff, X) - feats)
+                  <= 1e-15 * np.sqrt(2.0 / 1000) * np.maximum(1.0, np.abs(Z)))
+    k = np.arange(1, 1001)
+    u = k * (X @ target.directions.T)
+    vals = np.sum(np.cos(2.0 * np.pi * (u - np.rint(u))) / k**2, axis=1)
+    assert np.abs(eval_target(target, X) - vals).max() <= 1e-15 * np.sum(1.0 / k**2)
+
+
+_RFF = sample_rff_map(3, 8, seed=0)
+_TARGET = sample_nonlinear_target(3, 8, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("call, by", [
+    (lambda x: apply_rff(_RFF, x), _RFF.weights),
+    (lambda x: eval_target(_TARGET, x), _TARGET.directions),
+], ids=["apply_rff", "eval_target"])
+@pytest.mark.parametrize("shape", [(5, 4), (5, 2), (4,), (2, 5, 3), ()])
+def test_rff_input_of_another_width_raises_naming_both_shapes(call, by, shape):
+    with pytest.raises(DimensionMismatch,
+                       match=re.escape(str(shape)) + ".*" + re.escape(str(by.shape))):
+        call(np.zeros(shape))
+
+
+@pytest.mark.parametrize("call", [lambda x: apply_rff(_RFF, x),
+                                  lambda x: eval_target(_TARGET, x)],
+                         ids=["apply_rff", "eval_target"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("one_point", [False, True], ids=["rows", "point"])
+def test_rff_input_with_nan_or_inf_raises(call, bad, one_point):
+    x = np.zeros((4, 3))
+    x[2, 1] = bad
+    with pytest.raises(NonFinite):
+        call(x[2] if one_point else x)
