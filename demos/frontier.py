@@ -14,6 +14,7 @@ from schattenreg import (
     estimator_operator,
     operator_diagnostics,
 )
+from schattenreg.cv import MODEL_NAMES
 
 X = np.diag(np.sqrt(np.arange(1.0, 11.0)))
 
@@ -22,7 +23,7 @@ for p in SchattenIndex:
     for alpha in (0.0, 0.5, 1.0, 2.0, 5.0, 9.0):
         L = estimator_operator(X, p, alpha)
         c, var = operator_diagnostics(L, X, p)
-        print(f"{alpha:>10.2f} {p.name.lower():>9} {c:>10.4f} {var:>10.4f}")
+        print(f"{alpha:>10.2f} {MODEL_NAMES[p]:>9} {c:>10.4f} {var:>10.4f}")
     print()
 
 # At a matched nuclear bias budget, the nuclear estimator attains the lowest
@@ -43,4 +44,4 @@ for p in SchattenIndex:
     alpha = brentq(lambda a: nuclear_bias_at(p, a) - budget, 1e-9, 1e6)
     L = estimator_operator(X, p, alpha)
     _, var = operator_diagnostics(L, X, p)
-    print(f"  {p.name.lower():>9}: alpha {alpha:8.4f}, variance {var:.4f}")
+    print(f"  {MODEL_NAMES[p]:>9}: alpha {alpha:8.4f}, variance {var:.4f}")

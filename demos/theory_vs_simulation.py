@@ -17,6 +17,7 @@ from schattenreg import (
     error_integrals,
     simulate_path_errors,
 )
+from schattenreg.cv import MODEL_NAMES
 
 N, D = 100, 50
 LAM = D / N
@@ -35,7 +36,7 @@ def run(name, ensemble_config, measure):
         for k, a in enumerate(ALPHAS):
             mean = mses[i, k].mean()
             se = mses[i, k].std(ddof=1) / np.sqrt(N_DATASETS)
-            print(f"{a:>8.3f} {p.name.lower():>9} {theory[k]:>8.4f}"
+            print(f"{a:>8.3f} {MODEL_NAMES[p]:>9} {theory[k]:>8.4f}"
                   f" {mean:>10.4f} {se:>8.4f}")
         print()
 

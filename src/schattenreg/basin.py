@@ -114,7 +114,7 @@ def geometry_table(
     curves: dict[tuple[str, float, float], np.ndarray], grid: np.ndarray
 ) -> list[GeometryCell]:
     """Depth / curvature percent increases relative to the Ridge estimator,
-    one cell per curve.
+    one cell per curve; a Ridge minimum or kappa of 0 raises DegenerateFit.
 
     curves maps (estimator_name, sigma, shape_param) -> Err on `grid`; every
     (sigma, shape_param) pair must include "ridge".
@@ -123,6 +123,8 @@ def geometry_table(
     cells = []
     for (name, sigma, shape), geom in geoms.items():
         ref = geoms[("ridge", sigma, shape)]
+        if ref.err_min == 0 or ref.kappa == 0:
+            raise DegenerateFit(f"ridge's min or kappa is 0 at sigma {sigma:g}, shape {shape:g}")
         cells.append(
             GeometryCell(
                 estimator=name,

@@ -345,6 +345,8 @@ def cmd_basin(cfg: dict) -> list[dict]:
     ensemble = o["ensemble"]
     if SchattenIndex.FROBENIUS not in o["models"]:
         raise ConfigError("basin: models: must include ridge, the base of every percentage")
+    if o["beta"] == 0 and 0 in o["sigmas"]:
+        raise ConfigError("basin: sigmas: 0 with beta 0 makes every curve 0, Ridge's too")
     grid = o["grid"].values()
     key, shapes = (("lambda", o["lambdas"]) if ensemble == "spherical"
                    else ("gamma", o["gammas"]))
@@ -434,7 +436,7 @@ def cmd_real_data(path: str, cfg: dict) -> BenchReport:
         X_tr /= sd
         y_mean = y_tr.mean()
         y_tr -= y_mean
-        spectrum = gram_spectrum(X_tr, y_tr)  # before the test rows are copied
+        spectrum = gram_spectrum(X_tr)  # before the test rows are copied
         X_te = X_all[te]
         X_te -= mu
         X_te /= sd

@@ -48,7 +48,7 @@ from .ensembles import (
     sample_spherical,
 )
 from .estimators import fit_path
-from .exceptions import DimensionMismatch, InsufficientData, InvalidConfig
+from .exceptions import DimensionMismatch, InsufficientData, InvalidConfig, NonFinite
 from .rff import make_rff_dataset
 from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 
@@ -174,11 +174,11 @@ def _permute_rows(A: np.ndarray, perm: np.ndarray) -> None:
         done[i] = True
 
 
-def _path_scores(spectrum: GramSpectrum, models, alphas: np.ndarray, test) -> np.ndarray:
+def _path_scores(spectrum: GramSpectrum, xty, models, alphas: np.ndarray, test) -> np.ndarray:
     """(n_models, n_alpha) mean squared error on a test set (anything with an
-    mse(B) method) of every model's whole alpha path fit from one spectrum,
-    all scored in one call."""
-    B = np.hstack([fit_path(spectrum, p, alphas) for p in models])
+    mse(B) method) of every model's whole alpha path fit from one spectrum
+    and its X^T Y, all scored in one call."""
+    B = np.hstack([fit_path(spectrum, xty, p, alphas) for p in models])
     return test.mse(B).reshape(len(models), len(alphas))
 
 
@@ -208,7 +208,7 @@ def _cv_best_index(X: np.ndarray, Y: np.ndarray, models: tuple[SchattenIndex, ..
         _permute_rows(Y, step)
         where[order] = np.arange(n)
         m = n - (hi - lo)
-        scores[k] = _path_scores(gram_spectrum(X[:m], Y[:m]), models, alphas,
+        scores[k] = _path_scores(gram_spectrum(X[:m]), X[:m].T @ Y[:m], models, alphas,
                                  RowTestSet(X[m:], Y[m:]))
     return np.argmin(scores.mean(axis=0), axis=1)
 
@@ -224,12 +224,14 @@ def kfold_select_alpha(
     cfg.folds folds shuffled by seed (default cfg.seed), ties to the smaller
     alpha.  X and Y are left as they were: Y is copied, and X goes in
     read-only, so the routine copies it only when d <= N.  Raises
-    DimensionMismatch unless X is (N, d) and Y (N,), and InvalidConfig for
-    empty or repeated models."""
+    DimensionMismatch unless X is (N, d) and Y (N,), NonFinite for a NaN or
+    inf in Y, and InvalidConfig for empty or repeated models."""
     X, Y = np.asarray(X, dtype=float).view(), np.array(Y, dtype=float)
     X.flags.writeable = False
     if X.ndim != 2 or Y.shape != X.shape[:1]:
         raise DimensionMismatch(f"X {X.shape} and Y {Y.shape} must be (N, d) and (N,)")
+    if not np.all(np.isfinite(Y)):
+        raise NonFinite("Y contains NaN or Inf")
     _check_models(models)
     alphas = cfg.grid.values()
     best = _cv_best_index(X, Y, models, alphas, cfg.folds, cfg.seed if seed is None else seed)
@@ -250,7 +252,7 @@ def sample_ensemble(config, seed: int) -> Dataset:
 def _path_errors(ds: Dataset, models, alphas: np.ndarray) -> np.ndarray:
     """(n_models, n_alpha) test MSE of every model's alpha path fit on the
     full training set, from the spectrum the dataset arrives with."""
-    return _path_scores(ds.spectrum, models, alphas, ds.test)
+    return _path_scores(ds.spectrum, ds.X_tr.T @ ds.Y_tr, models, alphas, ds.test)
 
 
 def _usable_cpus() -> int:

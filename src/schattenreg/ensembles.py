@@ -8,10 +8,11 @@ coefficient vector).  Test targets never carry exogenous noise; noise on the
 test side would only add a constant sigma^2 offset to every error.
 
 Every generator factors its training design as soon as that design exists,
-before the test set is drawn, and returns the GramSpectrum inside the
-Dataset, so within one dataset the eigensolve's temporaries never sit on top
-of its test set (simulate draws one dataset per thread, so another thread's
-test set may be alive at the same time).
+before the test set and the targets are drawn, and returns that
+GramSpectrum, the factorization of X_tr alone, inside the Dataset, so within
+one dataset the eigensolve's temporaries never sit on top of its test set
+(simulate draws one dataset per thread, so another thread's test set may be
+alive at the same time).
 The test rows are drawn in blocks of up to 256 KiB (more for large d, see
 _test_spans) and summed into H = X_te^T X_te as they come (see Dataset).
 The random draws keep their order and values: blockwise draws return the
@@ -141,9 +142,9 @@ class GramTestSet:
 class Dataset:
     """A training set, a held-out test set and the training set's spectrum.
 
-    spectrum is gram_spectrum(X_tr, Y_tr), made by the dataset's maker
-    before the test set existed; fitting reads it instead of factoring X_tr
-    again.
+    spectrum is gram_spectrum(X_tr), made by the dataset's maker before the
+    test set existed; fitting reads it, with X_tr.T @ Y_tr, instead of
+    factoring X_tr again.
 
     test is scored by one call, test.mse(B), for coefficient columns B.  A
     sampler's test set is a GramTestSet (H, n_test, beta0), so it costs d^2
@@ -153,8 +154,8 @@ class Dataset:
     RFF and real-data test sets are RowTestSets (X_te, Y_te);
     make_rff_dataset's X_te is an rff.RFFRows, made a block at a time as it
     is scored, so rff-bench memory scales with n_obs*d_rbf plus one block,
-    not with n_test*d_rbf.  X_te and Y_te are a
-    row test set's X and Y, and None for a sampled one.
+    not with n_test*d_rbf.  X_te and Y_te are a row test set's X and Y, and
+    None for a sampled one.
     """
 
     X_tr: np.ndarray
@@ -281,8 +282,7 @@ def sample_spherical(config: SphericalGaussianConfig, seed: int = 0) -> Dataset:
                     for lo, hi in _test_spans(config.n_test, d))
     beta0 = rng.standard_normal(d) * config.beta
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
-    return Dataset(X_tr, Y_tr, GramTestSet(H, config.n_test, beta0), beta0,
-                   spectrum.with_targets(X_tr, Y_tr))
+    return Dataset(X_tr, Y_tr, GramTestSet(H, config.n_test, beta0), beta0, spectrum)
 
 
 def sample_diagonal(config: DiagonalEnsembleConfig, seed: int = 0) -> Dataset:
@@ -296,8 +296,7 @@ def sample_diagonal(config: DiagonalEnsembleConfig, seed: int = 0) -> Dataset:
     H = gram_matrix([haar_stiefel(N, d, rng) * np.sqrt(lam)])
     beta0 = rng.standard_normal(d) * config.beta
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
-    return Dataset(X_tr, Y_tr, GramTestSet(H, N, beta0), beta0,
-                   spectrum.with_targets(X_tr, Y_tr))
+    return Dataset(X_tr, Y_tr, GramTestSet(H, N, beta0), beta0, spectrum)
 
 
 def _mix(z: np.ndarray, g: np.ndarray | None, rho: float, N: int) -> np.ndarray:
@@ -349,5 +348,4 @@ def sample_equicorrelated(config: EquicorrelatedConfig, seed: int = 0) -> Datase
         large = rng.choice(d, size=config.sparse.n_large, replace=False)
         beta0[large] = rng.standard_normal(config.sparse.n_large)
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
-    return Dataset(X_tr, Y_tr, GramTestSet(H, config.n_test, beta0), beta0,
-                   spectrum.with_targets(X_tr, Y_tr))
+    return Dataset(X_tr, Y_tr, GramTestSet(H, config.n_test, beta0), beta0, spectrum)

@@ -70,21 +70,28 @@ def _inverse_filter_weights(spectrum: GramSpectrum, p: SchattenIndex, alpha) -> 
 
 
 def fit(X: np.ndarray, Y: np.ndarray, p: SchattenIndex, alpha: float) -> FittedModel:
-    """Fit the p-bias-constrained estimator at regularization strength alpha."""
-    beta = fit_path(gram_spectrum(X, Y), p, [alpha])[:, 0]
+    """Fit the p-bias-constrained estimator at regularization strength alpha.
+    Raises ValueError unless Y is (N,) for an (N, d) X, NonFinite for NaN or inf in Y."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    if Y.shape != X.shape[:1]:
+        raise ValueError(f"Y {Y.shape} must be {X.shape[:1]} for X {X.shape}")
+    beta = fit_path(gram_spectrum(X), X.T @ Y, p, [alpha])[:, 0]
     return FittedModel(p=p, alpha=float(alpha), beta_hat=beta)
 
 
-def fit_path(spectrum: GramSpectrum, p: SchattenIndex, alphas) -> np.ndarray:
+def fit_path(spectrum: GramSpectrum, xty: np.ndarray, p: SchattenIndex, alphas) -> np.ndarray:
     """Coefficients for every alpha at once, as the columns of a (d, n_alpha)
-    array: beta-hat(alpha) = U diag(1/f_alpha) U^T X^T Y, one filter matrix
-    and one product for the whole path.  Only the k weights that have an
-    eigenvector apply: X^T Y has no component on the other directions."""
-    if spectrum.xty is None:
-        raise ValueError("spectrum must carry X^T Y; build it via gram_spectrum(X, Y)")
+    array: beta-hat(alpha) = U diag(1/f_alpha) U^T xty for xty = X^T Y, one
+    filter matrix and one product for the whole path.  Only the k weights
+    with an eigenvector apply: X^T Y has no component on the other directions.
+    Raises ValueError unless xty is (d,), and NonFinite unless it is finite."""
+    if np.shape(xty) != (spectrum.n_feat,):
+        raise ValueError(f"xty {np.shape(xty)} must be ({spectrum.n_feat},)")
+    if not np.all(np.isfinite(xty)):
+        raise NonFinite("X^T Y contains NaN or Inf")
     W = _inverse_filter_weights(spectrum, p, np.asarray(alphas, dtype=float).ravel())
     U = spectrum.eigvecs
-    return U @ (W * (U.T @ spectrum.xty)[:, None])
+    return U @ (W * (U.T @ xty)[:, None])
 
 
 def predict(model: FittedModel, X_test: np.ndarray) -> np.ndarray:

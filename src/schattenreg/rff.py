@@ -202,11 +202,10 @@ def make_rff_dataset(
     Y_tr = eval_target(target, raw_tr) + sigma * rng.standard_normal(n_obs)
     Y_te = eval_target(target, raw_te)
     X_tr = apply_rff(rff, raw_tr)
-    spectrum = gram_spectrum(X_tr, Y_tr)
     return Dataset(
         X_tr=X_tr,
         Y_tr=Y_tr,
         test=RowTestSet(RFFRows(rff, raw_te), Y_te),
         beta0=None,  # no linear ground truth exists in feature space
-        spectrum=spectrum,
+        spectrum=gram_spectrum(X_tr),
     )

@@ -18,14 +18,13 @@ X^T and X^T Y have no component on them; every consumer applies its filter
 weights to the first k = min(N, d) eigenvalues only.  The wide route takes
 the thin SVD rather than an eigensolve of X X^T, because recovering V from
 that dual loses orthogonality like eps s_max^2 / s_i^2 on small singular
-values.
+values.  A spectrum is X's alone; a fit takes X^T Y beside it (fit_path).
 """
 
 from __future__ import annotations
 
-import copy
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,7 +123,7 @@ def gram_matrix(blocks) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramSpectrum:
-    """Eigendecomposition of G = X^T X.
+    """Eigendecomposition of G = X^T X, and nothing of the targets.
 
     eigvecs: (d, k) matrix with orthonormal columns, the eigenvectors of the
         k = min(N, d) leading eigenvalues: all d of them on the d <= N route,
@@ -137,7 +136,6 @@ class GramSpectrum:
     eigvals: np.ndarray
     n_obs: int
     n_feat: int
-    xty: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         U, s = self.eigvecs, self.eigvals
@@ -161,23 +159,6 @@ class GramSpectrum:
         if np.abs(M, out=M).max(initial=0.0) > 1e-10:
             raise ValueError("eigvecs must be orthonormal")
 
-    def with_targets(self, X: np.ndarray, Y: np.ndarray) -> "GramSpectrum":
-        """This spectrum with X^T Y attached, for the X it was built from and
-        targets Y of length N.  The eigenvectors are shared and not checked
-        again, so a design can be factored before its targets exist."""
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        if X.shape != (self.n_obs, self.n_feat):
-            raise ValueError(f"X {X.shape} does not match the spectrum's "
-                             f"({self.n_obs}, {self.n_feat})")
-        if Y.shape != (self.n_obs,):
-            raise ValueError(f"Y {Y.shape} must be ({self.n_obs},)")
-        if not np.all(np.isfinite(Y)):
-            raise NonFinite("Y contains NaN or Inf")
-        out = copy.copy(self)  # bypasses __post_init__
-        object.__setattr__(out, "xty", X.T @ Y)
-        return out
-
     @property
     def rank_tol(self) -> float:
         top = self.eigvals[0] if self.eigvals.size else 0.0
@@ -188,10 +169,10 @@ class GramSpectrum:
         return int(np.sum(self.eigvals > self.rank_tol))
 
 
-def gram_spectrum(X: np.ndarray, Y: np.ndarray | None = None) -> GramSpectrum:
-    """Eigendecompose X^T X, caching X^T Y when targets are supplied: eigh of
-    the Gram matrix for d <= N, the thin SVD of X for d > N.  Raises
-    InsufficientData for a design with no rows or no columns."""
+def gram_spectrum(X: np.ndarray) -> GramSpectrum:
+    """Eigendecompose X^T X: eigh of the Gram matrix for d <= N, the thin SVD
+    of X for d > N.  Raises InsufficientData for a design with no rows or no
+    columns, and NonFinite for a NaN or inf entry."""
     X = np.asarray(X, dtype=float)
     N, d = X.shape
     if N == 0:
@@ -209,5 +190,4 @@ def gram_spectrum(X: np.ndarray, Y: np.ndarray | None = None) -> GramSpectrum:
         _, sv, Vt = np.linalg.svd(X, full_matrices=False)
         w = np.concatenate([sv * sv, np.zeros(d - N)])
         U = Vt.T
-    sp = GramSpectrum(eigvecs=U, eigvals=w, n_obs=N, n_feat=d)
-    return sp if Y is None else sp.with_targets(X, Y)
+    return GramSpectrum(eigvecs=U, eigvals=w, n_obs=N, n_feat=d)

@@ -5,11 +5,11 @@ random-matrix ensemble enters the theory only through its limiting spectral
 measure, passed as a value that owns its Gauss rule: MarchenkoPastur(lam) for
 spherical Gaussian features, PowerLaw(gamma) or Atoms(grid, weights) on
 [0, 1] for the diagonal/Stiefel ensemble.  The engine calls
-measure.rule(alphas, n) and never asks which kind of measure it holds; a new
-measure is a new rule.  Which ensemble takes which measure is the caller's
-choice; nothing here reads an ensemble's name.  lam = d/N is the error's
-prefactor, and the error is lam times the integral of one integrand, the test
-error carried by a covariance eigenvalue x,
+measure.rule(alphas, n), so a new measure is a new rule, and asks its kind
+only to check a MarchenkoPastur measure's lam.  Which ensemble takes which
+measure is the caller's choice, and nothing here reads an ensemble's name.
+lam = d/N is the error's prefactor, and the error is lam times the integral
+of one integrand, the test error carried by a covariance eigenvalue x,
 
     e(x) = beta^2 x q^2 + sigma^2 r^2,    (r, q) = SchattenIndex.shrinkage(x, alpha),
 

@@ -130,10 +130,10 @@ def _simulation_check(sample_fn, theory_fn, n_datasets=100, seed=1234):
     mses = np.zeros((len(ALL_P), len(alphas), n_datasets))
     for j, s in enumerate(child_seeds(seed, n_datasets)):
         ds = sample_fn(s)
-        spectrum = gram_spectrum(ds.X_tr, ds.Y_tr)
+        spectrum, xty = gram_spectrum(ds.X_tr), ds.X_tr.T @ ds.Y_tr
         for i, p in enumerate(ALL_P):
             for k, a in enumerate(alphas):
-                beta = fit_path(spectrum, p, [a])[:, 0]
+                beta = fit_path(spectrum, xty, p, [a])[:, 0]
                 mses[i, k, j] = ds.test.mse(beta[:, None])[0]
     fracs = []
     for i, p in enumerate(ALL_P):

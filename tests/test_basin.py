@@ -124,6 +124,22 @@ def test_geometry_table_ridge_rows_are_zero():
     assert by_name["nuclear"].curvature_pct < 0.0
 
 
+@pytest.mark.parametrize("ridge", ["zero", "constant"])
+def test_geometry_table_rejects_a_flat_ridge_curve(ridge):
+    # Ridge's minimum and kappa are the bases of the percentages.  With
+    # beta = sigma = 0 every error curve is 0, so the minimum is; a constant
+    # curve has kappa 0.
+    grid = AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, 200).values()
+    curves = {(name, 0.0, 0.5): err_mp(p, grid, 0.5, 0.0, 0.0)
+              for name, p in [("ridge", SchattenIndex.FROBENIUS),
+                              ("nuclear", SchattenIndex.NUCLEAR)]}
+    assert not np.any(curves[("ridge", 0.0, 0.5)])
+    if ridge == "constant":
+        curves[("ridge", 0.0, 0.5)] = np.ones_like(grid)
+    with pytest.raises(DegenerateFit, match="ridge"):
+        geometry_table(curves, grid)
+
+
 def test_depth_gap_shrinks_with_sigma():
     # Higher noise brings the Nuclear minimum closer to the Ridge minimum.
     grid = AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, 300).values()

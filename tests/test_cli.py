@@ -151,6 +151,8 @@ BAD_CONFIGS = [
     ("simulate", [1, 2], ["--seed", "3"], "JSON object"),
     ("theory-curve", {"format": "xml"}, [], "format"),
     ("basin", {"models": ["nuclear"]}, [], "models"),
+    # With no signal and no noise every curve is 0, Ridge's base included.
+    ("basin", {"beta": 0, "sigmas": [1.0, 0]}, [], "sigmas"),
     # Sparse specs fail before any sampling.
     ("cv-bench", {"sparse": {"bogus": 1}}, [], "sparse: bogus"),
     ("cv-bench", {"sparse": {"n_large": -1}}, [], "sparse"),
@@ -458,6 +460,19 @@ def test_real_data_constant_target(tmp_path):
     for name in rep["models"]:
         assert rep["avg_error"][name] == pytest.approx(0.0, abs=1e-20)
     assert sum(rep["win_count"].values()) == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_real_data_target_whose_mean_overflows_exits_2(tmp_path, capsys):
+    # Each value is finite, but the training mean overflows, so the centered
+    # targets are not; the first fit rejects them.
+    rng = np.random.default_rng(0)
+    lines = ["x1,x2,y"] + [f"{a},{b},{1e308 if i < 30 else 1.0}"
+                           for i, (a, b) in enumerate(rng.standard_normal((40, 2)))]
+    data = _write_table(tmp_path, "\n".join(lines) + "\n")
+    cfg = _write_cfg(tmp_path, "c.json", {"target": "y", "train_size": 20, "n_splits": 2})
+    assert main(["real-data", data, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+    assert "X^T Y contains NaN or Inf" in capsys.readouterr().err
 
 
 def test_real_data_requires_target_key(tmp_path):

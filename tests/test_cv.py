@@ -41,7 +41,7 @@ from schattenreg import (
 )
 from schattenreg.cv import _cv_errors, _path_errors, _path_scores, sample_ensemble
 from schattenreg.ensembles import _BLOCK_BYTES
-from schattenreg.exceptions import DimensionMismatch, InsufficientData, InvalidConfig
+from schattenreg.exceptions import DimensionMismatch, InsufficientData, InvalidConfig, NonFinite
 from schattenreg.rff import RFFRows
 
 
@@ -110,10 +110,11 @@ def test_cv_errors_match_refit_scored_one_model_at_a_time(shape):
     n_obs, n_feat = shape
     ds = sample_spherical(SphericalGaussianConfig(n_obs, n_feat, sigma=0.5, n_test=60), seed=4)
     cfg = _small_cfg()
-    spectrum = gram_spectrum(ds.X_tr, ds.Y_tr)  # before _cv_errors takes the rows
+    # Before _cv_errors takes the rows.
+    spectrum, xty = gram_spectrum(ds.X_tr), ds.X_tr.T @ ds.Y_tr
     errors, alphas = _cv_errors(ds, cfg, cv_seed=9)
     for p, err, alpha in zip(cfg.models, errors, alphas):
-        want = ds.test.mse(fit_path(spectrum, p, [alpha]))[0]
+        want = ds.test.mse(fit_path(spectrum, xty, p, [alpha]))[0]
         assert err == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
@@ -139,7 +140,7 @@ def _duplicated_rows_dataset(seed):
     Y = X @ rng.standard_normal(30) + 0.5 * rng.standard_normal(14)
     X_te = rng.standard_normal((40, 30)) / np.sqrt(14)
     return Dataset(X_tr=X, Y_tr=Y, test=RowTestSet(X_te, X_te @ rng.standard_normal(30)),
-                   beta0=None, spectrum=gram_spectrum(X, Y))
+                   beta0=None, spectrum=gram_spectrum(X))
 
 
 _WIDE_DATASETS = {
@@ -201,9 +202,9 @@ def test_wide_cv_runs_in_the_row_space(make, monkeypatch):
     factored, scored = [], []
     factor, score = cv.gram_spectrum, cv._path_scores
 
-    def factor_spy(rows, targets=None):
+    def factor_spy(rows):
         factored.append(rows.shape)
-        return factor(rows, targets)
+        return factor(rows)
 
     def score_spy(*args):
         scored.append(score(*args))
@@ -287,6 +288,15 @@ def test_kfold_select_alpha_rejects_mismatched_rows_before_any_fold(x_shape, y_s
     assert selections == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kfold_select_alpha_rejects_a_non_finite_y_before_any_fold(bad, selections):
+    cfg = _small_cfg()
+    Y = np.where(np.arange(30) == 7, bad, 1.0)
+    with pytest.raises(NonFinite, match="Y contains NaN"):
+        kfold_select_alpha(np.ones((30, 4)), Y, cfg.models, cfg)
+    assert selections == []
+
+
 @pytest.mark.parametrize("models", [(), (SchattenIndex.NUCLEAR, SchattenIndex.NUCLEAR)],
                          ids=["none", "repeated"])
 def test_kfold_select_alpha_rejects_empty_or_repeated_models_before_any_fold(models,
@@ -360,7 +370,8 @@ def test_gram_route_matches_direct_route(cfg, rows, noiseless):
     assert ds.test.n == len(X_te)
     if getattr(cfg, "sparse", None) is None:  # the draws after the test rows match too
         assert np.array_equal(ds.beta0, rng.standard_normal(cfg.n_feat) * getattr(cfg, "beta", 1))
-    B = np.hstack([fit_path(ds.spectrum, p, _ROUTE_ALPHAS) for p in _ALL_MODELS])
+    B = np.hstack([fit_path(ds.spectrum, ds.X_tr.T @ ds.Y_tr, p, _ROUTE_ALPHAS)
+                   for p in _ALL_MODELS])
     gram = ds.test.mse(B)
     direct = RowTestSet(X_te, X_te @ ds.beta0).mse(B)
     # An exact fit (noiseless and full rank, at alpha = 0 or, for the
@@ -410,8 +421,8 @@ def test_fold_spectra_from_slices_match_gathered_rows(shape, monkeypatch):
     alphas = cfg.grid.values()
     factored, factor, scored, score = [], cv.gram_spectrum, [], cv._path_scores
 
-    def spy(rows, targets=None):
-        factored.append((rows, rows.copy(), factor(rows, targets)))
+    def spy(rows):
+        factored.append((rows, rows.copy(), factor(rows)))
         return factored[-1][2]
 
     def score_spy(*args):
@@ -428,7 +439,7 @@ def test_fold_spectra_from_slices_match_gathered_rows(shape, monkeypatch):
                                                              strict=True):
         mask = np.ones(n, dtype=bool)
         mask[val_idx] = False
-        want = gram_spectrum(X[mask], Y[mask])
+        want = gram_spectrum(X[mask])
         buffer = factored[0][0].base
         assert isinstance(rows, np.ndarray) and rows.base is buffer and buffer is not X
         assert rows.shape == (mask.sum(), min(shape))
@@ -436,7 +447,8 @@ def test_fold_spectra_from_slices_match_gathered_rows(shape, monkeypatch):
             assert np.array_equal(taken, X[perm[mask[perm]]])
         np.testing.assert_allclose(spectrum.eigvals, want.eigvals[:min(shape)], rtol=0,
                                    atol=1e-12 * want.eigvals[0])
-        scores.append(_path_scores(want, cfg.models, alphas, RowTestSet(X[val_idx], Y[val_idx])))
+        scores.append(_path_scores(want, X[mask].T @ Y[mask], cfg.models, alphas,
+                                   RowTestSet(X[val_idx], Y[val_idx])))
         np.testing.assert_allclose(fold_scores, scores[-1], rtol=1e-12, atol=0)
     best = np.argmin(np.mean(scores, axis=0), axis=1)
     assert got == {p: alphas[b] for p, b in zip(cfg.models, best)}
@@ -463,11 +475,13 @@ def test_rff_rows_score_as_their_feature_matrix(n_test, monkeypatch):
     assert min(hi - lo for lo, hi in slices) >= 2  # no one-row product goes to gemv
     assert slices[0][0] == 0 and slices[-1][1] == n_test
     assert all(lo <= prev_hi for (_, prev_hi), (lo, _) in zip(slices, slices[1:]))
-    whole = _path_scores(ds.spectrum, _ALL_MODELS, _ROUTE_ALPHAS, RowTestSet(X, ds.Y_te))
+    whole = _path_scores(ds.spectrum, ds.X_tr.T @ ds.Y_tr, _ALL_MODELS, _ROUTE_ALPHAS,
+                         RowTestSet(X, ds.Y_te))
     np.testing.assert_allclose(streamed, whole, rtol=1e-15, atol=0)
     # Against one product over the whole matrix, which BLAS may sum in
     # another order than its blocks.
-    B = np.hstack([fit_path(ds.spectrum, p, _ROUTE_ALPHAS) for p in _ALL_MODELS])
+    B = np.hstack([fit_path(ds.spectrum, ds.X_tr.T @ ds.Y_tr, p, _ROUTE_ALPHAS)
+                   for p in _ALL_MODELS])
     one_gemm = np.mean((X @ B - ds.Y_te[:, None]) ** 2, axis=0)
     np.testing.assert_allclose(streamed.ravel(), one_gemm, rtol=1e-13, atol=0)
 
@@ -486,9 +500,9 @@ def test_no_factorization_overlaps_a_test_set(monkeypatch, bench):
 
     calls, made = [], []  # (X, traced bytes) per factorization; each X_tr made
 
-    def factor(X, Y=None):
+    def factor(X):
         calls.append((X, tracemalloc.get_traced_memory()[0]))
-        return gram_spectrum(X, Y)
+        return gram_spectrum(X)
 
     def recording(make):
         def made_by(*args, **kwargs):
@@ -879,7 +893,7 @@ def test_rff_features_realizable_noiseless_near_zero():
     Phi_te = apply_rff(rmap, X_raw_te)
     w0 = rng.standard_normal(10)
     ds = Dataset(X_tr=Phi, Y_tr=Phi @ w0, test=RowTestSet(Phi_te, Phi_te @ w0),
-                 beta0=w0, spectrum=gram_spectrum(Phi, Phi @ w0))
+                 beta0=w0, spectrum=gram_spectrum(Phi))
     cfg = _small_cfg(grid=AlphaGrid(1e-8, 1e2, 11),
                      models=(SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS))
     for p in cfg.models:

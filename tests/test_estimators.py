@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +18,7 @@ from schattenreg import (
     predict,
     solve_bias_constrained_numeric,
 )
-from schattenreg.exceptions import DimensionMismatch, DomainError
+from schattenreg.exceptions import DimensionMismatch, DomainError, NonFinite
 from schattenreg.spectrum import EIGVAL_RTOL
 
 FIG1_X = np.diag(np.sqrt(np.arange(1.0, 11.0)))
@@ -74,12 +76,33 @@ def test_fit_path_matches_per_alpha_fits(p, shape):
     X = rng.standard_normal(shape)
     Y = rng.standard_normal(shape[0])
     alphas = [0.0, 1e-3, 1.0, np.inf]
-    B = fit_path(gram_spectrum(X, Y), p, alphas)
+    B = fit_path(gram_spectrum(X), X.T @ Y, p, alphas)
     assert B.shape == (shape[1], len(alphas))
     for k, a in enumerate(alphas):
         beta = fit(X, Y, p, a).beta_hat
         np.testing.assert_allclose(B[:, k], beta, rtol=1e-12, atol=0.0)
     np.testing.assert_array_equal(B[:, -1], np.zeros(shape[1]))
+
+
+@pytest.mark.parametrize("shape", [(12, 5), (5, 12)])  # tall; wide
+def test_fit_checks_y(shape):
+    rng = np.random.default_rng(3)
+    X, Y = rng.standard_normal(shape), rng.standard_normal(shape[0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFinite, match=r"X\^T Y contains NaN"):
+            fit(X, np.where(np.arange(shape[0]) == 2, bad, Y), SchattenIndex.FROBENIUS, 1.0)
+    for Y_bad in (Y[:-1], np.append(Y, 1.0), Y[:, None]):
+        with pytest.raises(ValueError, match=re.escape(f"Y {Y_bad.shape} must be")):
+            fit(X, Y_bad, SchattenIndex.FROBENIUS, 1.0)
+
+
+@pytest.mark.parametrize("xty_shape", [(4,), (6,), (5, 1), ()])
+def test_fit_path_checks_xty(xty_shape):
+    # X^T Y of a (12, 5) design is (5,); a 2-D one would broadcast into a
+    # (5, 5, n_alpha) array, not raise.
+    sp = gram_spectrum(np.random.default_rng(3).standard_normal((12, 5)))
+    with pytest.raises(ValueError, match=re.escape(f"xty {xty_shape} must be (5,)")):
+        fit_path(sp, np.ones(xty_shape), SchattenIndex.FROBENIUS, [0.1, 1.0])
 
 
 def _scale_designs():
@@ -97,13 +120,13 @@ def test_fit_path_and_rank_are_invariant_to_the_units_of_x(name, c):
     # as c^2 for p in {1, 2}; the Spectral filter is a ratio, so alpha stays.
     X = _scale_designs()[name]
     Y = X @ np.arange(1.0, X.shape[1] + 1)
-    ref, sp = gram_spectrum(X, Y), gram_spectrum(c * X, Y)
+    ref, sp = gram_spectrum(X), gram_spectrum(c * X)
     assert sp.rank == ref.rank == min(X.shape) - (name == "tall, repeated column")
     for p in ALL_P:
         alphas = np.array([0.0, 0.3, 30.0])
         scaled = alphas if p is SchattenIndex.SPECTRAL else alphas * c**2
-        want = fit_path(ref, p, alphas)
-        np.testing.assert_allclose(c * fit_path(sp, p, scaled), want,
+        want = fit_path(ref, X.T @ Y, p, alphas)
+        np.testing.assert_allclose(c * fit_path(sp, (c * X).T @ Y, p, scaled), want,
                                    rtol=1e-9, atol=1e-9 * np.abs(want).max())
         assert (alpha_to_bias_bound(sp, p, 0.0).value
                 == alpha_to_bias_bound(ref, p, 0.0).value)
@@ -140,10 +163,10 @@ def test_wide_route_matches_gram_reference(p, rank_deficient):
     if rank_deficient:
         X = np.vstack([X[:20], X[:20]])
     Y = rng.standard_normal(40)
-    sp = gram_spectrum(X, Y)
+    sp = gram_spectrum(X)
     assert sp.eigvecs.shape == (300, 40) and sp.rank == (20 if rank_deficient else 40)
     alphas = [0.0, 1e-4, 1.0, np.inf]
-    B = fit_path(sp, p, alphas)
+    B = fit_path(sp, X.T @ Y, p, alphas)
     for j, a in enumerate(alphas):
         L_ref = _gram_reference_operator(X, p, a)
         assert _rel_dev(B[:, j], L_ref @ Y) <= 1e-10
@@ -175,10 +198,10 @@ def test_bad_alpha_raises_from_every_entry_point(p, alpha):
 
     X = np.random.default_rng(0).standard_normal((6, 3))
     Y = X @ np.ones(3)
-    sp = gram_spectrum(X, Y)
+    sp = gram_spectrum(X)
     calls = [
         lambda: fit(X, Y, p, alpha),
-        lambda: fit_path(sp, p, [1.0, alpha]),
+        lambda: fit_path(sp, X.T @ Y, p, [1.0, alpha]),
         lambda: estimator_operator(X, p, alpha),
         lambda: alpha_to_bias_bound(sp, p, alpha),
         lambda: error_integrals((p,), MarchenkoPastur(0.5), [1.0, alpha], 0.5),
@@ -339,7 +362,7 @@ def test_errors_scale_with_sigma_squared_property(seed, shape, p, alpha, log_c):
     alphas = [alpha, np.inf]
 
     def errors(c):
-        B = fit_path(gram_spectrum(X, X @ (c * b) + c * noise), p, alphas)
+        B = fit_path(gram_spectrum(X), X.T @ (X @ (c * b) + c * noise), p, alphas)
         return np.mean((X_te @ B - (X_te @ (c * b))[:, None]) ** 2, axis=0)
 
     c = 10.0 ** log_c
