@@ -13,7 +13,7 @@ from schattenreg import (
     CVConfig,
     RFFBenchConfig,
     SchattenIndex,
-    rff_benchmark,
+    run_benchmark,
 )
 
 cfg = CVConfig(
@@ -26,7 +26,7 @@ cfg = CVConfig(
 
 for sigma in (0.5, 1.0, 2.0):
     rff_cfg = RFFBenchConfig(d=10, d_rbf=100, n_obs=100, n_test=500, sigma=sigma)
-    report = rff_benchmark(rff_cfg, cfg)
+    report = run_benchmark(rff_cfg, cfg)
     print(f"sigma = {sigma}")
     for name in report.models:
         ratio = report.ridge_ratio[name]

@@ -19,10 +19,8 @@ from .cv import (
     AlphaGrid,
     BenchReport,
     CVConfig,
-    RFFBenchConfig,
     aggregate_wins,
     kfold_select_alpha,
-    rff_benchmark,
     run_benchmark,
     simulate_path_errors,
 )
@@ -55,6 +53,7 @@ from .estimators import (
 from .oracle import project_schatten_ball, solve_bias_constrained_numeric
 from .rff import (
     NonlinearTarget,
+    RFFBenchConfig,
     RFFMap,
     RFFRows,
     apply_rff,

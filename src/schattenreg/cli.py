@@ -30,7 +30,6 @@ from .cv import (
     MODEL_NAMES,
     RFFBenchConfig,
     _bench_over_datasets,
-    rff_benchmark,
     run_benchmark,
     simulate_path_errors,
 )
@@ -333,7 +332,7 @@ def cmd_cv_bench(cfg: dict) -> BenchReport:
 
 def cmd_rff_bench(cfg: dict) -> BenchReport:
     o = parse("rff-bench", cfg, RFF_BENCH)
-    return rff_benchmark(_build(RFFBenchConfig, o), _cv_config("rff-bench", o, "n_obs"))
+    return run_benchmark(_build(RFFBenchConfig, o), _cv_config("rff-bench", o, "n_obs"))
 
 
 BASIN_FIELDS = ["estimator", "sigma", "shape_param", "depth_pct",

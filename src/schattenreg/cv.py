@@ -5,6 +5,11 @@ training set by k-fold cross-validation over a fixed logarithmic grid, refit
 on the full training set, and score on the held-out test set.  Reports
 aggregate average errors and per-dataset win probabilities.
 
+Each entry takes its data and one CVConfig (folds, grid, models, seed):
+run_benchmark(config, cfg) runs the protocol on datasets that
+sample_ensemble draws from config, a synthetic ensemble's or an
+RFFBenchConfig, and kfold_select_alpha(X, Y, cfg) selects on given rows.
+
 Every model's alpha path is fit from one spectrum and scored by one call,
 ds.test.mse(B), whatever the test set is: a sampled one through its d x d
 Gram matrix, a set of rows (RFF, real data, a CV fold's validation block) in
@@ -49,7 +54,7 @@ from .ensembles import (
 )
 from .estimators import fit_path
 from .exceptions import DimensionMismatch, InsufficientData, InvalidConfig, NonFinite
-from .rff import make_rff_dataset
+from .rff import RFFBenchConfig, make_rff_dataset
 from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 
 __all__ = [
@@ -60,7 +65,6 @@ __all__ = [
     "RFFBenchConfig",
     "aggregate_wins",
     "kfold_select_alpha",
-    "rff_benchmark",
     "run_benchmark",
     "sample_ensemble",
     "simulate_path_errors",
@@ -112,7 +116,9 @@ class CVConfig:
             raise InvalidConfig("need at least 2 folds")
         if self.n_datasets < 1:
             raise InvalidConfig("need at least one dataset")
-        _check_models(self.models)
+        if not self.models or len(set(self.models)) < len(self.models):
+            raise InvalidConfig(
+                f"models: need distinct models, at least one, got {self.models!r}")
 
 
 @dataclass(frozen=True)
@@ -137,11 +143,6 @@ class BenchReport:
         if self.ridge_ratio is not None:
             out["ridge_ratio"] = self.ridge_ratio
         return out
-
-
-def _check_models(models) -> None:
-    if not models or len(set(models)) < len(models):
-        raise InvalidConfig(f"models: need distinct models, at least one, got {models!r}")
 
 
 def _check_folds(n: int, folds: int) -> None:
@@ -213,39 +214,37 @@ def _cv_best_index(X: np.ndarray, Y: np.ndarray, models: tuple[SchattenIndex, ..
     return np.argmin(scores.mean(axis=0), axis=1)
 
 
-def kfold_select_alpha(
-    X: np.ndarray,
-    Y: np.ndarray,
-    models: tuple[SchattenIndex, ...],
-    cfg: CVConfig,
-    seed: int | None = None,
-) -> dict[SchattenIndex, float]:
-    """Per model, the grid alpha minimizing mean validation MSE across
-    cfg.folds folds shuffled by seed (default cfg.seed), ties to the smaller
+def kfold_select_alpha(X: np.ndarray, Y: np.ndarray, cfg: CVConfig) -> dict[SchattenIndex, float]:
+    """Per model of cfg.models, the grid alpha minimizing mean validation
+    MSE across cfg.folds folds shuffled by cfg.seed, ties to the smaller
     alpha.  X and Y are left as they were: Y is copied, and X goes in
     read-only, so the routine copies it only when d <= N.  Raises
-    DimensionMismatch unless X is (N, d) and Y (N,), NonFinite for a NaN or
-    inf in Y, and InvalidConfig for empty or repeated models."""
+    DimensionMismatch unless X is (N, d) and Y (N,), and NonFinite for a NaN
+    or inf in X or Y, before any fold is laid out."""
     X, Y = np.asarray(X, dtype=float).view(), np.array(Y, dtype=float)
     X.flags.writeable = False
     if X.ndim != 2 or Y.shape != X.shape[:1]:
         raise DimensionMismatch(f"X {X.shape} and Y {Y.shape} must be (N, d) and (N,)")
+    if not np.all(np.isfinite(X)):
+        raise NonFinite("X contains NaN or Inf")
     if not np.all(np.isfinite(Y)):
         raise NonFinite("Y contains NaN or Inf")
-    _check_models(models)
     alphas = cfg.grid.values()
-    best = _cv_best_index(X, Y, models, alphas, cfg.folds, cfg.seed if seed is None else seed)
-    return {p: float(alphas[b]) for p, b in zip(models, best)}
+    best = _cv_best_index(X, Y, cfg.models, alphas, cfg.folds, cfg.seed)
+    return {p: float(alphas[b]) for p, b in zip(cfg.models, best)}
 
 
 def sample_ensemble(config, seed: int) -> Dataset:
-    """Dispatch a dataset draw on the ensemble config type."""
+    """Dispatch a dataset draw on the config type: a synthetic ensemble's
+    config or an RFFBenchConfig."""
     if isinstance(config, SphericalGaussianConfig):
         return sample_spherical(config, seed=seed)
     if isinstance(config, DiagonalEnsembleConfig):
         return sample_diagonal(config, seed=seed)
     if isinstance(config, EquicorrelatedConfig):
         return sample_equicorrelated(config, seed=seed)
+    if isinstance(config, RFFBenchConfig):
+        return make_rff_dataset(config, seed=seed)
     raise InvalidConfig(f"unknown ensemble config type {type(config).__name__}")
 
 
@@ -355,45 +354,15 @@ def _bench_over_datasets(make_dataset, cfg: CVConfig, with_ratio: bool) -> Bench
                        ridge_ratio=ratio)
 
 
-def run_benchmark(ensemble_config, cfg: CVConfig) -> BenchReport:
-    """The full replicate protocol on a synthetic ensemble."""
-    _check_folds(ensemble_config.n_obs, cfg.folds)  # before any dataset is sampled
-    return _bench_over_datasets(lambda s: sample_ensemble(ensemble_config, s), cfg,
-                                with_ratio=False)
-
-
-@dataclass(frozen=True)
-class RFFBenchConfig:
-    d: int = 10
-    d_rbf: int = 100
-    n_obs: int = 100
-    n_test: int = 1000
-    sigma: float = 1.0
-    bandwidth: float = 1.0
-
-    def __post_init__(self):
-        for name in ("d", "d_rbf", "n_obs", "n_test"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if not 0.0 <= self.sigma < np.inf:
-            raise InvalidConfig(f"sigma must be finite and nonnegative, got {self.sigma!r}")
-        if not 0.0 < self.bandwidth < np.inf:
-            raise InvalidConfig(f"bandwidth must be finite and positive, got {self.bandwidth!r}")
-
-
-def rff_benchmark(rff_cfg: RFFBenchConfig, cfg: CVConfig) -> BenchReport:
-    """Benchmark on RFF feature-space data, with the ratio-to-Ridge statistic
-    included.  Folds with more features than rows are rank-deficient; there
-    Spectral is min-norm OLS / (1 + alpha)."""
-    _check_folds(rff_cfg.n_obs, cfg.folds)  # before any dataset is made
-    return _bench_over_datasets(
-        lambda s: make_rff_dataset(
-            rff_cfg.d, rff_cfg.d_rbf, rff_cfg.n_obs, rff_cfg.n_test,
-            rff_cfg.sigma, rff_cfg.bandwidth, seed=s,
-        ),
-        cfg,
-        with_ratio=True,
-    )
+def run_benchmark(config, cfg: CVConfig) -> BenchReport:
+    """The full replicate protocol on datasets drawn by sample_ensemble from
+    config, a synthetic ensemble's or an RFFBenchConfig.  An RFF report
+    carries the ratio-to-Ridge statistic; its folds, with more features than
+    rows, are rank-deficient, and there Spectral is min-norm OLS /
+    (1 + alpha)."""
+    _check_folds(config.n_obs, cfg.folds)  # before any dataset is made
+    return _bench_over_datasets(lambda s: sample_ensemble(config, s), cfg,
+                                with_ratio=isinstance(config, RFFBenchConfig))
 
 
 def aggregate_wins(report: BenchReport) -> tuple[str, str]:

@@ -13,10 +13,12 @@ GramSpectrum, the factorization of X_tr alone, inside the Dataset, so within
 one dataset the eigensolve's temporaries never sit on top of its test set
 (simulate draws one dataset per thread, so another thread's test set may be
 alive at the same time).
-The test rows are drawn in blocks of up to 256 KiB (more for large d, see
-_test_spans) and summed into H = X_te^T X_te as they come (see Dataset).
-The random draws keep their order and values: blockwise draws return the
-one-shot values, and the spectrum consumes no randomness.
+The spherical and equicorrelated test rows are drawn in blocks of up to
+256 KiB (more for large d, see _test_spans) and summed into H = X_te^T X_te
+as they come (see Dataset); the diagonal test frame has orthonormal columns,
+so its H is diag(lam) exactly and no test row is drawn.  The random draws
+keep their order and values: blockwise draws return the one-shot values, and
+the spectrum consumes no randomness.
 """
 
 from __future__ import annotations
@@ -149,13 +151,14 @@ class Dataset:
     test is scored by one call, test.mse(B), for coefficient columns B.  A
     sampler's test set is a GramTestSet (H, n_test, beta0), so it costs d^2
     floats, not n_test*d; H is the larger only when d > n_test, which no
-    default or benchmark config has.  Its rows are drawn in the blocks of
-    _test_spans, at most max(256 KiB, 8 d^2) bytes each, and summed into H.
-    RFF and real-data test sets are RowTestSets (X_te, Y_te);
-    make_rff_dataset's X_te is an rff.RFFRows, made a block at a time as it
-    is scored, so rff-bench memory scales with n_obs*d_rbf plus one block,
-    not with n_test*d_rbf.  X_te and Y_te are a row test set's X and Y, and
-    None for a sampled one.
+    default or benchmark config has.  The spherical and equicorrelated rows
+    are drawn in the blocks of _test_spans, at most max(256 KiB, 8 d^2) bytes
+    each, and summed into H; the diagonal H is diag(lam), with n = N.  RFF
+    and real-data test sets are RowTestSets (X_te, Y_te);
+    make_rff_dataset(config, seed)'s X_te is an rff.RFFRows, made a block at
+    a time as it is scored, so rff-bench memory scales with n_obs*d_rbf plus
+    one block, not with n_test*d_rbf.  X_te and Y_te are a row test set's X
+    and Y, and None for a sampled one.
     """
 
     X_tr: np.ndarray
@@ -292,11 +295,11 @@ def sample_diagonal(config: DiagonalEnsembleConfig, seed: int = 0) -> Dataset:
     s = config.noise_density.sample(d, rng)
     X_tr = haar_stiefel(N, d, rng) * np.sqrt(lam * s)
     spectrum = gram_spectrum(X_tr)
-    # The test frame is N x d like the training one; only its Gram is kept.
-    H = gram_matrix([haar_stiefel(N, d, rng) * np.sqrt(lam)])
     beta0 = rng.standard_normal(d) * config.beta
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
-    return Dataset(X_tr, Y_tr, GramTestSet(H, N, beta0), beta0, spectrum)
+    # An N x d test frame has orthonormal columns, so its Gram is diag(lam)
+    # exactly, and no frame is drawn.
+    return Dataset(X_tr, Y_tr, GramTestSet(np.diag(lam), N, beta0), beta0, spectrum)
 
 
 def _mix(z: np.ndarray, g: np.ndarray | None, rho: float, N: int) -> np.ndarray:

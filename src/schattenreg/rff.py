@@ -4,7 +4,9 @@ The feature map phi(x) = sqrt(2/d_rbf) cos(W x + b) with Gaussian W and
 uniform phases approximates the Gaussian kernel exp(-bandwidth ||x - y||^2).
 The nonlinear target is a fixed random cosine series with 1/k^2 decay, so it
 is bounded by pi^2/6 and lives just outside the span of any finite feature
-set.
+set.  make_rff_dataset(config, seed) draws a dataset from an RFFBenchConfig,
+as each ensembles.sample_* draws one from its own config, and
+cv.sample_ensemble dispatches to it as to them.
 
 Both take their cosines in turns, cos(2 pi t), from one in-place kernel,
 _cos_turns: t is reduced to one period, t - rint(t) in [-1/2, 1/2], which
@@ -25,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import _BLOCK_BYTES, Dataset, RowTestSet, row_blocks
-from .exceptions import DimensionMismatch, NonFinite
+from .exceptions import DimensionMismatch, InvalidConfig, NonFinite
 from .spectrum import gram_spectrum
 
-__all__ = ["NonlinearTarget", "RFFMap", "RFFRows", "apply_rff", "eval_target",
-           "make_rff_dataset", "sample_nonlinear_target", "sample_rff_map"]
+__all__ = ["NonlinearTarget", "RFFBenchConfig", "RFFMap", "RFFRows", "apply_rff",
+           "eval_target", "make_rff_dataset", "sample_nonlinear_target", "sample_rff_map"]
 
 
 # cos(2 pi sqrt(s)) ~ sum_j _COS_TURNS[j] s^j on [0, 1/4] (module docstring).
@@ -178,28 +180,41 @@ def eval_target(target: NonlinearTarget, x: np.ndarray) -> np.ndarray | float:
     return vals if x.ndim == 2 else float(vals[0])
 
 
-def make_rff_dataset(
-    d: int,
-    d_rbf: int,
-    n_obs: int,
-    n_test: int,
-    sigma: float,
-    bandwidth: float = 1.0,
-    seed: int = 0,
-) -> Dataset:
-    """Dataset in RFF feature space: raw Gaussian inputs with entry variance
-    1/d_rbf, targets from the nonlinear cosine series (noiseless on test),
-    and the identical feature map applied to train and test.  The training
-    features are factored as soon as they exist; the test features are never
-    formed whole: the test set's rows are an RFFRows over the raw test
-    inputs, mapped a row block at a time as they are scored."""
+@dataclass(frozen=True)
+class RFFBenchConfig:
+    d: int = 10
+    d_rbf: int = 100
+    n_obs: int = 100
+    n_test: int = 1000
+    sigma: float = 1.0
+    bandwidth: float = 1.0
+
+    def __post_init__(self):
+        for name in ("d", "d_rbf", "n_obs", "n_test"):
+            if getattr(self, name) < 1:
+                raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if not 0.0 <= self.sigma < np.inf:
+            raise InvalidConfig(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        if not 0.0 < self.bandwidth < np.inf:
+            raise InvalidConfig(f"bandwidth must be finite and positive, got {self.bandwidth!r}")
+
+
+def make_rff_dataset(config: RFFBenchConfig, seed: int = 0) -> Dataset:
+    """Dataset in RFF feature space, drawn from config as each sampler draws
+    from its own: raw Gaussian inputs with entry variance 1/d_rbf, targets
+    from the nonlinear cosine series (noiseless on test), and the identical
+    feature map applied to train and test.  The training features are
+    factored as soon as they exist; the test features are never formed
+    whole: the test set's rows are an RFFRows over the raw test inputs,
+    mapped a row block at a time as they are scored."""
+    d, d_rbf, n_obs = config.d, config.d_rbf, config.n_obs
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(d_rbf)
     raw_tr = rng.standard_normal((n_obs, d)) * scale
-    raw_te = rng.standard_normal((n_test, d)) * scale
+    raw_te = rng.standard_normal((config.n_test, d)) * scale
     target = sample_nonlinear_target(d, d_rbf, rng)
-    rff = sample_rff_map(d, d_rbf, bandwidth, seed=int(rng.integers(2**31)))
-    Y_tr = eval_target(target, raw_tr) + sigma * rng.standard_normal(n_obs)
+    rff = sample_rff_map(d, d_rbf, config.bandwidth, seed=int(rng.integers(2**31)))
+    Y_tr = eval_target(target, raw_tr) + config.sigma * rng.standard_normal(n_obs)
     Y_te = eval_target(target, raw_te)
     X_tr = apply_rff(rff, raw_tr)
     return Dataset(

@@ -245,7 +245,7 @@ def test_bad_config_exits_2_naming_command_and_key(tmp_path, capsys, monkeypatch
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the config was checked")
 
-    for name in ("run_benchmark", "rff_benchmark", "simulate_path_errors"):
+    for name in ("run_benchmark", "simulate_path_errors"):
         monkeypatch.setattr(cli, name, no_sampling)
     path = _write_cfg(tmp_path, "c.json", cfg)
     out = tmp_path / "x.csv"

@@ -2,6 +2,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from schattenreg import (
     kfold_select_alpha,
     make_rff_dataset,
     predict,
-    rff_benchmark,
     run_benchmark,
     sample_diagonal,
     sample_equicorrelated,
@@ -59,39 +59,34 @@ def _small_cfg(**kw):
 
 def test_single_value_grid_is_returned():
     ds = sample_spherical(SphericalGaussianConfig(30, 5, n_test=10), seed=0)
-    cfg = _small_cfg(grid=AlphaGrid(0.37, 1.0, 1))
-    a = kfold_select_alpha(ds.X_tr, ds.Y_tr, (SchattenIndex.FROBENIUS,), cfg)[
-        SchattenIndex.FROBENIUS]
+    cfg = _small_cfg(grid=AlphaGrid(0.37, 1.0, 1), models=(SchattenIndex.FROBENIUS,))
+    a = kfold_select_alpha(ds.X_tr, ds.Y_tr, cfg)[SchattenIndex.FROBENIUS]
     assert a == 0.37
 
 
 def test_selection_deterministic():
     ds = sample_spherical(SphericalGaussianConfig(40, 8, n_test=10), seed=1)
-    cfg = _small_cfg()
-    a1 = kfold_select_alpha(ds.X_tr, ds.Y_tr, (SchattenIndex.NUCLEAR,), cfg)[
-        SchattenIndex.NUCLEAR]
-    a2 = kfold_select_alpha(ds.X_tr, ds.Y_tr, (SchattenIndex.NUCLEAR,), cfg)[
-        SchattenIndex.NUCLEAR]
+    cfg = _small_cfg(models=(SchattenIndex.NUCLEAR,))
+    a1 = kfold_select_alpha(ds.X_tr, ds.Y_tr, cfg)[SchattenIndex.NUCLEAR]
+    a2 = kfold_select_alpha(ds.X_tr, ds.Y_tr, cfg)[SchattenIndex.NUCLEAR]
     assert a1 == a2
 
 
 def test_selected_alpha_is_grid_member():
     ds = sample_spherical(SphericalGaussianConfig(40, 8, sigma=2.0, n_test=10), seed=2)
-    cfg = _small_cfg()
-    a = kfold_select_alpha(ds.X_tr, ds.Y_tr, (SchattenIndex.FROBENIUS,), cfg)[
-        SchattenIndex.FROBENIUS]
+    cfg = _small_cfg(models=(SchattenIndex.FROBENIUS,))
+    a = kfold_select_alpha(ds.X_tr, ds.Y_tr, cfg)[SchattenIndex.FROBENIUS]
     assert a in cfg.grid.values()
 
 
 def test_noiseless_data_selects_least_regularization():
     # Bias-only regime: with sigma = 0 and a well-conditioned design, the
     # smallest grid alpha should win nearly always.
-    cfg = _small_cfg()
     wins = 0
     for seed in range(100):
         ds = sample_spherical(SphericalGaussianConfig(50, 10, sigma=0.0, n_test=10), seed=seed)
-        a = kfold_select_alpha(ds.X_tr, ds.Y_tr, (SchattenIndex.FROBENIUS,), cfg,
-                               seed=seed)[SchattenIndex.FROBENIUS]
+        cfg = _small_cfg(models=(SchattenIndex.FROBENIUS,), seed=seed)
+        a = kfold_select_alpha(ds.X_tr, ds.Y_tr, cfg)[SchattenIndex.FROBENIUS]
         wins += a == cfg.grid.values()[0]
     assert wins >= 95
 
@@ -99,10 +94,10 @@ def test_noiseless_data_selects_least_regularization():
 @pytest.mark.parametrize("shape", [(40, 8), (30, 45)])  # full rank; d > N
 def test_multi_model_selection_matches_single_model(shape):
     ds = sample_spherical(SphericalGaussianConfig(*shape, sigma=1.5, n_test=10), seed=4)
-    cfg = _small_cfg()
-    together = kfold_select_alpha(ds.X_tr, ds.Y_tr, cfg.models, cfg, seed=5)
+    cfg = _small_cfg(seed=5)
+    together = kfold_select_alpha(ds.X_tr, ds.Y_tr, cfg)
     for p in cfg.models:
-        assert together[p] == kfold_select_alpha(ds.X_tr, ds.Y_tr, (p,), cfg, seed=5)[p]
+        assert together[p] == kfold_select_alpha(ds.X_tr, ds.Y_tr, replace(cfg, models=(p,)))[p]
 
 
 @pytest.mark.parametrize("shape", [(40, 8), (12, 30)])  # tall; wide and rank-deficient
@@ -128,7 +123,7 @@ def test_cv_errors_permute_the_training_rows_into_fold_order_in_place():
     perm = np.random.default_rng(8).permutation(47)
     assert ds.X_tr is buffers[0] and np.array_equal(ds.X_tr, X[perm])
     assert ds.Y_tr is buffers[1] and np.array_equal(ds.Y_tr, Y[perm])
-    selected = kfold_select_alpha(X, Y, cfg.models, cfg, seed=8)
+    selected = kfold_select_alpha(X, Y, replace(cfg, seed=8))
     assert list(alphas) == [selected[p] for p in cfg.models]
 
 
@@ -144,7 +139,8 @@ def _duplicated_rows_dataset(seed):
 
 
 _WIDE_DATASETS = {
-    "rff": lambda: make_rff_dataset(4, 200, 30, 50, 0.5, 1.0, seed=6),
+    "rff": lambda: make_rff_dataset(
+        RFFBenchConfig(d=4, d_rbf=200, n_obs=30, n_test=50, sigma=0.5), seed=6),
     "spherical-12x30": lambda: sample_spherical(
         SphericalGaussianConfig(12, 30, sigma=0.5, n_test=60), seed=4),
     "duplicated-rows": lambda: _duplicated_rows_dataset(2),
@@ -220,7 +216,7 @@ def test_wide_cv_runs_in_the_row_space(make, monkeypatch):
     monkeypatch.setattr(cv, "_path_scores", score_spy)
     _, alphas = _cv_errors(ds, cfg, cv_seed=8)
     check_folds(1)  # the harness scores the test set first
-    selected = kfold_select_alpha(X, Y, cfg.models, cfg, seed=8)
+    selected = kfold_select_alpha(X, Y, replace(cfg, seed=8))
     check_folds(0)
     assert list(alphas) == [selected[p] for p in cfg.models]
     # Y_tr is laid out in fold order in place; X_tr is left as it was.
@@ -233,7 +229,7 @@ def test_kfold_select_alpha_leaves_the_callers_rows_unchanged(shape):
     ds = sample_spherical(SphericalGaussianConfig(*shape, sigma=0.5, n_test=10), seed=4)
     X, Y = ds.X_tr.copy(), ds.Y_tr.copy()
     cfg = _small_cfg()
-    kfold_select_alpha(ds.X_tr, ds.Y_tr, cfg.models, cfg, seed=3)
+    kfold_select_alpha(ds.X_tr, ds.Y_tr, replace(cfg, seed=3))
     assert np.array_equal(ds.X_tr, X) and np.array_equal(ds.Y_tr, Y)
 
 
@@ -245,10 +241,10 @@ def test_kfold_select_alpha_holds_no_copy_of_a_wide_design():
     X, Y = rng.standard_normal((100, 1000)), rng.standard_normal(100)
     X0, Y0 = X.copy(), Y.copy()
     cfg = CVConfig()
-    kfold_select_alpha(X[:12, :30], Y[:12], cfg.models, cfg)  # warm-up
+    kfold_select_alpha(X[:12, :30], Y[:12], cfg)  # warm-up
     tracemalloc.start()
     try:
-        kfold_select_alpha(X, Y, cfg.models, cfg)
+        kfold_select_alpha(X, Y, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -259,11 +255,11 @@ def test_kfold_select_alpha_holds_no_copy_of_a_wide_design():
 @pytest.mark.parametrize("shape", [(40, 8), (12, 30)])  # tall; wide
 def test_kfold_select_alpha_takes_read_only_rows(shape):
     ds = sample_spherical(SphericalGaussianConfig(*shape, sigma=0.5, n_test=10), seed=4)
-    cfg = _small_cfg()
-    expected = kfold_select_alpha(ds.X_tr.copy(), ds.Y_tr.copy(), cfg.models, cfg, seed=3)
+    cfg = _small_cfg(seed=3)
+    expected = kfold_select_alpha(ds.X_tr.copy(), ds.Y_tr.copy(), cfg)
     X, Y = ds.X_tr.copy(), ds.Y_tr.copy()
     X.flags.writeable = Y.flags.writeable = False
-    assert kfold_select_alpha(X, Y, cfg.models, cfg, seed=3) == expected
+    assert kfold_select_alpha(X, Y, cfg) == expected
     assert np.array_equal(X, ds.X_tr) and np.array_equal(Y, ds.Y_tr)
 
 
@@ -284,7 +280,7 @@ def test_kfold_select_alpha_rejects_mismatched_rows_before_any_fold(x_shape, y_s
                                                                     selections):
     cfg = _small_cfg()
     with pytest.raises(DimensionMismatch, match=re.escape(f"X {x_shape} and Y {y_shape}")):
-        kfold_select_alpha(np.ones(x_shape), np.ones(y_shape), cfg.models, cfg)
+        kfold_select_alpha(np.ones(x_shape), np.ones(y_shape), cfg)
     assert selections == []
 
 
@@ -293,8 +289,29 @@ def test_kfold_select_alpha_rejects_a_non_finite_y_before_any_fold(bad, selectio
     cfg = _small_cfg()
     Y = np.where(np.arange(30) == 7, bad, 1.0)
     with pytest.raises(NonFinite, match="Y contains NaN"):
-        kfold_select_alpha(np.ones((30, 4)), Y, cfg.models, cfg)
+        kfold_select_alpha(np.ones((30, 4)), Y, cfg)
     assert selections == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("shape", [(30, 4), (12, 30)], ids=["tall", "wide"])
+def test_kfold_select_alpha_rejects_a_non_finite_x_before_any_fold(bad, shape, monkeypatch):
+    # Checked before the folds are shuffled, so neither the tall route's copy
+    # of X nor the wide route's QR of it is made.
+    import schattenreg.cv as cv
+
+    shuffled, fold_order = [], cv._fold_order
+
+    def spy(*args):
+        shuffled.append(args)
+        return fold_order(*args)
+
+    monkeypatch.setattr(cv, "_fold_order", spy)
+    X = np.ones(shape)
+    X[7, 2] = bad
+    with pytest.raises(NonFinite, match="X contains NaN or Inf"):
+        kfold_select_alpha(X, np.ones(shape[0]), _small_cfg())
+    assert shuffled == []
 
 
 @pytest.mark.parametrize("models", [(), (SchattenIndex.NUCLEAR, SchattenIndex.NUCLEAR)],
@@ -302,7 +319,7 @@ def test_kfold_select_alpha_rejects_a_non_finite_y_before_any_fold(bad, selectio
 def test_kfold_select_alpha_rejects_empty_or_repeated_models_before_any_fold(models,
                                                                              selections):
     with pytest.raises(InvalidConfig, match="^models: "):
-        kfold_select_alpha(np.ones((30, 4)), np.ones(30), models, _small_cfg())
+        kfold_select_alpha(np.ones((30, 4)), np.ones(30), _small_cfg(models=models))
     assert selections == []
 
 
@@ -340,7 +357,9 @@ def _diagonal_test_rows(cfg, rng):
     lam = cfg.spectral_density.sample(cfg.n_feat, rng)
     cfg.noise_density.sample(cfg.n_feat, rng)
     haar_stiefel(cfg.n_obs, cfg.n_feat, rng)
-    return haar_stiefel(cfg.n_obs, cfg.n_feat, rng) * np.sqrt(lam)
+    # The sampler draws no test frame: any frame with orthonormal columns has
+    # the test Gram diag(lam), so this one comes from a stream of its own.
+    return haar_stiefel(cfg.n_obs, cfg.n_feat, np.random.default_rng(0)) * np.sqrt(lam)
 
 
 # Test sets of 8000 rows of 10 features are drawn in three blocks.
@@ -398,7 +417,8 @@ def test_each_test_set_is_scored_in_one_call(mse_calls):
     assert [type(t) for t in mse_calls[1:]] == [RowTestSet] * 3
     assert all(t.X.base is ds.X_tr for t in mse_calls[1:])
     # No truth (RFF features, real-data splits): the rows.
-    rff = make_rff_dataset(4, 20, 60, 500, 0.5, 1.0, seed=3)
+    rff = make_rff_dataset(RFFBenchConfig(d=4, d_rbf=20, n_obs=60, n_test=500, sigma=0.5),
+                           seed=3)
     assert rff.beta0 is None and isinstance(rff.X_te, RFFRows)
     mse_calls.clear()
     _path_errors(rff, _ALL_MODELS, alphas)
@@ -431,7 +451,7 @@ def test_fold_spectra_from_slices_match_gathered_rows(shape, monkeypatch):
 
     monkeypatch.setattr(cv, "gram_spectrum", spy)
     monkeypatch.setattr(cv, "_path_scores", score_spy)
-    got = kfold_select_alpha(X, Y, cfg.models, cfg, seed=5)
+    got = kfold_select_alpha(X, Y, replace(cfg, seed=5))
     perm = np.random.default_rng(5).permutation(n)
     scores = []
     folds = np.array_split(perm, cfg.folds)
@@ -461,7 +481,8 @@ _RFF_STEP = _BLOCK_BYTES // (8 * 1000)
 @pytest.mark.parametrize("n_test", [2 * _RFF_STEP + 1, 3 * _RFF_STEP, _RFF_STEP - 5],
                          ids=["one-row-tail", "exact-multiple", "single-block"])
 def test_rff_rows_score_as_their_feature_matrix(n_test, monkeypatch):
-    ds = make_rff_dataset(4, 1000, 30, n_test, 0.5, 1.0, seed=n_test)
+    ds = make_rff_dataset(RFFBenchConfig(d=4, d_rbf=1000, n_obs=30, n_test=n_test, sigma=0.5),
+                          seed=n_test)
     assert isinstance(ds.X_te, RFFRows) and ds.X_te.shape == (n_test, 1000)
     X = apply_rff(ds.X_te.rff, ds.X_te.raw)
     slices, block = [], RFFRows.__getitem__
@@ -514,11 +535,10 @@ def test_no_factorization_overlaps_a_test_set(monkeypatch, bench):
     for module in (cv, ensembles, rff):
         monkeypatch.setattr(module, "gram_spectrum", factor)
     monkeypatch.setattr(cv, "sample_ensemble", recording(cv.sample_ensemble))
-    monkeypatch.setattr(cv, "make_rff_dataset", recording(cv.make_rff_dataset))
     cfg = _small_cfg(n_datasets=2)
     if bench == "rff":
-        rff_cfg = RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=_BIG_TEST)
-        test_bytes = 8 * _BIG_TEST * rff_cfg.d_rbf
+        ens = RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=_BIG_TEST)
+        test_bytes = 8 * _BIG_TEST * ens.d_rbf
     else:
         ens = (EquicorrelatedConfig(30, 5, rho=0.3, n_test=_BIG_TEST)
                if bench == "equicorrelated"
@@ -526,9 +546,7 @@ def test_no_factorization_overlaps_a_test_set(monkeypatch, bench):
         test_bytes = 8 * _BIG_TEST * ens.n_feat
     tracemalloc.start()
     try:
-        if bench == "rff":
-            rff_benchmark(rff_cfg, cfg)
-        elif bench == "simulate":
+        if bench == "simulate":
             simulate_path_errors(ens, cfg.models, cfg.grid.values(), 2, seed=0)
         else:
             run_benchmark(ens, cfg)
@@ -686,7 +704,7 @@ def test_no_worker_starts_a_dataset_above_a_failure_it_has_seen(monkeypatch):
     assert sorted(started) == [0, 1]
 
 
-@pytest.mark.parametrize("bench", ["run_benchmark", "rff_benchmark", "real-data"])
+@pytest.mark.parametrize("bench", ["run_benchmark", "rff", "real-data"])
 def test_cv_benchmarks_make_every_dataset_on_the_calling_thread(monkeypatch, tmp_path, bench):
     # The CV benchmarks run _replicates on one worker: each dataset is made
     # on the calling thread, one after another, and no thread is started.
@@ -709,13 +727,12 @@ def test_cv_benchmarks_make_every_dataset_on_the_calling_thread(monkeypatch, tmp
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     monkeypatch.setattr(cv, "sample_ensemble", spy(cv.sample_ensemble))
-    monkeypatch.setattr(cv, "make_rff_dataset", spy(cv.make_rff_dataset))
     monkeypatch.setattr(cli, "_bench_over_datasets", bench_with_spy)
     cfg = _small_cfg(n_datasets=3)
     if bench == "run_benchmark":
         run_benchmark(SphericalGaussianConfig(30, 5, n_test=50), cfg)
-    elif bench == "rff_benchmark":
-        rff_benchmark(RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=50), cfg)
+    elif bench == "rff":
+        run_benchmark(RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=50), cfg)
     else:
         table, config = tmp_path / "table.csv", tmp_path / "c.json"
         rows = np.random.default_rng(0).standard_normal((40, 4))
@@ -727,9 +744,8 @@ def test_cv_benchmarks_make_every_dataset_on_the_calling_thread(monkeypatch, tmp
 
 
 def test_diagonal_dataset_keeps_only_the_test_gram():
-    # The diagonal test frame has the training set's N rows and is made whole
-    # for its QR, so it bounds the peak like the training design does; what
-    # the dataset keeps of it is the d x d Gram matrix.
+    # The diagonal test set is its d x d Gram matrix diag(lam), made without
+    # a test frame, so the training design bounds what the dataset holds.
     tracemalloc.start()
     try:
         ds = sample_diagonal(DiagonalEnsembleConfig(_BIG_TEST, 5, PowerLaw(1.0)),
@@ -741,21 +757,21 @@ def test_diagonal_dataset_keeps_only_the_test_gram():
     assert held < 1.5 * ds.X_tr.nbytes
 
 
-def test_rff_benchmark_never_holds_a_test_design():
+def test_rff_bench_never_holds_a_test_design():
     # The run holds the raw test inputs (n_test x 4), Y_te and the (M, n_test)
     # residual of M = 18 path columns, plus one block: under 10 MB, against
     # the 40 MB feature matrix.
     rff_cfg = RFFBenchConfig(d=4, d_rbf=100, n_obs=30, n_test=_BIG_TEST)
     tracemalloc.start()
     try:
-        rff_benchmark(rff_cfg, _small_cfg(n_datasets=2))
+        run_benchmark(rff_cfg, _small_cfg(n_datasets=2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * _BIG_TEST * rff_cfg.d_rbf
 
 
-@pytest.mark.parametrize("bench", ["run_benchmark", "rff_benchmark"])
+@pytest.mark.parametrize("bench", ["run_benchmark", "rff"])
 def test_cv_benchmarks_check_the_folds_before_making_a_dataset(monkeypatch, bench):
     import schattenreg.cv as cv
 
@@ -774,25 +790,23 @@ def test_cv_benchmarks_check_the_folds_before_making_a_dataset(monkeypatch, benc
         if bench == "run_benchmark":
             run_benchmark(SphericalGaussianConfig(2, 1, n_test=10), cfg)
         else:
-            rff_benchmark(RFFBenchConfig(n_obs=2), cfg)
+            run_benchmark(RFFBenchConfig(n_obs=2), cfg)
     assert made == []
 
 
 def test_insufficient_data_raises():
     with pytest.raises(InsufficientData):
-        kfold_select_alpha(np.zeros((2, 3)), np.zeros(2), (SchattenIndex.FROBENIUS,),
-                           _small_cfg(folds=3))
+        kfold_select_alpha(np.zeros((2, 3)), np.zeros(2),
+                           _small_cfg(folds=3, models=(SchattenIndex.FROBENIUS,)))
 
 
 def test_no_leakage_from_test_labels():
     # Selected alpha depends only on the training data.
-    cfg = _small_cfg()
+    cfg = _small_cfg(models=(SchattenIndex.NUCLEAR,))
     ds = sample_spherical(SphericalGaussianConfig(40, 8, n_test=50), seed=3)
-    a1 = kfold_select_alpha(ds.X_tr, ds.Y_tr, (SchattenIndex.NUCLEAR,), cfg)[
-        SchattenIndex.NUCLEAR]
+    a1 = kfold_select_alpha(ds.X_tr, ds.Y_tr, cfg)[SchattenIndex.NUCLEAR]
     # "Shuffle the test labels": the call never sees them, so rerun matches.
-    a2 = kfold_select_alpha(ds.X_tr, ds.Y_tr.copy(), (SchattenIndex.NUCLEAR,), cfg)[
-        SchattenIndex.NUCLEAR]
+    a2 = kfold_select_alpha(ds.X_tr, ds.Y_tr.copy(), cfg)[SchattenIndex.NUCLEAR]
     assert a1 == a2
 
 
@@ -852,33 +866,52 @@ def test_aggregate_wins_tie_breaks_lexicographically():
     assert aggregate_wins(report) == ("alpha", "alpha")
 
 
-def test_rff_benchmark_runs_every_model_and_has_ratio():
+def test_rff_bench_runs_every_model_and_has_ratio():
     cfg = _small_cfg(n_datasets=2, grid=AlphaGrid(1e-2, 1e2, 3))
     rff_cfg = RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=50, sigma=0.5)
-    report = rff_benchmark(rff_cfg, cfg)
+    report = run_benchmark(rff_cfg, cfg)
     assert report.models == ("nuclear", "ridge", "spectral")
     assert report.ridge_ratio is not None
     assert report.ridge_ratio["ridge"] == pytest.approx(1.0)
 
 
-def test_rff_benchmark_spectral_alone_runs_without_ratio():
-    report = rff_benchmark(RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=50),
+def test_rff_bench_spectral_alone_runs_without_ratio():
+    report = run_benchmark(RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=50),
                            _small_cfg(n_datasets=2, models=(SchattenIndex.SPECTRAL,)))
     assert report.models == ("spectral",)
     assert np.all(np.isfinite(report.errors))
     assert report.ridge_ratio is None
 
 
-def test_rff_benchmark_spectral_with_more_features_than_rows():
+def test_rff_bench_spectral_with_more_features_than_rows():
     # d_rbf 200 against 60 rows: every fold, and the full training set, is
     # rank-deficient, where Spectral is min-norm OLS / (1 + alpha).
-    report = rff_benchmark(RFFBenchConfig(d=4, d_rbf=200, n_obs=60, n_test=50),
+    report = run_benchmark(RFFBenchConfig(d=4, d_rbf=200, n_obs=60, n_test=50),
                            _small_cfg(n_datasets=2, grid=AlphaGrid(1e-2, 1e2, 3),
                                       models=(SchattenIndex.SPECTRAL, SchattenIndex.FROBENIUS)))
     assert report.models == ("spectral", "ridge")
     assert report.errors.shape == (2, 2)
     assert np.all(np.isfinite(report.errors))
     assert all(np.isfinite(report.ridge_ratio[name]) for name in report.models)
+
+
+def test_run_benchmark_on_an_rff_config_is_the_harness_on_its_datasets():
+    import schattenreg.cv as cv
+
+    cfg = _small_cfg(n_datasets=2, grid=AlphaGrid(1e-2, 1e2, 3))
+    rff_cfg = RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=50, sigma=0.5)
+    got = run_benchmark(rff_cfg, cfg)
+    want = cv._bench_over_datasets(lambda s: make_rff_dataset(rff_cfg, s), cfg,
+                                   with_ratio=True)
+    assert want.ridge_ratio is not None
+    for f in fields(BenchReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+
+
+def test_sample_ensemble_rejects_an_unknown_config_type():
+    with pytest.raises(InvalidConfig, match="unknown ensemble config type CVConfig"):
+        sample_ensemble(CVConfig(), seed=0)
 
 
 def test_rff_features_realizable_noiseless_near_zero():
@@ -897,16 +930,16 @@ def test_rff_features_realizable_noiseless_near_zero():
     cfg = _small_cfg(grid=AlphaGrid(1e-8, 1e2, 11),
                      models=(SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS))
     for p in cfg.models:
-        alpha = kfold_select_alpha(ds.X_tr, ds.Y_tr, (p,), cfg, seed=3)[p]
+        alpha = kfold_select_alpha(ds.X_tr, ds.Y_tr, replace(cfg, models=(p,), seed=3))[p]
         model = fit(ds.X_tr, ds.Y_tr, p, alpha)
         assert np.mean((predict(model, ds.X_te) - ds.Y_te) ** 2) < 1e-6
 
 
-def test_rff_benchmark_deterministic():
+def test_rff_bench_deterministic():
     cfg = _small_cfg(n_datasets=2, grid=AlphaGrid(1e-2, 1e2, 3))
     rff_cfg = RFFBenchConfig(d=4, d_rbf=15, n_obs=25, n_test=30, sigma=1.0)
-    r1 = rff_benchmark(rff_cfg, cfg)
-    r2 = rff_benchmark(rff_cfg, cfg)
+    r1 = run_benchmark(rff_cfg, cfg)
+    r2 = run_benchmark(rff_cfg, cfg)
     assert np.array_equal(r1.errors, r2.errors)
 
 

@@ -65,10 +65,10 @@ def test_diagonal_stiefel_orthonormal():
     )
     for seed in (0, 7):
         ds = sample_diagonal(cfg, seed=seed)
-        # Columns of X_te = X2 diag(sqrt(lam)) are orthogonal, so H = X_te^T X_te
-        # is diagonal; its diagonal holds the column sums of X_te^2.
-        gram = ds.test.H
-        np.testing.assert_allclose(gram, np.diag(np.diag(gram)), atol=1e-10)
+        # A test frame X_te = X2 diag(sqrt(lam)) has orthogonal columns, so
+        # H = X_te^T X_te is diag(lam) exactly, and no frame is drawn for it.
+        lam = cfg.spectral_density.sample(10, np.random.default_rng(seed))
+        assert np.array_equal(ds.test.H, np.diag(lam))
         assert ds.test.n == 40
 
 
@@ -283,8 +283,8 @@ def _stiefel(rng, n, d):
                          ids=["power-law", "atoms"])
 def test_diagonal_matches_out_of_place_expression(measure, half_width):
     # The draws, in order: the eigenvalues by the measure's inverse CDF or
-    # atom choice, the noise (none at half-width 0), the training frame, the
-    # test frame, beta0, the training noise.
+    # atom choice, the noise (none at half-width 0), the training frame,
+    # beta0, the training noise.  The test set is diag(lam), with no frame.
     cfg = DiagonalEnsembleConfig(30, 7, measure, NoiseDensity(half_width), beta=2.0, sigma=0.5)
     ds = sample_diagonal(cfg, seed=4)
     rng = np.random.default_rng(4)
@@ -294,10 +294,9 @@ def test_diagonal_matches_out_of_place_expression(measure, half_width):
         lam = measure.grid[rng.choice(3, size=7, p=measure.weights)]
     s = rng.uniform(0.5, 1.5, size=7) if half_width else np.ones(7)
     X_tr = _stiefel(rng, 30, 7) * np.sqrt(lam * s)
-    X_te = _stiefel(rng, 30, 7) * np.sqrt(lam)
     beta0 = rng.standard_normal(7) * 2.0
     assert np.array_equal(ds.X_tr, X_tr)
-    assert np.array_equal(ds.test.H, X_te.T @ X_te)
+    assert np.array_equal(ds.test.H, np.diag(lam))
     assert np.array_equal(ds.beta0, beta0)
     assert np.array_equal(ds.Y_tr, X_tr @ beta0 + 0.5 * rng.standard_normal(30))
 
@@ -393,7 +392,8 @@ def _assert_one_spectrum(ds):
     lambda: sample_spherical(SphericalGaussianConfig(10, 25, n_test=30), seed=6),  # wide
     lambda: sample_diagonal(DiagonalEnsembleConfig(
         30, 12, PowerLaw(2.0), NoiseDensity(0.5)), seed=7),
-    lambda: make_rff_dataset(3, 40, 15, 20, 0.5, seed=8),
+    lambda: make_rff_dataset(RFFBenchConfig(d=3, d_rbf=40, n_obs=15, n_test=20, sigma=0.5),
+                             seed=8),
 ], ids=["equicorrelated-sparse", "spherical-wide", "diagonal", "rff"])
 def test_dataset_carries_the_spectrum_of_its_training_set(make):
     _assert_one_spectrum(make())

@@ -85,3 +85,17 @@ def test_cli_runs_need_no_scipy_and_import_no_numpy_module(tmp_path):
             "print(json.dumps(sorted(set(sys.modules) - before)))",
             json.dumps(argv)))
         assert set(new) <= {"locale", "_locale", "encodings.utf_8_sig"}, name
+
+
+def test_every_exported_name_resolves():
+    # The benchmark tracer wraps what each module's __all__ names and skips a
+    # name that is missing, so a stale entry would otherwise pass unnoticed.
+    import importlib
+    import pkgutil
+
+    import schattenreg
+
+    for info in pkgutil.iter_modules(schattenreg.__path__):
+        module = importlib.import_module(f"schattenreg.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], info.name

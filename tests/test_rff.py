@@ -5,6 +5,7 @@ import pytest
 
 from schattenreg import (
     NonlinearTarget,
+    RFFBenchConfig,
     apply_rff,
     eval_target,
     make_rff_dataset,
@@ -88,15 +89,17 @@ def test_target_directions_are_unit_to_1e_12():
 
 
 def test_dataset_noiseless_and_deterministic():
-    a = make_rff_dataset(5, 30, 40, 20, sigma=0.0, seed=9)
-    b = make_rff_dataset(5, 30, 40, 20, sigma=0.0, seed=9)
+    cfg = RFFBenchConfig(d=5, d_rbf=30, n_obs=40, n_test=20, sigma=0.0)
+    a = make_rff_dataset(cfg, seed=9)
+    b = make_rff_dataset(cfg, seed=9)
     assert np.array_equal(a.X_tr, b.X_tr) and np.array_equal(a.Y_tr, b.Y_tr)
     assert a.beta0 is None
     assert a.X_tr.shape == (40, 30) and a.X_te.shape == (20, 30)
 
 
 def test_raw_entry_variance():
-    ds = make_rff_dataset(50, 100, 400, 10, sigma=0.0, seed=0)
+    ds = make_rff_dataset(RFFBenchConfig(d=50, d_rbf=100, n_obs=400, n_test=10, sigma=0.0),
+                          seed=0)
     # Feature values don't expose raw X, so check indirectly: regenerate the
     # raw draw with the same stream prefix.
     rng = np.random.default_rng(0)
