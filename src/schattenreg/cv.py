@@ -47,6 +47,7 @@ from .ensembles import (
     EquicorrelatedConfig,
     RowTestSet,
     SphericalGaussianConfig,
+    _check_counts,
     child_seeds,
     sample_diagonal,
     sample_equicorrelated,
@@ -90,8 +91,7 @@ class AlphaGrid:
             raise InvalidConfig(f"grid lo must be finite and positive, got {self.lo!r}")
         if not self.lo < self.hi < np.inf:
             raise InvalidConfig(f"grid hi must be finite and above lo, got {self.hi!r}")
-        if self.count < 1:
-            raise InvalidConfig("grid needs at least one value")
+        _check_counts(self, "count")
 
     def values(self) -> np.ndarray:
         if self.count == 1:
@@ -112,10 +112,8 @@ class CVConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise InvalidConfig("need at least 2 folds")
-        if self.n_datasets < 1:
-            raise InvalidConfig("need at least one dataset")
+        _check_counts(self, "folds", least=2)
+        _check_counts(self, "n_datasets")
         if not self.models or len(set(self.models)) < len(self.models):
             raise InvalidConfig(
                 f"models: need distinct models, at least one, got {self.models!r}")

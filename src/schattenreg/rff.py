@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import _BLOCK_BYTES, Dataset, RowTestSet, row_blocks
+from .ensembles import (_BLOCK_BYTES, Dataset, RowTestSet, _check_counts, _check_scales,
+                        row_blocks)
 from .exceptions import DimensionMismatch, InvalidConfig, NonFinite
 from .spectrum import gram_spectrum
 
@@ -190,11 +191,8 @@ class RFFBenchConfig:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        for name in ("d", "d_rbf", "n_obs", "n_test"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if not 0.0 <= self.sigma < np.inf:
-            raise InvalidConfig(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        _check_counts(self, "d", "d_rbf", "n_obs", "n_test")
+        _check_scales(self, "sigma")
         if not 0.0 < self.bandwidth < np.inf:
             raise InvalidConfig(f"bandwidth must be finite and positive, got {self.bandwidth!r}")
 

@@ -33,10 +33,6 @@ from .exceptions import InsufficientData, NonFinite
 # Relative cutoff below which a Gram eigenvalue is treated as exactly zero.
 EIGVAL_RTOL = 1e-12
 
-# Rows per slab of a blocked Gram update (see gram_matrix): at d = 1000 a
-# slab product is 1 MB, an eighth of the d x d result.
-_SLAB = 128
-
 
 class SchattenIndex(enum.Enum):
     """The three Schatten norms with closed-form estimators."""
@@ -96,29 +92,6 @@ class SchattenIndex(enum.Enum):
     def identity_norm(self, d: int) -> float:
         """Schatten-p norm of I_d, i.e. d**(1/p); the saturation point of C."""
         return self.norm(np.ones(d))
-
-
-def gram_matrix(blocks) -> np.ndarray:
-    """X^T X of the design whose rows are those of the row blocks `blocks`,
-    an iterable read once, so a block can be made as it is needed.  The
-    first block's product is one call, which numpy routes to a symmetric
-    rank-k update.  Each later block adds its products to the upper triangle
-    a slab of _SLAB rows at a time, and the lower triangle is copied from
-    the upper at the end, so the only temporary is one (_SLAB, d) slab,
-    never a second d x d array."""
-    blocks = iter(blocks)
-    X = next(blocks)
-    G = X.T @ X
-    del X  # each block is let go before the next is made
-    d = G.shape[0]
-    slabs = [(lo, min(lo + _SLAB, d)) for lo in range(0, d, _SLAB)]
-    for X in blocks:
-        for lo, hi in slabs:
-            G[lo:hi, lo:] += X[:, lo:hi].T @ X[:, lo:]
-        del X
-    for lo, hi in slabs:
-        G[hi:, lo:hi] = G[lo:hi, hi:].T
-    return G
 
 
 @dataclass(frozen=True)

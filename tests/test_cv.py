@@ -40,7 +40,7 @@ from schattenreg import (
     simulate_path_errors,
 )
 from schattenreg.cv import _cv_errors, _path_errors, _path_scores, sample_ensemble
-from schattenreg.ensembles import _BLOCK_BYTES
+from schattenreg.ensembles import _BLOCK_BYTES, _test_spans
 from schattenreg.exceptions import DimensionMismatch, InsufficientData, InvalidConfig, NonFinite
 from schattenreg.rff import RFFRows
 
@@ -345,12 +345,20 @@ def _spherical_test_rows(cfg, rng):
 
 
 def _equicorrelated_test_rows(cfg, rng):
-    rows = []
-    for m in (cfg.n_obs, cfg.n_test):
+    # The training rows, then the test rows in the sampler's spans, each span
+    # drawing its z and then its g; at rho = 0 the spans draw z alone and g
+    # is drawn once, after the last span.
+    def rows(m, with_g=True):
         z = rng.standard_normal((m, cfg.n_feat))
-        g = rng.standard_normal((m, 1))
-        rows.append((np.sqrt(1.0 - cfg.rho) * z + np.sqrt(cfg.rho) * g) / np.sqrt(cfg.n_obs))
-    return rows[1]
+        g = rng.standard_normal((m, 1)) if with_g else 0.0
+        return (np.sqrt(1.0 - cfg.rho) * z + np.sqrt(cfg.rho) * g) / np.sqrt(cfg.n_obs)
+
+    rows(cfg.n_obs)
+    X_te = np.concatenate([rows(hi - lo, cfg.rho > 0)
+                           for lo, hi in _test_spans(cfg.n_test, cfg.n_feat)])
+    if not cfg.rho:
+        rng.standard_normal((cfg.n_test, 1))
+    return X_te
 
 
 def _diagonal_test_rows(cfg, rng):

@@ -1,9 +1,13 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from schattenreg import (
     AlphaGrid,
     Atoms,
+    CVConfig,
     DiagonalEnsembleConfig,
     RFFBenchConfig,
     EquicorrelatedConfig,
@@ -25,7 +29,7 @@ from schattenreg import (
     sample_equicorrelated,
     sample_spherical,
 )
-from schattenreg.ensembles import _test_spans
+from schattenreg.ensembles import _test_gram, _test_spans
 from schattenreg.exceptions import DimensionMismatch, InvalidConfig
 
 
@@ -123,8 +127,28 @@ def test_ensemble_config_ranges_name_the_field(make, field):
         make()
 
 
-_NON_FINITE = [np.nan, np.inf, -np.inf]
 _POWER_LAW = PowerLaw(1.0)
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("config, field", [
+    *((SphericalGaussianConfig(20, 5), f) for f in ("n_obs", "n_feat", "n_test")),
+    *((DiagonalEnsembleConfig(20, 5, _POWER_LAW), f) for f in ("n_obs", "n_feat")),
+    *((EquicorrelatedConfig(20, 5), f) for f in ("n_obs", "n_feat", "n_test")),
+    *((RFFBenchConfig(), f) for f in ("d", "d_rbf", "n_obs", "n_test")),
+    (SparseSpec(), "n_large"),
+    (CVConfig(), "folds"),
+    (CVConfig(), "n_datasets"),
+    (AlphaGrid(), "count"),
+], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_counts_must_be_integers_named_by_field(config, field, value):
+    # A float count used to be truncated (2.5 folds ran as 2) or fail inside
+    # numpy, and a bool passed as 0 or 1.
+    with pytest.raises(InvalidConfig, match=f"^{field} must be an integer >= "):
+        replace(config, **{field: value})
+
+
+_NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
 @pytest.mark.parametrize("value", _NON_FINITE, ids=["nan", "+inf", "-inf"])
@@ -271,6 +295,75 @@ def test_spherical_multi_block_test_gram_matches_one_shot():
     assert np.all(np.abs(ds.test.H - want) <= 1e-13 * scale)
     assert np.array_equal(ds.test.H, ds.test.H.T)
     assert np.array_equal(ds.beta0, rng.standard_normal(7))
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3])
+def test_equicorrelated_multi_block_test_gram_is_drawn_block_by_block(rho):
+    # 10,000 test rows of 7 features are three blocks.  With rho > 0 each
+    # block draws its z, then its g; at rho = 0 the blocks are pieces of one
+    # draw of z, and g is drawn once after them.  H is the sum of the blocks'
+    # Grams bit for bit, and the test set takes as many normals as a
+    # one-piece draw, so X_tr, beta0 and Y_tr are those of that stream.
+    cfg = EquicorrelatedConfig(n_obs=30, n_feat=7, rho=rho, n_test=10_000)
+    spans = _test_spans(cfg.n_test, cfg.n_feat)
+    assert len(spans) >= 3
+    ds = sample_equicorrelated(cfg, seed=4)
+
+    def mix(z, g):
+        return (np.sqrt(1.0 - rho) * z + np.sqrt(rho) * g) / np.sqrt(30)
+
+    rng = np.random.default_rng(4)
+    rng.standard_normal((30, 8))  # skips the training z and g: 30 * 7 + 30 normals
+    blocks = [mix(rng.standard_normal((hi - lo, 7)),
+                  rng.standard_normal((hi - lo, 1)) if rho else 0.0) for lo, hi in spans]
+    assert np.array_equal(ds.test.H, sum(X.T @ X for X in blocks))
+
+    one_piece = np.random.default_rng(4)
+    X_tr = mix(one_piece.standard_normal((30, 7)), one_piece.standard_normal((30, 1)))
+    one_piece.standard_normal((10_000, 8))  # skips the test z and g, in one piece
+    beta0 = one_piece.standard_normal(7)
+    assert np.array_equal(ds.X_tr, X_tr)
+    assert np.array_equal(ds.beta0, beta0)
+    assert np.array_equal(ds.Y_tr, X_tr @ beta0 + one_piece.standard_normal(30))
+
+
+def test_test_gram_of_row_blocks_is_the_stack_gram():
+    # 300 columns make three slabs, and 601 rows of them three blocks, the
+    # last of one row, each asked for as it is needed.  The sum matches one
+    # product over the stack to rounding, and the result is exactly
+    # symmetric.
+    X = np.random.default_rng(4).standard_normal((601, 300))
+    asked = []
+
+    def draw(m):
+        lo = sum(asked)
+        asked.append(m)
+        return X[lo:lo + m]
+
+    G = _test_gram(601, 300, draw)
+    assert asked == [300, 300, 1]
+    np.testing.assert_allclose(G, X.T @ X, rtol=0, atol=1e-13 * np.abs(X.T @ X).max())
+    assert np.array_equal(G, G.T)
+    assert np.array_equal(_test_gram(300, 300, lambda m: X[:m]), X[:300].T @ X[:300])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sample_spherical(SphericalGaussianConfig(100, 1000, n_test=3000), seed=0),
+    lambda: sample_equicorrelated(EquicorrelatedConfig(100, 1000, rho=0.5, n_test=3000),
+                                  seed=0),
+], ids=["spherical", "equicorrelated"])
+def test_test_gram_holds_one_block_and_one_slab_beside_h(make):
+    # Three 1000-row blocks of 1000 features: H and one block are 8 MB each,
+    # a slab product 1 MB; the whole sample peaks near 2.33 times H.  A
+    # plain H += X.T @ X would hold a second d x d product, 3.2 times H.
+    make()  # numpy's first-call allocations are not counted
+    tracemalloc.start()
+    try:
+        ds = make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * ds.test.H.nbytes
 
 
 def _stiefel(rng, n, d):

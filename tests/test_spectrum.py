@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from schattenreg import GramSpectrum, SchattenIndex, gram_spectrum
 from schattenreg.exceptions import InsufficientData
-from schattenreg.spectrum import gram_matrix
 
 FIG1_X = np.diag(np.sqrt(np.arange(1.0, 11.0)))
 
@@ -177,19 +176,6 @@ def test_spectrum_invariants_on_both_sides_of_d_equals_n(seed, N, d):
     top = max(sp.eigvals[0], 1.0)
     np.testing.assert_allclose((sp.eigvecs * sp.eigvals[:k]) @ sp.eigvecs.T, G,
                                rtol=0, atol=1e-12 * top)
-
-
-def test_gram_matrix_of_row_blocks_is_the_stack_gram():
-    # 300 columns make three slabs; the blocks are uneven and made one at a
-    # time.  The sum matches one product over the stack to rounding, and the
-    # result is exactly symmetric.
-    rng = np.random.default_rng(4)
-    blocks = [rng.standard_normal((m, 300)) for m in (150, 7, 1, 90)]
-    X = np.concatenate(blocks)
-    G = gram_matrix(b for b in blocks)
-    np.testing.assert_allclose(G, X.T @ X, rtol=0, atol=1e-13 * np.abs(X.T @ X).max())
-    assert np.array_equal(G, G.T)
-    assert np.array_equal(gram_matrix([X]), X.T @ X)  # one block: one product
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (0, 0)])
