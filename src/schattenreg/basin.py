@@ -73,13 +73,18 @@ def locate_min_and_curvature(values: np.ndarray, grid: np.ndarray) -> BasinGeome
     )
 
 
+def _check_draws(delta: float, n: int) -> None:
+    """The parabola model's inputs: n >= 1 draws on [-delta, delta], delta > 0."""
+    if not n >= 1:
+        raise ValueError("n must be >= 1")
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+
+
 def expected_cv_minimum(mu: float, kappa: float, delta: float, n: int) -> float:
     """Expected achieved minimum of kappa^2 x^2 / 2 + mu over n uniform draws
     on [-delta, delta]: mu + (kappa delta)^2 / ((n+1)(n+2))."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_draws(delta, n)
     return mu + (kappa * delta) ** 2 / ((n + 1) * (n + 2))
 
 
@@ -91,7 +96,9 @@ def monte_carlo_parabola_min(
     reps: int = 100_000,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Monte-Carlo oracle for expected_cv_minimum: (mean, standard error)."""
+    """Monte-Carlo oracle for expected_cv_minimum: (mean, standard error).
+    Rejects the n and delta that expected_cv_minimum rejects."""
+    _check_draws(delta, n)
     if reps < 1000:
         raise ValueError("reps must be >= 1000")
     rng = np.random.default_rng(seed)

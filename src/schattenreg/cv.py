@@ -114,6 +114,7 @@ class CVConfig:
     def __post_init__(self):
         _check_counts(self, "folds", least=2)
         _check_counts(self, "n_datasets")
+        _check_counts(self, "seed", least=0)
         if not self.models or len(set(self.models)) < len(self.models):
             raise InvalidConfig(
                 f"models: need distinct models, at least one, got {self.models!r}")
@@ -307,6 +308,7 @@ def simulate_path_errors(
     shape (n_models, n_alpha, n_datasets); dataset j uses child seed j.  The
     datasets run on min(usable CPUs, n_datasets) workers of _replicates;
     numpy releases the GIL while it draws and multiplies."""
+    _check_counts({"seed": seed}, "seed", least=0)
     seeds = child_seeds(seed, n_datasets)
     return np.stack(_replicates(
         lambda j: _path_errors(sample_ensemble(ensemble_config, seeds[j]), models, alphas),

@@ -132,9 +132,10 @@ def _check_scales(config, *names: str) -> None:
 
 def _check_counts(config, *names: str, least: int = 1) -> None:
     """Raise InvalidConfig naming the first field of `names` that is not an
-    integer (a Python or numpy one, and not a bool) of at least `least`."""
+    integer (a Python or numpy one, and not a bool) of at least `least`;
+    `config` is an object with those fields or a dict of those values."""
     for name in names:
-        value = getattr(config, name)
+        value = config[name] if isinstance(config, dict) else getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise InvalidConfig(f"{name} must be an integer >= {least}, got {value!r}")
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InsufficientData, NonFinite
+from .exceptions import DimensionMismatch, InsufficientData, NonFinite
 
 # Relative cutoff below which a Gram eigenvalue is treated as exactly zero.
 EIGVAL_RTOL = 1e-12
@@ -144,9 +144,12 @@ class GramSpectrum:
 
 def gram_spectrum(X: np.ndarray) -> GramSpectrum:
     """Eigendecompose X^T X: eigh of the Gram matrix for d <= N, the thin SVD
-    of X for d > N.  Raises InsufficientData for a design with no rows or no
-    columns, and NonFinite for a NaN or inf entry."""
+    of X for d > N.  Raises DimensionMismatch unless X is 2-d,
+    InsufficientData for a design with no rows or no columns, and NonFinite
+    for a NaN or inf entry."""
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatch(f"X {X.shape} must be 2-d, (N, d)")
     N, d = X.shape
     if N == 0:
         raise InsufficientData(f"X {X.shape} has no rows to factor")

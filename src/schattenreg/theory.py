@@ -8,21 +8,20 @@ spherical Gaussian features, PowerLaw(gamma) or Atoms(grid, weights) on
 measure.rule(alphas, n), so a new measure is a new rule, and asks its kind
 only to check a MarchenkoPastur measure's lam.  Which ensemble takes which
 measure is the caller's choice, and nothing here reads an ensemble's name.
-lam = d/N is the error's prefactor, and the error is lam times the integral
-of one integrand, the test error carried by a covariance eigenvalue x,
+lam = d/N is the error's prefactor, and the error is lam (beta^2 A + sigma^2 B),
+the bias and the variance, one form summed over the nodes x of every rule:
 
-    e(x) = beta^2 x q^2 + sigma^2 r^2,    (r, q) = SchattenIndex.shrinkage(x, alpha),
+    A = sum w_b q^2,    B = sum w_v r^2,    (r, q) = SchattenIndex.shrinkage(x, alpha).
 
-against x^-1 dMP(x) or the diagonal measure.  r = x / f_alpha(x) is the share
-of x that the estimator keeps and q = 1 - r the share it drops; both are
-bounded and take their limits at x = 0, so e stays finite there.
-
-e is linear in (beta^2, sigma^2): lam beta^2 A(alpha) is the bias, with
-integrand x q^2, and lam sigma^2 B(alpha) the variance, with integrand r^2.
-One Gauss rule per measure, alpha block and node count serves every
-estimator: its nodes and weights never depend on p.  The engine integrates A
-and B of all of them against it before the next block (one ErrorIntegrals
-each); every (beta, sigma) is then a weighted sum of the two.
+r = x / f_alpha(x) is the share of x that the estimator keeps and q = 1 - r
+the share it drops; both are bounded and take their limits at x = 0.  Each
+rule states its bias and variance weights: dMP(x) and x^-1 dMP(x) for MP,
+whose test covariance is I, and x mu(x) and mu(x) for a measure mu of the
+diagonal ensemble, whose test covariance is diag(x).  One Gauss rule per
+measure, alpha block and node count serves every estimator: its nodes and
+weights never depend on p.  The engine integrates A and B of all of them
+against it before the next block (one ErrorIntegrals each); every
+(beta, sigma) is then a weighted sum of the two.
 
 The integrals are fixed Gauss rules evaluated for a whole alpha grid at once,
 as (n_alpha, n_nodes) arrays:
@@ -44,17 +43,17 @@ The rows that do not depend on alpha are built once per measure and node
 count, cached read-only, and copied.  Every alpha <= lo has theta(alpha) = 0
 and every alpha >= hi (inf included) pi/2, so each side shares one MP edge
 row.  An alpha inside the support cuts one base panel: only that panel's
-nodes go through the theta -> (x, w) map, and each uncut panel, split at its
-own start or end, is copied from the edge row on that side.  Every power-law
-alpha >= 1, and alpha = 0, has m = 1 and shares one row.  This is exact: each
-node and weight is computed element by element from its own panel's
-endpoints, so a copied row is bit for bit the row built for that alpha.
+nodes go through the theta -> (x, w_b, w_v) map, and each uncut panel, split
+at its own start or end, is copied from the edge row on that side.  Every
+power-law alpha >= 1, and alpha = 0, has m = 1 and shares one row.  This is
+exact: each node and weight is computed element by element from its own
+panel's endpoints, so a copied row is bit for bit the row built for that alpha.
 
 Each rule runs with n and 2n nodes per panel, for A and B alike.  Per
 (beta, sigma) the 2n value of beta^2 A + sigma^2 B is returned, and its gap to
 the n value above 1e-9 max(beta^2, sigma^2, |Q_2n|) raises QuadratureFailure:
-the bound of a direct integral of e, checked on the combination and not on A
-and B apart.
+the bound of a direct integral of the error, checked on the combination and
+not on A and B apart.
 Every Gauss rule comes from one Golub-Welsch builder: the nodes are the eigenvalues
 of the Jacobi matrix of the weight (1 - t)^a (1 + t)^b, the weights the
 reciprocal Christoffel sums of its orthonormal polynomials.  Nothing here
@@ -128,9 +127,9 @@ class MarchenkoPastur:
         return ((0.0, theta_e, False), (theta_e, 0.5 * np.pi, True))
 
     def _split(self, panels, theta, n: int):
-        """Nodes x and weights over `panels`, each split at the (k, 1) theta
-        into two n-node Gauss-Legendre halves, one of them empty unless theta
-        lies inside it."""
+        """Nodes x, bias weights and variance weights over `panels`, each split
+        at the (k, 1) theta into two n-node Gauss-Legendre halves, one of them
+        empty unless theta lies inside it."""
         lo, span = self.support_lo, self.support_hi - self.support_lo
         thetas, weights = [], []
         for a, b, log in panels:
@@ -141,34 +140,35 @@ class MarchenkoPastur:
                 weights.append(w)
         s, c = np.sin(np.hstack(thetas)), np.cos(np.hstack(thetas))
         x = lo + span * s * s
-        # dMP = (hi - lo)^2 2 sin^2 cos^2 / (2 pi lam x) dtheta, times x^-1.
-        w = np.hstack(weights) * span * span * (s * c) ** 2 / (np.pi * self.lam * x * x)
-        return x, w
+        # dMP = (hi - lo)^2 2 sin^2 cos^2 / (2 pi lam x) dtheta; x^-1 dMP for the variance.
+        w_b = np.hstack(weights) * span * span * (s * c) ** 2 / (np.pi * self.lam * x)
+        return x, w_b, w_b / x
 
     @lru_cache(maxsize=64)
     def _edge_rows(self, n: int):
         """The read-only rows at theta = 0 (every alpha <= lo) and pi/2
-        (every alpha >= hi), as (2, 4n) nodes and weights."""
-        x, w = self._split(self._panels(), np.array([[0.0], [0.5 * np.pi]]), n)
-        x.flags.writeable = w.flags.writeable = False
-        return x, w
+        (every alpha >= hi), as (2, 4n) nodes, bias and variance weights."""
+        x, w_b, w_v = self._split(self._panels(), np.array([[0.0], [0.5 * np.pi]]), n)
+        x.flags.writeable = w_b.flags.writeable = w_v.flags.writeable = False
+        return x, w_b, w_v
 
     def rule(self, alpha: np.ndarray, n: int):
-        """Nodes x and weights of the measure x^-1 dMP(x), per row of the
-        (k, 1) alpha: (k, 4n) arrays."""
+        """Nodes x, bias weights dMP(x) and variance weights x^-1 dMP(x), per
+        row of the (k, 1) alpha: (k, 4n) arrays."""
         lo, span = self.support_lo, self.support_hi - self.support_lo
         theta = np.arcsin(np.sqrt(np.clip((alpha - lo) / span, 0.0, 1.0)))
-        panels, (edge_x, edge_w) = self._panels(), self._edge_rows(n)
+        panels = self._panels()
         # A base panel that theta does not cut splits at its start or its end,
         # as in the edge row at theta = 0 or pi/2: its columns are copied.
         high = theta >= np.repeat([b for _, b, _ in panels], 2 * n)
-        x, w = np.where(high, edge_x[1], edge_x[0]), np.where(high, edge_w[1], edge_w[0])
+        out = tuple(np.where(high, edge[1], edge[0]) for edge in self._edge_rows(n))
         for i, panel in enumerate(panels):
             rows = np.flatnonzero((panel[0] < theta) & (theta < panel[1]))
             if rows.size:
                 cols = slice(2 * n * i, 2 * n * (i + 1))
-                x[rows, cols], w[rows, cols] = self._split((panel,), theta[rows], n)
-        return x, w
+                for a, cut in zip(out, self._split((panel,), theta[rows], n)):
+                    a[rows, cols] = cut
+        return out
 
 
 @dataclass(frozen=True)
@@ -189,37 +189,38 @@ class PowerLaw:
         return rng.uniform(size=size) ** (1.0 / self.gamma)
 
     def _split(self, m, n: int):
-        """Nodes x and weights, Gauss-Radau on [0, m] and log-Legendre on
-        [m, 1], per row of the (k, 1) m: (k, 2n) arrays."""
+        """Nodes x and bias and variance weights x w and w, Gauss-Radau on [0, m]
+        and log-Legendre on [m, 1], per row of the (k, 1) m: (k, 2n) arrays."""
         gamma = self.gamma
         s, ws = _radau(n, gamma)
         x_low, w_low = m * s, m ** gamma * ws
         x_high, w_high = _legendre_panel(m, 1.0, n, log=True)
         w_high = w_high * gamma * x_high ** (gamma - 1.0)
-        return np.hstack([x_low, x_high]), np.hstack([w_low, w_high])
+        x, w = np.hstack([x_low, x_high]), np.hstack([w_low, w_high])
+        return x, x * w, w
 
     @lru_cache(maxsize=64)
     def _whole_row(self, n: int):
         """The read-only row at m = 1: the Radau panel on [0, 1] and an empty
-        log panel at 1."""
-        x, w = self._split(np.ones((1, 1)), n)
-        x.flags.writeable = w.flags.writeable = False
-        return x[0], w[0]
+        log panel at 1, as nodes, bias and variance weights."""
+        x, w_b, w_v = self._split(np.ones((1, 1)), n)
+        x.flags.writeable = w_b.flags.writeable = w_v.flags.writeable = False
+        return x[0], w_b[0], w_v[0]
 
     def rule(self, alpha: np.ndarray, n: int):
-        """Nodes x and weights of the measure, per row of the (k, 1) alpha:
-        (k, 2n) arrays."""
+        """Nodes x and bias and variance weights x w and w, for w the measure's
+        weights, per row of the (k, 1) alpha: (k, 2n) arrays."""
         # The split point m never drops below where the measure holds e^-50 of
         # its mass: a kink or transition under that cannot show, and x^gamma
         # stays smooth enough in ln(x) over [m, 1].  At alpha = 0 every filter
         # is the identity, so [0, 1] is one smooth panel.
         m = np.where(alpha > 0.0, np.clip(alpha, np.exp(-50.0 / self.gamma), 1.0), 1.0)
-        whole_x, whole_w = self._whole_row(n)
-        x, w = np.tile(whole_x, (len(m), 1)), np.tile(whole_w, (len(m), 1))
+        out = tuple(np.tile(a, (len(m), 1)) for a in self._whole_row(n))
         rows = np.flatnonzero(m < 1.0)
         if rows.size:
-            x[rows], w[rows] = self._split(m[rows], n)
-        return x, w
+            for a, cut in zip(out, self._split(m[rows], n)):
+                a[rows] = cut
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,9 +251,10 @@ class Atoms:
         return self.grid[rng.choice(len(self.grid), size=size, p=self.weights)]
 
     def rule(self, alpha: np.ndarray, n: int):
-        """The atoms and their weights, the same for every alpha and n: the
-        sum is exact.  An atom at x = 0 carries no error and weighs 0."""
-        return self.grid, np.where(self.grid > 0.0, self.weights, 0.0)
+        """The atoms x and bias and variance weights x w and w, the same for every
+        alpha and n, so the sum is exact; an atom at x = 0 weighs 0 in both."""
+        w = np.where(self.grid > 0.0, self.weights, 0.0)
+        return self.grid, self.grid * w, w
 
 
 def mp_pdf(mp: MarchenkoPastur, x) -> np.ndarray | float:
@@ -339,13 +341,6 @@ def _legendre_panel(a, b, n: int, log: bool):
     return nodes, weights
 
 
-def _bias_variance(p: SchattenIndex, alpha: np.ndarray, x):
-    """The integrands x q^2 of A and r^2 of B."""
-    r, q = p.shrinkage(x, alpha)
-    # Squared in place: each (block, nodes) temporary is a fresh allocation.
-    return x * np.square(q, out=q), np.square(r, out=r)
-
-
 @dataclass(frozen=True)
 class ErrorIntegrals:
     """The bias and variance integrals of estimator p on one alpha grid.
@@ -399,10 +394,12 @@ def error_integrals(models: tuple[SchattenIndex, ...],
     for start in range(0, flat.size, _BLOCK):
         a = flat[start:start + _BLOCK, None]
         for i, n in enumerate((_NODES, 2 * _NODES)):
-            x, w = measure.rule(a, n)
+            x, w_b, w_v = measure.rule(a, n)
             for m, p in enumerate(models):
-                for j, f in enumerate(_bias_variance(p, a, x)):
-                    sums[m, i, j, start:start + _BLOCK] = np.sum(w * f, axis=1)
+                r, q = p.shrinkage(x, a)
+                # Squared in place: each (block, nodes) temporary is a fresh allocation.
+                for j, (w, f) in enumerate(((w_b, q), (w_v, r))):
+                    sums[m, i, j, start:start + _BLOCK] = np.sum(w * np.square(f, out=f), axis=1)
     return tuple(ErrorIntegrals(alpha, lam, p, s, measure.label) for p, s in zip(models, sums))
 
 

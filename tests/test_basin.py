@@ -92,6 +92,22 @@ def test_monte_carlo_degenerate_case():
     assert stderr == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("delta, n, match", [
+    (1.0, 0, "n must be >= 1"),
+    (1.0, -2, "n must be >= 1"),
+    (0.0, 3, "delta must be positive"),
+    (-1.0, 3, "delta must be positive"),
+    (np.nan, 3, "delta must be positive"),
+])
+def test_monte_carlo_rejects_what_the_closed_form_rejects(delta, n, match):
+    # The oracle used to fail inside numpy at n = 0 and delta = -1, and to
+    # return (0.0, 0.0) at delta = 0.
+    with pytest.raises(ValueError, match=match):
+        expected_cv_minimum(0.0, 1.0, delta, n)
+    with pytest.raises(ValueError, match=match):
+        monte_carlo_parabola_min(0.0, 1.0, delta, n, reps=1000)
+
+
 @pytest.mark.parametrize("n,expected", [(1, 1.0 / 6.0), (3, 1.0 / 20.0)])
 def test_monte_carlo_matches_formula(n, expected):
     mean, stderr = monte_carlo_parabola_min(0.0, 1.0, 1.0, n, reps=200_000, seed=1)

@@ -39,6 +39,7 @@ from schattenreg import (
     sample_spherical,
     simulate_path_errors,
 )
+from schattenreg import cv
 from schattenreg.cv import _cv_errors, _path_errors, _path_scores, sample_ensemble
 from schattenreg.ensembles import _BLOCK_BYTES, _test_spans
 from schattenreg.exceptions import DimensionMismatch, InsufficientData, InvalidConfig, NonFinite
@@ -964,6 +965,23 @@ def test_config_validation():
         RFFBenchConfig(sigma=-1.0)
     with pytest.raises(InvalidConfig, match="bandwidth"):
         RFFBenchConfig(bandwidth=0.0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True], ids=["negative", "float", "bool"])
+def test_a_bad_seed_is_rejected_naming_it(seed, monkeypatch):
+    # A negative or float seed used to pass and die in child_seeds with
+    # numpy's error, which names no field; a bool passed as 0 or 1.
+    match = "^" + re.escape(f"seed must be an integer >= 0, got {seed!r}") + "$"
+    with pytest.raises(InvalidConfig, match=match):
+        CVConfig(seed=seed)
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a dataset was drawn before the seed was checked")
+
+    monkeypatch.setattr(cv, "sample_ensemble", no_sampling)
+    with pytest.raises(InvalidConfig, match=match):
+        simulate_path_errors(SphericalGaussianConfig(30, 5, n_test=10),
+                             (SchattenIndex.FROBENIUS,), np.array([1.0]), 2, seed)
 
 
 @pytest.mark.parametrize("models", [

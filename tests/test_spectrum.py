@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schattenreg import GramSpectrum, SchattenIndex, gram_spectrum
-from schattenreg.exceptions import InsufficientData
+from schattenreg import GramSpectrum, SchattenIndex, estimator_operator, fit, gram_spectrum
+from schattenreg.exceptions import DimensionMismatch, InsufficientData
 
 FIG1_X = np.diag(np.sqrt(np.arange(1.0, 11.0)))
 
@@ -189,3 +189,16 @@ def test_a_design_with_no_columns_is_rejected_naming_its_shape():
     # a test set with rows of 0 bytes and divided by zero.
     with pytest.raises(InsufficientData, match=r"^X \(5, 0\) has no columns to factor$"):
         gram_spectrum(np.empty((5, 0)))
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+@pytest.mark.parametrize("call", [
+    gram_spectrum,
+    lambda X: fit(X, np.ones(X.shape[0]), SchattenIndex.FROBENIUS, 1.0),
+    lambda X: estimator_operator(X, SchattenIndex.NUCLEAR, 1.0),
+], ids=["gram_spectrum", "fit", "estimator_operator"])
+def test_a_design_that_is_not_2d_is_rejected_naming_its_shape(call, shape):
+    # A (5,) X used to fail unpacking its shape ("not enough values to
+    # unpack"), and a (2, 3, 4) X with "too many values to unpack".
+    with pytest.raises(DimensionMismatch, match=f"^X {re.escape(str(shape))} must be 2-d"):
+        call(np.ones(shape))

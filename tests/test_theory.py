@@ -9,6 +9,7 @@ from schattenreg import (
     MarchenkoPastur,
     PowerLaw,
     SchattenIndex,
+    SphericalGaussianConfig,
     appell_f1,
     child_seeds,
     err_nuclear_closed,
@@ -16,11 +17,13 @@ from schattenreg import (
     error_integrals,
     estimator_operator,
     fit,
+    gram_spectrum,
     mp_cdf,
     mp_partial_moment,
     mp_pdf,
     oracle_ridge_alpha,
     sample_diagonal,
+    sample_spherical,
 )
 from schattenreg import theory
 from schattenreg.exceptions import DomainError, QuadratureFailure
@@ -463,6 +466,41 @@ def test_diagonal_theory_is_exact_on_the_empirical_measure(p, low_atom):
         assert theory == pytest.approx(exact, rel=1e-12)
 
 
+class SpectrumAtoms:
+    """A measure duck-typed to the engine: atoms at the d eigenvalues s_i of a
+    Gram matrix, with bias weights 1/d and variance weights 1/(d s_i)."""
+
+    label = "empirical"
+
+    def __init__(self, s):
+        self.s = s
+
+    def rule(self, alpha, n):
+        d = self.s.size
+        return self.s, np.full(d, 1.0 / d), 1.0 / (d * self.s)
+
+
+@pytest.mark.parametrize("p", list(SchattenIndex))
+def test_spherical_theory_is_exact_on_the_empirical_measure(p):
+    # Spherical test rows have covariance I / N (rows scaled as the training
+    # rows), so the expected test error of L = estimator_operator(X, p, alpha)
+    # over beta0 ~ N(0, beta^2 I) and the noise is
+    # (beta^2 ||L X - I||_F^2 + sigma^2 ||L||_F^2) / N.  With s_i the
+    # eigenvalues of X^T X and (r_i, q_i) their shrinkage, the two norms are
+    # sum q_i^2 and sum r_i^2 / s_i: lam = d/N times the sums of q^2 against
+    # the bias weights 1/d and of r^2 against the variance weights 1/(d s_i).
+    N, d, beta, sigma = 60, 30, 1.0, 0.7
+    X = sample_spherical(SphericalGaussianConfig(N, d, n_test=1), seed=3).X_tr
+    s = gram_spectrum(X).eigvals
+    assert s[-1] > 1e-3 * s[0]  # full rank: every atom carries its variance weight
+    for alpha in (0.0, 0.5 * (s[0] + s[-1]), 1e3 * s[0]):
+        L = estimator_operator(X, p, alpha)
+        bias = L @ X - np.eye(d)
+        exact = (beta ** 2 * np.sum(bias * bias) + sigma ** 2 * np.sum(L * L)) / N
+        theory = err_density(p, alpha, d / N, beta, sigma, SpectrumAtoms(s))
+        assert theory == pytest.approx(exact, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Oracle ridge strength and curve-level properties
 # ---------------------------------------------------------------------------
@@ -532,7 +570,8 @@ def test_radau_rule_integrates_moments_exactly(n, gamma):
 
 def mp_rule_per_alpha(mp, alpha, n):
     """The MP rule row of one alpha, built whole: both base panels split at
-    theta(alpha) and every node mapped to (x, w)."""
+    theta(alpha) and every node mapped to (x, w_b, w_v), the weights of dMP
+    and x^-1 dMP."""
     lo, span = mp.support_lo, mp.support_hi - mp.support_lo
     theta_e = min(0.5 * np.pi, 4.0 * np.sqrt(lo / span))
     theta_alpha = np.arcsin(np.sqrt(np.clip((np.array([[alpha]]) - lo) / span, 0.0, 1.0)))
@@ -545,19 +584,21 @@ def mp_rule_per_alpha(mp, alpha, n):
             weights.append(w)
     s, c = np.sin(np.hstack(thetas)), np.cos(np.hstack(thetas))
     x = lo + span * s * s
-    w = np.hstack(weights) * span * span * (s * c) ** 2 / (np.pi * mp.lam * x * x)
-    return x[0], w[0]
+    w_b = np.hstack(weights) * span * span * (s * c) ** 2 / (np.pi * mp.lam * x)
+    return x[0], w_b[0], w_b[0] / x[0]
 
 
 def power_law_rule_per_alpha(pl, alpha, n):
-    """The power-law rule row of one alpha, built whole."""
+    """The power-law rule row of one alpha, built whole: nodes x, bias weights
+    x w and variance weights w."""
     gamma, alpha = pl.gamma, np.array([[alpha]])
     m = np.where(alpha > 0.0, np.clip(alpha, np.exp(-50.0 / gamma), 1.0), 1.0)
     s, ws = theory._radau(n, gamma)
     x_low, w_low = m * s, m ** gamma * ws
     x_high, w_high = theory._legendre_panel(m, 1.0, n, log=True)
     w_high = w_high * gamma * x_high ** (gamma - 1.0)
-    return np.hstack([x_low, x_high])[0], np.hstack([w_low, w_high])[0]
+    x, w = np.hstack([x_low, x_high])[0], np.hstack([w_low, w_high])[0]
+    return x, x * w, w
 
 
 def _with_neighbours(a):
@@ -566,10 +607,11 @@ def _with_neighbours(a):
 
 def _assert_rows_equal_per_alpha(measure, alphas, n, per_alpha):
     # All alphas in one column, so that edge rows and cut rows share a block.
-    x, w = measure.rule(np.array(alphas)[:, None], n)
+    rows = measure.rule(np.array(alphas)[:, None], n)
+    assert len(rows) == 3
     for k, a in enumerate(alphas):
-        x_ref, w_ref = per_alpha(measure, a, n)
-        assert np.array_equal(x[k], x_ref) and np.array_equal(w[k], w_ref), a
+        refs = per_alpha(measure, a, n)
+        assert all(np.array_equal(row[k], ref) for row, ref in zip(rows, refs, strict=True)), a
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -599,6 +641,7 @@ def test_power_law_rule_rows_equal_the_per_alpha_construction(gamma, n):
 
 def test_cached_rule_rows_are_read_only_and_rules_return_copies():
     mp, pl = MarchenkoPastur(0.5), PowerLaw(2.0)
+    assert len(mp._edge_rows(32)) == len(pl._whole_row(32)) == 3
     for cached in (*mp._edge_rows(32), *pl._whole_row(32)):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 1.0
