@@ -29,7 +29,7 @@ from .ensembles import (
     DiagonalEnsembleConfig,
     EquicorrelatedConfig,
     GramTestSet,
-    NoiseDensity,
+    RealDataConfig,
     RowTestSet,
     SparseSpec,
     SphericalGaussianConfig,
@@ -37,6 +37,7 @@ from .ensembles import (
     haar_stiefel,
     sample_diagonal,
     sample_equicorrelated,
+    sample_real_data,
     sample_spherical,
 )
 from .estimators import (

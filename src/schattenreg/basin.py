@@ -74,9 +74,9 @@ def locate_min_and_curvature(values: np.ndarray, grid: np.ndarray) -> BasinGeome
 
 
 def _check_draws(delta: float, n: int) -> None:
-    """The parabola model's inputs: n >= 1 draws on [-delta, delta], delta > 0."""
-    if not n >= 1:
-        raise ValueError("n must be >= 1")
+    """The parabola model's inputs: n >= 1 draws, an integer, on [-delta, delta], delta > 0."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be >= 1 and an integer, got {n!r}")
     if not delta > 0:
         raise ValueError("delta must be positive")
 

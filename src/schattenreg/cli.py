@@ -29,23 +29,20 @@ from .cv import (
     CVConfig,
     MODEL_NAMES,
     RFFBenchConfig,
-    _bench_over_datasets,
     run_benchmark,
     simulate_path_errors,
 )
 from .ensembles import (
     DEFAULT_N_TEST,
-    Dataset,
     DiagonalEnsembleConfig,
     EquicorrelatedConfig,
-    NoiseDensity,
-    RowTestSet,
+    RealDataConfig,
     SparseSpec,
     SphericalGaussianConfig,
 )
 from .exceptions import (ConfigError, InvalidConfig, MissingTarget, ParseError,
                          SchattenRegError)
-from .spectrum import SchattenIndex, gram_spectrum
+from .spectrum import SchattenIndex
 from .theory import MarchenkoPastur, PowerLaw, error_integrals
 
 FLOAT_FMT = "%.17g"
@@ -325,9 +322,7 @@ def report_summary_rows(report: BenchReport) -> list[dict]:
 
 def cmd_cv_bench(cfg: dict) -> BenchReport:
     o = parse("cv-bench", cfg, CV_BENCH, CV_BENCH_ENSEMBLES)
-    noise = NoiseDensity(o["noise_half_width"])
-    return run_benchmark(_ensemble_config("cv-bench", o, noise_density=noise),
-                         _cv_config("cv-bench", o, "n_obs"))
+    return run_benchmark(_ensemble_config("cv-bench", o), _cv_config("cv-bench", o, "n_obs"))
 
 
 def cmd_rff_bench(cfg: dict) -> BenchReport:
@@ -407,42 +402,17 @@ def _is_finite_float(v: str) -> bool:
 
 
 def cmd_real_data(path: str, cfg: dict) -> BenchReport:
-    """Repeated random train/test splits on a tabular dataset.
-
-    Features are z-scored with statistics fit on the training split only, and
-    train and test targets are centered on the training mean, which leaves
-    every squared test error unchanged up to rounding; these choices are
-    recorded in the output metadata.
-    """
+    """Repeated random train/test splits of a tabular dataset, each drawn by
+    sample_real_data, whose standardization the output metadata records."""
     o = parse("real-data", cfg, REAL_DATA)
     if o["target"] is None:
         raise ConfigError("real-data: target: required, the name of the target column")
     cv_cfg = _cv_config("real-data", o, "train_size", n_datasets=o["n_splits"])
     X_all, y_all, _ = read_numeric_csv(path, o["target"])
-    n = X_all.shape[0]
-    train_size = o["train_size"]
+    n, train_size = X_all.shape[0], o["train_size"]
     if train_size >= n:
         raise ConfigError(f"real-data: train_size: {train_size} must be below row count {n}")
-
-    def split(seed: int) -> Dataset:
-        perm = np.random.default_rng(seed).permutation(n)
-        tr, te = perm[:train_size], perm[train_size:]
-        X_tr, y_tr = X_all[tr], y_all[tr]
-        mu = X_tr.mean(axis=0)
-        sd = X_tr.std(axis=0, ddof=0)
-        sd[sd == 0] = 1.0
-        X_tr -= mu
-        X_tr /= sd
-        y_mean = y_tr.mean()
-        y_tr -= y_mean
-        spectrum = gram_spectrum(X_tr)  # before the test rows are copied
-        X_te = X_all[te]
-        X_te -= mu
-        X_te /= sd
-        return Dataset(X_tr=X_tr, Y_tr=y_tr, test=RowTestSet(X_te, y_all[te] - y_mean),
-                       beta0=None, spectrum=spectrum)
-
-    return _bench_over_datasets(split, cv_cfg, with_ratio=False)
+    return run_benchmark(RealDataConfig(X_all, y_all, train_size), cv_cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ aggregate average errors and per-dataset win probabilities.
 
 Each entry takes its data and one CVConfig (folds, grid, models, seed):
 run_benchmark(config, cfg) runs the protocol on datasets that
-sample_ensemble draws from config, a synthetic ensemble's or an
-RFFBenchConfig, and kfold_select_alpha(X, Y, cfg) selects on given rows.
+sample_ensemble draws from config, a synthetic ensemble's config, an
+RFFBenchConfig or a RealDataConfig, and kfold_select_alpha(X, Y, cfg)
+selects on given rows.
 
 Every model's alpha path is fit from one spectrum and scored by one call,
 ds.test.mse(B), whatever the test set is: a sampled one through its d x d
@@ -45,16 +46,19 @@ from .ensembles import (
     Dataset,
     DiagonalEnsembleConfig,
     EquicorrelatedConfig,
+    RealDataConfig,
     RowTestSet,
     SphericalGaussianConfig,
     _check_counts,
+    _check_rows,
     child_seeds,
     sample_diagonal,
     sample_equicorrelated,
+    sample_real_data,
     sample_spherical,
 )
 from .estimators import fit_path
-from .exceptions import DimensionMismatch, InsufficientData, InvalidConfig, NonFinite
+from .exceptions import InsufficientData, InvalidConfig
 from .rff import RFFBenchConfig, make_rff_dataset
 from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 
@@ -222,12 +226,7 @@ def kfold_select_alpha(X: np.ndarray, Y: np.ndarray, cfg: CVConfig) -> dict[Scha
     or inf in X or Y, before any fold is laid out."""
     X, Y = np.asarray(X, dtype=float).view(), np.array(Y, dtype=float)
     X.flags.writeable = False
-    if X.ndim != 2 or Y.shape != X.shape[:1]:
-        raise DimensionMismatch(f"X {X.shape} and Y {Y.shape} must be (N, d) and (N,)")
-    if not np.all(np.isfinite(X)):
-        raise NonFinite("X contains NaN or Inf")
-    if not np.all(np.isfinite(Y)):
-        raise NonFinite("Y contains NaN or Inf")
+    _check_rows(X, Y)
     alphas = cfg.grid.values()
     best = _cv_best_index(X, Y, cfg.models, alphas, cfg.folds, cfg.seed)
     return {p: float(alphas[b]) for p, b in zip(cfg.models, best)}
@@ -235,7 +234,7 @@ def kfold_select_alpha(X: np.ndarray, Y: np.ndarray, cfg: CVConfig) -> dict[Scha
 
 def sample_ensemble(config, seed: int) -> Dataset:
     """Dispatch a dataset draw on the config type: a synthetic ensemble's
-    config or an RFFBenchConfig."""
+    config, an RFFBenchConfig or a RealDataConfig."""
     if isinstance(config, SphericalGaussianConfig):
         return sample_spherical(config, seed=seed)
     if isinstance(config, DiagonalEnsembleConfig):
@@ -244,6 +243,8 @@ def sample_ensemble(config, seed: int) -> Dataset:
         return sample_equicorrelated(config, seed=seed)
     if isinstance(config, RFFBenchConfig):
         return make_rff_dataset(config, seed=seed)
+    if isinstance(config, RealDataConfig):
+        return sample_real_data(config, seed=seed)
     raise InvalidConfig(f"unknown ensemble config type {type(config).__name__}")
 
 
@@ -309,6 +310,7 @@ def simulate_path_errors(
     datasets run on min(usable CPUs, n_datasets) workers of _replicates;
     numpy releases the GIL while it draws and multiplies."""
     _check_counts({"seed": seed}, "seed", least=0)
+    _check_counts({"n_datasets": n_datasets}, "n_datasets")
     seeds = child_seeds(seed, n_datasets)
     return np.stack(_replicates(
         lambda j: _path_errors(sample_ensemble(ensemble_config, seeds[j]), models, alphas),
@@ -330,39 +332,31 @@ def _cv_errors(ds: Dataset, cfg: CVConfig, cv_seed: int) -> tuple[np.ndarray, np
     return test_mse[np.arange(len(cfg.models)), best], alphas[best]
 
 
-def _bench_over_datasets(make_dataset, cfg: CVConfig, with_ratio: bool) -> BenchReport:
-    """The replicate protocol: dataset j is make_dataset(seed) for the j-th
-    even child seed and its CV folds use the next one.  Each dataset is made
-    inside the call that scores and consumes it, so only one is alive at a
-    time.  No factorization overlaps a test set: make_dataset factors the
-    full training set before it makes the test set, and that is freed before
-    the folds are factored."""
+def run_benchmark(config, cfg: CVConfig) -> BenchReport:
+    """The replicate protocol: dataset j is sample_ensemble(config, seed) at
+    the j-th even child seed, and its CV folds use the next one.  Each
+    dataset is drawn inside the call that scores and consumes it, and its
+    test set is freed before the folds are factored, so no factorization
+    overlaps a test set.  An RFF report carries the ratio-to-Ridge
+    statistic; its folds, with more features than rows, are rank-deficient,
+    and there Spectral is min-norm OLS / (1 + alpha)."""
+    _check_folds(config.n_obs, cfg.folds)  # before any dataset is made
     names = tuple(MODEL_NAMES[m] for m in cfg.models)
     seeds = child_seeds(cfg.seed, 2 * cfg.n_datasets)
     # One worker: threading this loop raised cv-tall's peak memory by 42% (ROADMAP).
-    pairs = _replicates(lambda j: _cv_errors(make_dataset(seeds[2 * j]), cfg, seeds[2 * j + 1]),
-                        cfg.n_datasets, 1)
+    pairs = _replicates(
+        lambda j: _cv_errors(sample_ensemble(config, seeds[2 * j]), cfg, seeds[2 * j + 1]),
+        cfg.n_datasets, 1)
     errors, alphas = (np.stack(column, axis=1) for column in zip(*pairs))
     winners = np.argmin(errors, axis=0)  # first index wins ties
     win_count = {name: int(np.sum(winners == i)) for i, name in enumerate(names)}
     avg_error = {name: float(errors[i].mean()) for i, name in enumerate(names)}
     ratio = ({name: avg_error[name] / avg_error["ridge"] for name in names}
-             if with_ratio and "ridge" in names else None)
+             if isinstance(config, RFFBenchConfig) and "ridge" in names else None)
     return BenchReport(models=names, errors=errors, selected_alphas=alphas,
                        avg_error=avg_error, win_count=win_count,
                        win_prob={name: win_count[name] / cfg.n_datasets for name in names},
                        ridge_ratio=ratio)
-
-
-def run_benchmark(config, cfg: CVConfig) -> BenchReport:
-    """The full replicate protocol on datasets drawn by sample_ensemble from
-    config, a synthetic ensemble's or an RFFBenchConfig.  An RFF report
-    carries the ratio-to-Ridge statistic; its folds, with more features than
-    rows, are rank-deficient, and there Spectral is min-norm OLS /
-    (1 + alpha)."""
-    _check_folds(config.n_obs, cfg.folds)  # before any dataset is made
-    return _bench_over_datasets(lambda s: sample_ensemble(config, s), cfg,
-                                with_ratio=isinstance(config, RFFBenchConfig))
 
 
 def aggregate_wins(report: BenchReport) -> tuple[str, str]:

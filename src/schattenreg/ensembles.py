@@ -1,4 +1,4 @@
-"""Synthetic data generators for the random-matrix ensembles.
+"""Data sources: the synthetic ensembles' generators and real-data splits.
 
 Three generators: spherical Gaussian entries of variance 1/N, the
 diagonal/Stiefel ensemble with a prescribed spectral measure (a
@@ -6,9 +6,10 @@ theory.PowerLaw or theory.Atoms, whose sample draws the eigenvalues), and
 equicorrelated Gaussian rows (optionally with a sparse ground-truth
 coefficient vector).  Test targets never carry exogenous noise; noise on the
 test side would only add a constant sigma^2 offset to every error.
+sample_real_data draws a random train/test split of a RealDataConfig's table.
 
-Every generator factors its training design as soon as that design exists,
-before the test set and the targets are drawn, and returns that
+Every sampler factors its training design as soon as that design exists,
+before the test set and the targets are drawn or copied, and returns that
 GramSpectrum, the factorization of X_tr alone, inside the Dataset, so within
 one dataset the eigensolve's temporaries never sit on top of its test set
 (simulate draws one dataset per thread, so another thread's test set may be
@@ -33,7 +34,7 @@ import numpy as np
 # set-up rather than inside the first sampling call.
 import numpy.random  # noqa: F401
 
-from .exceptions import InvalidConfig
+from .exceptions import DimensionMismatch, InvalidConfig, NonFinite
 from .spectrum import GramSpectrum, gram_spectrum
 from .theory import Atoms, PowerLaw
 
@@ -42,7 +43,7 @@ __all__ = [
     "DiagonalEnsembleConfig",
     "EquicorrelatedConfig",
     "GramTestSet",
-    "NoiseDensity",
+    "RealDataConfig",
     "RowTestSet",
     "SphericalGaussianConfig",
     "SparseSpec",
@@ -50,6 +51,7 @@ __all__ = [
     "haar_stiefel",
     "sample_diagonal",
     "sample_equicorrelated",
+    "sample_real_data",
     "sample_spherical",
 ]
 
@@ -140,6 +142,17 @@ def _check_counts(config, *names: str, least: int = 1) -> None:
             raise InvalidConfig(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_rows(X: np.ndarray, Y: np.ndarray, y: str = "Y") -> None:
+    """Raise DimensionMismatch unless X is (N, d) and Y, named y, is (N,),
+    naming the one at fault, and NonFinite for a NaN or inf in either."""
+    if X.ndim != 2 or Y.shape != X.shape[:1]:
+        raise DimensionMismatch(f"{y if X.ndim == 2 else 'X'}: X {X.shape} and {y} {Y.shape} "
+                                f"must be (N, d) and (N,)")
+    for name, values in (("X", X), (y, Y)):
+        if not np.all(np.isfinite(values)):
+            raise NonFinite(f"{name} contains NaN or Inf")
+
+
 def child_seeds(master_seed: int, n: int) -> list[int]:
     """Independent per-replicate seeds derived from a master seed."""
     ss = np.random.SeedSequence(master_seed)
@@ -201,14 +214,13 @@ class Dataset:
     n = N.  RFF and real-data test sets are RowTestSets (X_te, Y_te);
     make_rff_dataset(config, seed)'s X_te is an rff.RFFRows, made a block at
     a time as it is scored, so rff-bench memory scales with n_obs*d_rbf plus
-    one block, not with n_test*d_rbf.  X_te and Y_te are a row test set's X
-    and Y, and None for a sampled one.
+    one block, not with n_test*d_rbf.  X_te and Y_te (beta0) are read from a
+    row (sampled) test set, and None for the other kind.
     """
 
     X_tr: np.ndarray
     Y_tr: np.ndarray
     test: RowTestSet | GramTestSet
-    beta0: np.ndarray | None
     spectrum: GramSpectrum
 
     @property
@@ -218,6 +230,10 @@ class Dataset:
     @property
     def Y_te(self) -> np.ndarray | None:
         return getattr(self.test, "Y", None)
+
+    @property
+    def beta0(self) -> np.ndarray | None:
+        return getattr(self.test, "beta0", None)
 
 
 @dataclass(frozen=True)
@@ -234,29 +250,13 @@ class SphericalGaussianConfig:
 
 
 @dataclass(frozen=True)
-class NoiseDensity:
-    """Unit-mean multiplicative noise on the training spectrum: Unif[1-a, 1+a]
-    with half-width a in [0, 1].  a = 0, the default everywhere, is the point
-    mass at 1 and draws nothing."""
-
-    half_width: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.half_width <= 1.0:
-            raise InvalidConfig("half_width must be in [0, 1]")
-
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        if self.half_width == 0.0:
-            return np.ones(size)
-        return rng.uniform(1.0 - self.half_width, 1.0 + self.half_width, size=size)
-
-
-@dataclass(frozen=True)
 class DiagonalEnsembleConfig:
     n_obs: int
     n_feat: int
     spectral_density: PowerLaw | Atoms
-    noise_density: NoiseDensity = NoiseDensity()
+    # a in [0, 1]: the training spectrum times unit-mean noise, Unif[1-a, 1+a];
+    # a = 0 draws nothing.
+    noise_half_width: float = 0.0
     beta: float = 1.0
     sigma: float = 1.0
 
@@ -266,6 +266,9 @@ class DiagonalEnsembleConfig:
             raise InvalidConfig(f"n_feat: the diagonal ensemble's Stiefel frames need "
                                 f"n_feat <= n_obs, got n_feat {self.n_feat} > n_obs {self.n_obs}")
         _check_scales(self, "beta", "sigma")
+        if not 0.0 <= self.noise_half_width <= 1.0:
+            raise InvalidConfig(
+                f"noise_half_width must be in [0, 1], got {self.noise_half_width!r}")
 
 
 @dataclass(frozen=True)
@@ -300,6 +303,22 @@ class EquicorrelatedConfig:
                                 f"n_feat {self.n_feat}")
 
 
+@dataclass(frozen=True, eq=False)
+class RealDataConfig:
+    """A table, features X (n, d) and targets y (n,), to split at random into
+    n_obs training rows, in [1, n - 1], and n - n_obs test rows."""
+
+    X: np.ndarray
+    y: np.ndarray
+    n_obs: int
+
+    def __post_init__(self):
+        _check_rows(np.asarray(self.X), np.asarray(self.y), "y")
+        _check_counts(self, "n_obs")
+        if self.n_obs >= len(self.y):
+            raise InvalidConfig(f"n_obs must be below the {len(self.y)} rows, got {self.n_obs!r}")
+
+
 def haar_stiefel(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed (n, d) frame with orthonormal columns.
 
@@ -324,21 +343,22 @@ def sample_spherical(config: SphericalGaussianConfig, seed: int = 0) -> Dataset:
     H = _test_gram(config.n_test, d, lambda m: _scaled(rng.standard_normal((m, d)), scale))
     beta0 = rng.standard_normal(d) * config.beta
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
-    return Dataset(X_tr, Y_tr, GramTestSet(H, config.n_test, beta0), beta0, spectrum)
+    return Dataset(X_tr, Y_tr, GramTestSet(H, config.n_test, beta0), spectrum)
 
 
 def sample_diagonal(config: DiagonalEnsembleConfig, seed: int = 0) -> Dataset:
     rng = np.random.default_rng(seed)
     N, d = config.n_obs, config.n_feat
     lam = config.spectral_density.sample(d, rng)
-    s = config.noise_density.sample(d, rng)
-    X_tr = haar_stiefel(N, d, rng) * np.sqrt(lam * s)
+    a = config.noise_half_width
+    lam_tr = lam * rng.uniform(1.0 - a, 1.0 + a, d) if a else lam  # drawn before the frame
+    X_tr = haar_stiefel(N, d, rng) * np.sqrt(lam_tr)
     spectrum = gram_spectrum(X_tr)
     beta0 = rng.standard_normal(d) * config.beta
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
     # An N x d test frame has orthonormal columns, so its Gram is diag(lam)
     # exactly, and no frame is drawn.
-    return Dataset(X_tr, Y_tr, GramTestSet(np.diag(lam), N, beta0), beta0, spectrum)
+    return Dataset(X_tr, Y_tr, GramTestSet(np.diag(lam), N, beta0), spectrum)
 
 
 def _mix(z: np.ndarray, g: np.ndarray | None, rho: float, N: int) -> np.ndarray:
@@ -376,4 +396,26 @@ def sample_equicorrelated(config: EquicorrelatedConfig, seed: int = 0) -> Datase
         large = rng.choice(d, size=config.sparse.n_large, replace=False)
         beta0[large] = rng.standard_normal(config.sparse.n_large)
     Y_tr = X_tr @ beta0 + config.sigma * rng.standard_normal(N)
-    return Dataset(X_tr, Y_tr, GramTestSet(H, config.n_test, beta0), beta0, spectrum)
+    return Dataset(X_tr, Y_tr, GramTestSet(H, config.n_test, beta0), spectrum)
+
+
+def sample_real_data(config: RealDataConfig, seed: int = 0) -> Dataset:
+    """A random split of config's table into n_obs training rows and a
+    RowTestSet of the rest, its features z-scored and its targets centered by
+    the training rows' statistics alone (a constant column keeps scale 1)."""
+    X, y = np.asarray(config.X, dtype=float), np.asarray(config.y, dtype=float)
+    perm = np.random.default_rng(seed).permutation(len(y))
+    tr, te = perm[:config.n_obs], perm[config.n_obs:]
+    X_tr, y_tr = X[tr], y[tr]
+    mu = X_tr.mean(axis=0)
+    sd = X_tr.std(axis=0, ddof=0)
+    sd[sd == 0] = 1.0
+    X_tr -= mu
+    X_tr /= sd
+    y_mean = y_tr.mean()
+    y_tr -= y_mean
+    spectrum = gram_spectrum(X_tr)  # before the test rows are copied
+    X_te = X[te]
+    X_te -= mu
+    X_te /= sd
+    return Dataset(X_tr, y_tr, RowTestSet(X_te, y[te] - y_mean), spectrum)

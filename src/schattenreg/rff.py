@@ -215,10 +215,4 @@ def make_rff_dataset(config: RFFBenchConfig, seed: int = 0) -> Dataset:
     Y_tr = eval_target(target, raw_tr) + config.sigma * rng.standard_normal(n_obs)
     Y_te = eval_target(target, raw_te)
     X_tr = apply_rff(rff, raw_tr)
-    return Dataset(
-        X_tr=X_tr,
-        Y_tr=Y_tr,
-        test=RowTestSet(RFFRows(rff, raw_te), Y_te),
-        beta0=None,  # no linear ground truth exists in feature space
-        spectrum=gram_spectrum(X_tr),
-    )
+    return Dataset(X_tr, Y_tr, RowTestSet(RFFRows(rff, raw_te), Y_te), gram_spectrum(X_tr))

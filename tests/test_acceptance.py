@@ -16,7 +16,6 @@ from schattenreg import (
     DiagonalEnsembleConfig,
     EquicorrelatedConfig,
     MarchenkoPastur,
-    NoiseDensity,
     PowerLaw,
     SchattenIndex,
     SphericalGaussianConfig,
@@ -153,7 +152,7 @@ def test_acceptance_3_simulation_vs_theory(capsys):
     density = PowerLaw(2.0)
     diag_cfg = DiagonalEnsembleConfig(
         n_obs=100, n_feat=50, spectral_density=density,
-        noise_density=NoiseDensity(), beta=1.0, sigma=1.0,
+        noise_half_width=0.0, beta=1.0, sigma=1.0,
     )
     frac_diag = _simulation_check(
         lambda s: sample_diagonal(diag_cfg, seed=s),

@@ -108,6 +108,22 @@ def test_monte_carlo_rejects_what_the_closed_form_rejects(delta, n, match):
         monte_carlo_parabola_min(0.0, 1.0, delta, n, reps=1000)
 
 
+@pytest.mark.parametrize("n", [2.5, True, 3.0])
+def test_parabola_model_needs_an_integer_draw_count(n):
+    # 2.5 used to give the closed form a value, 0.0635 at (0, 1, 1), while the
+    # oracle failed inside numpy; True is a bool, not a count.
+    with pytest.raises(ValueError, match="n must be >= 1 and an integer"):
+        expected_cv_minimum(0.0, 1.0, 1.0, n)
+    with pytest.raises(ValueError, match="n must be >= 1 and an integer"):
+        monte_carlo_parabola_min(0.0, 1.0, 1.0, n, reps=1000)
+
+
+def test_parabola_model_takes_a_numpy_integer_draw_count():
+    assert expected_cv_minimum(0.0, 1.0, 1.0, np.int64(3)) == expected_cv_minimum(0.0, 1.0, 1.0, 3)
+    assert (monte_carlo_parabola_min(0.0, 1.0, 1.0, np.int32(3), reps=1000)
+            == monte_carlo_parabola_min(0.0, 1.0, 1.0, 3, reps=1000))
+
+
 @pytest.mark.parametrize("n,expected", [(1, 1.0 / 6.0), (3, 1.0 / 20.0)])
 def test_monte_carlo_matches_formula(n, expected):
     mean, stderr = monte_carlo_parabola_min(0.0, 1.0, 1.0, n, reps=200_000, seed=1)

@@ -17,6 +17,7 @@ from schattenreg import (
     EquicorrelatedConfig,
     GramTestSet,
     PowerLaw,
+    RealDataConfig,
     RFFBenchConfig,
     RowTestSet,
     SchattenIndex,
@@ -35,6 +36,7 @@ from schattenreg import (
     run_benchmark,
     sample_diagonal,
     sample_equicorrelated,
+    sample_real_data,
     sample_rff_map,
     sample_spherical,
     simulate_path_errors,
@@ -136,7 +138,7 @@ def _duplicated_rows_dataset(seed):
     Y = X @ rng.standard_normal(30) + 0.5 * rng.standard_normal(14)
     X_te = rng.standard_normal((40, 30)) / np.sqrt(14)
     return Dataset(X_tr=X, Y_tr=Y, test=RowTestSet(X_te, X_te @ rng.standard_normal(30)),
-                   beta0=None, spectrum=gram_spectrum(X))
+                   spectrum=gram_spectrum(X))
 
 
 _WIDE_DATASETS = {
@@ -364,7 +366,8 @@ def _equicorrelated_test_rows(cfg, rng):
 
 def _diagonal_test_rows(cfg, rng):
     lam = cfg.spectral_density.sample(cfg.n_feat, rng)
-    cfg.noise_density.sample(cfg.n_feat, rng)
+    if cfg.noise_half_width:
+        rng.uniform(1.0 - cfg.noise_half_width, 1.0 + cfg.noise_half_width, cfg.n_feat)
     haar_stiefel(cfg.n_obs, cfg.n_feat, rng)
     # The sampler draws no test frame: any frame with orthonormal columns has
     # the test Gram diag(lam), so this one comes from a stream of its own.
@@ -717,26 +720,21 @@ def test_no_worker_starts_a_dataset_above_a_failure_it_has_seen(monkeypatch):
 def test_cv_benchmarks_make_every_dataset_on_the_calling_thread(monkeypatch, tmp_path, bench):
     # The CV benchmarks run _replicates on one worker: each dataset is made
     # on the calling thread, one after another, and no thread is started.
+    # The real-data command's splits are drawn by sample_ensemble too.
     import schattenreg.cli as cli
     import schattenreg.cv as cv
 
-    made_on = []
+    made_on, sample = [], cv.sample_ensemble
 
-    def spy(make):
-        def made(*args, **kwargs):
-            made_on.append(threading.get_ident())
-            return make(*args, **kwargs)
-        return made
-
-    def bench_with_spy(make_dataset, cfg, with_ratio):
-        return cv._bench_over_datasets(spy(make_dataset), cfg, with_ratio)
+    def spy(*args, **kwargs):
+        made_on.append(threading.get_ident())
+        return sample(*args, **kwargs)
 
     def no_thread(self):
         raise AssertionError("a CV benchmark started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
-    monkeypatch.setattr(cv, "sample_ensemble", spy(cv.sample_ensemble))
-    monkeypatch.setattr(cli, "_bench_over_datasets", bench_with_spy)
+    monkeypatch.setattr(cv, "sample_ensemble", spy)
     cfg = _small_cfg(n_datasets=3)
     if bench == "run_benchmark":
         run_benchmark(SphericalGaussianConfig(30, 5, n_test=50), cfg)
@@ -905,17 +903,101 @@ def test_rff_bench_spectral_with_more_features_than_rows():
 
 
 def test_run_benchmark_on_an_rff_config_is_the_harness_on_its_datasets():
-    import schattenreg.cv as cv
-
+    # The protocol written out: dataset j is make_rff_dataset at the j-th even
+    # child seed, its folds use the next one, and the report adds the ratio
+    # of each model's average error to Ridge's.
     cfg = _small_cfg(n_datasets=2, grid=AlphaGrid(1e-2, 1e2, 3))
     rff_cfg = RFFBenchConfig(d=4, d_rbf=20, n_obs=30, n_test=50, sigma=0.5)
     got = run_benchmark(rff_cfg, cfg)
-    want = cv._bench_over_datasets(lambda s: make_rff_dataset(rff_cfg, s), cfg,
-                                   with_ratio=True)
-    assert want.ridge_ratio is not None
+    seeds = child_seeds(cfg.seed, 4)
+    pairs = [_cv_errors(make_rff_dataset(rff_cfg, seeds[2 * j]), cfg, seeds[2 * j + 1])
+             for j in range(2)]
+    errors = np.stack([e for e, _ in pairs], axis=1)
+    names = ("nuclear", "ridge", "spectral")
+    avg = {name: float(errors[i].mean()) for i, name in enumerate(names)}
+    wins = {name: int(np.sum(np.argmin(errors, axis=0) == i)) for i, name in enumerate(names)}
+    want = BenchReport(names, errors, np.stack([a for _, a in pairs], axis=1), avg, wins,
+                       {name: wins[name] / 2 for name in names},
+                       {name: avg[name] / avg["ridge"] for name in names})
+    assert got.ridge_ratio is not None
     for f in fields(BenchReport):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+
+
+def _table(rows: int, cols: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    # Features on different scales and offsets, and a target linear in them.
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((rows, cols)) * np.arange(1, cols + 1) + np.arange(cols)
+    return X, X @ rng.standard_normal(cols) + rng.standard_normal(rows)
+
+
+@pytest.mark.parametrize("shape", [(40, 4), (30, 45)], ids=["tall", "wide"])
+def test_run_benchmark_on_a_real_data_config_is_the_real_data_report(tmp_path, shape):
+    import schattenreg.cli as cli
+
+    X, y = _table(*shape, seed=3)
+    path = tmp_path / "table.csv"
+    # repr of a float reads back as the same float.
+    path.write_text(",".join(f"x{j}" for j in range(shape[1])) + ",y\n" + "".join(
+        ",".join(map(repr, r)) + "\n" for r in np.column_stack([X, y]).tolist()))
+    cfg = _small_cfg(n_datasets=3, seed=4)
+    want = cli.cmd_real_data(str(path), {"target": "y", "train_size": 20, "n_splits": 3,
+                                         "seed": 4})
+    got = run_benchmark(RealDataConfig(X, y, 20), cfg)
+    assert want.ridge_ratio is None and got.ridge_ratio is None
+    assert np.array_equal(got.errors, want.errors)
+    assert np.array_equal(got.selected_alphas, want.selected_alphas)
+
+
+def test_real_data_split_is_standardized_on_its_training_rows():
+    X, y = _table(50, 3, seed=5)
+    ds = sample_real_data(RealDataConfig(X, y, 20), seed=6)
+    perm = np.random.default_rng(6).permutation(50)
+    tr, te = perm[:20], perm[20:]
+    np.testing.assert_allclose(ds.X_tr.mean(axis=0), 0.0, atol=1e-14)
+    np.testing.assert_allclose(ds.X_tr.std(axis=0), 1.0, rtol=1e-14)
+    mu, sd = X[tr].mean(axis=0), X[tr].std(axis=0)
+    np.testing.assert_allclose(ds.X_te, (X[te] - mu) / sd, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(ds.Y_tr, y[tr] - y[tr].mean(), rtol=1e-14, atol=1e-13)
+    np.testing.assert_allclose(ds.Y_te, y[te] - y[tr].mean(), rtol=1e-14, atol=1e-13)
+    # The whole table's statistics would standardize the test rows otherwise.
+    assert not np.allclose(ds.X_te, (X[te] - X.mean(axis=0)) / X.std(axis=0))
+    assert ds.beta0 is None and np.array_equal(X, _table(50, 3, seed=5)[0])
+
+
+def test_real_data_split_keeps_a_constant_training_column_unscaled():
+    X, y = _table(30, 3, seed=7)
+    X[:, 1] = 2.5
+    ds = sample_real_data(RealDataConfig(X, y, 10), seed=0)
+    assert np.array_equal(ds.X_tr[:, 1], np.zeros(10))
+    assert np.array_equal(ds.X_te[:, 1], np.zeros(20))
+
+
+@pytest.mark.parametrize("X, y, n_obs, error, match", [
+    (np.ones(5), np.ones(5), 2, DimensionMismatch, "^X: X \\(5,\\) and y"),
+    (np.ones((5, 2)), np.ones((5, 1)), 2, DimensionMismatch, "^y: X \\(5, 2\\) and y \\(5, 1\\)"),
+    (np.ones((5, 2)), np.ones(4), 2, DimensionMismatch, "^y: X \\(5, 2\\) and y \\(4,\\)"),
+    (np.array([[1.0, np.nan]] * 5), np.ones(5), 2, NonFinite, "^X contains"),
+    (np.ones((5, 2)), np.r_[np.ones(4), np.inf], 2, NonFinite, "^y contains"),
+    (np.ones((5, 2)), np.ones(5), 0, InvalidConfig, "^n_obs must be an integer >= 1"),
+    (np.ones((5, 2)), np.ones(5), 2.5, InvalidConfig, "^n_obs must be an integer >= 1"),
+    (np.ones((5, 2)), np.ones(5), True, InvalidConfig, "^n_obs must be an integer >= 1"),
+    (np.ones((5, 2)), np.ones(5), 5, InvalidConfig, "^n_obs must be below the 5 rows, got 5$"),
+], ids=["X-1d", "y-column", "y-short", "X-nan", "y-inf", "n_obs-0", "n_obs-float",
+        "n_obs-bool", "n_obs-all-rows"])
+def test_real_data_config_rejects_bad_input_naming_the_field(X, y, n_obs, error, match):
+    with pytest.raises(error, match=match):
+        RealDataConfig(X, y, n_obs)
+
+
+def test_real_data_split_takes_an_integer_table_as_floats():
+    X, y = np.arange(12).reshape(6, 2) ** 2, np.arange(6)
+    ds = sample_ensemble(RealDataConfig(X, y, np.int64(4)), seed=1)
+    want = sample_ensemble(RealDataConfig(X.astype(float), y.astype(float), 4), seed=1)
+    for name in ("X_tr", "Y_tr", "X_te", "Y_te"):
+        assert np.array_equal(getattr(ds, name), getattr(want, name)), name
+    assert ds.X_tr.shape == (4, 2) and ds.X_tr.dtype == np.float64
 
 
 def test_sample_ensemble_rejects_an_unknown_config_type():
@@ -935,7 +1017,7 @@ def test_rff_features_realizable_noiseless_near_zero():
     Phi_te = apply_rff(rmap, X_raw_te)
     w0 = rng.standard_normal(10)
     ds = Dataset(X_tr=Phi, Y_tr=Phi @ w0, test=RowTestSet(Phi_te, Phi_te @ w0),
-                 beta0=w0, spectrum=gram_spectrum(Phi))
+                 spectrum=gram_spectrum(Phi))
     cfg = _small_cfg(grid=AlphaGrid(1e-8, 1e2, 11),
                      models=(SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS))
     for p in cfg.models:
@@ -982,6 +1064,20 @@ def test_a_bad_seed_is_rejected_naming_it(seed, monkeypatch):
     with pytest.raises(InvalidConfig, match=match):
         simulate_path_errors(SphericalGaussianConfig(30, 5, n_test=10),
                              (SchattenIndex.FROBENIUS,), np.array([1.0]), 2, seed)
+
+
+@pytest.mark.parametrize("n_datasets", [0, 2.5, True], ids=["zero", "float", "bool"])
+def test_simulate_rejects_a_bad_dataset_count_naming_it(n_datasets, monkeypatch):
+    # 0 used to die in np.stack with "need at least one array to stack", and
+    # 2.5 in child_seeds with a TypeError.
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a dataset was drawn before n_datasets was checked")
+
+    monkeypatch.setattr(cv, "sample_ensemble", no_sampling)
+    match = "^" + re.escape(f"n_datasets must be an integer >= 1, got {n_datasets!r}") + "$"
+    with pytest.raises(InvalidConfig, match=match):
+        simulate_path_errors(SphericalGaussianConfig(30, 5, n_test=10),
+                             (SchattenIndex.FROBENIUS,), np.array([1.0]), n_datasets, 0)
 
 
 @pytest.mark.parametrize("models", [

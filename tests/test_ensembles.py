@@ -13,8 +13,8 @@ from schattenreg import (
     EquicorrelatedConfig,
     GramTestSet,
     MarchenkoPastur,
-    NoiseDensity,
     PowerLaw,
+    RealDataConfig,
     SchattenIndex,
     SparseSpec,
     SphericalGaussianConfig,
@@ -111,6 +111,10 @@ def test_sparse_spec_rejected_before_sampling(n_large, small_scale, n_feat):
                                     spectral_density=PowerLaw(1.0)), "n_obs"),
     (lambda: DiagonalEnsembleConfig(n_obs=20, n_feat=0,
                                     spectral_density=PowerLaw(1.0)), "n_feat"),
+    (lambda: DiagonalEnsembleConfig(20, 5, PowerLaw(1.0), noise_half_width=-0.1),
+     "^noise_half_width must be in \\[0, 1\\], got -0.1$"),
+    (lambda: DiagonalEnsembleConfig(20, 5, PowerLaw(1.0), noise_half_width=1.5),
+     "^noise_half_width must be in \\[0, 1\\], got 1.5$"),
     (lambda: RFFBenchConfig(d=0), "d must"),
     (lambda: RFFBenchConfig(n_obs=0), "n_obs"),
     (lambda: RFFBenchConfig(n_test=0), "n_test"),
@@ -160,6 +164,8 @@ _NON_FINITE = [np.nan, np.inf, -np.inf]
     (lambda v: SphericalGaussianConfig(20, 5, sigma=v), "sigma"),
     (lambda v: DiagonalEnsembleConfig(20, 5, _POWER_LAW, beta=v), "beta"),
     (lambda v: DiagonalEnsembleConfig(20, 5, _POWER_LAW, sigma=v), "sigma"),
+    (lambda v: DiagonalEnsembleConfig(20, 5, _POWER_LAW, noise_half_width=v),
+     "noise_half_width"),
     (lambda v: EquicorrelatedConfig(20, 5, sigma=v), "sigma"),
     (lambda v: RFFBenchConfig(sigma=v), "sigma"),
     (lambda v: RFFBenchConfig(bandwidth=v), "bandwidth"),
@@ -167,7 +173,8 @@ _NON_FINITE = [np.nan, np.inf, -np.inf]
     (lambda v: AlphaGrid(1e-4, v, 3), "hi must"),
     (lambda v: AlphaGrid(v, 1e6, 3), "lo must"),
 ], ids=["power-law-gamma", "tabulated-grid", "tabulated-weights", "spherical-beta",
-        "spherical-sigma", "diagonal-beta", "diagonal-sigma", "equicorrelated-sigma",
+        "spherical-sigma", "diagonal-beta", "diagonal-sigma", "diagonal-noise-half-width",
+        "equicorrelated-sigma",
         "rff-sigma", "rff-bandwidth", "sparse-small-scale", "grid-hi",
         "grid-lo"])
 def test_non_finite_values_are_rejected_naming_the_field(make, field, value):
@@ -205,12 +212,15 @@ def test_atoms_from_lists_store_float_arrays():
     assert q.error(1.0, 1.0) == pytest.approx(0.5 * 0.5)
 
 
-def test_uniform_noise_density():
-    nd = NoiseDensity(0.3)
-    rng = np.random.default_rng(2)
-    s = nd.sample(20_000, rng)
-    assert abs(s.mean() - 1.0) < 0.01
-    assert s.min() >= 0.7 and s.max() <= 1.3
+def test_diagonal_noise_half_width_scales_the_training_spectrum():
+    # X_tr = Q diag(sqrt(lam s)) for orthonormal Q, so its column norms are
+    # lam s, and the test Gram is diag(lam): s ~ Unif[0.7, 1.3], mean 1.
+    ds = sample_diagonal(DiagonalEnsembleConfig(
+        400, 400, Atoms([0.5, 1.0], [0.5, 0.5]), noise_half_width=0.3), seed=2)
+    s = np.square(ds.X_tr).sum(axis=0) / np.diag(ds.test.H)
+    assert abs(s.mean() - 1.0) < 0.03
+    assert s.min() >= 0.7 - 1e-12 and s.max() <= 1.3 + 1e-12
+    assert s.std() > 0.1
 
 
 def test_haar_stiefel_is_orthonormal():
@@ -378,7 +388,7 @@ def test_diagonal_matches_out_of_place_expression(measure, half_width):
     # The draws, in order: the eigenvalues by the measure's inverse CDF or
     # atom choice, the noise (none at half-width 0), the training frame,
     # beta0, the training noise.  The test set is diag(lam), with no frame.
-    cfg = DiagonalEnsembleConfig(30, 7, measure, NoiseDensity(half_width), beta=2.0, sigma=0.5)
+    cfg = DiagonalEnsembleConfig(30, 7, measure, half_width, beta=2.0, sigma=0.5)
     ds = sample_diagonal(cfg, seed=4)
     rng = np.random.default_rng(4)
     if isinstance(measure, PowerLaw):
@@ -484,7 +494,7 @@ def _assert_one_spectrum(ds):
         EquicorrelatedConfig(40, 12, rho=0.4, sparse=SparseSpec(3, 0.1), n_test=30), seed=5),
     lambda: sample_spherical(SphericalGaussianConfig(10, 25, n_test=30), seed=6),  # wide
     lambda: sample_diagonal(DiagonalEnsembleConfig(
-        30, 12, PowerLaw(2.0), NoiseDensity(0.5)), seed=7),
+        30, 12, PowerLaw(2.0), noise_half_width=0.5), seed=7),
     lambda: make_rff_dataset(RFFBenchConfig(d=3, d_rbf=40, n_obs=15, n_test=20, sigma=0.5),
                              seed=8),
 ], ids=["equicorrelated-sparse", "spherical-wide", "diagonal", "rff"])
@@ -494,21 +504,21 @@ def test_dataset_carries_the_spectrum_of_its_training_set(make):
 
 def test_real_data_split_carries_the_spectrum_of_its_training_set(tmp_path, monkeypatch):
     import schattenreg.cli as cli
+    import schattenreg.cv as cv
 
     rows = np.random.default_rng(9).standard_normal((30, 4))
     path = tmp_path / "table.csv"
     path.write_text("a,b,c,y\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
-    made, harness = [], cli._bench_over_datasets
+    made, sample = [], cv.sample_ensemble
 
-    def recording(make_dataset, cfg, with_ratio):
-        def make(seed):
-            # Checked as made: the harness then permutes the training rows
-            # into fold order in place.
-            made.append(make_dataset(seed))
-            _assert_one_spectrum(made[-1])
-            return made[-1]
-        return harness(make, cfg, with_ratio)
+    def recording(config, seed):
+        # Checked as made: the harness then permutes the training rows into
+        # fold order in place.
+        assert isinstance(config, RealDataConfig)
+        made.append(sample(config, seed))
+        _assert_one_spectrum(made[-1])
+        return made[-1]
 
-    monkeypatch.setattr(cli, "_bench_over_datasets", recording)
+    monkeypatch.setattr(cv, "sample_ensemble", recording)
     cli.cmd_real_data(str(path), {"target": "y", "train_size": 20, "n_splits": 2})
     assert len(made) == 2
