@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateFit
+from .exceptions import DegenerateFit, InvalidConfig
 
 __all__ = [
     "BasinGeometry",
@@ -124,12 +124,14 @@ def geometry_table(
     one cell per curve; a Ridge minimum or kappa of 0 raises DegenerateFit.
 
     curves maps (estimator_name, sigma, shape_param) -> Err on `grid`; every
-    (sigma, shape_param) pair must include "ridge".
+    (sigma, shape_param) pair must include "ridge", else InvalidConfig.
     """
     geoms = {key: locate_min_and_curvature(values, grid) for key, values in curves.items()}
     cells = []
     for (name, sigma, shape), geom in geoms.items():
-        ref = geoms[("ridge", sigma, shape)]
+        ref = geoms.get(("ridge", sigma, shape))
+        if ref is None:
+            raise InvalidConfig(f"no ridge curve at sigma {sigma:g}, shape {shape:g}")
         if ref.err_min == 0 or ref.kappa == 0:
             raise DegenerateFit(f"ridge's min or kappa is 0 at sigma {sigma:g}, shape {shape:g}")
         cells.append(

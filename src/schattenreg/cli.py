@@ -284,9 +284,12 @@ def cmd_simulate(cfg: dict) -> list[dict]:
                           f"rounds to {n_feat} features, not below n_obs")
     models, n_datasets = o["models"], o["n_datasets"]
     alphas = o["grid"].values()
-    # Build the theory curves first: a bad ensemble config fails before any sampling.
+    # Build the theory curves first: a bad ensemble config fails before any
+    # sampling.  They are taken at the sampled aspect ratio d/N, not at the
+    # lambda it was rounded from.
+    at = {**o, "lambda": n_feat / o["n_obs"]}
     curves = [q.error(o["beta"], o["sigma"]) for q in
-              error_integrals(models, _measure("simulate", o), alphas, o["lambda"])]
+              error_integrals(models, _measure("simulate", at), alphas, at["lambda"])]
     ens_cfg = _ensemble_config("simulate", o, n_feat=n_feat)
     mses = simulate_path_errors(ens_cfg, models, alphas, n_datasets, o["seed"])
 

@@ -58,7 +58,7 @@ from .ensembles import (
     sample_spherical,
 )
 from .estimators import fit_path
-from .exceptions import InsufficientData, InvalidConfig
+from .exceptions import InsufficientData, InvalidConfig, _is_real
 from .rff import RFFBenchConfig, make_rff_dataset
 from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 
@@ -91,9 +91,9 @@ class AlphaGrid:
     count: int = 9
 
     def __post_init__(self):
-        if not 0 < self.lo < np.inf:
+        if not (_is_real(self.lo) and 0 < self.lo < np.inf):
             raise InvalidConfig(f"grid lo must be finite and positive, got {self.lo!r}")
-        if not self.lo < self.hi < np.inf:
+        if not (_is_real(self.hi) and self.lo < self.hi < np.inf):
             raise InvalidConfig(f"grid hi must be finite and above lo, got {self.hi!r}")
         _check_counts(self, "count")
 

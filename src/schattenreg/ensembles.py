@@ -34,7 +34,7 @@ import numpy as np
 # set-up rather than inside the first sampling call.
 import numpy.random  # noqa: F401
 
-from .exceptions import DimensionMismatch, InvalidConfig, NonFinite
+from .exceptions import DimensionMismatch, InvalidConfig, NonFinite, _is_real
 from .spectrum import GramSpectrum, gram_spectrum
 from .theory import Atoms, PowerLaw
 
@@ -125,10 +125,10 @@ def _test_gram(n: int, d: int, draw) -> np.ndarray:
 
 def _check_scales(config, *names: str) -> None:
     """Raise InvalidConfig naming the first field of `names` that is not a
-    finite nonnegative number; NaN fails every comparison, so it fails too."""
+    finite nonnegative real (a bool is not); NaN fails every comparison too."""
     for name in names:
         value = getattr(config, name)
-        if not 0.0 <= value < np.inf:
+        if not (_is_real(value) and 0.0 <= value < np.inf):
             raise InvalidConfig(f"{name} must be finite and nonnegative, got {value!r}")
 
 
@@ -266,7 +266,7 @@ class DiagonalEnsembleConfig:
             raise InvalidConfig(f"n_feat: the diagonal ensemble's Stiefel frames need "
                                 f"n_feat <= n_obs, got n_feat {self.n_feat} > n_obs {self.n_obs}")
         _check_scales(self, "beta", "sigma")
-        if not 0.0 <= self.noise_half_width <= 1.0:
+        if not (_is_real(self.noise_half_width) and 0.0 <= self.noise_half_width <= 1.0):
             raise InvalidConfig(
                 f"noise_half_width must be in [0, 1], got {self.noise_half_width!r}")
 
@@ -294,8 +294,8 @@ class EquicorrelatedConfig:
     n_test: int = DEFAULT_N_TEST
 
     def __post_init__(self):
-        if not 0.0 <= self.rho < 1.0:
-            raise InvalidConfig("rho must lie in [0, 1)")
+        if not (_is_real(self.rho) and 0.0 <= self.rho < 1.0):
+            raise InvalidConfig(f"rho must lie in [0, 1), got {self.rho!r}")
         _check_scales(self, "sigma")
         _check_counts(self, "n_obs", "n_feat", "n_test")
         if self.sparse is not None and self.sparse.n_large > self.n_feat:

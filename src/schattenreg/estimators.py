@@ -52,21 +52,19 @@ class FittedModel:
 
 
 def _inverse_filter_weights(spectrum: GramSpectrum, p: SchattenIndex, alpha) -> np.ndarray:
-    """Weights r/s = 1/f_alpha(s) on the k = min(N, d) eigenvalues s that have
-    an eigenvector: (k,) for a scalar alpha, (k, n_alpha) for a vector.
+    """Weights r/s = 1/f_alpha(s) on the k = rank kept eigenvalues s: (k,) for
+    a scalar alpha, (k, n_alpha) for a vector.
 
-    An eigenvalue at or below the rank tolerance gets weight 0 for every p:
-    X^T Y and X^T have no component on its eigenvector, so any other weight
-    (G-hat's 1/alpha for p in {1, 2}) would only scale the rounding noise
-    there.  The model is then min-norm OLS at alpha = 0, and for p = inf
-    min-norm OLS scaled by 1/(1 + alpha).  alpha = inf gives all-zero
-    weights: the zero estimator.
+    The n_feat - rank null directions get no weight: X^T Y and X^T have no
+    component on them, so any weight (G-hat's 1/alpha for p in {1, 2}) would
+    only scale rounding noise.  The model is then min-norm OLS at alpha = 0,
+    and for p = inf min-norm OLS scaled by 1/(1 + alpha).  alpha = inf gives
+    all-zero weights: the zero estimator.
     """
     alpha = np.asarray(alpha, dtype=float)
-    s = spectrum.eigvals[:spectrum.eigvecs.shape[1]].reshape(-1, *([1] * alpha.ndim))
+    s = spectrum.eigvals.reshape(-1, *([1] * alpha.ndim))
     r, _ = p.shrinkage(s, alpha)
-    out = np.zeros(np.broadcast_shapes(s.shape, alpha.shape))
-    return np.divide(r, s, out=out, where=s > spectrum.rank_tol)
+    return r / s
 
 
 def fit(X: np.ndarray, Y: np.ndarray, p: SchattenIndex, alpha: float) -> FittedModel:
@@ -82,8 +80,8 @@ def fit(X: np.ndarray, Y: np.ndarray, p: SchattenIndex, alpha: float) -> FittedM
 def fit_path(spectrum: GramSpectrum, xty: np.ndarray, p: SchattenIndex, alphas) -> np.ndarray:
     """Coefficients for every alpha at once, as the columns of a (d, n_alpha)
     array: beta-hat(alpha) = U diag(1/f_alpha) U^T xty for xty = X^T Y, one
-    filter matrix and one product for the whole path.  Only the k weights
-    with an eigenvector apply: X^T Y has no component on the other directions.
+    filter matrix and one product for the whole path, over the kept
+    eigenpairs alone: X^T Y has no component on the null directions.
     Raises ValueError unless xty is (d,), and NonFinite unless it is finite."""
     if np.shape(xty) != (spectrum.n_feat,):
         raise ValueError(f"xty {np.shape(xty)} must be ({spectrum.n_feat},)")
@@ -131,16 +129,16 @@ def alpha_to_bias_bound(
 ) -> BiasBound:
     """Bias norm C attained by the estimator at strength alpha.
 
-    The bias operator LX - I is -1 on each of the d - rank null directions of
-    G, where X gives the estimator nothing to act on, and -q = -(1 - r) of
-    ``SchattenIndex.shrinkage`` on each eigenvalue s above the rank
-    tolerance.  C is therefore monotone nondecreasing in alpha, from a floor
-    at alpha = 0 (#null for p=1, sqrt(#null) for p=2, 1 for p=inf when G is
-    singular; 0 at full rank) up to d**(1/p) at alpha = inf.
+    The bias operator LX - I is -1 on each of the n_feat - rank null
+    directions of G, where X gives the estimator nothing to act on, and
+    -q = -(1 - r) of ``SchattenIndex.shrinkage`` on each kept eigenvalue s.
+    C is therefore monotone nondecreasing in alpha, from a floor at alpha = 0
+    (#null for p=1, sqrt(#null) for p=2, 1 for p=inf when G is singular;
+    0 at full rank) up to d**(1/p) at alpha = inf.
     """
-    s = spectrum.eigvals[:spectrum.rank]
+    s = spectrum.eigvals
     _, q = p.shrinkage(s, alpha)
-    null = np.ones(spectrum.n_feat - s.size)
+    null = np.ones(spectrum.n_feat - spectrum.rank)
     return BiasBound(p.norm(np.concatenate([null, np.broadcast_to(q, s.shape)])))
 
 
@@ -174,7 +172,7 @@ def bias_bound_to_alpha(
     def gap(a: float) -> float:
         return alpha_to_bias_bound(spectrum, p, a).value - c
 
-    hi = max(float(spectrum.eigvals[0]), 1.0)
+    hi = float(spectrum.eigvals.max(initial=1.0))  # no eigenvalue when X = 0
     while gap(hi) < 0:
         hi *= 2.0
     return float(brentq(gap, 0.0, hi, rtol=1e-12, xtol=1e-30, maxiter=300))

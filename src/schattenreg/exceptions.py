@@ -1,4 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the number test of its checks."""
+
+import numbers
+
+
+def _is_real(value) -> bool:
+    """True for a Python or numpy real number other than a bool: a config check
+    tests it first, so a bool or a string raises InvalidConfig naming the field."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class SchattenRegError(Exception):

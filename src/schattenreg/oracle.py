@@ -15,7 +15,7 @@ import numpy as np
 
 from .estimators import BiasBound
 from .exceptions import DidNotConverge
-from .spectrum import SchattenIndex
+from .spectrum import SchattenIndex, _check_design
 
 __all__ = ["project_schatten_ball", "solve_bias_constrained_numeric"]
 
@@ -60,15 +60,16 @@ def solve_bias_constrained_numeric(X: np.ndarray, C: BiasBound | float,
 
     The problem is convex, so the 5 random restarts are a consistency check
     rather than a necessity; the best objective across restarts is returned.
-    Raises DidNotConverge if no restart reaches the relative-change tolerance
-    1e-12 within 20000 iterations.
+    Raises DimensionMismatch unless X is 2-d and NonFinite for a NaN or inf
+    entry, before the search starts, and DidNotConverge if no restart
+    reaches the relative-change tolerance 1e-12 within 20000 iterations.
 
     The search runs on X / ||X||_2 and returns that solution's L / ||X||_2,
     which is exact because L(kX) = L(X) / k at the same C.  The objective
     scales like 1 / ||X||^2, so at unit scale the stop rule's max(1, |obj|)
     means the same accuracy whatever the units of X.
     """
-    X = np.asarray(X, dtype=float)
+    X = _check_design(X)
     N, d = X.shape
     c = (C if isinstance(C, BiasBound) else BiasBound(float(C))).value
     if c >= p.identity_norm(d):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .ensembles import (_BLOCK_BYTES, Dataset, RowTestSet, _check_counts, _check_scales,
                         row_blocks)
-from .exceptions import DimensionMismatch, InvalidConfig, NonFinite
+from .exceptions import DimensionMismatch, InvalidConfig, NonFinite, _is_real
 from .spectrum import gram_spectrum
 
 __all__ = ["NonlinearTarget", "RFFBenchConfig", "RFFMap", "RFFRows", "apply_rff",
@@ -193,7 +193,7 @@ class RFFBenchConfig:
     def __post_init__(self):
         _check_counts(self, "d", "d_rbf", "n_obs", "n_test")
         _check_scales(self, "sigma")
-        if not 0.0 < self.bandwidth < np.inf:
+        if not (_is_real(self.bandwidth) and 0.0 < self.bandwidth < np.inf):
             raise InvalidConfig(f"bandwidth must be finite and positive, got {self.bandwidth!r}")
 
 

@@ -12,13 +12,13 @@ all read it.
 reads X as it is, so a view into a larger array is factored without being
 copied.  For d <= N it forms G and runs a symmetric eigensolver.  For d > N,
 G has rank at most N, so it takes the thin SVD X = W diag(sv) V^T instead:
-the eigenvectors are the N rows of V^T and the eigenvalues are sv**2, padded
-with d - N exact zeros.  The d - N null directions are never formed, because
-X^T and X^T Y have no component on them; every consumer applies its filter
-weights to the first k = min(N, d) eigenvalues only.  The wide route takes
-the thin SVD rather than an eigensolve of X X^T, because recovering V from
-that dual loses orthogonality like eps s_max^2 / s_i^2 on small singular
-values.  A spectrum is X's alone; a fit takes X^T Y beside it (fit_path).
+the eigenvectors are the N rows of V^T and the eigenvalues are sv**2.  Either
+route keeps only the rank eigenpairs above EIGVAL_RTOL times the largest
+eigenvalue; the n_feat - rank null directions are never formed, because X^T
+and X^T Y have no component on them.  The wide route takes the thin SVD
+rather than an eigensolve of X X^T, because recovering V from that dual
+loses orthogonality like eps s_max^2 / s_i^2 on small singular values.  A
+spectrum is X's alone; a fit takes X^T Y beside it (fit_path).
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ class SchattenIndex(enum.Enum):
             r, q = np.asarray(x / f), np.asarray(cut / f)
         if lo == 0 or hi == np.inf:
             edge = (alpha == 0) | (alpha == np.inf)
-            np.copyto(r, alpha == 0, where=edge)
-            np.copyto(q, alpha != 0, where=edge)
+            r, q = np.where(edge, alpha == 0, r), np.where(edge, alpha != 0, q)
         return r, q
 
     def identity_norm(self, d: int) -> float:
@@ -96,74 +95,72 @@ class SchattenIndex(enum.Enum):
 
 @dataclass(frozen=True)
 class GramSpectrum:
-    """Eigendecomposition of G = X^T X, and nothing of the targets.
+    """The eigenpairs of G = X^T X that carry weight; nothing of the targets.
 
-    eigvecs: (d, k) matrix with orthonormal columns, the eigenvectors of the
-        k = min(N, d) leading eigenvalues: all d of them on the d <= N route,
-        the N right singular vectors of X on the d > N route.
-    eigvals: all d eigenvalues of G, sorted descending, >= 0; the d - k
-        without an eigenvector are exactly 0.
+    eigvecs: (d, k) orthonormal columns, the eigenvectors of eigvals.
+    eigvals: (k,) the k = rank eigenvalues of G above EIGVAL_RTOL times the
+        largest, sorted descending; the other n_feat - rank count as 0.
     """
 
     eigvecs: np.ndarray
     eigvals: np.ndarray
     n_obs: int
-    n_feat: int
 
     def __post_init__(self):
         U, s = self.eigvecs, self.eigvals
         if not (np.all(np.isfinite(U)) and np.all(np.isfinite(s))):
             raise NonFinite("non-finite spectrum")
+        if U.ndim != 2 or s.shape != U.shape[1:]:
+            raise ValueError(f"eigvecs {U.shape} and eigvals {s.shape} must be (d, k) and (k,)")
         if np.any(s[:-1] < s[1:]):
             raise ValueError("eigvals must be sorted descending")
-        if np.any(s < 0):
-            raise ValueError("eigvals must be nonnegative")
-        d = self.n_feat
-        if U.ndim != 2 or U.shape[0] != d or U.shape[1] > d or s.shape != (d,):
-            raise ValueError(f"eigvecs {U.shape} and eigvals {s.shape} must be "
-                             f"(d, k) with k <= d and (d,), for d = {d}")
-        k = U.shape[1]
-        if np.any(s[k:] != 0.0):
-            raise ValueError("eigvals without an eigenvector must be exactly 0")
+        # Sorted, so this also rejects a first eigenvalue <= 0.
+        if s.size and not np.all(s > EIGVAL_RTOL * s[0]):
+            raise ValueError("eigvals must be above EIGVAL_RTOL times the largest")
         # max |U^T U - I| <= 1e-10, on one k x k array: column norms as well
         # as inner products are held to 1e-10.
+        k = U.shape[1]
         M = U.T @ U
         M.flat[::k + 1] -= 1.0
         if np.abs(M, out=M).max(initial=0.0) > 1e-10:
             raise ValueError("eigvecs must be orthonormal")
 
     @property
-    def rank_tol(self) -> float:
-        top = self.eigvals[0] if self.eigvals.size else 0.0
-        return EIGVAL_RTOL * top
+    def n_feat(self) -> int:
+        return self.eigvecs.shape[0]
 
     @property
     def rank(self) -> int:
-        return int(np.sum(self.eigvals > self.rank_tol))
+        return self.eigvals.size
 
 
-def gram_spectrum(X: np.ndarray) -> GramSpectrum:
-    """Eigendecompose X^T X: eigh of the Gram matrix for d <= N, the thin SVD
-    of X for d > N.  Raises DimensionMismatch unless X is 2-d,
-    InsufficientData for a design with no rows or no columns, and NonFinite
-    for a NaN or inf entry."""
+def _check_design(X) -> np.ndarray:
+    """X as floats; DimensionMismatch unless it is 2-d, NonFinite for NaN or inf."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatch(f"X {X.shape} must be 2-d, (N, d)")
+    if not np.all(np.isfinite(X)):
+        raise NonFinite("X contains NaN or Inf")
+    return X
+
+
+def gram_spectrum(X: np.ndarray) -> GramSpectrum:
+    """Eigendecompose X^T X (eigh of the Gram matrix for d <= N, the thin SVD
+    of X for d > N) and keep the eigenpairs above the rank tolerance.  Raises
+    DimensionMismatch unless X is 2-d, InsufficientData for a design with no
+    rows or no columns, and NonFinite for a NaN or inf entry."""
+    X = _check_design(X)
     N, d = X.shape
     if N == 0:
         raise InsufficientData(f"X {X.shape} has no rows to factor")
     if d == 0:
         raise InsufficientData(f"X {X.shape} has no columns to factor")
-    if not np.all(np.isfinite(X)):
-        raise NonFinite("X contains NaN or Inf")
     if d <= N:
         w, U = np.linalg.eigh(X.T @ X)
         order = np.argsort(w)[::-1]
-        w = np.clip(w[order], 0.0, None)
-        U = U[:, order]
+        w, U = w[order], U[:, order]
     else:
         _, sv, Vt = np.linalg.svd(X, full_matrices=False)
-        w = np.concatenate([sv * sv, np.zeros(d - N)])
-        U = Vt.T
-    return GramSpectrum(eigvecs=U, eigvals=w, n_obs=N, n_feat=d)
+        w, U = sv * sv, Vt.T
+    k = int(np.count_nonzero(w > EIGVAL_RTOL * w[0]))
+    return GramSpectrum(eigvecs=U[:, :k], eigvals=w[:k], n_obs=N)

@@ -73,7 +73,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import DomainError, InvalidConfig, QuadratureFailure
+from .exceptions import DomainError, InvalidConfig, QuadratureFailure, _is_real
 from .spectrum import SchattenIndex
 
 __all__ = [
@@ -180,7 +180,7 @@ class PowerLaw:
 
     def __post_init__(self):
         # Written as the values it admits, so NaN fails it.
-        if not 0.0 < self.gamma < np.inf:
+        if not (_is_real(self.gamma) and 0.0 < self.gamma < np.inf):
             raise InvalidConfig(f"gamma: power-law exponent must be finite and positive, "
                                 f"got {self.gamma!r}")
 

@@ -14,7 +14,7 @@ from schattenreg import (
 )
 from schattenreg.basin import (DEFAULT_GRID_HI, DEFAULT_GRID_LO, DEFAULT_GRID_N,
                               FIT_HALF_WINDOW)
-from schattenreg.exceptions import DegenerateFit
+from schattenreg.exceptions import DegenerateFit, InvalidConfig
 
 
 def err_mp(p, alpha, lam, beta, sigma):
@@ -169,6 +169,16 @@ def test_geometry_table_rejects_a_flat_ridge_curve(ridge):
     if ridge == "constant":
         curves[("ridge", 0.0, 0.5)] = np.ones_like(grid)
     with pytest.raises(DegenerateFit, match="ridge"):
+        geometry_table(curves, grid)
+
+
+def test_geometry_table_without_a_ridge_curve_names_the_cell():
+    # Ridge's curve at each (sigma, shape) is the base of its percentages;
+    # without it the table raised a bare KeyError.
+    grid = AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, 200).values()
+    curves = {("ridge", 1.0, 0.5): err_mp(SchattenIndex.FROBENIUS, grid, 0.5, 1.0, 1.0),
+              ("nuclear", 2.0, 0.5): err_mp(SchattenIndex.NUCLEAR, grid, 0.5, 1.0, 2.0)}
+    with pytest.raises(InvalidConfig, match="^no ridge curve at sigma 2, shape 0.5$"):
         geometry_table(curves, grid)
 
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import schattenreg
-from schattenreg import MarchenkoPastur, PowerLaw, error_integrals, geometry_table, theory
+from schattenreg import (MarchenkoPastur, PowerLaw, SchattenIndex, error_integrals, geometry_table,
+                         theory)
 from schattenreg.cli import (
     cmd_basin,
     cmd_theory_curve,
@@ -334,6 +335,29 @@ def test_simulate_runs_at_the_largest_lambda_its_theory_covers(tmp_path, monkeyp
     assert main(["simulate", "--config", cfg, "--out", out]) == 0
     assert drawn == [n_feat]
     assert float(_read_csv(out)[0]["lambda"]) == lam
+
+
+@pytest.mark.parametrize("ensemble", ["spherical", "diagonal"])
+def test_simulate_theory_is_taken_at_the_sampled_aspect_ratio(tmp_path, ensemble):
+    # lambda 0.335 and 0.34 both round to 34 features of 100 rows, so they
+    # draw the same datasets; the theory column was once taken at each
+    # configured lambda, 0.50149 against 0.51280 for spherical.
+    cols = []
+    for lam in (0.335, 0.34):
+        cfg = _write_cfg(tmp_path, "c.json", {
+            "ensemble": ensemble, "lambda": lam, "n_obs": 100, "n_datasets": 2,
+            "models": ["ridge"], "grid": {"lo": 0.1, "hi": 10.0, "count": 3},
+            **({"gamma": 1.0} if ensemble == "diagonal" else {"n_test": 50}),
+        })
+        out = str(tmp_path / f"sim{lam}.csv")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        rows = _read_csv(out)
+        cols.append(([r["empirical_mean"] for r in rows], [r["theory"] for r in rows]))
+    assert cols[0] == cols[1]
+    want = error_integrals((SchattenIndex.FROBENIUS,),
+                           MarchenkoPastur(0.34) if ensemble == "spherical" else PowerLaw(1.0),
+                           AlphaGrid(0.1, 10.0, 3).values(), 0.34)[0].error(1.0, 1.0)
+    assert [float(v) for v in cols[0][1]] == want.tolist()
 
 
 def test_simulate_diagonal_without_gamma_fails_before_sampling(tmp_path, monkeypatch):

@@ -131,6 +131,40 @@ def test_ensemble_config_ranges_name_the_field(make, field):
         make()
 
 
+_REAL_FIELDS = {
+    "spherical.beta": ("beta", lambda v: SphericalGaussianConfig(10, 5, beta=v)),
+    "spherical.sigma": ("sigma", lambda v: SphericalGaussianConfig(10, 5, sigma=v)),
+    "diagonal.beta": ("beta", lambda v: DiagonalEnsembleConfig(10, 5, PowerLaw(1.0), beta=v)),
+    "diagonal.sigma": ("sigma",
+                       lambda v: DiagonalEnsembleConfig(10, 5, PowerLaw(1.0), sigma=v)),
+    "diagonal.noise_half_width": ("noise_half_width", lambda v: DiagonalEnsembleConfig(
+        10, 5, PowerLaw(1.0), noise_half_width=v)),
+    "power-law.gamma": ("gamma", lambda v: PowerLaw(v)),
+    "equicorrelated.rho": ("rho", lambda v: EquicorrelatedConfig(10, 5, rho=v)),
+    "equicorrelated.sigma": ("sigma", lambda v: EquicorrelatedConfig(10, 5, sigma=v)),
+    "sparse.small_scale": ("small_scale", lambda v: SparseSpec(small_scale=v)),
+    "rff.sigma": ("sigma", lambda v: RFFBenchConfig(sigma=v)),
+    "rff.bandwidth": ("bandwidth", lambda v: RFFBenchConfig(bandwidth=v)),
+    "grid.lo": ("lo", lambda v: AlphaGrid(lo=v)),
+    "grid.hi": ("hi", lambda v: AlphaGrid(lo=0.5, hi=v)),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, "1"], ids=["True", "False", "str"])
+@pytest.mark.parametrize("field, make", _REAL_FIELDS.values(), ids=_REAL_FIELDS.keys())
+def test_real_config_fields_reject_a_bool_or_a_string_naming_the_field(field, make, value):
+    # A bool used to be read as 0 or 1, and a string raised a TypeError from
+    # its comparison, naming no field.
+    with pytest.raises(InvalidConfig, match=field):
+        make(value)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.5), np.int64(1), 1])
+def test_real_config_fields_take_numpy_and_integer_numbers(value):
+    assert SphericalGaussianConfig(10, 5, beta=value).beta == value
+    assert RFFBenchConfig(bandwidth=value).bandwidth == value
+
+
 _POWER_LAW = PowerLaw(1.0)
 
 

@@ -133,6 +133,19 @@ def test_fit_path_and_rank_are_invariant_to_the_units_of_x(name, c):
     assert gram_spectrum(0.0 * X).rank == 0
 
 
+@pytest.mark.parametrize("p", ALL_P)
+def test_a_zero_design_has_no_eigenpair_and_every_direction_null(p):
+    sp = gram_spectrum(np.zeros((6, 4)))
+    assert sp.eigvecs.shape == (4, 0) and sp.eigvals.shape == (0,) and sp.n_feat == 4
+    np.testing.assert_array_equal(fit_path(sp, np.zeros(4), p, [0.0, 1.0]), 0.0)
+    full = p.identity_norm(4)
+    for alpha in (0.0, 1.0, np.inf):
+        assert alpha_to_bias_bound(sp, p, alpha).value == full
+    assert bias_bound_to_alpha(sp, p, full) == np.inf
+    with pytest.raises(DomainError, match="4 null directions"):
+        bias_bound_to_alpha(sp, p, 0.5 * full)
+
+
 def _gram_reference_operator(X, p, alpha):
     """L = G-hat^{-1} X^T from an explicit eigh of X^T X, restricted to the
     eigenvalues above the rank tolerance (X^T has no component on the rest)."""
@@ -164,7 +177,8 @@ def test_wide_route_matches_gram_reference(p, rank_deficient):
         X = np.vstack([X[:20], X[:20]])
     Y = rng.standard_normal(40)
     sp = gram_spectrum(X)
-    assert sp.eigvecs.shape == (300, 40) and sp.rank == (20 if rank_deficient else 40)
+    k = 20 if rank_deficient else 40
+    assert sp.eigvecs.shape == (300, k) and sp.eigvals.shape == (k,) and sp.rank == k
     alphas = [0.0, 1e-4, 1.0, np.inf]
     B = fit_path(sp, X.T @ Y, p, alphas)
     for j, a in enumerate(alphas):

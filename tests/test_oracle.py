@@ -11,8 +11,23 @@ from schattenreg import (
     project_schatten_ball,
     solve_bias_constrained_numeric,
 )
+from schattenreg.exceptions import DimensionMismatch, NonFinite
 
 ALL_P = list(SchattenIndex)
+
+
+def test_numeric_oracle_rejects_a_design_that_is_not_2d():
+    # numpy used to fail unpacking the shape: "not enough values to unpack".
+    with pytest.raises(DimensionMismatch, match=r"^X \(5,\) must be 2-d"):
+        solve_bias_constrained_numeric(np.ones(5), 0.5, SchattenIndex.FROBENIUS)
+
+
+def test_numeric_oracle_rejects_a_non_finite_design():
+    # A NaN used to reach the SVD of the scale: "SVD did not converge".
+    X = np.random.default_rng(0).standard_normal((8, 4))
+    X[2, 1] = np.nan
+    with pytest.raises(NonFinite, match="^X contains NaN or Inf$"):
+        solve_bias_constrained_numeric(X, 0.5, SchattenIndex.FROBENIUS)
 
 
 @pytest.mark.parametrize("p", ALL_P)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schattenreg import GramSpectrum, SchattenIndex, estimator_operator, fit, gram_spectrum
+from schattenreg.spectrum import EIGVAL_RTOL
 from schattenreg.exceptions import DimensionMismatch, InsufficientData
 
 FIG1_X = np.diag(np.sqrt(np.arange(1.0, 11.0)))
@@ -21,11 +22,13 @@ def test_nuclear_filter_clips_from_below():
 
 def test_infinite_alpha_on_rank_deficient_x():
     sp = gram_spectrum(np.random.default_rng(0).standard_normal((3, 5)))
-    assert np.any(sp.eigvals == 0.0)
+    assert sp.rank == 3 and sp.n_feat - sp.rank == 2
+    # The null directions' eigenvalue 0 beside the kept ones.
+    s = np.concatenate([sp.eigvals, np.zeros(sp.n_feat - sp.rank)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for p in SchattenIndex:
-            r, q = p.shrinkage(sp.eigvals, np.inf)
+            r, q = p.shrinkage(s, np.inf)
             assert np.all(r == 0.0) and np.all(q == 1.0)
 
 
@@ -113,8 +116,12 @@ def test_spectrum_validation():
 def test_rank_deficient_spectrum():
     X = np.random.default_rng(4).standard_normal((3, 6))
     sp = gram_spectrum(X)
-    assert sp.rank == 3
-    assert np.all(sp.eigvals[3:] <= sp.rank_tol)
+    assert sp.rank == 3 and sp.n_feat == 6
+    assert sp.eigvecs.shape == (6, 3) and sp.eigvals.shape == (3,)
+    assert np.all(sp.eigvals > EIGVAL_RTOL * sp.eigvals[0])
+    # A duplicated column adds a null direction of G, which the spectrum drops.
+    sp = gram_spectrum(np.column_stack([X.T, X.T[:, 0]]))
+    assert sp.n_feat == 4 and sp.rank == 3 and sp.eigvecs.shape == (4, 3)
 
 
 def _route_designs():
@@ -131,35 +138,40 @@ def _route_designs():
 def test_spectrum_route_invariants(name):
     X = _route_designs()[name]
     N, d = X.shape
-    k = min(N, d)
+    k = 20 if name == "wide-duplicated-rows" else min(N, d)
     sp = gram_spectrum(X)
     U = sp.eigvecs
-    assert U.shape == (d, k) and sp.eigvals.shape == (d,)
+    assert U.shape == (d, k) and sp.eigvals.shape == (k,) and sp.rank == k
     np.testing.assert_allclose(U.T @ U, np.eye(k), atol=1e-12)
-    assert np.all(sp.eigvals[k:] == 0.0)
     G = X.T @ X
     ref = np.clip(np.sort(np.linalg.eigvalsh(G))[::-1], 0.0, None)
-    np.testing.assert_allclose(sp.eigvals, ref, rtol=0, atol=1e-10 * ref[0])
-    np.testing.assert_allclose((U * sp.eigvals[:k]) @ U.T, G, rtol=0,
-                               atol=1e-12 * ref[0])
+    # The dropped eigenvalues are G's near-zero ones.
+    np.testing.assert_allclose(sp.eigvals, ref[:k], rtol=0, atol=1e-10 * ref[0])
+    np.testing.assert_allclose(ref[k:], 0.0, rtol=0, atol=1e-10 * ref[0])
+    np.testing.assert_allclose((U * sp.eigvals) @ U.T, G, rtol=0, atol=1e-12 * ref[0])
 
 
-def test_spectrum_rejects_misshaped_eigvecs_and_nonzero_trailing_eigvals():
+def test_spectrum_rejects_misshaped_eigvecs_and_eigvals_at_the_rank_tolerance():
     X = np.random.default_rng(6).standard_normal((3, 5))
     sp = gram_spectrum(X)
     U, s = sp.eigvecs, sp.eigvals
     assert U.shape == (5, 3)
+    GramSpectrum(eigvecs=U, eigvals=s, n_obs=3)
     bad = [
-        (np.vstack([U, np.zeros((1, 3))]), s),            # d + 1 rows
-        (np.hstack([np.eye(5), np.zeros((5, 1))]), s),    # k > d
-        (U, s[:4]),                                       # eigvals not length d
-        (U, np.concatenate([s[:3], [1e-300, 0.0]])),      # trailing eigval not 0
+        (np.hstack([np.eye(5), np.zeros((5, 1))]), np.ones(6)),   # k > d
+        (U, s[:2]),                                       # eigvals not length k
+        (U[0], s),                                        # eigvecs not 2-d
+        (U, s.reshape(3, 1)),                             # eigvals not 1-d
+        (U, s[::-1]),                                     # not sorted descending
+        (U, np.array([s[0], s[1], EIGVAL_RTOL * s[0]])),  # at the rank tolerance
+        (U, np.array([s[0], s[1], 0.0])),                 # an eigenvalue of 0
+        (U, -s[::-1]),                                    # negative
         (U * 1.1, s),                                     # columns not orthonormal
         (U * [1 + 1e-6, 1, 1], s),                        # one norm off by 1e-6
     ]
     for eigvecs, eigvals in bad:
         with pytest.raises(ValueError):
-            GramSpectrum(eigvecs=eigvecs, eigvals=eigvals, n_obs=3, n_feat=5)
+            GramSpectrum(eigvecs=eigvecs, eigvals=eigvals, n_obs=3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -168,13 +180,13 @@ def test_spectrum_invariants_on_both_sides_of_d_equals_n(seed, N, d):
     X = np.random.default_rng(seed).standard_normal((N, d))
     sp = gram_spectrum(X)
     k = min(N, d)
-    assert sp.eigvecs.shape == (d, k)
+    assert sp.eigvecs.shape == (d, k) and sp.eigvals.shape == (k,)
     np.testing.assert_allclose(sp.eigvecs.T @ sp.eigvecs, np.eye(k), atol=1e-12)
-    assert np.all(sp.eigvals[k:] == 0.0) and np.all(np.diff(sp.eigvals) <= 0)
+    assert np.all(np.diff(sp.eigvals) <= 0)
     assert sp.rank == k
     G = X.T @ X
     top = max(sp.eigvals[0], 1.0)
-    np.testing.assert_allclose((sp.eigvecs * sp.eigvals[:k]) @ sp.eigvecs.T, G,
+    np.testing.assert_allclose((sp.eigvecs * sp.eigvals) @ sp.eigvecs.T, G,
                                rtol=0, atol=1e-12 * top)
 
 
