@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateFit, InvalidConfig
+from .exceptions import (DegenerateFit, DimensionMismatch, InvalidConfig, _check_counts,
+                         _check_reals)
 
 __all__ = [
     "BasinGeometry",
@@ -49,10 +50,14 @@ def locate_min_and_curvature(values: np.ndarray, grid: np.ndarray) -> BasinGeome
 
     The quadratic is fit in alpha on the linear scale, centered at the grid
     argmin; the estimated Hessian is twice the quadratic coefficient.  Edge
-    minima use a one-sided window and are flagged.
+    minima use a one-sided window and are flagged.  values and grid must be
+    1-d of one length, else DimensionMismatch names both shapes.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or values.shape != grid.shape:
+        raise DimensionMismatch(f"values {values.shape} and grid {grid.shape} "
+                                f"must be 1-d of one length")
     if not np.all(np.isfinite(values)):
         raise ValueError("curve values must be finite on the grid")
     i0 = int(np.argmin(values))
@@ -74,11 +79,10 @@ def locate_min_and_curvature(values: np.ndarray, grid: np.ndarray) -> BasinGeome
 
 
 def _check_draws(delta: float, n: int) -> None:
-    """The parabola model's inputs: n >= 1 draws, an integer, on [-delta, delta], delta > 0."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be >= 1 and an integer, got {n!r}")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    """The parabola model's inputs: n >= 1 draws, an integer, on [-delta, delta],
+    delta finite and positive."""
+    _check_counts({"n": n})
+    _check_reals({"delta": delta}, admits=lambda v: 0.0 < v < np.inf, what="finite and positive")
 
 
 def expected_cv_minimum(mu: float, kappa: float, delta: float, n: int) -> float:
@@ -99,8 +103,7 @@ def monte_carlo_parabola_min(
     """Monte-Carlo oracle for expected_cv_minimum: (mean, standard error).
     Rejects the n and delta that expected_cv_minimum rejects."""
     _check_draws(delta, n)
-    if reps < 1000:
-        raise ValueError("reps must be >= 1000")
+    _check_counts({"reps": reps}, least=1000)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-delta, delta, size=(reps, n))
     mins = (kappa * kappa * np.min(x * x, axis=1) / 2.0) + mu

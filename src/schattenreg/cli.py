@@ -298,11 +298,12 @@ def cmd_simulate(cfg: dict) -> list[dict]:
         for k, a in enumerate(alphas):
             se = (float(np.std(mses[i, k], ddof=1) / np.sqrt(n_datasets))
                   if n_datasets > 1 else None)
-            # The columns after theory echo the config.
+            # The columns after theory echo the config, with lambda the
+            # sampled ratio that both the theory and the datasets are at.
             rows.append({
                 "alpha": a, "estimator": MODEL_NAMES[p],
                 "empirical_mean": float(np.mean(mses[i, k])), "se": se,
-                "theory": curve[k], **{key: o[key] for key in SIM_FIELDS[5:]},
+                "theory": curve[k], **{key: at[key] for key in SIM_FIELDS[5:]},
             })
     return rows
 

@@ -49,7 +49,6 @@ from .ensembles import (
     RealDataConfig,
     RowTestSet,
     SphericalGaussianConfig,
-    _check_counts,
     _check_rows,
     child_seeds,
     sample_diagonal,
@@ -58,7 +57,7 @@ from .ensembles import (
     sample_spherical,
 )
 from .estimators import fit_path
-from .exceptions import InsufficientData, InvalidConfig, _is_real
+from .exceptions import InsufficientData, InvalidConfig, _check_counts, _check_reals
 from .rff import RFFBenchConfig, make_rff_dataset
 from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 
@@ -91,10 +90,8 @@ class AlphaGrid:
     count: int = 9
 
     def __post_init__(self):
-        if not (_is_real(self.lo) and 0 < self.lo < np.inf):
-            raise InvalidConfig(f"grid lo must be finite and positive, got {self.lo!r}")
-        if not (_is_real(self.hi) and self.lo < self.hi < np.inf):
-            raise InvalidConfig(f"grid hi must be finite and above lo, got {self.hi!r}")
+        _check_reals(self, "lo", admits=lambda v: 0.0 < v < np.inf, what="finite and positive")
+        _check_reals(self, "hi", admits=lambda v: self.lo < v < np.inf, what="finite and above lo")
         _check_counts(self, "count")
 
     def values(self) -> np.ndarray:
@@ -309,8 +306,8 @@ def simulate_path_errors(
     shape (n_models, n_alpha, n_datasets); dataset j uses child seed j.  The
     datasets run on min(usable CPUs, n_datasets) workers of _replicates;
     numpy releases the GIL while it draws and multiplies."""
-    _check_counts({"seed": seed}, "seed", least=0)
-    _check_counts({"n_datasets": n_datasets}, "n_datasets")
+    _check_counts({"seed": seed}, least=0)
+    _check_counts({"n_datasets": n_datasets})
     seeds = child_seeds(seed, n_datasets)
     return np.stack(_replicates(
         lambda j: _path_errors(sample_ensemble(ensemble_config, seeds[j]), models, alphas),

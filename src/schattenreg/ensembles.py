@@ -34,7 +34,7 @@ import numpy as np
 # set-up rather than inside the first sampling call.
 import numpy.random  # noqa: F401
 
-from .exceptions import DimensionMismatch, InvalidConfig, NonFinite, _is_real
+from .exceptions import DimensionMismatch, InvalidConfig, NonFinite, _check_counts, _check_reals
 from .spectrum import GramSpectrum, gram_spectrum
 from .theory import Atoms, PowerLaw
 
@@ -121,25 +121,6 @@ def _test_gram(n: int, d: int, draw) -> np.ndarray:
     for a, b in slabs:
         H[b:, a:b] = H[a:b, b:].T
     return H
-
-
-def _check_scales(config, *names: str) -> None:
-    """Raise InvalidConfig naming the first field of `names` that is not a
-    finite nonnegative real (a bool is not); NaN fails every comparison too."""
-    for name in names:
-        value = getattr(config, name)
-        if not (_is_real(value) and 0.0 <= value < np.inf):
-            raise InvalidConfig(f"{name} must be finite and nonnegative, got {value!r}")
-
-
-def _check_counts(config, *names: str, least: int = 1) -> None:
-    """Raise InvalidConfig naming the first field of `names` that is not an
-    integer (a Python or numpy one, and not a bool) of at least `least`;
-    `config` is an object with those fields or a dict of those values."""
-    for name in names:
-        value = config[name] if isinstance(config, dict) else getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise InvalidConfig(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_rows(X: np.ndarray, Y: np.ndarray, y: str = "Y") -> None:
@@ -246,7 +227,7 @@ class SphericalGaussianConfig:
 
     def __post_init__(self):
         _check_counts(self, "n_obs", "n_feat", "n_test")
-        _check_scales(self, "beta", "sigma")
+        _check_reals(self, "beta", "sigma")
 
 
 @dataclass(frozen=True)
@@ -265,10 +246,8 @@ class DiagonalEnsembleConfig:
         if self.n_feat > self.n_obs:
             raise InvalidConfig(f"n_feat: the diagonal ensemble's Stiefel frames need "
                                 f"n_feat <= n_obs, got n_feat {self.n_feat} > n_obs {self.n_obs}")
-        _check_scales(self, "beta", "sigma")
-        if not (_is_real(self.noise_half_width) and 0.0 <= self.noise_half_width <= 1.0):
-            raise InvalidConfig(
-                f"noise_half_width must be in [0, 1], got {self.noise_half_width!r}")
+        _check_reals(self, "beta", "sigma")
+        _check_reals(self, "noise_half_width", admits=lambda v: 0.0 <= v <= 1.0, what="in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -281,7 +260,7 @@ class SparseSpec:
 
     def __post_init__(self):
         _check_counts(self, "n_large", least=0)
-        _check_scales(self, "small_scale")
+        _check_reals(self, "small_scale")
 
 
 @dataclass(frozen=True)
@@ -294,9 +273,8 @@ class EquicorrelatedConfig:
     n_test: int = DEFAULT_N_TEST
 
     def __post_init__(self):
-        if not (_is_real(self.rho) and 0.0 <= self.rho < 1.0):
-            raise InvalidConfig(f"rho must lie in [0, 1), got {self.rho!r}")
-        _check_scales(self, "sigma")
+        _check_reals(self, "rho", admits=lambda v: 0.0 <= v < 1.0, what="in [0, 1)")
+        _check_reals(self, "sigma")
         _check_counts(self, "n_obs", "n_feat", "n_test")
         if self.sparse is not None and self.sparse.n_large > self.n_feat:
             raise InvalidConfig(f"sparse: n_large {self.sparse.n_large} exceeds "

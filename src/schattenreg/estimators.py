@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, DomainError, NonFinite
+from .exceptions import DimensionMismatch, DomainError, NonFinite, _check_reals
 from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 
 __all__ = [
@@ -31,13 +31,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BiasBound:
-    """Budget C on the Schatten-p norm of the bias operator LX - I."""
+    """Budget C on the Schatten-p norm of the bias operator LX - I: a finite
+    real C >= 0, else InvalidConfig (any C >= d**(1/p) allows the zero estimator)."""
 
     value: float
 
     def __post_init__(self):
-        if not self.value >= 0:
-            raise ValueError(f"bias bound C must be nonnegative, got {self.value}")
+        _check_reals({"bias bound C": self.value})
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def bias_bound_to_alpha(
     root-finding pins alpha to ~1e-12 relative.  A C below the floor set by
     the null directions of G cannot be reached and raises DomainError.
     """
-    c = (C if isinstance(C, BiasBound) else BiasBound(float(C))).value
+    c = (C if isinstance(C, BiasBound) else BiasBound(C)).value
     d = spectrum.n_feat
     if c >= p.identity_norm(d):
         return np.inf

@@ -71,7 +71,7 @@ def solve_bias_constrained_numeric(X: np.ndarray, C: BiasBound | float,
     """
     X = _check_design(X)
     N, d = X.shape
-    c = (C if isinstance(C, BiasBound) else BiasBound(float(C))).value
+    c = (C if isinstance(C, BiasBound) else BiasBound(C)).value
     if c >= p.identity_norm(d):
         # Constraint set contains B = -I, i.e. L = 0, the global minimizer.
         return np.zeros((d, N))

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import (_BLOCK_BYTES, Dataset, RowTestSet, _check_counts, _check_scales,
-                        row_blocks)
-from .exceptions import DimensionMismatch, InvalidConfig, NonFinite, _is_real
+from .ensembles import _BLOCK_BYTES, Dataset, RowTestSet, row_blocks
+from .exceptions import DimensionMismatch, NonFinite, _check_counts, _check_reals
 from .spectrum import gram_spectrum
 
 __all__ = ["NonlinearTarget", "RFFBenchConfig", "RFFMap", "RFFRows", "apply_rff",
@@ -101,10 +100,9 @@ class NonlinearTarget:
 
 
 def sample_rff_map(d: int, d_rbf: int, bandwidth: float = 1.0, seed: int = 0) -> RFFMap:
-    if d < 1 or d_rbf < 1:
-        raise ValueError("d and d_rbf must be >= 1")
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    _check_counts({"d": d, "d_rbf": d_rbf})
+    _check_reals({"bandwidth": bandwidth}, admits=lambda v: 0.0 < v < np.inf,
+                 what="finite and positive")
     rng = np.random.default_rng(seed)
     # w ~ N(0, 2 * bandwidth * I) makes E cos(w . (x-y)) = exp(-bandwidth |x-y|^2).
     W = rng.standard_normal((d_rbf, d)) * np.sqrt(2.0 * bandwidth)
@@ -192,9 +190,9 @@ class RFFBenchConfig:
 
     def __post_init__(self):
         _check_counts(self, "d", "d_rbf", "n_obs", "n_test")
-        _check_scales(self, "sigma")
-        if not (_is_real(self.bandwidth) and 0.0 < self.bandwidth < np.inf):
-            raise InvalidConfig(f"bandwidth must be finite and positive, got {self.bandwidth!r}")
+        _check_reals(self, "sigma")
+        _check_reals(self, "bandwidth", admits=lambda v: 0.0 < v < np.inf,
+                     what="finite and positive")
 
 
 def make_rff_dataset(config: RFFBenchConfig, seed: int = 0) -> Dataset:

@@ -73,7 +73,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import DomainError, InvalidConfig, QuadratureFailure, _is_real
+from .exceptions import DomainError, InvalidConfig, QuadratureFailure, _check_reals
 from .spectrum import SchattenIndex
 
 __all__ = [
@@ -107,8 +107,7 @@ class MarchenkoPastur:
     label = "MP"  # the rule's name in a QuadratureFailure; unannotated, so not a field
 
     def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError("aspect ratio must lie in (0, 1)")
+        _check_reals(self, "lam", admits=lambda v: 0.0 < v < 1.0, what="in (0, 1)")
 
     @property
     def support_lo(self) -> float:
@@ -179,10 +178,7 @@ class PowerLaw:
     label = "power-law"
 
     def __post_init__(self):
-        # Written as the values it admits, so NaN fails it.
-        if not (_is_real(self.gamma) and 0.0 < self.gamma < np.inf):
-            raise InvalidConfig(f"gamma: power-law exponent must be finite and positive, "
-                                f"got {self.gamma!r}")
+        _check_reals(self, "gamma", admits=lambda v: 0.0 < v < np.inf, what="finite and positive")
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         # Inverse CDF of gamma * x**(gamma-1) on [0, 1].
@@ -358,8 +354,7 @@ class ErrorIntegrals:
     def error(self, beta: float, sigma: float):
         """Error per alpha, the 2n-node value checked against the n-node one;
         a float for a scalar alpha grid."""
-        if not (math.isfinite(beta) and math.isfinite(sigma)):
-            raise ValueError(f"beta and sigma must be finite, got {beta!r} and {sigma!r}")
+        _check_reals({"beta": beta, "sigma": sigma}, admits=math.isfinite, what="finite")
         b2, s2 = beta * beta, sigma * sigma
         coarse, fine = b2 * self.sums[:, 0] + s2 * self.sums[:, 1]
         # The error is quadratic in (beta, sigma), and the bound is relative to
@@ -384,8 +379,7 @@ def error_integrals(models: tuple[SchattenIndex, ...],
     nodes: each rule is built once and serves every estimator, and the
     integrals every (beta, sigma).  lam = d/N in (0, 1] is the error's
     prefactor; a MarchenkoPastur measure must carry the same lam."""
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"aspect ratio lam must be finite and in (0, 1], got {lam!r}")
+    _check_reals({"lam": lam}, admits=lambda v: 0.0 < v <= 1.0, what="finite and in (0, 1]")
     if isinstance(measure, MarchenkoPastur) and lam != measure.lam:
         raise ValueError(f"lam {lam!r} differs from the MP law's {measure.lam!r}")
     alpha = np.asarray(alphas, dtype=float)

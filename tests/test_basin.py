@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from schattenreg import (
 )
 from schattenreg.basin import (DEFAULT_GRID_HI, DEFAULT_GRID_LO, DEFAULT_GRID_N,
                               FIT_HALF_WINDOW)
-from schattenreg.exceptions import DegenerateFit, InvalidConfig
+from schattenreg.exceptions import DegenerateFit, DimensionMismatch, InvalidConfig
 
 
 def err_mp(p, alpha, lam, beta, sigma):
@@ -86,6 +88,18 @@ def test_expected_cv_minimum_hand_values():
     assert expected_cv_minimum(0.2, 1.0, 1.0, 10**6) == pytest.approx(0.2, abs=1e-9)
 
 
+@pytest.mark.parametrize("values_shape, grid_shape", [((20,), (30,)), ((32,), (30,)),
+                                                       ((30, 1), (30,)), ((30,), (30, 1))])
+def test_curve_and_grid_must_be_1d_of_one_length(values_shape, grid_shape):
+    # 20 values on 30 points failed in np.polyfit with a TypeError, and 32
+    # values with an IndexError.
+    values = np.linspace(1.0, 2.0, np.prod(values_shape)).reshape(values_shape)
+    grid = np.linspace(0.0, 1.0, np.prod(grid_shape)).reshape(grid_shape)
+    message = f"values {values_shape} and grid {grid_shape} must be 1-d of one length"
+    with pytest.raises(DimensionMismatch, match="^" + re.escape(message) + "$"):
+        locate_min_and_curvature(values, grid)
+
+
 def test_monte_carlo_degenerate_case():
     mean, stderr = monte_carlo_parabola_min(0.7, 0.0, 1.0, 3, reps=2000, seed=0)
     assert mean == pytest.approx(0.7, abs=1e-12)
@@ -93,11 +107,11 @@ def test_monte_carlo_degenerate_case():
 
 
 @pytest.mark.parametrize("delta, n, match", [
-    (1.0, 0, "n must be >= 1"),
-    (1.0, -2, "n must be >= 1"),
-    (0.0, 3, "delta must be positive"),
-    (-1.0, 3, "delta must be positive"),
-    (np.nan, 3, "delta must be positive"),
+    (1.0, 0, "^n must be an integer >= 1, got 0$"),
+    (1.0, -2, "^n must be an integer >= 1, got -2$"),
+    (0.0, 3, "^delta must be finite and positive, got 0.0$"),
+    (-1.0, 3, "^delta must be finite and positive, got -1.0$"),
+    (np.nan, 3, "^delta must be finite and positive, got nan$"),
 ])
 def test_monte_carlo_rejects_what_the_closed_form_rejects(delta, n, match):
     # The oracle used to fail inside numpy at n = 0 and delta = -1, and to
@@ -112,9 +126,9 @@ def test_monte_carlo_rejects_what_the_closed_form_rejects(delta, n, match):
 def test_parabola_model_needs_an_integer_draw_count(n):
     # 2.5 used to give the closed form a value, 0.0635 at (0, 1, 1), while the
     # oracle failed inside numpy; True is a bool, not a count.
-    with pytest.raises(ValueError, match="n must be >= 1 and an integer"):
+    with pytest.raises(ValueError, match="^n must be an integer >= 1, got "):
         expected_cv_minimum(0.0, 1.0, 1.0, n)
-    with pytest.raises(ValueError, match="n must be >= 1 and an integer"):
+    with pytest.raises(ValueError, match="^n must be an integer >= 1, got "):
         monte_carlo_parabola_min(0.0, 1.0, 1.0, n, reps=1000)
 
 

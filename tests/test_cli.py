@@ -341,7 +341,8 @@ def test_simulate_runs_at_the_largest_lambda_its_theory_covers(tmp_path, monkeyp
 def test_simulate_theory_is_taken_at_the_sampled_aspect_ratio(tmp_path, ensemble):
     # lambda 0.335 and 0.34 both round to 34 features of 100 rows, so they
     # draw the same datasets; the theory column was once taken at each
-    # configured lambda, 0.50149 against 0.51280 for spherical.
+    # configured lambda, 0.50149 against 0.51280 for spherical, and the
+    # lambda column echoed 0.335 beside a theory at 0.34.
     cols = []
     for lam in (0.335, 0.34):
         cfg = _write_cfg(tmp_path, "c.json", {
@@ -353,6 +354,7 @@ def test_simulate_theory_is_taken_at_the_sampled_aspect_ratio(tmp_path, ensemble
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
         rows = _read_csv(out)
         cols.append(([r["empirical_mean"] for r in rows], [r["theory"] for r in rows]))
+        assert {float(r["lambda"]) for r in rows} == {0.34}
     assert cols[0] == cols[1]
     want = error_integrals((SchattenIndex.FROBENIUS,),
                            MarchenkoPastur(0.34) if ensemble == "spherical" else PowerLaw(1.0),

@@ -305,8 +305,9 @@ POWER_LAW = PowerLaw(2.0)
     (lambda: _frobenius_integrals(MarchenkoPastur(0.5), 0.3), "differs from the MP law"),
     # A NaN gap slipped past the n-vs-2n check; an inf one overflowed.
     *[(lambda b=b, s=s: _frobenius_integrals(POWER_LAW, 0.5)[0].error(b, s),
-       "beta and sigma must be finite")
-      for b, s in ((np.nan, 1.0), (1.0, np.inf), (-np.inf, 1.0), (1.0, np.nan))],
+       f"^{field} must be finite, got ")
+      for b, s, field in ((np.nan, 1.0, "beta"), (1.0, np.inf, "sigma"),
+                          (-np.inf, 1.0, "beta"), (1.0, np.nan, "sigma"))],
 ], ids=["lam--0.5", "lam-0", "lam-nan", "lam-inf", "lam-3", "mp-lam-mismatch",
         "beta-nan", "sigma-inf", "beta--inf", "sigma-nan"])
 def test_theory_rejects_bad_lam_beta_and_sigma(call, match):
