@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (DegenerateFit, DimensionMismatch, InvalidConfig, _check_counts,
-                         _check_reals)
+from .exceptions import DegenerateFit, InvalidConfig, _check_array, _check_counts, _check_reals
 
 __all__ = [
     "BasinGeometry",
@@ -50,16 +49,12 @@ def locate_min_and_curvature(values: np.ndarray, grid: np.ndarray) -> BasinGeome
 
     The quadratic is fit in alpha on the linear scale, centered at the grid
     argmin; the estimated Hessian is twice the quadratic coefficient.  Edge
-    minima use a one-sided window and are flagged.  values and grid must be
-    1-d of one length, else DimensionMismatch names both shapes.
+    minima use a one-sided window and are flagged.  Raises DimensionMismatch
+    unless grid is 1-d and values has its shape, and NonFinite for a NaN or
+    inf in either.
     """
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if grid.ndim != 1 or values.shape != grid.shape:
-        raise DimensionMismatch(f"values {values.shape} and grid {grid.shape} "
-                                f"must be 1-d of one length")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("curve values must be finite on the grid")
+    grid = _check_array(grid, "grid", (None,))
+    values = _check_array(values, "values", grid.shape)
     i0 = int(np.argmin(values))
     lo = max(i0 - FIT_HALF_WINDOW, 0)
     hi = min(i0 + FIT_HALF_WINDOW, len(grid) - 1)

@@ -49,7 +49,6 @@ from .ensembles import (
     RealDataConfig,
     RowTestSet,
     SphericalGaussianConfig,
-    _check_rows,
     child_seeds,
     sample_diagonal,
     sample_equicorrelated,
@@ -57,7 +56,7 @@ from .ensembles import (
     sample_spherical,
 )
 from .estimators import fit_path
-from .exceptions import InsufficientData, InvalidConfig, _check_counts, _check_reals
+from .exceptions import InsufficientData, InvalidConfig, _check_array, _check_counts, _check_reals
 from .rff import RFFBenchConfig, make_rff_dataset
 from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 
@@ -190,15 +189,12 @@ def _cv_best_index(X: np.ndarray, Y: np.ndarray, models: tuple[SchattenIndex, ..
     ties break to the smaller alpha.  Before fold k is factored, the rows
     become the other folds' in fold order, then fold k's, so its training
     design is the prefix X[:m] and its validation set the rest; Y ends as
-    Y[perm], and so does X when d <= N and X is writeable.  When d > N, X is
-    left as it was and the folds are laid out in R^T for X^T = Q R; a
-    read-only X with d <= N is copied first.  Each fold is factored once and
-    shared by all models."""
+    Y[perm], and so does X when d <= N.  When d > N, X is left as it was and
+    the folds are laid out in R^T for X^T = Q R.  Each fold is factored once
+    and shared by all models."""
     perm, edges = _fold_order(X.shape[0], folds, seed)
     if X.shape[1] > X.shape[0]:
         X = np.linalg.qr(X.T, mode="r").T
-    if not X.flags.writeable:
-        X = X.copy()
     n = len(perm)
     where = np.arange(n)  # where[i]: the current position of original row i
     scores = np.zeros((len(edges) - 1, len(models), len(alphas)))
@@ -217,13 +213,14 @@ def _cv_best_index(X: np.ndarray, Y: np.ndarray, models: tuple[SchattenIndex, ..
 def kfold_select_alpha(X: np.ndarray, Y: np.ndarray, cfg: CVConfig) -> dict[SchattenIndex, float]:
     """Per model of cfg.models, the grid alpha minimizing mean validation
     MSE across cfg.folds folds shuffled by cfg.seed, ties to the smaller
-    alpha.  X and Y are left as they were: Y is copied, and X goes in
-    read-only, so the routine copies it only when d <= N.  Raises
+    alpha.  X and Y are left as they were: Y is copied, and X only when
+    d <= N, since a wide X's folds are laid out in its R factor.  Raises
     DimensionMismatch unless X is (N, d) and Y (N,), and NonFinite for a NaN
     or inf in X or Y, before any fold is laid out."""
-    X, Y = np.asarray(X, dtype=float).view(), np.array(Y, dtype=float)
-    X.flags.writeable = False
-    _check_rows(X, Y)
+    X = _check_array(X, "X", (None, None))
+    Y = _check_array(Y, "Y", X.shape[:1]).copy()
+    if X.shape[1] <= X.shape[0]:
+        X = X.copy()
     alphas = cfg.grid.values()
     best = _cv_best_index(X, Y, cfg.models, alphas, cfg.folds, cfg.seed)
     return {p: float(alphas[b]) for p, b in zip(cfg.models, best)}

@@ -34,7 +34,7 @@ import numpy as np
 # set-up rather than inside the first sampling call.
 import numpy.random  # noqa: F401
 
-from .exceptions import DimensionMismatch, InvalidConfig, NonFinite, _check_counts, _check_reals
+from .exceptions import InvalidConfig, _check_array, _check_counts, _check_reals
 from .spectrum import GramSpectrum, gram_spectrum
 from .theory import Atoms, PowerLaw
 
@@ -121,17 +121,6 @@ def _test_gram(n: int, d: int, draw) -> np.ndarray:
     for a, b in slabs:
         H[b:, a:b] = H[a:b, b:].T
     return H
-
-
-def _check_rows(X: np.ndarray, Y: np.ndarray, y: str = "Y") -> None:
-    """Raise DimensionMismatch unless X is (N, d) and Y, named y, is (N,),
-    naming the one at fault, and NonFinite for a NaN or inf in either."""
-    if X.ndim != 2 or Y.shape != X.shape[:1]:
-        raise DimensionMismatch(f"{y if X.ndim == 2 else 'X'}: X {X.shape} and {y} {Y.shape} "
-                                f"must be (N, d) and (N,)")
-    for name, values in (("X", X), (y, Y)):
-        if not np.all(np.isfinite(values)):
-            raise NonFinite(f"{name} contains NaN or Inf")
 
 
 def child_seeds(master_seed: int, n: int) -> list[int]:
@@ -291,7 +280,8 @@ class RealDataConfig:
     n_obs: int
 
     def __post_init__(self):
-        _check_rows(np.asarray(self.X), np.asarray(self.y), "y")
+        X = _check_array(self.X, "X", (None, None))
+        _check_array(self.y, "y", X.shape[:1])
         _check_counts(self, "n_obs")
         if self.n_obs >= len(self.y):
             raise InvalidConfig(f"n_obs must be below the {len(self.y)} rows, got {self.n_obs!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, DomainError, NonFinite, _check_reals
+from .exceptions import DomainError, NonFinite, _check_array, _check_reals
 from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 
 __all__ = [
@@ -69,10 +69,10 @@ def _inverse_filter_weights(spectrum: GramSpectrum, p: SchattenIndex, alpha) -> 
 
 def fit(X: np.ndarray, Y: np.ndarray, p: SchattenIndex, alpha: float) -> FittedModel:
     """Fit the p-bias-constrained estimator at regularization strength alpha.
-    Raises ValueError unless Y is (N,) for an (N, d) X, NonFinite for NaN or inf in Y."""
-    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    if Y.shape != X.shape[:1]:
-        raise ValueError(f"Y {Y.shape} must be {X.shape[:1]} for X {X.shape}")
+    Raises DimensionMismatch unless X is 2-d, (N, d), and Y is (N,), and
+    NonFinite for a NaN or inf in either."""
+    X = _check_array(X, "X", (None, None))
+    Y = _check_array(Y, "Y", X.shape[:1])
     beta = fit_path(gram_spectrum(X), X.T @ Y, p, [alpha])[:, 0]
     return FittedModel(p=p, alpha=float(alpha), beta_hat=beta)
 
@@ -82,23 +82,17 @@ def fit_path(spectrum: GramSpectrum, xty: np.ndarray, p: SchattenIndex, alphas) 
     array: beta-hat(alpha) = U diag(1/f_alpha) U^T xty for xty = X^T Y, one
     filter matrix and one product for the whole path, over the kept
     eigenpairs alone: X^T Y has no component on the null directions.
-    Raises ValueError unless xty is (d,), and NonFinite unless it is finite."""
-    if np.shape(xty) != (spectrum.n_feat,):
-        raise ValueError(f"xty {np.shape(xty)} must be ({spectrum.n_feat},)")
-    if not np.all(np.isfinite(xty)):
-        raise NonFinite("X^T Y contains NaN or Inf")
+    Raises DimensionMismatch unless xty is (d,), and NonFinite unless it is finite."""
+    xty = _check_array(xty, "xty", (spectrum.n_feat,))
     W = _inverse_filter_weights(spectrum, p, np.asarray(alphas, dtype=float).ravel())
     U = spectrum.eigvecs
     return U @ (W * (U.T @ xty)[:, None])
 
 
 def predict(model: FittedModel, X_test: np.ndarray) -> np.ndarray:
-    X_test = np.asarray(X_test, dtype=float)
-    if X_test.ndim != 2 or X_test.shape[1] != model.beta_hat.shape[0]:
-        raise DimensionMismatch(
-            f"X_test has {X_test.shape[-1]} columns, model has "
-            f"{model.beta_hat.shape[0]} features"
-        )
+    """X_test @ beta_hat.  Raises DimensionMismatch unless X_test is (n, d) for
+    the model's d features, and NonFinite for a NaN or inf entry."""
+    X_test = _check_array(X_test, "X_test", (None, model.beta_hat.shape[0]))
     return X_test @ model.beta_hat
 
 
@@ -113,11 +107,11 @@ def estimator_operator(X: np.ndarray, p: SchattenIndex, alpha: float) -> np.ndar
 def operator_diagnostics(
     L: np.ndarray, X: np.ndarray, p: SchattenIndex
 ) -> tuple[float, float]:
-    """(Schatten-p norm of LX - I, Tr(L L^T) / 2) for a candidate operator."""
-    L = np.asarray(L, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if L.shape[1] != X.shape[0] or L.shape[0] != X.shape[1]:
-        raise DimensionMismatch(f"L {L.shape} incompatible with X {X.shape}")
+    """(Schatten-p norm of LX - I, Tr(L L^T) / 2) for a candidate operator.
+    Raises DimensionMismatch unless X is 2-d, (N, d), and L is (d, N), and
+    NonFinite for a NaN or inf in either."""
+    X = _check_array(X, "X", (None, None))
+    L = _check_array(L, "L", X.shape[::-1])
     d = X.shape[1]
     B = L @ X - np.eye(d)
     bias_norm = p.norm(np.linalg.svd(B, compute_uv=False))

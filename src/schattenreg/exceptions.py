@@ -1,19 +1,24 @@
-"""Exception hierarchy shared across the package, and the two checks every
-number the package takes goes through: _check_reals and _check_counts."""
+"""Exception hierarchy shared across the package, and the checks every input
+goes through: _check_reals and _check_counts for every number the package
+takes, _check_array for every array.  Each error names the argument or field
+at fault, and InvalidConfig, DimensionMismatch and NonFinite are ValueErrors
+too."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 class SchattenRegError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionMismatch(SchattenRegError):
-    """Operands have incompatible shapes."""
+class DimensionMismatch(SchattenRegError, ValueError):
+    """An array argument does not have the dimensions it must have."""
 
 
-class NonFinite(SchattenRegError):
+class NonFinite(SchattenRegError, ValueError):
     """An input contains NaN or Inf entries."""
 
 
@@ -73,3 +78,19 @@ def _check_counts(config, *names: str, least: int = 1) -> None:
     """_check_reals for integers (Python or numpy ones) of at least `least`."""
     _check_reals(config, *names, admits=lambda v: isinstance(v, numbers.Integral) and v >= least,
                  what=f"an integer >= {least}")
+
+
+def _check_array(value, name: str, shape: tuple) -> np.ndarray:
+    """value as a float array, not copied when it is one already.  Raises
+    DimensionMismatch("<name> <its shape> must be <shape>") unless it has
+    len(shape) dimensions with the lengths that shape fixes (an int fixes a
+    length, None leaves it free), and NonFinite("<name> contains NaN or inf")
+    for a NaN or inf entry."""
+    array = np.asarray(value, dtype=float)
+    if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
+        want = (f"{len(shape)}-d" if all(n is None for n in shape) else
+                str(tuple("*" if n is None else n for n in shape)).replace("'", ""))
+        raise DimensionMismatch(f"{name} {array.shape} must be {want}")
+    if not np.isfinite(array).all():
+        raise NonFinite(f"{name} contains NaN or inf")
+    return array

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .estimators import BiasBound
-from .exceptions import DidNotConverge
-from .spectrum import SchattenIndex, _check_design
+from .exceptions import DidNotConverge, _check_array
+from .spectrum import SchattenIndex
 
 __all__ = ["project_schatten_ball", "solve_bias_constrained_numeric"]
 
@@ -40,7 +40,10 @@ def _project_l1_simplex_abs(s: np.ndarray, radius: float) -> np.ndarray:
 
 
 def project_schatten_ball(B: np.ndarray, p: SchattenIndex, radius: float) -> np.ndarray:
-    """Euclidean (Frobenius) projection onto the Schatten-p ball of given radius."""
+    """Euclidean (Frobenius) projection onto the Schatten-p ball of given
+    radius.  Raises DimensionMismatch unless B is 2-d, and NonFinite for a NaN
+    or inf entry."""
+    B = _check_array(B, "B", (None, None))
     if radius == 0:
         return np.zeros_like(B)
     if p is SchattenIndex.FROBENIUS:
@@ -69,7 +72,7 @@ def solve_bias_constrained_numeric(X: np.ndarray, C: BiasBound | float,
     scales like 1 / ||X||^2, so at unit scale the stop rule's max(1, |obj|)
     means the same accuracy whatever the units of X.
     """
-    X = _check_design(X)
+    X = _check_array(X, "X", (None, None))
     N, d = X.shape
     c = (C if isinstance(C, BiasBound) else BiasBound(C)).value
     if c >= p.identity_norm(d):

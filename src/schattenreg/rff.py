@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import _BLOCK_BYTES, Dataset, RowTestSet, row_blocks
-from .exceptions import DimensionMismatch, NonFinite, _check_counts, _check_reals
+from .exceptions import _check_array, _check_counts, _check_reals
 from .spectrum import gram_spectrum
 
 __all__ = ["NonlinearTarget", "RFFBenchConfig", "RFFMap", "RFFRows", "apply_rff",
@@ -59,17 +59,6 @@ def _cos_turns(t: np.ndarray) -> None:
             u += c
             u *= s
         u += _COS_TURNS[0]
-
-
-def _raw_rows(x, by: np.ndarray, what: str) -> np.ndarray:
-    """x as floats: one point (1-d) or rows (2-d) of by's width.  Raises
-    DimensionMismatch naming both shapes, and NonFinite for NaN or inf."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != by.shape[1]:
-        raise DimensionMismatch(f"input {x.shape} does not fit {what} {by.shape}")
-    if not np.isfinite(x).all():
-        raise NonFinite(f"input to {what} has NaN or inf entries")
-    return x
 
 
 def _rows_times(X: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -116,9 +105,9 @@ def apply_rff(rff: RFFMap, X: np.ndarray) -> np.ndarray:
     Z / (2 pi), whose cosines _cos_turns takes in place: a feature is within
     1e-15 max(1, |Z|) sqrt(2/d_rbf) of numpy's cos of Z.  A row's features
     are the same bits whichever rows come with it.  Raises DimensionMismatch
-    unless X's rows are the map's d wide, and NonFinite for NaN or inf."""
-    d_rbf = rff.weights.shape[0]
-    X = _raw_rows(X, rff.weights, "the RFF weights")
+    unless X is (d,) or (n, d) for the map's d, and NonFinite for NaN or inf."""
+    d_rbf, d = rff.weights.shape
+    X = _check_array(X, "X", (d,) if np.ndim(X) == 1 else (None, d))
     Z = _rows_times(np.atleast_2d(X), rff.weights)
     if X.ndim == 1:
         Z = Z[0]
@@ -162,9 +151,10 @@ def eval_target(target: NonlinearTarget, x: np.ndarray) -> np.ndarray | float:
     so _cos_turns takes it as it is: its one-period reduction is exact, and
     the term carries only the rounding of u and the kernel's 7e-16.  A row's
     value is the same bits whichever rows come with it.  Raises
-    DimensionMismatch unless x's rows are the directions' d wide, and
+    DimensionMismatch unless x is (d,) or (n, d) for the directions' d, and
     NonFinite for NaN or inf."""
-    x = _raw_rows(x, target.directions, "the target directions")
+    d = target.directions.shape[1]
+    x = _check_array(x, "x", (d,) if np.ndim(x) == 1 else (None, d))
     rows = np.atleast_2d(x)
     n_terms = target.directions.shape[0]
     k = np.arange(1, n_terms + 1)

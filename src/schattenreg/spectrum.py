@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, InsufficientData, NonFinite
+from .exceptions import InsufficientData, NonFinite, _check_array
 
 # Relative cutoff below which a Gram eigenvalue is treated as exactly zero.
 EIGVAL_RTOL = 1e-12
@@ -134,22 +134,12 @@ class GramSpectrum:
         return self.eigvals.size
 
 
-def _check_design(X) -> np.ndarray:
-    """X as floats; DimensionMismatch unless it is 2-d, NonFinite for NaN or inf."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatch(f"X {X.shape} must be 2-d, (N, d)")
-    if not np.all(np.isfinite(X)):
-        raise NonFinite("X contains NaN or Inf")
-    return X
-
-
 def gram_spectrum(X: np.ndarray) -> GramSpectrum:
     """Eigendecompose X^T X (eigh of the Gram matrix for d <= N, the thin SVD
     of X for d > N) and keep the eigenpairs above the rank tolerance.  Raises
     DimensionMismatch unless X is 2-d, InsufficientData for a design with no
     rows or no columns, and NonFinite for a NaN or inf entry."""
-    X = _check_design(X)
+    X = _check_array(X, "X", (None, None))
     N, d = X.shape
     if N == 0:
         raise InsufficientData(f"X {X.shape} has no rows to factor")

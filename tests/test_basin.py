@@ -88,14 +88,15 @@ def test_expected_cv_minimum_hand_values():
     assert expected_cv_minimum(0.2, 1.0, 1.0, 10**6) == pytest.approx(0.2, abs=1e-9)
 
 
-@pytest.mark.parametrize("values_shape, grid_shape", [((20,), (30,)), ((32,), (30,)),
-                                                       ((30, 1), (30,)), ((30,), (30, 1))])
-def test_curve_and_grid_must_be_1d_of_one_length(values_shape, grid_shape):
+@pytest.mark.parametrize("values_shape, grid_shape, message", [
+    ((20,), (30,), "values (20,) must be (30,)"), ((32,), (30,), "values (32,) must be (30,)"),
+    ((30, 1), (30,), "values (30, 1) must be (30,)"), ((30,), (30, 1), "grid (30, 1) must be 1-d"),
+])
+def test_curve_and_grid_must_be_1d_of_one_length(values_shape, grid_shape, message):
     # 20 values on 30 points failed in np.polyfit with a TypeError, and 32
     # values with an IndexError.
     values = np.linspace(1.0, 2.0, np.prod(values_shape)).reshape(values_shape)
     grid = np.linspace(0.0, 1.0, np.prod(grid_shape)).reshape(grid_shape)
-    message = f"values {values_shape} and grid {grid_shape} must be 1-d of one length"
     with pytest.raises(DimensionMismatch, match="^" + re.escape(message) + "$"):
         locate_min_and_curvature(values, grid)
 

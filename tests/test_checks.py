@@ -1,12 +1,16 @@
 """Every number the library takes goes through exceptions._check_reals or
 _check_counts: a bool, a string, NaN, an infinity or an out-of-range number
-raises InvalidConfig naming the field, and InvalidConfig is a ValueError."""
+raises InvalidConfig naming the field.  Every array it takes goes through
+exceptions._check_array: wrong dimensions raise DimensionMismatch and a NaN
+or an infinity NonFinite, each naming the argument.  All three are
+ValueErrors."""
 
 import numpy as np
 import pytest
 
 from schattenreg import (
     AlphaGrid,
+    Atoms,
     BiasBound,
     CVConfig,
     DiagonalEnsembleConfig,
@@ -18,14 +22,25 @@ from schattenreg import (
     SchattenIndex,
     SparseSpec,
     SphericalGaussianConfig,
+    apply_rff,
     bias_bound_to_alpha,
     error_integrals,
+    eval_target,
     expected_cv_minimum,
+    fit,
+    fit_path,
     gram_spectrum,
+    kfold_select_alpha,
+    locate_min_and_curvature,
     monte_carlo_parabola_min,
+    operator_diagnostics,
+    predict,
+    project_schatten_ball,
+    sample_nonlinear_target,
     solve_bias_constrained_numeric,
 )
-from schattenreg.exceptions import InvalidConfig, SchattenRegError
+from schattenreg.exceptions import (DimensionMismatch, InvalidConfig, NonFinite,
+                                    SchattenRegError)
 from schattenreg.rff import sample_rff_map
 
 
@@ -95,7 +110,7 @@ _FIELDS = {
 @pytest.mark.parametrize("field, make, value", [
     pytest.param(field, make, value, id=f"{key}-{value!r}")
     for key, (field, make, out) in _FIELDS.items()
-    for value in (True, "0.5", np.nan, np.inf, -np.inf, *out)
+    for value in (True, False, "0.5", "1", np.nan, np.inf, -np.inf, *out)
 ])
 def test_every_number_the_library_takes_is_rejected_naming_its_field(field, make, value):
     # MarchenkoPastur("0.5") and BiasBound("1") used to raise a bare TypeError
@@ -108,7 +123,93 @@ def test_every_number_the_library_takes_is_rejected_naming_its_field(field, make
     assert str(info.value).startswith(f"{field} must be ")
 
 
-def test_invalid_config_is_a_value_error():
-    # cli.main and callers that catch ValueError keep catching a bad number.
-    assert issubclass(InvalidConfig, ValueError)
-    assert issubclass(InvalidConfig, SchattenRegError)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("make, field", [
+    (lambda v: Atoms([0.2, v], [0.5, 0.5]), "grid"),
+    (lambda v: Atoms([0.2, 0.8], [1.0, v]), "weights"),
+], ids=["grid", "weights"])
+def test_atoms_reject_a_non_finite_entry_naming_the_field(make, field, value):
+    # An Atoms measure takes arrays, which the table above cannot give.
+    with pytest.raises(InvalidConfig, match=f"^{field} must "):
+        make(value)
+
+
+@pytest.mark.parametrize("error", [InvalidConfig, DimensionMismatch, NonFinite])
+def test_input_errors_are_value_errors(error):
+    # cli.main and callers that catch ValueError keep catching a bad input.
+    assert issubclass(error, ValueError)
+    assert issubclass(error, SchattenRegError)
+
+
+_X = np.random.default_rng(0).standard_normal((6, 3))
+_ONES = np.ones(6)
+_GRID = np.linspace(0.1, 2.0, 20)
+_CURVE = (_GRID - 1.0) ** 2
+_FROBENIUS = SchattenIndex.FROBENIUS
+_RFF = sample_rff_map(3, 8, seed=0)
+_TARGET = sample_nonlinear_target(3, 8, np.random.default_rng(0))
+_CV = CVConfig(grid=AlphaGrid(count=3))
+
+# Per (function, argument): the name a message starts with, a call taking the
+# value, a value it accepts, whose last entry the NaN and inf cases replace,
+# and values of the wrong dimensions: first of the wrong number, then, where
+# another argument fixes a length, of a wrong length.
+_ARRAYS = {
+    "gram_spectrum.X": ("X", gram_spectrum, _X, [_ONES]),
+    "numeric-oracle.X": ("X", lambda v: solve_bias_constrained_numeric(v, 0.5, _FROBENIUS),
+                         _X, [_ONES]),
+    "kfold.X": ("X", lambda v: kfold_select_alpha(v, _ONES, _CV), _X, [_ONES]),
+    "kfold.Y": ("Y", lambda v: kfold_select_alpha(_X, v, _CV), _ONES,
+                [_ONES[:, None], _ONES[:5]]),
+    "fit.Y": ("Y", lambda v: fit(_X, v, _FROBENIUS, 1.0), _ONES, [_ONES[:, None], _ONES[:5]]),
+    "real.X": ("X", lambda v: RealDataConfig(v, _ONES, 3), _X, [_ONES]),
+    "real.y": ("y", lambda v: RealDataConfig(_X, v, 3), _ONES, [_ONES[:, None], _ONES[:5]]),
+    "apply_rff.X-rows": ("X", lambda v: apply_rff(_RFF, v), _X,
+                         [_X[:, :, None], _X[:, :2]]),
+    "apply_rff.X-point": ("X", lambda v: apply_rff(_RFF, v), _X[0], [_X[0, 0], _X[0, :2]]),
+    "eval_target.x-rows": ("x", lambda v: eval_target(_TARGET, v), _X,
+                           [_X[:, :, None], _X[:, :2]]),
+    "eval_target.x-point": ("x", lambda v: eval_target(_TARGET, v), _X[0],
+                            [_X[0, 0], _X[0, :2]]),
+    "fit_path.xty": ("xty", lambda v: fit_path(gram_spectrum(_X), v, _FROBENIUS, [1.0]),
+                     _X[0], [_X[:1].T, _ONES]),
+    "predict.X_test": ("X_test", lambda v: predict(fit(_X, _ONES, _FROBENIUS, 1.0), v), _X,
+                       [_X[0], _X[:, :2]]),
+    "operator_diagnostics.L": ("L", lambda v: operator_diagnostics(v, _X, _FROBENIUS), _X.T,
+                               [_X[0], _X]),
+    "operator_diagnostics.X": ("X", lambda v: operator_diagnostics(_X.T, v, _FROBENIUS), _X,
+                               [_ONES]),
+    "project_schatten_ball.B": ("B", lambda v: project_schatten_ball(v, _FROBENIUS, 1.0),
+                                _X, [_ONES]),
+    "locate_min.values": ("values", lambda v: locate_min_and_curvature(v, _GRID), _CURVE,
+                          [_CURVE[:, None], _CURVE[:19]]),
+    "locate_min.grid": ("grid", lambda v: locate_min_and_curvature(_CURVE, v), _GRID,
+                        [_GRID[:, None]]),
+}
+
+
+def _with(value, bad):
+    """value with its last entry set to bad."""
+    out = np.array(value, dtype=float)
+    out.flat[-1] = bad
+    return out
+
+
+@pytest.mark.parametrize("name, make, value, error", [
+    *(pytest.param(name, make, bad, DimensionMismatch, id=f"{key}-{np.shape(bad)}")
+      for key, (name, make, good, shapes) in _ARRAYS.items() for bad in shapes),
+    *(pytest.param(name, make, _with(good, bad), NonFinite, id=f"{key}-{bad}")
+      for key, (name, make, good, shapes) in _ARRAYS.items()
+      for bad in (np.nan, np.inf, -np.inf)),
+])
+def test_every_array_the_library_takes_is_rejected_naming_its_argument(name, make, value,
+                                                                       error):
+    # predict returned NaN for a NaN X_test, operator_diagnostics let numpy's
+    # "SVD did not converge" escape, project_schatten_ball scaled a 1-d or
+    # NaN B, and fit and fit_path raised a bare ValueError for a wrong shape.
+    with pytest.raises(error) as info:
+        make(value)
+    want = (f"{name} contains NaN or inf" if error is NonFinite
+            else f"{name} {np.shape(value)} must be ")
+    assert str(info.value).startswith(want)
+

@@ -498,7 +498,7 @@ def test_real_data_target_whose_mean_overflows_exits_2(tmp_path, capsys):
     data = _write_table(tmp_path, "\n".join(lines) + "\n")
     cfg = _write_cfg(tmp_path, "c.json", {"target": "y", "train_size": 20, "n_splits": 2})
     assert main(["real-data", data, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
-    assert "X^T Y contains NaN or Inf" in capsys.readouterr().err
+    assert "xty contains NaN or inf" in capsys.readouterr().err
 
 
 def test_real_data_requires_target_key(tmp_path):

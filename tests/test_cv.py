@@ -276,13 +276,14 @@ def selections(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("x_shape, y_shape", [
-    ((30, 4), (29,)), ((30, 4), (31,)), ((30,), (30,)), ((30, 4), (30, 1)),
+@pytest.mark.parametrize("x_shape, y_shape, message", [
+    ((30, 4), (29,), "Y (29,) must be (30,)"), ((30, 4), (31,), "Y (31,) must be (30,)"),
+    ((30,), (30,), "X (30,) must be 2-d"), ((30, 4), (30, 1), "Y (30, 1) must be (30,)"),
 ], ids=["Y-short", "Y-long", "X-1d", "Y-2d"])
-def test_kfold_select_alpha_rejects_mismatched_rows_before_any_fold(x_shape, y_shape,
+def test_kfold_select_alpha_rejects_mismatched_rows_before_any_fold(x_shape, y_shape, message,
                                                                     selections):
     cfg = _small_cfg()
-    with pytest.raises(DimensionMismatch, match=re.escape(f"X {x_shape} and Y {y_shape}")):
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
         kfold_select_alpha(np.ones(x_shape), np.ones(y_shape), cfg)
     assert selections == []
 
@@ -312,7 +313,7 @@ def test_kfold_select_alpha_rejects_a_non_finite_x_before_any_fold(bad, shape, m
     monkeypatch.setattr(cv, "_fold_order", spy)
     X = np.ones(shape)
     X[7, 2] = bad
-    with pytest.raises(NonFinite, match="X contains NaN or Inf"):
+    with pytest.raises(NonFinite, match="^X contains NaN or inf$"):
         kfold_select_alpha(X, np.ones(shape[0]), _small_cfg())
     assert shuffled == []
 
@@ -975,9 +976,9 @@ def test_real_data_split_keeps_a_constant_training_column_unscaled():
 
 
 @pytest.mark.parametrize("X, y, n_obs, error, match", [
-    (np.ones(5), np.ones(5), 2, DimensionMismatch, "^X: X \\(5,\\) and y"),
-    (np.ones((5, 2)), np.ones((5, 1)), 2, DimensionMismatch, "^y: X \\(5, 2\\) and y \\(5, 1\\)"),
-    (np.ones((5, 2)), np.ones(4), 2, DimensionMismatch, "^y: X \\(5, 2\\) and y \\(4,\\)"),
+    (np.ones(5), np.ones(5), 2, DimensionMismatch, "^X \\(5,\\) must be 2-d$"),
+    (np.ones((5, 2)), np.ones((5, 1)), 2, DimensionMismatch, "^y \\(5, 1\\) must be \\(5,\\)$"),
+    (np.ones((5, 2)), np.ones(4), 2, DimensionMismatch, "^y \\(4,\\) must be \\(5,\\)$"),
     (np.array([[1.0, np.nan]] * 5), np.ones(5), 2, NonFinite, "^X contains"),
     (np.ones((5, 2)), np.r_[np.ones(4), np.inf], 2, NonFinite, "^y contains"),
     (np.ones((5, 2)), np.ones(5), 0, InvalidConfig, "^n_obs must be an integer >= 1"),

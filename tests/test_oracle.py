@@ -26,7 +26,7 @@ def test_numeric_oracle_rejects_a_non_finite_design():
     # A NaN used to reach the SVD of the scale: "SVD did not converge".
     X = np.random.default_rng(0).standard_normal((8, 4))
     X[2, 1] = np.nan
-    with pytest.raises(NonFinite, match="^X contains NaN or Inf$"):
+    with pytest.raises(NonFinite, match="^X contains NaN or inf$"):
         solve_bias_constrained_numeric(X, 0.5, SchattenIndex.FROBENIUS)
 
 

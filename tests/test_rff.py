@@ -253,14 +253,15 @@ _RFF = sample_rff_map(3, 8, seed=0)
 _TARGET = sample_nonlinear_target(3, 8, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("call, by", [
-    (lambda x: apply_rff(_RFF, x), _RFF.weights),
-    (lambda x: eval_target(_TARGET, x), _TARGET.directions),
+@pytest.mark.parametrize("call, name", [
+    (lambda x: apply_rff(_RFF, x), "X"),
+    (lambda x: eval_target(_TARGET, x), "x"),
 ], ids=["apply_rff", "eval_target"])
 @pytest.mark.parametrize("shape", [(5, 4), (5, 2), (4,), (2, 5, 3), ()])
-def test_rff_input_of_another_width_raises_naming_both_shapes(call, by, shape):
-    with pytest.raises(DimensionMismatch,
-                       match=re.escape(str(shape)) + ".*" + re.escape(str(by.shape))):
+def test_rff_input_of_another_width_raises_naming_both_shapes(call, name, shape):
+    # The map and the target take one point (d,) or rows (n, d) of their d = 3.
+    message = f"{name} {shape} must be {'(3,)' if len(shape) == 1 else '(*, 3)'}"
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
         call(np.zeros(shape))
 
 

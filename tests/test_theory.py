@@ -524,6 +524,27 @@ def test_oracle_ridge_dominates_on_grid():
     assert mins[SchattenIndex.FROBENIUS] <= mins[SchattenIndex.SPECTRAL] + 1e-8
 
 
+@pytest.mark.parametrize("measure, lam, rtol", [
+    (MarchenkoPastur(0.1), 0.1, 1e-9), (MarchenkoPastur(0.5), 0.5, 1e-9),
+    (MarchenkoPastur(0.9), 0.9, 1e-9), (PowerLaw(0.5), 0.5, 1e-9), (PowerLaw(2.0), 0.5, 1e-9),
+    (Atoms([0.0, 0.3, 1.0], [0.2, 0.5, 0.3]), 0.5, 1e-12),
+], ids=["mp-0.1", "mp-0.5", "mp-0.9", "power-law-0.5", "power-law-2", "atoms"])
+def test_no_model_at_any_alpha_beats_oracle_ridge(measure, lam, rtol):
+    # The Bayes floor: at each eigenvalue x the error beta^2 w_b q^2 + sigma^2
+    # w_v r^2 with w_b / w_v = x is least at r = x / (x + sigma^2 / beta^2),
+    # ridge's filter at the oracle alpha, so no filter of any p does better.
+    # The rules differ with alpha, so the bound is the engine's own 1e-9
+    # (exact sums on atoms, so 1e-12 there).
+    alphas = np.r_[0.0, np.logspace(-4, 4, 300), np.inf]
+    for beta, sigma in ((1.0, 0.5), (1.0, 1.0), (2.0, 1.0), (0.5, 2.0)):
+        (ridge,) = error_integrals((SchattenIndex.FROBENIUS,), measure,
+                                   oracle_ridge_alpha(beta, sigma), lam)
+        floor = ridge.error(beta, sigma)
+        slack = rtol * max(beta * beta, sigma * sigma, floor)
+        for q in error_integrals(tuple(SchattenIndex), measure, alphas, lam):
+            assert np.all(q.error(beta, sigma) >= floor - slack), (q.p, beta, sigma)
+
+
 def test_error_integrals_grid_matches_spectral_closed_form():
     alphas = np.logspace(-2, 2, 9)
     (q,) = error_integrals((SchattenIndex.SPECTRAL,), MarchenkoPastur(0.5), alphas, 0.5)
