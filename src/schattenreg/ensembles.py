@@ -34,7 +34,7 @@ import numpy as np
 # set-up rather than inside the first sampling call.
 import numpy.random  # noqa: F401
 
-from .exceptions import InvalidConfig, _check_array, _check_counts, _check_reals
+from .exceptions import InvalidConfig, NonFinite, _check_array, _check_counts, _check_reals
 from .spectrum import GramSpectrum, gram_spectrum
 from .theory import Atoms, PowerLaw
 
@@ -370,17 +370,23 @@ def sample_equicorrelated(config: EquicorrelatedConfig, seed: int = 0) -> Datase
 def sample_real_data(config: RealDataConfig, seed: int = 0) -> Dataset:
     """A random split of config's table into n_obs training rows and a
     RowTestSet of the rest, its features z-scored and its targets centered by
-    the training rows' statistics alone (a constant column keeps scale 1)."""
+    the training rows' statistics alone (a constant column keeps scale 1);
+    NonFinite names the X column or y whose statistics are not finite."""
     X, y = np.asarray(config.X, dtype=float), np.asarray(config.y, dtype=float)
     perm = np.random.default_rng(seed).permutation(len(y))
     tr, te = perm[:config.n_obs], perm[config.n_obs:]
     X_tr, y_tr = X[tr], y[tr]
     mu = X_tr.mean(axis=0)
     sd = X_tr.std(axis=0, ddof=0)
+    y_mean = y_tr.mean()
+    bad = np.flatnonzero(~(np.isfinite(mu) & np.isfinite(sd)))
+    if bad.size:
+        raise NonFinite(f"X column {bad[0]} has a non-finite training mean or standard deviation")
+    if not np.isfinite(y_mean):
+        raise NonFinite("y has a non-finite training mean")
     sd[sd == 0] = 1.0
     X_tr -= mu
     X_tr /= sd
-    y_mean = y_tr.mean()
     y_tr -= y_mean
     spectrum = gram_spectrum(X_tr)  # before the test rows are copied
     X_te = X[te]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .estimators import BiasBound
-from .exceptions import DidNotConverge, _check_array
+from .exceptions import DidNotConverge, _check_array, _check_reals
 from .spectrum import SchattenIndex
 
 __all__ = ["project_schatten_ball", "solve_bias_constrained_numeric"]
@@ -41,9 +41,10 @@ def _project_l1_simplex_abs(s: np.ndarray, radius: float) -> np.ndarray:
 
 def project_schatten_ball(B: np.ndarray, p: SchattenIndex, radius: float) -> np.ndarray:
     """Euclidean (Frobenius) projection onto the Schatten-p ball of given
-    radius.  Raises DimensionMismatch unless B is 2-d, and NonFinite for a NaN
-    or inf entry."""
+    radius.  Raises DimensionMismatch unless B is 2-d, NonFinite for a NaN
+    or inf entry, and InvalidConfig unless radius is finite and nonnegative."""
     B = _check_array(B, "B", (None, None))
+    _check_reals({"radius": radius})
     if radius == 0:
         return np.zeros_like(B)
     if p is SchattenIndex.FROBENIUS:

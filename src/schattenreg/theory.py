@@ -34,20 +34,19 @@ as (n_alpha, n_nodes) arrays:
   transition.
 - Power law gamma x^(gamma-1): Gauss-Radau for the weight s^(gamma-1) on
   [0, m], Gauss-Legendre in ln(x) on [m, 1], with m = min(alpha, 1) kept
-  above the point below which the measure holds e^-50 of its mass.
+  above the floor, the point below which the measure holds e^-50 of its mass.
 - Atoms: the exact weighted sum over the atoms, except that an atom at x = 0
   carries no error: the estimator gives its direction weight 0, and its test
   features are 0 there too.
 
-The rows that do not depend on alpha are built once per measure and node
-count, cached read-only, and copied.  Every alpha <= lo has theta(alpha) = 0
-and every alpha >= hi (inf included) pi/2, so each side shares one MP edge
-row.  An alpha inside the support cuts one base panel: only that panel's
-nodes go through the theta -> (x, w_b, w_v) map, and each uncut panel, split
-at its own start or end, is copied from the edge row on that side.  Every
-power-law alpha >= 1, and alpha = 0, has m = 1 and shares one row.  This is
-exact: each node and weight is computed element by element from its own
-panel's endpoints, so a copied row is bit for bit the row built for that alpha.
+MP and the power law share one panel rule, _PanelRule, and declare only their
+panels, their cut t(alpha) and the split of one panel at t.  Its edge rows, at
+the first panel's start and the last panel's end, are cached read-only per
+measure and node count; a row copies each panel that t does not cut from the
+edge row on its side.  MP's t = theta(alpha) is 0 at alpha <= lo and pi/2 at
+alpha >= hi (inf included); the power law's t = m is 1 at alpha >= 1 and at 0.
+This is exact: each node and weight is computed element by element from its
+own panel's endpoints, so a copied row is bit for bit the row built for it.
 
 Each rule runs with n and 2n nodes per panel, for A and B alike.  Per
 (beta, sigma) the 2n value of beta^2 A + sigma^2 B is returned, and its gap to
@@ -99,8 +98,40 @@ _NODES = 32
 _BLOCK = 48
 
 
+class _PanelRule:
+    """A Gauss rule of fixed panels, each split in two at the cut t(alpha).  A
+    measure declares _panels(), tuples (start, end, ...); _cut(alpha), t per
+    row of the (k, 1) alpha; and _split(panel, t, n), one panel's nodes x and
+    bias and variance weights split at the (k, 1) t in it: (k, 2n) arrays."""
+
+    @lru_cache(maxsize=64)
+    def _edge_rows(self, n: int):
+        """Nodes x and bias and variance weights of the rows at the first
+        panel's start and the last panel's end, each panel split at its own
+        start or end: a read-only (3, 2, 2n per panel) array."""
+        parts = [self._split(p, np.array([[p[0]], [p[1]]]), n) for p in self._panels()]
+        rows = np.array([np.hstack(a) for a in zip(*parts)])
+        rows.flags.writeable = False
+        return rows
+
+    def rule(self, alpha: np.ndarray, n: int):
+        """Nodes x and bias and variance weights per row of the (k, 1) alpha:
+        (k, 2n per panel) arrays."""
+        t, panels = self._cut(alpha), self._panels()
+        # A panel that t does not cut splits at its start or its end, as in the
+        # edge row on that side: its columns are copied.
+        high = t >= np.repeat([p[1] for p in panels], 2 * n)
+        out = tuple(np.where(high, edge[1], edge[0]) for edge in self._edge_rows(n))
+        for i, panel in enumerate(panels):
+            rows = np.flatnonzero((panel[0] < t) & (t < panel[1]))
+            if rows.size:
+                for a, cut in zip(out, self._split(panel, t[rows], n)):
+                    a[rows, 2 * n * i:2 * n * (i + 1)] = cut
+        return out
+
+
 @dataclass(frozen=True)
-class MarchenkoPastur:
+class MarchenkoPastur(_PanelRule):
     """MP law with aspect ratio lam = d/N in (0, 1); support [(1-sqrt)^2, (1+sqrt)^2]."""
 
     lam: float
@@ -125,53 +156,26 @@ class MarchenkoPastur:
         theta_e = min(0.5 * np.pi, 4.0 * np.sqrt(lo / span))
         return ((0.0, theta_e, False), (theta_e, 0.5 * np.pi, True))
 
-    def _split(self, panels, theta, n: int):
-        """Nodes x, bias weights and variance weights over `panels`, each split
-        at the (k, 1) theta into two n-node Gauss-Legendre halves, one of them
-        empty unless theta lies inside it."""
+    def _cut(self, alpha):
+        """theta(alpha): 0 for every alpha <= lo, pi/2 for every alpha >= hi."""
         lo, span = self.support_lo, self.support_hi - self.support_lo
-        thetas, weights = [], []
-        for a, b, log in panels:
-            cut = np.clip(theta, a, b)
-            for lo_, hi_ in ((a, cut), (cut, b)):
-                th, w = _legendre_panel(lo_, hi_, n, log)
-                thetas.append(th)
-                weights.append(w)
+        return np.arcsin(np.sqrt(np.clip((alpha - lo) / span, 0.0, 1.0)))
+
+    def _split(self, panel, theta, n: int):
+        """Nodes x, bias weights dMP(x) and variance weights x^-1 dMP(x): one
+        theta panel split at the (k, 1) theta into two n-node Legendre halves."""
+        lo, span = self.support_lo, self.support_hi - self.support_lo
+        a, b, log = panel
+        thetas, weights = zip(*(_legendre_panel(p, q, n, log) for p, q in ((a, theta), (theta, b))))
         s, c = np.sin(np.hstack(thetas)), np.cos(np.hstack(thetas))
         x = lo + span * s * s
         # dMP = (hi - lo)^2 2 sin^2 cos^2 / (2 pi lam x) dtheta; x^-1 dMP for the variance.
         w_b = np.hstack(weights) * span * span * (s * c) ** 2 / (np.pi * self.lam * x)
         return x, w_b, w_b / x
 
-    @lru_cache(maxsize=64)
-    def _edge_rows(self, n: int):
-        """The read-only rows at theta = 0 (every alpha <= lo) and pi/2
-        (every alpha >= hi), as (2, 4n) nodes, bias and variance weights."""
-        x, w_b, w_v = self._split(self._panels(), np.array([[0.0], [0.5 * np.pi]]), n)
-        x.flags.writeable = w_b.flags.writeable = w_v.flags.writeable = False
-        return x, w_b, w_v
-
-    def rule(self, alpha: np.ndarray, n: int):
-        """Nodes x, bias weights dMP(x) and variance weights x^-1 dMP(x), per
-        row of the (k, 1) alpha: (k, 4n) arrays."""
-        lo, span = self.support_lo, self.support_hi - self.support_lo
-        theta = np.arcsin(np.sqrt(np.clip((alpha - lo) / span, 0.0, 1.0)))
-        panels = self._panels()
-        # A base panel that theta does not cut splits at its start or its end,
-        # as in the edge row at theta = 0 or pi/2: its columns are copied.
-        high = theta >= np.repeat([b for _, b, _ in panels], 2 * n)
-        out = tuple(np.where(high, edge[1], edge[0]) for edge in self._edge_rows(n))
-        for i, panel in enumerate(panels):
-            rows = np.flatnonzero((panel[0] < theta) & (theta < panel[1]))
-            if rows.size:
-                cols = slice(2 * n * i, 2 * n * (i + 1))
-                for a, cut in zip(out, self._split((panel,), theta[rows], n)):
-                    a[rows, cols] = cut
-        return out
-
 
 @dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(_PanelRule):
     """The measure gamma x^(gamma-1) dx on [0, 1], gamma > 0."""
 
     gamma: float
@@ -184,39 +188,28 @@ class PowerLaw:
         # Inverse CDF of gamma * x**(gamma-1) on [0, 1].
         return rng.uniform(size=size) ** (1.0 / self.gamma)
 
-    def _split(self, m, n: int):
-        """Nodes x and bias and variance weights x w and w, Gauss-Radau on [0, m]
-        and log-Legendre on [m, 1], per row of the (k, 1) m: (k, 2n) arrays."""
-        gamma = self.gamma
-        s, ws = _radau(n, gamma)
-        x_low, w_low = m * s, m ** gamma * ws
-        x_high, w_high = _legendre_panel(m, 1.0, n, log=True)
-        w_high = w_high * gamma * x_high ** (gamma - 1.0)
+    def _panels(self) -> tuple[tuple[float, float], ...]:
+        """The one panel of m, [floor, 1]: the measure holds e^-50 of its mass
+        below the floor, kept normal, so that x^(gamma-1) stays finite there."""
+        return ((max(np.exp(-50.0 / self.gamma), np.finfo(float).tiny), 1.0),)
+
+    def _cut(self, alpha):
+        """m(alpha): alpha clipped to the panel, and 1 at alpha = 0 and NaN."""
+        # A kink or transition below the floor cannot show, and x^gamma stays
+        # smooth enough in ln(x) over [m, 1].  At alpha = 0 every filter is
+        # the identity, so [0, 1] is one smooth panel.
+        ((lo, hi),) = self._panels()
+        return np.where(alpha > 0.0, np.clip(alpha, lo, hi), hi)
+
+    def _split(self, panel, m, n: int):
+        """Nodes x and bias and variance weights x w and w, for w the measure's
+        weights: Gauss-Radau on [0, m] and log-Legendre on [m, 1], per row of m."""
+        s, ws = _radau(n, self.gamma)
+        x_low, w_low = m * s, m ** self.gamma * ws
+        x_high, w_high = _legendre_panel(m, panel[1], n, log=True)
+        w_high = w_high * self.gamma * x_high ** (self.gamma - 1.0)
         x, w = np.hstack([x_low, x_high]), np.hstack([w_low, w_high])
         return x, x * w, w
-
-    @lru_cache(maxsize=64)
-    def _whole_row(self, n: int):
-        """The read-only row at m = 1: the Radau panel on [0, 1] and an empty
-        log panel at 1, as nodes, bias and variance weights."""
-        x, w_b, w_v = self._split(np.ones((1, 1)), n)
-        x.flags.writeable = w_b.flags.writeable = w_v.flags.writeable = False
-        return x[0], w_b[0], w_v[0]
-
-    def rule(self, alpha: np.ndarray, n: int):
-        """Nodes x and bias and variance weights x w and w, for w the measure's
-        weights, per row of the (k, 1) alpha: (k, 2n) arrays."""
-        # The split point m never drops below where the measure holds e^-50 of
-        # its mass: a kink or transition under that cannot show, and x^gamma
-        # stays smooth enough in ln(x) over [m, 1].  At alpha = 0 every filter
-        # is the identity, so [0, 1] is one smooth panel.
-        m = np.where(alpha > 0.0, np.clip(alpha, np.exp(-50.0 / self.gamma), 1.0), 1.0)
-        out = tuple(np.tile(a, (len(m), 1)) for a in self._whole_row(n))
-        rows = np.flatnonzero(m < 1.0)
-        if rows.size:
-            for a, cut in zip(out, self._split(m[rows], n)):
-                a[rows] = cut
-        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -93,6 +93,8 @@ _FIELDS = {
     "rff-map.d": ("d", lambda v: sample_rff_map(v, 10), (0, 2.5)),
     "rff-map.d_rbf": ("d_rbf", lambda v: sample_rff_map(2, v), (0, 2.5)),
     "rff-map.bandwidth": ("bandwidth", lambda v: sample_rff_map(2, 10, bandwidth=v), (0.0,)),
+    **{f"schatten-ball.radius-{p.name.lower()}": ("radius", lambda v, p=p: project_schatten_ball(
+        np.eye(3), p, v), (-1.0,)) for p in SchattenIndex},
     "error-integrals.lam": ("lam", _integrals, (0.0, 1.5)),
     # The error is quadratic in beta and sigma, so every finite number is in range.
     "error.beta": ("beta", lambda v: _integrals()[0].error(v, 1.0), ()),
@@ -117,7 +119,8 @@ def test_every_number_the_library_takes_is_rejected_naming_its_field(field, make
     # from a comparison, BiasBound(True) and sample_rff_map(2, 10, bandwidth=True)
     # were built, bias_bound_to_alpha read C = "0.5" as 0.5 and True as 1.0, and
     # sample_rff_map(2.5, 10), error_integrals' lam="0.5" and reps=1000.5
-    # failed inside Python or numpy.
+    # failed inside Python or numpy; project_schatten_ball returned NaN for a
+    # NaN radius at p = 2 and inf, and failed in numpy for -1 at p = 1.
     with pytest.raises(InvalidConfig) as info:
         make(value)
     assert str(info.value).startswith(f"{field} must be ")

@@ -488,17 +488,30 @@ def test_real_data_constant_target(tmp_path):
     assert sum(rep["win_count"].values()) == 3
 
 
+def _real_data_with_huge_column(tmp_path, column: int) -> int:
+    """real-data's exit status on 40 rows of (x1, x2, y) whose `column` holds
+    1e308, finite, in its first 30 rows, so its training mean overflows."""
+    rng = np.random.default_rng(0)
+    rows = np.column_stack([rng.standard_normal((40, 2)), np.ones(40)])
+    rows[:30, column] = 1e308
+    data = _write_table(tmp_path, "x1,x2,y\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows))
+    cfg = _write_cfg(tmp_path, "c.json", {"target": "y", "train_size": 20, "n_splits": 2})
+    return main(["real-data", data, "--config", cfg, "--out", str(tmp_path / "r.csv")])
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_real_data_target_whose_mean_overflows_exits_2(tmp_path, capsys):
     # Each value is finite, but the training mean overflows, so the centered
-    # targets are not; the first fit rejects them.
-    rng = np.random.default_rng(0)
-    lines = ["x1,x2,y"] + [f"{a},{b},{1e308 if i < 30 else 1.0}"
-                           for i, (a, b) in enumerate(rng.standard_normal((40, 2)))]
-    data = _write_table(tmp_path, "\n".join(lines) + "\n")
-    cfg = _write_cfg(tmp_path, "c.json", {"target": "y", "train_size": 20, "n_splits": 2})
-    assert main(["real-data", data, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
-    assert "xty contains NaN or inf" in capsys.readouterr().err
+    # targets would not be; the split names y before it is factored.
+    assert _real_data_with_huge_column(tmp_path, 2) == 2
+    assert "error: real-data: y has a non-finite training mean" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_real_data_feature_whose_mean_overflows_exits_2(tmp_path, capsys):
+    assert _real_data_with_huge_column(tmp_path, 1) == 2
+    assert ("error: real-data: X column 1 has a non-finite training mean or standard "
+            "deviation") in capsys.readouterr().err
 
 
 def test_real_data_requires_target_key(tmp_path):

@@ -614,12 +614,45 @@ def power_law_rule_per_alpha(pl, alpha, n):
     """The power-law rule row of one alpha, built whole: nodes x, bias weights
     x w and variance weights w."""
     gamma, alpha = pl.gamma, np.array([[alpha]])
-    m = np.where(alpha > 0.0, np.clip(alpha, np.exp(-50.0 / gamma), 1.0), 1.0)
+    floor = max(np.exp(-50.0 / gamma), np.finfo(float).tiny)
+    m = np.where(alpha > 0.0, np.clip(alpha, floor, 1.0), 1.0)
     s, ws = theory._radau(n, gamma)
     x_low, w_low = m * s, m ** gamma * ws
     x_high, w_high = theory._legendre_panel(m, 1.0, n, log=True)
     w_high = w_high * gamma * x_high ** (gamma - 1.0)
     x, w = np.hstack([x_low, x_high])[0], np.hstack([w_low, w_high])[0]
+    return x, x * w, w
+
+
+class TwoPanels(theory._PanelRule):
+    """A test-only measure defined by its panels, its cut and its split alone:
+    two Gauss-Legendre panels in x, on [0, 0.25] and [0.25, 1], cut at alpha;
+    bias weights x w and variance weights w."""
+
+    def _panels(self):
+        return ((0.0, 0.25), (0.25, 1.0))
+
+    def _cut(self, alpha):
+        return alpha
+
+    def _split(self, panel, t, n):
+        a, b = panel
+        halves = [theory._legendre_panel(p, q, n, log=False) for p, q in ((a, t), (t, b))]
+        x, w = (np.hstack(h) for h in zip(*halves))
+        return x, x * w, w
+
+
+def two_panels_rule_per_alpha(measure, alpha, n):
+    """The TwoPanels row of one alpha, built whole: each panel split at alpha
+    clipped to it."""
+    nodes, weights = [], []
+    for a, b in measure._panels():
+        cut = np.clip(np.array([[alpha]]), a, b)
+        for lo, hi in ((a, cut), (cut, b)):
+            x, w = theory._legendre_panel(lo, hi, n, log=False)
+            nodes.append(x)
+            weights.append(w)
+    x, w = np.hstack(nodes)[0], np.hstack(weights)[0]
     return x, x * w, w
 
 
@@ -653,22 +686,32 @@ def test_mp_rule_rows_equal_the_per_alpha_construction(lam, n):
 
 
 @pytest.mark.parametrize("n", [32, 64])
-@pytest.mark.parametrize("gamma", [0.1, 2.0, 20.0])
+# At gamma 0.01, e^(-50/gamma) underflows to 0: the floor is the smallest normal float.
+@pytest.mark.parametrize("gamma", [0.01, 0.1, 2.0, 20.0])
 def test_power_law_rule_rows_equal_the_per_alpha_construction(gamma, n):
-    floor = np.exp(-50.0 / gamma)
+    floor = max(np.exp(-50.0 / gamma), np.finfo(float).tiny)
     alphas = [0.0, *_with_neighbours(floor), 1e-3, 0.5, np.nextafter(1.0, 0.0), 1.0, 2.0,
               np.inf]
     _assert_rows_equal_per_alpha(PowerLaw(gamma), alphas, n, power_law_rule_per_alpha)
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_panel_rule_rows_equal_the_per_alpha_construction(n):
+    # _PanelRule alone, on a measure that declares only _panels, _cut and _split.
+    alphas = [0.0, np.nextafter(0.0, 1.0), 0.1, *_with_neighbours(0.25), 0.5,
+              *_with_neighbours(1.0), np.inf]
+    _assert_rows_equal_per_alpha(TwoPanels(), alphas, n, two_panels_rule_per_alpha)
+
+
 def test_cached_rule_rows_are_read_only_and_rules_return_copies():
-    mp, pl = MarchenkoPastur(0.5), PowerLaw(2.0)
-    assert len(mp._edge_rows(32)) == len(pl._whole_row(32)) == 3
-    for cached in (*mp._edge_rows(32), *pl._whole_row(32)):
-        with pytest.raises(ValueError, match="read-only"):
-            cached[0] = 1.0
+    measures = (MarchenkoPastur(0.5), PowerLaw(2.0), TwoPanels())
+    for measure in measures:
+        assert len(measure._edge_rows(32)) == 3
+        for cached in measure._edge_rows(32):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 1.0
     alpha = np.array([[0.0], [np.inf]])
-    for measure in (mp, pl):
+    for measure in measures:
         before = [a.copy() for a in measure.rule(alpha, 32)]
         for a in measure.rule(alpha, 32):
             a[...] = np.nan
