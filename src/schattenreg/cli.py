@@ -1,10 +1,11 @@
 """Command-line entry points, config parsing, CSV ingestion, result emission.
 
-Subcommands: theory-curve, simulate, cv-bench, rff-bench, basin, real-data.
-Each reads one JSON object from --config against its table of keys; unknown
-keys, and keys the chosen ensemble does not read, are rejected.  Counts are
-positive JSON integers, the seed a non-negative one.  seed, out and format
-may be set in the config; --seed, --out and --format win.  An error names the
+Commands: theory-curve, simulate, cv-bench, rff-bench, basin, real-data;
+real-data alone takes a path, the CSV file to read.  Each reads one JSON
+object from --config against its table of keys; unknown keys, and keys the
+chosen ensemble does not read, are rejected.  Counts are positive JSON
+integers, the seed a non-negative one.  seed, out and format may be set in
+the config; --seed, --out and --format win.  An error names the
 command and the key ("simulate: n_obs: expected a positive integer, got
 20.7") and exits 2, before any sampling.  Numeric output uses 17
 significant digits so files are bit-stable across runs.
@@ -18,7 +19,6 @@ import dataclasses
 import json
 import math
 import sys
-from functools import lru_cache
 
 import numpy as np
 
@@ -438,30 +438,26 @@ def _write_output(result, fields, out: str, fmt: str, meta: dict) -> None:
         write_json(out + ".json", payload)
 
 
-@lru_cache(maxsize=1)
 def _parser(commands: tuple[str, ...]) -> argparse.ArgumentParser:
-    """The parser of the subcommands `commands`, built once per process:
-    parsing leaves it unchanged."""
+    """One parser for every command in `commands`: the command, the CSV path
+    that real-data alone takes, and the four options."""
     parser = argparse.ArgumentParser(
         prog="schattenreg",
         description="Bias-constrained linear estimators: theory curves, "
                     "simulations, and cross-validation benchmarks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in commands:
-        p = sub.add_parser(name)
-        if name == "real-data":
-            p.add_argument("path", help="CSV file with a header row")
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", choices=["csv", "json"], default=None,
-                       help="output format (default: the config's, else csv)")
+    parser.add_argument("command", choices=commands)
+    parser.add_argument("path", nargs="?", help="real-data: CSV file with a header row")
+    parser.add_argument("--config", default=None, help="JSON config file")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--out", default=None, help="output file path")
+    parser.add_argument("--format", choices=["csv", "json"], default=None,
+                        help="output format (default: the config's, else csv)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Subcommand -> (run, CSV fields of its rows); None marks a BenchReport.
+    # Command -> (run, CSV fields of its rows); None marks a BenchReport.
     # Built per call, so that a replaced cmd_* function is the one that runs.
     commands = {
         "theory-curve": (cmd_theory_curve, CURVE_FIELDS),
@@ -471,8 +467,14 @@ def main(argv: list[str] | None = None) -> int:
         "basin": (cmd_basin, BASIN_FIELDS),
         "real-data": (cmd_real_data, None),
     }
-    args = _parser(tuple(commands)).parse_args(argv)
+    parser = _parser(tuple(commands))
+    # Intermixed, so that the path may also follow the options.
+    args = parser.parse_intermixed_args(argv)
     command = args.command
+    if command == "real-data" and args.path is None:
+        parser.error("real-data: the path of a CSV file is required")
+    if command != "real-data" and args.path is not None:
+        parser.error(f"{command}: takes no path, got {args.path!r}")
 
     try:
         cfg = {}

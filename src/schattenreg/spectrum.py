@@ -34,6 +34,15 @@ from .exceptions import InsufficientData, NonFinite, _check_array
 EIGVAL_RTOL = 1e-12
 
 
+def _check_alpha(alpha: np.ndarray) -> bool:
+    """Raise ValueError unless every entry of the float array alpha is >= 0,
+    so that NaN fails too; return whether any is 0 or inf."""
+    lo, hi = alpha.min(initial=np.inf), alpha.max(initial=0.0)  # NaN if any is
+    if not lo >= 0:
+        raise ValueError("alpha must be nonnegative")
+    return lo == 0 or hi == np.inf
+
+
 class SchattenIndex(enum.Enum):
     """The three Schatten norms with closed-form estimators."""
 
@@ -67,9 +76,11 @@ class SchattenIndex(enum.Enum):
         alpha >= 0, so a NaN alpha is rejected too.
         """
         alpha = np.asarray(alpha, dtype=float)
-        lo, hi = alpha.min(initial=np.inf), alpha.max(initial=0.0)  # NaN if any is
-        if not lo >= 0:
-            raise ValueError("alpha must be nonnegative")
+        return self._shrinkage(x, alpha, _check_alpha(alpha))
+
+    def _shrinkage(self, x, alpha: np.ndarray, edge: bool) -> tuple[np.ndarray, np.ndarray]:
+        """shrinkage without the alpha check, for a float alpha that
+        _check_alpha has passed; `edge` is what it returned."""
         if self is SchattenIndex.SPECTRAL:
             x, f, cut = 1.0, 1.0 + alpha, alpha  # x and f_alpha(x), both divided by x
         else:
@@ -79,14 +90,14 @@ class SchattenIndex(enum.Enum):
                 cut = f - x
             else:
                 f, cut = x + alpha, alpha
+        if not edge:
+            return np.asarray(x / f), np.asarray(cut / f)
         # Only alpha = 0 and alpha = inf can make a quotient read 0/0 (at x = 0)
         # or inf/inf; their entries are then set to the limits outright.
         with np.errstate(invalid="ignore"):
-            r, q = np.asarray(x / f), np.asarray(cut / f)
-        if lo == 0 or hi == np.inf:
-            edge = (alpha == 0) | (alpha == np.inf)
-            r, q = np.where(edge, alpha == 0, r), np.where(edge, alpha != 0, q)
-        return r, q
+            r, q = x / f, cut / f
+        at = (alpha == 0) | (alpha == np.inf)
+        return np.where(at, alpha == 0, r), np.where(at, alpha != 0, q)
 
     def identity_norm(self, d: int) -> float:
         """Schatten-p norm of I_d, i.e. d**(1/p); the saturation point of C."""

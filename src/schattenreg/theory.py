@@ -23,6 +23,10 @@ weights never depend on p.  The engine integrates A and B of all of them
 against it before the next block (one ErrorIntegrals each); every
 (beta, sigma) is then a weighted sum of the two.
 
+The engine checks the whole alpha grid once, with shrinkage's own check, and
+each block then calls shrinkage's unchecked core; only a grid holding 0 or inf
+enters NumPy's error state for the 0/0 and inf/inf quotients at those alphas.
+
 The integrals are fixed Gauss rules evaluated for a whole alpha grid at once,
 as (n_alpha, n_nodes) arrays:
 
@@ -35,6 +39,8 @@ as (n_alpha, n_nodes) arrays:
 - Power law gamma x^(gamma-1): Gauss-Radau for the weight s^(gamma-1) on
   [0, m], Gauss-Legendre in ln(x) on [m, 1], with m = min(alpha, 1) kept
   above the floor, the point below which the measure holds e^-50 of its mass.
+  The Radau rule is built for gamma up to 1033, where the mass of its Jacobi
+  weight still fits in a float; a larger gamma raises InvalidConfig.
 - Atoms: the exact weighted sum over the atoms, except that an atom at x = 0
   carries no error: the estimator gives its direction weight 0, and its test
   features are 0 there too.
@@ -45,8 +51,11 @@ the first panel's start and the last panel's end, are cached read-only per
 measure and node count; a row copies each panel that t does not cut from the
 edge row on its side.  MP's t = theta(alpha) is 0 at alpha <= lo and pi/2 at
 alpha >= hi (inf included); the power law's t = m is 1 at alpha >= 1 and at 0.
-This is exact: each node and weight is computed element by element from its
-own panel's endpoints, so a copied row is bit for bit the row built for it.
+A block whose every t lies at one edge (16 of the 22 MP rules of a default
+basin curve at lam 0.5) gets one writable (1, K) copy of that edge row, which
+broadcasts against the (k, 1) alphas as Atoms' one row does.  This is exact:
+each node and weight is computed element by element from its own panel's
+endpoints, so a copied row is bit for bit the row built for it.
 
 Each rule runs with n and 2n nodes per panel, for A and B alike.  Per
 (beta, sigma) the 2n value of beta^2 A + sigma^2 B is returned, and its gap to
@@ -73,7 +82,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exceptions import DomainError, InvalidConfig, QuadratureFailure, _check_reals
-from .spectrum import SchattenIndex
+from .spectrum import SchattenIndex, _check_alpha
 
 __all__ = [
     "Atoms",
@@ -93,9 +102,18 @@ __all__ = [
 # Gauss nodes per panel of the coarse rule; the fine rule uses twice as many.
 _NODES = 32
 # Alphas per block: bounds the (block, nodes) temporaries, and so peak memory.
-# At 48 the largest, (48, 256) float64 of the 2n-node MP rule, is 96 KiB: below
-# glibc's 128 KiB mmap threshold, so it is not mapped and page-faulted afresh.
+# Per node count a block allocates its rule (three (block, K) arrays, or one
+# (3, 1, K) edge copy) and, per model, the filter's quotients r and q with the
+# one or two (block, K) arrays behind them; each is squared and weighted in
+# place, but for Spectral's (block, 1) r and q.  At 48 the largest, (48, 256)
+# float64 of the 2n-node MP rule, is 96 KiB, below glibc's 128 KiB mmap
+# threshold; glibc still trims the heap top as a block's temporaries are
+# freed, so the next block faults some of them in again.
 _BLOCK = 48
+# The largest power-law exponent whose Gauss-Radau rule can be built: just
+# above it (at 1033.014), the mass 2^(gamma+1) / (gamma+1) of the Jacobi
+# weight (1 + t)^gamma overflows a float.
+_GAMMA_MAX = 1033.0
 
 
 class _PanelRule:
@@ -116,12 +134,17 @@ class _PanelRule:
 
     def rule(self, alpha: np.ndarray, n: int):
         """Nodes x and bias and variance weights per row of the (k, 1) alpha:
-        (k, 2n per panel) arrays."""
+        writable (k, 2n per panel) arrays, or (1, 2n per panel) ones, which
+        broadcast against alpha, when every t lies at one edge."""
         t, panels = self._cut(alpha), self._panels()
+        edges = self._edge_rows(n)
+        for side, at_edge in enumerate((t <= panels[0][0], t >= panels[-1][1])):
+            if at_edge.all():
+                return tuple(edges[:, side, None].copy())
         # A panel that t does not cut splits at its start or its end, as in the
         # edge row on that side: its columns are copied.
         high = t >= np.repeat([p[1] for p in panels], 2 * n)
-        out = tuple(np.where(high, edge[1], edge[0]) for edge in self._edge_rows(n))
+        out = tuple(np.where(high, edge[1], edge[0]) for edge in edges)
         for i, panel in enumerate(panels):
             rows = np.flatnonzero((panel[0] < t) & (t < panel[1]))
             if rows.size:
@@ -176,7 +199,8 @@ class MarchenkoPastur(_PanelRule):
 
 @dataclass(frozen=True)
 class PowerLaw(_PanelRule):
-    """The measure gamma x^(gamma-1) dx on [0, 1], gamma > 0."""
+    """The measure gamma x^(gamma-1) dx on [0, 1], gamma > 0; its Gauss rule
+    takes gamma up to _GAMMA_MAX, its sampler any gamma."""
 
     gamma: float
     label = "power-law"
@@ -305,11 +329,14 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _radau(n: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """n-node Gauss-Radau rule for gamma s^(gamma-1) ds on [0, 1], fixed node
     at s = 0: the Gauss-Jacobi nodes of the weight s^gamma carry that rule's
-    weights over s, and the endpoint takes the rest of the unit mass.
+    weights over s, and the endpoint takes the rest of the unit mass.  Raises
+    InvalidConfig naming gamma above _GAMMA_MAX.
 
     scipy's Gauss-Jacobi rule for s^(gamma-1) itself is off by 7e-12 at
     gamma = 0.1, from its nodes near s = 0; this one stays within 1e-14.
     """
+    _check_reals({"gamma": gamma}, admits=lambda v: v <= _GAMMA_MAX,
+                 what=f"at most {_GAMMA_MAX:g} for the power law's Gauss rule")
     y, w = _gauss_jacobi(n - 1, 0.0, gamma)
     w = gamma * 0.5 ** gamma * w / (1.0 + y)
     return np.append(0.0, 0.5 * (1.0 + y)), np.append(1.0 - w.sum(), w)
@@ -346,8 +373,12 @@ class ErrorIntegrals:
 
     def error(self, beta: float, sigma: float):
         """Error per alpha, the 2n-node value checked against the n-node one;
-        a float for a scalar alpha grid."""
-        _check_reals({"beta": beta, "sigma": sigma}, admits=math.isfinite, what="finite")
+        a float for a scalar alpha grid.  beta and sigma must be finite, and
+        so must their squares."""
+        scales = {"beta": beta, "sigma": sigma}
+        _check_reals(scales, admits=math.isfinite, what="finite")
+        _check_reals(scales, admits=lambda v: math.isfinite(float(v) * float(v)),
+                     what="small enough that its square is finite")
         b2, s2 = beta * beta, sigma * sigma
         coarse, fine = b2 * self.sums[:, 0] + s2 * self.sums[:, 1]
         # The error is quadratic in (beta, sigma), and the bound is relative to
@@ -355,7 +386,8 @@ class ErrorIntegrals:
         # sigma^2 / (1 - lam).
         gap = np.abs(fine - coarse)
         bound = 1e-9 * np.maximum(max(b2, s2), np.abs(fine))
-        if np.any(gap > bound):
+        # Written as the gaps it admits, so a NaN gap fails it.
+        if not np.all(gap <= bound):
             k = int(np.argmax(gap - bound))
             raise QuadratureFailure(f"{self.p.name} {self.what} quadrature error estimate "
                                     f"{gap[k]:.2e} above {bound[k]:.2e} "
@@ -371,22 +403,26 @@ def error_integrals(models: tuple[SchattenIndex, ...],
     on a scalar or an array of alphas, against measure.rule with n and 2n
     nodes: each rule is built once and serves every estimator, and the
     integrals every (beta, sigma).  lam = d/N in (0, 1] is the error's
-    prefactor; a MarchenkoPastur measure must carry the same lam."""
+    prefactor; a MarchenkoPastur measure must carry the same lam.  Raises
+    ValueError, before any rule is built, unless every alpha >= 0."""
     _check_reals({"lam": lam}, admits=lambda v: 0.0 < v <= 1.0, what="finite and in (0, 1]")
     if isinstance(measure, MarchenkoPastur) and lam != measure.lam:
         raise ValueError(f"lam {lam!r} differs from the MP law's {measure.lam!r}")
     alpha = np.asarray(alphas, dtype=float)
     flat = alpha.ravel()
+    edge = _check_alpha(flat)
     sums = np.empty((len(models), 2, 2, flat.size))
     for start in range(0, flat.size, _BLOCK):
         a = flat[start:start + _BLOCK, None]
         for i, n in enumerate((_NODES, 2 * _NODES)):
             x, w_b, w_v = measure.rule(a, n)
             for m, p in enumerate(models):
-                r, q = p.shrinkage(x, a)
-                # Squared in place: each (block, nodes) temporary is a fresh allocation.
+                r, q = p._shrinkage(x, a, edge)
                 for j, (w, f) in enumerate(((w_b, q), (w_v, r))):
-                    sums[m, i, j, start:start + _BLOCK] = np.sum(w * np.square(f, out=f), axis=1)
+                    # Squared and weighted in place, except Spectral's (k, 1) f.
+                    f = np.square(f, out=f)
+                    f = np.multiply(f, w, out=f if f.shape[-1] == w.shape[-1] else None)
+                    sums[m, i, j, start:start + _BLOCK] = np.sum(f, axis=1)
     return tuple(ErrorIntegrals(alpha, lam, p, s, measure.label) for p, s in zip(models, sums))
 
 

@@ -227,6 +227,18 @@ BAD_CONFIGS = [
     ("simulate", {"models": ["spectral", "spectral"]}, [], "simulate: models: "),
     ("basin", {"sigmas": [1, 1.0]}, [], "basin: sigmas: "),
     ("basin", {"lambdas": [0.5, 0.5]}, [], "basin: lambdas: "),
+    # Above gamma 1033 the power law's Gauss rule cannot be built: these
+    # exited 1 with an OverflowError traceback, and 1e300 with "Eigenvalues did
+    # not converge".
+    *[("theory-curve", {"ensemble": "diagonal", "gamma": g}, [],
+       "theory-curve: gamma must be at most 1033 ") for g in (1034, 2000, 1e6, 1e300)],
+    ("simulate", {"ensemble": "diagonal", "gamma": 1e6}, [], "simulate: gamma must be "),
+    ("basin", {"ensemble": "diagonal", "gammas": [2.0, 1034]}, [],
+     "basin: gamma must be at most 1033 "),
+    # beta^2 overflowed: theory-curve wrote nan and basin named its curve values.
+    ("theory-curve", {"beta": 1e200}, [], "theory-curve: beta must be small enough "),
+    ("basin", {"beta": 1e200}, [], "basin: beta must be small enough "),
+    ("simulate", {"sigma": -1e200}, [], "simulate: sigma must be small enough "),
     # Every fold needs a row, checked before the first dataset is sampled.
     ("cv-bench", {"n_obs": 2}, [], "cv-bench: n_obs: 2 rows cannot fill 3 folds"),
     ("cv-bench", {"ensemble": "diagonal", "n_obs": 4, "n_feat": 2, "folds": 5}, [],
@@ -531,6 +543,42 @@ def test_real_data_train_size_too_large(tmp_path):
 def test_missing_file_exits_nonzero(tmp_path):
     assert main(["theory-curve", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["real-data", "--config", "c.json"], "real-data: the path of a CSV file is required"),
+    (["basin", "table.csv"], "basin: takes no path, got 'table.csv'"),
+    (["theory-curve", "--out", "x.csv", "table.csv"], "theory-curve: takes no path, got "),
+    (["fit"], "argument command: invalid choice: 'fit'"),
+], ids=["real-data-without-path", "basin-with-path", "path-after-options", "unknown-command"])
+def test_only_real_data_takes_a_path(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_real_data_path_may_follow_the_options(tmp_path):
+    data = _write_table(tmp_path, "a,b,y\n" + "".join(
+        f"{i},{(i * 7) % 5},{i % 3}\n" for i in range(12)))
+    cfg = _write_cfg(tmp_path, "c.json", {"target": "y", "train_size": 8, "n_splits": 2})
+    outs = [str(tmp_path / f"r{k}.csv") for k in (1, 2)]
+    assert main(["real-data", data, "--config", cfg, "--out", outs[0]]) == 0
+    assert main(["real-data", "--config", cfg, "--out", outs[1], data]) == 0
+    assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
+
+
+def test_cv_bench_samples_a_power_law_beyond_its_gauss_rule(tmp_path):
+    # cv-bench only samples the diagonal ensemble's spectrum, so a gamma whose
+    # Gauss rule theory-curve rejects still runs.
+    cfg = _write_cfg(tmp_path, "c.json", {
+        "ensemble": "diagonal", "gamma": 1e6, "n_obs": 20, "n_feat": 5, "n_datasets": 2,
+        "models": ["ridge"], "grid": {"lo": 1e-2, "hi": 1e2, "count": 3}})
+    out = str(tmp_path / "bench.csv")
+    assert main(["cv-bench", "--config", cfg, "--out", out]) == 0
+    assert np.isfinite(float(_read_csv(out)[0]["avg_error"]))
 
 
 # ---------------------------------------------------------------------------

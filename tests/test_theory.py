@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -26,7 +29,7 @@ from schattenreg import (
     sample_spherical,
 )
 from schattenreg import theory
-from schattenreg.exceptions import DomainError, QuadratureFailure
+from schattenreg.exceptions import DomainError, InvalidConfig, QuadratureFailure
 
 
 def err_mp(p, alpha, lam, beta, sigma):
@@ -629,6 +632,8 @@ class TwoPanels(theory._PanelRule):
     two Gauss-Legendre panels in x, on [0, 0.25] and [0.25, 1], cut at alpha;
     bias weights x w and variance weights w."""
 
+    label = "two-panels"
+
     def _panels(self):
         return ((0.0, 0.25), (0.25, 1.0))
 
@@ -661,12 +666,16 @@ def _with_neighbours(a):
 
 
 def _assert_rows_equal_per_alpha(measure, alphas, n, per_alpha):
-    # All alphas in one column, so that edge rows and cut rows share a block.
-    rows = measure.rule(np.array(alphas)[:, None], n)
-    assert len(rows) == 3
+    # All alphas in one column, so that edge rows and cut rows share a block,
+    # and each alone, so that an alpha at an edge is an all-edge block, whose
+    # rule is that edge row, (1, K).
+    together = measure.rule(np.array(alphas)[:, None], n)
+    assert len(together) == 3
     for k, a in enumerate(alphas):
         refs = per_alpha(measure, a, n)
-        assert all(np.array_equal(row[k], ref) for row, ref in zip(rows, refs, strict=True)), a
+        alone = measure.rule(np.array([[a]]), n)
+        for rows in ([row[k] for row in together], [row[0] for row in alone]):
+            assert all(np.array_equal(row, ref) for row, ref in zip(rows, refs, strict=True)), a
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -722,3 +731,143 @@ def test_cached_rule_rows_are_read_only_and_rules_return_copies():
 def test_nan_alpha_is_rejected_by_the_shrinkage_check(measure):
     with pytest.raises(ValueError, match="alpha must be nonnegative"):
         error_integrals(tuple(SchattenIndex), measure, [0.5, np.nan, 2.0], 0.5)
+
+
+# ---------------------------------------------------------------------------
+# The engine against its per-block loop
+# ---------------------------------------------------------------------------
+
+PER_ALPHA = {MarchenkoPastur: mp_rule_per_alpha, PowerLaw: power_law_rule_per_alpha,
+             TwoPanels: two_panels_rule_per_alpha}
+
+
+def reference_sums(models, measure, alphas):
+    """error_integrals' sums, as its per-block loop computed them before the
+    one alpha check per call: each block's (k, K) rule rows built alpha by
+    alpha (Atoms' one row as it is), each shrinkage checked on its own, each
+    weighted square a new array."""
+    flat = np.asarray(alphas, dtype=float).ravel()
+    sums = np.empty((len(models), 2, 2, flat.size))
+    for start in range(0, flat.size, theory._BLOCK):
+        a = flat[start:start + theory._BLOCK, None]
+        for i, n in enumerate((theory._NODES, 2 * theory._NODES)):
+            if isinstance(measure, Atoms):
+                x, w_b, w_v = measure.rule(a, n)
+            else:
+                rows = [PER_ALPHA[type(measure)](measure, v, n) for v in a[:, 0]]
+                x, w_b, w_v = (np.array(r) for r in zip(*rows))
+            for m, p in enumerate(models):
+                r, q = p.shrinkage(x, a)
+                for j, (w, f) in enumerate(((w_b, q), (w_v, r))):
+                    sums[m, i, j, start:start + theory._BLOCK] = np.sum(w * np.square(f), axis=1)
+    return sums
+
+
+def _block_grid(low, high):
+    """Whole blocks of alphas all at the low edge (t at the first panel's
+    start: alpha up to `low`), all at the high edge (alpha from `high`, inf
+    included), half at each, and all cut; then a part block with 0 and inf."""
+    b = theory._BLOCK
+    lows = low * np.linspace(1.0 / b, 1.0, b) if low > 0 else np.zeros(b)
+    highs = np.append(high * np.linspace(1.0, 2.0, b - 1), np.inf)
+    cuts = np.linspace(low, high, b + 2)[1:-1]
+    part = [0.0, np.inf, low, high, 0.5 * (low + high), *cuts[::5]]
+    return np.concatenate([lows, highs, np.ravel([lows[::2], highs[::2]], order="F"), cuts,
+                           part])
+
+
+def _mp_grid(lam):
+    mp = MarchenkoPastur(lam)
+    return mp, _block_grid(mp.support_lo, mp.support_hi)
+
+
+def _power_law_grid(gamma):
+    pl = PowerLaw(gamma)
+    return pl, _block_grid(pl._panels()[0][0], 1.0)
+
+
+@pytest.mark.parametrize("measure, grid", [
+    *[_mp_grid(lam) for lam in (0.1, 0.5, 0.9, 1 - 1e-6)],
+    *[_power_law_grid(gamma) for gamma in (0.01, 0.5, 2.0, 20.0)],
+    (Atoms([0.0, 0.2, 0.7, 1.0], [0.25, 0.25, 0.3, 0.2]), _block_grid(0.2, 1.0)),
+    (TwoPanels(), _block_grid(0.0, 1.0)),
+], ids=["mp-0.1", "mp-0.5", "mp-0.9", "mp-1-1e-6", "power-law-0.01", "power-law-0.5",
+        "power-law-2", "power-law-20", "atoms-at-0", "two-panels"])
+def test_error_integrals_sums_equal_the_per_block_reference(measure, grid):
+    assert grid.size % theory._BLOCK != 0
+    lam = measure.lam if isinstance(measure, MarchenkoPastur) else 0.5
+    models = tuple(SchattenIndex)
+    got = np.array([q.sums for q in error_integrals(models, measure, grid, lam)])
+    assert np.array_equal(got, reference_sums(models, measure, grid))
+
+
+class RuleSpy:
+    """A measure that counts its rule calls and passes them to `measure`."""
+
+    label = "spy"
+
+    def __init__(self, measure):
+        self.measure, self.calls = measure, 0
+
+    def rule(self, alpha, n):
+        self.calls += 1
+        return self.measure.rule(alpha, n)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0, -np.inf], ids=["nan", "-1", "-inf"])
+@pytest.mark.parametrize("measure", [MarchenkoPastur(0.5), PowerLaw(2.0)], ids=["mp", "power-law"])
+def test_a_bad_alpha_in_the_last_block_is_rejected_before_any_rule(measure, bad):
+    # The engine checks the whole grid once, before its first block.
+    spy = RuleSpy(measure)
+    grid = np.append(np.logspace(-3, 3, 2 * theory._BLOCK + 5), bad)
+    with pytest.raises(ValueError, match="^alpha must be nonnegative$"):
+        error_integrals(tuple(SchattenIndex), spy, grid, 0.5)
+    assert spy.calls == 0
+
+
+@pytest.mark.parametrize("measure", [
+    MarchenkoPastur(0.5), PowerLaw(2.0), Atoms([0.0, 0.2, 1.0], [0.3, 0.3, 0.4])],
+    ids=["mp", "power-law", "atoms-at-0"])
+def test_a_grid_holding_0_and_inf_warns_of_nothing_and_keeps_the_error_state(measure):
+    # 0/0 and inf/inf are read only at alpha = 0 and inf, whose entries are
+    # then set to their limits.
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        integrals = error_integrals(tuple(SchattenIndex), measure, [0.0, 0.5, np.inf], 0.5)
+    assert np.geterr() == before
+    assert all(np.isfinite(q.sums).all() for q in integrals)
+
+
+@pytest.mark.parametrize("gamma", [1034, 2000, 1e6, 1e300])
+def test_power_law_rule_beyond_its_largest_exponent_is_rejected_naming_gamma(gamma):
+    # These raised OverflowError from math.exp, and 1e300 "Eigenvalues did not
+    # converge" after RuntimeWarnings; sampling the measure still works.
+    measure = PowerLaw(gamma)
+    with pytest.raises(InvalidConfig, match=f"^gamma must be at most 1033 .*got {re.escape(repr(gamma))}$"):
+        error_integrals(tuple(SchattenIndex), measure, [0.5, 2.0], 0.5)
+    assert np.all(measure.sample(10, np.random.default_rng(0)) <= 1.0)
+
+
+def test_power_law_rule_at_its_largest_exponent_is_built():
+    (q,) = error_integrals((SchattenIndex.FROBENIUS,), PowerLaw(1033.0), [1e-3, 0.5, 2.0], 0.5)
+    assert np.isfinite(q.error(1.0, 1.0)).all()
+
+
+def test_a_nan_gap_fails_the_quadrature_check():
+    # gap > bound is False for NaN, so a NaN gap used to pass as converged.
+    sums = np.ones((2, 2, 3))
+    sums[1, 0, 1] = np.nan
+    integrals = theory.ErrorIntegrals(np.array([0.1, 1.0, 10.0]), 0.5, SchattenIndex.FROBENIUS,
+                                      sums, "MP")
+    with pytest.raises(QuadratureFailure, match="estimate nan above .* at alpha = 1$"):
+        integrals.error(1.0, 1.0)
+
+
+@pytest.mark.parametrize("beta, sigma, field", [
+    (1e200, 1.0, "beta"), (-1e200, 1.0, "beta"), (1.0, 1e155, "sigma")])
+def test_a_scale_whose_square_overflows_is_rejected_naming_it(beta, sigma, field):
+    # beta^2 = inf times a zero sum made NaN, which the gap check let through.
+    (q,) = _frobenius_integrals(MarchenkoPastur(0.5), 0.5)
+    with pytest.raises(InvalidConfig, match=f"^{field} must be small enough that its square "):
+        q.error(beta, sigma)
