@@ -4,10 +4,11 @@ Commands: theory-curve, simulate, cv-bench, rff-bench, basin, real-data;
 real-data alone takes a path, the CSV file to read.  Each reads one JSON
 object from --config against its table of keys; unknown keys, and keys the
 chosen ensemble does not read, are rejected.  Counts are positive JSON
-integers, the seed a non-negative one.  seed, out and format may be set in
-the config; --seed, --out and --format win.  An error names the
-command and the key ("simulate: n_obs: expected a positive integer, got
-20.7") and exits 2, before any sampling.  Numeric output uses 17
+integers, the seed a non-negative one, and a key appears once.  seed, out
+and format may be set in the config; --seed, --out and --format win.  An
+error names the key ("n_obs: expected a positive integer, got 20.7"), main
+adds the command ("error: simulate: n_obs: ..."), and the run exits 2, before
+any sampling.  A CSV's header is its rows' keys.  Numeric output uses 17
 significant digits so files are bit-stable across runs.
 """
 
@@ -40,8 +41,7 @@ from .ensembles import (
     SparseSpec,
     SphericalGaussianConfig,
 )
-from .exceptions import (ConfigError, InvalidConfig, MissingTarget, ParseError,
-                         SchattenRegError)
+from .exceptions import InvalidConfig, MissingTarget, ParseError, SchattenRegError
 from .spectrum import SchattenIndex
 from .theory import MarchenkoPastur, PowerLaw, error_integrals
 
@@ -62,12 +62,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_rows(path: str, rows: list[dict], fieldnames: list[str]) -> None:
+def write_rows(path: str, rows: list[dict]) -> None:
+    """rows under a header of the first row's keys, which every row has."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fieldnames)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([_fmt(row.get(k)) for k in fieldnames])
+            writer.writerow([_fmt(row[k]) for k in rows[0]])
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -80,15 +81,20 @@ def write_json(path: str, payload: dict) -> None:
 # Config tables
 # ---------------------------------------------------------------------------
 # A table maps each key a command reads to (reader, default).  A reader takes
-# the JSON value and its location, "<command>: <key>", and returns the parsed
-# value or raises ConfigError at that location.
+# the JSON value and its location, the key path ("grid: count", "sigmas[1]"),
+# and returns the parsed value or raises InvalidConfig at that location; main
+# names the command.
+
+def _at(where: str, what: str) -> str:
+    return f"{where}: {what}" if where else what
+
 
 def _reader(kind, what: str, ok=lambda v: True, cast=lambda v, where: v):
     """Reader of a JSON value of Python type `kind`, never a bool, for which
     `ok` holds; returns cast(value, where)."""
     def read(value, where: str):
         if isinstance(value, bool) or not isinstance(value, kind) or not ok(value):
-            raise ConfigError(f"{where}: expected {what}, got {value!r}")
+            raise InvalidConfig(_at(where, f"expected {what}, got {value!r}"))
         return cast(value, where)
     return read
 
@@ -110,10 +116,11 @@ def _table(default, readers: dict):
     table = {k: (read, getattr(default, k)) for k, read in readers.items()}
 
     def cast(value, where: str):
+        fields = _read_table(table, value, where)  # its errors carry their key path
         try:
-            return dataclasses.replace(default, **_read_table(table, value, where))
+            return dataclasses.replace(default, **fields)
         except InvalidConfig as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+            raise InvalidConfig(f"{where}: {exc}") from None
     return _reader(dict, "a JSON object", cast=cast)
 
 
@@ -141,26 +148,36 @@ _model_names = _list(_one_of(_NAME_TO_MODEL, lambda v, where: _NAME_TO_MODEL[v])
 def _read_table(table: dict, value, where: str) -> dict:
     unknown = sorted(set(_object(value, where)) - set(table))
     if unknown:
-        raise ConfigError(f"{where}: {unknown[0]}: unknown key")
-    return {key: reader(value[key], f"{where}: {key}") if key in value else default
+        raise InvalidConfig(_at(where, f"{unknown[0]}: unknown key"))
+    return {key: reader(value[key], _at(where, key)) if key in value else default
             for key, (reader, default) in table.items()}
 
 
-def parse(command: str, cfg, table: dict, ensembles: dict | None = None) -> dict:
+def _unique(pairs: list) -> dict:
+    """The JSON object of `pairs`, whose keys must be distinct: json.load
+    would keep a repeated key's last value."""
+    keys = [k for k, _ in pairs]
+    repeated = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+    if repeated is not None:
+        raise InvalidConfig(f"{repeated}: repeated key")
+    return dict(pairs)
+
+
+def parse(cfg, table: dict, ensembles: dict | None = None) -> dict:
     """Every key of `table`, read from `cfg` or set to its default.  `ensembles`
     maps each ensemble to the keys only it reads: all of them take defaults,
     but only the chosen ensemble's keys may be set, and they are read by that
     ensemble's readers."""
     if not ensembles:
-        return _read_table(table, cfg, command)
+        return _read_table(table, cfg, "")
     read, default = table["ensemble"]
-    cfg = _object(cfg, command)
-    chosen = read(cfg["ensemble"], f"{command}: ensemble") if "ensemble" in cfg else default
+    cfg = _object(cfg, "")
+    chosen = read(cfg["ensemble"], "ensemble") if "ensemble" in cfg else default
     others = {k: v for e, keys in ensembles.items() if e != chosen for k, v in keys.items()}
     stray = sorted(set(cfg) & set(others) - set(ensembles[chosen]))
     if stray:
-        raise ConfigError(f"{command}: {stray[0]}: not read by the {chosen} ensemble")
-    return _read_table({**others, **ensembles[chosen], **table}, cfg, command)
+        raise InvalidConfig(f"{stray[0]}: not read by the {chosen} ensemble")
+    return _read_table({**others, **ensembles[chosen], **table}, cfg, "")
 
 
 def _grid(default: AlphaGrid) -> tuple:
@@ -225,27 +242,27 @@ def _build(cls, o: dict, **given):
     return cls(**{k: v for k, v in {**o, **given}.items() if k in names})
 
 
-def _measure(command: str, o: dict):
+def _measure(o: dict):
     """The limiting spectral measure of o's ensemble: Marchenko-Pastur at
     aspect ratio o["lambda"] for spherical features, the power law of exponent
     o["gamma"], which has no default in the theory, for the diagonal ensemble."""
     if o["ensemble"] == "spherical":
         return MarchenkoPastur(o["lambda"])
     if o["gamma"] is None:
-        raise ConfigError(f"{command}: gamma: required by the diagonal ensemble")
+        raise InvalidConfig("gamma: required by the diagonal ensemble")
     return PowerLaw(o["gamma"])
 
 
-def _cv_config(command: str, o: dict, rows: str, **given) -> CVConfig:
+def _cv_config(o: dict, rows: str, **given) -> CVConfig:
     """o's CVConfig, once the o[rows] training rows are known to fill its folds."""
     if o[rows] < o["folds"]:
-        raise ConfigError(f"{command}: {rows}: {o[rows]} rows cannot fill {o['folds']} folds")
+        raise InvalidConfig(f"{rows}: {o[rows]} rows cannot fill {o['folds']} folds")
     return _build(CVConfig, o, **given)
 
 
-def _ensemble_config(command: str, o: dict, **given):
+def _ensemble_config(o: dict, **given):
     if o["ensemble"] == "diagonal":
-        given["spectral_density"] = _measure(command, o)
+        given["spectral_density"] = _measure(o)
     return _build(ENSEMBLE_CONFIGS[o["ensemble"]], o, **given)
 
 
@@ -253,34 +270,30 @@ def _ensemble_config(command: str, o: dict, **given):
 # Commands
 # ---------------------------------------------------------------------------
 
-CURVE_FIELDS = ["alpha", "error", "p", "ensemble", "lambda", "beta", "sigma", "gamma"]
+# The config keys that theory-curve's and simulate's rows end with.
+ECHO = ("ensemble", "lambda", "beta", "sigma", "gamma")
 
 
 def cmd_theory_curve(cfg: dict) -> list[dict]:
-    o = parse("theory-curve", cfg, THEORY_CURVE, CURVE_ENSEMBLES)
+    o = parse(cfg, THEORY_CURVE, CURVE_ENSEMBLES)
     alphas = o["grid"].values()
     rows = []
-    for q in error_integrals(o["models"], _measure("theory-curve", o), alphas, o["lambda"]):
+    for q in error_integrals(o["models"], _measure(o), alphas, o["lambda"]):
         for a, e in zip(alphas, q.error(o["beta"], o["sigma"])):
-            # The columns after p echo the config.
             rows.append({"alpha": a, "error": e, "p": MODEL_NAMES[q.p],
-                         **{key: o[key] for key in CURVE_FIELDS[3:]}})
+                         **{key: o[key] for key in ECHO}})
     return rows
 
 
-SIM_FIELDS = ["alpha", "estimator", "empirical_mean", "se", "theory",
-              "ensemble", "lambda", "beta", "sigma", "gamma", "n_obs", "n_datasets"]
-
-
 def cmd_simulate(cfg: dict) -> list[dict]:
-    o = parse("simulate", cfg, SIMULATE, SIMULATE_ENSEMBLES)
+    o = parse(cfg, SIMULATE, SIMULATE_ENSEMBLES)
     n_feat = round(o["lambda"] * o["n_obs"])
     if n_feat < 1:
-        raise ConfigError(f"simulate: lambda: {o['lambda']:g} times n_obs {o['n_obs']} "
+        raise InvalidConfig(f"lambda: {o['lambda']:g} times n_obs {o['n_obs']} "
                           f"rounds to {n_feat} features, below 1")
     if o["ensemble"] == "spherical" and n_feat >= o["n_obs"]:
         # The Marchenko-Pastur theory column is for d < N (see _spherical_lambda).
-        raise ConfigError(f"simulate: lambda: {o['lambda']:g} times n_obs {o['n_obs']} "
+        raise InvalidConfig(f"lambda: {o['lambda']:g} times n_obs {o['n_obs']} "
                           f"rounds to {n_feat} features, not below n_obs")
     models, n_datasets = o["models"], o["n_datasets"]
     alphas = o["grid"].values()
@@ -289,8 +302,8 @@ def cmd_simulate(cfg: dict) -> list[dict]:
     # lambda it was rounded from.
     at = {**o, "lambda": n_feat / o["n_obs"]}
     curves = [q.error(o["beta"], o["sigma"]) for q in
-              error_integrals(models, _measure("simulate", at), alphas, at["lambda"])]
-    ens_cfg = _ensemble_config("simulate", o, n_feat=n_feat)
+              error_integrals(models, _measure(at), alphas, at["lambda"])]
+    ens_cfg = _ensemble_config(o, n_feat=n_feat)
     mses = simulate_path_errors(ens_cfg, models, alphas, n_datasets, o["seed"])
 
     rows = []
@@ -303,12 +316,9 @@ def cmd_simulate(cfg: dict) -> list[dict]:
             rows.append({
                 "alpha": a, "estimator": MODEL_NAMES[p],
                 "empirical_mean": float(np.mean(mses[i, k])), "se": se,
-                "theory": curve[k], **{key: at[key] for key in SIM_FIELDS[5:]},
+                "theory": curve[k], **{key: at[key] for key in (*ECHO, "n_obs", "n_datasets")},
             })
     return rows
-
-
-SUMMARY_FIELDS = ["model", "avg_error", "win_count", "win_prob", "ridge_ratio"]
 
 
 def report_summary_rows(report: BenchReport) -> list[dict]:
@@ -325,26 +335,22 @@ def report_summary_rows(report: BenchReport) -> list[dict]:
 
 
 def cmd_cv_bench(cfg: dict) -> BenchReport:
-    o = parse("cv-bench", cfg, CV_BENCH, CV_BENCH_ENSEMBLES)
-    return run_benchmark(_ensemble_config("cv-bench", o), _cv_config("cv-bench", o, "n_obs"))
+    o = parse(cfg, CV_BENCH, CV_BENCH_ENSEMBLES)
+    return run_benchmark(_ensemble_config(o), _cv_config(o, "n_obs"))
 
 
 def cmd_rff_bench(cfg: dict) -> BenchReport:
-    o = parse("rff-bench", cfg, RFF_BENCH)
-    return run_benchmark(_build(RFFBenchConfig, o), _cv_config("rff-bench", o, "n_obs"))
-
-
-BASIN_FIELDS = ["estimator", "sigma", "shape_param", "depth_pct",
-                "curvature_pct", "edge_minimum", "ensemble"]
+    o = parse(cfg, RFF_BENCH)
+    return run_benchmark(_build(RFFBenchConfig, o), _cv_config(o, "n_obs"))
 
 
 def cmd_basin(cfg: dict) -> list[dict]:
-    o = parse("basin", cfg, BASIN, BASIN_ENSEMBLES)
+    o = parse(cfg, BASIN, BASIN_ENSEMBLES)
     ensemble = o["ensemble"]
     if SchattenIndex.FROBENIUS not in o["models"]:
-        raise ConfigError("basin: models: must include ridge, the base of every percentage")
+        raise InvalidConfig("models: must include ridge, the base of every percentage")
     if o["beta"] == 0 and 0 in o["sigmas"]:
-        raise ConfigError("basin: sigmas: 0 with beta 0 makes every curve 0, Ridge's too")
+        raise InvalidConfig("sigmas: 0 with beta 0 makes every curve 0, Ridge's too")
     grid = o["grid"].values()
     key, shapes = (("lambda", o["lambdas"]) if ensemble == "spherical"
                    else ("gamma", o["gammas"]))
@@ -353,20 +359,16 @@ def cmd_basin(cfg: dict) -> list[dict]:
     integrals = {}
     for shape in shapes:
         at = {**o, key: shape}
-        integrals[shape] = error_integrals(o["models"], _measure("basin", at), grid,
-                                           at["lambda"])
+        integrals[shape] = error_integrals(o["models"], _measure(at), grid, at["lambda"])
     curves = {(MODEL_NAMES[p], s, shape): integrals[shape][m].error(o["beta"], s)
               for m, p in enumerate(o["models"]) for s in o["sigmas"] for shape in shapes}
-    return [{
-        "estimator": c.estimator, "sigma": c.sigma, "shape_param": c.shape_param,
-        "depth_pct": c.depth_pct, "curvature_pct": c.curvature_pct,
-        "edge_minimum": c.edge_minimum, "ensemble": ensemble,
-    } for c in geometry_table(curves, grid)]
+    return [{**dataclasses.asdict(c), "ensemble": ensemble}
+            for c in geometry_table(curves, grid)]
 
 
-def read_numeric_csv(path: str, target: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Read a headered, comma-separated, all-numeric CSV; returns
-    (features, target vector, feature column names)."""
+def read_numeric_csv(path: str, target: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read a headered, comma-separated, all-numeric CSV, skipping blank
+    lines; returns (features, target vector)."""
     with open(path, newline="", encoding="utf-8-sig") as fh:  # a byte-order mark is dropped
         reader = csv.reader(fh)
         try:
@@ -382,6 +384,8 @@ def read_numeric_csv(path: str, target: str) -> tuple[np.ndarray, np.ndarray, li
             raise ParseError(f"{path}: no feature column besides the target {target!r}")
         rows = []
         for i, row in enumerate(reader, start=2):
+            if not row:  # a blank line
+                continue
             if len(row) != len(header):
                 raise ParseError(f"{path}:{i}: expected {len(header)} fields, got {len(row)}")
             bad = next((j for j, v in enumerate(row) if not _is_finite_float(v)), None)
@@ -395,12 +399,13 @@ def read_numeric_csv(path: str, target: str) -> tuple[np.ndarray, np.ndarray, li
     t_idx = header.index(target)
     mask = np.ones(len(header), dtype=bool)
     mask[t_idx] = False
-    return data[:, mask], data[:, t_idx], [h for h in header if h != target]
+    return data[:, mask], data[:, t_idx]
 
 
 def _is_finite_float(v: str) -> bool:
+    # float() also reads digit separators and non-ASCII digits: '1_000', '١٢'.
     try:
-        return math.isfinite(float(v))
+        return v.isascii() and "_" not in v and math.isfinite(float(v))
     except ValueError:
         return False
 
@@ -408,14 +413,14 @@ def _is_finite_float(v: str) -> bool:
 def cmd_real_data(path: str, cfg: dict) -> BenchReport:
     """Repeated random train/test splits of a tabular dataset, each drawn by
     sample_real_data, whose standardization the output metadata records."""
-    o = parse("real-data", cfg, REAL_DATA)
+    o = parse(cfg, REAL_DATA)
     if o["target"] is None:
-        raise ConfigError("real-data: target: required, the name of the target column")
-    cv_cfg = _cv_config("real-data", o, "train_size", n_datasets=o["n_splits"])
-    X_all, y_all, _ = read_numeric_csv(path, o["target"])
+        raise InvalidConfig("target: required, the name of the target column")
+    cv_cfg = _cv_config(o, "train_size", n_datasets=o["n_splits"])
+    X_all, y_all = read_numeric_csv(path, o["target"])
     n, train_size = X_all.shape[0], o["train_size"]
     if train_size >= n:
-        raise ConfigError(f"real-data: train_size: {train_size} must be below row count {n}")
+        raise InvalidConfig(f"train_size: {train_size} must be below row count {n}")
     return run_benchmark(RealDataConfig(X_all, y_all, train_size), cv_cfg)
 
 
@@ -423,18 +428,18 @@ def cmd_real_data(path: str, cfg: dict) -> BenchReport:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _write_output(result, fields, out: str, fmt: str, meta: dict) -> None:
-    if fields is not None:
+def _write_output(result, out: str, fmt: str, meta: dict) -> None:
+    if isinstance(result, list):
         if fmt == "json":
             write_json(out, {"rows": result})
         else:
-            write_rows(out, result, fields)
+            write_rows(out, result)
         return
     payload = {"report": result.to_dict(), "meta": meta}
     if fmt == "json":
         write_json(out, payload)
     else:
-        write_rows(out, report_summary_rows(result), SUMMARY_FIELDS)
+        write_rows(out, report_summary_rows(result))
         write_json(out + ".json", payload)
 
 
@@ -457,16 +462,11 @@ def _parser(commands: tuple[str, ...]) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Command -> (run, CSV fields of its rows); None marks a BenchReport.
-    # Built per call, so that a replaced cmd_* function is the one that runs.
-    commands = {
-        "theory-curve": (cmd_theory_curve, CURVE_FIELDS),
-        "simulate": (cmd_simulate, SIM_FIELDS),
-        "cv-bench": (cmd_cv_bench, None),
-        "rff-bench": (cmd_rff_bench, None),
-        "basin": (cmd_basin, BASIN_FIELDS),
-        "real-data": (cmd_real_data, None),
-    }
+    # Command -> run, which returns rows or a BenchReport.  Built per call, so
+    # that a replaced cmd_* function is the one that runs.
+    commands = {"theory-curve": cmd_theory_curve, "simulate": cmd_simulate,
+                "cv-bench": cmd_cv_bench, "rff-bench": cmd_rff_bench,
+                "basin": cmd_basin, "real-data": cmd_real_data}
     parser = _parser(tuple(commands))
     # Intermixed, so that the path may also follow the options.
     args = parser.parse_intermixed_args(argv)
@@ -481,12 +481,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             with open(args.config) as fh:
                 try:
-                    cfg = _object(json.load(fh), command)
+                    cfg = _object(json.load(fh, object_pairs_hook=_unique), "")
                 except json.JSONDecodeError as exc:
-                    raise ConfigError(f"{command}: {args.config}: {exc}") from None
+                    raise InvalidConfig(f"{args.config}: {exc}") from None
         if args.seed is not None:
             cfg["seed"] = args.seed
-        run, fields = commands[command]
+        run = commands[command]
         meta = {"config": cfg}
         if command == "real-data":
             result = run(args.path, cfg)
@@ -496,10 +496,9 @@ def main(argv: list[str] | None = None) -> int:
         # The command has checked the config's out and format.
         fmt = args.format or cfg.get("format") or "csv"
         out = args.out or cfg.get("out") or f"{command.replace('-', '_')}.{fmt}"
-        _write_output(result, fields, out, fmt, meta)
+        _write_output(result, out, fmt, meta)
     except (SchattenRegError, OSError, ValueError) as exc:
-        where = "" if isinstance(exc, ConfigError) else f"{command}: "
-        print(f"error: {where}{exc}", file=sys.stderr)
+        print(f"error: {command}: {exc}", file=sys.stderr)
         return 2
     return 0
 

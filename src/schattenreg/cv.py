@@ -94,9 +94,8 @@ class AlphaGrid:
         _check_counts(self, "count")
 
     def values(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([self.lo])
-        return np.logspace(np.log10(self.lo), np.log10(self.hi), self.count)
+        """count points from lo to hi, both exactly, evenly spaced in log."""
+        return np.geomspace(self.lo, self.hi, self.count)
 
 
 @dataclass(frozen=True)

@@ -55,10 +55,6 @@ class MissingTarget(SchattenRegError):
     """Requested target column absent from a tabular dataset."""
 
 
-class ConfigError(SchattenRegError):
-    """Malformed experiment configuration."""
-
-
 def _check_reals(config, *names: str, admits=lambda v: 0.0 <= v < math.inf,
                  what: str = "finite and nonnegative") -> None:
     """Raise InvalidConfig("<name> must be <what>, got <value!r>") for the first

@@ -373,12 +373,13 @@ class ErrorIntegrals:
 
     def error(self, beta: float, sigma: float):
         """Error per alpha, the 2n-node value checked against the n-node one;
-        a float for a scalar alpha grid.  beta and sigma must be finite, and
-        so must their squares."""
+        a float for a scalar alpha grid.  beta and sigma must be finite and
+        nonnegative, as every sampler has them, with finite squares."""
         scales = {"beta": beta, "sigma": sigma}
         _check_reals(scales, admits=math.isfinite, what="finite")
         _check_reals(scales, admits=lambda v: math.isfinite(float(v) * float(v)),
                      what="small enough that its square is finite")
+        _check_reals(scales)
         b2, s2 = beta * beta, sigma * sigma
         coarse, fine = b2 * self.sums[:, 0] + s2 * self.sums[:, 1]
         # The error is quadratic in (beta, sigma), and the bound is relative to

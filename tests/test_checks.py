@@ -96,10 +96,10 @@ _FIELDS = {
     **{f"schatten-ball.radius-{p.name.lower()}": ("radius", lambda v, p=p: project_schatten_ball(
         np.eye(3), p, v), (-1.0,)) for p in SchattenIndex},
     "error-integrals.lam": ("lam", _integrals, (0.0, 1.5)),
-    # The error is quadratic in beta and sigma, so every finite number whose
-    # square is finite is in range.
-    "error.beta": ("beta", lambda v: _integrals()[0].error(v, 1.0), (1e200, -1e155)),
-    "error.sigma": ("sigma", lambda v: _integrals()[0].error(1.0, v), (1e200, -1e155)),
+    # The error is quadratic in beta and sigma, which are nonnegative, as
+    # every sampler has them, and whose squares must be finite.
+    "error.beta": ("beta", lambda v: _integrals()[0].error(v, 1.0), (1e200, -1e155, -1.0)),
+    "error.sigma": ("sigma", lambda v: _integrals()[0].error(1.0, v), (1e200, -1e155, -1.0)),
     "cv-minimum.n": ("n", lambda v: expected_cv_minimum(0.0, 1.0, 1.0, v), (0, 2.5)),
     "cv-minimum.delta": ("delta", lambda v: expected_cv_minimum(0.0, 1.0, v, 3), (0.0, -1.0)),
     "parabola-min.n": ("n", lambda v: monte_carlo_parabola_min(0, 1, 1, v, reps=1000), (0, 2.5)),

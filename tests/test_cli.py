@@ -18,9 +18,10 @@ from schattenreg.cli import (
     cmd_theory_curve,
     main,
     read_numeric_csv,
+    report_summary_rows,
 )
-from schattenreg.cv import MODEL_NAMES, AlphaGrid
-from schattenreg.exceptions import ConfigError, MissingTarget, ParseError
+from schattenreg.cv import MODEL_NAMES, AlphaGrid, BenchReport
+from schattenreg.exceptions import InvalidConfig, MissingTarget, ParseError
 
 
 def _write_cfg(tmp_path, name, cfg):
@@ -118,7 +119,8 @@ def test_unknown_config_key_rejected(tmp_path):
 
 
 def test_unknown_model_name_rejected():
-    with pytest.raises(ConfigError):
+    # The error names the key path alone; main adds the command.
+    with pytest.raises(InvalidConfig, match=r"^models\[0\]: expected one of \['nuclear', "):
         cmd_theory_curve({"models": ["lasso"]})
 
 
@@ -137,7 +139,8 @@ def test_json_output_format(tmp_path):
 # config errors and run keys
 # ---------------------------------------------------------------------------
 
-# (command, config, extra flags, what the error must name besides the command)
+# (command, config, extra flags, what the error must name besides the command);
+# a config given as a string is written as it stands, so it can repeat a key.
 BAD_CONFIGS = [
     ("theory-curve", {"sigma": "abc"}, [], "sigma"),
     ("basin", {"sigmas": 1.0}, [], "sigmas"),
@@ -239,6 +242,19 @@ BAD_CONFIGS = [
     ("theory-curve", {"beta": 1e200}, [], "theory-curve: beta must be small enough "),
     ("basin", {"beta": 1e200}, [], "basin: beta must be small enough "),
     ("simulate", {"sigma": -1e200}, [], "simulate: sigma must be small enough "),
+    # A negative scale was taken as its absolute value: theory-curve wrote a
+    # curve labelled sigma -1, and basin two rows for one curve.
+    ("theory-curve", {"sigma": -1}, [], "theory-curve: sigma must be finite and nonnegative"),
+    ("theory-curve", {"beta": -5}, [], "theory-curve: beta must be finite and nonnegative"),
+    ("basin", {"sigmas": [-1.0, 1.0]}, [], "basin: sigma must be finite and nonnegative"),
+    ("basin", {"beta": -1}, [], "basin: beta must be finite and nonnegative"),
+    ("simulate", {"sigma": -1}, [], "simulate: sigma must be finite and nonnegative"),
+    # json.load kept a repeated key's last value, at any depth.
+    ("theory-curve", '{"sigma": 1e400, "sigma": 1}', [], "theory-curve: sigma: repeated key"),
+    ("theory-curve", '{"beta": -5, "beta": 1}', [], "theory-curve: beta: repeated key"),
+    ("cv-bench", '{"grid": {"count": 3, "count": 4}}', [], "cv-bench: count: repeated key"),
+    ("basin", '{"sigmas": [1.0], "models": ["ridge"], "sigmas": [2.0]}', [],
+     "basin: sigmas: repeated key"),
     # Every fold needs a row, checked before the first dataset is sampled.
     ("cv-bench", {"n_obs": 2}, [], "cv-bench: n_obs: 2 rows cannot fill 3 folds"),
     ("cv-bench", {"ensemble": "diagonal", "n_obs": 4, "n_feat": 2, "folds": 5}, [],
@@ -260,9 +276,10 @@ def test_bad_config_exits_2_naming_command_and_key(tmp_path, capsys, monkeypatch
 
     for name in ("run_benchmark", "simulate_path_errors"):
         monkeypatch.setattr(cli, name, no_sampling)
-    path = _write_cfg(tmp_path, "c.json", cfg)
+    path = tmp_path / "c.json"
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     out = tmp_path / "x.csv"
-    assert main([command, "--config", path, "--out", str(out), *flags]) == 2
+    assert main([command, "--config", str(path), "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {command}: ")
     assert named in err
@@ -405,8 +422,7 @@ def _write_table(tmp_path, text, name="data.csv"):
 
 def test_read_numeric_csv_ok(tmp_path):
     path = _write_table(tmp_path, "a,b,y\n1,2,3\n4,5,6\n")
-    X, y, names = read_numeric_csv(path, "y")
-    assert names == ["a", "b"]
+    X, y = read_numeric_csv(path, "y")
     assert np.array_equal(X, [[1.0, 2.0], [4.0, 5.0]])
     assert np.array_equal(y, [3.0, 6.0])
 
@@ -430,6 +446,32 @@ def test_read_numeric_csv_non_finite_value_has_location(tmp_path, cell):
         read_numeric_csv(path, "y")
 
 
+@pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "\uff11"])
+def test_read_numeric_csv_rejects_what_only_python_reads_as_a_number(tmp_path, cell):
+    # float() reads digit separators and non-ASCII digits: '1_000' was 1000,
+    # Arabic-Indic 12 was 12.0 and a fullwidth 1 was 1.0.
+    path = _write_table(tmp_path, f"a,y\n1,2\n{cell},4\n")
+    with pytest.raises(ParseError, match=rf":3: non-numeric or non-finite value '{cell}' in "
+                                         "column 'a'$"):
+        read_numeric_csv(path, "y")
+
+
+def test_read_numeric_csv_skips_blank_lines_keeping_line_numbers(tmp_path):
+    # A blank line failed with "expected 2 fields, got 0", a blank last line too.
+    path = _write_table(tmp_path, "a,y\n1,2\n\n3,4\n\n")
+    X, y = read_numeric_csv(path, "y")
+    assert np.array_equal(X, [[1.0], [3.0]]) and np.array_equal(y, [2.0, 4.0])
+    path = _write_table(tmp_path, "a,y\n1,2\n\n3,oops\n")
+    with pytest.raises(ParseError, match=":4: .*'oops'"):
+        read_numeric_csv(path, "y")
+
+
+def test_read_numeric_csv_with_only_blank_lines_has_no_data_rows(tmp_path):
+    path = _write_table(tmp_path, "a,y\n\n\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(path)}: no data rows$"):
+        read_numeric_csv(path, "y")
+
+
 def test_read_numeric_csv_ragged_row(tmp_path):
     path = _write_table(tmp_path, "a,y\n1,2\n3\n")
     with pytest.raises(ParseError, match=":3:"):
@@ -448,8 +490,7 @@ def test_read_numeric_csv_byte_order_mark(tmp_path):
     # Spreadsheet programs save "CSV UTF-8" with a leading EF BB BF.
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbfy,x1,x2\n1,2,3\n4,5,6\n")
-    X, y, names = read_numeric_csv(str(path), "y")
-    assert names == ["x1", "x2"]
+    X, y = read_numeric_csv(str(path), "y")
     assert np.array_equal(X, [[2.0, 3.0], [5.0, 6.0]])
     assert np.array_equal(y, [1.0, 4.0])
 
@@ -584,6 +625,45 @@ def test_cv_bench_samples_a_power_law_beyond_its_gauss_rule(tmp_path):
 # ---------------------------------------------------------------------------
 # benchmark commands through the CLI
 # ---------------------------------------------------------------------------
+
+_SMALL_GRID = {"grid": {"lo": 1e-2, "hi": 1e2, "count": 3}}
+_SMALL_BENCH = {**_SMALL_GRID, "n_obs": 20, "n_datasets": 2, "n_test": 30}
+
+
+_SUMMARY = "model,avg_error,win_count,win_prob,ridge_ratio"
+HEADERS = [
+    ("theory-curve", {}, "alpha,error,p,ensemble,lambda,beta,sigma,gamma"),
+    ("simulate", {**_SMALL_GRID, "n_obs": 20, "n_datasets": 2, "n_test": 30},
+     "alpha,estimator,empirical_mean,se,theory,ensemble,lambda,beta,sigma,gamma,n_obs,n_datasets"),
+    ("basin", {"sigmas": [1.0], "lambdas": [0.5], "grid": {"lo": 1e-3, "hi": 1e5, "count": 60}},
+     "estimator,sigma,shape_param,depth_pct,curvature_pct,edge_minimum,ensemble"),
+    ("cv-bench", {**_SMALL_BENCH, "n_feat": 5}, _SUMMARY),
+    ("rff-bench", {**_SMALL_BENCH, "d_rbf": 8}, _SUMMARY),
+    ("real-data", {**_SMALL_GRID, "target": "y", "train_size": 8, "n_splits": 2}, _SUMMARY),
+]
+
+
+@pytest.mark.parametrize("command, cfg, columns", HEADERS, ids=[c for c, _, _ in HEADERS])
+def test_csv_header_is_the_keys_of_the_json_rows(tmp_path, monkeypatch, command, cfg, columns):
+    # The CSV's columns are its rows' keys, which the JSON output holds too: a
+    # report's JSON holds the report that its summary rows are made from.
+    monkeypatch.chdir(tmp_path)
+    _write_table(tmp_path, "a,b,y\n" + "".join(f"{i},{(i * 7) % 5},{i % 3}\n" for i in range(12)))
+    args = [command, *(["data.csv"] if command == "real-data" else []),
+            "--config", _write_cfg(tmp_path, "c.json", cfg)]
+    assert main([*args, "--out", "out.csv"]) == 0
+    assert main([*args, "--out", "out.json", "--format", "json"]) == 0
+    with open("out.csv", newline="") as fh:
+        header, *lines = list(csv.reader(fh))
+    payload = _read_json("out.json")
+    if "rows" in payload:
+        rows = payload["rows"]  # written with sorted keys
+        assert all(sorted(row) == sorted(header) for row in rows)
+    else:
+        rows = report_summary_rows(BenchReport(**payload["report"]))
+        assert all(list(row) == header for row in rows)
+    assert header == columns.split(",")
+    assert len(lines) == len(rows)
 
 def test_cv_bench_writes_summary_and_matrix(tmp_path):
     cfg = _write_cfg(tmp_path, "c.json", {

@@ -67,6 +67,16 @@ def test_single_value_grid_is_returned():
     assert a == 0.37
 
 
+@pytest.mark.parametrize("lo, hi", [(0.3, 3.0), (1e-4, 1e6), (1e-3, 1e5), (0.37, 1.1), (2e-7, 0.9)])
+@pytest.mark.parametrize("count", [2, 5, 30, 500])
+def test_grid_ends_are_exactly_lo_and_hi(lo, hi, count):
+    # np.logspace of the log10 ends read AlphaGrid(0.3, 3.0, 5)'s first value
+    # as 0.29999999999999993, while a one-point grid gave lo exactly.
+    values = AlphaGrid(lo, hi, count).values()
+    assert (values[0], values[-1], len(values)) == (lo, hi, count)
+    assert np.all(np.diff(values) > 0)
+
+
 def test_selection_deterministic():
     ds = sample_spherical(SphericalGaussianConfig(40, 8, n_test=10), seed=1)
     cfg = _small_cfg(models=(SchattenIndex.NUCLEAR,))
