@@ -128,7 +128,24 @@ def _real(what: str, ok):
     return _reader((int, float), what, ok, lambda v, where: float(v))
 
 
-_object = _reader(dict, "a JSON object")
+class _JSONObject(dict):
+    """A JSON object from json.load, with the first key it repeats (json.load
+    keeps the last value), which _object rejects at the object's key path."""
+
+    def __init__(self, pairs: list):
+        super().__init__(pairs)
+        keys = [k for k, _ in pairs]
+        self.repeated = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+
+
+def _distinct(value: dict, where: str) -> dict:
+    repeated = getattr(value, "repeated", None)
+    if repeated is not None:
+        raise InvalidConfig(_at(where, f"{repeated}: repeated key"))
+    return value
+
+
+_object = _reader(dict, "a JSON object", cast=_distinct)
 _number = _real("a finite number", math.isfinite)
 _positive = _real("a positive number", lambda v: math.isfinite(v) and v > 0)
 _unit = _real("a number in [0, 1]", lambda v: 0 <= v <= 1)
@@ -151,16 +168,6 @@ def _read_table(table: dict, value, where: str) -> dict:
         raise InvalidConfig(_at(where, f"{unknown[0]}: unknown key"))
     return {key: reader(value[key], _at(where, key)) if key in value else default
             for key, (reader, default) in table.items()}
-
-
-def _unique(pairs: list) -> dict:
-    """The JSON object of `pairs`, whose keys must be distinct: json.load
-    would keep a repeated key's last value."""
-    keys = [k for k, _ in pairs]
-    repeated = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
-    if repeated is not None:
-        raise InvalidConfig(f"{repeated}: repeated key")
-    return dict(pairs)
 
 
 def parse(cfg, table: dict, ensembles: dict | None = None) -> dict:
@@ -368,7 +375,8 @@ def cmd_basin(cfg: dict) -> list[dict]:
 
 def read_numeric_csv(path: str, target: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a headered, comma-separated, all-numeric CSV, skipping blank
-    lines; returns (features, target vector)."""
+    lines; returns (features, target vector).  An error in a record names the
+    file line the record ends on, past any quoted cell that spans lines."""
     with open(path, newline="", encoding="utf-8-sig") as fh:  # a byte-order mark is dropped
         reader = csv.reader(fh)
         try:
@@ -383,14 +391,15 @@ def read_numeric_csv(path: str, target: str) -> tuple[np.ndarray, np.ndarray]:
         if len(header) == 1:
             raise ParseError(f"{path}: no feature column besides the target {target!r}")
         rows = []
-        for i, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:  # a blank line
                 continue
             if len(row) != len(header):
-                raise ParseError(f"{path}:{i}: expected {len(header)} fields, got {len(row)}")
+                raise ParseError(f"{path}:{reader.line_num}: expected {len(header)} fields, "
+                                 f"got {len(row)}")
             bad = next((j for j, v in enumerate(row) if not _is_finite_float(v)), None)
             if bad is not None:
-                raise ParseError(f"{path}:{i}: non-numeric or non-finite value "
+                raise ParseError(f"{path}:{reader.line_num}: non-numeric or non-finite value "
                                  f"{row[bad]!r} in column {header[bad]!r}")
             rows.append([float(v) for v in row])
     if not rows:
@@ -481,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             with open(args.config) as fh:
                 try:
-                    cfg = _object(json.load(fh, object_pairs_hook=_unique), "")
+                    cfg = _object(json.load(fh, object_pairs_hook=_JSONObject), "")
                 except json.JSONDecodeError as exc:
                     raise InvalidConfig(f"{args.config}: {exc}") from None
         if args.seed is not None:

@@ -17,7 +17,6 @@ from .exceptions import DomainError, NonFinite, _check_array, _check_reals
 from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 
 __all__ = [
-    "BiasBound",
     "FittedModel",
     "alpha_to_bias_bound",
     "bias_bound_to_alpha",
@@ -27,17 +26,6 @@ __all__ = [
     "operator_diagnostics",
     "predict",
 ]
-
-
-@dataclass(frozen=True)
-class BiasBound:
-    """Budget C on the Schatten-p norm of the bias operator LX - I: a finite
-    real C >= 0, else InvalidConfig (any C >= d**(1/p) allows the zero estimator)."""
-
-    value: float
-
-    def __post_init__(self):
-        _check_reals({"bias bound C": self.value})
 
 
 @dataclass(frozen=True)
@@ -118,10 +106,9 @@ def operator_diagnostics(
     return bias_norm, float(np.sum(L * L) / 2.0)
 
 
-def alpha_to_bias_bound(
-    spectrum: GramSpectrum, p: SchattenIndex, alpha: float
-) -> BiasBound:
-    """Bias norm C attained by the estimator at strength alpha.
+def alpha_to_bias_bound(spectrum: GramSpectrum, p: SchattenIndex, alpha: float) -> float:
+    """Budget C, the Schatten-p norm of the bias operator LX - I, that the
+    estimator at strength alpha attains, as a float.
 
     The bias operator LX - I is -1 on each of the n_feat - rank null
     directions of G, where X gives the estimator nothing to act on, and
@@ -133,38 +120,38 @@ def alpha_to_bias_bound(
     s = spectrum.eigvals
     _, q = p.shrinkage(s, alpha)
     null = np.ones(spectrum.n_feat - spectrum.rank)
-    return BiasBound(p.norm(np.concatenate([null, np.broadcast_to(q, s.shape)])))
+    return p.norm(np.concatenate([null, np.broadcast_to(q, s.shape)]))
 
 
-def bias_bound_to_alpha(
-    spectrum: GramSpectrum, p: SchattenIndex, C: BiasBound | float
-) -> float:
-    """Invert the alpha -> C map; returns inf when C >= d**(1/p).
+def bias_bound_to_alpha(spectrum: GramSpectrum, p: SchattenIndex, C: float) -> float:
+    """Invert the alpha -> C map for a budget C, a finite real >= 0, else
+    InvalidConfig; returns inf when C >= d**(1/p), where the zero estimator
+    is allowed.
 
     The map is continuous and strictly increasing between its floor (its
     value at alpha = 0) and its supremum, so a doubling bracket plus Brent
     root-finding pins alpha to ~1e-12 relative.  A C below the floor set by
     the null directions of G cannot be reached and raises DomainError.
     """
-    c = (C if isinstance(C, BiasBound) else BiasBound(C)).value
+    _check_reals({"bias bound C": C})
     d = spectrum.n_feat
-    if c >= p.identity_norm(d):
+    if C >= p.identity_norm(d):
         return np.inf
-    floor = alpha_to_bias_bound(spectrum, p, 0.0).value
-    if c < floor:
+    floor = alpha_to_bias_bound(spectrum, p, 0.0)
+    if C < floor:
         raise DomainError(
-            f"C = {c:g} is below the floor {floor:g} of the p = {p.value} bias "
+            f"C = {C:g} is below the floor {floor:g} of the p = {p.value} bias "
             f"norm, set by the {d - spectrum.rank} null directions of G"
         )
-    if c == floor:
+    if C == floor:
         return 0.0
     if p is SchattenIndex.SPECTRAL:
-        return c / (1.0 - c)
+        return C / (1.0 - C)
     # Imported here, its only use, so that `import schattenreg` skips scipy.optimize.
     from scipy.optimize import brentq
 
     def gap(a: float) -> float:
-        return alpha_to_bias_bound(spectrum, p, a).value - c
+        return alpha_to_bias_bound(spectrum, p, a) - C
 
     hi = float(spectrum.eigvals.max(initial=1.0))  # no eigenvalue when X = 0
     while gap(hi) < 0:

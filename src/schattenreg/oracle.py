@@ -1,8 +1,9 @@
 """Numeric solver for the bias-constrained variance minimization problem.
 
 Solves  min_L Tr(L L^T)/2  s.t.  ||L X - I||_p <= C  at desk scale, as an
-independent check on the closed-form estimators.  The search is carried out
-in the bias variable B = L X - I: for fixed B the minimum-variance operator
+independent check on the closed-form estimators, taking C as a plain number
+and importing nothing from them.  The search is carried out in the bias
+variable B = L X - I: for fixed B the minimum-variance operator
 is L = (I + B) G^{-1} X^T, giving the smooth convex objective
 g(B) = Tr((I + B) G^{-1} (I + B)^T)/2 over the Schatten-p ball of radius C.
 Accelerated projected gradient descent with exact singular-value projections
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimators import BiasBound
 from .exceptions import DidNotConverge, _check_array, _check_reals
 from .spectrum import SchattenIndex
 
@@ -58,15 +58,15 @@ def project_schatten_ball(B: np.ndarray, p: SchattenIndex, radius: float) -> np.
     return (U * s_proj) @ Vt
 
 
-def solve_bias_constrained_numeric(X: np.ndarray, C: BiasBound | float,
-                                   p: SchattenIndex) -> np.ndarray:
+def solve_bias_constrained_numeric(X: np.ndarray, C: float, p: SchattenIndex) -> np.ndarray:
     """Minimize Tr(L L^T)/2 subject to ||L X - I||_p <= C; returns L (d, N).
 
     The problem is convex, so the 5 random restarts are a consistency check
     rather than a necessity; the best objective across restarts is returned.
-    Raises DimensionMismatch unless X is 2-d and NonFinite for a NaN or inf
-    entry, before the search starts, and DidNotConverge if no restart
-    reaches the relative-change tolerance 1e-12 within 20000 iterations.
+    Raises DimensionMismatch unless X is 2-d, NonFinite for a NaN or inf
+    entry and InvalidConfig unless C is a finite real >= 0, all before the
+    search starts, and DidNotConverge if no restart reaches the
+    relative-change tolerance 1e-12 within 20000 iterations.
 
     The search runs on X / ||X||_2 and returns that solution's L / ||X||_2,
     which is exact because L(kX) = L(X) / k at the same C.  The objective
@@ -75,8 +75,8 @@ def solve_bias_constrained_numeric(X: np.ndarray, C: BiasBound | float,
     """
     X = _check_array(X, "X", (None, None))
     N, d = X.shape
-    c = (C if isinstance(C, BiasBound) else BiasBound(C)).value
-    if c >= p.identity_norm(d):
+    _check_reals({"bias bound C": C})
+    if C >= p.identity_norm(d):
         # Constraint set contains B = -I, i.e. L = 0, the global minimizer.
         return np.zeros((d, N))
 
@@ -97,9 +97,9 @@ def solve_bias_constrained_numeric(X: np.ndarray, C: BiasBound | float,
     any_converged = False
     for restart in range(_N_RESTARTS):
         if restart == 0:
-            B = project_schatten_ball(-eye, p, c)
+            B = project_schatten_ball(-eye, p, C)
         else:
-            B = project_schatten_ball(rng.standard_normal((d, d)), p, c)
+            B = project_schatten_ball(rng.standard_normal((d, d)), p, C)
         # FISTA with projection; momentum restarts are unnecessary here.
         Z = B.copy()
         t = 1.0
@@ -107,7 +107,7 @@ def solve_bias_constrained_numeric(X: np.ndarray, C: BiasBound | float,
         converged = False
         for _ in range(_MAX_ITER):
             grad = (eye + Z) @ Ginv
-            B_next = project_schatten_ball(Z - step * grad, p, c)
+            B_next = project_schatten_ball(Z - step * grad, p, C)
             t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
             Z = B_next + ((t - 1.0) / t_next) * (B_next - B)
             B, t = B_next, t_next

@@ -75,6 +75,10 @@ class RFFMap:
     weights: np.ndarray  # (d_rbf, d)
     offsets: np.ndarray  # (d_rbf,) in [0, 2 pi)
 
+    def __post_init__(self):
+        W = _check_array(self.weights, "weights", (None, None))
+        _check_array(self.offsets, "offsets", W.shape[:1])
+
 
 @dataclass(frozen=True)
 class NonlinearTarget:
@@ -83,7 +87,7 @@ class NonlinearTarget:
     directions: np.ndarray  # (n_terms, d), unit rows
 
     def __post_init__(self):
-        norms = np.linalg.norm(self.directions, axis=1)
+        norms = np.linalg.norm(_check_array(self.directions, "directions", (None, None)), axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-12):
             raise ValueError("target directions must be unit vectors")
 

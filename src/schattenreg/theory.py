@@ -81,7 +81,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import DomainError, InvalidConfig, QuadratureFailure, _check_reals
+from .exceptions import DomainError, InvalidConfig, QuadratureFailure, _check_array, _check_reals
 from .spectrum import SchattenIndex, _check_alpha
 
 __all__ = [
@@ -246,15 +246,12 @@ class Atoms:
     label = "atoms"
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        g = _check_array(self.grid, "grid", (None,))
+        w = _check_array(self.weights, "weights", g.shape)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "weights", w)
-        # Each range is written as the values it admits, so NaN fails it.
-        if g.ndim != 1 or g.shape != w.shape:
-            raise InvalidConfig("grid and weights must be 1-D arrays of the same shape")
-        if not np.all((w >= 0) & (w < np.inf)):
-            raise InvalidConfig("weights must be finite and nonnegative")
+        if not np.all(w >= 0):
+            raise InvalidConfig("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-10:
             raise InvalidConfig("weights must sum to 1")
         if not np.all((g >= 0) & (g <= 1)):

@@ -11,14 +11,15 @@ import pytest
 from schattenreg import (
     AlphaGrid,
     Atoms,
-    BiasBound,
     CVConfig,
     DiagonalEnsembleConfig,
     EquicorrelatedConfig,
     MarchenkoPastur,
+    NonlinearTarget,
     PowerLaw,
     RealDataConfig,
     RFFBenchConfig,
+    RFFMap,
     SchattenIndex,
     SparseSpec,
     SphericalGaussianConfig,
@@ -85,7 +86,6 @@ _FIELDS = {
     "cv.seed": ("seed", lambda v: CVConfig(seed=v), (-1, 2.5)),
     "power-law.gamma": ("gamma", lambda v: PowerLaw(v), (0.0, -1.0)),
     "mp.lam": ("lam", lambda v: MarchenkoPastur(v), (0.0, 1.0)),
-    "bias-bound.value": ("bias bound C", lambda v: BiasBound(v), (-0.5,)),
     "bias-bound-to-alpha.C": ("bias bound C", lambda v: bias_bound_to_alpha(
         gram_spectrum(np.eye(3)), SchattenIndex.FROBENIUS, v), (-0.5,)),
     "numeric-oracle.C": ("bias bound C", lambda v: solve_bias_constrained_numeric(
@@ -116,26 +116,15 @@ _FIELDS = {
     for value in (True, False, "0.5", "1", np.nan, np.inf, -np.inf, *out)
 ])
 def test_every_number_the_library_takes_is_rejected_naming_its_field(field, make, value):
-    # MarchenkoPastur("0.5") and BiasBound("1") used to raise a bare TypeError
-    # from a comparison, BiasBound(True) and sample_rff_map(2, 10, bandwidth=True)
-    # were built, bias_bound_to_alpha read C = "0.5" as 0.5 and True as 1.0, and
-    # sample_rff_map(2.5, 10), error_integrals' lam="0.5" and reps=1000.5
-    # failed inside Python or numpy; project_schatten_ball returned NaN for a
-    # NaN radius at p = 2 and inf, and failed in numpy for -1 at p = 1.
+    # MarchenkoPastur("0.5") used to raise a bare TypeError from a comparison,
+    # sample_rff_map(2, 10, bandwidth=True) was built, bias_bound_to_alpha read
+    # C = "0.5" as 0.5 and True as 1.0, and sample_rff_map(2.5, 10),
+    # error_integrals' lam="0.5" and reps=1000.5 failed inside Python or numpy;
+    # project_schatten_ball returned NaN for a NaN radius at p = 2 and inf, and
+    # failed in numpy for -1 at p = 1.
     with pytest.raises(InvalidConfig) as info:
         make(value)
     assert str(info.value).startswith(f"{field} must be ")
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
-@pytest.mark.parametrize("make, field", [
-    (lambda v: Atoms([0.2, v], [0.5, 0.5]), "grid"),
-    (lambda v: Atoms([0.2, 0.8], [1.0, v]), "weights"),
-], ids=["grid", "weights"])
-def test_atoms_reject_a_non_finite_entry_naming_the_field(make, field, value):
-    # An Atoms measure takes arrays, which the table above cannot give.
-    with pytest.raises(InvalidConfig, match=f"^{field} must "):
-        make(value)
 
 
 @pytest.mark.parametrize("error", [InvalidConfig, DimensionMismatch, NonFinite])
@@ -189,6 +178,15 @@ _ARRAYS = {
                           [_CURVE[:, None], _CURVE[:19]]),
     "locate_min.grid": ("grid", lambda v: locate_min_and_curvature(_CURVE, v), _GRID,
                         [_GRID[:, None]]),
+    "atoms.grid": ("grid", lambda v: Atoms(v, [0.5, 0.5]), [0.2, 0.8], [0.5, [[0.2, 0.8]]]),
+    "atoms.weights": ("weights", lambda v: Atoms([0.2, 0.8], v), [0.5, 0.5],
+                      [[[0.5, 0.5]], [1.0]]),
+    "rff-map.weights": ("weights", lambda v: RFFMap(v, _RFF.offsets), _RFF.weights,
+                        [_RFF.weights[0]]),
+    "rff-map.offsets": ("offsets", lambda v: RFFMap(_RFF.weights, v), _RFF.offsets,
+                        [_RFF.offsets[:, None], _RFF.offsets[:2]]),
+    "nonlinear-target.directions": ("directions", NonlinearTarget, _TARGET.directions,
+                                    [_TARGET.directions[0]]),
 }
 
 
@@ -210,7 +208,10 @@ def test_every_array_the_library_takes_is_rejected_naming_its_argument(name, mak
                                                                        error):
     # predict returned NaN for a NaN X_test, operator_diagnostics let numpy's
     # "SVD did not converge" escape, project_schatten_ball scaled a 1-d or
-    # NaN B, and fit and fit_path raised a bare ValueError for a wrong shape.
+    # NaN B, and fit and fit_path raised a bare ValueError for a wrong shape;
+    # Atoms read a NaN grid as out of [0, 1], RFFMap took a NaN weight or
+    # offsets of the wrong length, and NonlinearTarget read a NaN direction
+    # as not a unit vector.
     with pytest.raises(error) as info:
         make(value)
     want = (f"{name} contains NaN or inf" if error is NonFinite

@@ -252,9 +252,12 @@ BAD_CONFIGS = [
     # json.load kept a repeated key's last value, at any depth.
     ("theory-curve", '{"sigma": 1e400, "sigma": 1}', [], "theory-curve: sigma: repeated key"),
     ("theory-curve", '{"beta": -5, "beta": 1}', [], "theory-curve: beta: repeated key"),
-    ("cv-bench", '{"grid": {"count": 3, "count": 4}}', [], "cv-bench: count: repeated key"),
+    ("cv-bench", '{"grid": {"count": 3, "count": 4}}', [], "cv-bench: grid: count: repeated key"),
     ("basin", '{"sigmas": [1.0], "models": ["ridge"], "sigmas": [2.0]}', [],
      "basin: sigmas: repeated key"),
+    # A repeated ensemble is named before the chosen ensemble's keys are checked.
+    ("cv-bench", '{"gamma": 2, "ensemble": "diagonal", "ensemble": "spherical"}', [],
+     "cv-bench: ensemble: repeated key"),
     # Every fold needs a row, checked before the first dataset is sampled.
     ("cv-bench", {"n_obs": 2}, [], "cv-bench: n_obs: 2 rows cannot fill 3 folds"),
     ("cv-bench", {"ensemble": "diagonal", "n_obs": 4, "n_feat": 2, "folds": 5}, [],
@@ -463,6 +466,16 @@ def test_read_numeric_csv_skips_blank_lines_keeping_line_numbers(tmp_path):
     assert np.array_equal(X, [[1.0], [3.0]]) and np.array_equal(y, [2.0, 4.0])
     path = _write_table(tmp_path, "a,y\n1,2\n\n3,oops\n")
     with pytest.raises(ParseError, match=":4: .*'oops'"):
+        read_numeric_csv(path, "y")
+
+
+@pytest.mark.parametrize("last, error", [("3,oops", ":4: .*'oops'"),
+                                         ("3", ":4: expected 2 fields, got 1$")])
+def test_read_numeric_csv_names_the_line_a_record_ends_on(tmp_path, last, error):
+    # A record was numbered by its count, so past a quoted cell that spans two
+    # lines an error on line 4 named line 3.
+    path = _write_table(tmp_path, f'a,y\n"1\n",2\n{last}\n')
+    with pytest.raises(ParseError, match=error):
         read_numeric_csv(path, "y")
 
 

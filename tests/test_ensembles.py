@@ -116,9 +116,6 @@ def test_sparse_spec_rejected_before_sampling(n_large, small_scale, n_feat):
     (lambda: RFFBenchConfig(n_obs=0), "n_obs"),
     (lambda: RFFBenchConfig(n_test=0), "n_test"),
     (lambda: PowerLaw(0.0), "gamma"),
-    (lambda: Atoms([0.2, 0.8], [0.5]), "same shape"),
-    (lambda: Atoms(0.5, 1.0), "1-D"),  # sample raised TypeError on len() of a 0-d grid
-    (lambda: Atoms([[0.5]], [[1.0]]), "1-D"),
     (lambda: Atoms([0.2, 0.8], [0.5, 0.6]), "sum to 1"),
     (lambda: Atoms([0.2, 0.8], [1.5, -0.5]), "weights"),
     (lambda: Atoms([0.2, 1.5], [0.5, 0.5]), "grid"),

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import schattenreg.oracle
 from schattenreg import (
     SchattenIndex,
     alpha_to_bias_bound,
@@ -14,6 +18,12 @@ from schattenreg import (
 from schattenreg.exceptions import DimensionMismatch, NonFinite
 
 ALL_P = list(SchattenIndex)
+
+
+def test_numeric_oracle_imports_nothing_from_the_estimators_it_checks():
+    tree = ast.parse(Path(schattenreg.oracle.__file__).read_text())
+    assert "estimators" not in {node.module for node in ast.walk(tree)
+                                if isinstance(node, ast.ImportFrom)}
 
 
 def test_numeric_oracle_rejects_a_design_that_is_not_2d():
