@@ -41,7 +41,6 @@ from .ensembles import (
     sample_spherical,
 )
 from .estimators import (
-    FittedModel,
     alpha_to_bias_bound,
     bias_bound_to_alpha,
     estimator_operator,

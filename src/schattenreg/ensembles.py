@@ -185,7 +185,8 @@ class Dataset:
     make_rff_dataset(config, seed)'s X_te is an rff.RFFRows, made a block at
     a time as it is scored, so rff-bench memory scales with n_obs*d_rbf plus
     one block, not with n_test*d_rbf.  X_te and Y_te (beta0) are read from a
-    row (sampled) test set, and None for the other kind.
+    row (sampled) test set, and None for the other kind; benchmark/tracer.py
+    reads X_te, Y_te and beta0 from outside the package.
     """
 
     X_tr: np.ndarray
@@ -272,16 +273,16 @@ class EquicorrelatedConfig:
 
 @dataclass(frozen=True, eq=False)
 class RealDataConfig:
-    """A table, features X (n, d) and targets y (n,), to split at random into
-    n_obs training rows, in [1, n - 1], and n - n_obs test rows."""
+    """A table, features X (n, d) and targets y (n,) stored as checked float
+    arrays, to split at random into n_obs training rows, in [1, n - 1], and the rest."""
 
     X: np.ndarray
     y: np.ndarray
     n_obs: int
 
     def __post_init__(self):
-        X = _check_array(self.X, "X", (None, None))
-        _check_array(self.y, "y", X.shape[:1])
+        object.__setattr__(self, "X", _check_array(self.X, "X", (None, None)))
+        object.__setattr__(self, "y", _check_array(self.y, "y", self.X.shape[:1]))
         _check_counts(self, "n_obs")
         if self.n_obs >= len(self.y):
             raise InvalidConfig(f"n_obs must be below the {len(self.y)} rows, got {self.n_obs!r}")
@@ -372,10 +373,9 @@ def sample_real_data(config: RealDataConfig, seed: int = 0) -> Dataset:
     RowTestSet of the rest, its features z-scored and its targets centered by
     the training rows' statistics alone (a constant column keeps scale 1);
     NonFinite names the X column or y whose statistics are not finite."""
-    X, y = np.asarray(config.X, dtype=float), np.asarray(config.y, dtype=float)
-    perm = np.random.default_rng(seed).permutation(len(y))
+    perm = np.random.default_rng(seed).permutation(len(config.y))
     tr, te = perm[:config.n_obs], perm[config.n_obs:]
-    X_tr, y_tr = X[tr], y[tr]
+    X_tr, y_tr = config.X[tr], config.y[tr]
     mu = X_tr.mean(axis=0)
     sd = X_tr.std(axis=0, ddof=0)
     y_mean = y_tr.mean()
@@ -389,7 +389,7 @@ def sample_real_data(config: RealDataConfig, seed: int = 0) -> Dataset:
     X_tr /= sd
     y_tr -= y_mean
     spectrum = gram_spectrum(X_tr)  # before the test rows are copied
-    X_te = X[te]
+    X_te = config.X[te]
     X_te -= mu
     X_te /= sd
-    return Dataset(X_tr, y_tr, RowTestSet(X_te, y[te] - y_mean), spectrum)
+    return Dataset(X_tr, y_tr, RowTestSet(X_te, config.y[te] - y_mean), spectrum)

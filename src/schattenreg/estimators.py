@@ -9,15 +9,12 @@ reaches d**(1/p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import DomainError, NonFinite, _check_array, _check_reals
 from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
 
 __all__ = [
-    "FittedModel",
     "alpha_to_bias_bound",
     "bias_bound_to_alpha",
     "estimator_operator",
@@ -26,17 +23,6 @@ __all__ = [
     "operator_diagnostics",
     "predict",
 ]
-
-
-@dataclass(frozen=True)
-class FittedModel:
-    p: SchattenIndex
-    alpha: float
-    beta_hat: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.beta_hat)):
-            raise NonFinite("beta_hat is not finite")
 
 
 def _inverse_filter_weights(spectrum: GramSpectrum, p: SchattenIndex, alpha) -> np.ndarray:
@@ -55,14 +41,17 @@ def _inverse_filter_weights(spectrum: GramSpectrum, p: SchattenIndex, alpha) -> 
     return r / s
 
 
-def fit(X: np.ndarray, Y: np.ndarray, p: SchattenIndex, alpha: float) -> FittedModel:
-    """Fit the p-bias-constrained estimator at regularization strength alpha.
-    Raises DimensionMismatch unless X is 2-d, (N, d), and Y is (N,), and
-    NonFinite for a NaN or inf in either."""
+def fit(X: np.ndarray, Y: np.ndarray, p: SchattenIndex, alpha: float) -> np.ndarray:
+    """The (d,) coefficients of the p-bias-constrained estimator at
+    regularization strength alpha: column 0 of fit_path at [alpha].  Raises
+    DimensionMismatch unless X is 2-d, (N, d), and Y is (N,), and NonFinite
+    for a NaN or inf in either or in the coefficients."""
     X = _check_array(X, "X", (None, None))
     Y = _check_array(Y, "Y", X.shape[:1])
     beta = fit_path(gram_spectrum(X), X.T @ Y, p, [alpha])[:, 0]
-    return FittedModel(p=p, alpha=float(alpha), beta_hat=beta)
+    if not np.isfinite(beta).all():
+        raise NonFinite("beta_hat is not finite")
+    return beta
 
 
 def fit_path(spectrum: GramSpectrum, xty: np.ndarray, p: SchattenIndex, alphas) -> np.ndarray:
@@ -77,11 +66,12 @@ def fit_path(spectrum: GramSpectrum, xty: np.ndarray, p: SchattenIndex, alphas) 
     return U @ (W * (U.T @ xty)[:, None])
 
 
-def predict(model: FittedModel, X_test: np.ndarray) -> np.ndarray:
-    """X_test @ beta_hat.  Raises DimensionMismatch unless X_test is (n, d) for
-    the model's d features, and NonFinite for a NaN or inf entry."""
-    X_test = _check_array(X_test, "X_test", (None, model.beta_hat.shape[0]))
-    return X_test @ model.beta_hat
+def predict(beta: np.ndarray, X_test: np.ndarray) -> np.ndarray:
+    """X_test @ beta for coefficients beta, as fit returns them.  Raises
+    DimensionMismatch unless beta is (d,) and X_test is (n, d), and NonFinite
+    for a NaN or inf entry in either."""
+    beta = _check_array(beta, "beta", (None,))
+    return _check_array(X_test, "X_test", (None, len(beta))) @ beta
 
 
 def estimator_operator(X: np.ndarray, p: SchattenIndex, alpha: float) -> np.ndarray:

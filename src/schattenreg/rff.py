@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import _BLOCK_BYTES, Dataset, RowTestSet, row_blocks
-from .exceptions import _check_array, _check_counts, _check_reals
+from .exceptions import InvalidConfig, _check_array, _check_counts, _check_reals
 from .spectrum import gram_spectrum
 
 __all__ = ["NonlinearTarget", "RFFBenchConfig", "RFFMap", "RFFRows", "apply_rff",
@@ -72,24 +72,29 @@ def _rows_times(X: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RFFMap:
+    """phi(x) = sqrt(2/d_rbf) cos(W x + b), W and b stored as checked float arrays."""
+
     weights: np.ndarray  # (d_rbf, d)
     offsets: np.ndarray  # (d_rbf,) in [0, 2 pi)
 
     def __post_init__(self):
         W = _check_array(self.weights, "weights", (None, None))
-        _check_array(self.offsets, "offsets", W.shape[:1])
+        object.__setattr__(self, "weights", W)
+        object.__setattr__(self, "offsets", _check_array(self.offsets, "offsets", W.shape[:1]))
 
 
 @dataclass(frozen=True)
 class NonlinearTarget:
-    """f(x) = sum_k cos(2 pi k <x, v_k>) / k^2 with unit directions v_k."""
+    """f(x) = sum_k cos(2 pi k <x, v_k>) / k^2 for the rows v_k of directions,
+    stored as a checked float array; each norm must be 1 to 1e-12 (InvalidConfig)."""
 
     directions: np.ndarray  # (n_terms, d), unit rows
 
     def __post_init__(self):
-        norms = np.linalg.norm(_check_array(self.directions, "directions", (None, None)), axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-12):
-            raise ValueError("target directions must be unit vectors")
+        v = _check_array(self.directions, "directions", (None, None))
+        object.__setattr__(self, "directions", v)
+        if not np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-12):
+            raise InvalidConfig("directions must be unit vectors")
 
 
 def sample_rff_map(d: int, d_rbf: int, bandwidth: float = 1.0, seed: int = 0) -> RFFMap:
@@ -126,7 +131,8 @@ def apply_rff(rff: RFFMap, X: np.ndarray) -> np.ndarray:
 class RFFRows:
     """The RFF features of raw rows, made a block at a time: a row slice
     rows[i:j] is apply_rff(rff, raw[i:j]), so the whole (n, d_rbf) feature
-    matrix never exists.  nbytes counts the raw rows it holds."""
+    matrix never exists.  nbytes counts the raw rows it holds;
+    benchmark/tracer.py reads it from outside the package."""
 
     rff: RFFMap
     raw: np.ndarray  # (n, d)

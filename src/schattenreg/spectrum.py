@@ -111,6 +111,8 @@ class GramSpectrum:
     eigvecs: (d, k) orthonormal columns, the eigenvectors of eigvals.
     eigvals: (k,) the k = rank eigenvalues of G above EIGVAL_RTOL times the
         largest, sorted descending; the other n_feat - rank count as 0.
+
+    benchmark/tracer.py reads n_obs, n_feat and rank from outside the package.
     """
 
     eigvecs: np.ndarray

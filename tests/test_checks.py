@@ -166,6 +166,7 @@ _ARRAYS = {
                             [_X[0, 0], _X[0, :2]]),
     "fit_path.xty": ("xty", lambda v: fit_path(gram_spectrum(_X), v, _FROBENIUS, [1.0]),
                      _X[0], [_X[:1].T, _ONES]),
+    "predict.beta": ("beta", lambda v: predict(v, _X), _X[0], [_X]),
     "predict.X_test": ("X_test", lambda v: predict(fit(_X, _ONES, _FROBENIUS, 1.0), v), _X,
                        [_X[0], _X[:, :2]]),
     "operator_diagnostics.L": ("L", lambda v: operator_diagnostics(v, _X, _FROBENIUS), _X.T,

@@ -1033,8 +1033,8 @@ def test_rff_features_realizable_noiseless_near_zero():
                      models=(SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS))
     for p in cfg.models:
         alpha = kfold_select_alpha(ds.X_tr, ds.Y_tr, replace(cfg, models=(p,), seed=3))[p]
-        model = fit(ds.X_tr, ds.Y_tr, p, alpha)
-        assert np.mean((predict(model, ds.X_te) - ds.Y_te) ** 2) < 1e-6
+        beta = fit(ds.X_tr, ds.Y_tr, p, alpha)
+        assert np.mean((predict(beta, ds.X_te) - ds.Y_te) ** 2) < 1e-6
 
 
 def test_rff_bench_deterministic():

@@ -24,6 +24,7 @@ from schattenreg import (
     predict,
     sample_diagonal,
     sample_equicorrelated,
+    sample_real_data,
     sample_spherical,
 )
 from schattenreg.ensembles import _test_gram, _test_spans
@@ -409,7 +410,7 @@ def test_noiseless_ols_predicts_the_test_targets():
     cfg = SphericalGaussianConfig(n_obs=30, n_feat=5, sigma=0.0, n_test=100)
     ds = sample_spherical(cfg, seed=6)
     perfect = fit(ds.X_tr, ds.Y_tr, SchattenIndex.FROBENIUS, 0.0)
-    assert ds.test.mse(perfect.beta_hat[:, None])[0] < 1e-20
+    assert ds.test.mse(perfect[:, None])[0] < 1e-20
 
     null = fit(ds.X_tr, np.zeros(30), SchattenIndex.FROBENIUS, 0.0)
     np.testing.assert_array_equal(predict(null, ds.X_tr), np.zeros(30))
@@ -425,8 +426,8 @@ def test_ols_error_matches_thermodynamic_limit():
     errs = []
     for seed in child_seeds(123, 100):
         ds = sample_spherical(cfg, seed=seed)
-        model = fit(ds.X_tr, ds.Y_tr, SchattenIndex.FROBENIUS, 0.0)
-        errs.append(ds.test.mse(model.beta_hat[:, None])[0])
+        beta = fit(ds.X_tr, ds.Y_tr, SchattenIndex.FROBENIUS, 0.0)
+        errs.append(ds.test.mse(beta[:, None])[0])
     errs = np.asarray(errs)
     se = errs.std(ddof=1) / np.sqrt(len(errs))
     assert abs(errs.mean() - 1.0) < 3 * se
@@ -449,6 +450,16 @@ def _assert_one_spectrum(ds):
 ], ids=["equicorrelated-sparse", "spherical-wide", "diagonal", "rff"])
 def test_dataset_carries_the_spectrum_of_its_training_set(make):
     _assert_one_spectrum(make())
+
+
+def test_real_data_config_stores_its_checked_arrays():
+    rng = np.random.default_rng(3)
+    X, y = rng.standard_normal((12, 3)), rng.standard_normal(12)
+    listed = RealDataConfig(X.tolist(), y.tolist(), 8)
+    assert listed.X.dtype == np.float64 and listed.y.dtype == np.float64
+    a, b = sample_real_data(listed, seed=2), sample_real_data(RealDataConfig(X, y, 8), seed=2)
+    for name in ("X_tr", "Y_tr", "X_te", "Y_te"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_real_data_split_carries_the_spectrum_of_its_training_set(tmp_path, monkeypatch):

@@ -28,18 +28,18 @@ ALL_P = list(SchattenIndex)
 def test_ols_on_identity_design(p):
     rng = np.random.default_rng(0)
     y = rng.standard_normal(6)
-    model = fit(np.eye(6), y, p, 0.0)
-    np.testing.assert_allclose(model.beta_hat, y, atol=1e-12)
+    beta = fit(np.eye(6), y, p, 0.0)
+    np.testing.assert_allclose(beta, y, atol=1e-12)
 
 
 def test_spectral_is_scalar_shrinkage():
     beta0 = np.arange(1.0, 11.0)
     Y = FIG1_X @ beta0
-    model = fit(FIG1_X, Y, SchattenIndex.SPECTRAL, 1.0)
-    np.testing.assert_allclose(model.beta_hat, beta0 / 2.0, atol=1e-12)
+    beta = fit(FIG1_X, Y, SchattenIndex.SPECTRAL, 1.0)
+    np.testing.assert_allclose(beta, beta0 / 2.0, atol=1e-12)
     # Composition with predict: one test row gives <x, beta0>/2.
     x = np.array([[1.0, -2.0, 0.5, 0, 0, 0, 0, 0, 1, 3]])
-    np.testing.assert_allclose(predict(model, x), x @ beta0 / 2.0)
+    np.testing.assert_allclose(predict(beta, x), x @ beta0 / 2.0)
 
 
 @pytest.mark.parametrize("p", ALL_P)
@@ -49,23 +49,35 @@ def test_fit_matches_numeric_oracle(p):
     sp = gram_spectrum(X)
     alpha = bias_bound_to_alpha(sp, p, 0.5)
     Y = rng.standard_normal(8)
-    model = fit(X, Y, p, alpha)
+    beta = fit(X, Y, p, alpha)
     L = solve_bias_constrained_numeric(X, 0.5, p)
-    np.testing.assert_allclose(model.beta_hat, L @ Y, rtol=1e-3, atol=1e-10)
+    np.testing.assert_allclose(beta, L @ Y, rtol=1e-3, atol=1e-10)
+
+
+@pytest.mark.parametrize("p", ALL_P)
+def test_fit_is_the_path_column(p):
+    rng = np.random.default_rng(5)
+    X, Y = rng.standard_normal((9, 4)), rng.standard_normal(9)
+    beta = fit(X, Y, p, 0.3)
+    assert type(beta) is np.ndarray and beta.shape == (4,)
+    np.testing.assert_array_equal(beta, fit_path(gram_spectrum(X), X.T @ Y, p, [0.3])[:, 0])
+    # A finite design can still overflow its weights 1/s: 1/(1e-155)^2 is inf.
+    with np.errstate(all="ignore"), pytest.raises(NonFinite, match="^beta_hat is not finite$"):
+        fit(np.array([[1e-155]]), np.array([1e200]), p, 0.0)
 
 
 def test_predict_edge_cases():
-    model = fit(np.eye(4), np.zeros(4), SchattenIndex.FROBENIUS, 1.0)
-    np.testing.assert_array_equal(predict(model, np.eye(4)), np.zeros(4))
+    beta = fit(np.eye(4), np.zeros(4), SchattenIndex.FROBENIUS, 1.0)
+    np.testing.assert_array_equal(predict(beta, np.eye(4)), np.zeros(4))
     with pytest.raises(DimensionMismatch):
-        predict(model, np.zeros((2, 5)))
+        predict(beta, np.zeros((2, 5)))
 
 
 def test_alpha_infinity_sentinel_gives_zero():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((10, 4))
-    model = fit(X, rng.standard_normal(10), SchattenIndex.NUCLEAR, np.inf)
-    np.testing.assert_array_equal(model.beta_hat, np.zeros(4))
+    beta = fit(X, rng.standard_normal(10), SchattenIndex.NUCLEAR, np.inf)
+    np.testing.assert_array_equal(beta, np.zeros(4))
 
 
 @pytest.mark.parametrize("p", ALL_P)
@@ -78,7 +90,7 @@ def test_fit_path_matches_per_alpha_fits(p, shape):
     B = fit_path(gram_spectrum(X), X.T @ Y, p, alphas)
     assert B.shape == (shape[1], len(alphas))
     for k, a in enumerate(alphas):
-        beta = fit(X, Y, p, a).beta_hat
+        beta = fit(X, Y, p, a)
         np.testing.assert_allclose(B[:, k], beta, rtol=1e-12, atol=0.0)
     np.testing.assert_array_equal(B[:, -1], np.zeros(shape[1]))
 
@@ -447,6 +459,6 @@ def test_fit_determinism():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((20, 6))
     Y = rng.standard_normal(20)
-    a = fit(X, Y, SchattenIndex.NUCLEAR, 0.7).beta_hat
-    b = fit(X, Y, SchattenIndex.NUCLEAR, 0.7).beta_hat
+    a = fit(X, Y, SchattenIndex.NUCLEAR, 0.7)
+    b = fit(X, Y, SchattenIndex.NUCLEAR, 0.7)
     assert np.array_equal(a, b)

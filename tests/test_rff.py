@@ -6,6 +6,7 @@ import pytest
 from schattenreg import (
     NonlinearTarget,
     RFFBenchConfig,
+    RFFMap,
     apply_rff,
     eval_target,
     make_rff_dataset,
@@ -13,7 +14,7 @@ from schattenreg import (
     sample_rff_map,
 )
 from schattenreg.ensembles import _BLOCK_BYTES
-from schattenreg.exceptions import DimensionMismatch, NonFinite
+from schattenreg.exceptions import DimensionMismatch, InvalidConfig, NonFinite
 from schattenreg.rff import _cos_turns
 
 
@@ -77,12 +78,27 @@ def test_unit_directions():
                                atol=1e-12)
 
 
+def test_types_store_their_checked_arrays():
+    # Nested lists are stored as the float arrays that their checks made, so
+    # the map and the target give the bits of array inputs.
+    W, b, v = [[1.0, 2.0], [0.5, -1.0]], [0.0, 3.0], [[1.0, 0.0], [0.0, 1.0]]
+    listed, arrays = RFFMap(W, b), RFFMap(np.array(W), np.array(b))
+    for name in ("weights", "offsets"):
+        assert getattr(listed, name).dtype == np.float64
+    target, array_target = NonlinearTarget(v), NonlinearTarget(np.array(v))
+    assert target.directions.dtype == np.float64
+    x = np.array([[0.3, -0.2], [0.1, 0.4]])
+    np.testing.assert_array_equal(apply_rff(listed, x), apply_rff(arrays, x))
+    np.testing.assert_array_equal(eval_target(target, x), eval_target(array_target, x))
+    assert eval_target(target, np.ones(2)) == eval_target(array_target, np.ones(2))
+
+
 def test_target_directions_are_unit_to_1e_12():
     v = np.zeros((3, 4))
     v[:, 0] = 1.0
     NonlinearTarget(directions=v)
     v[1, 0] = 1.0 + 1e-9  # within allclose's default rtol of 1e-5
-    with pytest.raises(ValueError, match="unit vectors"):
+    with pytest.raises(InvalidConfig, match="^directions must be unit vectors"):
         NonlinearTarget(directions=v)
     for seed in range(20):  # sampled directions are normalized in floats
         sample_nonlinear_target(10, 1000, np.random.default_rng(seed))

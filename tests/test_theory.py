@@ -404,7 +404,7 @@ def test_diagonal_theory_matches_simulation():
     errs = []
     for seed in child_seeds(7, 100):
         ds = sample_diagonal(cfg, seed=seed)
-        errs.append(ds.test.mse(fit(ds.X_tr, ds.Y_tr, p, alpha).beta_hat[:, None])[0])
+        errs.append(ds.test.mse(fit(ds.X_tr, ds.Y_tr, p, alpha)[:, None])[0])
     errs = np.asarray(errs)
     se = errs.std(ddof=1) / np.sqrt(len(errs))
     theory = err_density(p, alpha, 0.5, 1.0, 0.5, dens)
