@@ -10,11 +10,11 @@ norms, which is the content of the extended Gauss-Markov theorem.
 import numpy as np
 
 from schattenreg import (
+    MODEL_NAMES,
     SchattenIndex,
     estimator_operator,
     operator_diagnostics,
 )
-from schattenreg.cv import MODEL_NAMES
 
 X = np.diag(np.sqrt(np.arange(1.0, 11.0)))
 

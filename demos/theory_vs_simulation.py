@@ -9,6 +9,7 @@ demo-friendly replicate count.
 import numpy as np
 
 from schattenreg import (
+    MODEL_NAMES,
     DiagonalEnsembleConfig,
     MarchenkoPastur,
     PowerLaw,
@@ -17,7 +18,6 @@ from schattenreg import (
     error_integrals,
     simulate_path_errors,
 )
-from schattenreg.cv import MODEL_NAMES
 
 N, D = 100, 50
 LAM = D / N

@@ -29,7 +29,6 @@ from .cv import (
     BenchReport,
     CVConfig,
     MODEL_NAMES,
-    RFFBenchConfig,
     run_benchmark,
     simulate_path_errors,
 )
@@ -42,6 +41,7 @@ from .ensembles import (
     SphericalGaussianConfig,
 )
 from .exceptions import InvalidConfig, MissingTarget, ParseError, SchattenRegError
+from .rff import RFFBenchConfig
 from .spectrum import SchattenIndex
 from .theory import MarchenkoPastur, PowerLaw, error_integrals
 

@@ -65,7 +65,6 @@ __all__ = [
     "BenchReport",
     "CVConfig",
     "MODEL_NAMES",
-    "RFFBenchConfig",
     "aggregate_wins",
     "kfold_select_alpha",
     "run_benchmark",
@@ -98,6 +97,15 @@ class AlphaGrid:
         return np.geomspace(self.lo, self.hi, self.count)
 
 
+def _check_models(models) -> None:
+    """Raise InvalidConfig unless models holds at least one SchattenIndex and
+    no other entry, and none twice."""
+    if not (models and all(isinstance(m, SchattenIndex) for m in models)
+            and len(set(models)) == len(models)):
+        raise InvalidConfig(f"models: need distinct models, at least one, "
+                            f"each a SchattenIndex, got {models!r}")
+
+
 @dataclass(frozen=True)
 class CVConfig:
     folds: int = 3
@@ -114,9 +122,7 @@ class CVConfig:
         _check_counts(self, "folds", least=2)
         _check_counts(self, "n_datasets")
         _check_counts(self, "seed", least=0)
-        if not self.models or len(set(self.models)) < len(self.models):
-            raise InvalidConfig(
-                f"models: need distinct models, at least one, got {self.models!r}")
+        _check_models(self.models)
 
 
 @dataclass(frozen=True)
@@ -304,6 +310,7 @@ def simulate_path_errors(
     numpy releases the GIL while it draws and multiplies."""
     _check_counts({"seed": seed}, least=0)
     _check_counts({"n_datasets": n_datasets})
+    _check_models(models)
     seeds = child_seeds(seed, n_datasets)
     return np.stack(_replicates(
         lambda j: _path_errors(sample_ensemble(ensemble_config, seeds[j]), models, alphas),

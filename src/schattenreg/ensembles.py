@@ -124,7 +124,9 @@ def _test_gram(n: int, d: int, draw) -> np.ndarray:
 
 
 def child_seeds(master_seed: int, n: int) -> list[int]:
-    """Independent per-replicate seeds derived from a master seed."""
+    """n >= 1 independent per-replicate seeds derived from a master seed >= 0."""
+    _check_counts({"master_seed": master_seed}, least=0)
+    _check_counts({"n": n})
     ss = np.random.SeedSequence(master_seed)
     return [int(s.generate_state(1)[0]) for s in ss.spawn(n)]
 
@@ -289,11 +291,14 @@ class RealDataConfig:
 
 
 def haar_stiefel(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed (n, d) frame with orthonormal columns.
+    """Haar-distributed (n, d) frame with orthonormal columns, for 1 <= d <= n.
 
     Thin QR of a Gaussian matrix, with the diagonal of R forced positive so
     the distribution is exactly Haar.
     """
+    _check_counts({"n": n, "d": d})
+    if d > n:
+        raise InvalidConfig(f"d must be at most n = {n}, got {d}")
     Q, R = np.linalg.qr(rng.standard_normal((n, d)))
     return Q * np.sign(np.diag(R))
 

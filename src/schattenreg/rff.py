@@ -150,6 +150,7 @@ class RFFRows:
 
 
 def sample_nonlinear_target(d: int, n_terms: int, rng: np.random.Generator) -> NonlinearTarget:
+    _check_counts({"d": d, "n_terms": n_terms})
     v = rng.standard_normal((n_terms, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return NonlinearTarget(directions=v)

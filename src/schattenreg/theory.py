@@ -370,13 +370,9 @@ class ErrorIntegrals:
 
     def error(self, beta: float, sigma: float):
         """Error per alpha, the 2n-node value checked against the n-node one;
-        a float for a scalar alpha grid.  beta and sigma must be finite and
-        nonnegative, as every sampler has them, with finite squares."""
-        scales = {"beta": beta, "sigma": sigma}
-        _check_reals(scales, admits=math.isfinite, what="finite")
-        _check_reals(scales, admits=lambda v: math.isfinite(float(v) * float(v)),
-                     what="small enough that its square is finite")
-        _check_reals(scales)
+        a float for a scalar alpha grid; beta and sigma as _check_scales
+        admits them."""
+        _check_scales(beta, sigma)
         b2, s2 = beta * beta, sigma * sigma
         coarse, fine = b2 * self.sums[:, 0] + s2 * self.sums[:, 1]
         # The error is quadratic in (beta, sigma), and the bound is relative to
@@ -392,6 +388,16 @@ class ErrorIntegrals:
                                     f"at alpha = {self.alphas.flat[k]:g}")
         out = self.lam * fine
         return float(out[0]) if self.alphas.ndim == 0 else out.reshape(self.alphas.shape)
+
+
+def _check_scales(beta: float, sigma: float) -> None:
+    """beta and sigma as every error takes them: finite and nonnegative, as
+    every sampler has them, with finite squares."""
+    scales = {"beta": beta, "sigma": sigma}
+    _check_reals(scales, admits=math.isfinite, what="finite")
+    _check_reals(scales, admits=lambda v: math.isfinite(float(v) * float(v)),
+                 what="small enough that its square is finite")
+    _check_reals(scales)
 
 
 def error_integrals(models: tuple[SchattenIndex, ...],
@@ -440,6 +446,7 @@ def err_spectral_closed(alpha: float, lam: float, beta: float, sigma: float) -> 
     """Spectral-estimator error: (lam beta^2 alpha^2 + lam sigma^2/(1-lam)) / (1+alpha)^2."""
     MarchenkoPastur(lam)  # validates lam
     _check_closed_alpha(alpha)
+    _check_scales(beta, sigma)
     if np.isinf(alpha):
         return lam * beta * beta
     num = lam * beta * beta * alpha * alpha + lam * sigma * sigma / (1.0 - lam)
@@ -503,6 +510,7 @@ def err_nuclear_closed(alpha: float, lam: float, beta: float, sigma: float) -> f
     """
     mp = MarchenkoPastur(lam)
     _check_closed_alpha(alpha)
+    _check_scales(beta, sigma)
     b2, s2 = beta * beta, sigma * sigma
     lo, hi = mp.support_lo, mp.support_hi
     if np.isinf(alpha):
@@ -524,7 +532,8 @@ def err_nuclear_closed(alpha: float, lam: float, beta: float, sigma: float) -> f
 
 
 def oracle_ridge_alpha(beta: float, sigma: float) -> float:
-    """The oracle-optimal ridge strength sigma^2 / beta^2."""
+    """The oracle-optimal ridge strength sigma^2 / beta^2, for beta > 0."""
+    _check_scales(beta, sigma)
     if beta == 0:
         raise ZeroDivisionError("oracle ridge strength undefined for beta = 0")
     return sigma * sigma / (beta * beta)

@@ -25,16 +25,21 @@ from schattenreg import (
     SphericalGaussianConfig,
     apply_rff,
     bias_bound_to_alpha,
+    child_seeds,
+    err_nuclear_closed,
+    err_spectral_closed,
     error_integrals,
     eval_target,
     expected_cv_minimum,
     fit,
     fit_path,
     gram_spectrum,
+    haar_stiefel,
     kfold_select_alpha,
     locate_min_and_curvature,
     monte_carlo_parabola_min,
     operator_diagnostics,
+    oracle_ridge_alpha,
     predict,
     project_schatten_ball,
     sample_nonlinear_target,
@@ -100,6 +105,18 @@ _FIELDS = {
     # every sampler has them, and whose squares must be finite.
     "error.beta": ("beta", lambda v: _integrals()[0].error(v, 1.0), (1e200, -1e155, -1.0)),
     "error.sigma": ("sigma", lambda v: _integrals()[0].error(1.0, v), (1e200, -1e155, -1.0)),
+    # The closed forms and the oracle ridge strength take them as it does.
+    **{f"{call.__name__}.{f}": (f, lambda v, call=call, args=args, f=f: call(
+        *args, **{"beta": 1.0, "sigma": 1.0, f: v}), (1e200, -1e155, -1.0))
+       for call, args in ((err_spectral_closed, (1.0, 0.5)), (err_nuclear_closed, (1.0, 0.5)),
+                          (oracle_ridge_alpha, ())) for f in ("beta", "sigma")},
+    "child-seeds.master_seed": ("master_seed", lambda v: child_seeds(v, 3), (-1, 2.5)),
+    "child-seeds.n": ("n", lambda v: child_seeds(0, v), (0, 2.5)),
+    "haar-stiefel.n": ("n", lambda v: haar_stiefel(v, 1, np.random.default_rng(0)), (0, 2.5)),
+    "haar-stiefel.d": ("d", lambda v: haar_stiefel(5, v, np.random.default_rng(0)), (0, 2.5, 6)),
+    **{f"nonlinear-target.{f}": (f, lambda v, f=f: sample_nonlinear_target(
+        **{"d": 3, "n_terms": 8, f: v}, rng=np.random.default_rng(0)), (0, 2.5))
+       for f in ("d", "n_terms")},
     "cv-minimum.n": ("n", lambda v: expected_cv_minimum(0.0, 1.0, 1.0, v), (0, 2.5)),
     "cv-minimum.delta": ("delta", lambda v: expected_cv_minimum(0.0, 1.0, v, 3), (0.0, -1.0)),
     "parabola-min.n": ("n", lambda v: monte_carlo_parabola_min(0, 1, 1, v, reps=1000), (0, 2.5)),
@@ -121,7 +138,9 @@ def test_every_number_the_library_takes_is_rejected_naming_its_field(field, make
     # C = "0.5" as 0.5 and True as 1.0, and sample_rff_map(2.5, 10),
     # error_integrals' lam="0.5" and reps=1000.5 failed inside Python or numpy;
     # project_schatten_ball returned NaN for a NaN radius at p = 2 and inf, and
-    # failed in numpy for -1 at p = 1.
+    # failed in numpy for -1 at p = 1; haar_stiefel(5, 6) returned a (5, 5)
+    # frame, child_seeds(0, -1) raised OverflowError, and the closed forms
+    # returned NaN for a NaN beta.
     with pytest.raises(InvalidConfig) as info:
         make(value)
     assert str(info.value).startswith(f"{field} must be ")

@@ -1100,3 +1100,21 @@ def test_repeated_models_are_rejected(models):
     # entry's win count would overwrite the earlier one's.
     with pytest.raises(InvalidConfig, match="models: need distinct models"):
         CVConfig(models=models)
+
+
+@pytest.mark.parametrize("models", [
+    (), ("ridge",), (SchattenIndex.FROBENIUS, 2), (SchattenIndex.FROBENIUS,) * 2,
+], ids=["none", "name", "number", "repeated"])
+def test_both_replicate_entries_check_the_models_first(models, monkeypatch):
+    # CVConfig took ("ridge",), and simulate_path_errors any models at all;
+    # a name failed later with "'str' object has no attribute 'shrinkage'".
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a dataset was drawn before the models were checked")
+
+    monkeypatch.setattr(cv, "sample_ensemble", no_sampling)
+    match = "^models: need distinct models, at least one"
+    with pytest.raises(InvalidConfig, match=match):
+        CVConfig(models=models)
+    with pytest.raises(InvalidConfig, match=match):
+        simulate_path_errors(SphericalGaussianConfig(30, 5, n_test=10), models,
+                             np.array([1.0]), 2, 0)

@@ -99,3 +99,22 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"schattenreg.{info.name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert missing == [], info.name
+
+
+def test_the_package_binds_each_module_list_once():
+    # Each module's __all__ is the one list of its public names: the package
+    # binds every name in them, and spectrum's three, and nothing else; and a
+    # name listed by two modules would be bound from whichever came last.
+    import importlib
+    import pkgutil
+    import types
+
+    import schattenreg
+
+    lists = [getattr(importlib.import_module(f"schattenreg.{info.name}"), "__all__", ())
+             for info in pkgutil.iter_modules(schattenreg.__path__)]
+    listed = [name for names in lists for name in names]
+    assert sorted(n for n in set(listed) if listed.count(n) > 1) == []
+    bound = {n for n, v in vars(schattenreg).items()
+             if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert bound == set(listed) | {"GramSpectrum", "SchattenIndex", "gram_spectrum"}
