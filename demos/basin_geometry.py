@@ -10,9 +10,9 @@ its minimum is slightly higher.
 import numpy as np
 
 from schattenreg import (
+    MODEL_NAMES,
     AlphaGrid,
     MarchenkoPastur,
-    SchattenIndex,
     error_integrals,
     expected_cv_minimum,
     geometry_table,
@@ -22,8 +22,8 @@ from schattenreg.basin import DEFAULT_GRID_HI, DEFAULT_GRID_LO, DEFAULT_GRID_N
 
 LAM, BETA = 0.5, 1.0
 SIGMAS = [0.5, 1.0, 2.0]
-MODELS = {"ridge": SchattenIndex.FROBENIUS, "nuclear": SchattenIndex.NUCLEAR,
-          "spectral": SchattenIndex.SPECTRAL}
+# Ridge, the reference of every cell, first; then MODEL_NAMES' order.
+MODELS = {name: p for p, name in sorted(MODEL_NAMES.items(), key=lambda item: item[1] != "ridge")}
 
 grid = AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, DEFAULT_GRID_N).values()
 # One pass for all three estimators; each sigma then costs no quadrature.

@@ -99,6 +99,7 @@ def monte_carlo_parabola_min(
     Rejects the n and delta that expected_cv_minimum rejects."""
     _check_draws(delta, n)
     _check_counts({"reps": reps}, least=1000)
+    _check_counts({"seed": seed}, least=0)
     rng = np.random.default_rng(seed)
     x = rng.uniform(-delta, delta, size=(reps, n))
     mins = (kappa * kappa * np.min(x * x, axis=1) / 2.0) + mu

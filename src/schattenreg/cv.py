@@ -58,7 +58,7 @@ from .ensembles import (
 from .estimators import fit_path
 from .exceptions import InsufficientData, InvalidConfig, _check_array, _check_counts, _check_reals
 from .rff import RFFBenchConfig, make_rff_dataset
-from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
+from .spectrum import GramSpectrum, SchattenIndex, _check_models, gram_spectrum
 
 __all__ = [
     "AlphaGrid",
@@ -97,15 +97,6 @@ class AlphaGrid:
         return np.geomspace(self.lo, self.hi, self.count)
 
 
-def _check_models(models) -> None:
-    """Raise InvalidConfig unless models holds at least one SchattenIndex and
-    no other entry, and none twice."""
-    if not (models and all(isinstance(m, SchattenIndex) for m in models)
-            and len(set(models)) == len(models)):
-        raise InvalidConfig(f"models: need distinct models, at least one, "
-                            f"each a SchattenIndex, got {models!r}")
-
-
 @dataclass(frozen=True)
 class CVConfig:
     folds: int = 3
@@ -136,17 +127,9 @@ class BenchReport:
     ridge_ratio: dict[str, float] | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "models": list(self.models),
-            "errors": self.errors.tolist(),
-            "selected_alphas": self.selected_alphas.tolist(),
-            "avg_error": self.avg_error,
-            "win_count": self.win_count,
-            "win_prob": self.win_prob,
-        }
-        if self.ridge_ratio is not None:
-            out["ridge_ratio"] = self.ridge_ratio
-        return out
+        """Every field, arrays as nested lists; ridge_ratio only when set."""
+        return {name: value.tolist() if isinstance(value, np.ndarray) else value
+                for name, value in vars(self).items() if value is not None}
 
 
 def _check_folds(n: int, folds: int) -> None:

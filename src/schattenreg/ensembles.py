@@ -34,7 +34,8 @@ import numpy as np
 # set-up rather than inside the first sampling call.
 import numpy.random  # noqa: F401
 
-from .exceptions import InvalidConfig, NonFinite, _check_array, _check_counts, _check_reals
+from .exceptions import (InvalidConfig, NonFinite, _check_array, _check_counts, _check_reals,
+                         _check_scales)
 from .spectrum import GramSpectrum, gram_spectrum
 from .theory import Atoms, PowerLaw
 
@@ -219,7 +220,7 @@ class SphericalGaussianConfig:
 
     def __post_init__(self):
         _check_counts(self, "n_obs", "n_feat", "n_test")
-        _check_reals(self, "beta", "sigma")
+        _check_scales(self, "beta", "sigma")
 
 
 @dataclass(frozen=True)
@@ -238,7 +239,7 @@ class DiagonalEnsembleConfig:
         if self.n_feat > self.n_obs:
             raise InvalidConfig(f"n_feat: the diagonal ensemble's Stiefel frames need "
                                 f"n_feat <= n_obs, got n_feat {self.n_feat} > n_obs {self.n_obs}")
-        _check_reals(self, "beta", "sigma")
+        _check_scales(self, "beta", "sigma")
         _check_reals(self, "noise_half_width", admits=lambda v: 0.0 <= v <= 1.0, what="in [0, 1]")
 
 
@@ -252,7 +253,7 @@ class SparseSpec:
 
     def __post_init__(self):
         _check_counts(self, "n_large", least=0)
-        _check_reals(self, "small_scale")
+        _check_scales(self, "small_scale")
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,7 @@ class EquicorrelatedConfig:
 
     def __post_init__(self):
         _check_reals(self, "rho", admits=lambda v: 0.0 <= v < 1.0, what="in [0, 1)")
-        _check_reals(self, "sigma")
+        _check_scales(self, "sigma")
         _check_counts(self, "n_obs", "n_feat", "n_test")
         if self.sparse is not None and self.sparse.n_large > self.n_feat:
             raise InvalidConfig(f"sparse: n_large {self.sparse.n_large} exceeds "
@@ -309,6 +310,7 @@ def _scaled(z: np.ndarray, scale: float) -> np.ndarray:
 
 
 def sample_spherical(config: SphericalGaussianConfig, seed: int = 0) -> Dataset:
+    _check_counts({"seed": seed}, least=0)
     rng = np.random.default_rng(seed)
     N, d = config.n_obs, config.n_feat
     scale = 1.0 / np.sqrt(N)
@@ -321,6 +323,7 @@ def sample_spherical(config: SphericalGaussianConfig, seed: int = 0) -> Dataset:
 
 
 def sample_diagonal(config: DiagonalEnsembleConfig, seed: int = 0) -> Dataset:
+    _check_counts({"seed": seed}, least=0)
     rng = np.random.default_rng(seed)
     N, d = config.n_obs, config.n_feat
     lam = config.spectral_density.sample(d, rng)
@@ -351,6 +354,7 @@ def _mix(z: np.ndarray, g: np.ndarray | None, rho: float, N: int) -> np.ndarray:
 
 
 def sample_equicorrelated(config: EquicorrelatedConfig, seed: int = 0) -> Dataset:
+    _check_counts({"seed": seed}, least=0)
     rng = np.random.default_rng(seed)
     N, d = config.n_obs, config.n_feat
     X_tr = _mix(rng.standard_normal((N, d)), rng.standard_normal((N, 1)), config.rho, N)
@@ -378,6 +382,7 @@ def sample_real_data(config: RealDataConfig, seed: int = 0) -> Dataset:
     RowTestSet of the rest, its features z-scored and its targets centered by
     the training rows' statistics alone (a constant column keeps scale 1);
     NonFinite names the X column or y whose statistics are not finite."""
+    _check_counts({"seed": seed}, least=0)
     perm = np.random.default_rng(seed).permutation(len(config.y))
     tr, te = perm[:config.n_obs], perm[config.n_obs:]
     X_tr, y_tr = config.X[tr], config.y[tr]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DomainError, NonFinite, _check_array, _check_reals
-from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
+from .spectrum import GramSpectrum, SchattenIndex, _check_model, gram_spectrum
 
 __all__ = [
     "alpha_to_bias_bound",
@@ -46,6 +46,7 @@ def fit(X: np.ndarray, Y: np.ndarray, p: SchattenIndex, alpha: float) -> np.ndar
     regularization strength alpha: column 0 of fit_path at [alpha].  Raises
     DimensionMismatch unless X is 2-d, (N, d), and Y is (N,), and NonFinite
     for a NaN or inf in either or in the coefficients."""
+    _check_model(p)
     X = _check_array(X, "X", (None, None))
     Y = _check_array(Y, "Y", X.shape[:1])
     beta = fit_path(gram_spectrum(X), X.T @ Y, p, [alpha])[:, 0]
@@ -60,6 +61,7 @@ def fit_path(spectrum: GramSpectrum, xty: np.ndarray, p: SchattenIndex, alphas) 
     filter matrix and one product for the whole path, over the kept
     eigenpairs alone: X^T Y has no component on the null directions.
     Raises DimensionMismatch unless xty is (d,), and NonFinite unless it is finite."""
+    _check_model(p)
     xty = _check_array(xty, "xty", (spectrum.n_feat,))
     W = _inverse_filter_weights(spectrum, p, np.asarray(alphas, dtype=float).ravel())
     U = spectrum.eigvecs
@@ -76,6 +78,7 @@ def predict(beta: np.ndarray, X_test: np.ndarray) -> np.ndarray:
 
 def estimator_operator(X: np.ndarray, p: SchattenIndex, alpha: float) -> np.ndarray:
     """The (d, N) matrix L with beta-hat = L Y, i.e. L = G-hat^{-1} X^T."""
+    _check_model(p)
     X = np.asarray(X, dtype=float)
     spectrum = gram_spectrum(X)
     U = spectrum.eigvecs
@@ -88,6 +91,7 @@ def operator_diagnostics(
     """(Schatten-p norm of LX - I, Tr(L L^T) / 2) for a candidate operator.
     Raises DimensionMismatch unless X is 2-d, (N, d), and L is (d, N), and
     NonFinite for a NaN or inf in either."""
+    _check_model(p)
     X = _check_array(X, "X", (None, None))
     L = _check_array(L, "L", X.shape[::-1])
     d = X.shape[1]
@@ -107,6 +111,7 @@ def alpha_to_bias_bound(spectrum: GramSpectrum, p: SchattenIndex, alpha: float) 
     (#null for p=1, sqrt(#null) for p=2, 1 for p=inf when G is singular;
     0 at full rank) up to d**(1/p) at alpha = inf.
     """
+    _check_model(p)
     s = spectrum.eigvals
     _, q = p.shrinkage(s, alpha)
     null = np.ones(spectrum.n_feat - spectrum.rank)
@@ -123,6 +128,7 @@ def bias_bound_to_alpha(spectrum: GramSpectrum, p: SchattenIndex, C: float) -> f
     root-finding pins alpha to ~1e-12 relative.  A C below the floor set by
     the null directions of G cannot be reached and raises DomainError.
     """
+    _check_model(p)
     _check_reals({"bias bound C": C})
     d = spectrum.n_feat
     if C >= p.identity_norm(d):

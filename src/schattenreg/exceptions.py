@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package, and the checks every input
-goes through: _check_reals and _check_counts for every number the package
-takes, _check_array for every array.  Each error names the argument or field
-at fault, and InvalidConfig, DimensionMismatch and NonFinite are ValueErrors
-too."""
+goes through: _check_reals and _check_counts for every number, _check_scales
+for every scale an error squares, _check_array for every array.  Each error
+names the argument or field at fault, and InvalidConfig, DimensionMismatch
+and NonFinite are ValueErrors too."""
 
 import math
 import numbers
@@ -74,6 +74,15 @@ def _check_counts(config, *names: str, least: int = 1) -> None:
     """_check_reals for integers (Python or numpy ones) of at least `least`."""
     _check_reals(config, *names, admits=lambda v: isinstance(v, numbers.Integral) and v >= least,
                  what=f"an integer >= {least}")
+
+
+def _check_scales(config, *names: str) -> None:
+    """_check_reals for the scales an error squares (beta, sigma, small_scale):
+    finite, then with a finite square, then nonnegative, checked in that order."""
+    _check_reals(config, *names, admits=math.isfinite, what="finite")
+    _check_reals(config, *names, admits=lambda v: math.isfinite(float(v) * float(v)),
+                 what="small enough that its square is finite")
+    _check_reals(config, *names)
 
 
 def _check_array(value, name: str, shape: tuple) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import DidNotConverge, _check_array, _check_reals
-from .spectrum import SchattenIndex
+from .spectrum import SchattenIndex, _check_model
 
 __all__ = ["project_schatten_ball", "solve_bias_constrained_numeric"]
 
@@ -43,6 +43,7 @@ def project_schatten_ball(B: np.ndarray, p: SchattenIndex, radius: float) -> np.
     """Euclidean (Frobenius) projection onto the Schatten-p ball of given
     radius.  Raises DimensionMismatch unless B is 2-d, NonFinite for a NaN
     or inf entry, and InvalidConfig unless radius is finite and nonnegative."""
+    _check_model(p)
     B = _check_array(B, "B", (None, None))
     _check_reals({"radius": radius})
     if radius == 0:
@@ -73,6 +74,7 @@ def solve_bias_constrained_numeric(X: np.ndarray, C: float, p: SchattenIndex) ->
     scales like 1 / ||X||^2, so at unit scale the stop rule's max(1, |obj|)
     means the same accuracy whatever the units of X.
     """
+    _check_model(p)
     X = _check_array(X, "X", (None, None))
     N, d = X.shape
     _check_reals({"bias bound C": C})

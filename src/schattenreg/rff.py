@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import _BLOCK_BYTES, Dataset, RowTestSet, row_blocks
-from .exceptions import InvalidConfig, _check_array, _check_counts, _check_reals
+from .exceptions import InvalidConfig, _check_array, _check_counts, _check_reals, _check_scales
 from .spectrum import gram_spectrum
 
 __all__ = ["NonlinearTarget", "RFFBenchConfig", "RFFMap", "RFFRows", "apply_rff",
@@ -101,6 +101,7 @@ def sample_rff_map(d: int, d_rbf: int, bandwidth: float = 1.0, seed: int = 0) ->
     _check_counts({"d": d, "d_rbf": d_rbf})
     _check_reals({"bandwidth": bandwidth}, admits=lambda v: 0.0 < v < np.inf,
                  what="finite and positive")
+    _check_counts({"seed": seed}, least=0)
     rng = np.random.default_rng(seed)
     # w ~ N(0, 2 * bandwidth * I) makes E cos(w . (x-y)) = exp(-bandwidth |x-y|^2).
     W = rng.standard_normal((d_rbf, d)) * np.sqrt(2.0 * bandwidth)
@@ -191,7 +192,7 @@ class RFFBenchConfig:
 
     def __post_init__(self):
         _check_counts(self, "d", "d_rbf", "n_obs", "n_test")
-        _check_reals(self, "sigma")
+        _check_scales(self, "sigma")
         _check_reals(self, "bandwidth", admits=lambda v: 0.0 < v < np.inf,
                      what="finite and positive")
 
@@ -204,6 +205,7 @@ def make_rff_dataset(config: RFFBenchConfig, seed: int = 0) -> Dataset:
     factored as soon as they exist; the test features are never formed
     whole: the test set's rows are an RFFRows over the raw test inputs,
     mapped a row block at a time as they are scored."""
+    _check_counts({"seed": seed}, least=0)
     d, d_rbf, n_obs = config.d, config.d_rbf, config.n_obs
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(d_rbf)

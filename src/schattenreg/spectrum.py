@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InsufficientData, NonFinite, _check_array
+from .exceptions import InsufficientData, InvalidConfig, NonFinite, _check_array
 
 # Relative cutoff below which a Gram eigenvalue is treated as exactly zero.
 EIGVAL_RTOL = 1e-12
@@ -102,6 +102,21 @@ class SchattenIndex(enum.Enum):
     def identity_norm(self, d: int) -> float:
         """Schatten-p norm of I_d, i.e. d**(1/p); the saturation point of C."""
         return self.norm(np.ones(d))
+
+
+def _check_models(models) -> None:
+    """Raise InvalidConfig unless models holds at least one SchattenIndex and
+    no other entry, and none twice."""
+    if not (models and all(isinstance(m, SchattenIndex) for m in models)
+            and len(set(models)) == len(models)):
+        raise InvalidConfig(f"models: need distinct models, at least one, "
+                            f"each a SchattenIndex, got {models!r}")
+
+
+def _check_model(p) -> None:
+    """_check_models for the one model p of an entry that takes one."""
+    if not isinstance(p, SchattenIndex):
+        raise InvalidConfig(f"p must be a SchattenIndex, got {p!r}")
 
 
 @dataclass(frozen=True)

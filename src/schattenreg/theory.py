@@ -81,8 +81,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import DomainError, InvalidConfig, QuadratureFailure, _check_array, _check_reals
-from .spectrum import SchattenIndex, _check_alpha
+from .exceptions import (DomainError, InvalidConfig, QuadratureFailure, _check_array, _check_reals,
+                         _check_scales)
+from .spectrum import SchattenIndex, _check_alpha, _check_models
 
 __all__ = [
     "Atoms",
@@ -372,7 +373,7 @@ class ErrorIntegrals:
         """Error per alpha, the 2n-node value checked against the n-node one;
         a float for a scalar alpha grid; beta and sigma as _check_scales
         admits them."""
-        _check_scales(beta, sigma)
+        _check_scales({"beta": beta, "sigma": sigma})
         b2, s2 = beta * beta, sigma * sigma
         coarse, fine = b2 * self.sums[:, 0] + s2 * self.sums[:, 1]
         # The error is quadratic in (beta, sigma), and the bound is relative to
@@ -390,16 +391,6 @@ class ErrorIntegrals:
         return float(out[0]) if self.alphas.ndim == 0 else out.reshape(self.alphas.shape)
 
 
-def _check_scales(beta: float, sigma: float) -> None:
-    """beta and sigma as every error takes them: finite and nonnegative, as
-    every sampler has them, with finite squares."""
-    scales = {"beta": beta, "sigma": sigma}
-    _check_reals(scales, admits=math.isfinite, what="finite")
-    _check_reals(scales, admits=lambda v: math.isfinite(float(v) * float(v)),
-                 what="small enough that its square is finite")
-    _check_reals(scales)
-
-
 def error_integrals(models: tuple[SchattenIndex, ...],
                     measure: MarchenkoPastur | PowerLaw | Atoms, alphas,
                     lam: float) -> tuple[ErrorIntegrals, ...]:
@@ -409,6 +400,7 @@ def error_integrals(models: tuple[SchattenIndex, ...],
     integrals every (beta, sigma).  lam = d/N in (0, 1] is the error's
     prefactor; a MarchenkoPastur measure must carry the same lam.  Raises
     ValueError, before any rule is built, unless every alpha >= 0."""
+    _check_models(models)
     _check_reals({"lam": lam}, admits=lambda v: 0.0 < v <= 1.0, what="finite and in (0, 1]")
     if isinstance(measure, MarchenkoPastur) and lam != measure.lam:
         raise ValueError(f"lam {lam!r} differs from the MP law's {measure.lam!r}")
@@ -446,7 +438,7 @@ def err_spectral_closed(alpha: float, lam: float, beta: float, sigma: float) -> 
     """Spectral-estimator error: (lam beta^2 alpha^2 + lam sigma^2/(1-lam)) / (1+alpha)^2."""
     MarchenkoPastur(lam)  # validates lam
     _check_closed_alpha(alpha)
-    _check_scales(beta, sigma)
+    _check_scales({"beta": beta, "sigma": sigma})
     if np.isinf(alpha):
         return lam * beta * beta
     num = lam * beta * beta * alpha * alpha + lam * sigma * sigma / (1.0 - lam)
@@ -510,7 +502,7 @@ def err_nuclear_closed(alpha: float, lam: float, beta: float, sigma: float) -> f
     """
     mp = MarchenkoPastur(lam)
     _check_closed_alpha(alpha)
-    _check_scales(beta, sigma)
+    _check_scales({"beta": beta, "sigma": sigma})
     b2, s2 = beta * beta, sigma * sigma
     lo, hi = mp.support_lo, mp.support_hi
     if np.isinf(alpha):
@@ -533,7 +525,7 @@ def err_nuclear_closed(alpha: float, lam: float, beta: float, sigma: float) -> f
 
 def oracle_ridge_alpha(beta: float, sigma: float) -> float:
     """The oracle-optimal ridge strength sigma^2 / beta^2, for beta > 0."""
-    _check_scales(beta, sigma)
+    _check_scales({"beta": beta, "sigma": sigma})
     if beta == 0:
         raise ZeroDivisionError("oracle ridge strength undefined for beta = 0")
     return sigma * sigma / (beta * beta)

@@ -1,6 +1,8 @@
 """Every number the library takes goes through exceptions._check_reals or
-_check_counts: a bool, a string, NaN, an infinity or an out-of-range number
-raises InvalidConfig naming the field.  Every array it takes goes through
+_check_counts, and every scale whose square an error takes through
+_check_scales: a bool, a string, NaN, an infinity or an out-of-range number
+raises InvalidConfig naming the field, as does a model argument that is not a
+SchattenIndex.  Every array it takes goes through
 exceptions._check_array: wrong dimensions raise DimensionMismatch and a NaN
 or an infinity NonFinite, each naming the argument.  All three are
 ValueErrors."""
@@ -24,11 +26,13 @@ from schattenreg import (
     SparseSpec,
     SphericalGaussianConfig,
     apply_rff,
+    alpha_to_bias_bound,
     bias_bound_to_alpha,
     child_seeds,
     err_nuclear_closed,
     err_spectral_closed,
     error_integrals,
+    estimator_operator,
     eval_target,
     expected_cv_minimum,
     fit,
@@ -36,13 +40,18 @@ from schattenreg import (
     gram_spectrum,
     haar_stiefel,
     kfold_select_alpha,
+    make_rff_dataset,
     locate_min_and_curvature,
     monte_carlo_parabola_min,
     operator_diagnostics,
     oracle_ridge_alpha,
     predict,
     project_schatten_ball,
+    sample_diagonal,
+    sample_equicorrelated,
     sample_nonlinear_target,
+    sample_real_data,
+    sample_spherical,
     solve_bias_constrained_numeric,
 )
 from schattenreg.exceptions import (DimensionMismatch, InvalidConfig, NonFinite,
@@ -64,24 +73,27 @@ def _diagonal(**fields):
 _FIELDS = {
     **{f"spherical.{f}": (f, lambda v, f=f: SphericalGaussianConfig(
         **{"n_obs": 20, "n_feat": 5, f: v}), (0, 2.5)) for f in ("n_obs", "n_feat", "n_test")},
-    **{f"spherical.{f}": (f, lambda v, f=f: SphericalGaussianConfig(20, 5, **{f: v}), (-1.0,))
-       for f in ("beta", "sigma")},
+    # A scale's square must be finite too: the test errors are quadratic in it.
+    **{f"spherical.{f}": (f, lambda v, f=f: SphericalGaussianConfig(20, 5, **{f: v}),
+                          (1e200, -1e155, -1.0)) for f in ("beta", "sigma")},
     **{f"diagonal.{f}": (f, lambda v, f=f: _diagonal(**{f: v}), (0, 2.5))
        for f in ("n_obs", "n_feat")},
-    **{f"diagonal.{f}": (f, lambda v, f=f: _diagonal(**{f: v}), (-1.0,))
+    **{f"diagonal.{f}": (f, lambda v, f=f: _diagonal(**{f: v}), (1e200, -1e155, -1.0))
        for f in ("beta", "sigma")},
     "diagonal.noise_half_width": ("noise_half_width",
                                   lambda v: _diagonal(noise_half_width=v), (-0.1, 1.5)),
     **{f"equicorrelated.{f}": (f, lambda v, f=f: EquicorrelatedConfig(
         **{"n_obs": 20, "n_feat": 5, f: v}), (0, 2.5)) for f in ("n_obs", "n_feat", "n_test")},
     "equicorrelated.rho": ("rho", lambda v: EquicorrelatedConfig(20, 5, rho=v), (-0.1, 1.0)),
-    "equicorrelated.sigma": ("sigma", lambda v: EquicorrelatedConfig(20, 5, sigma=v), (-1.0,)),
+    "equicorrelated.sigma": ("sigma", lambda v: EquicorrelatedConfig(20, 5, sigma=v),
+                             (1e200, -1e155, -1.0)),
     "sparse.n_large": ("n_large", lambda v: SparseSpec(n_large=v), (-1, 2.5)),
-    "sparse.small_scale": ("small_scale", lambda v: SparseSpec(small_scale=v), (-0.1,)),
+    "sparse.small_scale": ("small_scale", lambda v: SparseSpec(small_scale=v),
+                           (1e200, -1e155, -0.1)),
     "real.n_obs": ("n_obs", lambda v: RealDataConfig(np.ones((5, 2)), np.ones(5), v), (0, 5, 2.5)),
     **{f"rff.{f}": (f, lambda v, f=f: RFFBenchConfig(**{f: v}), (0, 2.5))
        for f in ("d", "d_rbf", "n_obs", "n_test")},
-    "rff.sigma": ("sigma", lambda v: RFFBenchConfig(sigma=v), (-1.0,)),
+    "rff.sigma": ("sigma", lambda v: RFFBenchConfig(sigma=v), (1e200, -1e155, -1.0)),
     "rff.bandwidth": ("bandwidth", lambda v: RFFBenchConfig(bandwidth=v), (0.0, -1.0)),
     "grid.lo": ("lo", lambda v: AlphaGrid(lo=v), (0.0, -1.0)),
     "grid.hi": ("hi", lambda v: AlphaGrid(lo=0.5, hi=v), (0.5, 0.1)),
@@ -124,6 +136,17 @@ _FIELDS = {
                            (0.0,)),
     "parabola-min.reps": ("reps", lambda v: monte_carlo_parabola_min(0, 1, 1, 3, reps=v),
                           (999, 1000.5)),
+    # Every seed is checked before any draw.
+    **{f"{call.__name__}.seed": ("seed", lambda v, call=call, config=config: call(
+        config, seed=v), (-1, 2.5))
+       for call, config in ((sample_spherical, SphericalGaussianConfig(20, 5)),
+                            (sample_diagonal, _diagonal()),
+                            (sample_equicorrelated, EquicorrelatedConfig(20, 5)),
+                            (sample_real_data, RealDataConfig(np.ones((5, 2)), np.ones(5), 3)),
+                            (make_rff_dataset, RFFBenchConfig(d_rbf=10, n_obs=5, n_test=5)))},
+    "rff-map.seed": ("seed", lambda v: sample_rff_map(2, 10, seed=v), (-1, 2.5)),
+    "parabola-min.seed": ("seed", lambda v: monte_carlo_parabola_min(0, 1, 1, 3, reps=1000,
+                                                                     seed=v), (-1, 2.5)),
 }
 
 
@@ -140,10 +163,49 @@ def test_every_number_the_library_takes_is_rejected_naming_its_field(field, make
     # project_schatten_ball returned NaN for a NaN radius at p = 2 and inf, and
     # failed in numpy for -1 at p = 1; haar_stiefel(5, 6) returned a (5, 5)
     # frame, child_seeds(0, -1) raised OverflowError, and the closed forms
-    # returned NaN for a NaN beta.
+    # returned NaN for a NaN beta.  The samplers admitted a beta, sigma or
+    # small_scale of 1e200, whose errors overflow, and passed seed to numpy
+    # unchecked: -1 and 2.5 failed there unnamed, and True drew seed 1.
     with pytest.raises(InvalidConfig) as info:
         make(value)
     assert str(info.value).startswith(f"{field} must be ")
+
+
+_EYE = np.eye(3)
+
+# Per entry that takes one model p, a call taking it.
+_ONE_MODEL = {
+    "fit": lambda p: fit(_EYE, np.ones(3), p, 1.0),
+    "fit_path": lambda p: fit_path(gram_spectrum(_EYE), np.ones(3), p, [1.0]),
+    "estimator_operator": lambda p: estimator_operator(_EYE, p, 1.0),
+    "alpha_to_bias_bound": lambda p: alpha_to_bias_bound(gram_spectrum(_EYE), p, 1.0),
+    "bias_bound_to_alpha": lambda p: bias_bound_to_alpha(gram_spectrum(_EYE), p, 0.5),
+    "operator_diagnostics": lambda p: operator_diagnostics(_EYE, _EYE, p),
+    "project_schatten_ball": lambda p: project_schatten_ball(_EYE, p, 1.0),
+    "numeric-oracle": lambda p: solve_bias_constrained_numeric(_EYE, 0.5, p),
+}
+
+
+def _engine(models):
+    return error_integrals(models, PowerLaw(2.0), 1.0, 0.5)
+
+
+@pytest.mark.parametrize("make, value, want", [
+    *(pytest.param(make, p, "p must be a SchattenIndex", id=f"{key}-{p!r}")
+      for key, make in _ONE_MODEL.items() for p in ("ridge", 2, None)),
+    *(pytest.param(_engine, models, "models: need distinct models, at least one",
+                   id=f"error_integrals-{models!r}")
+      for models in (("ridge",), (2,), (None,), (), (SchattenIndex.FROBENIUS,) * 2)),
+])
+def test_every_model_argument_is_rejected_naming_it(make, value, want):
+    # fit, fit_path, error_integrals and the oracle's callers raised an
+    # AttributeError for a string model, project_schatten_ball projected
+    # onto the spectral ball for any p that was not an index, and
+    # error_integrals returned () for no models and two integrals for a
+    # repeated one.
+    with pytest.raises(InvalidConfig) as info:
+        make(value)
+    assert str(info.value).startswith(want)
 
 
 @pytest.mark.parametrize("error", [InvalidConfig, DimensionMismatch, NonFinite])

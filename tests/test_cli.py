@@ -185,6 +185,12 @@ BAD_CONFIGS = [
     # Ranges are checked where the key is read, or by the config it builds.
     ("cv-bench", {"sigma": -1.0}, [], "sigma"),
     ("rff-bench", {"sigma": -1.0}, [], "sigma"),
+    # A scale whose square overflows would make every error inf or nan.
+    ("cv-bench", {"ensemble": "spherical", "beta": 1e200}, [],
+     "cv-bench: beta must be small enough"),
+    ("cv-bench", {"sparse": {"small_scale": 1e200}}, [],
+     "cv-bench: sparse: small_scale must be small enough"),
+    ("rff-bench", {"sigma": 1e200}, [], "rff-bench: sigma must be small enough"),
     ("rff-bench", {"bandwidth": 0}, [], "bandwidth"),
     ("cv-bench", {"folds": 1}, [], "folds: "),
     ("rff-bench", {"folds": 1}, [], "folds: "),
