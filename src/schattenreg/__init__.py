@@ -8,7 +8,7 @@ generalization-error curves under two random-matrix ensembles, loss-basin
 geometry analysis, and a reproducible cross-validation benchmark harness.
 
 Each module's __all__ is the one list of its public names, and every name
-in them is bound here; spectrum has no __all__, so its three are named.
+in them is bound here.
 """
 
 from .basin import *
@@ -17,7 +17,7 @@ from .ensembles import *
 from .estimators import *
 from .oracle import *
 from .rff import *
-from .spectrum import GramSpectrum, SchattenIndex, gram_spectrum
+from .spectrum import *
 from .theory import *
 
 __version__ = "0.1.0"

@@ -4,12 +4,13 @@ Commands: theory-curve, simulate, cv-bench, rff-bench, basin, real-data;
 real-data alone takes a path, the CSV file to read.  Each reads one JSON
 object from --config against its table of keys; unknown keys, and keys the
 chosen ensemble does not read, are rejected.  Counts are positive JSON
-integers, the seed a non-negative one, and a key appears once.  seed, out
-and format may be set in the config; --seed, --out and --format win.  An
-error names the key ("n_obs: expected a positive integer, got 20.7"), main
-adds the command ("error: simulate: n_obs: ..."), and the run exits 2, before
-any sampling.  A CSV's header is its rows' keys.  Numeric output uses 17
-significant digits so files are bit-stable across runs.
+integers, the seed a non-negative one, and a key appears once.  The seed
+may be set in the config, and --seed wins; the output is named by --out and
+--format alone.  An error names the key ("n_obs: expected a positive
+integer, got 20.7"), main adds the command ("error: simulate: n_obs: ..."),
+and the run exits 2, before any sampling.  A CSV's header is its rows'
+keys.  Numeric output uses 17 significant digits so files are bit-stable
+across runs.
 """
 
 from __future__ import annotations
@@ -191,8 +192,7 @@ def _grid(default: AlphaGrid) -> tuple:
     return _table(default, {"lo": _number, "hi": _number, "count": _count}), default
 
 
-RUN = {"seed": (_seed, 0), "out": (_string, None),
-       "format": (_one_of({"csv", "json"}), None)}
+RUN = {"seed": (_seed, 0)}
 MODELS = (_model_names, tuple(MODEL_NAMES))
 BETA = {"beta": (_number, 1.0)}
 THEORY = {**RUN, **BETA, "models": MODELS}
@@ -465,8 +465,8 @@ def _parser(commands: tuple[str, ...]) -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output file path")
-    parser.add_argument("--format", choices=["csv", "json"], default=None,
-                        help="output format (default: the config's, else csv)")
+    parser.add_argument("--format", choices=["csv", "json"], default="csv",
+                        help="output format (default: csv)")
     return parser
 
 
@@ -502,10 +502,8 @@ def main(argv: list[str] | None = None) -> int:
             meta["standardization"] = "features z-scored and target centered on train split"
         else:
             result = run(cfg)
-        # The command has checked the config's out and format.
-        fmt = args.format or cfg.get("format") or "csv"
-        out = args.out or cfg.get("out") or f"{command.replace('-', '_')}.{fmt}"
-        _write_output(result, out, fmt, meta)
+        out = args.out or f"{command.replace('-', '_')}.{args.format}"
+        _write_output(result, out, args.format, meta)
     except (SchattenRegError, OSError, ValueError) as exc:
         print(f"error: {command}: {exc}", file=sys.stderr)
         return 2

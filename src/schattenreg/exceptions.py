@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package, and the checks every input
 goes through: _check_reals and _check_counts for every number, _check_scales
-for every scale an error squares, _check_array for every array.  Each error
-names the argument or field at fault, and InvalidConfig, DimensionMismatch
-and NonFinite are ValueErrors too."""
+for every scale an error squares (its square times 2^64 finite),
+_check_array for every array.  Each error names the argument or field at
+fault, and InvalidConfig, DimensionMismatch and NonFinite are ValueErrors too."""
 
 import math
 import numbers
@@ -78,10 +78,12 @@ def _check_counts(config, *names: str, least: int = 1) -> None:
 
 def _check_scales(config, *names: str) -> None:
     """_check_reals for the scales an error squares (beta, sigma, small_scale):
-    finite, then with a finite square, then nonnegative, checked in that order."""
+    finite, then small enough that its square times 2^64 is finite (|v| below
+    about 3.1e144), so that the errors' sums of squares over rows and features
+    stay finite too, then nonnegative, checked in that order."""
     _check_reals(config, *names, admits=math.isfinite, what="finite")
-    _check_reals(config, *names, admits=lambda v: math.isfinite(float(v) * float(v)),
-                 what="small enough that its square is finite")
+    _check_reals(config, *names, admits=lambda v: math.isfinite(float(v) * float(v) * 2.0 ** 64),
+                 what="small enough that its square times 2^64 is finite")
     _check_reals(config, *names)
 
 

@@ -30,6 +30,8 @@ import numpy as np
 
 from .exceptions import InsufficientData, InvalidConfig, NonFinite, _check_array
 
+__all__ = ["GramSpectrum", "SchattenIndex", "gram_spectrum"]
+
 # Relative cutoff below which a Gram eigenvalue is treated as exactly zero.
 EIGVAL_RTOL = 1e-12
 

@@ -173,22 +173,29 @@ class MarchenkoPastur(_PanelRule):
     def support_hi(self) -> float:
         return (1.0 + np.sqrt(self.lam)) ** 2
 
+    @property
+    def support_width(self) -> float:
+        # hi - lo = (1 + sqrt(lam))^2 - (1 - sqrt(lam))^2, without the
+        # cancellation of hi - lo, which keeps eps / (4 sqrt(lam)) relative
+        # accuracy and rounds to 0 below lam ~ 1e-32.
+        return 4.0 * np.sqrt(self.lam)
+
     def _panels(self) -> tuple[tuple[float, float, bool], ...]:
         """The base theta panels (start, end, uniform in ln(theta)): linear on
         [0, theta_e], log on [theta_e, pi/2]."""
-        lo, span = self.support_lo, self.support_hi - self.support_lo
+        lo, span = self.support_lo, self.support_width
         theta_e = min(0.5 * np.pi, 4.0 * np.sqrt(lo / span))
         return ((0.0, theta_e, False), (theta_e, 0.5 * np.pi, True))
 
     def _cut(self, alpha):
         """theta(alpha): 0 for every alpha <= lo, pi/2 for every alpha >= hi."""
-        lo, span = self.support_lo, self.support_hi - self.support_lo
+        lo, span = self.support_lo, self.support_width
         return np.arcsin(np.sqrt(np.clip((alpha - lo) / span, 0.0, 1.0)))
 
     def _split(self, panel, theta, n: int):
         """Nodes x, bias weights dMP(x) and variance weights x^-1 dMP(x): one
         theta panel split at the (k, 1) theta into two n-node Legendre halves."""
-        lo, span = self.support_lo, self.support_hi - self.support_lo
+        lo, span = self.support_lo, self.support_width
         a, b, log = panel
         thetas, weights = zip(*(_legendre_panel(p, q, n, log) for p, q in ((a, theta), (theta, b))))
         s, c = np.sin(np.hstack(thetas)), np.cos(np.hstack(thetas))

@@ -73,27 +73,28 @@ def _diagonal(**fields):
 _FIELDS = {
     **{f"spherical.{f}": (f, lambda v, f=f: SphericalGaussianConfig(
         **{"n_obs": 20, "n_feat": 5, f: v}), (0, 2.5)) for f in ("n_obs", "n_feat", "n_test")},
-    # A scale's square must be finite too: the test errors are quadratic in it.
+    # A scale's square times 2^64 must be finite too: the test errors sum it
+    # over rows and features, and overflowed at 1.3e154, whose square is finite.
     **{f"spherical.{f}": (f, lambda v, f=f: SphericalGaussianConfig(20, 5, **{f: v}),
-                          (1e200, -1e155, -1.0)) for f in ("beta", "sigma")},
+                          (1e200, 1.3e154, -1e155, -1.0)) for f in ("beta", "sigma")},
     **{f"diagonal.{f}": (f, lambda v, f=f: _diagonal(**{f: v}), (0, 2.5))
        for f in ("n_obs", "n_feat")},
-    **{f"diagonal.{f}": (f, lambda v, f=f: _diagonal(**{f: v}), (1e200, -1e155, -1.0))
-       for f in ("beta", "sigma")},
+    **{f"diagonal.{f}": (f, lambda v, f=f: _diagonal(**{f: v}),
+                         (1e200, 1.3e154, -1e155, -1.0)) for f in ("beta", "sigma")},
     "diagonal.noise_half_width": ("noise_half_width",
                                   lambda v: _diagonal(noise_half_width=v), (-0.1, 1.5)),
     **{f"equicorrelated.{f}": (f, lambda v, f=f: EquicorrelatedConfig(
         **{"n_obs": 20, "n_feat": 5, f: v}), (0, 2.5)) for f in ("n_obs", "n_feat", "n_test")},
     "equicorrelated.rho": ("rho", lambda v: EquicorrelatedConfig(20, 5, rho=v), (-0.1, 1.0)),
     "equicorrelated.sigma": ("sigma", lambda v: EquicorrelatedConfig(20, 5, sigma=v),
-                             (1e200, -1e155, -1.0)),
+                             (1e200, 1.3e154, -1e155, -1.0)),
     "sparse.n_large": ("n_large", lambda v: SparseSpec(n_large=v), (-1, 2.5)),
     "sparse.small_scale": ("small_scale", lambda v: SparseSpec(small_scale=v),
-                           (1e200, -1e155, -0.1)),
+                           (1e200, 1.3e154, -1e155, -0.1)),
     "real.n_obs": ("n_obs", lambda v: RealDataConfig(np.ones((5, 2)), np.ones(5), v), (0, 5, 2.5)),
     **{f"rff.{f}": (f, lambda v, f=f: RFFBenchConfig(**{f: v}), (0, 2.5))
        for f in ("d", "d_rbf", "n_obs", "n_test")},
-    "rff.sigma": ("sigma", lambda v: RFFBenchConfig(sigma=v), (1e200, -1e155, -1.0)),
+    "rff.sigma": ("sigma", lambda v: RFFBenchConfig(sigma=v), (1e200, 1.3e154, -1e155, -1.0)),
     "rff.bandwidth": ("bandwidth", lambda v: RFFBenchConfig(bandwidth=v), (0.0, -1.0)),
     "grid.lo": ("lo", lambda v: AlphaGrid(lo=v), (0.0, -1.0)),
     "grid.hi": ("hi", lambda v: AlphaGrid(lo=0.5, hi=v), (0.5, 0.1)),
@@ -114,12 +115,14 @@ _FIELDS = {
         np.eye(3), p, v), (-1.0,)) for p in SchattenIndex},
     "error-integrals.lam": ("lam", _integrals, (0.0, 1.5)),
     # The error is quadratic in beta and sigma, which are nonnegative, as
-    # every sampler has them, and whose squares must be finite.
-    "error.beta": ("beta", lambda v: _integrals()[0].error(v, 1.0), (1e200, -1e155, -1.0)),
-    "error.sigma": ("sigma", lambda v: _integrals()[0].error(1.0, v), (1e200, -1e155, -1.0)),
+    # every sampler has them, and whose squares times 2^64 must be finite.
+    "error.beta": ("beta", lambda v: _integrals()[0].error(v, 1.0),
+                   (1e200, 1.3e154, -1e155, -1.0)),
+    "error.sigma": ("sigma", lambda v: _integrals()[0].error(1.0, v),
+                    (1e200, 1.3e154, -1e155, -1.0)),
     # The closed forms and the oracle ridge strength take them as it does.
     **{f"{call.__name__}.{f}": (f, lambda v, call=call, args=args, f=f: call(
-        *args, **{"beta": 1.0, "sigma": 1.0, f: v}), (1e200, -1e155, -1.0))
+        *args, **{"beta": 1.0, "sigma": 1.0, f: v}), (1e200, 1.3e154, -1e155, -1.0))
        for call, args in ((err_spectral_closed, (1.0, 0.5)), (err_nuclear_closed, (1.0, 0.5)),
                           (oracle_ridge_alpha, ())) for f in ("beta", "sigma")},
     "child-seeds.master_seed": ("master_seed", lambda v: child_seeds(v, 3), (-1, 2.5)),

@@ -154,6 +154,9 @@ BAD_CONFIGS = [
     ("theory-curve", {"grid": {"count": 0}}, [], "grid: count"),
     ("simulate", [1, 2], ["--seed", "3"], "JSON object"),
     ("theory-curve", {"format": "xml"}, [], "format"),
+    # The output is named by --out and --format alone.
+    ("theory-curve", {"out": "x.csv"}, [], "theory-curve: out: unknown key"),
+    ("theory-curve", {"format": "json"}, [], "theory-curve: format: unknown key"),
     ("basin", {"models": ["nuclear"]}, [], "models"),
     # With no signal and no noise every curve is 0, Ridge's base included.
     ("basin", {"beta": 0, "sigmas": [1.0, 0]}, [], "sigmas"),
@@ -191,6 +194,10 @@ BAD_CONFIGS = [
     ("cv-bench", {"sparse": {"small_scale": 1e200}}, [],
      "cv-bench: sparse: small_scale must be small enough"),
     ("rff-bench", {"sigma": 1e200}, [], "rff-bench: sigma must be small enough"),
+    # Its square is finite, but the test error's sum of squares overflowed: under
+    # -W error this exited 1 in RowTestSet.mse.
+    ("cv-bench", {"ensemble": "spherical", "beta": 1.3e154, "n_datasets": 3}, [],
+     "cv-bench: beta must be small enough"),
     ("rff-bench", {"bandwidth": 0}, [], "bandwidth"),
     ("cv-bench", {"folds": 1}, [], "folds: "),
     ("rff-bench", {"folds": 1}, [], "folds: "),
@@ -296,24 +303,14 @@ def test_bad_config_exits_2_naming_command_and_key(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cfg, flags, written, fmt", [
-    ({}, [], "theory_curve.csv", "csv"),
-    ({"format": "json"}, [], "theory_curve.json", "json"),
-    ({"format": "json"}, ["--format", "csv"], "theory_curve.csv", "csv"),
-    ({"format": "csv"}, ["--format", "json"], "theory_curve.json", "json"),
-    ({"format": "json", "out": "mine.out"}, [], "mine.out", "json"),
-    ({"out": "mine.out"}, ["--out", "flag.out"], "flag.out", "csv"),
-])
-def test_format_and_out_precedence(tmp_path, monkeypatch, cfg, flags, written, fmt):
-    # A flag wins over the config, the config over the csv default, and the
-    # default file name follows the chosen format.
+def test_the_default_output_is_a_csv_named_after_the_command(tmp_path, monkeypatch):
+    # --out and --format alone name the output; a config cannot.
     monkeypatch.chdir(tmp_path)
     path = _write_cfg(tmp_path, "c.json", {
-        "models": ["ridge"], "grid": {"lo": 1.0, "hi": 2.0, "count": 1}, **cfg})
-    assert main(["theory-curve", "--config", path, *flags]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["c.json", written])
-    text = (tmp_path / written).read_text()
-    assert text.startswith('{\n  "rows"') == (fmt == "json")
+        "models": ["ridge"], "grid": {"lo": 1.0, "hi": 2.0, "count": 1}})
+    assert main(["theory-curve", "--config", path]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "theory_curve.csv"]
+    assert (tmp_path / "theory_curve.csv").read_text().startswith("alpha,")
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +644,20 @@ def test_cv_bench_samples_a_power_law_beyond_its_gauss_rule(tmp_path):
 
 _SMALL_GRID = {"grid": {"lo": 1e-2, "hi": 1e2, "count": 3}}
 _SMALL_BENCH = {**_SMALL_GRID, "n_obs": 20, "n_datasets": 2, "n_test": 30}
+
+
+def test_cv_bench_takes_a_beta_below_the_scale_bound_and_rejects_one_above(tmp_path, capsys):
+    # The bound is about 3.1e144.  1.3e154 has a finite square, but its test
+    # error's sum of squares overflowed.
+    cfg = {**_SMALL_BENCH, "ensemble": "spherical", "n_feat": 5}
+    below, above = tmp_path / "below.csv", tmp_path / "above.csv"
+    path = _write_cfg(tmp_path, "below.json", {**cfg, "beta": 3e144})
+    assert main(["cv-bench", "--config", path, "--out", str(below)]) == 0
+    assert all(np.isfinite(float(row["avg_error"])) for row in _read_csv(below))
+    path = _write_cfg(tmp_path, "above.json", {**cfg, "beta": 1.3e154})
+    assert main(["cv-bench", "--config", path, "--out", str(above)]) == 2
+    assert "error: cv-bench: beta must be small enough" in capsys.readouterr().err
+    assert not above.exists()
 
 
 _SUMMARY = "model,avg_error,win_count,win_prob,ridge_ratio"

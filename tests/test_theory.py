@@ -273,6 +273,19 @@ def test_spherical_quadrature_near_lam_one_returns(lam):
     np.testing.assert_allclose(q, closed, rtol=1e-12)
 
 
+@pytest.mark.parametrize("lam", [1e-12, 1e-20, 1e-31, 1e-300])
+def test_mp_quadrature_at_small_lam_matches_the_closed_forms(lam):
+    # The rule took the support width as hi - lo, two numbers near 1: 1.1e-10
+    # relative off at lam 1e-12, 0.51 at 1e-31, and a division by 0 from 1e-32.
+    mp = MarchenkoPastur(lam)
+    inside = [mp.support_lo + f * 4.0 * np.sqrt(lam) for f in (0.3, 0.7)]
+    alphas = np.array([1e-3, 0.1, *inside, 10.0])
+    for p, closed in ((SchattenIndex.SPECTRAL, err_spectral_closed),
+                      (SchattenIndex.NUCLEAR, err_nuclear_closed)):
+        q = err_mp(p, alphas, lam, 1.0, 1.0)
+        np.testing.assert_allclose(q, [closed(a, lam, 1.0, 1.0) for a in alphas], rtol=1e-13)
+
+
 
 def test_mp_rule_near_lam_one_still_fails_for_nuclear():
     # The MP rule does not converge here (a gap of 3.3e-9 at alpha = 5.18 on
@@ -597,7 +610,7 @@ def mp_rule_per_alpha(mp, alpha, n):
     """The MP rule row of one alpha, built whole: both base panels split at
     theta(alpha) and every node mapped to (x, w_b, w_v), the weights of dMP
     and x^-1 dMP."""
-    lo, span = mp.support_lo, mp.support_hi - mp.support_lo
+    lo, span = mp.support_lo, mp.support_width
     theta_e = min(0.5 * np.pi, 4.0 * np.sqrt(lo / span))
     theta_alpha = np.arcsin(np.sqrt(np.clip((np.array([[alpha]]) - lo) / span, 0.0, 1.0)))
     thetas, weights = [], []
@@ -682,7 +695,7 @@ def _assert_rows_equal_per_alpha(measure, alphas, n, per_alpha):
 @pytest.mark.parametrize("lam", [0.01, 0.1, 0.5, 0.9, 1 - 1e-6])
 def test_mp_rule_rows_equal_the_per_alpha_construction(lam, n):
     mp = MarchenkoPastur(lam)
-    lo, span = mp.support_lo, mp.support_hi - mp.support_lo
+    lo, span = mp.support_lo, mp.support_width
     theta_e = min(0.5 * np.pi, 4.0 * np.sqrt(lo / span))
     # The alpha at theta_e: the boundary between the base panels, or the top
     # of the support when theta_e = pi/2 (lam 0.01 and 0.1).
