@@ -120,19 +120,26 @@ def geometry_table(
     curves: dict[tuple[str, float, float], np.ndarray], grid: np.ndarray
 ) -> list[GeometryCell]:
     """Depth / curvature percent increases relative to the Ridge estimator,
-    one cell per curve; a Ridge minimum or kappa of 0 raises DegenerateFit.
+    one cell per curve.  A Ridge minimum of 0 and a curve whose fitted
+    curvature is not positive (a flat curve, or a grid too coarse for the
+    11-point fit) raise DegenerateFit.
 
     curves maps (estimator_name, sigma, shape_param) -> Err on `grid`; every
     (sigma, shape_param) pair must include "ridge", else InvalidConfig.
     """
     geoms = {key: locate_min_and_curvature(values, grid) for key, values in curves.items()}
+    for (name, sigma, shape), geom in geoms.items():
+        at = f"at sigma {sigma:g}, shape {shape:g}"
+        if ("ridge", sigma, shape) not in geoms:
+            raise InvalidConfig(f"no ridge curve {at}")
+        if name == "ridge" and geom.err_min == 0:
+            raise DegenerateFit(f"ridge's minimum is 0 {at}")
+        if geom.curvature <= 0:
+            raise DegenerateFit(f"{name}'s fitted curvature is {geom.curvature:.3g}, "
+                                f"not positive, {at}")
     cells = []
     for (name, sigma, shape), geom in geoms.items():
-        ref = geoms.get(("ridge", sigma, shape))
-        if ref is None:
-            raise InvalidConfig(f"no ridge curve at sigma {sigma:g}, shape {shape:g}")
-        if ref.err_min == 0 or ref.kappa == 0:
-            raise DegenerateFit(f"ridge's min or kappa is 0 at sigma {sigma:g}, shape {shape:g}")
+        ref = geoms[("ridge", sigma, shape)]
         cells.append(
             GeometryCell(
                 estimator=name,

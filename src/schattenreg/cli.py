@@ -1,16 +1,15 @@
 """Command-line entry points, config parsing, CSV ingestion, result emission.
 
-Commands: theory-curve, simulate, cv-bench, rff-bench, basin, real-data;
-real-data alone takes a path, the CSV file to read.  Each reads one JSON
-object from --config against its table of keys; unknown keys, and keys the
-chosen ensemble does not read, are rejected.  Counts are positive JSON
-integers, the seed a non-negative one, and a key appears once.  The seed
-may be set in the config, and --seed wins; the output is named by --out and
---format alone.  An error names the key ("n_obs: expected a positive
-integer, got 20.7"), main adds the command ("error: simulate: n_obs: ..."),
-and the run exits 2, before any sampling.  A CSV's header is its rows'
-keys.  Numeric output uses 17 significant digits so files are bit-stable
-across runs.
+Commands: theory-curve, simulate, cv-bench, rff-bench, basin, real-data,
+which alone takes a path, the CSV file to read.  Each reads one JSON object
+from --config against its table of keys; a repeated key, an unknown one and
+one the chosen ensemble does not read are rejected.  A key that is a field
+of the config class the command builds takes that class's default and its
+one check ("folds must be an integer >= 2, got 1"); the others are read
+here ("n_obs: expected a positive integer, got 20.7").  main adds the
+command ("error: cv-bench: folds must be ...") and exits 2, before any
+sampling.  --seed wins over the config's seed; --out and --format alone
+name the output, whose numbers have 17 significant digits, bit-stable.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .cv import (
     simulate_path_errors,
 )
 from .ensembles import (
-    DEFAULT_N_TEST,
     DiagonalEnsembleConfig,
     EquicorrelatedConfig,
     RealDataConfig,
@@ -84,13 +82,19 @@ def write_json(path: str, payload: dict) -> None:
 # A table maps each key a command reads to (reader, default).  A reader takes
 # the JSON value and its location, the key path ("grid: count", "sigmas[1]"),
 # and returns the parsed value or raises InvalidConfig at that location; main
-# names the command.
+# names the command.  A key that is a field of the config class the command
+# builds is read as it stands, with that class's default, and checked once,
+# by the class (see _fields).
 
 def _at(where: str, what: str) -> str:
     return f"{where}: {what}" if where else what
 
 
-def _reader(kind, what: str, ok=lambda v: True, cast=lambda v, where: v):
+def _as_is(value, where: str):
+    return value
+
+
+def _reader(kind, what: str, ok=lambda v: True, cast=_as_is):
     """Reader of a JSON value of Python type `kind`, never a bool, for which
     `ok` holds; returns cast(value, where)."""
     def read(value, where: str):
@@ -100,7 +104,7 @@ def _reader(kind, what: str, ok=lambda v: True, cast=lambda v, where: v):
     return read
 
 
-def _one_of(choices, cast=lambda v, where: v):
+def _one_of(choices, cast=_as_is):
     return _reader(str, f"one of {sorted(choices)}", choices.__contains__, cast)
 
 
@@ -111,13 +115,19 @@ def _list(item):
                    lambda v, where: tuple(item(x, f"{where}[{i}]") for i, x in enumerate(v)))
 
 
-def _table(default, readers: dict):
-    """Reader of a nested object: the dataclass `default` with the fields that
-    the object names, each read by readers[field], replaced."""
-    table = {k: (read, getattr(default, k)) for k, read in readers.items()}
+def _fields(config, *names: str) -> dict:
+    """Table entries for fields of `config`, a dataclass or an instance of one
+    (all its fields when none is named): each is read as it stands, for the
+    dataclass to check, and defaults to config's value."""
+    names = names or [f.name for f in dataclasses.fields(config)]
+    return {k: (_as_is, getattr(config, k)) for k in names}
 
+
+def _table(default):
+    """Reader of a nested object: the dataclass `default` with the fields that
+    the object names replaced, each as it stands, for the dataclass to check."""
     def cast(value, where: str):
-        fields = _read_table(table, value, where)  # its errors carry their key path
+        fields = _read_table(_fields(default), value, where)  # its errors carry their key path
         try:
             return dataclasses.replace(default, **fields)
         except InvalidConfig as exc:
@@ -149,10 +159,7 @@ def _distinct(value: dict, where: str) -> dict:
 _object = _reader(dict, "a JSON object", cast=_distinct)
 _number = _real("a finite number", math.isfinite)
 _positive = _real("a positive number", lambda v: math.isfinite(v) and v > 0)
-_unit = _real("a number in [0, 1]", lambda v: 0 <= v <= 1)
-_integer = _reader(int, "an integer")
 _count = _reader(int, "a positive integer", lambda v: v > 0)
-_folds = _reader(int, "an integer >= 2", lambda v: v >= 2)
 # The aspect ratio d/N that the theory of each ensemble covers: the
 # Marchenko-Pastur engine needs d < N, the Stiefel frames d <= N.
 _spherical_lambda = _real("a number in (0, 1)", lambda v: 0 < v < 1)
@@ -189,18 +196,14 @@ def parse(cfg, table: dict, ensembles: dict | None = None) -> dict:
 
 
 def _grid(default: AlphaGrid) -> tuple:
-    return _table(default, {"lo": _number, "hi": _number, "count": _count}), default
+    return _table(default), default
 
 
 RUN = {"seed": (_seed, 0)}
 MODELS = (_model_names, tuple(MODEL_NAMES))
-BETA = {"beta": (_number, 1.0)}
-THEORY = {**RUN, **BETA, "models": MODELS}
+THEORY = {**RUN, "beta": (_number, 1.0), "models": MODELS}
 CURVE = {**THEORY, "sigma": (_number, 1.0)}
-CV = {**RUN, "models": MODELS, "grid": _grid(AlphaGrid()), "folds": (_folds, 3)}
-N_TEST = {"n_test": (_count, DEFAULT_N_TEST)}
-N_DATASETS = {"n_datasets": (_count, 100)}
-SPARSE = _table(SparseSpec(), {"n_large": _integer, "small_scale": _number})
+CV = {**RUN, "models": MODELS, "grid": _grid(CVConfig().grid), **_fields(CVConfig, "folds")}
 
 # The theory of the diagonal ensemble has no default exponent.
 THEORY_DIAGONAL = {"gamma": (_positive, None), "lambda": (_diagonal_lambda, 0.5)}
@@ -209,10 +212,11 @@ CURVE_ENSEMBLES = {"spherical": SPHERICAL_LAMBDA, "diagonal": THEORY_DIAGONAL}
 THEORY_CURVE = {**CURVE, "ensemble": (_one_of(CURVE_ENSEMBLES), "spherical"),
                 "grid": _grid(AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, 100))}
 
-SIMULATE_ENSEMBLES = {"spherical": {**N_TEST, **SPHERICAL_LAMBDA}, "diagonal": THEORY_DIAGONAL}
-SIMULATE = {**CURVE, **N_DATASETS, "ensemble": (_one_of(SIMULATE_ENSEMBLES), "spherical"),
+SIMULATE_ENSEMBLES = {"spherical": {**_fields(SphericalGaussianConfig, "n_test"),
+                                    **SPHERICAL_LAMBDA}, "diagonal": THEORY_DIAGONAL}
+SIMULATE = {**CURVE, "ensemble": (_one_of(SIMULATE_ENSEMBLES), "spherical"),
             "grid": _grid(AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, 30)),
-            "n_obs": (_count, 100)}
+            "n_obs": (_count, 100), "n_datasets": (_count, 100)}
 
 BASIN_ENSEMBLES = {
     "spherical": {"lambdas": (_list(_spherical_lambda), (0.1, 0.5, 0.9))},
@@ -224,17 +228,17 @@ BASIN = {**THEORY, "ensemble": (_one_of(BASIN_ENSEMBLES), "spherical"),
          "sigmas": (_numbers, (0.5, 1.0, 2.0, 3.5))}
 
 CV_BENCH_ENSEMBLES = {
-    "spherical": {**N_TEST, **BETA},
-    "diagonal": {**BETA, "gamma": (_positive, 2.0), "noise_half_width": (_unit, 0.0)},
-    "equicorrelated": {**N_TEST, "rho": (_number, 0.0), "sparse": (SPARSE, None)},
+    "spherical": _fields(SphericalGaussianConfig, "n_test", "beta", "sigma"),
+    "diagonal": {**_fields(DiagonalEnsembleConfig, "beta", "sigma", "noise_half_width"),
+                 "gamma": (_positive, 2.0)},
+    "equicorrelated": {**_fields(EquicorrelatedConfig, "n_test", "rho", "sigma"),
+                       "sparse": (_table(SparseSpec()), EquicorrelatedConfig.sparse)},
 }
-CV_BENCH = {**CV, **N_DATASETS, "ensemble": (_one_of(CV_BENCH_ENSEMBLES), "equicorrelated"),
-            "n_obs": (_count, 100), "n_feat": (_count, 50), "sigma": (_number, 1.0)}
+CV_BENCH = {**CV, **_fields(CVConfig, "n_datasets"), "n_feat": (_count, 50),
+            "n_obs": (_count, 100), "ensemble": (_one_of(CV_BENCH_ENSEMBLES), "equicorrelated")}
 
-RFF_BENCH = {**CV, **N_DATASETS,
-             "models": (_model_names, (SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS)),
-             "d": (_count, 10), "d_rbf": (_count, 100), "n_obs": (_count, 100),
-             "n_test": (_count, 1000), "sigma": (_number, 1.0), "bandwidth": (_number, 1.0)}
+RFF_BENCH = {**CV, **_fields(CVConfig, "n_datasets"), **_fields(RFFBenchConfig),
+             "models": (_model_names, (SchattenIndex.NUCLEAR, SchattenIndex.FROBENIUS))}
 
 REAL_DATA = {**CV, "target": (_string, None), "train_size": (_count, 300),
              "n_splits": (_count, 200)}
@@ -262,9 +266,10 @@ def _measure(o: dict):
 
 def _cv_config(o: dict, rows: str, **given) -> CVConfig:
     """o's CVConfig, once the o[rows] training rows are known to fill its folds."""
-    if o[rows] < o["folds"]:
-        raise InvalidConfig(f"{rows}: {o[rows]} rows cannot fill {o['folds']} folds")
-    return _build(CVConfig, o, **given)
+    cfg = _build(CVConfig, o, **given)
+    if o[rows] < cfg.folds:
+        raise InvalidConfig(f"{rows}: {o[rows]} rows cannot fill {cfg.folds} folds")
+    return cfg
 
 
 def _ensemble_config(o: dict, **given):
@@ -348,6 +353,7 @@ def cmd_cv_bench(cfg: dict) -> BenchReport:
 
 def cmd_rff_bench(cfg: dict) -> BenchReport:
     o = parse(cfg, RFF_BENCH)
+    # RFFBenchConfig checks n_obs before _cv_config compares it with folds.
     return run_benchmark(_build(RFFBenchConfig, o), _cv_config(o, "n_obs"))
 
 

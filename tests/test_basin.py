@@ -187,6 +187,24 @@ def test_geometry_table_rejects_a_flat_ridge_curve(ridge):
         geometry_table(curves, grid)
 
 
+@pytest.mark.parametrize("count, names, message", [
+    # Ridge's fit is convex, Nuclear's curves downwards: the table wrote a
+    # curvature_pct of -100 for Nuclear.
+    (41, ("ridge", "nuclear"), "nuclear's fitted curvature is -0.000594"),
+    # Ridge's fit curves downwards: the table said that Ridge's minimum or
+    # kappa was 0, though its minimum is 0.0213.
+    (21, ("ridge",), "ridge's fitted curvature is -0.000485"),
+])
+def test_geometry_table_rejects_a_fit_that_curves_downwards(count, names, message):
+    # A grid too coarse for the 11-point fit near the minimum; the 500-point
+    # default fits every default cell convexly.
+    grid = AlphaGrid(DEFAULT_GRID_LO, DEFAULT_GRID_HI, count).values()
+    models = {"ridge": SchattenIndex.FROBENIUS, "nuclear": SchattenIndex.NUCLEAR}
+    curves = {(name, 0.5, 0.1): err_mp(models[name], grid, 0.1, 1.0, 0.5) for name in names}
+    with pytest.raises(DegenerateFit, match=f"^{message}, not positive, at sigma 0.5, shape 0.1$"):
+        geometry_table(curves, grid)
+
+
 def test_geometry_table_without_a_ridge_curve_names_the_cell():
     # Ridge's curve at each (sigma, shape) is the base of its percentages;
     # without it the table raised a bare KeyError.

@@ -153,11 +153,17 @@ BAD_CONFIGS = [
     ("theory-curve", {"grid": {"count": 2.5}}, [], "grid: count"),
     ("theory-curve", {"grid": {"count": 0}}, [], "grid: count"),
     ("simulate", [1, 2], ["--seed", "3"], "JSON object"),
-    ("theory-curve", {"format": "xml"}, [], "format"),
+    ("theory-curve", '{"sigma": ', [], "c.json: Expecting value"),
     # The output is named by --out and --format alone.
     ("theory-curve", {"out": "x.csv"}, [], "theory-curve: out: unknown key"),
     ("theory-curve", {"format": "json"}, [], "theory-curve: format: unknown key"),
     ("basin", {"models": ["nuclear"]}, [], "models"),
+    # A grid too coarse for the 11-point fit: at 41 points Nuclear's fit at
+    # sigma 0.5 curves downwards, and basin wrote a curvature_pct of -100.
+    ("basin", {"grid": {"count": 41}}, [],
+     "basin: nuclear's fitted curvature is -0.000594, not positive, at sigma 0.5, shape 0.1"),
+    ("basin", {"ensemble": "diagonal", "grid": {"count": 41}}, [],
+     "basin: nuclear's fitted curvature is -0.000828, not positive, at sigma 0.5, shape 0.5"),
     # With no signal and no noise every curve is 0, Ridge's base included.
     ("basin", {"beta": 0, "sigmas": [1.0, 0]}, [], "sigmas"),
     # Sparse specs fail before any sampling.
@@ -199,8 +205,8 @@ BAD_CONFIGS = [
     ("cv-bench", {"ensemble": "spherical", "beta": 1.3e154, "n_datasets": 3}, [],
      "cv-bench: beta must be small enough"),
     ("rff-bench", {"bandwidth": 0}, [], "bandwidth"),
-    ("cv-bench", {"folds": 1}, [], "folds: "),
-    ("rff-bench", {"folds": 1}, [], "folds: "),
+    ("cv-bench", {"folds": 1}, [], "folds must be"),
+    ("rff-bench", {"folds": 1}, [], "folds must be"),
     ("theory-curve", {"ensemble": "diagonal", "gamma": 0}, [], "gamma"),
     ("simulate", {"ensemble": "diagonal", "gamma": -2.0}, [], "gamma"),
     ("cv-bench", {"ensemble": "diagonal", "gamma": 0}, [], "gamma"),
@@ -278,6 +284,32 @@ BAD_CONFIGS = [
     ("rff-bench", {"n_obs": 2}, [], "rff-bench: n_obs: 2 rows cannot fill 3 folds"),
     ("real-data", {"target": "y", "train_size": 2}, ["table.csv"],
      "real-data: train_size: 2 rows cannot fill 3 folds"),
+    # A key that is a field of the config class a command builds is checked
+    # by that class alone, in its words.
+    ("cv-bench", {"n_test": 0}, [], "cv-bench: n_test must be an integer >= 1"),
+    ("cv-bench", {"ensemble": "spherical", "n_test": 2.5}, [], "cv-bench: n_test must be"),
+    ("simulate", {"n_test": 0}, [], "simulate: n_test must be"),
+    ("cv-bench", {"ensemble": "spherical", "beta": "x"}, [], "cv-bench: beta must be"),
+    ("cv-bench", {"ensemble": "diagonal", "beta": None}, [], "cv-bench: beta must be"),
+    ("cv-bench", {"sigma": True}, [], "cv-bench: sigma must be"),
+    ("cv-bench", {"rho": "x"}, [], "cv-bench: rho must be"),
+    ("cv-bench", {"ensemble": "diagonal", "noise_half_width": 2}, [],
+     "cv-bench: noise_half_width must be in [0, 1], got 2"),
+    ("cv-bench", {"sparse": {"n_large": 1.5}}, [], "cv-bench: sparse: n_large must be"),
+    ("cv-bench", {"sparse": {"small_scale": "x"}}, [], "cv-bench: sparse: small_scale must be"),
+    ("cv-bench", {"n_datasets": 0}, [], "cv-bench: n_datasets must be"),
+    ("rff-bench", {"n_datasets": 2.5}, [], "rff-bench: n_datasets must be"),
+    ("real-data", {"target": "y", "folds": 2.5}, ["table.csv"], "real-data: folds must be"),
+    ("rff-bench", {"d": 0}, [], "rff-bench: d must be an integer >= 1, got 0"),
+    ("rff-bench", {"d_rbf": 2.5}, [], "rff-bench: d_rbf must be"),
+    ("rff-bench", {"n_obs": 0}, [], "rff-bench: n_obs must be"),
+    ("rff-bench", {"n_test": True}, [], "rff-bench: n_test must be"),
+    ("rff-bench", {"sigma": "x"}, [], "rff-bench: sigma must be"),
+    ("rff-bench", {"bandwidth": "x"}, [], "rff-bench: bandwidth must be"),
+    ("theory-curve", {"grid": {"lo": "x"}}, [], "theory-curve: grid: lo must be"),
+    ("simulate", {"grid": {"hi": None}}, [], "simulate: grid: hi must be"),
+    ("basin", {"grid": {"count": 2.5}}, [], "basin: grid: count must be"),
+    ("cv-bench", {"grid": {"lo": True}}, [], "cv-bench: grid: lo must be finite and positive"),
 ]
 
 
@@ -301,6 +333,95 @@ def test_bad_config_exits_2_naming_command_and_key(tmp_path, capsys, monkeypatch
     assert named in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# The keys each command reads, per ensemble; "grid: lo" is the field lo of
+# the object grid.
+GRID = ("grid", "grid: lo", "grid: hi", "grid: count")
+CV_KEYS = ("seed", "models", "folds", *GRID)
+THEORY_KEYS = ("ensemble", "seed", "models", "beta", *GRID)
+ACCEPTED_KEYS = {
+    ("theory-curve", "spherical"): (*THEORY_KEYS, "sigma", "lambda"),
+    ("theory-curve", "diagonal"): (*THEORY_KEYS, "sigma", "lambda", "gamma"),
+    ("simulate", "spherical"): (*THEORY_KEYS, "sigma", "lambda", "n_test", "n_obs", "n_datasets"),
+    ("simulate", "diagonal"): (*THEORY_KEYS, "sigma", "lambda", "gamma", "n_obs", "n_datasets"),
+    ("basin", "spherical"): (*THEORY_KEYS, "sigmas", "lambdas"),
+    ("basin", "diagonal"): (*THEORY_KEYS, "sigmas", "gammas", "lambda"),
+    ("cv-bench", "spherical"): (*CV_KEYS, "ensemble", "n_datasets", "n_obs", "n_feat", "n_test",
+                                "beta", "sigma"),
+    ("cv-bench", "diagonal"): (*CV_KEYS, "ensemble", "n_datasets", "n_obs", "n_feat", "beta",
+                               "sigma", "gamma", "noise_half_width"),
+    ("cv-bench", "equicorrelated"): (*CV_KEYS, "ensemble", "n_datasets", "n_obs", "n_feat",
+                                     "n_test", "sigma", "rho", "sparse", "sparse: n_large",
+                                     "sparse: small_scale"),
+    ("rff-bench", None): (*CV_KEYS, "n_datasets", "d", "d_rbf", "n_obs", "n_test", "sigma",
+                          "bandwidth"),
+    ("real-data", None): (*CV_KEYS, "target", "train_size", "n_splits"),
+}
+# Every key above, and keys that no command reads: the removed "out" and
+# "format", and fields that grid and sparse do not have.
+PROBED_KEYS = sorted({k for keys in ACCEPTED_KEYS.values() for k in keys}
+                     | {"out", "format", "grid: step", "sparse: scale"})
+
+
+@pytest.mark.parametrize("command, ensemble", ACCEPTED_KEYS, ids=[
+    f"{c} {e}" if e else c for c, e in ACCEPTED_KEYS])
+def test_each_command_reads_its_pinned_keys(tmp_path, capsys, monkeypatch, command, ensemble):
+    # Each key in turn is set to "?", a value that no key takes but target: a
+    # key the command reads exits 2 on its value, any other key as unknown or
+    # as not read by the ensemble.
+    import schattenreg.cli as cli
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a config with a bad key")
+
+    for name in ("run_benchmark", "simulate_path_errors"):
+        monkeypatch.setattr(cli, name, no_sampling)
+    flags = [str(tmp_path / "missing.csv")] if command == "real-data" else []
+    read = set()
+    for key in PROBED_KEYS:
+        cfg = {"ensemble": ensemble} if ensemble else {}
+        head, _, field = key.partition(": ")
+        cfg[head] = {field: "?"} if field else "?"
+        path = _write_cfg(tmp_path, "c.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "x.csv"), *flags]) == 2
+        err = capsys.readouterr().err
+        if "unknown key" not in err and "not read by the" not in err:
+            read.add(key)
+    assert read == set(ACCEPTED_KEYS[command, ensemble])
+
+
+def test_a_command_defaults_a_config_field_to_its_class_default(monkeypatch):
+    import schattenreg.cli as cli
+    from schattenreg.cv import CVConfig
+    from schattenreg.ensembles import (DiagonalEnsembleConfig, EquicorrelatedConfig,
+                                       SphericalGaussianConfig)
+    from schattenreg.rff import RFFBenchConfig
+
+    built = []
+    monkeypatch.setattr(cli, "run_benchmark",
+                        lambda config, cv_cfg: built.append((config, cv_cfg)))
+    cli.cmd_rff_bench({})
+    for ensemble in ("spherical", "diagonal", "equicorrelated"):
+        cli.cmd_cv_bench({"ensemble": ensemble})
+    # n_obs and n_feat, and the diagonal ensemble's exponent, are the commands' own.
+    assert [config for config, _ in built] == [
+        RFFBenchConfig(), SphericalGaussianConfig(100, 50),
+        DiagonalEnsembleConfig(100, 50, PowerLaw(2.0)), EquicorrelatedConfig(100, 50)]
+    for _, cv_cfg in built:
+        assert (cv_cfg.folds, cv_cfg.n_datasets, cv_cfg.grid) == \
+            (CVConfig().folds, CVConfig().n_datasets, CVConfig().grid)
+
+    class Drawn(Exception):
+        pass
+
+    def spy(ens_cfg, *args):
+        raise Drawn(ens_cfg)
+
+    monkeypatch.setattr(cli, "simulate_path_errors", spy)
+    with pytest.raises(Drawn) as drawn:
+        cli.cmd_simulate({"grid": {"count": 1}})
+    assert drawn.value.args[0] == SphericalGaussianConfig(100, 50)
 
 
 def test_the_default_output_is_a_csv_named_after_the_command(tmp_path, monkeypatch):

@@ -871,6 +871,13 @@ def test_aggregate_wins_disagreement():
     assert aggregate_wins(report) == ("b", "a")
 
 
+def test_aggregate_wins_rejects_a_report_without_models():
+    report = BenchReport(models=(), errors=np.zeros((0, 2)), selected_alphas=np.zeros((0, 2)),
+                         avg_error={}, win_count={}, win_prob={})
+    with pytest.raises(InvalidConfig, match="^empty report$"):
+        aggregate_wins(report)
+
+
 def test_aggregate_wins_tie_breaks_lexicographically():
     errors = np.array([[1.0, 2.0], [2.0, 1.0]])
     report = BenchReport(

@@ -15,7 +15,7 @@ from schattenreg import (
     project_schatten_ball,
     solve_bias_constrained_numeric,
 )
-from schattenreg.exceptions import DimensionMismatch, NonFinite
+from schattenreg.exceptions import DidNotConverge, DimensionMismatch, NonFinite
 
 ALL_P = list(SchattenIndex)
 
@@ -38,6 +38,15 @@ def test_numeric_oracle_rejects_a_non_finite_design():
     X[2, 1] = np.nan
     with pytest.raises(NonFinite, match="^X contains NaN or inf$"):
         solve_bias_constrained_numeric(X, 0.5, SchattenIndex.FROBENIUS)
+
+
+def test_numeric_oracle_raises_when_no_restart_converges(monkeypatch):
+    # One FISTA step per restart cannot bring the objective's change below _TOL.
+    monkeypatch.setattr(schattenreg.oracle, "_MAX_ITER", 1)
+    X = np.random.default_rng(0).standard_normal((8, 4))
+    with pytest.raises(DidNotConverge, match="^objective still changing by more than 1e-12 "
+                                             "after 1 iterations$"):
+        solve_bias_constrained_numeric(X, 0.5, SchattenIndex.NUCLEAR)
 
 
 @pytest.mark.parametrize("p", ALL_P)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from schattenreg import GramSpectrum, SchattenIndex, estimator_operator, fit, gram_spectrum
 from schattenreg.spectrum import EIGVAL_RTOL
-from schattenreg.exceptions import DimensionMismatch, InsufficientData
+from schattenreg.exceptions import DimensionMismatch, InsufficientData, NonFinite
 
 FIG1_X = np.diag(np.sqrt(np.arange(1.0, 11.0)))
 
@@ -172,6 +172,15 @@ def test_spectrum_rejects_misshaped_eigvecs_and_eigvals_at_the_rank_tolerance():
     for eigvecs, eigvals in bad:
         with pytest.raises(ValueError):
             GramSpectrum(eigvecs=eigvecs, eigvals=eigvals, n_obs=3)
+
+
+@pytest.mark.parametrize("where", ["eigvecs", "eigvals"])
+def test_spectrum_rejects_a_non_finite_entry(where):
+    sp = gram_spectrum(np.random.default_rng(6).standard_normal((3, 5)))
+    parts = {"eigvecs": sp.eigvecs.copy(), "eigvals": sp.eigvals.copy()}
+    parts[where].flat[-1] = np.nan
+    with pytest.raises(NonFinite, match="^non-finite spectrum$"):
+        GramSpectrum(**parts, n_obs=3)
 
 
 @settings(max_examples=40, deadline=None)

@@ -247,6 +247,13 @@ def test_f1_domain_errors():
         appell_f1(1.0, 1.0, 1.0, 1.5, 1.2, 0.1)  # pole at u = 1/x
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_f1_raises_when_the_quadrature_error_estimate_is_too_large():
+    # At a = 1e-9 the integrand's u^(a-1) is all but non-integrable at 0.
+    with pytest.raises(QuadratureFailure, match="^F1 quadrature relative error "):
+        appell_f1(1e-9, 1.0, 1.0, 1.0, 0.5, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Diagonal-ensemble error curves
 # ---------------------------------------------------------------------------
